@@ -343,16 +343,22 @@ def _score_strategy(
     signature_texts: dict[str, str] = {}
     for question in questions:
         signature_set = load_signature_set(store_dir, kind, question.question_id)
-        pairs = []
-        for sig in sorted(signature_set.signatures, key=lambda s: s.signature_id):
-            signature_texts[sig.signature_id] = sig.text
-            pairs.append((sig.signature_id, gateway.embed(sig.text)))
-        for response in dataset.responses_for_question(question.question_id):
+        signatures = sorted(signature_set.signatures, key=lambda s: s.signature_id)
+        responses = dataset.responses_for_question(question.question_id)
+        answered = [r for r in responses if r.text.strip()]
+        # Batched per question, not per strategy, so one question's vectors are held at a time.
+        vectors = gateway.embed_many([s.text for s in signatures] + [r.text for r in answered])
+        pairs = [(sig.signature_id, vec) for sig, vec in zip(signatures, vectors)]
+        signature_texts.update((sig.signature_id, sig.text) for sig in signatures)
+        response_vectors = dict(
+            zip((r.response_id for r in answered), vectors[len(signatures) :])
+        )
+        for response in responses:
             if not response.text.strip():
                 scored = empty_scored(response.response_id)
             else:
                 scored = score_response(
-                    response.response_id, gateway.embed(response.text), pairs
+                    response.response_id, response_vectors[response.response_id], pairs
                 )
                 scored = apply_irrelevance(scored, cfg.low_threshold)
             scored_rows.append((question.study_id, question.question_id, scored))
@@ -742,3 +748,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

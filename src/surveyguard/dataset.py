@@ -162,7 +162,8 @@ def _build_dataset(
 def _read_csv(path: Path, columns: Sequence[str]) -> list[dict[str, str]]:
     if not path.exists():
         raise DataError(f"missing file: {path}")
-    with open(path, encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend.
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -26,6 +26,8 @@ from pathlib import Path
 from .errors import ConfigError, DataError, ProviderError, TransientProviderError
 from .providers import ChatProvider, EmbeddingProvider
 
+EMBED_BATCH = 64  # texts per embedding request on a cache miss
+
 
 class PurposeTag(str, Enum):
     DETECT = "detect"
@@ -142,7 +144,7 @@ class DiskCache:
             fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(entry, sort_keys=True, ensure_ascii=False, indent=2))
+                    fh.write(_canonical(entry))
                     fh.write("\n")
                 os.replace(tmp, path)
             except BaseException:
@@ -157,7 +159,7 @@ class DiskCache:
 
 @dataclass
 class GatewayStats:
-    provider_calls: int = 0  # completed provider round-trips, retries included
+    provider_calls: int = 0  # provider round-trips, retries included; an embed batch is one
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -217,12 +219,16 @@ class ProviderGateway:
             attempts=self.retries,
         ) from last
 
-    def _check_dim(self, provider_id: str, dim: int) -> None:
+    def _vector(self, provider_id: str, raw: Sequence[float]) -> EmbeddingVector:
+        """Validate one cached or fetched vector, including its dimension."""
+        values = tuple(float(v) for v in raw)
+        dim = len(values)
         seen = self._embed_dims.setdefault(provider_id, dim)
         if seen != dim:
             raise ConfigError(
                 f"embedding dimension drift for provider {provider_id}: {seen} then {dim}"
             )
+        return EmbeddingVector(values=values, provider_id=provider_id, dim=dim)
 
     # -- public API ---------------------------------------------------------
 
@@ -253,34 +259,54 @@ class ProviderGateway:
         return ChatResult(text=text, model_id=request.model_id, cached=False)
 
     def embed(self, text: str) -> EmbeddingVector:
-        """Cache-through embedding; rejects empty text, checks dimension drift."""
+        """Cache-through embedding of one text; see ``embed_many``."""
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+        """Cache-through embeddings, returned in input order.
+
+        Empty texts are rejected before any call. Distinct uncached texts go
+        to the provider ``EMBED_BATCH`` at a time; each batch is one provider
+        call, retried as a unit, and every vector in it is checked for
+        dimension drift and finiteness before any of them is stored.
+        """
         if self.embedding_provider is None:
             raise ConfigError("no embedding provider configured")
-        if not text.strip():
+        if any(not text.strip() for text in texts):
             raise DataError("empty text")
         provider_id = self.embedding_provider.provider_id
-        key = build_cache_key(text, provider_id)
-        entry = self.cache.load(key)
-        if entry is not None:
-            with self._stats_lock:
-                self.stats.cache_hits += 1
-            values = tuple(float(v) for v in entry["response"]["values"])
-            self._check_dim(provider_id, len(values))
-            return EmbeddingVector(values=values, provider_id=provider_id, dim=len(values))
+        vectors: dict[str, EmbeddingVector] = {}
+        misses: list[tuple[str, CacheKey]] = []
+        for text in dict.fromkeys(texts):
+            key = build_cache_key(text, provider_id)
+            entry = self.cache.load(key)
+            if entry is None:
+                misses.append((text, key))
+            else:
+                vectors[text] = self._vector(provider_id, entry["response"]["values"])
         with self._stats_lock:
-            self.stats.cache_misses += 1
-        raw: Sequence[float] = self._call_with_retry(
-            lambda: self.embedding_provider.embed(text), "embed"
-        )
-        values = tuple(float(v) for v in raw)
-        self._check_dim(provider_id, len(values))
-        vector = EmbeddingVector(values=values, provider_id=provider_id, dim=len(values))
-        self.cache.store(
-            key,
-            {
-                "request": embed_key_material(text, provider_id),
-                "response": {"values": list(vector.values), "dim": vector.dim},
-                "stored_at": datetime.now(timezone.utc).isoformat(),
-            },
-        )
-        return vector
+            # A repeated text is served without a call, as a hit would be.
+            self.stats.cache_misses += len(misses)
+            self.stats.cache_hits += len(texts) - len(misses)
+        for start in range(0, len(misses), EMBED_BATCH):
+            batch = misses[start : start + EMBED_BATCH]
+            batch_texts = [text for text, _ in batch]
+            raw: Sequence[Sequence[float]] = self._call_with_retry(
+                lambda: self.embedding_provider.embed_many(batch_texts), "embed"
+            )
+            if len(raw) != len(batch):
+                raise ProviderError(
+                    f"embedding provider returned {len(raw)} vectors for {len(batch)} texts"
+                )
+            fetched = [self._vector(provider_id, values) for values in raw]
+            for (text, key), vector in zip(batch, fetched):
+                self.cache.store(
+                    key,
+                    {
+                        "request": embed_key_material(text, provider_id),
+                        "response": {"values": list(vector.values), "dim": vector.dim},
+                        "stored_at": datetime.now(timezone.utc).isoformat(),
+                    },
+                )
+                vectors[text] = vector
+        return [vectors[text] for text in texts]

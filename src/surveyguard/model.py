@@ -122,7 +122,8 @@ class LengthStats:
 class Verdict:
     """Binary classification outcome for one response.
 
-    UNDETERMINED only appears when a provider or parse failure was tolerated.
+    UNDETERMINED only appears when a parse failure was tolerated; a provider
+    failure is never tolerated and aborts the batch.
     """
 
     flag: VerdictFlag

@@ -13,6 +13,7 @@ import json
 import os
 import urllib.error
 import urllib.request
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Protocol
 
 from .errors import ConfigError, ProviderError, TransientProviderError
@@ -31,6 +32,10 @@ class EmbeddingProvider(Protocol):
     provider_id: str
 
     def embed(self, text: str) -> list[float]: ...
+
+    def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
+        """One vector per text, in input order, from a single request."""
+        ...
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +101,9 @@ class MockEmbeddingProvider:
             u = int.from_bytes(_digest(str(self.seed), str(i), text)[:8], "big")
             values.append(u / 2.0**64 * 2.0 - 1.0)
         return values
+
+    def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
+        return [self.embed(text) for text in texts]
 
 
 class StaticChatProvider:
@@ -199,10 +207,21 @@ class OpenAICompatEmbeddingProvider:
         self.timeout = timeout
 
     def embed(self, text: str) -> list[float]:
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
+        """Embed all texts in one request; vectors come back ordered by ``index``."""
         base, api_key = _resolve_endpoint(self.base_url, self.base_url_env, self.api_key_env)
-        payload = {"model": self.model, "input": text}
+        payload = {"model": self.model, "input": list(texts)}
         data = _post_json(f"{base}/embeddings", payload, api_key, self.timeout)
         try:
-            return [float(x) for x in data["data"][0]["embedding"]]
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            items = sorted(data["data"], key=lambda item: item["index"])
+            indexes = [item["index"] for item in items]
+            vectors = [[float(x) for x in item["embedding"]] for item in items]
+        except (KeyError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed embedding response: {json.dumps(data)[:200]}") from exc
+        if indexes != list(range(len(texts))):
+            raise ProviderError(
+                f"embedding response indexes {indexes[:10]} do not match {len(texts)} inputs"
+            )
+        return vectors

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from surveyguard.cli import main
 
@@ -27,6 +31,18 @@ class TestValidate:
         assert "studies: 2, questions: 3, responses: 9" in out
         assert "dataset OK" in out
         assert "s1 [pre_2022]" in out
+
+    def test_python_dash_m_runs_the_cli(self, corpus_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        for module in ("surveyguard", "surveyguard.cli"):
+            result = subprocess.run(
+                [sys.executable, "-m", module, "validate", "--dataset", str(corpus_path)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert result.returncode == 0, result.stderr
+            assert "dataset OK" in result.stdout
 
     def test_missing_dataset_exits_2_with_stderr(self, capsys, tmp_path):
         code, _, err = run_cli(

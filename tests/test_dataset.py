@@ -104,6 +104,14 @@ class TestLoadBundle:
         ds = load_dataset(path, DatasetFormat.CSV_BUNDLE)
         assert ds.responses[0].text == ""
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        bundle = minimal_bundle(tmp_path)
+        expected = load_dataset(bundle)
+        for name in ("studies.csv", "questions.csv", "responses.csv"):
+            path = bundle / name
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_dataset(bundle) == expected
+
     def test_seven_hundred_word_corpus_shape(self, tmp_path):
         # three studies whose response counts are 170, 313, 160
         counts = {"s2": 170, "s3": 313, "s4": 160}

@@ -3,16 +3,24 @@ import json
 
 import pytest
 
+from surveyguard import providers
 from surveyguard.errors import ConfigError, DataError, ProviderError, TransientProviderError
 from surveyguard.gateway import (
+    EMBED_BATCH,
     ChatRequest,
     DiskCache,
     EmbeddingVector,
     ProviderGateway,
     PurposeTag,
     build_cache_key,
+    embed_key_material,
 )
-from surveyguard.providers import MockChatProvider, MockEmbeddingProvider, StaticChatProvider
+from surveyguard.providers import (
+    MockChatProvider,
+    MockEmbeddingProvider,
+    OpenAICompatEmbeddingProvider,
+    StaticChatProvider,
+)
 
 
 def chat_request(temperature=0.5, text="Why?", model="gpt-4o") -> ChatRequest:
@@ -148,9 +156,9 @@ class TestEmbedding:
             def __init__(self):
                 self.n = 0
 
-            def embed(self, text):
+            def embed_many(self, texts):
                 self.n += 1
-                return [0.1] * (4 if self.n == 1 else 5)
+                return [[0.1] * (4 if self.n == 1 else 5) for _ in texts]
 
         gateway = make_gateway(tmp_path, embed=DriftingProvider())
         gateway.embed("first")
@@ -164,6 +172,122 @@ class TestEmbedding:
             EmbeddingVector(values=(0.5,), provider_id="p", dim=2)
         with pytest.raises(ValueError):
             EmbeddingVector(values=(float("nan"),), provider_id="p", dim=1)
+
+
+
+class RecordingEmbeddingProvider:
+    """Mock vectors; records each request's texts and can misbehave on demand."""
+
+    def __init__(self, dim=4, drop_last=False, transient_failures=0):
+        self.mock = MockEmbeddingProvider(seed=0, dim=dim)
+        self.provider_id = self.mock.provider_id
+        self.drop_last = drop_last
+        self.transient_failures = transient_failures
+        self.requests: list[list[str]] = []
+
+    def embed_many(self, texts):
+        self.requests.append(list(texts))
+        if len(self.requests) <= self.transient_failures:
+            raise TransientProviderError("rate limited", status=429)
+        vectors = self.mock.embed_many(texts)
+        return vectors[:-1] if self.drop_last else vectors
+
+
+class TestEmbedMany:
+    def test_input_order_is_kept_with_duplicates(self, tmp_path):
+        provider = RecordingEmbeddingProvider()
+        gateway = make_gateway(tmp_path, embed=provider)
+        texts = ["b", "a", "b", "c", "a"]
+        vectors = gateway.embed_many(texts)
+        assert [list(v.values) for v in vectors] == [provider.mock.embed(t) for t in texts]
+        assert provider.requests == [["b", "a", "c"]]
+        assert gateway.stats.provider_calls == 1
+        assert (gateway.stats.cache_misses, gateway.stats.cache_hits) == (3, 2)
+
+    def test_one_more_miss_than_a_batch_makes_two_provider_calls(self, tmp_path):
+        provider = RecordingEmbeddingProvider()
+        gateway = make_gateway(tmp_path, embed=provider)
+        gateway.embed_many([f"text {i}" for i in range(EMBED_BATCH + 1)])
+        assert gateway.stats.provider_calls == 2
+        assert [len(texts) for texts in provider.requests] == [EMBED_BATCH, 1]
+        assert gateway.cache.entry_count() == EMBED_BATCH + 1
+
+    def test_batch_is_retried_as_a_unit(self, tmp_path):
+        provider = RecordingEmbeddingProvider(transient_failures=1)
+        gateway = make_gateway(tmp_path, embed=provider)
+        gateway.embed_many(["a", "b"])
+        assert provider.requests == [["a", "b"], ["a", "b"]]
+        assert gateway.stats.provider_calls == 2
+
+    def test_wrong_vector_count_raises_and_stores_nothing(self, tmp_path):
+        gateway = make_gateway(tmp_path, embed=RecordingEmbeddingProvider(drop_last=True))
+        with pytest.raises(ProviderError, match="2 vectors for 3 texts"):
+            gateway.embed_many(["a", "b", "c"])
+        assert gateway.cache.entry_count() == 0
+
+    def test_empty_text_rejected_before_any_call(self, tmp_path):
+        provider = RecordingEmbeddingProvider()
+        gateway = make_gateway(tmp_path, embed=provider)
+        with pytest.raises(DataError, match="empty text"):
+            gateway.embed_many(["fine", " \n"])
+        assert provider.requests == []
+        assert gateway.stats.provider_calls == 0
+
+    def test_embed_and_embed_many_share_cache_entries(self, tmp_path):
+        cold = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=0, dim=4))
+        single = cold.embed("one")
+        batch = cold.embed_many(["two", "three"])
+        warm = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=0, dim=4))
+        assert warm.embed_many(["one"]) == [single]
+        assert [warm.embed("two"), warm.embed("three")] == batch
+        assert warm.stats.provider_calls == 0
+
+
+class TestOpenAIEmbeddingAdapter:
+    """Offline: the HTTP call is replaced, so only request shape and parsing run."""
+
+    def adapter(self, monkeypatch, items):
+        sent = []
+
+        def fake_post(url, payload, api_key, timeout):
+            sent.append((url, payload))
+            return {"data": items}
+
+        monkeypatch.setattr(providers, "_post_json", fake_post)
+        monkeypatch.setenv("SURVEYGUARD_TEST_KEY", "secret")
+        adapter = OpenAICompatEmbeddingProvider(
+            model="m", base_url="http://embeddings.test/v1", api_key_env="SURVEYGUARD_TEST_KEY"
+        )
+        return adapter, sent
+
+    def test_sends_list_input_and_orders_by_index(self, monkeypatch):
+        items = [
+            {"index": 2, "embedding": [2.0]},
+            {"index": 0, "embedding": [0.0]},
+            {"index": 1, "embedding": [1.0]},
+        ]
+        adapter, sent = self.adapter(monkeypatch, items)
+        assert adapter.embed_many(["a", "b", "c"]) == [[0.0], [1.0], [2.0]]
+        assert sent == [("http://embeddings.test/v1/embeddings", {"model": "m", "input": ["a", "b", "c"]})]
+
+    def test_single_embed_uses_the_same_request(self, monkeypatch):
+        adapter, sent = self.adapter(monkeypatch, [{"index": 0, "embedding": [0.5, -0.25]}])
+        assert adapter.embed("a") == [0.5, -0.25]
+        assert sent[0][1]["input"] == ["a"]
+
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [{"index": 0, "embedding": [0.0]}],
+            [{"index": 0, "embedding": [0.0]}, {"index": 0, "embedding": [1.0]}],
+            [{"embedding": [0.0]}, {"embedding": [1.0]}],
+        ],
+        ids=["short", "repeated-index", "no-index"],
+    )
+    def test_mismatched_data_is_a_provider_error(self, monkeypatch, items):
+        adapter, _ = self.adapter(monkeypatch, items)
+        with pytest.raises(ProviderError):
+            adapter.embed_many(["a", "b"])
 
 
 class FlakyChatProvider:
@@ -228,3 +352,24 @@ class TestDiskCache:
         cache.store(build_cache_key("a", "p"), {"x": 1})
         (cache.root / ".tmp-leftover").write_text("x", encoding="utf-8")
         assert cache.entry_count() == 1
+
+    def test_entries_are_compact_and_pretty_printed_ones_still_hit(self, tmp_path):
+        provider_id = "mock-embed-0-d4"
+        values = MockEmbeddingProvider(seed=0, dim=4).embed("legacy")
+        cache = DiskCache(tmp_path / "cache")
+        legacy = {
+            "request": embed_key_material("legacy", provider_id),
+            "response": {"values": values, "dim": 4},
+            "stored_at": "2024-01-01T00:00:00+00:00",
+        }
+        cache.path_for(build_cache_key("legacy", provider_id)).write_text(
+            json.dumps(legacy, sort_keys=True, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+        )
+        provider = RecordingEmbeddingProvider()
+        gateway = make_gateway(tmp_path, embed=provider)
+        assert list(gateway.embed("legacy").values) == values
+        assert gateway.stats.provider_calls == 0
+
+        gateway.embed("fresh")
+        stored = cache.path_for(build_cache_key("fresh", provider_id)).read_text(encoding="utf-8")
+        assert stored.count("\n") == 1 and stored.endswith("\n")
