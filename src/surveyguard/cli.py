@@ -47,14 +47,16 @@ from .report import (
     AverageConvention,
     DetectionReport,
     StudyStat,
+    bin_count,
     build_histogram,
     cohort_compare,
     detector_markdown_lines,
     extract_cases,
+    sweep_csv_rows,
     sweep_markdown_lines,
     threshold_sweep,
 )
-from .scoring import apply_irrelevance, empty_scored, score_response
+from .scoring import apply_irrelevance, check_threshold, empty_scored, meets_threshold, score_response
 from .signatures import (
     TEMPLATE_VERSION,
     Sentiment,
@@ -111,7 +113,7 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-_TUPLE_KEYS = {"models", "temperatures", "sentiments", "strategies", "thresholds"}
+_TUPLE_KEYS = {f.name for f in fields(RunConfig) if isinstance(f.default, tuple)}
 
 
 def load_config_file(path: Path | str) -> dict:
@@ -144,7 +146,17 @@ def resolve_config(config_path: str | None, overrides: Mapping[str, object]) -> 
     return cfg
 
 
+def _check(rule, value) -> None:
+    """Run a library domain rule on a config value; its ValueError becomes a ConfigError."""
+    try:
+        rule(value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _validate_config(cfg: RunConfig) -> None:
+    if cfg.dataset_format != "auto":
+        _check(DatasetFormat, cfg.dataset_format)
     if not cfg.models:
         raise ConfigError("models must be non-empty")
     if not cfg.temperatures:
@@ -161,6 +173,11 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("thresholds must be non-empty")
     if list(cfg.thresholds) != sorted(cfg.thresholds):
         raise ConfigError("thresholds must be sorted ascending")
+    for th in cfg.thresholds:
+        _check(check_threshold, th)
+    _check(bin_count, cfg.bin_width)
+    if cfg.k_high < 0:
+        raise ConfigError(f"k_high must be >= 0, got {cfg.k_high}")
     if cfg.scores_mode not in ("summary", "full"):
         raise ConfigError(f'scores_mode must be "summary" or "full", got "{cfg.scores_mode}"')
     if not 0.0 <= cfg.detector_temperature <= 1.0:
@@ -172,17 +189,8 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f'unknown sentiment "{s}"') from None
 
 
-def provider_ids(cfg: RunConfig) -> tuple[str, str]:
-    """Stable provider identifiers for provenance, no network needed."""
-    if cfg.mock:
-        return (
-            f"mock-chat-{cfg.seed}",
-            f"mock-embed-{cfg.seed}-d{cfg.mock_embedding_dim}",
-        )
-    return (cfg.chat_provider, f"{cfg.embedding_provider}-embed-{cfg.embedding_model}")
-
-
 def build_gateway(cfg: RunConfig) -> ProviderGateway:
+    """The run's gateway; building it makes no request and needs no API key."""
     cache = DiskCache(Path(cfg.cache_dir))
     if cfg.mock:
         chat = MockChatProvider(seed=cfg.seed)
@@ -376,10 +384,7 @@ def _scored_dump(cfg: RunConfig, scored_rows) -> list[dict]:
             "final_score": scored.final_score,
             "best_signature_id": scored.best_signature_id,
             "flags": sorted(scored.flags),
-            "ai_at": {
-                f"{th:g}": bool(scored.final_score is not None and scored.final_score >= th)
-                for th in cfg.thresholds
-            },
+            "ai_at": {f"{th:g}": meets_threshold(scored, th) for th in cfg.thresholds},
         }
         if cfg.scores_mode == "full":
             row["per_signature"] = [
@@ -441,32 +446,13 @@ def cmd_score(cfg: RunConfig) -> int:
             [k.value for k in _strategy_kinds(cfg)],
             cohorts,
             exclude_empty=cfg.exclude_empty,
-        )
-        write_json(out_dir / "sweep.json", sweep.to_dict())
-        write_text(out_dir / "sweep.md", "\n".join(sweep_markdown_lines(sweep.to_dict())) + "\n")
-        csv_rows = []
-        for row in sweep.rows:
-            for sid in sweep.study_order:
-                if sid in row.per_study:
-                    pct = row.per_study[sid]
-                    csv_rows.append(
-                        [f"{row.threshold:g}", row.strategy, sid, pct.flagged, pct.total, pct.rendered]
-                    )
-            for cohort, pct in row.cohort_averages.items():
-                csv_rows.append(
-                    [
-                        f"{row.threshold:g}",
-                        row.strategy,
-                        f"average_{cohort.value}",
-                        pct.flagged,
-                        pct.total,
-                        pct.rendered,
-                    ]
-                )
+        ).to_dict()
+        write_json(out_dir / "sweep.json", sweep)
+        write_text(out_dir / "sweep.md", "\n".join(sweep_markdown_lines(sweep)) + "\n")
         write_csv(
             out_dir / "sweep.csv",
             ["threshold", "strategy", "study", "flagged", "total", "percent"],
-            csv_rows,
+            sweep_csv_rows(sweep),
         )
 
         total = sum(len(v) for by_study in scored_by_strategy.values() for v in by_study.values())
@@ -533,8 +519,7 @@ def _read_dump(path: Path) -> dict:
 
 
 def _build_provenance(cfg: RunConfig) -> dict:
-    chat_id, embed_id = provider_ids(cfg)
-    cache = DiskCache(Path(cfg.cache_dir))
+    gateway = build_gateway(cfg)
     return {
         "template_versions": {"signatures": TEMPLATE_VERSION, "detector": DETECTOR_TEMPLATE_VERSION},
         "grid": {
@@ -549,13 +534,16 @@ def _build_provenance(cfg: RunConfig) -> dict:
             "threshold_rule": "inclusive_ge",
             "rounding": "two_decimals_half_up",
         },
-        "providers": {"chat": chat_id, "embedding": embed_id},
+        "providers": {
+            "chat": gateway.chat_provider.provider_id,
+            "embedding": gateway.embedding_provider.provider_id,
+        },
         "detector": {"model": cfg.detector_model, "temperature": cfg.detector_temperature},
         "thresholds": list(cfg.thresholds),
         "low_threshold": cfg.low_threshold,
         "bin_width": cfg.bin_width,
         "seed": cfg.seed,
-        "cache": {"dir": Path(cfg.cache_dir).name, "entries": cache.entry_count()},
+        "cache": {"dir": Path(cfg.cache_dir).name, "entries": gateway.cache.entry_count()},
     }
 
 
@@ -692,28 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "dataset",
-    "dataset_format",
-    "cache_dir",
-    "output_dir",
-    "mock",
-    "seed",
-    "models",
-    "temperatures",
-    "sentiments",
-    "strategies",
-    "thresholds",
-    "low_threshold",
-    "k_high",
-    "bin_width",
-    "exclude_empty",
-    "scores_mode",
-    "detector_model",
-    "detector_temperature",
-    "tolerate_parse_failures",
-)
-
 _COMMANDS = {
     "validate": cmd_validate,
     "gen-signatures": cmd_gen_signatures,
@@ -727,7 +693,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        overrides = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
+        overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
         if getattr(args, "strategy", None) and args.command == "gen-signatures":
             overrides["strategies"] = [args.strategy]
         cfg = resolve_config(args.config, overrides)

@@ -54,9 +54,6 @@ class SurveyDataset:
     questions: tuple[SurveyQuestion, ...]
     responses: tuple[SurveyResponse, ...]
 
-    def study_index(self) -> dict[str, SurveyStudy]:
-        return {s.study_id: s for s in self.studies}
-
     def question_index(self) -> dict[str, SurveyQuestion]:
         return {q.question_id: q for q in self.questions}
 
@@ -162,22 +159,26 @@ def _build_dataset(
 def _read_csv(path: Path, columns: Sequence[str]) -> list[dict[str, str]]:
     if not path.exists():
         raise DataError(f"missing file: {path}")
+    header = None
+    rows = []
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend.
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path.name}: missing header row") from None
-        if header != list(columns):
-            raise DataError(
-                f"{path.name}: expected header {','.join(columns)}, got {','.join(header)}"
-            )
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(columns):
-                raise DataError(f"{path.name} row {i}: expected {len(columns)} fields, got {len(row)}")
-            rows.append(dict(zip(columns, row)))
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path.name}: missing header row")
+            if header != list(columns):
+                raise DataError(
+                    f"{path.name}: expected header {','.join(columns)}, got {','.join(header)}"
+                )
+            for i, row in enumerate(reader, start=2):
+                if len(row) != len(columns):
+                    raise DataError(f"{path.name} row {i}: expected {len(columns)} fields, got {len(row)}")
+                rows.append(dict(zip(columns, row)))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit(), 131,072 characters
+            row_number = 1 if header is None else len(rows) + 2
+            raise DataError(f"{path.name} row {row_number}: {exc}") from exc
     return rows
 
 

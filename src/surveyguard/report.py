@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .model import Cohort
-from .scoring import FLAG_EMPTY, FLAG_IRRELEVANT, ScoredResponse
+from .scoring import FLAG_EMPTY, FLAG_IRRELEVANT, ScoredResponse, flag_irrelevant, meets_threshold
 
 
 class AverageConvention(str, Enum):
@@ -106,6 +106,13 @@ def average_pooled(pairs: Sequence[tuple[int, int]]) -> Percent:
     return percentage(flagged, total)
 
 
+def average(convention: AverageConvention, percents: Sequence[Percent]) -> Percent:
+    """Average per-study percentages under the named convention."""
+    if convention == AverageConvention.UNWEIGHTED_MEAN:
+        return average_unweighted(percents)
+    return average_pooled([(p.flagged, p.total) for p in percents])
+
+
 @dataclass(frozen=True)
 class CohortComparison:
     pre_average: Percent
@@ -140,22 +147,13 @@ def cohort_compare(
     for cohort, members in by_cohort.items():
         if not members:
             raise ValueError(f"cohort {cohort.value} has no studies")
-    averages = {}
-    for cohort, members in by_cohort.items():
-        if convention == AverageConvention.UNWEIGHTED_MEAN:
-            averages[cohort] = average_unweighted([m.percent for m in members])
-        else:
-            pairs = []
-            for m in members:
-                if m.percent.flagged is None or m.percent.total is None:
-                    raise ValueError(
-                        f"study {m.study_id}: pooled averaging needs (flagged, total) counts"
-                    )
-                pairs.append((m.percent.flagged, m.percent.total))
-            averages[cohort] = average_pooled(pairs)
+    if convention == AverageConvention.POOLED_WEIGHTED:
+        for m in by_cohort[Cohort.PRE_2022] + by_cohort[Cohort.POST_2022]:
+            if m.percent.flagged is None or m.percent.total is None:
+                raise ValueError(f"study {m.study_id}: pooled averaging needs (flagged, total) counts")
     return CohortComparison(
-        pre_average=averages[Cohort.PRE_2022],
-        post_average=averages[Cohort.POST_2022],
+        pre_average=average(convention, [m.percent for m in by_cohort[Cohort.PRE_2022]]),
+        post_average=average(convention, [m.percent for m in by_cohort[Cohort.POST_2022]]),
         convention=convention,
     )
 
@@ -209,8 +207,7 @@ def _detected_counts(
         if exclude_empty and FLAG_EMPTY in scored.flags:
             continue
         total += 1
-        if scored.final_score is not None and scored.final_score >= th:
-            flagged += 1
+        flagged += meets_threshold(scored, th)
     return flagged, total
 
 
@@ -261,15 +258,9 @@ def threshold_sweep(
                 raise ValueError(f'no scorable responses for strategy "{strategy}"')
             averages = {}
             for cohort in (Cohort.PRE_2022, Cohort.POST_2022):
-                members = [sid for sid in per_study if cohorts[sid] == cohort]
-                if not members:
-                    continue
-                if convention == AverageConvention.UNWEIGHTED_MEAN:
-                    averages[cohort] = average_unweighted([per_study[sid] for sid in members])
-                else:
-                    averages[cohort] = average_pooled(
-                        [(per_study[sid].flagged, per_study[sid].total) for sid in members]
-                    )
+                members = [pct for sid, pct in per_study.items() if cohorts[sid] == cohort]
+                if members:
+                    averages[cohort] = average(convention, members)
             rows.append(
                 SweepRow(
                     threshold=float(th),
@@ -307,17 +298,23 @@ class HistogramSpec:
         return rows
 
 
-def build_histogram(
-    scores_by_cohort: Mapping[Cohort, Sequence[float]], bin_width: float = 0.05
-) -> HistogramSpec:
-    """Bin similarity scores per cohort; bin_width must divide the [-1, 1] span."""
+def bin_count(bin_width: float) -> int:
+    """Number of histogram bins over [-1, 1]; bin_width must divide the span."""
     width = as_exact(bin_width)
     if width <= 0:
         raise ValueError(f"invalid bin width: {bin_width}")
     n_bins_exact = Fraction(2) / width
     if n_bins_exact.denominator != 1:
         raise ValueError(f"invalid bin width: {bin_width} does not divide the [-1, 1] span")
-    n_bins = int(n_bins_exact)
+    return int(n_bins_exact)
+
+
+def build_histogram(
+    scores_by_cohort: Mapping[Cohort, Sequence[float]], bin_width: float = 0.05
+) -> HistogramSpec:
+    """Bin similarity scores per cohort; bin_width must divide the [-1, 1] span."""
+    n_bins = bin_count(bin_width)
+    width = as_exact(bin_width)
     edges = tuple(float(-1 + i * width) for i in range(n_bins + 1))
     counts = {}
     for cohort, scores in scores_by_cohort.items():
@@ -396,7 +393,7 @@ def extract_cases(
     with_scores = [s for s in scored if s.final_score is not None]
     high = sorted(with_scores, key=lambda s: (-s.final_score, s.response_id))[:k_high]
     low = sorted(
-        (s for s in with_scores if FLAG_IRRELEVANT in s.flags or s.final_score <= low_th),
+        (s for s in with_scores if FLAG_IRRELEVANT in s.flags or flag_irrelevant(s, low_th)),
         key=lambda s: (s.final_score, s.response_id),
     )
     return CaseExtract(
@@ -455,6 +452,30 @@ def sweep_markdown_lines(sweep: Mapping) -> list[str]:
             cells.append(f"{avg['rendered']}%" if avg else "-")
         lines.append("| " + " | ".join(cells) + " |")
     return lines
+
+
+def sweep_csv_rows(sweep: Mapping) -> list[list[str]]:
+    """[threshold, strategy, study, num, den, percent] rows from a SweepTable dict.
+
+    Rows follow the dict's own order: per (threshold, strategy) row, its
+    studies, then its cohort averages as "average_<cohort>".
+    """
+    rows = []
+    for row in sweep["rows"]:
+        cells = list(row["per_study"].items())
+        cells += [(f"average_{cohort}", pct) for cohort, pct in row["averages"].items()]
+        for name, pct in cells:
+            rows.append(
+                [
+                    f"{row['threshold']:g}",
+                    str(row["strategy"]),
+                    name,
+                    str(pct.get("num", "")),
+                    str(pct.get("den", "")),
+                    pct["rendered"],
+                ]
+            )
+    return rows
 
 
 def detector_markdown_lines(section: Mapping) -> list[str]:
@@ -550,29 +571,6 @@ def report_to_csv_rows(report: DetectionReport) -> list[list[str]]:
     if report.signature_detection is not None:
         sweep = report.signature_detection.get("sweep")
         if sweep:
-            for row in sweep["rows"]:
-                for sid, pct in sorted(row["per_study"].items()):
-                    rows.append(
-                        [
-                            "signature_detection",
-                            str(row["strategy"]),
-                            f"{row['threshold']:g}",
-                            sid,
-                            str(pct.get("num", "")),
-                            str(pct.get("den", "")),
-                            pct["rendered"],
-                        ]
-                    )
-                for cohort, pct in sorted(row["averages"].items()):
-                    rows.append(
-                        [
-                            "signature_detection",
-                            str(row["strategy"]),
-                            f"{row['threshold']:g}",
-                            f"average_{cohort}",
-                            str(pct.get("num", "")),
-                            str(pct.get("den", "")),
-                            pct["rendered"],
-                        ]
-                    )
+            for th, strategy, *cell in sweep_csv_rows(sweep):
+                rows.append(["signature_detection", strategy, th, *cell])
     return rows

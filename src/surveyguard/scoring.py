@@ -110,16 +110,22 @@ def empty_scored(response_id: str, flags: Iterable[str] = ()) -> ScoredResponse:
     )
 
 
-def classify_by_threshold(scored: ScoredResponse, th: float) -> Verdict:
-    """AI when final_score >= th (inclusive boundary), else HUMAN.
+def meets_threshold(scored: ScoredResponse, th: float) -> bool:
+    """The inclusive rule: True iff final_score >= th. Empty responses never meet it."""
+    return scored.final_score is not None and scored.final_score >= th
 
-    Empty responses have no score and count as not-AI.
-    """
+
+def check_threshold(th: float) -> None:
+    """A threshold lies in (-1, 1]; at -1 or below every scored response would be AI."""
     if not -1.0 < th <= 1.0:
         raise ValueError(f"threshold must be in (-1, 1], got {th}")
-    is_ai = scored.final_score is not None and scored.final_score >= th
+
+
+def classify_by_threshold(scored: ScoredResponse, th: float) -> Verdict:
+    """AI when the score meets th (inclusive boundary), else HUMAN."""
+    check_threshold(th)
     return Verdict(
-        flag=VerdictFlag.AI if is_ai else VerdictFlag.HUMAN,
+        flag=VerdictFlag.AI if meets_threshold(scored, th) else VerdictFlag.HUMAN,
         source=VerdictSource.SIGNATURE,
         detail=f"threshold={th:g}",
     )

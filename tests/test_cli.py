@@ -1,10 +1,19 @@
+import argparse
+import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from surveyguard.cli import main
+import pytest
+
+from conftest import write_bundle
+from surveyguard import cli
+from surveyguard.cli import RunConfig, build_parser, main
+from surveyguard.model import VerdictFlag
+from surveyguard.scoring import ScoredResponse, classify_by_threshold
 
 
 def run_cli(capsys, *args) -> tuple[int, str, str]:
@@ -297,3 +306,173 @@ class TestIdempotence:
         run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
         for name, blob in snapshot.items():
             assert (tmp_path / "out" / name).read_bytes() == blob, name
+
+
+class TestBadValuesRejectedBeforeAnyCall:
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--bin-width", "0.07"], {}, "invalid bin width"),
+            (["--k-high", "-1"], {}, "k_high"),
+            ([], {"dataset_format": "bogus"}, "bogus"),
+            (["--thresholds", "0.5,1.5"], {}, "(-1, 1]"),
+        ],
+        ids=["bin-width", "k-high", "dataset-format", "threshold-domain"],
+    )
+    def test_score_exits_1_with_an_empty_cache(self, capsys, corpus_path, tmp_path, flags, config, message):
+        run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))
+        score_cache = tmp_path / "score-cache"
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "score", "--config", config_path, "--dataset", corpus_path,
+            "--cache-dir", score_cache, "--output-dir", tmp_path / "out", "--mock", *flags,
+        )
+        assert code == 1
+        assert "config error" in err and message in err
+        assert not score_cache.exists() or not any(score_cache.iterdir())
+
+
+# Per RunConfig field reachable from a flag: the flag's argument and the value it must resolve to.
+FLAG_SAMPLES = {
+    "dataset": ("data.json", "data.json"),
+    "dataset_format": ("single_json", "single_json"),
+    "cache_dir": ("c", "c"),
+    "output_dir": ("o", "o"),
+    "seed": ("7", 7),
+    "models": ("m1,m2", ("m1", "m2")),
+    "temperatures": ("0,0.5", (0.0, 0.5)),
+    "sentiments": ("negative", ("negative",)),
+    "strategies": ("basic,sentiment", ("basic", "sentiment")),
+    "thresholds": ("0.6,0.65", (0.6, 0.65)),
+    "low_threshold": ("0.1", 0.1),
+    "k_high": ("3", 3),
+    "bin_width": ("0.1", 0.1),
+    "scores_mode": ("full", "full"),
+    "detector_model": ("gpt-4", "gpt-4"),
+    "detector_temperature": ("0.5", 0.5),
+}
+
+
+def _config_flags():
+    config_fields = {f.name for f in fields(RunConfig)}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.option_strings and action.dest in config_fields:
+                yield pytest.param(command, action, id=f"{command} {action.option_strings[0]}")
+
+
+class TestFlagsReachTheConfig:
+    @pytest.mark.parametrize("command, action", list(_config_flags()))
+    def test_flag_sets_its_config_field(self, monkeypatch, command, action):
+        if action.nargs == 0:  # store_const switches
+            argv, expected = [action.option_strings[0]], action.const
+        else:
+            value, expected = FLAG_SAMPLES[action.dest]
+            argv = [action.option_strings[0], value]
+        assert getattr(RunConfig(), action.dest) != expected
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: seen.append(cfg) or 0)
+        assert main([command, *argv]) == 0
+        assert getattr(seen[0], action.dest) == expected
+
+
+class TestProvenanceProviders:
+    def test_mock_ids_come_from_the_mock_providers(self, capsys, corpus_path, tmp_path):
+        run_cli(capsys, *base_args(corpus_path, tmp_path, "detect-llm", "--seed", "3"))
+        code, _, _ = run_cli(capsys, *base_args(corpus_path, tmp_path, "report", "--seed", "3"))
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert report["provenance"]["providers"] == {"chat": "mock-chat-3", "embedding": "mock-embed-3-d16"}
+
+    def test_openai_ids_need_no_api_key(self, capsys, monkeypatch, corpus_path, tmp_path):
+        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        run_cli(capsys, *base_args(corpus_path, tmp_path, "detect-llm"))
+        args = [a for a in base_args(corpus_path, tmp_path, "report") if a != "--mock"]
+        code, _, err = run_cli(capsys, *args)
+        assert code == 0, err
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert report["provenance"]["providers"] == {
+            "chat": "openai",
+            "embedding": "openai-embed-text-embedding-3-small",
+        }
+
+    def test_unknown_chat_provider_is_a_config_error(self, capsys, corpus_path, tmp_path):
+        run_cli(capsys, *base_args(corpus_path, tmp_path, "detect-llm"))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"chat_provider": "carrier-pigeon"}), encoding="utf-8")
+        args = [a for a in base_args(corpus_path, tmp_path, "report") if a != "--mock"]
+        code, _, err = run_cli(capsys, *args, "--config", config)
+        assert code == 1
+        assert "carrier-pigeon" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
+class TestThresholdBoundary:
+    def test_score_equal_to_the_threshold_is_ai_everywhere(self, capsys, corpus_path, tmp_path):
+        run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))
+        run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
+        scored = json.loads((tmp_path / "out" / "scored_basic.json").read_text(encoding="utf-8"))
+        finals = sorted(r["final_score"] for r in scored if r["final_score"] is not None)
+        th = finals[len(finals) // 2]
+        assert -1.0 < th < 1.0
+
+        code, _, _ = run_cli(capsys, *base_args(corpus_path, tmp_path, "score", "--thresholds", repr(th)))
+        assert code == 0
+        scored = json.loads((tmp_path / "out" / "scored_basic.json").read_text(encoding="utf-8"))
+        at_th = [r for r in scored if r["final_score"] == th]
+        assert at_th and all(r["ai_at"] == {f"{th:g}": True} for r in at_th)
+
+        sweep = json.loads((tmp_path / "out" / "sweep.json").read_text(encoding="utf-8"))
+        for study_id, pct in sweep["rows"][0]["per_study"].items():
+            finals = [r["final_score"] for r in scored if r["study_id"] == study_id]
+            assert pct["num"] == sum(1 for f in finals if f is not None and f >= th)
+
+        boundary = ScoredResponse("r", (), final_score=th, best_signature_id="s")
+        assert classify_by_threshold(boundary, th).flag == VerdictFlag.AI
+
+
+class TestSweepCsvMatchesReportCsv:
+    def test_same_rows_with_report_in_study_id_order(self, capsys, tmp_path):
+        # "a-post" sorts first by id but after "b-pre" in the sweep's cohort order.
+        dataset = write_bundle(
+            tmp_path / "bundle",
+            studies=[
+                ["a-post", "Later study", "2023-05", "d", "p"],
+                ["b-pre", "Earlier study", "2021-03", "d", "p"],
+            ],
+            questions=[["qa", "a-post", "open_ended", "Why?"], ["qb", "b-pre", "open_ended", "How?"]],
+            responses=[
+                ["r1", "qa", "Because it is quick.", ""],
+                ["r2", "qa", "", ""],
+                ["r3", "qb", "I use it every day at work.", ""],
+                ["r4", "qb", "My friend told me about it.", ""],
+            ],
+        )
+        run_cli(capsys, *base_args(dataset, tmp_path, "gen-signatures", "--models", "m1,m2"))
+        run_cli(capsys, *base_args(dataset, tmp_path, "score", "--thresholds=-0.5,0.5"))
+        code, _, _ = run_cli(capsys, *base_args(dataset, tmp_path, "report"))
+        assert code == 0
+        with open(tmp_path / "out" / "sweep.csv", encoding="utf-8", newline="") as fh:
+            sweep_rows = list(csv.reader(fh))[1:]
+        with open(tmp_path / "out" / "report.csv", encoding="utf-8", newline="") as fh:
+            report_rows = [r for r in csv.reader(fh) if r[0] == "signature_detection"]
+        as_sweep = [[th, strategy, study, *cell] for _, strategy, th, study, *cell in report_rows]
+        assert len(sweep_rows) == len(as_sweep) == 8
+        assert set(map(tuple, sweep_rows)) == set(map(tuple, as_sweep))
+        assert [r[2] for r in sweep_rows[:4]] == ["b-pre", "a-post", "average_pre_2022", "average_post_2022"]
+        assert [r[2] for r in as_sweep[:4]] == ["a-post", "b-pre", "average_post_2022", "average_pre_2022"]
+
+
+class TestOversizedCsvField:
+    def test_validate_exits_2_naming_the_file_and_row(self, capsys, tmp_path):
+        dataset = write_bundle(
+            tmp_path / "bundle",
+            studies=[["s1", "Study", "2021-06", "d", "p"]],
+            questions=[["q1", "s1", "open_ended", "Why?"]],
+            responses=[["r1", "q1", "short", ""], ["r2", "q1", "x" * 150_000, ""]],
+        )
+        code, _, err = run_cli(capsys, "validate", "--dataset", dataset)
+        assert code == 2
+        assert "responses.csv row 3" in err and "field larger than field limit" in err

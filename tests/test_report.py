@@ -17,6 +17,7 @@ from surveyguard.report import (
     extract_cases,
     percentage,
     render_two_decimals,
+    sweep_csv_rows,
     sweep_markdown_lines,
     threshold_sweep,
 )
@@ -231,6 +232,19 @@ class TestThresholdSweep:
         assert included.rows[0].per_study["s1"].to_dict()["den"] == 2
         excluded = threshold_sweep(data, [0.8], ["basic"], COHORTS, exclude_empty=True)
         assert excluded.rows[0].per_study["s1"].to_dict()["den"] == 1
+
+    def test_csv_rows_follow_the_sweep_order(self):
+        cohorts = {"a": Cohort.POST_2022, "b": Cohort.PRE_2022}
+        data = {"basic": {"a": [scored("r0", 0.9)], "b": [scored("r1", 0.2), scored("r2", 0.8)]}}
+        table = threshold_sweep(data, [0.7, 0.9], ["basic"], cohorts)
+        rows = sweep_csv_rows(table.to_dict())
+        assert rows[:4] == [
+            ["0.7", "basic", "b", "1", "2", "50.00"],
+            ["0.7", "basic", "a", "1", "1", "100.00"],
+            ["0.7", "basic", "average_pre_2022", "1", "2", "50.00"],
+            ["0.7", "basic", "average_post_2022", "1", "1", "100.00"],
+        ]
+        assert [r[0] for r in rows] == ["0.7"] * 4 + ["0.9"] * 4
 
     def test_markdown_rows(self):
         data = {"basic": {"s1": [scored("r0", 0.9)], "s2": [scored("r1", 0.2)]}}
