@@ -16,6 +16,8 @@ from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .dataset import (
     DatasetFormat,
@@ -56,7 +58,7 @@ from .report import (
     sweep_markdown_lines,
     threshold_sweep,
 )
-from .scoring import apply_irrelevance, check_threshold, empty_scored, meets_threshold, score_response
+from .scoring import apply_irrelevance, check_threshold, empty_scored, meets_threshold, score_question
 from .signatures import (
     TEMPLATE_VERSION,
     Sentiment,
@@ -114,6 +116,27 @@ class RunConfig:
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 _TUPLE_KEYS = {f.name for f in fields(RunConfig) if isinstance(f.default, tuple)}
+_FIELD_TYPES = get_type_hints(RunConfig)
+
+
+def _has_type(value: object, hint: object) -> bool:
+    """True iff value fits a RunConfig field type; a float field also takes an int."""
+    if isinstance(value, bool) or hint is bool:
+        return value.__class__ is hint  # bool is an int subclass; keep the two apart
+    if hint is float:
+        return isinstance(value, (int, float))
+    if get_origin(hint) is tuple:  # tuple[X, ...], given as a JSON list or a flag's list
+        return isinstance(value, (list, tuple)) and all(_has_type(v, get_args(hint)[0]) for v in value)
+    if get_origin(hint) is UnionType:
+        return any(_has_type(value, arg) for arg in get_args(hint))
+    return isinstance(value, hint)
+
+
+def _check_types(layer: Mapping[str, object]) -> None:
+    for key, value in layer.items():
+        if not _has_type(value, _FIELD_TYPES[key]):
+            expected = RunConfig.__annotations__[key]  # the annotation's source text
+            raise ConfigError(f'config key "{key}" must be {expected}, got {value!r}')
 
 
 def load_config_file(path: Path | str) -> dict:
@@ -134,11 +157,14 @@ def load_config_file(path: Path | str) -> dict:
 
 
 def resolve_config(config_path: str | None, overrides: Mapping[str, object]) -> RunConfig:
-    """Defaults, then config file, then flags; flags win."""
+    """Defaults, then config file, then flags; flags win. Both layers are type-checked."""
     merged: dict = {}
-    if config_path:
-        merged.update(load_config_file(config_path))
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    for layer in (
+        load_config_file(config_path) if config_path else {},
+        {k: v for k, v in overrides.items() if v is not None},
+    ):
+        _check_types(layer)
+        merged.update(layer)
     for key in _TUPLE_KEYS & set(merged):
         merged[key] = tuple(merged[key])
     cfg = replace(RunConfig(), **merged)
@@ -221,15 +247,41 @@ def _load_dataset(cfg: RunConfig) -> SurveyDataset:
     return load_dataset(cfg.dataset, fmt)
 
 
+def _holder_is_gone(lock: Path) -> bool:
+    """True iff the lock holds the PID of a process that no longer exists."""
+    try:
+        pid = int(lock.read_text(encoding="utf-8"))
+        if pid > 0:  # 0 and negative numbers would signal process groups
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):  # unreadable, not a PID, or not ours to signal
+        pass
+    return False
+
+
 @contextmanager
 def _exclusive_output(out_dir: Path):
-    """One run owns its output directory; a stale lock must be removed manually."""
+    """One run owns its output directory.
+
+    The lock file holds the owner's PID. A lock left by a process that has
+    exited is taken over; any other lock must be removed by hand.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock, flags)
     except FileExistsError:
-        raise ConfigError(f"output directory {out_dir} is locked (stale {lock}?)") from None
+        if not _holder_is_gone(lock):
+            raise ConfigError(f"output directory {out_dir} is locked (stale {lock}?)") from None
+        # Two runs taking over the same stale lock at once can both get past
+        # here; the window is between reading the PID and this unlink.
+        lock.unlink(missing_ok=True)
+        try:
+            fd = os.open(lock, flags)
+        except FileExistsError:  # another run reclaimed it first
+            raise ConfigError(f"output directory {out_dir} is locked ({lock})") from None
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)
@@ -356,19 +408,20 @@ def _score_strategy(
         answered = [r for r in responses if r.text.strip()]
         # Batched per question, not per strategy, so one question's vectors are held at a time.
         vectors = gateway.embed_many([s.text for s in signatures] + [r.text for r in answered])
-        pairs = [(sig.signature_id, vec) for sig, vec in zip(signatures, vectors)]
         signature_texts.update((sig.signature_id, sig.text) for sig in signatures)
-        response_vectors = dict(
-            zip((r.response_id for r in answered), vectors[len(signatures) :])
-        )
+        by_id = {
+            scored.response_id: scored
+            for scored in score_question(
+                [(r.response_id, vec) for r, vec in zip(answered, vectors[len(signatures) :])],
+                [(sig.signature_id, vec) for sig, vec in zip(signatures, vectors)],
+                records=cfg.scores_mode == "full",
+            )
+        }
         for response in responses:
-            if not response.text.strip():
-                scored = empty_scored(response.response_id)
+            if response.response_id in by_id:
+                scored = apply_irrelevance(by_id[response.response_id], cfg.low_threshold)
             else:
-                scored = score_response(
-                    response.response_id, response_vectors[response.response_id], pairs
-                )
-                scored = apply_irrelevance(scored, cfg.low_threshold)
+                scored = empty_scored(response.response_id)
             scored_rows.append((question.study_id, question.question_id, scored))
     scored_rows.sort(key=lambda item: item[2].response_id)
     return scored_rows, signature_texts

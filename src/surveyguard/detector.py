@@ -165,8 +165,8 @@ def detect_batch(
         tasks.append((question.study_id, response.response_id, question, response))
     tasks.sort(key=lambda t: (t[0], t[1]))
 
-    def classify(task) -> tuple[str, str, Verdict, str]:
-        study_id, response_id, question, response = task
+    def classify(task) -> tuple[Verdict, str]:
+        _, _, question, response = task
         request = ChatRequest(
             model_id=config.model_id,
             temperature=config.temperature,
@@ -175,17 +175,24 @@ def detect_batch(
         )
         result = gateway.chat(request)
         digest = hashlib.sha256(result.text.encode("utf-8")).hexdigest()
-        return study_id, response_id, parse_detector_output(result.text), digest
+        return parse_detector_output(result.text), digest
 
+    # Identical prompts make identical requests: each is sent once, from one
+    # worker, and a repeat counts as a cache hit, as in ProviderGateway.embed_many.
+    first: dict[tuple[str, str], tuple] = {}
+    for task in tasks:
+        _, _, question, response = task
+        first.setdefault((question.text, response.text), task)
+    gateway.count_shared_replies(len(tasks) - len(first))
     workers = max_workers or gateway.max_in_flight
-    if tasks:
-        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            outcomes = list(pool.map(classify, tasks))
-    else:
-        outcomes = []
+    replies: dict[tuple[str, str], tuple[Verdict, str]] = {}
+    if first:
+        with ThreadPoolExecutor(max_workers=min(workers, len(first))) as pool:
+            replies = dict(zip(first, pool.map(classify, first.values())))
 
     by_study: dict[str, list[ResponseVerdict]] = {}
-    for study_id, response_id, verdict, digest in outcomes:
+    for study_id, response_id, question, response in tasks:
+        verdict, digest = replies[(question.text, response.text)]
         if verdict.flag == VerdictFlag.UNDETERMINED and not config.tolerate_parse_failures:
             raise DetectorParseError(
                 f'unparseable detector output for response "{response_id}"'

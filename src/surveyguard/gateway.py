@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import random
 import tempfile
@@ -22,6 +21,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError, DataError, ProviderError, TransientProviderError
 from .providers import ChatProvider, EmbeddingProvider
@@ -63,20 +64,28 @@ class ChatResult:
     cached: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingVector:
-    """A provider-produced real vector for one text."""
+    """A provider-produced real vector for one text, held as a read-only float64 copy."""
 
-    values: tuple[float, ...]
+    values: np.ndarray
     provider_id: str
     dim: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.dim != len(self.values):
-            raise ValueError(f"dim {self.dim} != len(values) {len(self.values)}")
-        if not all(math.isfinite(v) for v in self.values):
+        values = np.array(self.values, dtype=np.float64)
+        if values.shape != (self.dim,):
+            raise ValueError(f"dim {self.dim} != shape of values {values.shape}")
+        if not np.isfinite(values).all():
             raise ValueError("embedding contains non-finite values")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:  # unhashable, like the array it holds
+        if not isinstance(other, EmbeddingVector):
+            return NotImplemented
+        same = (self.provider_id, self.dim) == (other.provider_id, other.dim)
+        return same and np.array_equal(self.values, other.values)
 
 
 @dataclass(frozen=True)
@@ -221,14 +230,13 @@ class ProviderGateway:
 
     def _vector(self, provider_id: str, raw: Sequence[float]) -> EmbeddingVector:
         """Validate one cached or fetched vector, including its dimension."""
-        values = tuple(float(v) for v in raw)
-        dim = len(values)
+        dim = len(raw)
         seen = self._embed_dims.setdefault(provider_id, dim)
         if seen != dim:
             raise ConfigError(
                 f"embedding dimension drift for provider {provider_id}: {seen} then {dim}"
             )
-        return EmbeddingVector(values=values, provider_id=provider_id, dim=dim)
+        return EmbeddingVector(values=raw, provider_id=provider_id, dim=dim)
 
     # -- public API ---------------------------------------------------------
 
@@ -257,6 +265,11 @@ class ProviderGateway:
             },
         )
         return ChatResult(text=text, model_id=request.model_id, cached=False)
+
+    def count_shared_replies(self, n: int) -> None:
+        """Count n requests answered with the reply to an identical request as cache hits."""
+        with self._stats_lock:
+            self.stats.cache_hits += n
 
     def embed(self, text: str) -> EmbeddingVector:
         """Cache-through embedding of one text; see ``embed_many``."""
@@ -304,7 +317,7 @@ class ProviderGateway:
                     key,
                     {
                         "request": embed_key_material(text, provider_id),
-                        "response": {"values": list(vector.values), "dim": vector.dim},
+                        "response": {"values": vector.values.tolist(), "dim": vector.dim},
                         "stored_at": datetime.now(timezone.utc).isoformat(),
                     },
                 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -56,17 +57,64 @@ class ScoredResponse:
         return replace(self, flags=self.flags | frozenset(extra))
 
 
+def similarity_matrix(
+    responses: Sequence[tuple[str, EmbeddingVector]],
+    signatures: Sequence[tuple[str, EmbeddingVector]],
+) -> np.ndarray:
+    """Cosines as an (R, S) array: rows follow responses, columns signatures.
+
+    Every row is normalised once, then reduced with einsum, which uses no BLAS,
+    so a score's bits depend neither on its batch, nor on the other columns,
+    nor on operand order or the BLAS thread count.
+    """
+    pairs = [*responses, *signatures]
+    if responses[0][1].dim != signatures[0][1].dim:
+        raise ValueError(f"dimension mismatch: {responses[0][1].dim} vs {signatures[0][1].dim}")
+    rows = np.stack([vector.values for _, vector in pairs])
+    norms = np.linalg.norm(rows, axis=1)
+    usable = (norms > 0.0) & np.isfinite(norms)  # a norm that overflows would zero the row
+    if not usable.all():
+        first = pairs[usable.argmin()][0]
+        raise DegenerateEmbeddingError(f"degenerate embedding: zero or infinite norm for {first!r}")
+    unit = rows / norms[:, None]
+    m = np.einsum("id,jd->ij", unit[: len(responses)], unit[len(responses) :])
+    if not (np.abs(m) <= 1.0 + SCORE_TOLERANCE).all():  # NaN fails this too
+        raise ValueError(f"similarity score out of range: {np.abs(m).max()}")
+    return m
+
+
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """dot(a, b) / (||a|| * ||b||) in double precision."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    va = np.asarray(a.values, dtype=np.float64)
-    vb = np.asarray(b.values, dtype=np.float64)
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateEmbeddingError("degenerate embedding: zero norm")
-    return float(np.dot(va, vb) / (na * nb))
+    """The cosine of one pair, through the same core as ``score_question``."""
+    return float(similarity_matrix([("a", a)], [("b", b)])[0, 0])
+
+
+def score_question(
+    responses: Sequence[tuple[str, EmbeddingVector]],
+    signatures: Sequence[tuple[str, EmbeddingVector]],
+    records: bool = True,
+) -> list[ScoredResponse]:
+    """Score one question's responses; each final score is its row's max.
+
+    Columns are sorted by signature_id and argmax returns the first maximum, so
+    ties go to the lexicographically smallest id. ``records`` off leaves
+    ``per_signature`` empty.
+    """
+    if not responses:
+        return []
+    if not signatures:
+        raise ValueError("empty signature set")
+    signatures = sorted(signatures, key=lambda pair: pair[0])
+    ids = [signature_id for signature_id, _ in signatures]
+    m = similarity_matrix(responses, signatures)
+    return [
+        ScoredResponse(
+            response_id=rid,
+            per_signature=tuple(map(SimilarityRecord, repeat(rid), ids, row)) if records else (),
+            final_score=row[best],
+            best_signature_id=ids[best],
+        )
+        for (rid, _), row, best in zip(responses, m.tolist(), m.argmax(axis=1).tolist())
+    ]
 
 
 def score_response(
@@ -79,24 +127,8 @@ def score_response(
 
     Ties on the max go to the lexicographically smallest signature_id.
     """
-    if not signature_embeddings:
-        raise ValueError("empty signature set")
-    records = []
-    best_id: str | None = None
-    best_score = -np.inf
-    for signature_id, embedding in signature_embeddings:
-        score = cosine_similarity(response_embedding, embedding)
-        records.append(SimilarityRecord(response_id=response_id, signature_id=signature_id, score=score))
-        if score > best_score or (score == best_score and (best_id is None or signature_id < best_id)):
-            best_score = score
-            best_id = signature_id
-    return ScoredResponse(
-        response_id=response_id,
-        per_signature=tuple(records),
-        final_score=float(best_score),
-        best_signature_id=best_id,
-        flags=frozenset(flags),
-    )
+    scored = score_question([(response_id, response_embedding)], signature_embeddings)[0]
+    return scored.with_flags(*flags)
 
 
 def empty_scored(response_id: str, flags: Iterable[str] = ()) -> ScoredResponse:

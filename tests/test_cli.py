@@ -290,7 +290,7 @@ class TestConfigHandling:
     def test_locked_output_dir_is_config_error(self, capsys, corpus_path, tmp_path):
         out_dir = tmp_path / "out"
         out_dir.mkdir(parents=True)
-        (out_dir / ".lock").write_text("12345\n", encoding="utf-8")
+        (out_dir / ".lock").write_text(f"{os.getpid()}\n", encoding="utf-8")
         code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))
         assert code == 1
         assert "locked" in err
@@ -476,3 +476,115 @@ class TestOversizedCsvField:
         code, _, err = run_cli(capsys, "validate", "--dataset", dataset)
         assert code == 2
         assert "responses.csv row 3" in err and "field larger than field limit" in err
+
+
+class TestConfigValueTypes:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("k_high", "5"),
+            ("seed", "x"),
+            ("seed", 1.5),
+            ("bin_width", "0.05"),
+            ("mock", 1),
+            ("exclude_empty", "yes"),
+            ("low_threshold", True),
+            ("cache_dir", None),
+            ("chat_base_url", 3),
+            ("models", "gpt-4o"),
+            ("temperatures", ["0.5"]),
+            ("thresholds", 0.7),
+            ("sentiments", [1]),
+        ],
+    )
+    def test_mismatch_is_a_config_error_before_any_call(self, capsys, corpus_path, tmp_path, key, value):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({key: value}), encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, *base_args(corpus_path, tmp_path, "gen-signatures", "--config", config_path)
+        )
+        assert code == 1
+        assert f'config error: config key "{key}"' in err
+        assert not (tmp_path / "cache").exists()
+
+    def test_a_float_key_takes_an_int_and_an_optional_key_takes_null(self, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(
+            json.dumps({"low_threshold": 0, "thresholds": [0, 0.5, 1], "chat_base_url": None}),
+            encoding="utf-8",
+        )
+        cfg = cli.resolve_config(str(config_path), {})
+        assert (cfg.low_threshold, cfg.thresholds, cfg.chat_base_url) == (0, (0, 0.5, 1), None)
+
+
+class TestStaleOutputLock:
+    def test_lock_of_an_exited_process_is_taken_over(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its PID names no process
+        lock = tmp_path / ".lock"
+        lock.write_text(f"{child.pid}\n", encoding="utf-8")
+        with cli._exclusive_output(tmp_path):
+            assert lock.read_text(encoding="utf-8") == f"{os.getpid()}\n"
+        assert not lock.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [f"{os.getpid()}\n", "not a pid\n", "", "0\n", "-99999\n", "99999999999999999999\n"],
+        ids=["live", "garbage", "empty", "zero", "negative", "overflow"],
+    )
+    def test_other_locks_still_block(self, tmp_path, content):
+        lock = tmp_path / ".lock"
+        lock.write_text(content, encoding="utf-8")
+        with pytest.raises(cli.ConfigError, match="locked"):
+            with cli._exclusive_output(tmp_path):
+                pass
+        assert lock.read_text(encoding="utf-8") == content
+
+
+class TestDetectRepeatedAnswers:
+    def test_each_distinct_request_is_sent_once(self, capsys, tmp_path):
+        texts = ["I use it daily.", "Mostly for work.", "My friend told me.", "It is cheap."]
+        dataset = write_bundle(
+            tmp_path / "bundle",
+            studies=[["s1", "Study", "2021-06", "d", "p"]],
+            questions=[["q1", "s1", "open_ended", "Why do you use it?"]],
+            responses=[[f"r{i:03d}", "q1", texts[i % len(texts)], ""] for i in range(200)],
+        )
+        lines = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the detector's worker threads as much as possible
+        try:
+            for run in ("a", "b"):
+                code, out, _ = run_cli(
+                    capsys, "detect-llm", "--dataset", dataset, "--mock",
+                    "--cache-dir", tmp_path / f"cache-{run}", "--output-dir", tmp_path / f"out-{run}",
+                )
+                assert code == 0
+                lines.append(out.strip().splitlines()[-1])
+        finally:
+            sys.setswitchinterval(interval)
+        assert lines == ["provider calls: 4 (cache hits: 196)"] * 2
+        dumps = [(tmp_path / f"out-{run}" / "detector_gpt-3.5-turbo.json").read_bytes() for run in "ab"]
+        assert dumps[0] == dumps[1]
+
+
+class TestScoresIgnoreBlasThreads:
+    def test_scored_dump_bytes_match_with_one_blas_thread(self, tmp_path, corpus_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"mock_embedding_dim": 256}), encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        default["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        dumps = []
+        for name, env in (("one", {**default, "OPENBLAS_NUM_THREADS": "1"}), ("default", default)):
+            out_dir = tmp_path / f"out-{name}"
+            for command in ("gen-signatures", "score"):
+                subprocess.run(
+                    [sys.executable, "-m", "surveyguard", command, "--config", str(config_path),
+                     "--dataset", str(corpus_path), "--cache-dir", str(tmp_path / "cache"),
+                     "--output-dir", str(out_dir), "--mock"],
+                    env=env, check=True, capture_output=True, timeout=120,
+                )
+            dumps.append((out_dir / "scored_basic.json").read_bytes())
+        assert dumps[0] == dumps[1]

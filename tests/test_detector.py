@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -158,6 +159,25 @@ class TestDetectBatch:
         run1 = detect_batch(ds, DetectorConfig(model_id="gpt-4o"), g1)
         run2 = detect_batch(ds_shuffled, DetectorConfig(model_id="gpt-4o"), g2)
         assert detection_run_to_dict(run1) == detection_run_to_dict(run2)
+
+    def test_repeated_answers_are_sent_once_even_when_calls_overlap(self, tmp_path):
+        class SlowChat(StaticChatProvider):
+            def complete(self, request):
+                time.sleep(0.02)  # long enough for every worker to miss the cache at once
+                return super().complete(request)
+
+        texts = ["I like it.", "As an AI assistant, I like it.", "It is cheap."]
+        ds = SurveyDataset(
+            studies=(SurveyStudy(study_id="s1", label="One", collected_month_year="2021-06"),),
+            questions=(QUESTION,),
+            responses=tuple(response(f"r{i:02d}", texts[i % 3]) for i in range(30)),
+        )
+        provider = SlowChat("HUMAN")
+        gateway = make_gateway(tmp_path, provider)
+        run = detect_batch(ds, DetectorConfig(model_id="gpt-4o"), gateway, max_workers=5)
+        assert provider.calls == gateway.stats.provider_calls == 3
+        assert gateway.stats.cache_hits == 27
+        assert len(run.studies[0].verdicts) == 30
 
     def test_warm_cache_reruns_with_zero_calls(self, tmp_path):
         ds = dataset_with_markers(2, 5)

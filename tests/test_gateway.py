@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from surveyguard import providers
@@ -172,6 +173,30 @@ class TestEmbedding:
             EmbeddingVector(values=(0.5,), provider_id="p", dim=2)
         with pytest.raises(ValueError):
             EmbeddingVector(values=(float("nan"),), provider_id="p", dim=1)
+
+    def test_vector_values_are_a_read_only_copy(self):
+        source = np.array([0.5, -0.5])
+        v = EmbeddingVector(values=source, provider_id="p", dim=2)
+        source[0] = 9.0
+        assert v.values.dtype == np.float64 and v.values.tolist() == [0.5, -0.5]
+        with pytest.raises(ValueError, match="read-only"):
+            v.values[0] = 1.0
+
+    def test_vector_equality(self):
+        v = EmbeddingVector(values=[0.5, -0.5], provider_id="p", dim=2)
+        assert v == EmbeddingVector(values=(0.5, -0.5), provider_id="p", dim=2)
+        assert v != EmbeddingVector(values=(0.5, 0.5), provider_id="p", dim=2)
+        assert v != EmbeddingVector(values=(0.5, -0.5), provider_id="q", dim=2)
+        assert v != (0.5, -0.5)
+
+    @pytest.mark.parametrize(
+        "values, dim",
+        [((0.5, float("nan")), 2), ((float("inf"),), 1), ((0.5, 0.5), 3), (((0.5, 0.5),), 1)],
+        ids=["nan", "inf", "wrong-dim", "not-1d"],
+    )
+    def test_vector_rejects_non_finite_values_and_a_wrong_dim(self, values, dim):
+        with pytest.raises(ValueError):
+            EmbeddingVector(values=values, provider_id="p", dim=dim)
 
 
 

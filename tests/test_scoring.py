@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from surveyguard.gateway import EmbeddingVector
@@ -16,7 +17,9 @@ from surveyguard.scoring import (
     cosine_similarity,
     empty_scored,
     flag_irrelevant,
+    score_question,
     score_response,
+    similarity_matrix,
 )
 
 
@@ -202,3 +205,65 @@ class TestEmptyScored:
         assert scored.final_score is None
         assert scored.best_signature_id is None
         assert FLAG_EMPTY in scored.flags
+
+
+def np_pairs(prefix: str, rows) -> list[tuple[str, EmbeddingVector]]:
+    return [
+        (f"{prefix}{i:04d}", EmbeddingVector(values=row, provider_id="test", dim=len(row)))
+        for i, row in enumerate(rows)
+    ]
+
+
+class TestScoringCoreIsBitStable:
+    @pytest.mark.parametrize("dim", [4, 256, 1536])
+    def test_a_score_does_not_depend_on_its_batch_or_columns(self, dim):
+        rng = np.random.default_rng(dim)
+        responses = np_pairs("r", rng.standard_normal((500, dim)))
+        signatures = np_pairs("s", rng.standard_normal((20, dim)))
+        batch = similarity_matrix(responses, signatures)
+        for i in range(0, 500, 7):
+            alone = similarity_matrix(responses[i : i + 1], signatures)
+            assert alone.tobytes() == batch[i : i + 1].tobytes()
+        for trial in range(10):
+            cols = sorted(rng.choice(20, size=int(rng.integers(1, 21)), replace=False).tolist())
+            subset = similarity_matrix(responses, [signatures[j] for j in cols])
+            assert subset.tobytes() == batch[:, cols].tobytes()
+        swapped = similarity_matrix(signatures, responses)
+        assert swapped.T.tobytes() == batch.tobytes()
+
+    def test_score_question_agrees_with_score_response_and_the_oracle(self):
+        rng = random.Random(13)
+        responses = [(f"r{i}", random_vec(rng, 8)) for i in range(30)]
+        pairs = [(f"sig{i:02d}", random_vec(rng, 8)) for i in reversed(range(12))]
+        full = score_question(responses, pairs)
+        summary = score_question(responses, pairs, records=False)
+        for (rid, emb), scored, short in zip(responses, full, summary):
+            alone = score_response(rid, emb, pairs)
+            assert (scored.final_score, scored.best_signature_id) == (
+                alone.final_score,
+                alone.best_signature_id,
+            )
+            assert (short.final_score, short.best_signature_id, short.per_signature) == (
+                scored.final_score,
+                scored.best_signature_id,
+                (),
+            )
+            assert [r.signature_id for r in scored.per_signature] == sorted(sid for sid, _ in pairs)
+            oracle = max(oracle_cosine(emb, sig) for _, sig in pairs)
+            assert scored.final_score == pytest.approx(oracle, abs=1e-12)
+
+    def test_no_responses_means_no_scores(self):
+        assert score_question([], [("s", vec(1, 0))]) == []
+
+    def test_zero_norm_signature_is_named(self):
+        with pytest.raises(DegenerateEmbeddingError, match="'sig-zero'"):
+            score_question([("r1", vec(1, 0))], [("sig-a", vec(0, 1)), ("sig-zero", vec(0, 0))])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_an_overflowing_norm_is_degenerate(self):
+        with pytest.raises(DegenerateEmbeddingError, match="'sig-huge'"):
+            score_question([("r1", vec(1, 0))], [("sig-a", vec(0, 1)), ("sig-huge", vec(1e200, 1e200))])
+
+    def test_zero_norm_response_is_named(self):
+        with pytest.raises(DegenerateEmbeddingError, match="'r-zero'"):
+            score_question([("r1", vec(1, 0)), ("r-zero", vec(0, 0))], [("sig-a", vec(0, 1))])
