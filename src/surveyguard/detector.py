@@ -11,11 +11,10 @@ from __future__ import annotations
 import hashlib
 import re
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .dataset import SurveyDataset
-from .errors import DataError
+from .errors import DataError, ProviderError
 from .gateway import ChatRequest, ProviderGateway, PurposeTag
 from .model import (
     QuestionKind,
@@ -147,12 +146,12 @@ def detect_batch(
     dataset: SurveyDataset,
     config: DetectorConfig,
     gateway: ProviderGateway,
-    max_workers: int | None = None,
 ) -> DetectionRun:
     """Classify every non-empty open-ended response and aggregate per study.
 
     UNDETERMINED verdicts stay in the denominator but never in the numerator;
-    with tolerate_parse_failures off, the first one aborts the batch.
+    with tolerate_parse_failures off, the first one aborts the batch. A
+    provider failure aborts it too, after every request has been answered.
     """
     questions = dataset.question_index()
     tasks: list[tuple[str, str, SurveyQuestion, SurveyResponse]] = []
@@ -165,38 +164,27 @@ def detect_batch(
         tasks.append((question.study_id, response.response_id, question, response))
     tasks.sort(key=lambda t: (t[0], t[1]))
 
-    def classify(task) -> tuple[Verdict, str]:
-        _, _, question, response = task
-        request = ChatRequest(
+    results = gateway.chat_many([
+        ChatRequest(
             model_id=config.model_id,
             temperature=config.temperature,
             messages=build_detector_prompt(question, response),
             purpose=PurposeTag.DETECT,
         )
-        result = gateway.chat(request)
-        digest = hashlib.sha256(result.text.encode("utf-8")).hexdigest()
-        return parse_detector_output(result.text), digest
-
-    # Identical prompts make identical requests: each is sent once, from one
-    # worker, and a repeat counts as a cache hit, as in ProviderGateway.embed_many.
-    first: dict[tuple[str, str], tuple] = {}
-    for task in tasks:
-        _, _, question, response = task
-        first.setdefault((question.text, response.text), task)
-    gateway.count_shared_replies(len(tasks) - len(first))
-    workers = max_workers or gateway.max_in_flight
-    replies: dict[tuple[str, str], tuple[Verdict, str]] = {}
-    if first:
-        with ThreadPoolExecutor(max_workers=min(workers, len(first))) as pool:
-            replies = dict(zip(first, pool.map(classify, first.values())))
+        for _, _, question, response in tasks
+    ])
+    for result in results:
+        if isinstance(result, ProviderError):
+            raise result
 
     by_study: dict[str, list[ResponseVerdict]] = {}
-    for study_id, response_id, question, response in tasks:
-        verdict, digest = replies[(question.text, response.text)]
+    for (study_id, response_id, _, _), result in zip(tasks, results):
+        verdict = parse_detector_output(result.text)
         if verdict.flag == VerdictFlag.UNDETERMINED and not config.tolerate_parse_failures:
             raise DetectorParseError(
                 f'unparseable detector output for response "{response_id}"'
             )
+        digest = hashlib.sha256(result.text.encode("utf-8")).hexdigest()
         by_study.setdefault(study_id, []).append(
             ResponseVerdict(response_id=response_id, verdict=verdict, raw_text_digest=digest)
         )

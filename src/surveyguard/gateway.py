@@ -17,6 +17,7 @@ import tempfile
 import threading
 import time
 from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -28,6 +29,9 @@ from .errors import ConfigError, DataError, ProviderError, TransientProviderErro
 from .providers import ChatProvider, EmbeddingProvider
 
 EMBED_BATCH = 64  # texts per embedding request on a cache miss
+MAX_IN_FLIGHT = 5  # provider calls running at once
+RETRIES = 3  # attempts per provider call, the first included
+BACKOFF_BASE_S = 1.0  # delay before the first retry; doubles on each further one
 
 
 class PurposeTag(str, Enum):
@@ -141,8 +145,14 @@ class DiskCache:
         path = self.path_for(key)
         if not path.exists():
             return None
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"corrupted cache entry: {path}: {exc}") from exc
+        if not isinstance(entry, dict):
+            raise DataError(f"corrupted cache entry: {path}: not a JSON object")
+        return entry
 
     def store(self, key: CacheKey, entry: dict) -> bool:
         """Store entry unless the key already exists. Returns True if written."""
@@ -176,9 +186,9 @@ class GatewayStats:
 class ProviderGateway:
     """Cache-through front of the configured providers.
 
-    Safe for concurrent use: at most ``max_in_flight`` provider calls run at
-    once, the cache serializes writes per key, and callers are expected to
-    order results by their own stable keys, never by arrival order.
+    Safe for concurrent use: at most ``MAX_IN_FLIGHT`` provider calls run at
+    once, the cache serializes writes per key, and results come back in the
+    caller's order, never in arrival order.
     """
 
     def __init__(
@@ -186,21 +196,13 @@ class ProviderGateway:
         cache: DiskCache,
         chat_provider: ChatProvider | None = None,
         embedding_provider: EmbeddingProvider | None = None,
-        retries: int = 3,
-        backoff_base: float = 1.0,
-        max_in_flight: int = 5,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if retries < 1:
-            raise ConfigError("retries must be >= 1")
         self.cache = cache
         self.chat_provider = chat_provider
         self.embedding_provider = embedding_provider
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self.max_in_flight = max_in_flight
         self._sleep = sleep
-        self._sem = threading.BoundedSemaphore(max_in_flight)
+        self._sem = threading.BoundedSemaphore(MAX_IN_FLIGHT)
         self._stats_lock = threading.Lock()
         self._jitter = random.Random(0)
         self._embed_dims: dict[str, int] = {}
@@ -210,7 +212,7 @@ class ProviderGateway:
 
     def _call_with_retry(self, fn: Callable[[], object], what: str) -> object:
         last: ProviderError | None = None
-        for attempt in range(self.retries):
+        for attempt in range(RETRIES):
             try:
                 with self._sem:
                     with self._stats_lock:
@@ -218,15 +220,27 @@ class ProviderGateway:
                     return fn()
             except TransientProviderError as exc:
                 last = exc
-                if attempt < self.retries - 1:
-                    delay = self.backoff_base * (2**attempt) * (1.0 + 0.5 * self._jitter.random())
+                if attempt < RETRIES - 1:
+                    delay = BACKOFF_BASE_S * (2**attempt) * (1.0 + 0.5 * self._jitter.random())
                     self._sleep(delay)
         assert last is not None
         raise ProviderError(
-            f"{what} failed after {self.retries} attempts: {last}",
+            f"{what} failed after {RETRIES} attempts: {last}",
             status=last.status,
-            attempts=self.retries,
+            attempts=RETRIES,
         ) from last
+
+    def _cached(self, key: CacheKey, field: str, kind: type) -> object | None:
+        """The response ``field`` of the entry under key, or None on a miss."""
+        entry = self.cache.load(key)
+        if entry is None:
+            return None
+        response = entry.get("response")
+        value = response.get(field) if isinstance(response, dict) else None
+        if not isinstance(value, kind):
+            path = self.cache.path_for(key)
+            raise DataError(f"corrupted cache entry: {path}: no {kind.__name__} response {field}")
+        return value
 
     def _vector(self, provider_id: str, raw: Sequence[float]) -> EmbeddingVector:
         """Validate one cached or fetched vector, including its dimension."""
@@ -246,11 +260,11 @@ class ProviderGateway:
             raise ConfigError("no chat provider configured")
         provider_id = self.chat_provider.provider_id
         key = build_cache_key(request, provider_id)
-        entry = self.cache.load(key)
-        if entry is not None:
+        text = self._cached(key, "text", str)
+        if text is not None:
             with self._stats_lock:
                 self.stats.cache_hits += 1
-            return ChatResult(text=entry["response"]["text"], model_id=request.model_id, cached=True)
+            return ChatResult(text=text, model_id=request.model_id, cached=True)
         with self._stats_lock:
             self.stats.cache_misses += 1
         text = self._call_with_retry(
@@ -266,10 +280,39 @@ class ProviderGateway:
         )
         return ChatResult(text=text, model_id=request.model_id, cached=False)
 
-    def count_shared_replies(self, n: int) -> None:
-        """Count n requests answered with the reply to an identical request as cache hits."""
+    def chat_many(self, requests: Sequence[ChatRequest]) -> list[ChatResult | ProviderError]:
+        """Cache-through chat completions, returned in input order.
+
+        Each distinct request goes through ``chat`` once, from one of
+        ``MAX_IN_FLIGHT`` workers; a repeat counts as a cache hit, as in
+        ``embed_many``. A request that fails for good gets its ProviderError
+        in its place; any other exception ends its worker and is raised once
+        the other workers have run out of requests.
+        """
+        results: dict[ChatRequest, ChatResult | ProviderError | None] = dict.fromkeys(requests)
         with self._stats_lock:
-            self.stats.cache_hits += n
+            self.stats.cache_hits += len(requests) - len(results)
+        pending = iter(list(results))
+        take = threading.Lock()
+
+        # One loop per worker over a shared iterator: a Future per request
+        # would cost memory in proportion to the batch.
+        def work() -> None:
+            while True:
+                with take:
+                    request = next(pending, None)
+                if request is None:
+                    return
+                try:
+                    results[request] = self.chat(request)
+                except ProviderError as exc:
+                    results[request] = exc
+
+        with ThreadPoolExecutor(MAX_IN_FLIGHT) as pool:
+            workers = [pool.submit(work) for _ in range(min(MAX_IN_FLIGHT, len(results)))]
+        for worker in workers:
+            worker.result()
+        return [results[request] for request in requests]
 
     def embed(self, text: str) -> EmbeddingVector:
         """Cache-through embedding of one text; see ``embed_many``."""
@@ -292,11 +335,11 @@ class ProviderGateway:
         misses: list[tuple[str, CacheKey]] = []
         for text in dict.fromkeys(texts):
             key = build_cache_key(text, provider_id)
-            entry = self.cache.load(key)
-            if entry is None:
+            values = self._cached(key, "values", list)
+            if values is None:
                 misses.append((text, key))
             else:
-                vectors[text] = self._vector(provider_id, entry["response"]["values"])
+                vectors[text] = self._vector(provider_id, values)
         with self._stats_lock:
             # A repeated text is served without a call, as a hit would be.
             self.stats.cache_misses += len(misses)

@@ -13,12 +13,11 @@ import hashlib
 import json
 import re
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
+from .dataset import write_json
 from .errors import DataError, ProviderError
 from .gateway import ChatRequest, ProviderGateway, PurposeTag
 from .model import SurveyQuestion
@@ -95,11 +94,7 @@ class GridDescriptor:
 
 @dataclass(frozen=True)
 class SignatureSet:
-    """All signatures generated for one question under one strategy.
-
-    generated_at is informational only and is never persisted, so a warm-cache
-    regeneration writes byte-identical store files.
-    """
+    """All signatures generated for one question under one strategy."""
 
     question_id: str
     strategy_kind: StrategyKind
@@ -108,7 +103,6 @@ class SignatureSet:
     template_version: str = TEMPLATE_VERSION
     failures: tuple[GenerationFailure, ...] = ()
     duplicates_removed: int = 0
-    generated_at: str = ""
 
     def __post_init__(self) -> None:
         keys = [(s.model_id, s.temperature, s.strategy.sentiment) for s in self.signatures]
@@ -169,7 +163,6 @@ def generate_signatures(
     temperatures: Sequence[float],
     gateway: ProviderGateway,
     sentiments: Sequence[Sentiment] = DEFAULT_SENTIMENTS,
-    max_workers: int | None = None,
 ) -> SignatureSet:
     """Materialize one signature per grid cell through the gateway.
 
@@ -182,45 +175,31 @@ def generate_signatures(
         raise ValueError("sentiment list must be non-empty for the sentiment strategy")
 
     grid_sentiments = tuple(sentiments) if kind == StrategyKind.SENTIMENT else ()
-    cells: list[tuple[str, float, Sentiment | None]] = []
-    for model_id in models:
-        for temperature in temperatures:
-            if kind == StrategyKind.SENTIMENT:
-                cells.extend((model_id, float(temperature), s) for s in grid_sentiments)
-            else:
-                cells.append((model_id, float(temperature), None))
-
-    def run_cell(cell: tuple[str, float, Sentiment | None]):
-        model_id, temperature, sentiment = cell
-        request = build_signature_request(question, model_id, temperature, sentiment)
-        return gateway.chat(request)
-
-    workers = max_workers or gateway.max_in_flight
+    cells = [
+        (model_id, float(temperature), sentiment)
+        for model_id in models
+        for temperature in temperatures
+        for sentiment in grid_sentiments or (None,)
+    ]
+    outcomes = gateway.chat_many([build_signature_request(question, *cell) for cell in cells])
     signatures: list[Signature] = []
     failures: list[GenerationFailure] = []
-    with ThreadPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-        results = list(pool.map(lambda c: _guarded(run_cell, c), cells))
-    for (model_id, temperature, sentiment), outcome in zip(cells, results):
-        if isinstance(outcome, str):  # error message
-            failures.append(GenerationFailure(model_id, temperature, sentiment, outcome))
+    for (model_id, temperature, sentiment), outcome in zip(cells, outcomes):
+        if isinstance(outcome, ProviderError):
+            failures.append(GenerationFailure(model_id, temperature, sentiment, str(outcome)))
             continue
         if not outcome.text.strip():
             failures.append(
                 GenerationFailure(model_id, temperature, sentiment, "empty completion")
             )
             continue
-        strategy = (
-            PromptStrategy(kind=kind, sentiment=sentiment)
-            if sentiment is not None
-            else PromptStrategy(kind=kind)
-        )
         signatures.append(
             Signature(
                 signature_id=signature_id_for(
                     question.question_id, kind, model_id, temperature, sentiment
                 ),
                 question_id=question.question_id,
-                strategy=strategy,
+                strategy=PromptStrategy(kind, sentiment),
                 model_id=model_id,
                 temperature=temperature,
                 text=outcome.text,
@@ -242,15 +221,7 @@ def generate_signatures(
             sentiments=grid_sentiments,
         ),
         failures=tuple(failures),
-        generated_at=datetime.now(timezone.utc).isoformat(),
     )
-
-
-def _guarded(fn, cell):
-    try:
-        return fn(cell)
-    except ProviderError as exc:
-        return str(exc)
 
 
 def _normalized(text: str) -> str:
@@ -270,15 +241,10 @@ def dedupe_signatures(signature_set: SignatureSet) -> SignatureSet:
     kept = [min(group, key=lambda s: (s.sort_key, s.signature_id)) for group in groups.values()]
     removed = len(signature_set.signatures) - len(kept)
     kept.sort(key=lambda s: s.sort_key)
-    return SignatureSet(
-        question_id=signature_set.question_id,
-        strategy_kind=signature_set.strategy_kind,
+    return replace(
+        signature_set,
         signatures=tuple(kept),
-        grid=signature_set.grid,
-        template_version=signature_set.template_version,
-        failures=signature_set.failures,
         duplicates_removed=signature_set.duplicates_removed + removed,
-        generated_at=signature_set.generated_at,
     )
 
 
@@ -300,8 +266,7 @@ def signature_store_path(store_dir: Path | str, kind: StrategyKind, question_id:
 
 def save_signature_set(signature_set: SignatureSet, store_dir: Path | str) -> Path:
     path = signature_store_path(store_dir, signature_set.strategy_kind, signature_set.question_id)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
+    write_json(path, {
         "question_id": signature_set.question_id,
         "strategy": signature_set.strategy_kind.value,
         "template_version": signature_set.template_version,
@@ -330,10 +295,7 @@ def save_signature_set(signature_set: SignatureSet, store_dir: Path | str) -> Pa
             for f in signature_set.failures
         ],
         "duplicates_removed": signature_set.duplicates_removed,
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2))
-        fh.write("\n")
+    })
     return path
 
 
@@ -343,33 +305,35 @@ def load_signature_set(store_dir: Path | str, kind: StrategyKind, question_id: s
         raise DataError(f'no signature store for question "{question_id}" under {path.parent}')
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return _signature_set_from(json.load(fh))
+    except KeyError as exc:
+        raise DataError(f"corrupted signature store file: {path}: missing {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError included
         raise DataError(f"corrupted signature store file: {path}: {exc}") from exc
+
+
+def _sentiment(row: dict) -> Sentiment | None:
+    return Sentiment(row["sentiment"]) if row.get("sentiment") else None
+
+
+def _signature_set_from(payload: dict) -> SignatureSet:
     kind = StrategyKind(payload["strategy"])
-    signatures = []
-    for row in payload["signatures"]:
-        sentiment = Sentiment(row["sentiment"]) if row.get("sentiment") else None
-        strategy = (
-            PromptStrategy(kind=kind, sentiment=sentiment)
-            if sentiment is not None
-            else PromptStrategy(kind=kind)
+    signatures = tuple(
+        Signature(
+            signature_id=row["signature_id"],
+            question_id=payload["question_id"],
+            strategy=PromptStrategy(kind, _sentiment(row)),
+            model_id=row["model_id"],
+            temperature=float(row["temperature"]),
+            text=row["text"],
         )
-        signatures.append(
-            Signature(
-                signature_id=row["signature_id"],
-                question_id=payload["question_id"],
-                strategy=strategy,
-                model_id=row["model_id"],
-                temperature=float(row["temperature"]),
-                text=row["text"],
-            )
-        )
+        for row in payload["signatures"]
+    )
     failures = tuple(
         GenerationFailure(
             model_id=row["model_id"],
             temperature=float(row["temperature"]),
-            sentiment=Sentiment(row["sentiment"]) if row.get("sentiment") else None,
+            sentiment=_sentiment(row),
             error=row["error"],
         )
         for row in payload.get("failures", [])
@@ -377,7 +341,7 @@ def load_signature_set(store_dir: Path | str, kind: StrategyKind, question_id: s
     return SignatureSet(
         question_id=payload["question_id"],
         strategy_kind=kind,
-        signatures=tuple(signatures),
+        signatures=signatures,
         grid=GridDescriptor(
             models=tuple(payload["grid"]["models"]),
             temperatures=tuple(float(t) for t in payload["grid"]["temperatures"]),

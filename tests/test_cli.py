@@ -12,6 +12,7 @@ import pytest
 from conftest import write_bundle
 from surveyguard import cli
 from surveyguard.cli import RunConfig, build_parser, main
+from surveyguard.errors import ProviderError
 from surveyguard.model import VerdictFlag
 from surveyguard.scoring import ScoredResponse, classify_by_threshold
 
@@ -588,3 +589,65 @@ class TestScoresIgnoreBlasThreads:
                 )
             dumps.append((out_dir / "scored_basic.json").read_bytes())
         assert dumps[0] == dumps[1]
+
+
+class TestDetectProviderFailure:
+    def test_one_failing_answer_exits_3_and_writes_no_dump(self, capsys, monkeypatch, corpus_path, tmp_path):
+        class FailsOnOneAnswer(cli.MockChatProvider):
+            def complete(self, request):
+                if "cut back on heating" in request.messages[-1][1]:
+                    raise ProviderError("bad request", status=400)
+                return super().complete(request)
+
+        monkeypatch.setattr(cli, "MockChatProvider", FailsOnOneAnswer)
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "detect-llm"))
+        assert code == 3
+        assert "bad request" in err
+        assert list((tmp_path / "out").glob("detector_*.json")) == []
+
+
+def _cache_entry(cache_dir: Path, kind: str) -> Path:
+    """The first cache entry (by file name) whose request is of the given kind."""
+    for path in sorted(cache_dir.iterdir()):
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        if entry["request"]["kind"] == kind:
+            return path
+    raise AssertionError(f"no {kind} entry in {cache_dir}")
+
+
+class TestUnreadableCacheAndStore:
+    def test_truncated_cache_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path):
+        args = base_args(corpus_path, tmp_path, "detect-llm")
+        assert run_cli(capsys, *args)[0] == 0
+        entry = _cache_entry(tmp_path / "cache", "chat")
+        entry.write_text(entry.read_text(encoding="utf-8")[:40], encoding="utf-8")
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2
+        assert str(entry) in err
+
+    @pytest.mark.parametrize("kind, command", [("chat", "gen-signatures"), ("embed", "score")])
+    def test_entry_without_response_exits_2_naming_it(self, capsys, corpus_path, tmp_path, kind, command):
+        for step in ("gen-signatures", "score"):
+            assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
+        entry = _cache_entry(tmp_path / "cache", kind)
+        payload = json.loads(entry.read_text(encoding="utf-8"))
+        del payload["response"]
+        entry.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, command))
+        assert code == 2
+        assert str(entry) in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda store: store.pop("grid"), lambda store: store["signatures"][0].update(sentiment="angry")],
+        ids=["no-grid", "unknown-sentiment"],
+    )
+    def test_bad_signature_store_exits_2_naming_it(self, capsys, corpus_path, tmp_path, edit):
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))[0] == 0
+        path = tmp_path / "out" / "signatures" / "basic" / "q1.json"
+        store = json.loads(path.read_text(encoding="utf-8"))
+        edit(store)
+        path.write_text(json.dumps(store), encoding="utf-8")
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
+        assert code == 2
+        assert str(path) in err

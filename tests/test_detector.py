@@ -12,6 +12,7 @@ from surveyguard.detector import (
     detection_run_to_dict,
     parse_detector_output,
 )
+from surveyguard.errors import ProviderError
 from surveyguard.gateway import DiskCache, ProviderGateway
 from surveyguard.model import (
     QuestionKind,
@@ -174,10 +175,22 @@ class TestDetectBatch:
         )
         provider = SlowChat("HUMAN")
         gateway = make_gateway(tmp_path, provider)
-        run = detect_batch(ds, DetectorConfig(model_id="gpt-4o"), gateway, max_workers=5)
+        run = detect_batch(ds, DetectorConfig(model_id="gpt-4o"), gateway)
         assert provider.calls == gateway.stats.provider_calls == 3
         assert gateway.stats.cache_hits == 27
         assert len(run.studies[0].verdicts) == 30
+
+    def test_a_permanent_provider_failure_aborts_the_batch(self, tmp_path):
+        class FailsOnMarker(MockChatProvider):
+            def complete(self, request):
+                if "As an AI assistant" in request.messages[-1][1]:
+                    raise ProviderError("bad request", status=400)
+                return super().complete(request)
+
+        gateway = make_gateway(tmp_path, FailsOnMarker(seed=0))
+        with pytest.raises(ProviderError, match="bad request"):
+            detect_batch(dataset_with_markers(1, 4), DetectorConfig(model_id="gpt-4o"), gateway)
+        assert gateway.cache.entry_count() == 3  # the other answers are cached for the rerun
 
     def test_warm_cache_reruns_with_zero_calls(self, tmp_path):
         ds = dataset_with_markers(2, 5)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +11,9 @@ from surveyguard import providers
 from surveyguard.errors import ConfigError, DataError, ProviderError, TransientProviderError
 from surveyguard.gateway import (
     EMBED_BATCH,
+    MAX_IN_FLIGHT,
     ChatRequest,
+    ChatResult,
     DiskCache,
     EmbeddingVector,
     ProviderGateway,
@@ -398,3 +403,129 @@ class TestDiskCache:
         gateway.embed("fresh")
         stored = cache.path_for(build_cache_key("fresh", provider_id)).read_text(encoding="utf-8")
         assert stored.count("\n") == 1 and stored.endswith("\n")
+
+
+class EchoChatProvider:
+    """Replies with the prompt text; "bad" fails for good and "boom" is a bug."""
+
+    provider_id = "echo"
+
+    def __init__(self, delay=lambda text: 0.0):
+        self.delay = delay
+        self.calls: list[str] = []
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        text = request.messages[-1][1]
+        with self._lock:
+            self.calls.append(text)
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self.delay(text))
+            if text == "bad":
+                raise ProviderError("bad request", status=400)
+            if text == "boom":
+                raise RuntimeError("provider bug")
+            return f"re: {text}"
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+class TestChatMany:
+    def test_results_come_back_in_input_order(self, tmp_path):
+        # Earlier requests sleep longer, so they finish after later ones.
+        provider = EchoChatProvider(delay=lambda text: 0.002 * (12 - int(text[1:])))
+        gateway = make_gateway(tmp_path, chat=provider)
+        results = gateway.chat_many([chat_request(text=f"q{i}") for i in range(12)])
+        assert [r.text for r in results] == [f"re: q{i}" for i in range(12)]
+
+    def test_a_repeated_request_is_sent_once_and_counted_as_a_hit(self, tmp_path):
+        provider = EchoChatProvider()
+        gateway = make_gateway(tmp_path, chat=provider)
+        a, b = chat_request(text="a"), chat_request(text="b")
+        results = gateway.chat_many([a, b, a, a])
+        assert sorted(provider.calls) == ["a", "b"]
+        assert [r.text for r in results] == ["re: a", "re: b", "re: a", "re: a"]
+        assert (gateway.stats.provider_calls, gateway.stats.cache_misses) == (2, 2)
+        assert gateway.stats.cache_hits == 2
+
+    def test_a_permanent_failure_takes_its_slot_and_the_others_are_cached(self, tmp_path):
+        provider = EchoChatProvider()
+        gateway = make_gateway(tmp_path, chat=provider)
+        requests = [chat_request(text=t) for t in ("x", "bad", "y")]
+        results = gateway.chat_many(requests)
+        assert isinstance(results[1], ProviderError) and results[1].status == 400
+        assert [type(results[0]), type(results[2])] == [ChatResult, ChatResult]
+        assert gateway.cache.entry_count() == 2
+        again = gateway.chat_many([requests[0], requests[2]])
+        assert [r.cached for r in again] == [True, True]
+        assert sorted(provider.calls) == ["bad", "x", "y"]
+
+    def test_any_other_exception_propagates_after_the_other_requests(self, tmp_path):
+        gateway = make_gateway(tmp_path, chat=EchoChatProvider())
+        with pytest.raises(RuntimeError, match="provider bug"):
+            gateway.chat_many([chat_request(text=t) for t in ("x", "boom", "y")])
+        assert gateway.cache.entry_count() == 2
+
+    def test_at_most_max_in_flight_calls_overlap(self, tmp_path):
+        provider = EchoChatProvider(delay=lambda text: 0.02)
+        gateway = make_gateway(tmp_path, chat=provider)
+        results = gateway.chat_many([chat_request(text=f"q{i}") for i in range(40)])
+        assert len(provider.calls) == len(results) == 40
+        assert provider.peak == MAX_IN_FLIGHT
+
+    def test_each_distinct_request_is_taken_once_under_fast_thread_switching(self, tmp_path):
+        provider = EchoChatProvider()
+        gateway = make_gateway(tmp_path, chat=provider)
+        requests = [chat_request(text=f"q{i % 150}") for i in range(600)]
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: results.extend(gateway.chat_many(requests)))
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert sorted(provider.calls) == sorted(f"q{i}" for i in range(150))
+        assert [r.text for r in results] == [f"re: {r.messages[-1][1]}" for r in requests]
+        stats = gateway.stats
+        assert (stats.provider_calls, stats.cache_misses, stats.cache_hits) == (150, 150, 450)
+
+    def test_no_requests_make_no_calls(self, tmp_path):
+        provider = EchoChatProvider()
+        gateway = make_gateway(tmp_path, chat=provider)
+        assert gateway.chat_many([]) == []
+        assert provider.calls == []
+
+
+class TestUnreadableCacheEntries:
+    @pytest.mark.parametrize(
+        "content",
+        ['{"response": {"text": "trunc', "[]", "null", '{"request": {}}', '{"response": {"text": 5}}'],
+    )
+    def test_chat_entry_is_a_data_error_naming_its_file(self, tmp_path, content):
+        provider = EchoChatProvider()
+        gateway = make_gateway(tmp_path, chat=provider)
+        path = gateway.cache.path_for(build_cache_key(chat_request(), provider.provider_id))
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(DataError, match=path.name):
+            gateway.chat(chat_request())
+        assert provider.calls == []
+
+    @pytest.mark.parametrize(
+        "content", ['{"response": {"values": [0.1,', '{"stored_at": "x"}', '{"response": "v"}']
+    )
+    def test_embed_entry_is_a_data_error_naming_its_file(self, tmp_path, content):
+        provider = RecordingEmbeddingProvider()
+        gateway = make_gateway(tmp_path, embed=provider)
+        path = gateway.cache.path_for(build_cache_key("text", provider.provider_id))
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(DataError, match=path.name):
+            gateway.embed_many(["other", "text"])
+        assert provider.requests == []
