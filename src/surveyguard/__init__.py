@@ -51,7 +51,6 @@ from .providers import (
     MockEmbeddingProvider,
     OpenAICompatChatProvider,
     OpenAICompatEmbeddingProvider,
-    StaticChatProvider,
 )
 from .report import (
     AverageConvention,

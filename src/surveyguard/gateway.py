@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import tempfile
 import threading
 import time
@@ -50,9 +51,7 @@ class ChatRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "temperature", float(self.temperature))
-        object.__setattr__(
-            self, "messages", tuple((str(r), str(t)) for r, t in self.messages)
-        )
+        object.__setattr__(self, "messages", tuple((str(r), str(t)) for r, t in self.messages))
         if not self.model_id:
             raise ValueError("model_id must be non-empty")
         if not 0.0 <= self.temperature <= 1.0:
@@ -95,9 +94,10 @@ class EmbeddingVector:
 @dataclass(frozen=True)
 class CacheKey:
     digest: str  # 64 hex chars, SHA-256 of the canonical request
+    _HEX = re.compile(r"[0-9a-f]{64}")  # the digest becomes a file name
 
     def __post_init__(self) -> None:
-        if len(self.digest) != 64 or any(c not in "0123456789abcdef" for c in self.digest):
+        if not self._HEX.fullmatch(self.digest):
             raise ValueError(f"not a SHA-256 hex digest: {self.digest!r}")
 
 
@@ -176,6 +176,37 @@ class DiskCache:
         return sum(1 for p in self.root.iterdir() if p.is_file() and not p.name.startswith("."))
 
 
+def _fan_out(items: Sequence, call: Callable) -> list:
+    """``call`` on each item from up to ``MAX_IN_FLIGHT`` workers, results in input order.
+
+    The calling thread is a worker, so one item starts no thread. A ProviderError
+    takes its item's place; any other exception is raised once the others finish.
+    """
+    results: list = [None] * len(items)
+    pending = enumerate(items)
+    take = threading.Lock()
+
+    # One loop per worker over a shared iterator: a Future per item
+    # would cost memory in proportion to the batch.
+    def work() -> None:
+        while True:
+            with take:
+                index, item = next(pending, (None, None))
+            if index is None:
+                return
+            try:
+                results[index] = call(item)
+            except ProviderError as exc:
+                results[index] = exc
+
+    with ThreadPoolExecutor(MAX_IN_FLIGHT) as pool:
+        helpers = [pool.submit(work) for _ in range(min(MAX_IN_FLIGHT, len(items)) - 1)]
+        work()
+    for helper in helpers:
+        helper.result()
+    return results
+
+
 @dataclass
 class GatewayStats:
     provider_calls: int = 0  # provider round-trips, retries included; an embed batch is one
@@ -187,8 +218,8 @@ class ProviderGateway:
     """Cache-through front of the configured providers.
 
     Safe for concurrent use: at most ``MAX_IN_FLIGHT`` provider calls run at
-    once, the cache serializes writes per key, and results come back in the
-    caller's order, never in arrival order.
+    once, the cache takes one lock for every write, and results come back in
+    the caller's order, never in arrival order.
     """
 
     def __init__(
@@ -208,8 +239,6 @@ class ProviderGateway:
         self._embed_dims: dict[str, int] = {}
         self.stats = GatewayStats()
 
-    # -- internals ----------------------------------------------------------
-
     def _call_with_retry(self, fn: Callable[[], object], what: str) -> object:
         last: ProviderError | None = None
         for attempt in range(RETRIES):
@@ -225,93 +254,74 @@ class ProviderGateway:
                     self._sleep(delay)
         assert last is not None
         raise ProviderError(
-            f"{what} failed after {RETRIES} attempts: {last}",
-            status=last.status,
-            attempts=RETRIES,
+            f"{what} failed after {RETRIES} attempts: {last}", status=last.status, attempts=RETRIES
         ) from last
 
-    def _cached(self, key: CacheKey, field: str, kind: type) -> object | None:
-        """The response ``field`` of the entry under key, or None on a miss."""
-        entry = self.cache.load(key)
-        if entry is None:
-            return None
-        response = entry.get("response")
-        value = response.get(field) if isinstance(response, dict) else None
-        if not isinstance(value, kind):
-            path = self.cache.path_for(key)
-            raise DataError(f"corrupted cache entry: {path}: no {kind.__name__} response {field}")
-        return value
+    def _lookup(self, items: Sequence, provider_id: str, field: str, kind: type) -> tuple[dict, list]:
+        """Hits by item and (item, key) misses in input order, read one after another.
+
+        A repeated item counts as a hit: it is served without a call.
+        """
+        hits = {}
+        misses = []
+        for item in dict.fromkeys(items):
+            key = build_cache_key(item, provider_id)
+            entry = self.cache.load(key)
+            if entry is None:
+                misses.append((item, key))
+                continue
+            response = entry.get("response")
+            value = response.get(field) if isinstance(response, dict) else None
+            if not isinstance(value, kind):
+                path = self.cache.path_for(key)
+                raise DataError(f"corrupted cache entry: {path}: no {kind.__name__} response {field}")
+            hits[item] = value
+        with self._stats_lock:
+            self.stats.cache_misses += len(misses)
+            self.stats.cache_hits += len(items) - len(misses)
+        return hits, misses
+
+    def _store(self, key: CacheKey, material: dict, response: dict) -> None:
+        stored_at = datetime.now(timezone.utc).isoformat()
+        self.cache.store(key, {"request": material, "response": response, "stored_at": stored_at})
 
     def _vector(self, provider_id: str, raw: Sequence[float]) -> EmbeddingVector:
         """Validate one cached or fetched vector, including its dimension."""
         dim = len(raw)
         seen = self._embed_dims.setdefault(provider_id, dim)
         if seen != dim:
-            raise ConfigError(
-                f"embedding dimension drift for provider {provider_id}: {seen} then {dim}"
-            )
+            raise ConfigError(f"embedding dimension drift for provider {provider_id}: {seen} then {dim}")
         return EmbeddingVector(values=raw, provider_id=provider_id, dim=dim)
 
-    # -- public API ---------------------------------------------------------
-
     def chat(self, request: ChatRequest) -> ChatResult:
-        """Cache-through chat completion; a hit makes no provider call."""
-        if self.chat_provider is None:
-            raise ConfigError("no chat provider configured")
-        provider_id = self.chat_provider.provider_id
-        key = build_cache_key(request, provider_id)
-        text = self._cached(key, "text", str)
-        if text is not None:
-            with self._stats_lock:
-                self.stats.cache_hits += 1
-            return ChatResult(text=text, model_id=request.model_id, cached=True)
-        with self._stats_lock:
-            self.stats.cache_misses += 1
-        text = self._call_with_retry(
-            lambda: self.chat_provider.complete(request), f"chat({request.model_id})"
-        )
-        self.cache.store(
-            key,
-            {
-                "request": chat_key_material(request, provider_id),
-                "response": {"text": text},
-                "stored_at": datetime.now(timezone.utc).isoformat(),
-            },
-        )
-        return ChatResult(text=text, model_id=request.model_id, cached=False)
+        """Cache-through chat completion; see ``chat_many``."""
+        result = self.chat_many([request])[0]
+        if isinstance(result, ProviderError):
+            raise result
+        return result
 
     def chat_many(self, requests: Sequence[ChatRequest]) -> list[ChatResult | ProviderError]:
         """Cache-through chat completions, returned in input order.
 
-        Each distinct request goes through ``chat`` once, from one of
-        ``MAX_IN_FLIGHT`` workers; a repeat counts as a cache hit, as in
-        ``embed_many``. A request that fails for good gets its ProviderError
-        in its place; any other exception ends its worker and is raised once
-        the other workers have run out of requests.
+        Every request is looked up first, and each distinct miss is sent once
+        through ``_fan_out``: one that fails for good gets its ProviderError
+        in its place. A repeated request counts as a cache hit.
         """
-        results: dict[ChatRequest, ChatResult | ProviderError | None] = dict.fromkeys(requests)
-        with self._stats_lock:
-            self.stats.cache_hits += len(requests) - len(results)
-        pending = iter(list(results))
-        take = threading.Lock()
+        if self.chat_provider is None:
+            raise ConfigError("no chat provider configured")
+        provider_id = self.chat_provider.provider_id
+        cached, misses = self._lookup(requests, provider_id, "text", str)
 
-        # One loop per worker over a shared iterator: a Future per request
-        # would cost memory in proportion to the batch.
-        def work() -> None:
-            while True:
-                with take:
-                    request = next(pending, None)
-                if request is None:
-                    return
-                try:
-                    results[request] = self.chat(request)
-                except ProviderError as exc:
-                    results[request] = exc
+        def send(miss: tuple[ChatRequest, CacheKey]) -> ChatResult:
+            request, key = miss
+            text = self._call_with_retry(
+                lambda: self.chat_provider.complete(request), f"chat({request.model_id})"
+            )
+            self._store(key, chat_key_material(request, provider_id), {"text": text})
+            return ChatResult(text=text, model_id=request.model_id, cached=False)
 
-        with ThreadPoolExecutor(MAX_IN_FLIGHT) as pool:
-            workers = [pool.submit(work) for _ in range(min(MAX_IN_FLIGHT, len(results)))]
-        for worker in workers:
-            worker.result()
+        results = {r: ChatResult(text, r.model_id, cached=True) for r, text in cached.items()}
+        results.update(zip((request for request, _ in misses), _fan_out(misses, send)))
         return [results[request] for request in requests]
 
     def embed(self, text: str) -> EmbeddingVector:
@@ -322,30 +332,20 @@ class ProviderGateway:
         """Cache-through embeddings, returned in input order.
 
         Empty texts are rejected before any call. Distinct uncached texts go
-        to the provider ``EMBED_BATCH`` at a time; each batch is one provider
-        call, retried as a unit, and every vector in it is checked for
-        dimension drift and finiteness before any of them is stored.
+        to the provider ``EMBED_BATCH`` at a time through ``_fan_out``; each
+        batch is one call, retried as a unit, and all its vectors are checked
+        for dimension drift and finiteness before any is stored. A batch that
+        fails for good raises its ProviderError once the others are stored.
         """
         if self.embedding_provider is None:
             raise ConfigError("no embedding provider configured")
         if any(not text.strip() for text in texts):
             raise DataError("empty text")
         provider_id = self.embedding_provider.provider_id
-        vectors: dict[str, EmbeddingVector] = {}
-        misses: list[tuple[str, CacheKey]] = []
-        for text in dict.fromkeys(texts):
-            key = build_cache_key(text, provider_id)
-            values = self._cached(key, "values", list)
-            if values is None:
-                misses.append((text, key))
-            else:
-                vectors[text] = self._vector(provider_id, values)
-        with self._stats_lock:
-            # A repeated text is served without a call, as a hit would be.
-            self.stats.cache_misses += len(misses)
-            self.stats.cache_hits += len(texts) - len(misses)
-        for start in range(0, len(misses), EMBED_BATCH):
-            batch = misses[start : start + EMBED_BATCH]
+        cached, misses = self._lookup(texts, provider_id, "values", list)
+        vectors = {text: self._vector(provider_id, values) for text, values in cached.items()}
+
+        def send(batch: list[tuple[str, CacheKey]]) -> None:
             batch_texts = [text for text, _ in batch]
             raw: Sequence[Sequence[float]] = self._call_with_retry(
                 lambda: self.embedding_provider.embed_many(batch_texts), "embed"
@@ -356,13 +356,12 @@ class ProviderGateway:
                 )
             fetched = [self._vector(provider_id, values) for values in raw]
             for (text, key), vector in zip(batch, fetched):
-                self.cache.store(
-                    key,
-                    {
-                        "request": embed_key_material(text, provider_id),
-                        "response": {"values": vector.values.tolist(), "dim": vector.dim},
-                        "stored_at": datetime.now(timezone.utc).isoformat(),
-                    },
-                )
+                material = embed_key_material(text, provider_id)
+                self._store(key, material, {"values": vector.values.tolist(), "dim": vector.dim})
                 vectors[text] = vector
+
+        batches = [misses[i : i + EMBED_BATCH] for i in range(0, len(misses), EMBED_BATCH)]
+        for outcome in _fan_out(batches, send):
+            if isinstance(outcome, ProviderError):
+                raise outcome
         return [vectors[text] for text in texts]

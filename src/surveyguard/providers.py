@@ -31,8 +31,6 @@ class ChatProvider(Protocol):
 class EmbeddingProvider(Protocol):
     provider_id: str
 
-    def embed(self, text: str) -> list[float]: ...
-
     def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
         """One vector per text, in input order, from a single request."""
         ...
@@ -104,19 +102,6 @@ class MockEmbeddingProvider:
 
     def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
         return [self.embed(text) for text in texts]
-
-
-class StaticChatProvider:
-    """Always returns the same canned text; counts calls for test assertions."""
-
-    def __init__(self, text: str, provider_id: str = "static-chat"):
-        self.text = text
-        self.provider_id = provider_id
-        self.calls = 0
-
-    def complete(self, request: "ChatRequest") -> str:
-        self.calls += 1
-        return self.text
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +190,6 @@ class OpenAICompatEmbeddingProvider:
         self.base_url_env = base_url_env
         self.api_key_env = api_key_env
         self.timeout = timeout
-
-    def embed(self, text: str) -> list[float]:
-        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
         """Embed all texts in one request; vectors come back ordered by ``index``."""

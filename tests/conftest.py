@@ -25,6 +25,19 @@ def mock_gateway(tmp_path) -> ProviderGateway:
     )
 
 
+class StaticChatProvider:
+    """Always returns the same canned text; counts calls for test assertions."""
+
+    def __init__(self, text: str, provider_id: str = "static-chat"):
+        self.text = text
+        self.provider_id = provider_id
+        self.calls = 0
+
+    def complete(self, request) -> str:
+        self.calls += 1
+        return self.text
+
+
 def write_bundle(root: Path, studies, questions, responses) -> Path:
     """Write a CSV bundle from raw row lists (no validation)."""
     root.mkdir(parents=True, exist_ok=True)

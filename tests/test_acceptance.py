@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import StaticChatProvider
 from surveyguard.cli import main
 from surveyguard.gateway import DiskCache, EmbeddingVector, ProviderGateway
 from surveyguard.model import Cohort, SurveyQuestion, VerdictFlag
-from surveyguard.providers import MockChatProvider, MockEmbeddingProvider, StaticChatProvider
+from surveyguard.providers import MockChatProvider, MockEmbeddingProvider
 from surveyguard.report import average_pooled, average_unweighted, threshold_sweep
 from surveyguard.scoring import (
     ScoredResponse,

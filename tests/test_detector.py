@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from conftest import StaticChatProvider
 from surveyguard.dataset import SurveyDataset
 from surveyguard.detector import (
     DetectorConfig,
@@ -21,7 +22,7 @@ from surveyguard.model import (
     SurveyStudy,
     VerdictFlag,
 )
-from surveyguard.providers import MockChatProvider, StaticChatProvider
+from surveyguard.providers import MockChatProvider
 
 QUESTION = SurveyQuestion(question_id="q1", study_id="s1", text="Why do you use this app?")
 

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import StaticChatProvider
 from surveyguard import providers
 from surveyguard.errors import ConfigError, DataError, ProviderError, TransientProviderError
 from surveyguard.gateway import (
@@ -25,7 +26,6 @@ from surveyguard.providers import (
     MockChatProvider,
     MockEmbeddingProvider,
     OpenAICompatEmbeddingProvider,
-    StaticChatProvider,
 )
 
 
@@ -206,21 +206,42 @@ class TestEmbedding:
 
 
 class RecordingEmbeddingProvider:
-    """Mock vectors; records each request's texts and can misbehave on demand."""
+    """Mock vectors; records each request's texts and thread, and can misbehave on demand.
 
-    def __init__(self, dim=4, drop_last=False, transient_failures=0):
+    A request containing ``fail_on`` fails for good; ``delay(texts)`` is slept per request.
+    """
+
+    def __init__(self, dim=4, drop_last=False, transient_failures=0, fail_on=None, delay=None):
         self.mock = MockEmbeddingProvider(seed=0, dim=dim)
         self.provider_id = self.mock.provider_id
         self.drop_last = drop_last
         self.transient_failures = transient_failures
+        self.fail_on = fail_on
+        self.delay = delay or (lambda texts: 0.0)
         self.requests: list[list[str]] = []
+        self.threads: list[int] = []
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
 
     def embed_many(self, texts):
-        self.requests.append(list(texts))
-        if len(self.requests) <= self.transient_failures:
-            raise TransientProviderError("rate limited", status=429)
-        vectors = self.mock.embed_many(texts)
-        return vectors[:-1] if self.drop_last else vectors
+        with self._lock:
+            self.requests.append(list(texts))
+            self.threads.append(threading.get_ident())
+            attempt = len(self.requests)
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self.delay(texts))
+            if attempt <= self.transient_failures:
+                raise TransientProviderError("rate limited", status=429)
+            if self.fail_on in texts:
+                raise ProviderError("bad request", status=400)
+            vectors = self.mock.embed_many(texts)
+            return vectors[:-1] if self.drop_last else vectors
+        finally:
+            with self._lock:
+                self.in_flight -= 1
 
 
 class TestEmbedMany:
@@ -263,6 +284,47 @@ class TestEmbedMany:
         assert provider.requests == []
         assert gateway.stats.provider_calls == 0
 
+    def test_batches_overlap_and_come_back_in_input_order(self, tmp_path):
+        # The first batch sleeps longest, so it finishes after the other two.
+        provider = RecordingEmbeddingProvider(delay=lambda texts: 0.06 if "text 0" in texts else 0.03)
+        gateway = make_gateway(tmp_path, embed=provider)
+        texts = [f"text {i}" for i in range(3 * EMBED_BATCH)]
+        vectors = gateway.embed_many(texts)
+        assert [list(v.values) for v in vectors] == [provider.mock.embed(t) for t in texts]
+        assert sorted(len(batch) for batch in provider.requests) == [EMBED_BATCH] * 3
+        assert provider.peak == 3
+
+    def test_a_batch_that_fails_for_good_raises_after_the_others_are_stored(self, tmp_path):
+        provider = RecordingEmbeddingProvider(fail_on="bad")
+        gateway = make_gateway(tmp_path, embed=provider)
+        with pytest.raises(ProviderError, match="bad request"):
+            gateway.embed_many(["bad"] + [f"text {i}" for i in range(2 * EMBED_BATCH)])
+        assert len(provider.requests) == 3
+        assert gateway.cache.entry_count() == EMBED_BATCH + 1
+        warm = make_gateway(tmp_path, embed=RecordingEmbeddingProvider())
+        warm.embed_many([f"text {i}" for i in range(2 * EMBED_BATCH)])
+        assert warm.stats.provider_calls == 1  # only the failed batch's texts are missing
+
+    def test_each_text_is_sent_once_under_fast_thread_switching(self, tmp_path):
+        provider = RecordingEmbeddingProvider()
+        gateway = make_gateway(tmp_path, embed=provider)
+        texts = [f"text {i % (12 * EMBED_BATCH)}" for i in range(24 * EMBED_BATCH)]
+        vectors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: vectors.extend(gateway.embed_many(texts)))
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert sorted(t for batch in provider.requests for t in batch) == sorted(set(texts))
+        assert [list(v.values) for v in vectors] == [provider.mock.embed(t) for t in texts]
+        assert gateway.cache.entry_count() == 12 * EMBED_BATCH
+        stats = gateway.stats
+        assert (stats.provider_calls, stats.cache_misses, stats.cache_hits) == (12, 768, 768)
+
     def test_embed_and_embed_many_share_cache_entries(self, tmp_path):
         cold = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=0, dim=4))
         single = cold.embed("one")
@@ -299,11 +361,6 @@ class TestOpenAIEmbeddingAdapter:
         adapter, sent = self.adapter(monkeypatch, items)
         assert adapter.embed_many(["a", "b", "c"]) == [[0.0], [1.0], [2.0]]
         assert sent == [("http://embeddings.test/v1/embeddings", {"model": "m", "input": ["a", "b", "c"]})]
-
-    def test_single_embed_uses_the_same_request(self, monkeypatch):
-        adapter, sent = self.adapter(monkeypatch, [{"index": 0, "embedding": [0.5, -0.25]}])
-        assert adapter.embed("a") == [0.5, -0.25]
-        assert sent[0][1]["input"] == ["a"]
 
     @pytest.mark.parametrize(
         "items",
@@ -413,6 +470,7 @@ class EchoChatProvider:
     def __init__(self, delay=lambda text: 0.0):
         self.delay = delay
         self.calls: list[str] = []
+        self.threads: list[int] = []
         self.in_flight = 0
         self.peak = 0
         self._lock = threading.Lock()
@@ -421,6 +479,7 @@ class EchoChatProvider:
         text = request.messages[-1][1]
         with self._lock:
             self.calls.append(text)
+            self.threads.append(threading.get_ident())
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
         try:
@@ -497,6 +556,13 @@ class TestChatMany:
         stats = gateway.stats
         assert (stats.provider_calls, stats.cache_misses, stats.cache_hits) == (150, 150, 450)
 
+    def test_one_miss_is_sent_from_the_calling_thread(self, tmp_path):
+        chat, embed = EchoChatProvider(), RecordingEmbeddingProvider()
+        gateway = make_gateway(tmp_path, chat=chat, embed=embed)
+        gateway.chat_many([chat_request(text="a"), chat_request(text="a")])
+        gateway.embed_many(["a", "b", "a"])
+        assert chat.threads == embed.threads == [threading.get_ident()]
+
     def test_no_requests_make_no_calls(self, tmp_path):
         provider = EchoChatProvider()
         gateway = make_gateway(tmp_path, chat=provider)
@@ -504,18 +570,29 @@ class TestChatMany:
         assert provider.calls == []
 
 
+CORRUPT_CHAT_ENTRIES = [
+    '{"response": {"text": "trunc', "[]", "null", '{"request": {}}', '{"response": {"text": 5}}'
+]
+
+
 class TestUnreadableCacheEntries:
     @pytest.mark.parametrize(
-        "content",
-        ['{"response": {"text": "trunc', "[]", "null", '{"request": {}}', '{"response": {"text": 5}}'],
+        "content, send",
+        [pytest.param(c, lambda g: g.chat(chat_request()), id=c) for c in CORRUPT_CHAT_ENTRIES]
+        + [  # every lookup comes before any send, so the fresh request is not sent either
+            pytest.param(
+                c, lambda g: g.chat_many([chat_request(text="fresh"), chat_request()]), id=f"many-{c}"
+            )
+            for c in CORRUPT_CHAT_ENTRIES
+        ],
     )
-    def test_chat_entry_is_a_data_error_naming_its_file(self, tmp_path, content):
+    def test_chat_entry_is_a_data_error_naming_its_file(self, tmp_path, content, send):
         provider = EchoChatProvider()
         gateway = make_gateway(tmp_path, chat=provider)
         path = gateway.cache.path_for(build_cache_key(chat_request(), provider.provider_id))
         path.write_text(content, encoding="utf-8")
         with pytest.raises(DataError, match=path.name):
-            gateway.chat(chat_request())
+            send(gateway)
         assert provider.calls == []
 
     @pytest.mark.parametrize(

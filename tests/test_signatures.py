@@ -3,10 +3,11 @@ from itertools import product
 
 import pytest
 
+from conftest import StaticChatProvider
 from surveyguard.errors import ProviderError
 from surveyguard.gateway import DiskCache, ProviderGateway, build_cache_key
 from surveyguard.model import SurveyQuestion
-from surveyguard.providers import MockChatProvider, StaticChatProvider
+from surveyguard.providers import MockChatProvider
 from surveyguard.signatures import (
     SENTIMENT_TEMPLATE,
     PromptStrategy,

@@ -26,3 +26,22 @@ def test_only_the_gateway_runs_threads():
         if _imported_modules(path) & THREADING_MODULES
     }
     assert importers == {"gateway.py"}
+
+
+def _executor_builders(path: Path) -> list[str]:
+    """The enclosing top-level function or class of each ThreadPoolExecutor(...) call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    builders = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "ThreadPoolExecutor":
+                    builders.append(getattr(top, "name", "<module>"))
+    return builders
+
+
+def test_only_fan_out_builds_a_thread_pool():
+    builders = {path.name: _executor_builders(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in builders.items() if found} == {"gateway.py": ["_fan_out"]}
