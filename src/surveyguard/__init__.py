@@ -9,11 +9,9 @@ responses.
 """
 
 from .dataset import (
-    DatasetFormat,
     ReportFormat,
     SurveyDataset,
     load_dataset,
-    write_dataset,
     write_report,
 )
 from .detector import (

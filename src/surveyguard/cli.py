@@ -20,7 +20,6 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .dataset import (
-    DatasetFormat,
     ReportFormat,
     SurveyDataset,
     load_dataset,
@@ -37,7 +36,7 @@ from .detector import (
     detection_run_to_dict,
 )
 from .errors import ConfigError, DataError, ProviderError
-from .gateway import DiskCache, ProviderGateway
+from .gateway import DiskCache, ProviderGateway, check_temperature
 from .model import Cohort, compute_length_stats
 from .providers import (
     MockChatProvider,
@@ -87,7 +86,6 @@ class RunConfig:
     """Everything a run needs; serializable as the config-file key set."""
 
     dataset: str | None = None
-    dataset_format: str = "auto"
     cache_dir: str = ".surveyguard-cache"
     output_dir: str = "surveyguard-out"
     mock: bool = False
@@ -106,8 +104,6 @@ class RunConfig:
     detector_model: str = "gpt-3.5-turbo"
     detector_temperature: float = 0.0
     tolerate_parse_failures: bool = True
-    chat_provider: str = "openai"
-    embedding_provider: str = "openai"
     embedding_model: str = "text-embedding-3-small"
     chat_base_url: str | None = None
     api_key_env: str = "OPENAI_API_KEY"
@@ -181,15 +177,12 @@ def _check(rule, value) -> None:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    if cfg.dataset_format != "auto":
-        _check(DatasetFormat, cfg.dataset_format)
     if not cfg.models:
         raise ConfigError("models must be non-empty")
     if not cfg.temperatures:
         raise ConfigError("temperatures must be non-empty")
-    for t in cfg.temperatures:
-        if not 0.0 <= float(t) <= 1.0:
-            raise ConfigError(f"temperature {t} out of [0, 1]")
+    for t in (*cfg.temperatures, cfg.detector_temperature):
+        _check(check_temperature, t)
     if not cfg.strategies:
         raise ConfigError("strategies must be non-empty")
     for s in cfg.strategies:
@@ -206,8 +199,6 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"k_high must be >= 0, got {cfg.k_high}")
     if cfg.scores_mode not in ("summary", "full"):
         raise ConfigError(f'scores_mode must be "summary" or "full", got "{cfg.scores_mode}"')
-    if not 0.0 <= cfg.detector_temperature <= 1.0:
-        raise ConfigError(f"detector temperature {cfg.detector_temperature} out of [0, 1]")
     for s in cfg.sentiments:
         try:
             Sentiment(s)
@@ -222,10 +213,6 @@ def build_gateway(cfg: RunConfig) -> ProviderGateway:
         chat = MockChatProvider(seed=cfg.seed)
         embed = MockEmbeddingProvider(seed=cfg.seed, dim=cfg.mock_embedding_dim)
     else:
-        if cfg.chat_provider != "openai":
-            raise ConfigError(f'unknown chat provider "{cfg.chat_provider}"')
-        if cfg.embedding_provider != "openai":
-            raise ConfigError(f'unknown embedding provider "{cfg.embedding_provider}"')
         chat = OpenAICompatChatProvider(
             base_url=cfg.chat_base_url,
             base_url_env=cfg.base_url_env,
@@ -243,8 +230,7 @@ def build_gateway(cfg: RunConfig) -> ProviderGateway:
 def _load_dataset(cfg: RunConfig) -> SurveyDataset:
     if not cfg.dataset:
         raise ConfigError("no dataset configured (use --dataset or the config file)")
-    fmt = None if cfg.dataset_format == "auto" else DatasetFormat(cfg.dataset_format)
-    return load_dataset(cfg.dataset, fmt)
+    return load_dataset(cfg.dataset)
 
 
 def _holder_is_gone(lock: Path) -> bool:
@@ -566,9 +552,12 @@ def _cohort_comparison_for_run(run: DetectionRun, dataset: SurveyDataset) -> dic
 def _read_dump(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            dump = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"corrupted dump file: {path}: {exc}") from exc
+    if not isinstance(dump, dict):
+        raise DataError(f"corrupted dump file: {path}: not a JSON object")
+    return dump
 
 
 def _build_provenance(cfg: RunConfig) -> dict:
@@ -665,12 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--dataset", help="dataset path (CSV bundle dir or JSON file)")
-    common.add_argument(
-        "--format",
-        dest="dataset_format",
-        choices=["auto", "csv_bundle", "single_json"],
-        help="dataset format (default: auto-detect)",
-    )
     common.add_argument("--cache-dir", dest="cache_dir", help="provider cache directory")
     common.add_argument("--output-dir", dest="output_dir", help="output directory")
     common.add_argument(

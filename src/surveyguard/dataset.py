@@ -1,10 +1,11 @@
 """Dataset loading, validation, and report-artifact writing.
 
-Two on-disk dataset layouts are supported: a CSV bundle (studies.csv,
-questions.csv, responses.csv; UTF-8, RFC-4180 quoting, header row required)
-and a single JSON file with the same three arrays. Loading normalizes order
-(sorted by id), so load -> write -> load is a fixed point. All writers emit
-canonical bytes: sorted keys, "\n" newlines, no locale formatting.
+Two on-disk dataset layouts are supported, and the path decides which: a
+directory is a CSV bundle (studies.csv, questions.csv, responses.csv; UTF-8,
+RFC-4180 quoting, header row required) and any other path a single JSON file
+with the same three arrays. Loading normalizes order (sorted by id). All
+writers emit canonical bytes: sorted keys, "\n" newlines, no locale
+formatting.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ BUNDLE_FILES = {
 }
 
 
-class DatasetFormat(str, Enum):
-    CSV_BUNDLE = "csv_bundle"
-    SINGLE_JSON = "single_json"
-
-
 class ReportFormat(str, Enum):
     JSON = "json"
     CSV = "csv"
@@ -62,15 +58,6 @@ class SurveyDataset:
 
     def responses_for_question(self, question_id: str) -> tuple[SurveyResponse, ...]:
         return tuple(r for r in self.responses if r.question_id == question_id)
-
-
-def detect_format(path: Path | str) -> DatasetFormat:
-    p = Path(path)
-    if p.is_dir():
-        return DatasetFormat.CSV_BUNDLE
-    if p.suffix.lower() == ".json":
-        return DatasetFormat.SINGLE_JSON
-    raise DataError(f"cannot infer dataset format for {p}; pass it explicitly")
 
 
 def _build_dataset(
@@ -182,13 +169,39 @@ def _read_csv(path: Path, columns: Sequence[str]) -> list[dict[str, str]]:
     return rows
 
 
-def load_dataset(path: Path | str, fmt: DatasetFormat | None = None) -> SurveyDataset:
-    """Load and validate a dataset; derived fields (word_count, cohort) are populated."""
+# JSON names of the value types a dataset cell may not hold.
+_NON_CELL_TYPES = {type(None): "null", bool: "a boolean", list: "an array", dict: "an object"}
+
+
+def _json_rows(name: str, key: str, items: list, columns: Sequence[str]) -> list[dict[str, str]]:
+    """One array of a single-JSON dataset as CSV-like rows; numbers become their text."""
+    rows = []
+    for i, obj in enumerate(items):
+        if not isinstance(obj, dict):
+            raise DataError(f"{name}: {key}[{i}] is not an object")
+        missing = [c for c in columns if c not in obj and c != "collected_at"]
+        if missing:
+            raise DataError(f"{name}: {key}[{i}] missing column(s) {','.join(missing)}")
+        row = {}
+        for column in columns:
+            value = obj.get(column, "")
+            if type(value) in _NON_CELL_TYPES:
+                raise DataError(
+                    f'{name}: {key}[{i}], column "{column}": expected a string, '
+                    f"got {_NON_CELL_TYPES[type(value)]}"
+                )
+            row[column] = str(value)
+        rows.append(row)
+    return rows
+
+
+def load_dataset(path: Path | str) -> SurveyDataset:
+    """Load and validate a dataset; derived fields (word_count, cohort) are populated.
+
+    A directory is read as a CSV bundle, any other path as single JSON.
+    """
     p = Path(path)
-    fmt = fmt or detect_format(p)
-    if fmt == DatasetFormat.CSV_BUNDLE:
-        if not p.is_dir():
-            raise DataError(f"missing file: {p} is not a directory")
+    if p.is_dir():
         tables = {name: _read_csv(p / name, cols) for name, cols in BUNDLE_FILES.items()}
         return _build_dataset(tables["studies.csv"], tables["questions.csv"], tables["responses.csv"])
     if not p.exists():
@@ -196,59 +209,17 @@ def load_dataset(path: Path | str, fmt: DatasetFormat | None = None) -> SurveyDa
     try:
         with open(p, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise DataError(f"{p.name}: invalid JSON: {exc}") from exc
-    for key in ("studies", "questions", "responses"):
-        if key not in payload or not isinstance(payload[key], list):
-            raise DataError(f'{p.name}: missing or non-array "{key}"')
+    if not isinstance(payload, dict):
+        raise DataError(f"{p.name}: the top level must be a JSON object")
     columns = {"studies": STUDY_COLUMNS, "questions": QUESTION_COLUMNS, "responses": RESPONSE_COLUMNS}
     tables = {}
     for key, cols in columns.items():
-        rows = []
-        for i, obj in enumerate(payload[key]):
-            if not isinstance(obj, dict):
-                raise DataError(f"{p.name}: {key}[{i}] is not an object")
-            missing = [c for c in cols if c not in obj and c != "collected_at"]
-            if missing:
-                raise DataError(f"{p.name}: {key}[{i}] missing column(s) {','.join(missing)}")
-            rows.append({c: str(obj.get(c, "")) for c in cols})
-        tables[key] = rows
+        if not isinstance(payload.get(key), list):
+            raise DataError(f'{p.name}: missing or non-array "{key}"')
+        tables[key] = _json_rows(p.name, key, payload[key], cols)
     return _build_dataset(tables["studies"], tables["questions"], tables["responses"])
-
-
-def _study_rows(dataset: SurveyDataset) -> list[list[str]]:
-    return [
-        [s.study_id, s.label, s.collected_month_year, s.domain_tag, s.platform]
-        for s in dataset.studies
-    ]
-
-
-def _question_rows(dataset: SurveyDataset) -> list[list[str]]:
-    return [[q.question_id, q.study_id, q.kind.value, q.text] for q in dataset.questions]
-
-
-def _response_rows(dataset: SurveyDataset) -> list[list[str]]:
-    return [[r.response_id, r.question_id, r.text, r.collected_at] for r in dataset.responses]
-
-
-def write_dataset(dataset: SurveyDataset, path: Path | str, fmt: DatasetFormat) -> None:
-    """Echo a dataset back to disk in either supported layout."""
-    p = Path(path)
-    if fmt == DatasetFormat.CSV_BUNDLE:
-        p.mkdir(parents=True, exist_ok=True)
-        for name, columns, rows in (
-            ("studies.csv", STUDY_COLUMNS, _study_rows(dataset)),
-            ("questions.csv", QUESTION_COLUMNS, _question_rows(dataset)),
-            ("responses.csv", RESPONSE_COLUMNS, _response_rows(dataset)),
-        ):
-            write_csv(p / name, columns, rows)
-        return
-    payload = {
-        "studies": [dict(zip(STUDY_COLUMNS, row)) for row in _study_rows(dataset)],
-        "questions": [dict(zip(QUESTION_COLUMNS, row)) for row in _question_rows(dataset)],
-        "responses": [dict(zip(RESPONSE_COLUMNS, row)) for row in _response_rows(dataset)],
-    }
-    write_json(p, payload)
 
 
 # ---------------------------------------------------------------------------

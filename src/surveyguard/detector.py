@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .dataset import SurveyDataset
 from .errors import DataError, ProviderError
-from .gateway import ChatRequest, ProviderGateway, PurposeTag
+from .gateway import ChatRequest, ProviderGateway, PurposeTag, check_temperature
 from .model import (
     QuestionKind,
     SurveyQuestion,
@@ -56,12 +56,10 @@ _HUMAN_TOKEN = re.compile(r"\bhuman\b")
 class DetectorConfig:
     model_id: str
     temperature: float = 0.0
-    prompt_template_version: str = DETECTOR_TEMPLATE_VERSION
     tolerate_parse_failures: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.temperature <= 1.0:
-            raise ValueError(f"temperature must be in [0, 1], got {self.temperature}")
+        check_temperature(self.temperature)
 
 
 def build_detector_prompt(
@@ -119,7 +117,7 @@ class StudyDetection:
         return {
             "study_id": self.study_id,
             "model_id": config.model_id,
-            "template_version": config.prompt_template_version,
+            "template_version": DETECTOR_TEMPLATE_VERSION,
             "verdicts": [
                 {
                     "response_id": v.response_id,
@@ -207,7 +205,7 @@ def detection_run_to_dict(run: DetectionRun, cohort_comparison: Mapping | None =
     out = {
         "model_id": run.config.model_id,
         "temperature": run.config.temperature,
-        "template_version": run.config.prompt_template_version,
+        "template_version": DETECTOR_TEMPLATE_VERSION,
         "tolerate_parse_failures": run.config.tolerate_parse_failures,
         "studies": [s.to_dict(run.config) for s in run.studies],
     }

@@ -6,7 +6,7 @@ ProviderError -> 3.
 
 
 class ConfigError(Exception):
-    """Bad configuration or usage: unknown provider, missing setting, locked output dir."""
+    """Bad configuration or usage: unknown key, bad value, missing setting, locked output dir."""
 
 
 class DataError(Exception):

@@ -35,6 +35,12 @@ RETRIES = 3  # attempts per provider call, the first included
 BACKOFF_BASE_S = 1.0  # delay before the first retry; doubles on each further one
 
 
+def check_temperature(temperature: float) -> None:
+    """The sampling-temperature domain of every chat request: [0, 1]."""
+    if not 0.0 <= temperature <= 1.0:
+        raise ValueError(f"temperature must be in [0, 1], got {temperature}")
+
+
 class PurposeTag(str, Enum):
     DETECT = "detect"
     GENERATE_SIGNATURE = "generate_signature"
@@ -54,8 +60,7 @@ class ChatRequest:
         object.__setattr__(self, "messages", tuple((str(r), str(t)) for r, t in self.messages))
         if not self.model_id:
             raise ValueError("model_id must be non-empty")
-        if not 0.0 <= self.temperature <= 1.0:
-            raise ValueError(f"temperature must be in [0, 1], got {self.temperature}")
+        check_temperature(self.temperature)
         if not self.messages:
             raise ValueError("messages must be non-empty")
 
@@ -155,21 +160,25 @@ class DiskCache:
         return entry
 
     def store(self, key: CacheKey, entry: dict) -> bool:
-        """Store entry unless the key already exists. Returns True if written."""
-        path = self.path_for(key)
+        """Store entry unless the key already exists. Returns True if written.
+
+        The entry is written to a temp file and hard-linked into place, which
+        fails if the name exists: the first store of a key wins, across
+        processes too, and no reader sees a partial entry.
+        """
+        # One store at a time: concurrent creates in one directory contend in
+        # the kernel, and cost more system time than they overlap.
         with self._lock:
-            if path.exists():
-                return False
             fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
                     fh.write(_canonical(entry))
                     fh.write("\n")
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+                os.link(tmp, self.path_for(key))
+            except FileExistsError:
+                return False
+            finally:
+                os.unlink(tmp)
         return True
 
     def entry_count(self) -> int:

@@ -21,6 +21,9 @@ from .errors import ConfigError, ProviderError, TransientProviderError
 if TYPE_CHECKING:
     from .gateway import ChatRequest
 
+DETECT_MARKER = "as an ai assistant"  # MockChatProvider answers "AI" to prompts holding it
+REQUEST_TIMEOUT_S = 60.0  # per HTTPS request to an OpenAI-compatible endpoint
+
 
 class ChatProvider(Protocol):
     provider_id: str
@@ -57,13 +60,12 @@ class MockChatProvider:
 
     Signature-generation requests get a pseudo-sentence derived from
     sha256(seed | model_id | temperature | prompt text). Detection requests
-    return "AI" when the prompt contains ``detect_marker`` (case-insensitive)
+    return "AI" when the prompt contains ``DETECT_MARKER`` (case-insensitive)
     and "HUMAN" otherwise.
     """
 
-    def __init__(self, seed: int = 0, detect_marker: str = "as an ai assistant"):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.detect_marker = detect_marker.lower()
         self.provider_id = f"mock-chat-{seed}"
 
     def complete(self, request: "ChatRequest") -> str:
@@ -71,7 +73,7 @@ class MockChatProvider:
 
         prompt = "\n".join(text for _, text in request.messages)
         if request.purpose == PurposeTag.DETECT:
-            return "AI" if self.detect_marker in prompt.lower() else "HUMAN"
+            return "AI" if DETECT_MARKER in prompt.lower() else "HUMAN"
         digest = _digest(str(self.seed), request.model_id, repr(float(request.temperature)), prompt)
         words = [_VOCAB[b % len(_VOCAB)] for b in digest[:9]]
         return (" ".join(words)).capitalize() + "."
@@ -108,7 +110,7 @@ class MockEmbeddingProvider:
 # OpenAI-compatible HTTPS adapters
 
 
-def _post_json(url: str, payload: dict, api_key: str, timeout: float) -> dict:
+def _post_json(url: str, payload: dict, api_key: str) -> dict:
     body = json.dumps(payload).encode("utf-8")
     req = urllib.request.Request(
         url,
@@ -120,7 +122,7 @@ def _post_json(url: str, payload: dict, api_key: str, timeout: float) -> dict:
         method="POST",
     )
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
+        with urllib.request.urlopen(req, timeout=REQUEST_TIMEOUT_S) as resp:
             return json.loads(resp.read().decode("utf-8"))
     except urllib.error.HTTPError as exc:
         detail = exc.read().decode("utf-8", "replace")[:200]
@@ -144,19 +146,17 @@ def _resolve_endpoint(base_url: str | None, base_url_env: str, api_key_env: str)
 class OpenAICompatChatProvider:
     """Chat completions against an OpenAI-compatible endpoint."""
 
+    provider_id = "openai"
+
     def __init__(
         self,
-        provider_id: str = "openai",
         base_url: str | None = None,
         base_url_env: str = "OPENAI_BASE_URL",
         api_key_env: str = "OPENAI_API_KEY",
-        timeout: float = 60.0,
     ):
-        self.provider_id = provider_id
         self.base_url = base_url
         self.base_url_env = base_url_env
         self.api_key_env = api_key_env
-        self.timeout = timeout
 
     def complete(self, request: "ChatRequest") -> str:
         base, api_key = _resolve_endpoint(self.base_url, self.base_url_env, self.api_key_env)
@@ -165,7 +165,7 @@ class OpenAICompatChatProvider:
             "temperature": request.temperature,
             "messages": [{"role": role, "content": text} for role, text in request.messages],
         }
-        data = _post_json(f"{base}/chat/completions", payload, api_key, self.timeout)
+        data = _post_json(f"{base}/chat/completions", payload, api_key)
         try:
             return data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -178,24 +178,21 @@ class OpenAICompatEmbeddingProvider:
     def __init__(
         self,
         model: str,
-        provider_id: str | None = None,
         base_url: str | None = None,
         base_url_env: str = "OPENAI_BASE_URL",
         api_key_env: str = "OPENAI_API_KEY",
-        timeout: float = 60.0,
     ):
         self.model = model
-        self.provider_id = provider_id or f"openai-embed-{model}"
+        self.provider_id = f"openai-embed-{model}"
         self.base_url = base_url
         self.base_url_env = base_url_env
         self.api_key_env = api_key_env
-        self.timeout = timeout
 
     def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
         """Embed all texts in one request; vectors come back ordered by ``index``."""
         base, api_key = _resolve_endpoint(self.base_url, self.base_url_env, self.api_key_env)
         payload = {"model": self.model, "input": list(texts)}
-        data = _post_json(f"{base}/embeddings", payload, api_key, self.timeout)
+        data = _post_json(f"{base}/embeddings", payload, api_key)
         try:
             items = sorted(data["data"], key=lambda item: item["index"])
             indexes = [item["index"] for item in items]

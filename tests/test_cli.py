@@ -245,6 +245,16 @@ class TestReport:
         assert code == 2
         assert "detector_gpt-4.json" in err
 
+    @pytest.mark.parametrize("name", ["cases_basic.json", "sweep.json", "detector_gpt-3.5-turbo.json"])
+    def test_a_dump_that_is_not_an_object_names_the_file(self, capsys, corpus_path, tmp_path, name):
+        for command in ("gen-signatures", "score", "detect-llm"):
+            run_cli(capsys, *base_args(corpus_path, tmp_path, command))
+        (tmp_path / "out" / name).write_text("[1]\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "report"))
+        assert code == 2
+        assert f"data error: corrupted dump file: {tmp_path / 'out' / name}: not a JSON object" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, capsys, corpus_path, tmp_path):
@@ -315,10 +325,17 @@ class TestBadValuesRejectedBeforeAnyCall:
         [
             (["--bin-width", "0.07"], {}, "invalid bin width"),
             (["--k-high", "-1"], {}, "k_high"),
-            ([], {"dataset_format": "bogus"}, "bogus"),
+            ([], {"dataset_format": "csv_bundle"}, "unknown config key(s): dataset_format"),
+            ([], {"chat_provider": "openai"}, "unknown config key(s): chat_provider"),
+            ([], {"embedding_provider": "openai"}, "unknown config key(s): embedding_provider"),
             (["--thresholds", "0.5,1.5"], {}, "(-1, 1]"),
+            ([], {"temperatures": [0.0, 1.5]}, "temperature must be in [0, 1], got 1.5"),
+            ([], {"detector_temperature": -0.5}, "temperature must be in [0, 1], got -0.5"),
         ],
-        ids=["bin-width", "k-high", "dataset-format", "threshold-domain"],
+        ids=[
+            "bin-width", "k-high", "removed-dataset-format", "removed-chat-provider",
+            "removed-embedding-provider", "threshold-domain", "temperature", "detector-temperature",
+        ],
     )
     def test_score_exits_1_with_an_empty_cache(self, capsys, corpus_path, tmp_path, flags, config, message):
         run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))
@@ -337,7 +354,6 @@ class TestBadValuesRejectedBeforeAnyCall:
 # Per RunConfig field reachable from a flag: the flag's argument and the value it must resolve to.
 FLAG_SAMPLES = {
     "dataset": ("data.json", "data.json"),
-    "dataset_format": ("single_json", "single_json"),
     "cache_dir": ("c", "c"),
     "output_dir": ("o", "o"),
     "seed": ("7", 7),
@@ -399,14 +415,15 @@ class TestProvenanceProviders:
             "embedding": "openai-embed-text-embedding-3-small",
         }
 
-    def test_unknown_chat_provider_is_a_config_error(self, capsys, corpus_path, tmp_path):
+    @pytest.mark.parametrize("key", ["chat_provider", "embedding_provider"])
+    def test_a_removed_provider_key_is_an_unknown_config_key(self, capsys, corpus_path, tmp_path, key):
         run_cli(capsys, *base_args(corpus_path, tmp_path, "detect-llm"))
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"chat_provider": "carrier-pigeon"}), encoding="utf-8")
+        config.write_text(json.dumps({key: "openai"}), encoding="utf-8")
         args = [a for a in base_args(corpus_path, tmp_path, "report") if a != "--mock"]
         code, _, err = run_cli(capsys, *args, "--config", config)
         assert code == 1
-        assert "carrier-pigeon" in err
+        assert f"unknown config key(s): {key}" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
 

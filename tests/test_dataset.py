@@ -5,11 +5,11 @@ import pytest
 
 from conftest import write_bundle
 from surveyguard.dataset import (
-    DatasetFormat,
+    QUESTION_COLUMNS,
+    RESPONSE_COLUMNS,
+    STUDY_COLUMNS,
     ReportFormat,
-    detect_format,
     load_dataset,
-    write_dataset,
     write_report,
 )
 from surveyguard.errors import DataError
@@ -31,7 +31,7 @@ def minimal_bundle(tmp_path):
 
 class TestLoadBundle:
     def test_minimal_valid_bundle(self, tmp_path):
-        ds = load_dataset(minimal_bundle(tmp_path), DatasetFormat.CSV_BUNDLE)
+        ds = load_dataset(minimal_bundle(tmp_path))
         assert len(ds.studies) == 1
         assert len(ds.questions) == 1
         assert len(ds.responses) == 2
@@ -46,7 +46,7 @@ class TestLoadBundle:
             responses=[["r1", "q9", "text", ""]],
         )
         with pytest.raises(DataError, match='"q9"'):
-            load_dataset(path, DatasetFormat.CSV_BUNDLE)
+            load_dataset(path)
 
     def test_duplicate_response_id(self, tmp_path):
         path = write_bundle(
@@ -56,11 +56,11 @@ class TestLoadBundle:
             responses=[["r1", "q1", "a", ""], ["r1", "q1", "b", ""]],
         )
         with pytest.raises(DataError, match='duplicate response_id "r1"'):
-            load_dataset(path, DatasetFormat.CSV_BUNDLE)
+            load_dataset(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="missing file"):
-            load_dataset(tmp_path / "nope", DatasetFormat.CSV_BUNDLE)
+            load_dataset(tmp_path / "nope")
 
     def test_bad_header_reports_schema_violation(self, tmp_path):
         path = tmp_path / "bundle"
@@ -72,7 +72,7 @@ class TestLoadBundle:
         )
         (path / "studies.csv").write_text("wrong,header\nrow,two\n", encoding="utf-8")
         with pytest.raises(DataError, match="expected header"):
-            load_dataset(path, DatasetFormat.CSV_BUNDLE)
+            load_dataset(path)
 
     def test_bad_month_names_study_and_row(self, tmp_path):
         path = write_bundle(
@@ -82,7 +82,7 @@ class TestLoadBundle:
             responses=[],
         )
         with pytest.raises(DataError, match="bad date"):
-            load_dataset(path, DatasetFormat.CSV_BUNDLE)
+            load_dataset(path)
 
     def test_unknown_question_kind(self, tmp_path):
         path = write_bundle(
@@ -92,7 +92,7 @@ class TestLoadBundle:
             responses=[],
         )
         with pytest.raises(DataError, match='column "kind"'):
-            load_dataset(path, DatasetFormat.CSV_BUNDLE)
+            load_dataset(path)
 
     def test_empty_response_text_is_legal(self, tmp_path):
         path = write_bundle(
@@ -101,7 +101,7 @@ class TestLoadBundle:
             questions=[["q1", "s1", "open_ended", "Question?"]],
             responses=[["r1", "q1", "", ""]],
         )
-        ds = load_dataset(path, DatasetFormat.CSV_BUNDLE)
+        ds = load_dataset(path)
         assert ds.responses[0].text == ""
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
@@ -129,7 +129,7 @@ class TestLoadBundle:
             questions=[[f"{sid}-q", sid, "open_ended", "How was it?"] for sid in counts],
             responses=responses,
         )
-        ds = load_dataset(path, DatasetFormat.CSV_BUNDLE)
+        ds = load_dataset(path)
         assert len(ds.responses) == 643
         per_study = {}
         questions = ds.question_index()
@@ -139,29 +139,30 @@ class TestLoadBundle:
         assert per_study == counts
 
 
-class TestRoundTrip:
-    def test_bundle_round_trip_fixed_point(self, tmp_path, corpus_path):
-        ds = load_dataset(corpus_path, DatasetFormat.CSV_BUNDLE)
-        echo_dir = tmp_path / "echo"
-        write_dataset(ds, echo_dir, DatasetFormat.CSV_BUNDLE)
-        assert load_dataset(echo_dir, DatasetFormat.CSV_BUNDLE) == ds
+class TestLayoutNormalisation:
+    def test_bundle_and_json_with_the_same_shuffled_rows_load_equal_in_id_order(self, tmp_path):
+        studies = [["s2", "Two", "2023-04", "d", "p"], ["s1", "One", "2021-06", "d", "p"]]
+        questions = [["q3", "s2", "open_ended", "How?"], ["q1", "s1", "open_ended", "Why?"],
+                     ["q2", "s1", "other", "Age?"]]
+        responses = [["r9", "q3", "Fine.", ""], ["r1", "q1", "Because.", "2021-06-01"],
+                     ["r5", "q2", "31", ""], ["r2", "q1", "", ""]]
+        bundle = write_bundle(tmp_path / "bundle", studies, questions, responses)
+        payload = {
+            key: [dict(zip(columns, row)) for row in reversed(rows)]
+            for key, columns, rows in (
+                ("studies", STUDY_COLUMNS, studies),
+                ("questions", QUESTION_COLUMNS, questions),
+                ("responses", RESPONSE_COLUMNS, responses),
+            )
+        }
+        single = tmp_path / "dataset.json"
+        single.write_text(json.dumps(payload), encoding="utf-8")
 
-    def test_json_round_trip_fixed_point(self, tmp_path, corpus_path):
-        ds = load_dataset(corpus_path, DatasetFormat.CSV_BUNDLE)
-        out = tmp_path / "ds.json"
-        write_dataset(ds, out, DatasetFormat.SINGLE_JSON)
-        assert load_dataset(out, DatasetFormat.SINGLE_JSON) == ds
-
-    def test_write_twice_is_byte_identical(self, tmp_path, corpus_path):
-        ds = load_dataset(corpus_path, DatasetFormat.CSV_BUNDLE)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_dataset(ds, a, DatasetFormat.SINGLE_JSON)
-        write_dataset(ds, b, DatasetFormat.SINGLE_JSON)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_detect_format(self, tmp_path, corpus_path):
-        assert detect_format(corpus_path) == DatasetFormat.CSV_BUNDLE
-        assert detect_format(tmp_path / "x.json") == DatasetFormat.SINGLE_JSON
+        ds = load_dataset(bundle)
+        assert load_dataset(single) == ds
+        assert [s.study_id for s in ds.studies] == ["s1", "s2"]
+        assert [q.question_id for q in ds.questions] == ["q1", "q2", "q3"]
+        assert [r.response_id for r in ds.responses] == ["r1", "r2", "r5", "r9"]
 
 
 class TestSingleJson:
@@ -175,7 +176,7 @@ class TestSingleJson:
         }
         path = tmp_path / "ds.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        ds = load_dataset(path, DatasetFormat.SINGLE_JSON)
+        ds = load_dataset(path)
         assert ds.studies[0].cohort == Cohort.POST_2022
         assert ds.questions[0].kind == QuestionKind.OPEN_ENDED
 
@@ -184,13 +185,71 @@ class TestSingleJson:
         path = tmp_path / "ds.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(DataError, match="missing column"):
-            load_dataset(path, DatasetFormat.SINGLE_JSON)
+            load_dataset(path)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "ds.json"
         path.write_text("{nope", encoding="utf-8")
         with pytest.raises(DataError, match="invalid JSON"):
-            load_dataset(path, DatasetFormat.SINGLE_JSON)
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "name, content", [("responses.csv", b"response_id\nr1\n"), ("data.bin", b"\xff\xfe\x00")]
+    )
+    def test_a_file_that_is_not_json_is_invalid_json(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=f"{name}: invalid JSON"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("top", [42, [], "text", None])
+    def test_a_top_level_value_that_is_not_an_object(self, tmp_path, top):
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(top), encoding="utf-8")
+        with pytest.raises(DataError, match="top level must be a JSON object"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "key, column, value, kind",
+        [
+            ("responses", "text", None, "null"),
+            ("responses", "collected_at", None, "null"),
+            ("responses", "text", True, "a boolean"),
+            ("questions", "text", ["Why?"], "an array"),
+            ("studies", "label", {"en": "One"}, "an object"),
+        ],
+    )
+    def test_a_non_text_value_names_its_row_and_column(self, tmp_path, key, column, value, kind):
+        payload = {
+            "studies": [
+                {"study_id": "s1", "label": "One", "month_year": "2023-03", "domain": "d", "platform": "p"}
+            ],
+            "questions": [{"question_id": "q1", "study_id": "s1", "kind": "open_ended", "text": "Why?"}],
+            "responses": [
+                {"response_id": "r1", "question_id": "q1", "text": "Because."},
+                {"response_id": "r2", "question_id": "q1", "text": "Fine."},
+            ],
+        }
+        payload[key][-1][column] = value
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        index = len(payload[key]) - 1
+        with pytest.raises(DataError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == (
+            f'ds.json: {key}[{index}], column "{column}": expected a string, got {kind}'
+        )
+
+    def test_numbers_load_as_their_text(self, tmp_path):
+        payload = {
+            "studies": [{"study_id": 1, "label": "One", "month_year": "2023-03", "domain": "d", "platform": "p"}],
+            "questions": [{"question_id": 2, "study_id": 1, "kind": "open_ended", "text": "Age?"}],
+            "responses": [{"response_id": 3, "question_id": 2, "text": 31.5}],
+        }
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        ds = load_dataset(path)
+        assert (ds.studies[0].study_id, ds.responses[0].text) == ("1", "31.5")
 
 
 def tiny_report() -> DetectionReport:

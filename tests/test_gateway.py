@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import StaticChatProvider
+from surveyguard import gateway as gateway_module
 from surveyguard import providers
 from surveyguard.errors import ConfigError, DataError, ProviderError, TransientProviderError
 from surveyguard.gateway import (
@@ -341,7 +342,7 @@ class TestOpenAIEmbeddingAdapter:
     def adapter(self, monkeypatch, items):
         sent = []
 
-        def fake_post(url, payload, api_key, timeout):
+        def fake_post(url, payload, api_key):
             sent.append((url, payload))
             return {"data": items}
 
@@ -433,6 +434,21 @@ class TestDiskCache:
         assert cache.store(key, {"response": {"values": [1.0]}}) is True
         assert cache.store(key, {"response": {"values": [2.0]}}) is False
         assert cache.load(key) == {"response": {"values": [1.0]}}
+
+    def test_an_entry_written_elsewhere_during_a_store_is_kept(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path / "cache")
+        key = build_cache_key("text", "prov")
+        path = cache.path_for(key)
+        canonical = gateway_module._canonical
+
+        def write_while_storing(entry):  # another process stores the key mid-write
+            path.write_text('{"response": {"values": [9.0]}}\n', encoding="utf-8")
+            return canonical(entry)
+
+        monkeypatch.setattr(gateway_module, "_canonical", write_while_storing)
+        assert cache.store(key, {"response": {"values": [1.0]}}) is False
+        assert cache.load(key) == {"response": {"values": [9.0]}}
+        assert list(cache.root.iterdir()) == [path]
 
     def test_entry_count_ignores_temp_files(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
