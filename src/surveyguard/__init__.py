@@ -52,13 +52,8 @@ from .providers import (
 )
 from .report import (
     AverageConvention,
-    CaseExtract,
-    CohortComparison,
-    DetectionReport,
-    HistogramSpec,
     Percent,
     StudyStat,
-    SweepTable,
     average_pooled,
     average_unweighted,
     build_histogram,

@@ -46,7 +46,6 @@ from .providers import (
 )
 from .report import (
     AverageConvention,
-    DetectionReport,
     StudyStat,
     bin_count,
     build_histogram,
@@ -142,8 +141,8 @@ def load_config_file(path: Path | str) -> dict:
     try:
         with open(p, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"config file {p} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {p} must contain a JSON object")
     unknown = sorted(set(raw) - _CONFIG_KEYS)
@@ -463,7 +462,7 @@ def cmd_score(cfg: RunConfig) -> int:
                     "strategy": kind.value,
                     "k_high": cfg.k_high,
                     "low_threshold": cfg.low_threshold,
-                    **cases.to_dict(),
+                    **cases,
                 },
             )
 
@@ -472,11 +471,10 @@ def cmd_score(cfg: RunConfig) -> int:
                 if scored.final_score is not None:
                     scores_by_cohort.setdefault(cohorts[study_id], []).append(scored.final_score)
             if scores_by_cohort:
-                histogram = build_histogram(scores_by_cohort, cfg.bin_width)
                 write_csv(
                     out_dir / f"histogram_{kind.value}.csv",
                     ["bin_start", "bin_end", "cohort", "count"],
-                    histogram.to_rows(),
+                    build_histogram(scores_by_cohort, cfg.bin_width),
                 )
 
         sweep = threshold_sweep(
@@ -485,7 +483,7 @@ def cmd_score(cfg: RunConfig) -> int:
             [k.value for k in _strategy_kinds(cfg)],
             cohorts,
             exclude_empty=cfg.exclude_empty,
-        ).to_dict()
+        )
         write_json(out_dir / "sweep.json", sweep)
         write_text(out_dir / "sweep.md", "\n".join(sweep_markdown_lines(sweep)) + "\n")
         write_csv(
@@ -538,25 +536,29 @@ def cmd_detect_llm(cfg: RunConfig) -> int:
 
 
 def _cohort_comparison_for_run(run: DetectionRun, dataset: SurveyDataset) -> dict | None:
+    """The run's cohort averages, or None when its studies are all in one cohort."""
     cohorts = {s.study_id: s.cohort for s in dataset.studies}
     stats = [
         StudyStat(study_id=s.study_id, cohort=cohorts[s.study_id], percent=s.percentage)
         for s in run.studies
     ]
-    try:
-        return cohort_compare(stats, AverageConvention.UNWEIGHTED_MEAN).to_dict()
-    except ValueError:
-        return None  # single-cohort dataset: no comparison possible
+    if {stat.cohort for stat in stats} != set(Cohort):
+        return None
+    return cohort_compare(stats, AverageConvention.UNWEIGHTED_MEAN)
 
 
-def _read_dump(path: Path) -> dict:
+def _read_dump(path: Path, *keys: str) -> dict:
+    """A dump file's JSON object, which must hold each of keys."""
     try:
         with open(path, encoding="utf-8") as fh:
             dump = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise DataError(f"corrupted dump file: {path}: {exc}") from exc
     if not isinstance(dump, dict):
         raise DataError(f"corrupted dump file: {path}: not a JSON object")
+    missing = [key for key in keys if key not in dump]
+    if missing:
+        raise DataError(f"corrupted dump file: {path}: missing key(s) {', '.join(missing)}")
     return dump
 
 
@@ -597,22 +599,22 @@ def cmd_report(cfg: RunConfig) -> int:
     if not detector_paths and not sweep_path.exists():
         raise DataError(f"no dumps found in {out_dir}; run score or detect-llm first")
 
-    llm_sections = [_read_dump(p) for p in detector_paths]
+    llm_sections = [_read_dump(p, "model_id", "studies") for p in detector_paths]
     signature_section = None
     if sweep_path.exists():
-        signature_section = {"sweep": _read_dump(sweep_path)}
+        signature_section = {"sweep": _read_dump(sweep_path, "rows", "study_order", "cohorts")}
         cases = {}
         for path in case_paths:
-            dump = _read_dump(path)
+            dump = _read_dump(path, "high", "low")
             cases[dump.get("strategy", path.stem.removeprefix("cases_"))] = dump
         if cases:
             signature_section["cases"] = cases
 
-    report = DetectionReport(
-        provenance=_build_provenance(cfg),
-        llm_detection=llm_sections,
-        signature_detection=signature_section,
-    )
+    report = {"provenance": _build_provenance(cfg)}
+    if llm_sections:
+        report["llm_detection"] = llm_sections
+    if signature_section:
+        report["signature_detection"] = signature_section
     with _exclusive_output(out_dir):
         write_report(report, out_dir / "report.json", ReportFormat.JSON)
         write_report(report, out_dir / "report.md", ReportFormat.MARKDOWN_TABLE)

@@ -25,7 +25,7 @@ from .model import (
     SurveyResponse,
     SurveyStudy,
 )
-from .report import DetectionReport, report_to_csv_rows, report_to_markdown
+from .report import report_to_csv_rows, report_to_markdown
 
 STUDY_COLUMNS = ["study_id", "label", "month_year", "domain", "platform"]
 QUESTION_COLUMNS = ["question_id", "study_id", "kind", "text"]
@@ -256,10 +256,10 @@ def write_text(path: Path | str, text: str) -> None:
         fh.write(text)
 
 
-def write_report(report: DetectionReport, path: Path | str, fmt: ReportFormat) -> None:
-    """Write a report; JSON output is byte-stable for identical inputs."""
+def write_report(report: Mapping, path: Path | str, fmt: ReportFormat) -> None:
+    """Write a report dict; JSON output is byte-stable for identical inputs."""
     if fmt == ReportFormat.JSON:
-        write_json(path, report.to_dict())
+        write_json(path, report)
     elif fmt == ReportFormat.CSV:
         rows = report_to_csv_rows(report)
         write_csv(path, rows[0], rows[1:])

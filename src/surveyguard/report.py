@@ -114,20 +114,6 @@ def average(convention: AverageConvention, percents: Sequence[Percent]) -> Perce
 
 
 @dataclass(frozen=True)
-class CohortComparison:
-    pre_average: Percent
-    post_average: Percent
-    convention: AverageConvention
-
-    def to_dict(self) -> dict:
-        return {
-            "convention": self.convention.value,
-            "pre_2022": self.pre_average.to_dict(),
-            "post_2022": self.post_average.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
 class StudyStat:
     """One study's detection outcome, ready for cohort aggregation."""
 
@@ -139,8 +125,11 @@ class StudyStat:
 def cohort_compare(
     stats: Sequence[StudyStat],
     convention: AverageConvention = AverageConvention.UNWEIGHTED_MEAN,
-) -> CohortComparison:
-    """Average per-study results within each cohort under the stated convention."""
+) -> dict:
+    """Average per-study results within each cohort under the stated convention.
+
+    Returns {"convention", "pre_2022", "post_2022"}, each average a Percent dict.
+    """
     by_cohort: dict[Cohort, list[StudyStat]] = {Cohort.PRE_2022: [], Cohort.POST_2022: []}
     for stat in stats:
         by_cohort[stat.cohort].append(stat)
@@ -151,51 +140,14 @@ def cohort_compare(
         for m in by_cohort[Cohort.PRE_2022] + by_cohort[Cohort.POST_2022]:
             if m.percent.flagged is None or m.percent.total is None:
                 raise ValueError(f"study {m.study_id}: pooled averaging needs (flagged, total) counts")
-    return CohortComparison(
-        pre_average=average(convention, [m.percent for m in by_cohort[Cohort.PRE_2022]]),
-        post_average=average(convention, [m.percent for m in by_cohort[Cohort.POST_2022]]),
-        convention=convention,
-    )
+    out = {"convention": convention.value}
+    for cohort, members in by_cohort.items():
+        out[cohort.value] = average(convention, [m.percent for m in members]).to_dict()
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Threshold sweep
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    threshold: float
-    strategy: str
-    per_study: Mapping[str, Percent]
-    cohort_averages: Mapping[Cohort, Percent]
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    thresholds: tuple[float, ...]
-    strategies: tuple[str, ...]
-    convention: AverageConvention
-    study_order: tuple[str, ...]
-    cohorts: Mapping[str, Cohort]
-    rows: tuple[SweepRow, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "convention": self.convention.value,
-            "thresholds": list(self.thresholds),
-            "strategies": list(self.strategies),
-            "study_order": list(self.study_order),
-            "cohorts": {sid: c.value for sid, c in self.cohorts.items()},
-            "rows": [
-                {
-                    "threshold": row.threshold,
-                    "strategy": row.strategy,
-                    "per_study": {sid: p.to_dict() for sid, p in row.per_study.items()},
-                    "averages": {c.value: p.to_dict() for c, p in row.cohort_averages.items()},
-                }
-                for row in self.rows
-            ],
-        }
 
 
 def _detected_counts(
@@ -218,11 +170,13 @@ def threshold_sweep(
     cohorts: Mapping[str, Cohort],
     convention: AverageConvention = AverageConvention.POOLED_WEIGHTED,
     exclude_empty: bool = False,
-) -> SweepTable:
+) -> dict:
     """One row per (threshold, strategy) with per-study and per-cohort percentages.
 
-    Empty responses count in denominators (and never as detections) unless
-    exclude_empty is set.
+    Returns the sweep.json dict. Each row holds "per_study" in study_order and
+    "averages" keyed by cohort value, pre-2022 first; every percentage is a
+    Percent dict. Empty responses count in denominators (and never as
+    detections) unless exclude_empty is set.
     """
     if not strategies:
         raise ValueError("empty strategy list")
@@ -238,9 +192,7 @@ def threshold_sweep(
     for sid in study_ids:
         if sid not in cohorts:
             raise ValueError(f'no cohort known for study "{sid}"')
-    study_order = tuple(
-        sorted(study_ids, key=lambda sid: (cohorts[sid] != Cohort.PRE_2022, sid))
-    )
+    study_order = sorted(study_ids, key=lambda sid: (cohorts[sid] != Cohort.PRE_2022, sid))
 
     rows = []
     for th in thresholds:
@@ -260,42 +212,27 @@ def threshold_sweep(
             for cohort in (Cohort.PRE_2022, Cohort.POST_2022):
                 members = [pct for sid, pct in per_study.items() if cohorts[sid] == cohort]
                 if members:
-                    averages[cohort] = average(convention, members)
+                    averages[cohort.value] = average(convention, members).to_dict()
             rows.append(
-                SweepRow(
-                    threshold=float(th),
-                    strategy=strategy,
-                    per_study=per_study,
-                    cohort_averages=averages,
-                )
+                {
+                    "threshold": float(th),
+                    "strategy": strategy,
+                    "per_study": {sid: pct.to_dict() for sid, pct in per_study.items()},
+                    "averages": averages,
+                }
             )
-    return SweepTable(
-        thresholds=tuple(float(t) for t in thresholds),
-        strategies=tuple(strategies),
-        convention=convention,
-        study_order=study_order,
-        cohorts={sid: cohorts[sid] for sid in study_order},
-        rows=tuple(rows),
-    )
+    return {
+        "convention": convention.value,
+        "thresholds": [float(t) for t in thresholds],
+        "strategies": list(strategies),
+        "study_order": study_order,
+        "cohorts": {sid: cohorts[sid].value for sid in study_order},
+        "rows": rows,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Histogram
-
-
-@dataclass(frozen=True)
-class HistogramSpec:
-    """Half-open bins [e_i, e_{i+1}) over [-1, 1], last bin closed at 1."""
-
-    bin_edges: tuple[float, ...]
-    counts: Mapping[str, tuple[int, ...]]  # cohort value -> per-bin counts
-
-    def to_rows(self) -> list[tuple[float, float, str, int]]:
-        rows = []
-        for cohort in sorted(self.counts):
-            for i, count in enumerate(self.counts[cohort]):
-                rows.append((self.bin_edges[i], self.bin_edges[i + 1], cohort, count))
-        return rows
 
 
 def bin_count(bin_width: float) -> int:
@@ -311,13 +248,18 @@ def bin_count(bin_width: float) -> int:
 
 def build_histogram(
     scores_by_cohort: Mapping[Cohort, Sequence[float]], bin_width: float = 0.05
-) -> HistogramSpec:
-    """Bin similarity scores per cohort; bin_width must divide the [-1, 1] span."""
+) -> list[tuple[float, float, str, int]]:
+    """Bin similarity scores per cohort; bin_width must divide the [-1, 1] span.
+
+    Bins are half-open [e_i, e_{i+1}) over [-1, 1], the last one closed at 1.
+    Returns (bin_start, bin_end, cohort value, count) rows, by cohort value
+    and then by bin.
+    """
     n_bins = bin_count(bin_width)
     width = as_exact(bin_width)
-    edges = tuple(float(-1 + i * width) for i in range(n_bins + 1))
-    counts = {}
-    for cohort, scores in scores_by_cohort.items():
+    edges = [float(-1 + i * width) for i in range(n_bins + 1)]
+    rows = []
+    for cohort, scores in sorted(scores_by_cohort.items(), key=lambda item: item[0].value):
         bins = [0] * n_bins
         for score in scores:
             if not -1.0 - 1e-6 <= score <= 1.0 + 1e-6:
@@ -331,42 +273,12 @@ def build_histogram(
                 index = int((Fraction(score) + 1) / width)
                 index = min(max(index, 0), n_bins - 1)
             bins[index] += 1
-        counts[cohort.value] = tuple(bins)
-    return HistogramSpec(bin_edges=edges, counts=counts)
+        rows += [(edges[i], edges[i + 1], cohort.value, count) for i, count in enumerate(bins)]
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # Case extraction
-
-
-@dataclass(frozen=True)
-class CaseRow:
-    response_id: str
-    score: float
-    best_signature_id: str | None
-    response_text: str
-    signature_text: str
-
-    def to_dict(self) -> dict:
-        return {
-            "response_id": self.response_id,
-            "score": self.score,
-            "best_signature_id": self.best_signature_id,
-            "response_text": self.response_text,
-            "signature_text": self.signature_text,
-        }
-
-
-@dataclass(frozen=True)
-class CaseExtract:
-    high_cases: tuple[CaseRow, ...]  # sorted descending by score
-    low_cases: tuple[CaseRow, ...]  # everything flagged irrelevant, ascending
-
-    def to_dict(self) -> dict:
-        return {
-            "high": [c.to_dict() for c in self.high_cases],
-            "low": [c.to_dict() for c in self.low_cases],
-        }
 
 
 def extract_cases(
@@ -375,20 +287,23 @@ def extract_cases(
     signature_texts: Mapping[str, str],
     k_high: int,
     low_th: float = 0.0,
-) -> CaseExtract:
-    """Top-k responses by final score, plus every irrelevance-flagged response."""
+) -> dict:
+    """Top-k responses by final score, plus every irrelevance-flagged response.
+
+    Returns {"high": cases by descending score, "low": irrelevant cases by
+    ascending score}; ties go to the smaller response id.
+    """
     if k_high < 0:
         raise ValueError("k_high must be >= 0")
 
-    def row(s: ScoredResponse) -> CaseRow:
-        assert s.final_score is not None
-        return CaseRow(
-            response_id=s.response_id,
-            score=s.final_score,
-            best_signature_id=s.best_signature_id,
-            response_text=response_texts.get(s.response_id, ""),
-            signature_text=signature_texts.get(s.best_signature_id or "", ""),
-        )
+    def row(s: ScoredResponse) -> dict:
+        return {
+            "response_id": s.response_id,
+            "score": s.final_score,
+            "best_signature_id": s.best_signature_id,
+            "response_text": response_texts.get(s.response_id, ""),
+            "signature_text": signature_texts.get(s.best_signature_id or "", ""),
+        }
 
     with_scores = [s for s in scored if s.final_score is not None]
     high = sorted(with_scores, key=lambda s: (-s.final_score, s.response_id))[:k_high]
@@ -396,66 +311,51 @@ def extract_cases(
         (s for s in with_scores if FLAG_IRRELEVANT in s.flags or flag_irrelevant(s, low_th)),
         key=lambda s: (s.final_score, s.response_id),
     )
-    return CaseExtract(
-        high_cases=tuple(row(s) for s in high),
-        low_cases=tuple(row(s) for s in low),
-    )
+    return {"high": [row(s) for s in high], "low": [row(s) for s in low]}
 
 
 # ---------------------------------------------------------------------------
-# Combined report
+# Rendering. Every renderer reads the dicts the aggregations return, which are
+# also what `report` reads back from the dumps.
 
 
-@dataclass(frozen=True)
-class DetectionReport:
-    """Merged, render-ready report: provenance plus whichever sections exist."""
+def _markdown_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
+    """Header, separator and one line per row of a markdown table."""
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    return lines + ["| " + " | ".join(row) + " |" for row in rows]
 
-    provenance: Mapping[str, object]
-    llm_detection: Sequence[Mapping[str, object]] = ()
-    signature_detection: Mapping[str, object] | None = None
 
-    def to_dict(self) -> dict:
-        out: dict = {"provenance": dict(self.provenance)}
-        if self.llm_detection:
-            out["llm_detection"] = [dict(d) for d in self.llm_detection]
-        if self.signature_detection is not None:
-            out["signature_detection"] = dict(self.signature_detection)
-        return out
+def _percent_cell(pct: Mapping | None) -> str:
+    return f"{pct['rendered']}%" if pct else "-"
+
+
+def _count_cells(pct: Mapping) -> list[str]:
+    """[num, den, rendered] cells of a Percent dict; an unweighted mean has no counts."""
+    return [str(pct.get("num", "")), str(pct.get("den", "")), pct["rendered"]]
 
 
 def sweep_markdown_lines(sweep: Mapping) -> list[str]:
-    """Markdown table from a SweepTable dict: one row per (threshold, strategy)."""
-    study_order = list(sweep["study_order"])
-    cohorts = sweep["cohorts"]
-    pre = [sid for sid in study_order if cohorts[sid] == Cohort.PRE_2022.value]
-    post = [sid for sid in study_order if cohorts[sid] == Cohort.POST_2022.value]
+    """Markdown table from a sweep dict: one row per (threshold, strategy)."""
+    groups = []  # (cohort value, its studies in order, average column label)
+    for cohort, label in ((Cohort.PRE_2022, "pre avg"), (Cohort.POST_2022, "post avg")):
+        sids = [sid for sid in sweep["study_order"] if sweep["cohorts"][sid] == cohort.value]
+        if sids:
+            groups.append((cohort.value, sids, label))
     header = ["th", "strategy"]
-    header += pre + (["pre avg"] if pre else [])
-    header += post + (["post avg"] if post else [])
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "---|" * len(header),
-    ]
+    for _, sids, label in groups:
+        header += [*sids, label]
+    rows = []
     for row in sweep["rows"]:
         cells = [f"{row['threshold']:g}", str(row["strategy"])]
-        for sid in pre:
-            cell = row["per_study"].get(sid)
-            cells.append(f"{cell['rendered']}%" if cell else "-")
-        if pre:
-            avg = row["averages"].get(Cohort.PRE_2022.value)
-            cells.append(f"{avg['rendered']}%" if avg else "-")
-        for sid in post:
-            cell = row["per_study"].get(sid)
-            cells.append(f"{cell['rendered']}%" if cell else "-")
-        if post:
-            avg = row["averages"].get(Cohort.POST_2022.value)
-            cells.append(f"{avg['rendered']}%" if avg else "-")
-        lines.append("| " + " | ".join(cells) + " |")
-    return lines
+        for cohort, sids, _ in groups:
+            cells += [_percent_cell(row["per_study"].get(sid)) for sid in sids]
+            cells.append(_percent_cell(row["averages"].get(cohort)))
+        rows.append(cells)
+    return _markdown_table(header, rows)
 
 
 def sweep_csv_rows(sweep: Mapping) -> list[list[str]]:
-    """[threshold, strategy, study, num, den, percent] rows from a SweepTable dict.
+    """[threshold, strategy, study, num, den, percent] rows from a sweep dict.
 
     Rows follow the dict's own order: per (threshold, strategy) row, its
     studies, then its cohort averages as "average_<cohort>".
@@ -465,29 +365,17 @@ def sweep_csv_rows(sweep: Mapping) -> list[list[str]]:
         cells = list(row["per_study"].items())
         cells += [(f"average_{cohort}", pct) for cohort, pct in row["averages"].items()]
         for name, pct in cells:
-            rows.append(
-                [
-                    f"{row['threshold']:g}",
-                    str(row["strategy"]),
-                    name,
-                    str(pct.get("num", "")),
-                    str(pct.get("den", "")),
-                    pct["rendered"],
-                ]
-            )
+            rows.append([f"{row['threshold']:g}", str(row["strategy"]), name, *_count_cells(pct)])
     return rows
 
 
 def detector_markdown_lines(section: Mapping) -> list[str]:
     """Markdown table from a detector dump dict: one model row across studies."""
     studies = section["studies"]
-    header = ["model"] + [s["study_id"] for s in studies]
-    values = [str(section["model_id"])] + [f"{s['percentage']['rendered']}%" for s in studies]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "---|" * len(header),
-        "| " + " | ".join(values) + " |",
-    ]
+    lines = _markdown_table(
+        ["model"] + [s["study_id"] for s in studies],
+        [[str(section["model_id"])] + [_percent_cell(s["percentage"]) for s in studies]],
+    )
     comparison = section.get("cohort_comparison")
     if comparison:
         lines.append("")
@@ -499,47 +387,48 @@ def detector_markdown_lines(section: Mapping) -> list[str]:
     return lines
 
 
-def report_to_markdown(report: DetectionReport) -> str:
+def report_to_markdown(report: Mapping) -> str:
+    """report.md from the report dict: provenance, then whichever sections it has."""
     lines = ["# AI-content detection report", ""]
     lines.append("## Provenance")
     lines.append("")
-    for key in sorted(report.provenance):
-        lines.append(f"- {key}: {_fmt_provenance(report.provenance[key])}")
+    provenance = report["provenance"]
+    for key in sorted(provenance):
+        lines.append(f"- {key}: {_fmt_provenance(provenance[key])}")
     lines.append("")
-    for section in report.llm_detection:
+    for section in report.get("llm_detection", ()):
         lines.append(f"## Zero-shot LLM detection ({section['model_id']})")
         lines.append("")
         lines.extend(detector_markdown_lines(section))
         lines.append("")
-    if report.signature_detection is not None:
-        sweep = report.signature_detection.get("sweep")
-        if sweep:
-            lines.append("## Signature-based detection")
-            lines.append("")
-            lines.extend(sweep_markdown_lines(sweep))
-            lines.append("")
-        cases = report.signature_detection.get("cases")
-        if cases:
-            for strategy in sorted(cases):
-                extract = cases[strategy]
-                lines.append(f"### Cases ({strategy})")
-                lines.append("")
-                lines.append("Top similarity scores:")
-                lines.append("")
-                for case in extract["high"]:
-                    lines.append(
-                        f"- {case['response_id']} score {case['score']:.4f} "
-                        f"(signature {case['best_signature_id']})"
-                    )
-                lines.append("")
-                lines.append("Flagged irrelevant (score at or below the low threshold):")
-                lines.append("")
-                if extract["low"]:
-                    for case in extract["low"]:
-                        lines.append(f"- {case['response_id']} score {case['score']:.4f}")
-                else:
-                    lines.append("- none")
-                lines.append("")
+    signature = report.get("signature_detection", {})
+    sweep = signature.get("sweep")
+    if sweep:
+        lines.append("## Signature-based detection")
+        lines.append("")
+        lines.extend(sweep_markdown_lines(sweep))
+        lines.append("")
+    cases = signature.get("cases", {})
+    for strategy in sorted(cases):
+        extract = cases[strategy]
+        lines.append(f"### Cases ({strategy})")
+        lines.append("")
+        lines.append("Top similarity scores:")
+        lines.append("")
+        for case in extract["high"]:
+            lines.append(
+                f"- {case['response_id']} score {case['score']:.4f} "
+                f"(signature {case['best_signature_id']})"
+            )
+        lines.append("")
+        lines.append("Flagged irrelevant (score at or below the low threshold):")
+        lines.append("")
+        if extract["low"]:
+            for case in extract["low"]:
+                lines.append(f"- {case['response_id']} score {case['score']:.4f}")
+        else:
+            lines.append("- none")
+        lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
@@ -551,26 +440,15 @@ def _fmt_provenance(value: object) -> str:
     return str(value)
 
 
-def report_to_csv_rows(report: DetectionReport) -> list[list[str]]:
+def report_to_csv_rows(report: Mapping) -> list[list[str]]:
     """Flat rows for spreadsheet use: one per table cell."""
     rows = [["section", "model_or_strategy", "threshold", "study_or_cohort", "num", "den", "percent"]]
-    for section in report.llm_detection:
-        for study in section["studies"]:  # type: ignore[index]
-            pct = study["percentage"]
-            rows.append(
-                [
-                    "llm_detection",
-                    str(section["model_id"]),
-                    "",
-                    study["study_id"],
-                    str(pct.get("num", "")),
-                    str(pct.get("den", "")),
-                    pct["rendered"],
-                ]
-            )
-    if report.signature_detection is not None:
-        sweep = report.signature_detection.get("sweep")
-        if sweep:
-            for th, strategy, *cell in sweep_csv_rows(sweep):
-                rows.append(["signature_detection", strategy, th, *cell])
+    for section in report.get("llm_detection", ()):
+        for study in section["studies"]:
+            cells = _count_cells(study["percentage"])
+            rows.append(["llm_detection", str(section["model_id"]), "", study["study_id"], *cells])
+    sweep = report.get("signature_detection", {}).get("sweep")
+    if sweep:
+        for th, strategy, *cell in sweep_csv_rows(sweep):
+            rows.append(["signature_detection", strategy, th, *cell])
     return rows

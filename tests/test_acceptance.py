@@ -7,6 +7,7 @@ Everything runs offline against the deterministic mock providers.
 import math
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +152,11 @@ def test_sweep_monotonicity_property():
         table = threshold_sweep(data, thresholds, strategies, cohorts)
         for strategy in strategies:
             for sid in cohorts:
-                column = [row.per_study[sid].value for row in table.rows if row.strategy == strategy]
+                column = [
+                    Fraction(100 * row["per_study"][sid]["num"], row["per_study"][sid]["den"])
+                    for row in table["rows"]
+                    if row["strategy"] == strategy
+                ]
                 assert all(a >= b for a, b in zip(column, column[1:])), (strategy, sid)
                 columns_checked += 1
     print(f"PASS sweep-monotonicity: 200 random sets, {columns_checked} columns all non-increasing")

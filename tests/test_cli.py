@@ -193,6 +193,26 @@ class TestDetectLlm:
         assert "provider calls: 0" in out
         assert (tmp_path / "out" / "detector_gpt-3.5-turbo.json").read_bytes() == first
 
+    def test_single_cohort_dataset_has_no_cohort_comparison(self, capsys, tmp_path):
+        dataset = write_bundle(
+            tmp_path / "bundle",
+            studies=[["a", "Study A", "2023-05", "d", "p"], ["b", "Study B", "2024-01", "d", "p"]],
+            questions=[["qa", "a", "open_ended", "Why?"], ["qb", "b", "open_ended", "How?"]],
+            responses=[["r1", "qa", "Because it is quick.", ""], ["r2", "qb", "Every day.", ""]],
+        )
+        code, out, err = run_cli(
+            capsys, "detect-llm", "--dataset", dataset, "--mock",
+            "--cache-dir", tmp_path / "cache", "--output-dir", tmp_path / "out",
+        )
+        assert code == 0, err
+        dump = json.loads((tmp_path / "out" / "detector_gpt-3.5-turbo.json").read_text(encoding="utf-8"))
+        assert [s["study_id"] for s in dump["studies"]] == ["a", "b"]
+        assert "cohort_comparison" not in dump
+        assert "cohort averages" not in out
+        assert "Cohort averages" not in (tmp_path / "out" / "detector_gpt-3.5-turbo.md").read_text(
+            encoding="utf-8"
+        )
+
 
 class TestReport:
     def test_no_dumps_is_a_data_error(self, capsys, corpus_path, tmp_path):
@@ -255,6 +275,38 @@ class TestReport:
         assert f"data error: corrupted dump file: {tmp_path / 'out' / name}: not a JSON object" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "name, dump, missing",
+        [
+            ("detector_gpt-3.5-turbo.json", {"studies": []}, "model_id"),
+            ("detector_gpt-3.5-turbo.json", {"model_id": "gpt-3.5-turbo"}, "studies"),
+            ("sweep.json", {}, "rows, study_order, cohorts"),
+            ("sweep.json", {"rows": [], "study_order": []}, "cohorts"),
+            ("cases_basic.json", {"strategy": "basic", "low": []}, "high"),
+            ("cases_basic.json", {"strategy": "basic", "high": []}, "low"),
+        ],
+    )
+    def test_a_dump_missing_a_key_names_the_file_and_key(
+        self, capsys, corpus_path, tmp_path, name, dump, missing
+    ):
+        for command in ("gen-signatures", "score", "detect-llm"):
+            run_cli(capsys, *base_args(corpus_path, tmp_path, command))
+        (tmp_path / "out" / name).write_text(json.dumps(dump), encoding="utf-8")
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "report"))
+        assert code == 2
+        assert f"corrupted dump file: {tmp_path / 'out' / name}: missing key(s) {missing}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_a_dump_that_is_not_utf8_names_the_file(self, capsys, corpus_path, tmp_path):
+        for command in ("gen-signatures", "score"):
+            run_cli(capsys, *base_args(corpus_path, tmp_path, command))
+        (tmp_path / "out" / "cases_basic.json").write_bytes(b"\xff\xfe{}")
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "report"))
+        assert code == 2
+        assert f"data error: corrupted dump file: {tmp_path / 'out' / 'cases_basic.json'}: " in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, capsys, corpus_path, tmp_path):
@@ -278,6 +330,13 @@ class TestConfigHandling:
         assert code == 0
         assert (tmp_path / "flag-out" / "signatures" / "basic" / "q1.json").exists()
         assert not (tmp_path / "config-out").exists()
+
+    def test_config_file_that_is_not_utf8_is_config_error(self, capsys, tmp_path):
+        config = tmp_path / "bad.json"
+        config.write_bytes(b"\xff\xfe{}")
+        code, _, err = run_cli(capsys, "validate", "--config", config)
+        assert code == 1
+        assert f"config error: config file {config} is not valid UTF-8 JSON" in err
 
     def test_unknown_config_key_is_config_error(self, capsys, tmp_path):
         config = tmp_path / "run.json"

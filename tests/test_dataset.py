@@ -14,7 +14,7 @@ from surveyguard.dataset import (
 )
 from surveyguard.errors import DataError
 from surveyguard.model import Cohort, QuestionKind
-from surveyguard.report import DetectionReport, Percent
+from surveyguard.report import Percent
 
 
 def minimal_bundle(tmp_path):
@@ -252,7 +252,7 @@ class TestSingleJson:
         assert (ds.studies[0].study_id, ds.responses[0].text) == ("1", "31.5")
 
 
-def tiny_report() -> DetectionReport:
+def tiny_report() -> dict:
     sweep = {
         "convention": "pooled_weighted",
         "thresholds": [0.7, 0.8, 0.9],
@@ -269,11 +269,7 @@ def tiny_report() -> DetectionReport:
             for th in (0.7, 0.8, 0.9)
         ],
     }
-    return DetectionReport(
-        provenance={"seed": 0},
-        llm_detection=(),
-        signature_detection={"sweep": sweep},
-    )
+    return {"provenance": {"seed": 0}, "signature_detection": {"sweep": sweep}}
 
 
 class TestWriteReport:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -125,8 +126,8 @@ class TestCohortCompare:
 
     def test_unweighted_reproduces_row_averages(self):
         comparison = cohort_compare(self.table_shaped_stats(), AverageConvention.UNWEIGHTED_MEAN)
-        assert comparison.pre_average.rendered == "6.16"
-        assert comparison.post_average.rendered == "30.55"
+        assert comparison["pre_2022"]["rendered"] == "6.16"
+        assert comparison["post_2022"]["rendered"] == "30.55"
 
     def test_symmetric_fixture(self):
         stats = [
@@ -134,7 +135,7 @@ class TestCohortCompare:
             StudyStat("b", Cohort.POST_2022, percentage(3, 10)),
         ]
         comparison = cohort_compare(stats, AverageConvention.POOLED_WEIGHTED)
-        assert comparison.pre_average == comparison.post_average
+        assert comparison["pre_2022"] == comparison["post_2022"]
 
     def test_single_study_per_cohort(self):
         stats = [
@@ -142,8 +143,8 @@ class TestCohortCompare:
             StudyStat("b", Cohort.POST_2022, percentage(6, 8)),
         ]
         comparison = cohort_compare(stats, AverageConvention.UNWEIGHTED_MEAN)
-        assert comparison.pre_average.rendered == "12.50"
-        assert comparison.post_average.rendered == "75.00"
+        assert comparison["pre_2022"]["rendered"] == "12.50"
+        assert comparison["post_2022"]["rendered"] == "75.00"
 
     def test_missing_cohort_is_an_error(self):
         stats = [StudyStat("a", Cohort.PRE_2022, percentage(1, 8))]
@@ -166,10 +167,10 @@ class TestThresholdSweep:
     def test_step_function_at_single_score(self):
         data = {"basic": {"s1": [scored(f"r{i}", 0.72) for i in range(4)], "s2": [scored("rx", 0.72)]}}
         table = threshold_sweep(data, [0.7, 0.75, 0.8, 0.85, 0.9], ["basic"], COHORTS)
-        by_threshold = {row.threshold: row for row in table.rows}
-        assert by_threshold[0.7].per_study["s1"].rendered == "100.00"
+        by_threshold = {row["threshold"]: row for row in table["rows"]}
+        assert by_threshold[0.7]["per_study"]["s1"]["rendered"] == "100.00"
         for th in (0.75, 0.8, 0.85, 0.9):
-            assert by_threshold[th].per_study["s1"].rendered == "0.00"
+            assert by_threshold[th]["per_study"]["s1"]["rendered"] == "0.00"
 
     def test_staircase_counts(self):
         finals = [0.71, 0.76, 0.81, 0.86, 0.91]
@@ -177,7 +178,7 @@ class TestThresholdSweep:
         table = threshold_sweep(
             data, [0.7, 0.75, 0.8, 0.85, 0.9], ["basic"], {"s1": Cohort.PRE_2022}
         )
-        counts = [row.per_study["s1"].flagged for row in table.rows]
+        counts = [row["per_study"]["s1"]["num"] for row in table["rows"]]
         assert counts == [5, 4, 3, 2, 1]
 
     def test_empty_strategy_list_rejected(self):
@@ -208,7 +209,9 @@ class TestThresholdSweep:
             for strat in ("basic", "sentiment"):
                 for sid in ("s1", "s2"):
                     column = [
-                        row.per_study[sid].value for row in table.rows if row.strategy == strat
+                        Fraction(100 * row["per_study"][sid]["num"], row["per_study"][sid]["den"])
+                        for row in table["rows"]
+                        if row["strategy"] == strat
                     ]
                     assert all(a >= b for a, b in zip(column, column[1:]))
 
@@ -220,24 +223,24 @@ class TestThresholdSweep:
             }
         }
         table = threshold_sweep(data, [0.9], ["basic"], COHORTS)
-        row = table.rows[0]
-        assert table.convention == AverageConvention.POOLED_WEIGHTED
-        assert row.cohort_averages[Cohort.PRE_2022].to_dict() == {"num": 3, "den": 4, "rendered": "75.00"}
+        row = table["rows"][0]
+        assert table["convention"] == AverageConvention.POOLED_WEIGHTED.value
+        assert row["averages"][Cohort.PRE_2022.value] == {"num": 3, "den": 4, "rendered": "75.00"}
 
     def test_empty_flag_handling(self):
         from surveyguard.scoring import empty_scored
 
         data = {"basic": {"s1": [scored("r0", 0.9), empty_scored("r1")], "s2": [scored("r2", 0.9)]}}
         included = threshold_sweep(data, [0.8], ["basic"], COHORTS)
-        assert included.rows[0].per_study["s1"].to_dict()["den"] == 2
+        assert included["rows"][0]["per_study"]["s1"]["den"] == 2
         excluded = threshold_sweep(data, [0.8], ["basic"], COHORTS, exclude_empty=True)
-        assert excluded.rows[0].per_study["s1"].to_dict()["den"] == 1
+        assert excluded["rows"][0]["per_study"]["s1"]["den"] == 1
 
     def test_csv_rows_follow_the_sweep_order(self):
         cohorts = {"a": Cohort.POST_2022, "b": Cohort.PRE_2022}
         data = {"basic": {"a": [scored("r0", 0.9)], "b": [scored("r1", 0.2), scored("r2", 0.8)]}}
         table = threshold_sweep(data, [0.7, 0.9], ["basic"], cohorts)
-        rows = sweep_csv_rows(table.to_dict())
+        rows = sweep_csv_rows(table)
         assert rows[:4] == [
             ["0.7", "basic", "b", "1", "2", "50.00"],
             ["0.7", "basic", "a", "1", "1", "100.00"],
@@ -249,28 +252,36 @@ class TestThresholdSweep:
     def test_markdown_rows(self):
         data = {"basic": {"s1": [scored("r0", 0.9)], "s2": [scored("r1", 0.2)]}}
         table = threshold_sweep(data, [0.7, 0.9], ["basic"], COHORTS)
-        lines = sweep_markdown_lines(table.to_dict())
+        lines = sweep_markdown_lines(table)
         assert len(lines) == 2 + 2  # header+separator plus one row per (threshold, strategy)
         assert lines[0].startswith("| th | strategy | s1 | pre avg | s2 | post avg |")
 
 
+def counts(rows) -> dict[str, list[int]]:
+    """Per-bin counts by cohort from build_histogram's rows."""
+    out: dict[str, list[int]] = {}
+    for _start, _end, cohort, count in rows:
+        out.setdefault(cohort, []).append(count)
+    return out
+
+
 class TestHistogram:
     def test_score_of_one_lands_in_closed_last_bin(self):
-        hist = build_histogram({Cohort.PRE_2022: [1.0]}, bin_width=0.05)
-        assert hist.counts["pre_2022"][-1] == 1
-        assert sum(hist.counts["pre_2022"]) == 1
+        hist = counts(build_histogram({Cohort.PRE_2022: [1.0]}, bin_width=0.05))
+        assert hist["pre_2022"][-1] == 1
+        assert sum(hist["pre_2022"]) == 1
 
     def test_half_open_bins_with_width_half(self):
-        hist = build_histogram({Cohort.PRE_2022: [-1.0, 0.0, 0.999]}, bin_width=0.5)
-        assert hist.counts["pre_2022"] == (1, 0, 1, 1)
-        assert hist.bin_edges == (-1.0, -0.5, 0.0, 0.5, 1.0)
+        rows = build_histogram({Cohort.PRE_2022: [-1.0, 0.0, 0.999]}, bin_width=0.5)
+        assert counts(rows)["pre_2022"] == [1, 0, 1, 1]
+        assert [start for start, *_ in rows] + [rows[-1][1]] == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
     def test_counts_conserved_for_random_scores(self):
         rng = random.Random(23)
         scores = [rng.uniform(-1, 1) for _ in range(500)]
-        hist = build_histogram({Cohort.POST_2022: scores}, bin_width=0.05)
-        assert sum(hist.counts["post_2022"]) == 500
-        assert len(hist.counts["post_2022"]) == 40
+        hist = counts(build_histogram({Cohort.POST_2022: scores}, bin_width=0.05))
+        assert sum(hist["post_2022"]) == 500
+        assert len(hist["post_2022"]) == 40
 
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError, match="invalid bin width"):
@@ -279,8 +290,7 @@ class TestHistogram:
             build_histogram({Cohort.PRE_2022: [0.0]}, bin_width=-0.1)
 
     def test_rows_for_csv_export(self):
-        hist = build_histogram({Cohort.PRE_2022: [0.1], Cohort.POST_2022: [0.6]}, bin_width=0.5)
-        rows = hist.to_rows()
+        rows = build_histogram({Cohort.PRE_2022: [0.1], Cohort.POST_2022: [0.6]}, bin_width=0.5)
         assert (0.0, 0.5, "pre_2022", 1) in rows
         assert (0.5, 1.0, "post_2022", 1) in rows
         assert len(rows) == 8
@@ -293,12 +303,12 @@ class TestExtractCases:
 
     def test_k_zero_keeps_low_list(self):
         extract = extract_cases(self.make_scored(), {}, {}, k_high=0, low_th=0.0)
-        assert extract.high_cases == ()
-        assert [c.response_id for c in extract.low_cases] == ["r3"]
+        assert extract["high"] == []
+        assert [c["response_id"] for c in extract["low"]] == ["r3"]
 
     def test_k_larger_than_corpus_returns_all_sorted(self):
         extract = extract_cases(self.make_scored(), {}, {}, k_high=99, low_th=0.0)
-        assert [c.response_id for c in extract.high_cases] == ["r1", "r4", "r2", "r3"]
+        assert [c["response_id"] for c in extract["high"]] == ["r1", "r4", "r2", "r3"]
 
     def test_verbatim_match_tops_cases_with_score_one(self, tmp_path):
         provider = MockEmbeddingProvider(seed=0, dim=8)
@@ -313,11 +323,33 @@ class TestExtractCases:
             {"sig-a": text, "sig-b": "Different answer."},
             k_high=1,
         )
-        best = extract.high_cases[0]
-        assert best.response_id == "r-copy"
-        assert best.score == pytest.approx(1.0, abs=1e-12)
-        assert best.signature_text == best.response_text
+        best = extract["high"][0]
+        assert best["response_id"] == "r-copy"
+        assert best["score"] == pytest.approx(1.0, abs=1e-12)
+        assert best["signature_text"] == best["response_text"]
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             extract_cases([], {}, {}, k_high=-1)
+
+
+class TestReturnValuesAreDumps:
+    def test_sweep_cohorts_and_cases_survive_a_json_round_trip(self):
+        data = {"basic": {"s1": [scored("r0", 0.9), scored("r1", -0.2)], "s2": [scored("r2", 0.75)]}}
+        stats = [
+            StudyStat("s1", Cohort.PRE_2022, percentage(1, 3)),
+            StudyStat("s2", Cohort.POST_2022, percentage(2, 3)),
+        ]
+        values = [
+            threshold_sweep(data, [0.7, 0.8], ["basic"], COHORTS),
+            cohort_compare(stats, AverageConvention.UNWEIGHTED_MEAN),
+            cohort_compare(stats, AverageConvention.POOLED_WEIGHTED),
+            extract_cases(
+                [apply_irrelevance(s, 0.0) for s in data["basic"]["s1"]],
+                {"r0": "text", "r1": "other"},
+                {"s": "signature"},
+                k_high=1,
+            ),
+        ]
+        for value in values:
+            assert json.loads(json.dumps(value, allow_nan=False)) == value
