@@ -63,8 +63,6 @@ from .report import (
     threshold_sweep,
 )
 from .scoring import (
-    ScoredResponse,
-    SimilarityRecord,
     classify_by_threshold,
     cosine_similarity,
     flag_irrelevant,

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -52,11 +52,20 @@ from .report import (
     cohort_compare,
     detector_markdown_lines,
     extract_cases,
+    report_to_csv_rows,
+    report_to_markdown,
     sweep_csv_rows,
     sweep_markdown_lines,
     threshold_sweep,
 )
-from .scoring import apply_irrelevance, check_threshold, empty_scored, meets_threshold, score_question
+from .scoring import (
+    FLAG_IRRELEVANT,
+    check_threshold,
+    empty_scored,
+    flag_irrelevant,
+    meets_threshold,
+    score_question,
+)
 from .signatures import (
     TEMPLATE_VERSION,
     Sentiment,
@@ -176,19 +185,19 @@ def _check(rule, value) -> None:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    if not cfg.models:
-        raise ConfigError("models must be non-empty")
-    if not cfg.temperatures:
-        raise ConfigError("temperatures must be non-empty")
+    for key in sorted(_TUPLE_KEYS):
+        values = getattr(cfg, key)
+        if not values and key != "sentiments":  # sentiments may be empty: basic runs ignore them
+            raise ConfigError(f"{key} must be non-empty")
+        if len(set(values)) < len(values):  # a duplicate grid cell, strategy or sweep row
+            raise ConfigError(f"{key} must not repeat a value, got {list(values)}")
+    if "" in cfg.models:
+        raise ConfigError("models must not contain an empty model id")
     for t in (*cfg.temperatures, cfg.detector_temperature):
         _check(check_temperature, t)
-    if not cfg.strategies:
-        raise ConfigError("strategies must be non-empty")
     for s in cfg.strategies:
         if s not in ("basic", "sentiment"):
             raise ConfigError(f'unknown strategy "{s}" (expected basic or sentiment)')
-    if not cfg.thresholds:
-        raise ConfigError("thresholds must be non-empty")
     if list(cfg.thresholds) != sorted(cfg.thresholds):
         raise ConfigError("thresholds must be sorted ascending")
     for th in cfg.thresholds:
@@ -371,8 +380,9 @@ def _score_strategy(
     gateway: ProviderGateway,
     kind: StrategyKind,
     store_dir: Path,
-):
-    """Score every open-ended response against its question's signatures."""
+) -> tuple[list[dict], dict[str, str]]:
+    """The scored_<strategy>.json rows of every open-ended response, by response_id,
+    and the texts of the signatures they were scored against."""
     questions = dataset.open_questions()
     missing = [
         q.question_id
@@ -384,7 +394,8 @@ def _score_strategy(
             f"missing signature store for strategy {kind.value}, "
             f"question(s): {', '.join(sorted(missing))}; run gen-signatures first"
         )
-    scored_rows = []
+    records = cfg.scores_mode == "full"
+    rows = []
     signature_texts: dict[str, str] = {}
     for question in questions:
         signature_set = load_signature_set(store_dir, kind, question.question_id)
@@ -395,42 +406,23 @@ def _score_strategy(
         vectors = gateway.embed_many([s.text for s in signatures] + [r.text for r in answered])
         signature_texts.update((sig.signature_id, sig.text) for sig in signatures)
         by_id = {
-            scored.response_id: scored
-            for scored in score_question(
+            row["response_id"]: row
+            for row in score_question(
                 [(r.response_id, vec) for r, vec in zip(answered, vectors[len(signatures) :])],
                 [(sig.signature_id, vec) for sig, vec in zip(signatures, vectors)],
-                records=cfg.scores_mode == "full",
+                records=records,
             )
         }
         for response in responses:
-            if response.response_id in by_id:
-                scored = apply_irrelevance(by_id[response.response_id], cfg.low_threshold)
-            else:
-                scored = empty_scored(response.response_id)
-            scored_rows.append((question.study_id, question.question_id, scored))
-    scored_rows.sort(key=lambda item: item[2].response_id)
-    return scored_rows, signature_texts
-
-
-def _scored_dump(cfg: RunConfig, scored_rows) -> list[dict]:
-    rows = []
-    for study_id, question_id, scored in scored_rows:
-        row = {
-            "response_id": scored.response_id,
-            "question_id": question_id,
-            "study_id": study_id,
-            "final_score": scored.final_score,
-            "best_signature_id": scored.best_signature_id,
-            "flags": sorted(scored.flags),
-            "ai_at": {f"{th:g}": meets_threshold(scored, th) for th in cfg.thresholds},
-        }
-        if cfg.scores_mode == "full":
-            row["per_signature"] = [
-                {"signature_id": rec.signature_id, "score": rec.score}
-                for rec in scored.per_signature
-            ]
-        rows.append(row)
-    return rows
+            row = by_id.get(response.response_id) or empty_scored(response.response_id, records)
+            if flag_irrelevant(row, cfg.low_threshold):
+                row["flags"].append(FLAG_IRRELEVANT)
+            row["question_id"] = question.question_id
+            row["study_id"] = question.study_id
+            row["ai_at"] = {f"{th:g}": meets_threshold(row, th) for th in cfg.thresholds}
+            rows.append(row)
+    rows.sort(key=lambda row: row["response_id"])
+    return rows, signature_texts
 
 
 def cmd_score(cfg: RunConfig) -> int:
@@ -442,20 +434,13 @@ def cmd_score(cfg: RunConfig) -> int:
     response_texts = {r.response_id: r.text for r in dataset.responses}
 
     with _exclusive_output(out_dir):
-        scored_by_strategy: dict[str, dict[str, list]] = {}
+        rows_by_strategy: dict[str, list[dict]] = {}
         for kind in _strategy_kinds(cfg):
-            scored_rows, signature_texts = _score_strategy(cfg, dataset, gateway, kind, store_dir)
-            by_study: dict[str, list] = {}
-            for study_id, _question_id, scored in scored_rows:
-                by_study.setdefault(study_id, []).append(scored)
-            scored_by_strategy[kind.value] = by_study
+            rows, signature_texts = _score_strategy(cfg, dataset, gateway, kind, store_dir)
+            rows_by_strategy[kind.value] = rows
+            write_json(out_dir / f"scored_{kind.value}.json", rows)
 
-            write_json(out_dir / f"scored_{kind.value}.json", _scored_dump(cfg, scored_rows))
-
-            all_scored = [scored for _, _, scored in scored_rows]
-            cases = extract_cases(
-                all_scored, response_texts, signature_texts, cfg.k_high, cfg.low_threshold
-            )
+            cases = extract_cases(rows, response_texts, signature_texts, cfg.k_high, cfg.low_threshold)
             write_json(
                 out_dir / f"cases_{kind.value}.json",
                 {
@@ -467,9 +452,9 @@ def cmd_score(cfg: RunConfig) -> int:
             )
 
             scores_by_cohort: dict[Cohort, list[float]] = {}
-            for study_id, _question_id, scored in scored_rows:
-                if scored.final_score is not None:
-                    scores_by_cohort.setdefault(cohorts[study_id], []).append(scored.final_score)
+            for row in rows:
+                if row["final_score"] is not None:
+                    scores_by_cohort.setdefault(cohorts[row["study_id"]], []).append(row["final_score"])
             if scores_by_cohort:
                 write_csv(
                     out_dir / f"histogram_{kind.value}.csv",
@@ -478,7 +463,7 @@ def cmd_score(cfg: RunConfig) -> int:
                 )
 
         sweep = threshold_sweep(
-            scored_by_strategy,
+            rows_by_strategy,
             cfg.thresholds,
             [k.value for k in _strategy_kinds(cfg)],
             cohorts,
@@ -492,7 +477,7 @@ def cmd_score(cfg: RunConfig) -> int:
             sweep_csv_rows(sweep),
         )
 
-        total = sum(len(v) for by_study in scored_by_strategy.values() for v in by_study.values())
+        total = sum(len(rows) for rows in rows_by_strategy.values())
         print(
             f"scored {total} responses across {len(cohorts)} studies "
             f"({', '.join(cfg.strategies)})"
@@ -547,8 +532,9 @@ def _cohort_comparison_for_run(run: DetectionRun, dataset: SurveyDataset) -> dic
     return cohort_compare(stats, AverageConvention.UNWEIGHTED_MEAN)
 
 
-def _read_dump(path: Path, *keys: str) -> dict:
-    """A dump file's JSON object, which must hold each of keys."""
+def _read_dump(path: Path, keys: Sequence[str], report_part: Callable[[dict], dict]) -> dict:
+    """A dump file's JSON object; it must hold each of keys and render as the report
+    part report_part makes of it, so a bad shape is named before any report is written."""
     try:
         with open(path, encoding="utf-8") as fh:
             dump = json.load(fh)
@@ -559,6 +545,12 @@ def _read_dump(path: Path, *keys: str) -> dict:
     missing = [key for key in keys if key not in dump]
     if missing:
         raise DataError(f"corrupted dump file: {path}: missing key(s) {', '.join(missing)}")
+    part = {"provenance": {}, **report_part(dump)}
+    try:
+        report_to_markdown(part)
+        report_to_csv_rows(part)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"corrupted dump file: {path}: bad shape: {exc!r}") from exc
     return dump
 
 
@@ -599,14 +591,21 @@ def cmd_report(cfg: RunConfig) -> int:
     if not detector_paths and not sweep_path.exists():
         raise DataError(f"no dumps found in {out_dir}; run score or detect-llm first")
 
-    llm_sections = [_read_dump(p, "model_id", "studies") for p in detector_paths]
+    llm_sections = [
+        _read_dump(p, ("model_id", "studies"), lambda d: {"llm_detection": [d]}) for p in detector_paths
+    ]
     signature_section = None
     if sweep_path.exists():
-        signature_section = {"sweep": _read_dump(sweep_path, "rows", "study_order", "cohorts")}
+        sweep = _read_dump(
+            sweep_path, ("rows", "study_order", "cohorts"), lambda d: {"signature_detection": {"sweep": d}}
+        )
+        signature_section = {"sweep": sweep}
         cases = {}
         for path in case_paths:
-            dump = _read_dump(path, "high", "low")
-            cases[dump.get("strategy", path.stem.removeprefix("cases_"))] = dump
+            dump = _read_dump(path, ("high", "low"), lambda d: {"signature_detection": {"cases": {"": d}}})
+            if not isinstance(strategy := dump.get("strategy", path.stem.removeprefix("cases_")), str):
+                raise DataError(f"corrupted dump file: {path}: strategy must be a string")
+            cases[strategy] = dump
         if cases:
             signature_section["cases"] = cases
 

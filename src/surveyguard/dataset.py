@@ -16,6 +16,9 @@ import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import DataError
@@ -56,8 +59,14 @@ class SurveyDataset:
     def open_questions(self) -> tuple[SurveyQuestion, ...]:
         return tuple(q for q in self.questions if q.kind == QuestionKind.OPEN_ENDED)
 
+    @cached_property
+    def _responses_by_question(self) -> dict[str, tuple[SurveyResponse, ...]]:
+        ordered = sorted(self.responses, key=attrgetter("question_id"))  # stable sort
+        return {qid: tuple(rs) for qid, rs in groupby(ordered, key=attrgetter("question_id"))}
+
     def responses_for_question(self, question_id: str) -> tuple[SurveyResponse, ...]:
-        return tuple(r for r in self.responses if r.question_id == question_id)
+        """The question's responses in dataset (response_id) order; () for an unknown id."""
+        return self._responses_by_question.get(question_id, ())
 
 
 def _build_dataset(

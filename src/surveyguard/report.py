@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .model import Cohort
-from .scoring import FLAG_EMPTY, FLAG_IRRELEVANT, ScoredResponse, flag_irrelevant, meets_threshold
+from .scoring import FLAG_EMPTY, FLAG_IRRELEVANT, flag_irrelevant, meets_threshold
 
 
 class AverageConvention(str, Enum):
@@ -150,21 +150,8 @@ def cohort_compare(
 # Threshold sweep
 
 
-def _detected_counts(
-    responses: Sequence[ScoredResponse], th: float, exclude_empty: bool
-) -> tuple[int, int]:
-    flagged = 0
-    total = 0
-    for scored in responses:
-        if exclude_empty and FLAG_EMPTY in scored.flags:
-            continue
-        total += 1
-        flagged += meets_threshold(scored, th)
-    return flagged, total
-
-
 def threshold_sweep(
-    scored_by_strategy: Mapping[str, Mapping[str, Sequence[ScoredResponse]]],
+    rows_by_strategy: Mapping[str, Sequence[Mapping]],
     thresholds: Sequence[float],
     strategies: Sequence[str],
     cohorts: Mapping[str, Cohort],
@@ -173,7 +160,8 @@ def threshold_sweep(
 ) -> dict:
     """One row per (threshold, strategy) with per-study and per-cohort percentages.
 
-    Returns the sweep.json dict. Each row holds "per_study" in study_order and
+    Takes each strategy's scored rows, which name their study_id, and returns
+    the sweep.json dict. Each row holds "per_study" in study_order and
     "averages" keyed by cohort value, pre-2022 first; every percentage is a
     Percent dict. Empty responses count in denominators (and never as
     detections) unless exclude_empty is set.
@@ -184,11 +172,16 @@ def threshold_sweep(
         raise ValueError("empty threshold list")
     if list(thresholds) != sorted(thresholds):
         raise ValueError("thresholds must be sorted ascending")
+    counted: dict[tuple[str, str], list[Mapping]] = {}  # the denominator rows per (strategy, study)
     for strategy in strategies:
-        if strategy not in scored_by_strategy or not scored_by_strategy[strategy]:
+        if not rows_by_strategy.get(strategy):
             raise ValueError(f'no scored responses for strategy "{strategy}"')
+        for row in rows_by_strategy[strategy]:
+            group = counted.setdefault((strategy, row["study_id"]), [])
+            if not (exclude_empty and FLAG_EMPTY in row["flags"]):
+                group.append(row)
 
-    study_ids = sorted({sid for s in strategies for sid in scored_by_strategy[s]})
+    study_ids = sorted({sid for _, sid in counted})
     for sid in study_ids:
         if sid not in cohorts:
             raise ValueError(f'no cohort known for study "{sid}"')
@@ -199,13 +192,9 @@ def threshold_sweep(
         for strategy in strategies:
             per_study = {}
             for sid in study_order:
-                responses = scored_by_strategy[strategy].get(sid, ())
-                if not responses:
-                    continue
-                flagged, total = _detected_counts(responses, th, exclude_empty)
-                if total == 0:
-                    continue
-                per_study[sid] = percentage(flagged, total)
+                group = counted.get((strategy, sid))
+                if group:
+                    per_study[sid] = percentage(sum(meets_threshold(r, th) for r in group), len(group))
             if not per_study:
                 raise ValueError(f'no scorable responses for strategy "{strategy}"')
             averages = {}
@@ -282,13 +271,13 @@ def build_histogram(
 
 
 def extract_cases(
-    scored: Sequence[ScoredResponse],
+    rows: Sequence[Mapping],
     response_texts: Mapping[str, str],
     signature_texts: Mapping[str, str],
     k_high: int,
     low_th: float = 0.0,
 ) -> dict:
-    """Top-k responses by final score, plus every irrelevance-flagged response.
+    """Top-k scored rows by final score, plus every irrelevance-flagged row.
 
     Returns {"high": cases by descending score, "low": irrelevant cases by
     ascending score}; ties go to the smaller response id.
@@ -296,22 +285,22 @@ def extract_cases(
     if k_high < 0:
         raise ValueError("k_high must be >= 0")
 
-    def row(s: ScoredResponse) -> dict:
+    def case(row: Mapping) -> dict:
         return {
-            "response_id": s.response_id,
-            "score": s.final_score,
-            "best_signature_id": s.best_signature_id,
-            "response_text": response_texts.get(s.response_id, ""),
-            "signature_text": signature_texts.get(s.best_signature_id or "", ""),
+            "response_id": row["response_id"],
+            "score": row["final_score"],
+            "best_signature_id": row["best_signature_id"],
+            "response_text": response_texts.get(row["response_id"], ""),
+            "signature_text": signature_texts.get(row["best_signature_id"] or "", ""),
         }
 
-    with_scores = [s for s in scored if s.final_score is not None]
-    high = sorted(with_scores, key=lambda s: (-s.final_score, s.response_id))[:k_high]
+    with_scores = [r for r in rows if r["final_score"] is not None]
+    high = sorted(with_scores, key=lambda r: (-r["final_score"], r["response_id"]))[:k_high]
     low = sorted(
-        (s for s in with_scores if FLAG_IRRELEVANT in s.flags or flag_irrelevant(s, low_th)),
-        key=lambda s: (s.final_score, s.response_id),
+        (r for r in with_scores if FLAG_IRRELEVANT in r["flags"] or flag_irrelevant(r, low_th)),
+        key=lambda r: (r["final_score"], r["response_id"]),
     )
-    return {"high": [row(s) for s in high], "low": [row(s) for s in low]}
+    return {"high": [case(r) for r in high], "low": [case(r) for r in low]}
 
 
 # ---------------------------------------------------------------------------

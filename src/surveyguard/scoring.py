@@ -8,9 +8,7 @@ so every reported number is reproducible).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
-from itertools import repeat
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -26,35 +24,6 @@ SCORE_TOLERANCE = 1e-9  # floating slack allowed on |score| <= 1
 
 class DegenerateEmbeddingError(DataError):
     """A zero-norm embedding cannot be compared by cosine similarity."""
-
-
-@dataclass(frozen=True)
-class SimilarityRecord:
-    response_id: str
-    signature_id: str
-    score: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.score) or abs(self.score) > 1.0 + SCORE_TOLERANCE:
-            raise ValueError(f"similarity score out of range: {self.score}")
-
-
-@dataclass(frozen=True)
-class ScoredResponse:
-    """A response with its per-signature similarities and max-aggregated score.
-
-    final_score is None only for empty responses, which never reach the
-    embedder and carry the "empty" flag instead.
-    """
-
-    response_id: str
-    per_signature: tuple[SimilarityRecord, ...]
-    final_score: float | None
-    best_signature_id: str | None
-    flags: frozenset[str] = frozenset()
-
-    def with_flags(self, *extra: str) -> "ScoredResponse":
-        return replace(self, flags=self.flags | frozenset(extra))
 
 
 def similarity_matrix(
@@ -92,12 +61,13 @@ def score_question(
     responses: Sequence[tuple[str, EmbeddingVector]],
     signatures: Sequence[tuple[str, EmbeddingVector]],
     records: bool = True,
-) -> list[ScoredResponse]:
+) -> list[dict]:
     """Score one question's responses; each final score is its row's max.
 
-    Columns are sorted by signature_id and argmax returns the first maximum, so
-    ties go to the lexicographically smallest id. ``records`` off leaves
-    ``per_signature`` empty.
+    Returns one row per response: response_id, final_score, best_signature_id
+    and flags, plus per_signature ([{signature_id, score}] by signature_id)
+    when ``records`` is on. Columns are sorted by signature_id and argmax
+    returns the first maximum, so ties go to the lexicographically smallest id.
     """
     if not responses:
         return []
@@ -106,45 +76,38 @@ def score_question(
     signatures = sorted(signatures, key=lambda pair: pair[0])
     ids = [signature_id for signature_id, _ in signatures]
     m = similarity_matrix(responses, signatures)
-    return [
-        ScoredResponse(
-            response_id=rid,
-            per_signature=tuple(map(SimilarityRecord, repeat(rid), ids, row)) if records else (),
-            final_score=row[best],
-            best_signature_id=ids[best],
-        )
-        for (rid, _), row, best in zip(responses, m.tolist(), m.argmax(axis=1).tolist())
-    ]
+    rows = []
+    for (rid, _), scores, best in zip(responses, m.tolist(), m.argmax(axis=1).tolist()):
+        row = dict(response_id=rid, final_score=scores[best], best_signature_id=ids[best], flags=[])
+        if records:
+            row["per_signature"] = [{"signature_id": i, "score": v} for i, v in zip(ids, scores)]
+        rows.append(row)
+    return rows
 
 
 def score_response(
     response_id: str,
     response_embedding: EmbeddingVector,
     signature_embeddings: Sequence[tuple[str, EmbeddingVector]],
-    flags: Iterable[str] = (),
-) -> ScoredResponse:
+) -> dict:
     """Score a response against every signature; final score is the max.
 
     Ties on the max go to the lexicographically smallest signature_id.
     """
-    scored = score_question([(response_id, response_embedding)], signature_embeddings)[0]
-    return scored.with_flags(*flags)
+    return score_question([(response_id, response_embedding)], signature_embeddings)[0]
 
 
-def empty_scored(response_id: str, flags: Iterable[str] = ()) -> ScoredResponse:
-    """Placeholder for an empty/whitespace-only response: no score, "empty" flag."""
-    return ScoredResponse(
-        response_id=response_id,
-        per_signature=(),
-        final_score=None,
-        best_signature_id=None,
-        flags=frozenset(flags) | {FLAG_EMPTY},
-    )
+def empty_scored(response_id: str, records: bool = True) -> dict:
+    """The row of an empty/whitespace-only response: no score, "empty" flag."""
+    row = dict(response_id=response_id, final_score=None, best_signature_id=None, flags=[FLAG_EMPTY])
+    if records:
+        row["per_signature"] = []
+    return row
 
 
-def meets_threshold(scored: ScoredResponse, th: float) -> bool:
+def meets_threshold(row: Mapping, th: float) -> bool:
     """The inclusive rule: True iff final_score >= th. Empty responses never meet it."""
-    return scored.final_score is not None and scored.final_score >= th
+    return row["final_score"] is not None and row["final_score"] >= th
 
 
 def check_threshold(th: float) -> None:
@@ -153,23 +116,16 @@ def check_threshold(th: float) -> None:
         raise ValueError(f"threshold must be in (-1, 1], got {th}")
 
 
-def classify_by_threshold(scored: ScoredResponse, th: float) -> Verdict:
+def classify_by_threshold(row: Mapping, th: float) -> Verdict:
     """AI when the score meets th (inclusive boundary), else HUMAN."""
     check_threshold(th)
     return Verdict(
-        flag=VerdictFlag.AI if meets_threshold(scored, th) else VerdictFlag.HUMAN,
+        flag=VerdictFlag.AI if meets_threshold(row, th) else VerdictFlag.HUMAN,
         source=VerdictSource.SIGNATURE,
         detail=f"threshold={th:g}",
     )
 
 
-def flag_irrelevant(scored: ScoredResponse, low_th: float = 0.0) -> bool:
+def flag_irrelevant(row: Mapping, low_th: float = 0.0) -> bool:
     """True iff the final score is at or below low_th (off-topic indicator)."""
-    return scored.final_score is not None and scored.final_score <= low_th
-
-
-def apply_irrelevance(scored: ScoredResponse, low_th: float = 0.0) -> ScoredResponse:
-    """Return the response with the "irrelevant" flag set when it applies."""
-    if flag_irrelevant(scored, low_th):
-        return scored.with_flags(FLAG_IRRELEVANT)
-    return scored
+    return row["final_score"] is not None and row["final_score"] <= low_th

@@ -19,8 +19,6 @@ from surveyguard.model import Cohort, SurveyQuestion, VerdictFlag
 from surveyguard.providers import MockChatProvider, MockEmbeddingProvider
 from surveyguard.report import average_pooled, average_unweighted, threshold_sweep
 from surveyguard.scoring import (
-    ScoredResponse,
-    SimilarityRecord,
     classify_by_threshold,
     cosine_similarity,
     score_response,
@@ -90,8 +88,8 @@ def test_oracle_equivalence_on_random_corpora():
                 s = dot / (norm_r * norm_s)
                 if s > best_score or (s == best_score and (best_id is None or sig_id < best_id)):
                     best_score, best_id = s, sig_id
-            assert abs(scored.final_score - best_score) <= 1e-12
-            assert scored.best_signature_id == best_id
+            assert abs(scored["final_score"] - best_score) <= 1e-12
+            assert scored["best_signature_id"] == best_id
             checked_scores += 1
 
             for _ in range(3):
@@ -100,7 +98,7 @@ def test_oracle_equivalence_on_random_corpora():
                 assert classify_by_threshold(scored, th).flag == expected
                 checked_verdicts += 1
             # inclusive boundary: a threshold equal to the final score flags AI
-            boundary = scored.final_score
+            boundary = scored["final_score"]
             if -1.0 < boundary <= 1.0:
                 assert classify_by_threshold(scored, boundary).flag == VerdictFlag.AI
                 checked_verdicts += 1
@@ -126,12 +124,16 @@ def test_aggregation_convention_reproduction():
     )
 
 
-def _random_scored(rng: random.Random, rid: str) -> ScoredResponse:
+def _random_scored(rng: random.Random, rid: str, study_id: str) -> dict:
     final = rng.uniform(-1, 1)
-    record = SimilarityRecord(response_id=rid, signature_id="s", score=final)
-    return ScoredResponse(
-        response_id=rid, per_signature=(record,), final_score=final, best_signature_id="s"
-    )
+    return {
+        "response_id": rid,
+        "study_id": study_id,
+        "final_score": final,
+        "best_signature_id": "s",
+        "flags": [],
+        "per_signature": [{"signature_id": "s", "score": final}],
+    }
 
 
 def test_sweep_monotonicity_property():
@@ -142,10 +144,11 @@ def test_sweep_monotonicity_property():
     for set_index in range(200):
         strategies = ["basic"] if set_index % 2 else ["basic", "sentiment"]
         data = {
-            strategy: {
-                sid: [_random_scored(rng, f"{sid}-{i}") for i in range(rng.randrange(1, 15))]
+            strategy: [
+                _random_scored(rng, f"{sid}-{i}", sid)
                 for sid in cohorts
-            }
+                for i in range(rng.randrange(1, 15))
+            ]
             for strategy in strategies
         }
         thresholds = sorted(rng.uniform(-0.95, 1.0) for _ in range(rng.randrange(2, 6)))
@@ -255,16 +258,16 @@ def test_grid_size_contract_and_dedup_invariance(tmp_path):
 
     for i in range(10):
         response_embedding = vec(embedder.embed(f"a collected answer {i}"))
-        before = score_response("r", response_embedding, pairs(duplicated)).final_score
-        after = score_response("r", response_embedding, pairs(deduped)).final_score
+        before = score_response("r", response_embedding, pairs(duplicated))["final_score"]
+        after = score_response("r", response_embedding, pairs(deduped))["final_score"]
         assert before == after  # max over a multiset equals max over its support
 
     # Partial duplication across the grid must also leave final scores unchanged.
     partially_deduped = dedupe_signatures(basic)
     for i in range(10):
         response_embedding = vec(embedder.embed(f"another answer {i}"))
-        before = score_response("r", response_embedding, pairs(basic)).final_score
-        after = score_response("r", response_embedding, pairs(partially_deduped)).final_score
+        before = score_response("r", response_embedding, pairs(basic))["final_score"]
+        after = score_response("r", response_embedding, pairs(partially_deduped))["final_score"]
         assert before == after
     print(
         "PASS grid-contract: basic grid 20, sentiment grid 60 pre-dedup; "

@@ -14,7 +14,7 @@ from surveyguard import cli
 from surveyguard.cli import RunConfig, build_parser, main
 from surveyguard.errors import ProviderError
 from surveyguard.model import VerdictFlag
-from surveyguard.scoring import ScoredResponse, classify_by_threshold
+from surveyguard.scoring import classify_by_threshold
 
 
 def run_cli(capsys, *args) -> tuple[int, str, str]:
@@ -298,6 +298,38 @@ class TestReport:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "name, dump",
+        [
+            ("detector_x.json", {"model_id": "x", "studies": [{}]}),
+            ("sweep.json", {"rows": [{}], "study_order": [], "cohorts": {}}),
+        ],
+        ids=["detector-study", "sweep-row"],
+    )
+    def test_a_dump_with_a_bad_nested_shape_writes_no_report(
+        self, capsys, corpus_path, tmp_path, name, dump
+    ):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir(parents=True)
+        (out_dir / name).write_text(json.dumps(dump), encoding="utf-8")
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "report"))
+        assert code == 2
+        assert f"data error: corrupted dump file: {out_dir / name}: " in err
+        assert "Traceback" not in err
+        assert list(out_dir.glob("report.*")) == []
+
+    def test_a_cases_dump_whose_strategy_is_not_a_string_writes_no_report(
+        self, capsys, corpus_path, tmp_path
+    ):
+        for command in ("gen-signatures", "score"):
+            run_cli(capsys, *base_args(corpus_path, tmp_path, command))
+        bad = tmp_path / "out" / "cases_other.json"
+        bad.write_text(json.dumps({"strategy": 1, "high": [], "low": []}), encoding="utf-8")
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "report"))
+        assert code == 2
+        assert f"data error: corrupted dump file: {bad}: strategy must be a string" in err
+        assert list((tmp_path / "out").glob("report.*")) == []
+
     def test_a_dump_that_is_not_utf8_names_the_file(self, capsys, corpus_path, tmp_path):
         for command in ("gen-signatures", "score"):
             run_cli(capsys, *base_args(corpus_path, tmp_path, command))
@@ -390,10 +422,18 @@ class TestBadValuesRejectedBeforeAnyCall:
             (["--thresholds", "0.5,1.5"], {}, "(-1, 1]"),
             ([], {"temperatures": [0.0, 1.5]}, "temperature must be in [0, 1], got 1.5"),
             ([], {"detector_temperature": -0.5}, "temperature must be in [0, 1], got -0.5"),
+            ([], {"models": [""]}, "models must not contain an empty model id"),
+            ([], {"models": ["gpt-4", "gpt-4"]}, "models must not repeat a value"),
+            ([], {"temperatures": [0.5, 0.5]}, "temperatures must not repeat a value"),
+            ([], {"sentiments": ["positive", "positive"]}, "sentiments must not repeat a value"),
+            ([], {"thresholds": [0.8, 0.8]}, "thresholds must not repeat a value"),
+            (["--thresholds", "0.8,0.8"], {}, "thresholds must not repeat a value"),
         ],
         ids=[
             "bin-width", "k-high", "removed-dataset-format", "removed-chat-provider",
             "removed-embedding-provider", "threshold-domain", "temperature", "detector-temperature",
+            "empty-model", "repeated-model", "repeated-temperature", "repeated-sentiment",
+            "repeated-threshold", "repeated-threshold-flag",
         ],
     )
     def test_score_exits_1_with_an_empty_cache(self, capsys, corpus_path, tmp_path, flags, config, message):
@@ -506,7 +546,7 @@ class TestThresholdBoundary:
             finals = [r["final_score"] for r in scored if r["study_id"] == study_id]
             assert pct["num"] == sum(1 for f in finals if f is not None and f >= th)
 
-        boundary = ScoredResponse("r", (), final_score=th, best_signature_id="s")
+        boundary = at_th[0]  # a dumped row is what the library's rules take
         assert classify_by_threshold(boundary, th).flag == VerdictFlag.AI
 
 

@@ -164,6 +164,16 @@ class TestLayoutNormalisation:
         assert [q.question_id for q in ds.questions] == ["q1", "q2", "q3"]
         assert [r.response_id for r in ds.responses] == ["r1", "r2", "r5", "r9"]
 
+    def test_responses_for_question_matches_a_scan_of_every_response(self, corpus_path):
+        ds = load_dataset(corpus_path)
+        for question in ds.questions:
+            scan = tuple(r for r in ds.responses if r.question_id == question.question_id)
+            assert scan
+            assert ds.responses_for_question(question.question_id) == scan
+            assert [r.response_id for r in scan] == sorted(r.response_id for r in scan)
+        assert ds.responses_for_question("no-such-question") == ()
+        assert load_dataset(corpus_path) == ds  # the cached index is not part of equality
+
 
 class TestSingleJson:
     def test_load(self, tmp_path):

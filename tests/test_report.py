@@ -22,12 +22,32 @@ from surveyguard.report import (
     sweep_markdown_lines,
     threshold_sweep,
 )
-from surveyguard.scoring import ScoredResponse, SimilarityRecord, apply_irrelevance, score_response
+from surveyguard.scoring import FLAG_IRRELEVANT, empty_scored, flag_irrelevant, score_response
 
 
-def scored(rid: str, final: float) -> ScoredResponse:
-    record = SimilarityRecord(response_id=rid, signature_id="s", score=final)
-    return ScoredResponse(response_id=rid, per_signature=(record,), final_score=final, best_signature_id="s")
+def scored(rid: str, final: float) -> dict:
+    return {
+        "response_id": rid,
+        "final_score": final,
+        "best_signature_id": "s",
+        "flags": [],
+        "per_signature": [{"signature_id": "s", "score": final}],
+    }
+
+
+def with_irrelevance(row: dict, low_th: float) -> dict:
+    """The row with the "irrelevant" flag that score sets when it applies."""
+    if flag_irrelevant(row, low_th):
+        row["flags"].append(FLAG_IRRELEVANT)
+    return row
+
+
+def sweep_input(data: dict) -> dict:
+    """{strategy: {study_id: rows}} as threshold_sweep's {strategy: rows}, each row naming its study."""
+    return {
+        strategy: [{**row, "study_id": sid} for sid, rows in studies.items() for row in rows]
+        for strategy, studies in data.items()
+    }
 
 
 class TestRendering:
@@ -166,7 +186,7 @@ COHORTS = {"s1": Cohort.PRE_2022, "s2": Cohort.POST_2022}
 class TestThresholdSweep:
     def test_step_function_at_single_score(self):
         data = {"basic": {"s1": [scored(f"r{i}", 0.72) for i in range(4)], "s2": [scored("rx", 0.72)]}}
-        table = threshold_sweep(data, [0.7, 0.75, 0.8, 0.85, 0.9], ["basic"], COHORTS)
+        table = threshold_sweep(sweep_input(data), [0.7, 0.75, 0.8, 0.85, 0.9], ["basic"], COHORTS)
         by_threshold = {row["threshold"]: row for row in table["rows"]}
         assert by_threshold[0.7]["per_study"]["s1"]["rendered"] == "100.00"
         for th in (0.75, 0.8, 0.85, 0.9):
@@ -176,23 +196,23 @@ class TestThresholdSweep:
         finals = [0.71, 0.76, 0.81, 0.86, 0.91]
         data = {"basic": {"s1": [scored(f"r{i}", f) for i, f in enumerate(finals)]}}
         table = threshold_sweep(
-            data, [0.7, 0.75, 0.8, 0.85, 0.9], ["basic"], {"s1": Cohort.PRE_2022}
+            sweep_input(data), [0.7, 0.75, 0.8, 0.85, 0.9], ["basic"], {"s1": Cohort.PRE_2022}
         )
         counts = [row["per_study"]["s1"]["num"] for row in table["rows"]]
         assert counts == [5, 4, 3, 2, 1]
 
     def test_empty_strategy_list_rejected(self):
         with pytest.raises(ValueError, match="empty strategy list"):
-            threshold_sweep({"basic": {"s1": [scored("r", 0.5)]}}, [0.7], [], COHORTS)
+            threshold_sweep(sweep_input({"basic": {"s1": [scored("r", 0.5)]}}), [0.7], [], COHORTS)
 
     def test_unsorted_thresholds_rejected(self):
         data = {"basic": {"s1": [scored("r", 0.5)]}}
         with pytest.raises(ValueError, match="sorted ascending"):
-            threshold_sweep(data, [0.9, 0.7], ["basic"], COHORTS)
+            threshold_sweep(sweep_input(data), [0.9, 0.7], ["basic"], COHORTS)
 
     def test_missing_strategy_rejected(self):
         with pytest.raises(ValueError, match="sentiment"):
-            threshold_sweep({"basic": {"s1": [scored("r", 0.5)]}}, [0.7], ["sentiment"], COHORTS)
+            threshold_sweep(sweep_input({"basic": {"s1": [scored("r", 0.5)]}}), [0.7], ["sentiment"], COHORTS)
 
     def test_monotone_per_strategy_study_column(self):
         rng = random.Random(17)
@@ -205,7 +225,7 @@ class TestThresholdSweep:
                 for strat in ("basic", "sentiment")
             }
             thresholds = sorted(rng.uniform(-0.9, 1.0) for _ in range(4))
-            table = threshold_sweep(data, thresholds, ["basic", "sentiment"], COHORTS)
+            table = threshold_sweep(sweep_input(data), thresholds, ["basic", "sentiment"], COHORTS)
             for strat in ("basic", "sentiment"):
                 for sid in ("s1", "s2"):
                     column = [
@@ -222,24 +242,22 @@ class TestThresholdSweep:
                 "s2": [scored("b0", 0.95)],
             }
         }
-        table = threshold_sweep(data, [0.9], ["basic"], COHORTS)
+        table = threshold_sweep(sweep_input(data), [0.9], ["basic"], COHORTS)
         row = table["rows"][0]
         assert table["convention"] == AverageConvention.POOLED_WEIGHTED.value
         assert row["averages"][Cohort.PRE_2022.value] == {"num": 3, "den": 4, "rendered": "75.00"}
 
     def test_empty_flag_handling(self):
-        from surveyguard.scoring import empty_scored
-
         data = {"basic": {"s1": [scored("r0", 0.9), empty_scored("r1")], "s2": [scored("r2", 0.9)]}}
-        included = threshold_sweep(data, [0.8], ["basic"], COHORTS)
+        included = threshold_sweep(sweep_input(data), [0.8], ["basic"], COHORTS)
         assert included["rows"][0]["per_study"]["s1"]["den"] == 2
-        excluded = threshold_sweep(data, [0.8], ["basic"], COHORTS, exclude_empty=True)
+        excluded = threshold_sweep(sweep_input(data), [0.8], ["basic"], COHORTS, exclude_empty=True)
         assert excluded["rows"][0]["per_study"]["s1"]["den"] == 1
 
     def test_csv_rows_follow_the_sweep_order(self):
         cohorts = {"a": Cohort.POST_2022, "b": Cohort.PRE_2022}
         data = {"basic": {"a": [scored("r0", 0.9)], "b": [scored("r1", 0.2), scored("r2", 0.8)]}}
-        table = threshold_sweep(data, [0.7, 0.9], ["basic"], cohorts)
+        table = threshold_sweep(sweep_input(data), [0.7, 0.9], ["basic"], cohorts)
         rows = sweep_csv_rows(table)
         assert rows[:4] == [
             ["0.7", "basic", "b", "1", "2", "50.00"],
@@ -251,7 +269,7 @@ class TestThresholdSweep:
 
     def test_markdown_rows(self):
         data = {"basic": {"s1": [scored("r0", 0.9)], "s2": [scored("r1", 0.2)]}}
-        table = threshold_sweep(data, [0.7, 0.9], ["basic"], COHORTS)
+        table = threshold_sweep(sweep_input(data), [0.7, 0.9], ["basic"], COHORTS)
         lines = sweep_markdown_lines(table)
         assert len(lines) == 2 + 2  # header+separator plus one row per (threshold, strategy)
         assert lines[0].startswith("| th | strategy | s1 | pre avg | s2 | post avg |")
@@ -299,7 +317,7 @@ class TestHistogram:
 class TestExtractCases:
     def make_scored(self):
         rows = [scored("r1", 0.95), scored("r2", 0.40), scored("r3", -0.20), scored("r4", 0.80)]
-        return [apply_irrelevance(s, 0.0) for s in rows]
+        return [with_irrelevance(s, 0.0) for s in rows]
 
     def test_k_zero_keeps_low_list(self):
         extract = extract_cases(self.make_scored(), {}, {}, k_high=0, low_th=0.0)
@@ -341,11 +359,11 @@ class TestReturnValuesAreDumps:
             StudyStat("s2", Cohort.POST_2022, percentage(2, 3)),
         ]
         values = [
-            threshold_sweep(data, [0.7, 0.8], ["basic"], COHORTS),
+            threshold_sweep(sweep_input(data), [0.7, 0.8], ["basic"], COHORTS),
             cohort_compare(stats, AverageConvention.UNWEIGHTED_MEAN),
             cohort_compare(stats, AverageConvention.POOLED_WEIGHTED),
             extract_cases(
-                [apply_irrelevance(s, 0.0) for s in data["basic"]["s1"]],
+                [with_irrelevance(s, 0.0) for s in data["basic"]["s1"]],
                 {"r0": "text", "r1": "other"},
                 {"s": "signature"},
                 k_high=1,

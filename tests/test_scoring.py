@@ -1,18 +1,17 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from surveyguard.cli import main
 from surveyguard.gateway import EmbeddingVector
 from surveyguard.model import VerdictFlag, VerdictSource
 from surveyguard.scoring import (
     FLAG_EMPTY,
     FLAG_IRRELEVANT,
     DegenerateEmbeddingError,
-    ScoredResponse,
-    SimilarityRecord,
-    apply_irrelevance,
     classify_by_threshold,
     cosine_similarity,
     empty_scored,
@@ -84,19 +83,19 @@ class TestScoreResponse:
 
     def test_max_of_three(self):
         scored = score_response("r1", vec(1, 0), self.sigs_with_cosines([0.3, 0.9, 0.5]))
-        assert scored.final_score == pytest.approx(0.9, abs=1e-12)
-        assert scored.best_signature_id == "sig1"
-        assert len(scored.per_signature) == 3
+        assert scored["final_score"] == pytest.approx(0.9, abs=1e-12)
+        assert scored["best_signature_id"] == "sig1"
+        assert len(scored["per_signature"]) == 3
 
     def test_singleton(self):
         scored = score_response("r1", vec(1, 0), self.sigs_with_cosines([0.42]))
-        assert scored.final_score == pytest.approx(0.42, abs=1e-12)
-        assert scored.best_signature_id == "sig0"
+        assert scored["final_score"] == pytest.approx(0.42, abs=1e-12)
+        assert scored["best_signature_id"] == "sig0"
 
     def test_tie_breaks_to_lexicographically_smallest_id(self):
         same = vec(0.5, 0.5)
         scored = score_response("r1", vec(1, 1), [("sigB", same), ("sigA", same)])
-        assert scored.best_signature_id == "sigA"
+        assert scored["best_signature_id"] == "sigA"
 
     def test_empty_signature_set(self):
         with pytest.raises(ValueError, match="empty signature set"):
@@ -109,16 +108,16 @@ class TestScoreResponse:
         scored = score_response("r1", response, pairs)
         oracle_scores = {sid: oracle_cosine(response, emb) for sid, emb in pairs}
         oracle_best = max(oracle_scores.values())
-        assert scored.final_score == pytest.approx(oracle_best, abs=1e-12)
-        for record in scored.per_signature:
-            assert record.score == pytest.approx(oracle_scores[record.signature_id], abs=1e-12)
+        assert scored["final_score"] == pytest.approx(oracle_best, abs=1e-12)
+        for record in scored["per_signature"]:
+            assert record["score"] == pytest.approx(oracle_scores[record["signature_id"]], abs=1e-12)
 
     def test_adding_signature_never_decreases_final(self):
         rng = random.Random(3)
         response = random_vec(rng, 4)
         pairs = [(f"s{i}", random_vec(rng, 4)) for i in range(5)]
-        base = score_response("r", response, pairs).final_score
-        grown = score_response("r", response, pairs + [("s9", random_vec(rng, 4))]).final_score
+        base = score_response("r", response, pairs)["final_score"]
+        grown = score_response("r", response, pairs + [("s9", random_vec(rng, 4))])["final_score"]
         assert grown >= base
 
     def test_removing_non_best_signature_preserves_final(self):
@@ -126,8 +125,8 @@ class TestScoreResponse:
         response = random_vec(rng, 4)
         pairs = [(f"s{i}", random_vec(rng, 4)) for i in range(6)]
         scored = score_response("r", response, pairs)
-        trimmed = [p for p in pairs if p[0] != next(x[0] for x in pairs if x[0] != scored.best_signature_id)]
-        assert score_response("r", response, trimmed).final_score == scored.final_score
+        trimmed = [p for p in pairs if p[0] != next(x[0] for x in pairs if x[0] != scored["best_signature_id"])]
+        assert score_response("r", response, trimmed)["final_score"] == scored["final_score"]
 
     def test_duplicate_signatures_do_not_change_final(self):
         rng = random.Random(5)
@@ -135,16 +134,19 @@ class TestScoreResponse:
         pairs = [(f"s{i}", random_vec(rng, 4)) for i in range(4)]
         with_dupes = pairs + [("dup0", pairs[0][1]), ("dup2", pairs[2][1])]
         assert (
-            score_response("r", response, with_dupes).final_score
-            == score_response("r", response, pairs).final_score
+            score_response("r", response, with_dupes)["final_score"]
+            == score_response("r", response, pairs)["final_score"]
         )
 
 
-def manual_scored(final: float) -> ScoredResponse:
-    record = SimilarityRecord(response_id="r", signature_id="s", score=final)
-    return ScoredResponse(
-        response_id="r", per_signature=(record,), final_score=final, best_signature_id="s"
-    )
+def manual_scored(final: float) -> dict:
+    return {
+        "response_id": "r",
+        "final_score": final,
+        "best_signature_id": "s",
+        "flags": [],
+        "per_signature": [{"signature_id": "s", "score": final}],
+    }
 
 
 class TestThresholdClassification:
@@ -192,19 +194,40 @@ class TestIrrelevance:
     def test_empty_never_irrelevant(self):
         assert flag_irrelevant(empty_scored("r"), 0.0) is False
 
-    def test_apply_irrelevance_sets_flag(self):
-        flagged = apply_irrelevance(manual_scored(-0.2))
-        assert FLAG_IRRELEVANT in flagged.flags
-        untouched = apply_irrelevance(manual_scored(0.5))
-        assert FLAG_IRRELEVANT not in untouched.flags
+    def test_score_sets_the_irrelevant_flag(self, tmp_path, corpus_path):
+        args = ["--dataset", str(corpus_path), "--cache-dir", str(tmp_path / "cache"),
+                "--output-dir", str(tmp_path / "out"), "--mock"]
+        assert main(["gen-signatures", *args]) == 0
+        assert main(["score", *args, "--low-threshold", "0.5"]) == 0
+        rows = json.loads((tmp_path / "out" / "scored_basic.json").read_text(encoding="utf-8"))
+        flagged = [row for row in rows if flag_irrelevant(row, 0.5)]
+        untouched = [row for row in rows if not flag_irrelevant(row, 0.5)]
+        assert flagged and untouched
+        for row in flagged:
+            assert FLAG_IRRELEVANT in row["flags"]
+        for row in untouched:
+            assert FLAG_IRRELEVANT not in row["flags"]
 
 
 class TestEmptyScored:
     def test_empty_flag_and_no_score(self):
         scored = empty_scored("r9")
-        assert scored.final_score is None
-        assert scored.best_signature_id is None
-        assert FLAG_EMPTY in scored.flags
+        assert scored["final_score"] is None
+        assert scored["best_signature_id"] is None
+        assert FLAG_EMPTY in scored["flags"]
+
+    def test_empty_row_carries_per_signature_only_in_full_mode(self):
+        assert empty_scored("r9")["per_signature"] == []
+        assert "per_signature" not in empty_scored("r9", records=False)
+
+
+@pytest.mark.parametrize("records", [True, False])
+def test_scored_rows_survive_a_json_round_trip(records):
+    rng = random.Random(17)
+    responses = [(f"r{i}", random_vec(rng, 8)) for i in range(5)]
+    pairs = [(f"sig{i}", random_vec(rng, 8)) for i in range(4)]
+    rows = score_question(responses, pairs, records=records) + [empty_scored("r9", records)]
+    assert json.loads(json.dumps(rows, allow_nan=False)) == rows
 
 
 def np_pairs(prefix: str, rows) -> list[tuple[str, EmbeddingVector]]:
@@ -239,18 +262,18 @@ class TestScoringCoreIsBitStable:
         summary = score_question(responses, pairs, records=False)
         for (rid, emb), scored, short in zip(responses, full, summary):
             alone = score_response(rid, emb, pairs)
-            assert (scored.final_score, scored.best_signature_id) == (
-                alone.final_score,
-                alone.best_signature_id,
+            assert (scored["final_score"], scored["best_signature_id"]) == (
+                alone["final_score"],
+                alone["best_signature_id"],
             )
-            assert (short.final_score, short.best_signature_id, short.per_signature) == (
-                scored.final_score,
-                scored.best_signature_id,
-                (),
+            assert (short["final_score"], short["best_signature_id"], "per_signature" in short) == (
+                scored["final_score"],
+                scored["best_signature_id"],
+                False,
             )
-            assert [r.signature_id for r in scored.per_signature] == sorted(sid for sid, _ in pairs)
+            assert [r["signature_id"] for r in scored["per_signature"]] == sorted(sid for sid, _ in pairs)
             oracle = max(oracle_cosine(emb, sig) for _, sig in pairs)
-            assert scored.final_score == pytest.approx(oracle, abs=1e-12)
+            assert scored["final_score"] == pytest.approx(oracle, abs=1e-12)
 
     def test_no_responses_means_no_scores(self):
         assert score_question([], [("s", vec(1, 0))]) == []

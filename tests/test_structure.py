@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import shutil
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -85,3 +86,17 @@ def test_every_benchmark_config_key_is_a_run_config_field(monkeypatch, tmp_path)
     corpus.write_config(path, tmp_path / "data", tmp_path / "cache", tmp_path / "out", seed=7)
     written = set(json.loads(path.read_text(encoding="utf-8")))
     assert written and written <= {f.name for f in fields(RunConfig)}
+
+
+def test_readme_library_use_example_runs(monkeypatch, tmp_path, capsys):
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    corpus = PACKAGE.parent.parent / "tests" / "fixtures" / "corpus"
+    shutil.copytree(corpus, tmp_path / "tests" / "fixtures" / "corpus")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    score, signature_id = capsys.readouterr().out.split()
+    assert -1.0 <= float(score) <= 1.0
+    assert signature_id.startswith("q")
+    assert (tmp_path / ".surveyguard-cache").is_dir()
