@@ -136,7 +136,14 @@ def build_cache_key(request_or_text: ChatRequest | str, provider_id: str) -> Cac
 
 
 class DiskCache:
-    """One file per key under the cache root; writes are atomic and at-most-once."""
+    """One file per key under the cache root; writes are atomic and at-most-once.
+
+    Response ``values`` given as an array are stored as ``_VECTOR_MAGIC``, a JSON line
+    with ``response: {"dim": d}`` and ``8 * d`` bytes of ``<f8``; the rest as a JSON line.
+    ``load`` also reads embeddings stored as JSON lists by earlier versions, as they are.
+    """
+
+    _VECTOR_MAGIC = b"\x93SURVEYGUARD-F8\n"  # 0x93 starts no UTF-8 text, so no JSON entry
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
@@ -148,13 +155,22 @@ class DiskCache:
 
     def load(self, key: CacheKey) -> dict | None:
         path = self.path_for(key)
-        if not path.exists():
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
             return None
         try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except ValueError as exc:
-            raise DataError(f"corrupted cache entry: {path}: {exc}") from exc
+            if data.startswith(self._VECTOR_MAGIC):
+                header, _, body = data[len(self._VECTOR_MAGIC) :].partition(b"\n")
+                entry = json.loads(header.decode("utf-8"))
+                dim = entry["response"]["dim"]
+                if len(body) != 8 * dim:
+                    raise ValueError(f"vector body of {len(body)} bytes, not 8 * dim {dim}")
+                entry["response"]["values"] = np.frombuffer(body, dtype="<f8")
+            else:
+                entry = json.loads(data.decode("utf-8"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"corrupted cache entry: {path}: {exc!r}") from exc
         if not isinstance(entry, dict):
             raise DataError(f"corrupted cache entry: {path}: not a JSON object")
         return entry
@@ -166,14 +182,19 @@ class DiskCache:
         fails if the name exists: the first store of a key wins, across
         processes too, and no reader sees a partial entry.
         """
+        values = entry["response"].get("values")
+        if isinstance(values, np.ndarray):
+            header = _canonical({**entry, "response": {"dim": len(values)}}).encode("utf-8")
+            data = b"".join([self._VECTOR_MAGIC, header, b"\n", values.astype("<f8").tobytes()])
+        else:
+            data = (_canonical(entry) + "\n").encode("utf-8")
         # One store at a time: concurrent creates in one directory contend in
         # the kernel, and cost more system time than they overlap.
         with self._lock:
             fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(_canonical(entry))
-                    fh.write("\n")
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(data)
                 os.link(tmp, self.path_for(key))
             except FileExistsError:
                 return False
@@ -228,7 +249,8 @@ class ProviderGateway:
 
     Safe for concurrent use: at most ``MAX_IN_FLIGHT`` provider calls run at
     once, the cache takes one lock for every write, and results come back in
-    the caller's order, never in arrival order.
+    the caller's order, never in arrival order. A cached response that makes no
+    valid result (say, a short or non-finite vector) is a DataError naming its file.
     """
 
     def __init__(
@@ -266,10 +288,10 @@ class ProviderGateway:
             f"{what} failed after {RETRIES} attempts: {last}", status=last.status, attempts=RETRIES
         ) from last
 
-    def _lookup(self, items: Sequence, provider_id: str, field: str, kind: type) -> tuple[dict, list]:
-        """Hits by item and (item, key) misses in input order, read one after another.
+    def _lookup(self, items: Sequence, provider_id: str, read: Callable[[dict], object]) -> tuple[dict, list]:
+        """Hits made by ``read`` from cached responses, and (item, key) misses, in input order.
 
-        A repeated item counts as a hit: it is served without a call.
+        A repeated item counts as a hit; a KeyError, TypeError or ValueError from ``read`` is a DataError.
         """
         hits = {}
         misses = []
@@ -279,12 +301,10 @@ class ProviderGateway:
             if entry is None:
                 misses.append((item, key))
                 continue
-            response = entry.get("response")
-            value = response.get(field) if isinstance(response, dict) else None
-            if not isinstance(value, kind):
-                path = self.cache.path_for(key)
-                raise DataError(f"corrupted cache entry: {path}: no {kind.__name__} response {field}")
-            hits[item] = value
+            try:
+                hits[item] = read(entry["response"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"corrupted cache entry: {self.cache.path_for(key)}: {exc!r}") from exc
         with self._stats_lock:
             self.stats.cache_misses += len(misses)
             self.stats.cache_hits += len(items) - len(misses)
@@ -294,13 +314,13 @@ class ProviderGateway:
         stored_at = datetime.now(timezone.utc).isoformat()
         self.cache.store(key, {"request": material, "response": response, "stored_at": stored_at})
 
-    def _vector(self, provider_id: str, raw: Sequence[float]) -> EmbeddingVector:
-        """Validate one cached or fetched vector, including its dimension."""
-        dim = len(raw)
+    def _vector(self, provider_id: str, values: Sequence[float], dim: int) -> EmbeddingVector:
+        """A cached or fetched vector, in the dimension of the provider's first one."""
+        vector = EmbeddingVector(values=values, provider_id=provider_id, dim=dim)
         seen = self._embed_dims.setdefault(provider_id, dim)
         if seen != dim:
             raise ConfigError(f"embedding dimension drift for provider {provider_id}: {seen} then {dim}")
-        return EmbeddingVector(values=raw, provider_id=provider_id, dim=dim)
+        return vector
 
     def chat(self, request: ChatRequest) -> ChatResult:
         """Cache-through chat completion; see ``chat_many``."""
@@ -319,7 +339,13 @@ class ProviderGateway:
         if self.chat_provider is None:
             raise ConfigError("no chat provider configured")
         provider_id = self.chat_provider.provider_id
-        cached, misses = self._lookup(requests, provider_id, "text", str)
+
+        def read(response: dict) -> str:
+            if not isinstance(response["text"], str):
+                raise TypeError("response text is not a string")
+            return response["text"]
+
+        cached, misses = self._lookup(requests, provider_id, read)
 
         def send(miss: tuple[ChatRequest, CacheKey]) -> ChatResult:
             request, key = miss
@@ -351,8 +377,9 @@ class ProviderGateway:
         if any(not text.strip() for text in texts):
             raise DataError("empty text")
         provider_id = self.embedding_provider.provider_id
-        cached, misses = self._lookup(texts, provider_id, "values", list)
-        vectors = {text: self._vector(provider_id, values) for text, values in cached.items()}
+        vectors, misses = self._lookup(
+            texts, provider_id, lambda r: self._vector(provider_id, r["values"], r["dim"])
+        )
 
         def send(batch: list[tuple[str, CacheKey]]) -> None:
             batch_texts = [text for text, _ in batch]
@@ -363,10 +390,10 @@ class ProviderGateway:
                 raise ProviderError(
                     f"embedding provider returned {len(raw)} vectors for {len(batch)} texts"
                 )
-            fetched = [self._vector(provider_id, values) for values in raw]
+            fetched = [self._vector(provider_id, values, len(values)) for values in raw]
             for (text, key), vector in zip(batch, fetched):
                 material = embed_key_material(text, provider_id)
-                self._store(key, material, {"values": vector.values.tolist(), "dim": vector.dim})
+                self._store(key, material, {"values": vector.values, "dim": vector.dim})
                 vectors[text] = vector
 
         batches = [misses[i : i + EMBED_BATCH] for i in range(0, len(misses), EMBED_BATCH)]

@@ -7,9 +7,17 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import write_bundle
+from conftest import (
+    VECTOR_MAGIC,
+    cache_file_bytes,
+    legacy_entry,
+    parse_cache_file,
+    rewrite_as_legacy,
+    write_bundle,
+)
 from surveyguard import cli
 from surveyguard.cli import RunConfig, build_parser, main
 from surveyguard.errors import ProviderError
@@ -725,10 +733,35 @@ class TestDetectProviderFailure:
 def _cache_entry(cache_dir: Path, kind: str) -> Path:
     """The first cache entry (by file name) whose request is of the given kind."""
     for path in sorted(cache_dir.iterdir()):
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        if entry["request"]["kind"] == kind:
+        if parse_cache_file(path.read_bytes())[0]["request"]["kind"] == kind:
             return path
     raise AssertionError(f"no {kind} entry in {cache_dir}")
+
+
+def _legacy_with(edit):
+    """A bad-entry edit: the entry as legacy JSON whose ``values`` list went through ``edit``."""
+
+    def bad(entry, body):
+        legacy = legacy_entry(entry, body)
+        legacy["response"]["values"] = edit(legacy["response"]["values"])
+        return cache_file_bytes(legacy)
+
+    return bad
+
+
+NAN_F8 = np.array([np.nan], dtype="<f8").tobytes()
+# Each turns one embedding entry's parsed header and raw body into the bytes of a bad file.
+BAD_EMBEDDING_ENTRIES = {
+    "truncated-vector": lambda entry, body: cache_file_bytes(entry, body[:-8]),
+    "cut-mid-value": lambda entry, body: cache_file_bytes(entry, body[:-3]),
+    "extra-trailing-byte": lambda entry, body: cache_file_bytes(entry, body + b"\0"),
+    "header-not-json": lambda entry, body: VECTOR_MAGIC + b'{"request": \n' + body,
+    "no-dim": lambda entry, body: cache_file_bytes({**entry, "response": {}}, body),
+    "nan-in-vector": lambda entry, body: cache_file_bytes(entry, NAN_F8 + body[8:]),
+    "legacy-nan": _legacy_with(lambda values: [float("nan")] + values[1:]),
+    "legacy-string": _legacy_with(lambda values: ["x"] + values[1:]),
+    "legacy-short-list": _legacy_with(lambda values: values[:-1]),
+}
 
 
 class TestUnreadableCacheAndStore:
@@ -746,12 +779,42 @@ class TestUnreadableCacheAndStore:
         for step in ("gen-signatures", "score"):
             assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
         entry = _cache_entry(tmp_path / "cache", kind)
-        payload = json.loads(entry.read_text(encoding="utf-8"))
+        payload, body = parse_cache_file(entry.read_bytes())
+        assert (body is None) == (kind == "chat")  # embeddings are in the vector form
         del payload["response"]
-        entry.write_text(json.dumps(payload), encoding="utf-8")
+        entry.write_bytes(cache_file_bytes(payload, body))
         code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, command))
         assert code == 2
         assert str(entry) in err
+
+    @pytest.mark.parametrize("damage", BAD_EMBEDDING_ENTRIES.values(), ids=BAD_EMBEDDING_ENTRIES.keys())
+    def test_bad_embedding_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path, damage):
+        for step in ("gen-signatures", "score"):
+            assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
+        entry = _cache_entry(tmp_path / "cache", "embed")
+        entry.write_bytes(damage(*parse_cache_file(entry.read_bytes())))
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
+        assert (code, err.count(str(entry))) == (2, 1), err
+        assert err.startswith("data error: corrupted cache entry: ")
+
+    def test_score_artifacts_are_identical_from_vector_legacy_and_mixed_caches(
+        self, capsys, corpus_path, tmp_path
+    ):
+        for step in ("gen-signatures", "score"):
+            assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
+        out_dir = tmp_path / "out"
+        artifacts = {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+        cache = sorted((tmp_path / "cache").iterdir())
+        embeddings = [p for p in cache if p.read_bytes().startswith(VECTOR_MAGIC)]
+        assert len(embeddings) > 2
+        # Every other embedding as legacy JSON, then all of them.
+        for legacy in (embeddings[::2], embeddings[1::2]):
+            for path in legacy:
+                rewrite_as_legacy(path)
+            code, out, _ = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
+            assert code == 0 and "provider calls: 0 (" in out
+            assert {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()} == artifacts
+        assert not any(p.read_bytes().startswith(VECTOR_MAGIC) for p in cache)  # read, not migrated
 
     @pytest.mark.parametrize(
         "edit",

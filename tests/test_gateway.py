@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import StaticChatProvider
+from conftest import VECTOR_MAGIC, StaticChatProvider, cache_file_bytes, parse_cache_file
 from surveyguard import gateway as gateway_module
 from surveyguard import providers
 from surveyguard.errors import ConfigError, DataError, ProviderError, TransientProviderError
@@ -21,6 +21,7 @@ from surveyguard.gateway import (
     ProviderGateway,
     PurposeTag,
     build_cache_key,
+    chat_key_material,
     embed_key_material,
 )
 from surveyguard.providers import (
@@ -452,30 +453,95 @@ class TestDiskCache:
 
     def test_entry_count_ignores_temp_files(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
-        cache.store(build_cache_key("a", "p"), {"x": 1})
-        (cache.root / ".tmp-leftover").write_text("x", encoding="utf-8")
-        assert cache.entry_count() == 1
+        cache.store(build_cache_key("a", "p"), {"response": {"text": "a"}})
+        cache.store(build_cache_key("b", "p"), {"response": {"values": np.zeros(2), "dim": 2}})
+        (cache.root / ".tmp-leftover").write_bytes(VECTOR_MAGIC)
+        assert cache.entry_count() == 2
 
-    def test_entries_are_compact_and_pretty_printed_ones_still_hit(self, tmp_path):
+    def test_new_entries_are_vectors_and_compact_or_pretty_legacy_json_still_hits(self, tmp_path):
         provider_id = "mock-embed-0-d4"
-        values = MockEmbeddingProvider(seed=0, dim=4).embed("legacy")
         cache = DiskCache(tmp_path / "cache")
-        legacy = {
-            "request": embed_key_material("legacy", provider_id),
-            "response": {"values": values, "dim": 4},
-            "stored_at": "2024-01-01T00:00:00+00:00",
-        }
-        cache.path_for(build_cache_key("legacy", provider_id)).write_text(
-            json.dumps(legacy, sort_keys=True, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
+        legacy = {}
+        for text in ("compact", "pretty"):
+            entry = {
+                "request": embed_key_material(text, provider_id),
+                "response": {"values": MockEmbeddingProvider(seed=0, dim=4).embed(text), "dim": 4},
+                "stored_at": "2024-01-01T00:00:00+00:00",
+            }
+            path = cache.path_for(build_cache_key(text, provider_id))
+            pretty = (json.dumps(entry, sort_keys=True, indent=2) + "\n").encode()
+            path.write_bytes(pretty if text == "pretty" else cache_file_bytes(entry))
+            legacy[path] = path.read_bytes()
         provider = RecordingEmbeddingProvider()
         gateway = make_gateway(tmp_path, embed=provider)
-        assert list(gateway.embed("legacy").values) == values
+        vectors = gateway.embed_many(["compact", "pretty"])
+        assert [list(v.values) for v in vectors] == [provider.mock.embed(t) for t in ("compact", "pretty")]
         assert gateway.stats.provider_calls == 0
+        assert {path: path.read_bytes() for path in legacy} == legacy  # read, not migrated
 
         gateway.embed("fresh")
-        stored = cache.path_for(build_cache_key("fresh", provider_id)).read_text(encoding="utf-8")
-        assert stored.count("\n") == 1 and stored.endswith("\n")
+        stored = cache.path_for(build_cache_key("fresh", provider_id)).read_bytes()
+        header, body = parse_cache_file(stored)
+        assert stored.startswith(VECTOR_MAGIC)
+        assert header["request"] == embed_key_material("fresh", provider_id)
+        assert header["response"] == {"dim": 4}
+        assert body == np.array(provider.mock.embed("fresh"), dtype="<f8").tobytes()
+
+
+class FixedEmbeddingProvider:
+    """Returns the same vector for every text."""
+
+    provider_id = "fixed"
+
+    def __init__(self, values):
+        self.values = values
+
+    def embed_many(self, texts):
+        return [list(self.values) for _ in texts]
+
+
+class TestVectorEntries:
+    def test_extreme_values_round_trip_bit_exact(self, tmp_path):
+        values = [-0.0, 5e-324, 2.5e-310, 1.7e308, -1.7e308, 0.1]
+        make_gateway(tmp_path, embed=FixedEmbeddingProvider(values)).embed("x")
+        warm = make_gateway(tmp_path, embed=FixedEmbeddingProvider([1.0]))
+        vector = warm.embed("x")
+        assert warm.stats.provider_calls == 0
+        assert vector.values.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+    def test_a_d256_entry_is_its_raw_vector_plus_a_short_header(self, tmp_path):
+        gateway = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=0, dim=256))
+        gateway.embed("I mostly agree, but the price went up too fast for my family.")
+        (path,) = gateway.cache.root.iterdir()
+        assert path.stat().st_size <= 8 * 256 + 400
+
+    def test_chat_entries_are_one_line_of_canonical_json(self, tmp_path):
+        text = 'Naïve — "quoted"\nsecond line\u2028'
+        gateway = make_gateway(tmp_path, chat=StaticChatProvider(text))
+        request = chat_request(text="Pourquoi ?\n— réponds")
+        gateway.chat(request)
+        stored = gateway.cache.path_for(build_cache_key(request, "static-chat")).read_bytes()
+        entry = json.loads(stored)
+        assert entry == {
+            "request": chat_key_material(request, "static-chat"),
+            "response": {"text": text},
+            "stored_at": entry["stored_at"],
+        }
+        canonical = json.dumps(entry, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+        assert stored == canonical.encode("utf-8")
+
+    def test_drift_between_two_well_formed_cached_entries_is_a_config_error(self, tmp_path):
+        provider = RecordingEmbeddingProvider()
+        cache = DiskCache(tmp_path / "cache")
+        # One entry in the vector form, one as legacy JSON: each is self-consistent.
+        for text, values in (("a", np.ones(4)), ("b", [0.5, 0.5, 0.5])):
+            material = embed_key_material(text, provider.provider_id)
+            entry = {"request": material, "response": {"values": values, "dim": len(values)}}
+            cache.store(build_cache_key(text, provider.provider_id), entry)
+        gateway = make_gateway(tmp_path, embed=provider)
+        with pytest.raises(ConfigError, match="dimension drift"):
+            gateway.embed_many(["a", "b"])
+        assert provider.requests == []
 
 
 class EchoChatProvider:
