@@ -4,8 +4,8 @@ Two on-disk dataset layouts are supported, and the path decides which: a
 directory is a CSV bundle (studies.csv, questions.csv, responses.csv; UTF-8,
 RFC-4180 quoting, header row required) and any other path a single JSON file
 with the same three arrays. Loading normalizes order (sorted by id). All
-writers emit canonical bytes: sorted keys, "\n" newlines, no locale
-formatting.
+writers emit canonical bytes: JSON as one ``canonical_json`` line, "\n"
+newlines, no locale formatting.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .errors import DataError
+from .gateway import canonical_json
 from .model import (
     QuestionKind,
     SurveyQuestion,
@@ -235,30 +236,20 @@ def load_dataset(path: Path | str) -> SurveyDataset:
 # Canonical writers
 
 
-def canonical_json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-
-
 def write_json(path: Path | str, obj: object) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(obj))
+    write_text(path, canonical_json(obj) + "\n")
 
 
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(list(row))
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buffer.getvalue())
+    writer.writerows(rows)
+    write_text(path, buffer.getvalue())
 
 
 def write_text(path: Path | str, text: str) -> None:
+    """The one writer of output files: makes the parent directory, writes UTF-8 with "\n"."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "w", encoding="utf-8", newline="\n") as fh:

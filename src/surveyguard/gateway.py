@@ -106,8 +106,10 @@ class CacheKey:
             raise ValueError(f"not a SHA-256 hex digest: {self.digest!r}")
 
 
-def _canonical(material: dict) -> str:
-    return json.dumps(material, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+def canonical_json(obj: object) -> str:
+    """The one JSON form of cache keys, cache entries and artifacts: one line, sorted keys,
+    no spaces, non-ASCII kept. Without an indent, ``json.dumps`` runs its C encoder."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def chat_key_material(request: ChatRequest, provider_id: str) -> dict:
@@ -131,7 +133,7 @@ def build_cache_key(request_or_text: ChatRequest | str, provider_id: str) -> Cac
         material = chat_key_material(request_or_text, provider_id)
     else:
         material = embed_key_material(request_or_text, provider_id)
-    digest = hashlib.sha256(_canonical(material).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(canonical_json(material).encode("utf-8")).hexdigest()
     return CacheKey(digest=digest)
 
 
@@ -184,10 +186,10 @@ class DiskCache:
         """
         values = entry["response"].get("values")
         if isinstance(values, np.ndarray):
-            header = _canonical({**entry, "response": {"dim": len(values)}}).encode("utf-8")
+            header = canonical_json({**entry, "response": {"dim": len(values)}}).encode("utf-8")
             data = b"".join([self._VECTOR_MAGIC, header, b"\n", values.astype("<f8").tobytes()])
         else:
-            data = (_canonical(entry) + "\n").encode("utf-8")
+            data = (canonical_json(entry) + "\n").encode("utf-8")
         # One store at a time: concurrent creates in one directory contend in
         # the kernel, and cost more system time than they overlap.
         with self._lock:
@@ -203,7 +205,9 @@ class DiskCache:
         return True
 
     def entry_count(self) -> int:
-        return sum(1 for p in self.root.iterdir() if p.is_file() and not p.name.startswith("."))
+        # scandir's DirEntry knows its type from the listing: no stat per entry.
+        with os.scandir(self.root) as entries:
+            return sum(1 for e in entries if not e.name.startswith(".") and e.is_file())
 
 
 def _fan_out(items: Sequence, call: Callable) -> list:

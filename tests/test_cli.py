@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -21,6 +22,7 @@ from conftest import (
 from surveyguard import cli
 from surveyguard.cli import RunConfig, build_parser, main
 from surveyguard.errors import ProviderError
+from surveyguard.gateway import canonical_json
 from surveyguard.model import VerdictFlag
 from surveyguard.scoring import classify_by_threshold
 
@@ -830,3 +832,61 @@ class TestUnreadableCacheAndStore:
         code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
         assert code == 2
         assert str(path) in err
+
+
+PIPELINE = [
+    ["gen-signatures", "--strategy", "basic"],
+    ["gen-signatures", "--strategy", "sentiment"],
+    ["score", "--strategy", "basic,sentiment", "--scores", "full"],
+    ["detect-llm"],
+    ["report"],
+]
+
+
+def _run_pipeline(capsys, dataset: Path, tmp_path: Path) -> dict[Path, bytes]:
+    for command, *flags in PIPELINE:
+        assert run_cli(capsys, *base_args(dataset, tmp_path, command, *flags))[0] == 0
+    return {p: p.read_bytes() for p in sorted((tmp_path / "out").rglob("*")) if p.is_file()}
+
+
+@pytest.fixture
+def unicode_corpus(corpus_path, tmp_path) -> Path:
+    """The fixture corpus plus a response holding "é" and U+2028, which JSON may leave unescaped."""
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus_path, root)
+    with open(root / "responses.csv", "a", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(
+            ["r99", "q1", "Le café\u2028ferme tôt, donc je commande en ligne.", "2023-05-01"]
+        )
+    return root
+
+
+class TestArtifactJsonForm:
+    def test_every_json_artifact_is_one_canonical_line(self, capsys, unicode_corpus, tmp_path):
+        artifacts = _run_pipeline(capsys, unicode_corpus, tmp_path)
+        jsons = {p: blob.decode("utf-8") for p, blob in artifacts.items() if p.suffix == ".json"}
+        assert {p.name for p in jsons} >= {"report.json", "sweep.json", "scored_sentiment.json"}
+        for path, text in jsons.items():
+            assert text == canonical_json(json.loads(text)) + "\n", path
+        assert any("café\u2028ferme" in text for text in jsons.values())
+
+    def test_stores_and_dumps_in_the_indented_form_give_the_same_bytes(
+        self, capsys, unicode_corpus, tmp_path
+    ):
+        artifacts = _run_pipeline(capsys, unicode_corpus, tmp_path)
+        legacy = {}
+        for path in artifacts:
+            if path.suffix == ".json":
+                obj = json.loads(path.read_text(encoding="utf-8"))
+                indented = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+                legacy[path] = indented.encode("utf-8")
+                assert legacy[path] != artifacts[path]
+                path.write_bytes(legacy[path])
+        for command, *flags in (["report"], PIPELINE[2]):  # report, then score, both warm
+            code, out, _ = run_cli(capsys, *base_args(unicode_corpus, tmp_path, command, *flags))
+            assert code == 0
+        assert out.strip().splitlines()[-1].startswith("provider calls: 0 (")
+        # Stores and the detector dump are read by these commands, not written: they stay as they were.
+        kept = {p for p in legacy if "signatures" in p.parts or p.name.startswith("detector_")}
+        expected = {p: legacy[p] if p in kept else blob for p, blob in artifacts.items()}
+        assert {p: p.read_bytes() for p in artifacts} == expected

@@ -440,13 +440,13 @@ class TestDiskCache:
         cache = DiskCache(tmp_path / "cache")
         key = build_cache_key("text", "prov")
         path = cache.path_for(key)
-        canonical = gateway_module._canonical
+        canonical = gateway_module.canonical_json
 
         def write_while_storing(entry):  # another process stores the key mid-write
             path.write_text('{"response": {"values": [9.0]}}\n', encoding="utf-8")
             return canonical(entry)
 
-        monkeypatch.setattr(gateway_module, "_canonical", write_while_storing)
+        monkeypatch.setattr(gateway_module, "canonical_json", write_while_storing)
         assert cache.store(key, {"response": {"values": [1.0]}}) is False
         assert cache.load(key) == {"response": {"values": [9.0]}}
         assert list(cache.root.iterdir()) == [path]
@@ -456,6 +456,8 @@ class TestDiskCache:
         cache.store(build_cache_key("a", "p"), {"response": {"text": "a"}})
         cache.store(build_cache_key("b", "p"), {"response": {"values": np.zeros(2), "dim": 2}})
         (cache.root / ".tmp-leftover").write_bytes(VECTOR_MAGIC)
+        (cache.root / "subdir").mkdir()
+        (cache.root / "subdir" / "nested").write_bytes(b"{}\n")
         assert cache.entry_count() == 2
 
     def test_new_entries_are_vectors_and_compact_or_pretty_legacy_json_still_hits(self, tmp_path):

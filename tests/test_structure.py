@@ -37,23 +37,51 @@ def test_only_the_gateway_runs_threads():
     assert importers == {"gateway.py"}
 
 
-def _executor_builders(path: Path) -> list[str]:
-    """The enclosing top-level function or class of each ThreadPoolExecutor(...) call."""
+def _calls(path: Path, matches) -> list[tuple[str, ast.Call]]:
+    """Each call for which matches(call) holds, with its enclosing top-level function or class."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    builders = []
-    for top in tree.body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "ThreadPoolExecutor":
-                    builders.append(getattr(top, "name", "<module>"))
-    return builders
+    return [
+        (getattr(top, "name", "<module>"), node)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and matches(node)
+    ]
+
+
+def _is_executor(call: ast.Call) -> bool:
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name == "ThreadPoolExecutor"
 
 
 def test_only_fan_out_builds_a_thread_pool():
-    builders = {path.name: _executor_builders(path) for path in sorted(PACKAGE.glob("*.py"))}
+    builders = {
+        path.name: [top for top, _ in _calls(path, _is_executor)] for path in sorted(PACKAGE.glob("*.py"))
+    }
     assert {name: found for name, found in builders.items() if found} == {"gateway.py": ["_fan_out"]}
+
+
+def _is_json_encode(call: ast.Call) -> bool:
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in ("dump", "dumps")
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "json"
+    )
+
+
+def test_only_canonical_json_chooses_the_json_form():
+    indented, formatters = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top, call in _calls(path, _is_json_encode):
+            keywords = {k.arg for k in call.keywords}
+            if "indent" in keywords:
+                indented.append(f"{path.name}:{call.lineno}")
+            if keywords & {"sort_keys", "separators"}:
+                formatters.add((path.name, top))
+    assert indented == []  # an indent turns off json's C encoder
+    assert formatters == {("gateway.py", "canonical_json")}
 
 
 def _bench_module(name: str, monkeypatch):
