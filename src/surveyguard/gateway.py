@@ -14,14 +14,17 @@ import json
 import os
 import random
 import re
+import struct
 import tempfile
 import threading
 import time
+from array import array
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,7 @@ from .errors import ConfigError, DataError, ProviderError, TransientProviderErro
 from .providers import ChatProvider, EmbeddingProvider
 
 EMBED_BATCH = 64  # texts per embedding request on a cache miss
+PACK_ENTRIES = 64  # pending cache entries committed as one pack
 MAX_IN_FLIGHT = 5  # provider calls running at once
 RETRIES = 3  # attempts per provider call, the first included
 BACKOFF_BASE_S = 1.0  # delay before the first retry; doubles on each further one
@@ -138,29 +142,83 @@ def build_cache_key(request_or_text: ChatRequest | str, provider_id: str) -> Cac
 
 
 class DiskCache:
-    """One file per key under the cache root; writes are atomic and at-most-once.
-
-    Response ``values`` given as an array are stored as ``_VECTOR_MAGIC``, a JSON line
-    with ``response: {"dim": d}`` and ``8 * d`` bytes of ``<f8``; the rest as a JSON line.
-    ``load`` also reads embeddings stored as JSON lists by earlier versions, as they are.
+    """Entries pending in memory, then packs under ``root/packs``; the lowest-numbered pack
+    holding a key wins. A pack is ``_PACK_MAGIC``, a ``<u4`` count, a ``_ROW`` per entry, a
+    ``stored_at`` line, then the entries: an array response ``values`` as ``_VECTOR_MAGIC``,
+    a JSON line with ``response: {"dim": d}`` and ``8 * d`` bytes of ``<f8``; any other entry
+    as a JSON line. ``root/<digest>`` files of earlier versions, JSON vectors included, are read.
     """
 
     _VECTOR_MAGIC = b"\x93SURVEYGUARD-F8\n"  # 0x93 starts no UTF-8 text, so no JSON entry
+    _PACK_MAGIC = b"\x93SURVEYGUARD-PACK\n"
+    _ROW = struct.Struct("<32sI")  # digest, end offset
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.packs = self.root / "packs"
+        self.packs.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        # digest -> pack slot (pack << 32 | row), or the entry's bytes while it is pending
+        self._index: dict[bytes, int | bytes] = {}
+        self._packs: list[tuple[int, Path, array]] = []  # number, path, entry bounds
+        self._pending: dict[bytes, bytes] = {}
+        self._next = 0  # the pack number to try first
+        self.refresh()
 
-    def path_for(self, key: CacheKey) -> Path:
-        return self.root / key.digest
+    def refresh(self) -> None:
+        """Index the packs committed since the last call, by any process."""
+        known = {number for number, _, _ in self._packs}
+        names = sorted((n for n in os.listdir(self.packs) if n.isdecimal() and int(n) not in known), key=int)
+        for path in map(self.packs.joinpath, names):
+            with open(path, "rb") as fh:
+                head = fh.read(len(self._PACK_MAGIC) + 4)
+                if head[:-4] != self._PACK_MAGIC:
+                    raise DataError(f"corrupted cache pack: {path}: no pack header")
+                size = self._ROW.size * int.from_bytes(head[-4:], "little")
+                table = fh.read(size)
+                if len(table) != size:
+                    raise DataError(f"corrupted cache pack: {path}: table of {len(table)} bytes, not {size}")
+                fh.readline()  # stored_at
+                rows = list(self._ROW.iter_unpack(table))
+                bounds = array("I", [fh.tell(), *(end for _, end in rows)])
+            self._add(int(path.name), path, [digest for digest, _ in rows], bounds)
+        self._next = max(self._next, int(names[-1]) + 1 if names else 0)
+
+    def _add(self, number: int, path: Path, digests: list[bytes], bounds: array) -> None:
+        with self._lock:
+            pack = len(self._packs)
+            self._packs.append((number, path, bounds))
+            for row, digest in enumerate(digests):
+                held = self._index.get(digest)
+                if not isinstance(held, int) or self._packs[held >> 32][0] > number:
+                    self._index[digest] = pack << 32 | row
+
+    def locate(self, key: CacheKey) -> str:
+        """Where the key's committed entry is read from: its pack and digest, or its own file."""
+        held = self._index.get(bytes.fromhex(key.digest))
+        if isinstance(held, int):
+            return f"{self._packs[held >> 32][1]} entry {key.digest}"
+        return str(self.root / key.digest)
 
     def load(self, key: CacheKey) -> dict | None:
-        path = self.path_for(key)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            return None
+        held = self._index.get(bytes.fromhex(key.digest))
+        if isinstance(held, bytes):
+            data = held
+        elif held is None:
+            try:
+                data = (self.root / key.digest).read_bytes()
+            except FileNotFoundError:
+                return None
+        else:
+            _, path, bounds = self._packs[held >> 32]
+            start, stop = bounds[held & 0xFFFFFFFF], bounds[(held & 0xFFFFFFFF) + 1]
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                data = os.pread(fd, max(stop - start, 0), start)
+            finally:
+                os.close(fd)
+            if len(data) != stop - start:
+                raise DataError(f"corrupted cache entry: {self.locate(key)}: truncated pack")
         try:
             if data.startswith(self._VECTOR_MAGIC):
                 header, _, body = data[len(self._VECTOR_MAGIC) :].partition(b"\n")
@@ -172,42 +230,66 @@ class DiskCache:
             else:
                 entry = json.loads(data.decode("utf-8"))
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"corrupted cache entry: {path}: {exc!r}") from exc
+            raise DataError(f"corrupted cache entry: {self.locate(key)}: {exc!r}") from exc
         if not isinstance(entry, dict):
-            raise DataError(f"corrupted cache entry: {path}: not a JSON object")
+            raise DataError(f"corrupted cache entry: {self.locate(key)}: not a JSON object")
         return entry
 
     def store(self, key: CacheKey, entry: dict) -> bool:
-        """Store entry unless the key already exists. Returns True if written.
-
-        The entry is written to a temp file and hard-linked into place, which
-        fails if the name exists: the first store of a key wins, across
-        processes too, and no reader sees a partial entry.
-        """
+        """Add entry as pending unless the key is held. Returns True if added."""
         values = entry["response"].get("values")
         if isinstance(values, np.ndarray):
             header = canonical_json({**entry, "response": {"dim": len(values)}}).encode("utf-8")
             data = b"".join([self._VECTOR_MAGIC, header, b"\n", values.astype("<f8").tobytes()])
         else:
             data = (canonical_json(entry) + "\n").encode("utf-8")
-        # One store at a time: concurrent creates in one directory contend in
-        # the kernel, and cost more system time than they overlap.
+        digest = bytes.fromhex(key.digest)
         with self._lock:
-            fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                os.link(tmp, self.path_for(key))
-            except FileExistsError:
+            if digest in self._index:
                 return False
-            finally:
-                os.unlink(tmp)
+            self._index[digest] = self._pending[digest] = data
+            full = len(self._pending) >= PACK_ENTRIES
+        if full:
+            self.flush()
         return True
 
+    def flush(self) -> None:
+        """Commit the pending entries as a pack: a temp file hard-linked to the lowest free
+        number above every pack seen. So commit order is name order, across processes too."""
+        with self._lock:
+            batch, self._pending = self._pending, {}
+        if not batch:
+            return
+        stored_at = (datetime.now(timezone.utc).isoformat() + "\n").encode("utf-8")
+        start = len(self._PACK_MAGIC) + 4 + self._ROW.size * len(batch) + len(stored_at)
+        bounds = array("I", accumulate(map(len, batch.values()), initial=start))
+        fd, tmp = tempfile.mkstemp(dir=self.packs, prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines([self._PACK_MAGIC, len(batch).to_bytes(4, "little")])
+                fh.writelines([*map(self._ROW.pack, batch, bounds[1:]), stored_at, *batch.values()])
+            number = first = self._next
+            while True:
+                path = self.packs / f"{number:08d}"
+                try:
+                    os.link(tmp, path)
+                    break
+                except FileExistsError:
+                    number += 1
+        finally:
+            os.unlink(tmp)
+        self._next = number + 1
+        self._add(number, path, list(batch), bounds)
+        if number != first:  # others committed packs since the last refresh
+            self.refresh()
+
     def entry_count(self) -> int:
+        """Distinct keys over the packs, pending entries and files of earlier versions."""
+        self.refresh()
         # scandir's DirEntry knows its type from the listing: no stat per entry.
         with os.scandir(self.root) as entries:
-            return sum(1 for e in entries if not e.name.startswith(".") and e.is_file())
+            files = [e.name for e in entries if CacheKey._HEX.fullmatch(e.name) and e.is_file()]
+        return len(self._index) + sum(bytes.fromhex(name) not in self._index for name in files)
 
 
 def _fan_out(items: Sequence, call: Callable) -> list:
@@ -251,10 +333,11 @@ class GatewayStats:
 class ProviderGateway:
     """Cache-through front of the configured providers.
 
-    Safe for concurrent use: at most ``MAX_IN_FLIGHT`` provider calls run at
-    once, the cache takes one lock for every write, and results come back in
-    the caller's order, never in arrival order. A cached response that makes no
-    valid result (say, a short or non-finite vector) is a DataError naming its file.
+    Safe for concurrent use: at most ``MAX_IN_FLIGHT`` provider calls run at once,
+    each pass of them commits its cache entries, also when it raises, and results
+    come back in the caller's order, never in arrival order. A cached response that
+    makes no valid result (say, a short or non-finite vector) is a DataError naming
+    its pack and digest, or its file.
     """
 
     def __init__(
@@ -299,6 +382,7 @@ class ProviderGateway:
         """
         hits = {}
         misses = []
+        self.cache.refresh()
         for item in dict.fromkeys(items):
             key = build_cache_key(item, provider_id)
             entry = self.cache.load(key)
@@ -308,15 +392,18 @@ class ProviderGateway:
             try:
                 hits[item] = read(entry["response"])
             except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"corrupted cache entry: {self.cache.path_for(key)}: {exc!r}") from exc
+                raise DataError(f"corrupted cache entry: {self.cache.locate(key)}: {exc!r}") from exc
         with self._stats_lock:
             self.stats.cache_misses += len(misses)
             self.stats.cache_hits += len(items) - len(misses)
         return hits, misses
 
-    def _store(self, key: CacheKey, material: dict, response: dict) -> None:
-        stored_at = datetime.now(timezone.utc).isoformat()
-        self.cache.store(key, {"request": material, "response": response, "stored_at": stored_at})
+    def _send(self, items: Sequence, call: Callable) -> list:
+        """``_fan_out``, then commit the entries it stored, also when it raises."""
+        try:
+            return _fan_out(items, call)
+        finally:
+            self.cache.flush()
 
     def _vector(self, provider_id: str, values: Sequence[float], dim: int) -> EmbeddingVector:
         """A cached or fetched vector, in the dimension of the provider's first one."""
@@ -356,11 +443,12 @@ class ProviderGateway:
             text = self._call_with_retry(
                 lambda: self.chat_provider.complete(request), f"chat({request.model_id})"
             )
-            self._store(key, chat_key_material(request, provider_id), {"text": text})
+            material = chat_key_material(request, provider_id)
+            self.cache.store(key, {"request": material, "response": {"text": text}})
             return ChatResult(text=text, model_id=request.model_id, cached=False)
 
         results = {r: ChatResult(text, r.model_id, cached=True) for r, text in cached.items()}
-        results.update(zip((request for request, _ in misses), _fan_out(misses, send)))
+        results.update(zip((request for request, _ in misses), self._send(misses, send)))
         return [results[request] for request in requests]
 
     def embed(self, text: str) -> EmbeddingVector:
@@ -397,11 +485,12 @@ class ProviderGateway:
             fetched = [self._vector(provider_id, values, len(values)) for values in raw]
             for (text, key), vector in zip(batch, fetched):
                 material = embed_key_material(text, provider_id)
-                self._store(key, material, {"values": vector.values, "dim": vector.dim})
+                entry = {"request": material, "response": {"values": vector.values, "dim": vector.dim}}
+                self.cache.store(key, entry)
                 vectors[text] = vector
 
         batches = [misses[i : i + EMBED_BATCH] for i in range(0, len(misses), EMBED_BATCH)]
-        for outcome in _fan_out(batches, send):
+        for outcome in self._send(batches, send):
             if isinstance(outcome, ProviderError):
                 raise outcome
         return [vectors[text] for text in texts]

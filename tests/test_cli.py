@@ -13,10 +13,11 @@ import pytest
 
 from conftest import (
     VECTOR_MAGIC,
+    cache_entries,
     cache_file_bytes,
     legacy_entry,
     parse_cache_file,
-    rewrite_as_legacy,
+    rewrite_cache,
     write_bundle,
 )
 from surveyguard import cli
@@ -732,12 +733,24 @@ class TestDetectProviderFailure:
         assert list((tmp_path / "out").glob("detector_*.json")) == []
 
 
-def _cache_entry(cache_dir: Path, kind: str) -> Path:
-    """The first cache entry (by file name) whose request is of the given kind."""
-    for path in sorted(cache_dir.iterdir()):
-        if parse_cache_file(path.read_bytes())[0]["request"]["kind"] == kind:
-            return path
-    raise AssertionError(f"no {kind} entry in {cache_dir}")
+def _cache_entry(entries: dict[str, bytes], kind: str) -> str:
+    """The first digest (in digest order) whose entry's request is of the given kind."""
+    for digest in sorted(entries):
+        if parse_cache_file(entries[digest])[0]["request"]["kind"] == kind:
+            return digest
+    raise AssertionError(f"no {kind} entry")
+
+
+def _damage(cache_dir: Path, kind: str, damage, layout: str) -> tuple[str, Path]:
+    """Lay the cache out with the first entry of ``kind`` passed through ``damage``, in a pack or
+    in a file of its own; returns its digest and the file that holds it."""
+    entries = cache_entries(cache_dir)
+    digest = _cache_entry(entries, kind)
+    entries[digest] = damage(entries[digest])
+    return digest, rewrite_cache(cache_dir, entries, {digest} if layout == "legacy" else ())[digest]
+
+
+LAYOUTS = pytest.mark.parametrize("layout", ["packed", "legacy"])
 
 
 def _legacy_with(edit):
@@ -767,37 +780,57 @@ BAD_EMBEDDING_ENTRIES = {
 
 
 class TestUnreadableCacheAndStore:
-    def test_truncated_cache_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path):
+    @LAYOUTS
+    def test_truncated_cache_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path, layout):
         args = base_args(corpus_path, tmp_path, "detect-llm")
         assert run_cli(capsys, *args)[0] == 0
-        entry = _cache_entry(tmp_path / "cache", "chat")
-        entry.write_text(entry.read_text(encoding="utf-8")[:40], encoding="utf-8")
+        digest, entry = _damage(tmp_path / "cache", "chat", lambda data: data[:40], layout)
         code, _, err = run_cli(capsys, *args)
         assert code == 2
-        assert str(entry) in err
+        assert str(entry) in err and digest in err
 
+    @LAYOUTS
     @pytest.mark.parametrize("kind, command", [("chat", "gen-signatures"), ("embed", "score")])
-    def test_entry_without_response_exits_2_naming_it(self, capsys, corpus_path, tmp_path, kind, command):
+    def test_entry_without_response_exits_2_naming_it(
+        self, capsys, corpus_path, tmp_path, kind, command, layout
+    ):
         for step in ("gen-signatures", "score"):
             assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
-        entry = _cache_entry(tmp_path / "cache", kind)
-        payload, body = parse_cache_file(entry.read_bytes())
-        assert (body is None) == (kind == "chat")  # embeddings are in the vector form
-        del payload["response"]
-        entry.write_bytes(cache_file_bytes(payload, body))
+
+        def drop_response(data):
+            payload, body = parse_cache_file(data)
+            assert (body is None) == (kind == "chat")  # embeddings are in the vector form
+            del payload["response"]
+            return cache_file_bytes(payload, body)
+
+        digest, entry = _damage(tmp_path / "cache", kind, drop_response, layout)
         code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, command))
         assert code == 2
-        assert str(entry) in err
+        assert str(entry) in err and digest in err
 
+    @LAYOUTS
     @pytest.mark.parametrize("damage", BAD_EMBEDDING_ENTRIES.values(), ids=BAD_EMBEDDING_ENTRIES.keys())
-    def test_bad_embedding_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path, damage):
+    def test_bad_embedding_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path, damage, layout):
         for step in ("gen-signatures", "score"):
             assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
-        entry = _cache_entry(tmp_path / "cache", "embed")
-        entry.write_bytes(damage(*parse_cache_file(entry.read_bytes())))
+        digest, entry = _damage(
+            tmp_path / "cache", "embed", lambda data: damage(*parse_cache_file(data)), layout
+        )
         code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
-        assert (code, err.count(str(entry))) == (2, 1), err
+        assert (code, err.count(str(entry)), err.count(digest)) == (2, 1, 1), err
         assert err.startswith("data error: corrupted cache entry: ")
+
+    @pytest.mark.parametrize(
+        "damage", [lambda data: b"\x00" + data[1:], lambda data: data[:-1]], ids=["bad-magic", "truncated"]
+    )
+    def test_bad_pack_exits_2_naming_it(self, capsys, corpus_path, tmp_path, damage):
+        args = base_args(corpus_path, tmp_path, "detect-llm")
+        assert run_cli(capsys, *args)[0] == 0
+        pack = sorted((tmp_path / "cache" / "packs").iterdir())[0]
+        pack.write_bytes(damage(pack.read_bytes()))
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2
+        assert err.startswith("data error: corrupted cache ") and str(pack) in err
 
     def test_score_artifacts_are_identical_from_vector_legacy_and_mixed_caches(
         self, capsys, corpus_path, tmp_path
@@ -806,17 +839,23 @@ class TestUnreadableCacheAndStore:
             assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
         out_dir = tmp_path / "out"
         artifacts = {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
-        cache = sorted((tmp_path / "cache").iterdir())
-        embeddings = [p for p in cache if p.read_bytes().startswith(VECTOR_MAGIC)]
+        cache = tmp_path / "cache"
+        entries = cache_entries(cache)
+        embeddings = [digest for digest, data in entries.items() if data.startswith(VECTOR_MAGIC)]
         assert len(embeddings) > 2
-        # Every other embedding as legacy JSON, then all of them.
+        # Every other embedding as a legacy JSON file, then all of them; the rest stay packed.
+        converted = []
         for legacy in (embeddings[::2], embeddings[1::2]):
-            for path in legacy:
-                rewrite_as_legacy(path)
+            for digest in legacy:
+                entries[digest] = cache_file_bytes(legacy_entry(*parse_cache_file(entries[digest])))
+            converted += legacy
+            rewrite_cache(cache, entries, converted)
             code, out, _ = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
             assert code == 0 and "provider calls: 0 (" in out
             assert {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()} == artifacts
-        assert not any(p.read_bytes().startswith(VECTOR_MAGIC) for p in cache)  # read, not migrated
+        assert cache_entries(cache) == entries  # read, not migrated
+        assert not any(entries[digest].startswith(VECTOR_MAGIC) for digest in embeddings)
+        assert [p.name for p in (cache / "packs").iterdir()] == ["00000000"]
 
     @pytest.mark.parametrize(
         "edit",

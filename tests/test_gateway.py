@@ -3,17 +3,28 @@ import json
 import sys
 import threading
 import time
+from datetime import datetime
 
 import numpy as np
 import pytest
 
-from conftest import VECTOR_MAGIC, StaticChatProvider, cache_file_bytes, parse_cache_file
+from conftest import (
+    PACK_MAGIC,
+    VECTOR_MAGIC,
+    StaticChatProvider,
+    cache_entries,
+    cache_file_bytes,
+    parse_cache_file,
+    read_pack,
+    rewrite_cache,
+)
 from surveyguard import gateway as gateway_module
 from surveyguard import providers
 from surveyguard.errors import ConfigError, DataError, ProviderError, TransientProviderError
 from surveyguard.gateway import (
     EMBED_BATCH,
     MAX_IN_FLIGHT,
+    PACK_ENTRIES,
     ChatRequest,
     ChatResult,
     DiskCache,
@@ -121,7 +132,7 @@ class TestChatCaching:
         request = chat_request()
         gateway.chat(request)
         key = build_cache_key(request, "mock-chat-0")
-        entry = json.loads(gateway.cache.path_for(key).read_text(encoding="utf-8"))
+        entry = json.loads(cache_entries(gateway.cache.root)[key.digest])
         assert entry["request"]["messages"] == [["user", "Why?"]]
         assert entry["request"]["temperature"] == 0.5
         assert "text" in entry["response"]
@@ -436,20 +447,45 @@ class TestDiskCache:
         assert cache.store(key, {"response": {"values": [2.0]}}) is False
         assert cache.load(key) == {"response": {"values": [1.0]}}
 
-    def test_an_entry_written_elsewhere_during_a_store_is_kept(self, tmp_path, monkeypatch):
-        cache = DiskCache(tmp_path / "cache")
+    def test_an_entry_committed_elsewhere_during_a_store_is_kept(self, tmp_path, monkeypatch):
+        cache, elsewhere = DiskCache(tmp_path / "cache"), DiskCache(tmp_path / "cache")
         key = build_cache_key("text", "prov")
-        path = cache.path_for(key)
         canonical = gateway_module.canonical_json
 
-        def write_while_storing(entry):  # another process stores the key mid-write
-            path.write_text('{"response": {"values": [9.0]}}\n', encoding="utf-8")
+        def commit_while_storing(entry):  # another process stores and commits the key mid-write
+            monkeypatch.setattr(gateway_module, "canonical_json", canonical)
+            elsewhere.store(key, {"response": {"values": [9.0]}})
+            elsewhere.flush()
             return canonical(entry)
 
-        monkeypatch.setattr(gateway_module, "canonical_json", write_while_storing)
-        assert cache.store(key, {"response": {"values": [1.0]}}) is False
+        monkeypatch.setattr(gateway_module, "canonical_json", commit_while_storing)
+        assert cache.store(key, {"response": {"values": [1.0]}}) is True  # pending: it cannot know yet
+        cache.flush()
         assert cache.load(key) == {"response": {"values": [9.0]}}
-        assert list(cache.root.iterdir()) == [path]
+        assert sorted(p.name for p in cache.packs.iterdir()) == ["00000000", "00000001"]
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_the_first_commit_of_a_key_is_what_every_later_reader_gets(self, tmp_path, first):
+        caches = [DiskCache(tmp_path / "cache"), DiskCache(tmp_path / "cache")]
+        key = build_cache_key("text", "prov")
+        for value, cache in enumerate(caches):
+            assert cache.store(key, {"response": {"values": [float(value)]}}) is True
+        caches[first].flush()
+        caches[1 - first].flush()
+        readers = [*caches, DiskCache(tmp_path / "cache")]
+        assert [r.load(key) for r in readers] == [{"response": {"values": [float(first)]}}] * 3
+        assert [r.entry_count() for r in readers] == [1, 1, 1]
+
+    def test_store_commits_full_packs_and_flush_commits_the_rest(self, tmp_path):
+        cache = DiskCache(tmp_path / "cache")
+        for i in range(PACK_ENTRIES + 1):
+            cache.store(build_cache_key(f"t{i}", "p"), {"response": {"text": f"t{i}"}})
+        assert [len(read_pack(p)[1]) for p in cache.packs.iterdir()] == [PACK_ENTRIES]
+        cache.flush()
+        cache.flush()  # nothing pending: no pack
+        assert [len(read_pack(p)[1]) for p in sorted(cache.packs.iterdir())] == [PACK_ENTRIES, 1]
+        reader = DiskCache(tmp_path / "cache")
+        assert reader.load(build_cache_key("t64", "p")) == {"response": {"text": "t64"}}
 
     def test_entry_count_ignores_temp_files(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
@@ -470,7 +506,7 @@ class TestDiskCache:
                 "response": {"values": MockEmbeddingProvider(seed=0, dim=4).embed(text), "dim": 4},
                 "stored_at": "2024-01-01T00:00:00+00:00",
             }
-            path = cache.path_for(build_cache_key(text, provider_id))
+            path = cache.root / build_cache_key(text, provider_id).digest
             pretty = (json.dumps(entry, sort_keys=True, indent=2) + "\n").encode()
             path.write_bytes(pretty if text == "pretty" else cache_file_bytes(entry))
             legacy[path] = path.read_bytes()
@@ -482,12 +518,81 @@ class TestDiskCache:
         assert {path: path.read_bytes() for path in legacy} == legacy  # read, not migrated
 
         gateway.embed("fresh")
-        stored = cache.path_for(build_cache_key("fresh", provider_id)).read_bytes()
+        stored = cache_entries(cache.root)[build_cache_key("fresh", provider_id).digest]
         header, body = parse_cache_file(stored)
         assert stored.startswith(VECTOR_MAGIC)
         assert header["request"] == embed_key_material("fresh", provider_id)
         assert header["response"] == {"dim": 4}
         assert body == np.array(provider.mock.embed("fresh"), dtype="<f8").tobytes()
+
+
+PACK_DAMAGE = {  # each turns the bytes of a pack of two chat entries into a bad pack,
+    # and says whether the error can name the damaged (last) entry
+    "bad-magic": (lambda data: b"\x00" + data[1:], False),
+    "short-table": (lambda data: data[: len(PACK_MAGIC) + 4 + 40], False),
+    "truncated-body": (lambda data: data[:-1], True),
+    "entry-not-json": (lambda data: data[:-2] + b"]\n", True),
+}
+
+
+class TestPacks:
+    def test_a_cold_batch_makes_packs_and_no_file_per_key(self, tmp_path):
+        gateway = make_gateway(tmp_path, embed=RecordingEmbeddingProvider())
+        gateway.embed_many([f"text {i}" for i in range(3 * EMBED_BATCH)])
+        files = [p for p in gateway.cache.root.rglob("*") if p.is_file()]
+        assert 1 <= len(files) <= 3
+        assert {p.parent for p in files} == {gateway.cache.packs}
+        assert DiskCache(tmp_path / "cache").entry_count() == 3 * EMBED_BATCH
+
+    def test_concurrent_stores_are_each_committed_once_under_fast_thread_switching(self, tmp_path):
+        cache = DiskCache(tmp_path / "cache")
+        keys = [build_cache_key(f"text {i}", "p") for i in range(8 * PACK_ENTRIES + 5)]
+
+        def store(part):
+            for key in keys[part::8]:
+                cache.store(key, {"response": {"text": key.digest}})
+
+        threads = [threading.Thread(target=store, args=(part,)) for part in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        cache.flush()
+        packed = [digest for pack in cache.packs.iterdir() for digest in read_pack(pack)[1]]
+        assert sorted(packed) == sorted(key.digest for key in keys)
+        reader = DiskCache(tmp_path / "cache")
+        assert all(reader.load(key) == {"response": {"text": key.digest}} for key in keys)
+
+    @pytest.mark.parametrize("damage, names_entry", PACK_DAMAGE.values(), ids=PACK_DAMAGE.keys())
+    def test_a_bad_pack_is_a_data_error_naming_it(self, tmp_path, damage, names_entry):
+        requests = [chat_request(text=t) for t in ("a", "b")]
+        make_gateway(tmp_path, chat=EchoChatProvider()).chat_many(requests)
+        (pack,) = (tmp_path / "cache" / "packs").iterdir()
+        last = list(read_pack(pack)[1])[-1]
+        pack.write_bytes(damage(pack.read_bytes()))
+        provider = EchoChatProvider()
+        with pytest.raises(DataError) as raised:
+            make_gateway(tmp_path, chat=provider).chat_many(requests)
+        message = str(raised.value)
+        assert str(pack) in message
+        assert (last in message) == names_entry
+        assert provider.calls == []
+
+    def test_a_key_in_a_pack_and_in_a_legacy_file_counts_once_and_reads_from_the_pack(self, tmp_path):
+        cache = DiskCache(tmp_path / "cache")
+        key = build_cache_key("a", "p")
+        cache.store(key, {"response": {"text": "packed"}})
+        cache.flush()
+        (cache.root / key.digest).write_text('{"response": {"text": "legacy"}}\n', encoding="utf-8")
+        (cache.root / build_cache_key("b", "p").digest).write_text("{}\n", encoding="utf-8")
+        assert DiskCache(tmp_path / "cache").load(key) == {"response": {"text": "packed"}}
+        assert DiskCache(tmp_path / "cache").entry_count() == 2
 
 
 class FixedEmbeddingProvider:
@@ -514,7 +619,7 @@ class TestVectorEntries:
     def test_a_d256_entry_is_its_raw_vector_plus_a_short_header(self, tmp_path):
         gateway = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=0, dim=256))
         gateway.embed("I mostly agree, but the price went up too fast for my family.")
-        (path,) = gateway.cache.root.iterdir()
+        (path,) = gateway.cache.packs.iterdir()
         assert path.stat().st_size <= 8 * 256 + 400
 
     def test_chat_entries_are_one_line_of_canonical_json(self, tmp_path):
@@ -522,13 +627,11 @@ class TestVectorEntries:
         gateway = make_gateway(tmp_path, chat=StaticChatProvider(text))
         request = chat_request(text="Pourquoi ?\n— réponds")
         gateway.chat(request)
-        stored = gateway.cache.path_for(build_cache_key(request, "static-chat")).read_bytes()
+        stored = cache_entries(gateway.cache.root)[build_cache_key(request, "static-chat").digest]
         entry = json.loads(stored)
-        assert entry == {
-            "request": chat_key_material(request, "static-chat"),
-            "response": {"text": text},
-            "stored_at": entry["stored_at"],
-        }
+        assert entry == {"request": chat_key_material(request, "static-chat"), "response": {"text": text}}
+        (pack,) = gateway.cache.packs.iterdir()
+        assert datetime.fromisoformat(read_pack(pack)[0]).utcoffset().total_seconds() == 0  # one per pack
         canonical = json.dumps(entry, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
         assert stored == canonical.encode("utf-8")
 
@@ -540,6 +643,7 @@ class TestVectorEntries:
             material = embed_key_material(text, provider.provider_id)
             entry = {"request": material, "response": {"values": values, "dim": len(values)}}
             cache.store(build_cache_key(text, provider.provider_id), entry)
+        cache.flush()
         gateway = make_gateway(tmp_path, embed=provider)
         with pytest.raises(ConfigError, match="dimension drift"):
             gateway.embed_many(["a", "b"])
@@ -614,6 +718,16 @@ class TestChatMany:
             gateway.chat_many([chat_request(text=t) for t in ("x", "boom", "y")])
         assert gateway.cache.entry_count() == 2
 
+    def test_entries_finished_before_a_raise_are_committed(self, tmp_path):
+        with pytest.raises(RuntimeError, match="provider bug"):
+            make_gateway(tmp_path, chat=EchoChatProvider()).chat_many(
+                [chat_request(text=t) for t in ("x", "boom", "y")]
+            )
+        provider = EchoChatProvider()
+        warm = make_gateway(tmp_path, chat=provider)  # a new cache reads only committed packs
+        assert [r.cached for r in warm.chat_many([chat_request(text=t) for t in ("x", "y")])] == [True, True]
+        assert provider.calls == []
+
     def test_at_most_max_in_flight_calls_overlap(self, tmp_path):
         provider = EchoChatProvider(delay=lambda text: 0.02)
         gateway = make_gateway(tmp_path, chat=provider)
@@ -659,6 +773,10 @@ CORRUPT_CHAT_ENTRIES = [
 ]
 
 
+def _legacy(digest: str, layout: str) -> set[str]:
+    return {digest} if layout == "legacy" else set()
+
+
 class TestUnreadableCacheEntries:
     @pytest.mark.parametrize(
         "content, send",
@@ -670,23 +788,27 @@ class TestUnreadableCacheEntries:
             for c in CORRUPT_CHAT_ENTRIES
         ],
     )
-    def test_chat_entry_is_a_data_error_naming_its_file(self, tmp_path, content, send):
+    @pytest.mark.parametrize("layout", ["packed", "legacy"])
+    def test_chat_entry_is_a_data_error_naming_its_file(self, tmp_path, content, send, layout):
         provider = EchoChatProvider()
         gateway = make_gateway(tmp_path, chat=provider)
-        path = gateway.cache.path_for(build_cache_key(chat_request(), provider.provider_id))
-        path.write_text(content, encoding="utf-8")
-        with pytest.raises(DataError, match=path.name):
+        digest = build_cache_key(chat_request(), provider.provider_id).digest
+        path = rewrite_cache(gateway.cache.root, {digest: content.encode()}, _legacy(digest, layout))[digest]
+        with pytest.raises(DataError, match=digest) as raised:
             send(gateway)
+        assert str(path) in str(raised.value)
         assert provider.calls == []
 
+    @pytest.mark.parametrize("layout", ["packed", "legacy"])
     @pytest.mark.parametrize(
         "content", ['{"response": {"values": [0.1,', '{"stored_at": "x"}', '{"response": "v"}']
     )
-    def test_embed_entry_is_a_data_error_naming_its_file(self, tmp_path, content):
+    def test_embed_entry_is_a_data_error_naming_its_file(self, tmp_path, content, layout):
         provider = RecordingEmbeddingProvider()
         gateway = make_gateway(tmp_path, embed=provider)
-        path = gateway.cache.path_for(build_cache_key("text", provider.provider_id))
-        path.write_text(content, encoding="utf-8")
-        with pytest.raises(DataError, match=path.name):
+        digest = build_cache_key("text", provider.provider_id).digest
+        path = rewrite_cache(gateway.cache.root, {digest: content.encode()}, _legacy(digest, layout))[digest]
+        with pytest.raises(DataError, match=digest) as raised:
             gateway.embed_many(["other", "text"])
+        assert str(path) in str(raised.value)
         assert provider.requests == []

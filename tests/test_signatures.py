@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import StaticChatProvider
+from conftest import StaticChatProvider, cache_entries
 from surveyguard.errors import ProviderError
 from surveyguard.gateway import DiskCache, ProviderGateway, build_cache_key
 from surveyguard.model import SurveyQuestion
@@ -223,7 +223,7 @@ class TestDeterminismAndStore:
                 QUESTION, sig.model_id, sig.temperature, sig.strategy.sentiment
             )
             key = build_cache_key(request, gateway.chat_provider.provider_id)
-            entry = json.loads(gateway.cache.path_for(key).read_text(encoding="utf-8"))
+            entry = json.loads(cache_entries(gateway.cache.root)[key.digest])
             assert entry["request"]["messages"] == [list(m) for m in request.messages]
             assert entry["response"]["text"] == sig.text
 

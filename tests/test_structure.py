@@ -84,6 +84,37 @@ def test_only_canonical_json_chooses_the_json_form():
     assert formatters == {("gateway.py", "canonical_json")}
 
 
+def _root_name(expr: ast.expr) -> str | None:
+    while isinstance(expr, ast.Attribute):
+        expr = expr.value
+    return expr.id if isinstance(expr, ast.Name) else None
+
+
+def _is_file_io(call: ast.Call) -> bool:
+    """``open(...)``, ``x.open(...)``, or any call into ``os`` or ``tempfile``."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr == "open" or _root_name(func) in ("os", "tempfile")
+    return isinstance(func, ast.Name) and func.id == "open"
+
+
+def test_the_cache_does_no_file_io_under_its_lock():
+    tree = ast.parse((PACKAGE / "gateway.py").read_text(encoding="utf-8"))
+    locked = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.With) and any(ast.unparse(i.context_expr) == "self._lock" for i in node.items)
+    ]
+    assert locked
+    io_calls = [
+        f"gateway.py:{call.lineno}"
+        for block in locked
+        for call in ast.walk(block)
+        if isinstance(call, ast.Call) and _is_file_io(call)
+    ]
+    assert io_calls == []
+
+
 def _bench_module(name: str, monkeypatch):
     """Import bench/<name>.py read-only, under a private module name."""
     spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
