@@ -40,7 +40,6 @@ from .model import (
     SurveyStudy,
     Verdict,
     VerdictFlag,
-    VerdictSource,
     assign_cohort,
     compute_length_stats,
 )
@@ -63,16 +62,12 @@ from .report import (
     threshold_sweep,
 )
 from .scoring import (
-    classify_by_threshold,
     cosine_similarity,
     flag_irrelevant,
     score_response,
 )
 from .signatures import (
-    PromptStrategy,
     Sentiment,
-    Signature,
-    SignatureSet,
     StrategyKind,
     build_basic_prompt,
     build_sentiment_prompt,

@@ -28,13 +28,7 @@ from .dataset import (
     write_report,
     write_text,
 )
-from .detector import (
-    DETECTOR_TEMPLATE_VERSION,
-    DetectionRun,
-    DetectorConfig,
-    detect_batch,
-    detection_run_to_dict,
-)
+from .detector import DETECTOR_TEMPLATE_VERSION, DetectorConfig, detect_batch
 from .errors import ConfigError, DataError, ProviderError
 from .gateway import DiskCache, ProviderGateway, check_temperature
 from .model import Cohort, compute_length_stats
@@ -52,6 +46,7 @@ from .report import (
     cohort_compare,
     detector_markdown_lines,
     extract_cases,
+    percentage,
     report_to_csv_rows,
     report_to_markdown,
     sweep_csv_rows,
@@ -340,7 +335,7 @@ def cmd_gen_signatures(cfg: RunConfig) -> int:
         for kind in _strategy_kinds(cfg):
             for question in open_questions:
                 try:
-                    signature_set = generate_signatures(
+                    store = generate_signatures(
                         question,
                         kind,
                         cfg.models,
@@ -352,16 +347,16 @@ def cmd_gen_signatures(cfg: RunConfig) -> int:
                     aborted.append(f"{kind.value}/{question.question_id}")
                     print(f"aborted: {exc}", file=sys.stderr)
                     continue
-                signature_set = dedupe_signatures(signature_set)
-                save_signature_set(signature_set, store_dir)
-                generated += len(signature_set.signatures)
-                failures += len(signature_set.failures)
-                removed += signature_set.duplicates_removed
+                store = dedupe_signatures(store)
+                save_signature_set(store, store_dir)
+                generated += len(store["signatures"])
+                failures += len(store["failures"])
+                removed += store["duplicates_removed"]
                 print(
                     f"{kind.value}/{question.question_id}: "
-                    f"{len(signature_set.signatures)} signatures, "
-                    f"{len(signature_set.failures)} failed cells, "
-                    f"{signature_set.duplicates_removed} duplicates removed"
+                    f"{len(store['signatures'])} signatures, "
+                    f"{len(store['failures'])} failed cells, "
+                    f"{store['duplicates_removed']} duplicates removed"
                 )
         print(
             f"questions: {len(open_questions)}, strategies: {len(cfg.strategies)}, "
@@ -398,18 +393,19 @@ def _score_strategy(
     rows = []
     signature_texts: dict[str, str] = {}
     for question in questions:
-        signature_set = load_signature_set(store_dir, kind, question.question_id)
-        signatures = sorted(signature_set.signatures, key=lambda s: s.signature_id)
+        store = load_signature_set(store_dir, kind, question.question_id)
+        store["signatures"].sort(key=lambda s: s["signature_id"])
+        signatures = [(s["signature_id"], s["text"]) for s in store["signatures"]]
         responses = dataset.responses_for_question(question.question_id)
         answered = [r for r in responses if r.text.strip()]
         # Batched per question, not per strategy, so one question's vectors are held at a time.
-        vectors = gateway.embed_many([s.text for s in signatures] + [r.text for r in answered])
-        signature_texts.update((sig.signature_id, sig.text) for sig in signatures)
+        vectors = gateway.embed_many([text for _, text in signatures] + [r.text for r in answered])
+        signature_texts.update(signatures)
         by_id = {
             row["response_id"]: row
             for row in score_question(
                 [(r.response_id, vec) for r, vec in zip(answered, vectors[len(signatures) :])],
-                [(sig.signature_id, vec) for sig, vec in zip(signatures, vectors)],
+                [(signature_id, vec) for (signature_id, _), vec in zip(signatures, vectors)],
                 records=records,
             )
         }
@@ -500,16 +496,17 @@ def cmd_detect_llm(cfg: RunConfig) -> int:
         tolerate_parse_failures=cfg.tolerate_parse_failures,
     )
     with _exclusive_output(out_dir):
-        run = detect_batch(dataset, config, gateway)
-        comparison = _cohort_comparison_for_run(run, dataset)
-        dump = detection_run_to_dict(run, comparison)
+        dump = detect_batch(dataset, config, gateway)
+        comparison = _cohort_comparison_for_run(dump, dataset)
+        if comparison is not None:
+            dump["cohort_comparison"] = comparison
         write_json(out_dir / f"detector_{cfg.detector_model}.json", dump)
         write_text(
             out_dir / f"detector_{cfg.detector_model}.md",
             "\n".join(detector_markdown_lines(dump)) + "\n",
         )
-        for study in run.studies:
-            print(f"{study.study_id}: {study.percentage.rendered}% flagged AI")
+        for study in dump["studies"]:
+            print(f"{study['study_id']}: {study['percentage']['rendered']}% flagged AI")
         if comparison:
             print(
                 f"cohort averages ({comparison['convention']}): "
@@ -520,12 +517,16 @@ def cmd_detect_llm(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cohort_comparison_for_run(run: DetectionRun, dataset: SurveyDataset) -> dict | None:
-    """The run's cohort averages, or None when its studies are all in one cohort."""
+def _cohort_comparison_for_run(dump: dict, dataset: SurveyDataset) -> dict | None:
+    """The detector dump's cohort averages, or None when its studies are all in one cohort."""
     cohorts = {s.study_id: s.cohort for s in dataset.studies}
     stats = [
-        StudyStat(study_id=s.study_id, cohort=cohorts[s.study_id], percent=s.percentage)
-        for s in run.studies
+        StudyStat(
+            study_id=s["study_id"],
+            cohort=cohorts[s["study_id"]],
+            percent=percentage(s["percentage"]["num"], s["percentage"]["den"]),
+        )
+        for s in dump["studies"]
     ]
     if {stat.cohort for stat in stats} != set(Cohort):
         return None

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .dataset import SurveyDataset
@@ -22,9 +21,8 @@ from .model import (
     SurveyResponse,
     Verdict,
     VerdictFlag,
-    VerdictSource,
 )
-from .report import Percent, percentage
+from .report import percentage
 
 DETECTOR_TEMPLATE_VERSION = "det-v1"
 
@@ -89,51 +87,13 @@ def parse_detector_output(text: str) -> Verdict:
     human_hit = bool(_HUMAN_TOKEN.search(first_line))
     if ai_hit != human_hit:
         flag = VerdictFlag.AI if ai_hit else VerdictFlag.HUMAN
-        return Verdict(flag=flag, source=VerdictSource.LLM_DETECTOR, detail="first-line token")
+        return Verdict(flag=flag, detail="first-line token")
     ai_hit = any(p.search(lowered) for p in _AI_PHRASES)
     human_hit = any(p.search(lowered) for p in _HUMAN_PHRASES)
     if ai_hit != human_hit:
         flag = VerdictFlag.AI if ai_hit else VerdictFlag.HUMAN
-        return Verdict(flag=flag, source=VerdictSource.LLM_DETECTOR, detail="fallback phrase")
-    return Verdict(
-        flag=VerdictFlag.UNDETERMINED, source=VerdictSource.LLM_DETECTOR, detail="unparseable"
-    )
-
-
-@dataclass(frozen=True)
-class ResponseVerdict:
-    response_id: str
-    verdict: Verdict
-    raw_text_digest: str  # sha256 of the raw provider output, for audits
-
-
-@dataclass(frozen=True)
-class StudyDetection:
-    study_id: str
-    verdicts: tuple[ResponseVerdict, ...]
-    percentage: Percent  # AI count over classified count
-
-    def to_dict(self, config: DetectorConfig) -> dict:
-        return {
-            "study_id": self.study_id,
-            "model_id": config.model_id,
-            "template_version": DETECTOR_TEMPLATE_VERSION,
-            "verdicts": [
-                {
-                    "response_id": v.response_id,
-                    "flag": v.verdict.flag.value,
-                    "raw_text_digest": v.raw_text_digest,
-                }
-                for v in self.verdicts
-            ],
-            "percentage": self.percentage.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
-class DetectionRun:
-    config: DetectorConfig
-    studies: tuple[StudyDetection, ...]
+        return Verdict(flag=flag, detail="fallback phrase")
+    return Verdict(flag=VerdictFlag.UNDETERMINED, detail="unparseable")
 
 
 class DetectorParseError(DataError):
@@ -144,8 +104,9 @@ def detect_batch(
     dataset: SurveyDataset,
     config: DetectorConfig,
     gateway: ProviderGateway,
-) -> DetectionRun:
-    """Classify every non-empty open-ended response and aggregate per study.
+) -> dict:
+    """Classify every non-empty open-ended response and aggregate per study; returns
+    the detector dump dict (without the cohort comparison the CLI adds).
 
     UNDETERMINED verdicts stay in the denominator but never in the numerator;
     with tolerate_parse_failures off, the first one aborts the batch. A
@@ -175,40 +136,33 @@ def detect_batch(
         if isinstance(result, ProviderError):
             raise result
 
-    by_study: dict[str, list[ResponseVerdict]] = {}
+    by_study: dict[str, list[dict]] = {}
     for (study_id, response_id, _, _), result in zip(tasks, results):
-        verdict = parse_detector_output(result.text)
-        if verdict.flag == VerdictFlag.UNDETERMINED and not config.tolerate_parse_failures:
+        flag = parse_detector_output(result.text).flag
+        if flag == VerdictFlag.UNDETERMINED and not config.tolerate_parse_failures:
             raise DetectorParseError(
                 f'unparseable detector output for response "{response_id}"'
             )
         digest = hashlib.sha256(result.text.encode("utf-8")).hexdigest()
         by_study.setdefault(study_id, []).append(
-            ResponseVerdict(response_id=response_id, verdict=verdict, raw_text_digest=digest)
+            {"response_id": response_id, "flag": flag.value, "raw_text_digest": digest}
         )
 
     studies = []
     for study_id in sorted(by_study):
-        verdicts = tuple(by_study[study_id])
-        ai_count = sum(1 for v in verdicts if v.verdict.flag == VerdictFlag.AI)
-        studies.append(
-            StudyDetection(
-                study_id=study_id,
-                verdicts=verdicts,
-                percentage=percentage(ai_count, len(verdicts)),
-            )
-        )
-    return DetectionRun(config=config, studies=tuple(studies))
-
-
-def detection_run_to_dict(run: DetectionRun, cohort_comparison: Mapping | None = None) -> dict:
-    out = {
-        "model_id": run.config.model_id,
-        "temperature": run.config.temperature,
+        verdicts = by_study[study_id]
+        ai_count = sum(1 for v in verdicts if v["flag"] == VerdictFlag.AI.value)
+        studies.append({
+            "study_id": study_id,
+            "model_id": config.model_id,
+            "template_version": DETECTOR_TEMPLATE_VERSION,
+            "verdicts": verdicts,
+            "percentage": percentage(ai_count, len(verdicts)).to_dict(),
+        })
+    return {
+        "model_id": config.model_id,
+        "temperature": config.temperature,
         "template_version": DETECTOR_TEMPLATE_VERSION,
-        "tolerate_parse_failures": run.config.tolerate_parse_failures,
-        "studies": [s.to_dict(run.config) for s in run.studies],
+        "tolerate_parse_failures": config.tolerate_parse_failures,
+        "studies": studies,
     }
-    if cohort_comparison is not None:
-        out["cohort_comparison"] = dict(cohort_comparison)
-    return out

@@ -32,11 +32,6 @@ class VerdictFlag(str, Enum):
     UNDETERMINED = "UNDETERMINED"
 
 
-class VerdictSource(str, Enum):
-    LLM_DETECTOR = "llm_detector"
-    SIGNATURE = "signature"
-
-
 _MONTH_YEAR = re.compile(r"^(\d{4})-(\d{2})$")
 
 
@@ -120,14 +115,13 @@ class LengthStats:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Binary classification outcome for one response.
+    """The zero-shot detector's classification of one response, and how it was parsed.
 
     UNDETERMINED only appears when a parse failure was tolerated; a provider
     failure is never tolerated and aborts the batch.
     """
 
     flag: VerdictFlag
-    source: VerdictSource
     detail: str = ""
 
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DataError
 from .gateway import EmbeddingVector
-from .model import Verdict, VerdictFlag, VerdictSource
 
 FLAG_EMPTY = "empty"
 FLAG_IRRELEVANT = "irrelevant"
@@ -114,16 +113,6 @@ def check_threshold(th: float) -> None:
     """A threshold lies in (-1, 1]; at -1 or below every scored response would be AI."""
     if not -1.0 < th <= 1.0:
         raise ValueError(f"threshold must be in (-1, 1], got {th}")
-
-
-def classify_by_threshold(row: Mapping, th: float) -> Verdict:
-    """AI when the score meets th (inclusive boundary), else HUMAN."""
-    check_threshold(th)
-    return Verdict(
-        flag=VerdictFlag.AI if meets_threshold(row, th) else VerdictFlag.HUMAN,
-        source=VerdictSource.SIGNATURE,
-        detail=f"threshold={th:g}",
-    )
 
 
 def flag_irrelevant(row: Mapping, low_th: float = 0.0) -> bool:

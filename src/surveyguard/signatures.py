@@ -13,7 +13,6 @@ import hashlib
 import json
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -42,72 +41,6 @@ DEFAULT_SENTIMENTS = (Sentiment.POSITIVE, Sentiment.NEGATIVE, Sentiment.NEUTRAL)
 class StrategyKind(str, Enum):
     BASIC = "basic"
     SENTIMENT = "sentiment"
-
-
-@dataclass(frozen=True)
-class PromptStrategy:
-    kind: StrategyKind
-    sentiment: Sentiment | None = None
-
-    def __post_init__(self) -> None:
-        if (self.kind == StrategyKind.SENTIMENT) != (self.sentiment is not None):
-            raise ValueError("sentiment must be present iff kind is SENTIMENT")
-
-
-@dataclass(frozen=True)
-class Signature:
-    signature_id: str
-    question_id: str
-    strategy: PromptStrategy
-    model_id: str
-    temperature: float
-    text: str
-
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError(f"signature {self.signature_id}: text must be non-empty")
-
-    @property
-    def sort_key(self) -> tuple[str, float, str]:
-        sentiment = self.strategy.sentiment.value if self.strategy.sentiment else ""
-        return (self.model_id, self.temperature, sentiment)
-
-
-@dataclass(frozen=True)
-class GenerationFailure:
-    model_id: str
-    temperature: float
-    sentiment: Sentiment | None
-    error: str
-
-
-@dataclass(frozen=True)
-class GridDescriptor:
-    models: tuple[str, ...]
-    temperatures: tuple[float, ...]
-    sentiments: tuple[Sentiment, ...]
-
-    def cell_count(self) -> int:
-        n = len(self.models) * len(self.temperatures)
-        return n * len(self.sentiments) if self.sentiments else n
-
-
-@dataclass(frozen=True)
-class SignatureSet:
-    """All signatures generated for one question under one strategy."""
-
-    question_id: str
-    strategy_kind: StrategyKind
-    signatures: tuple[Signature, ...]
-    grid: GridDescriptor
-    template_version: str = TEMPLATE_VERSION
-    failures: tuple[GenerationFailure, ...] = ()
-    duplicates_removed: int = 0
-
-    def __post_init__(self) -> None:
-        keys = [(s.model_id, s.temperature, s.strategy.sentiment) for s in self.signatures]
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"duplicate grid cell in signature set for {self.question_id}")
 
 
 def build_basic_prompt(question: SurveyQuestion) -> tuple[tuple[str, str], ...]:
@@ -163,8 +96,8 @@ def generate_signatures(
     temperatures: Sequence[float],
     gateway: ProviderGateway,
     sentiments: Sequence[Sentiment] = DEFAULT_SENTIMENTS,
-) -> SignatureSet:
-    """Materialize one signature per grid cell through the gateway.
+) -> dict:
+    """Materialize one signature per grid cell through the gateway; returns the store dict.
 
     Provider failures and empty completions are recorded per cell; the whole
     operation fails only when more than half of the cells fail.
@@ -182,70 +115,64 @@ def generate_signatures(
         for sentiment in grid_sentiments or (None,)
     ]
     outcomes = gateway.chat_many([build_signature_request(question, *cell) for cell in cells])
-    signatures: list[Signature] = []
-    failures: list[GenerationFailure] = []
+    signatures: list[dict] = []
+    failures: list[dict] = []
     for (model_id, temperature, sentiment), outcome in zip(cells, outcomes):
+        row = {
+            "model_id": model_id,
+            "temperature": temperature,
+            "sentiment": sentiment.value if sentiment else None,
+        }
         if isinstance(outcome, ProviderError):
-            failures.append(GenerationFailure(model_id, temperature, sentiment, str(outcome)))
-            continue
-        if not outcome.text.strip():
-            failures.append(
-                GenerationFailure(model_id, temperature, sentiment, "empty completion")
-            )
-            continue
-        signatures.append(
-            Signature(
-                signature_id=signature_id_for(
-                    question.question_id, kind, model_id, temperature, sentiment
-                ),
-                question_id=question.question_id,
-                strategy=PromptStrategy(kind, sentiment),
-                model_id=model_id,
-                temperature=temperature,
-                text=outcome.text,
-            )
-        )
+            failures.append({**row, "error": str(outcome)})
+        elif not outcome.text.strip():
+            failures.append({**row, "error": "empty completion"})
+        else:
+            signature_id = signature_id_for(question.question_id, kind, model_id, temperature, sentiment)
+            signatures.append({"signature_id": signature_id, **row, "text": outcome.text})
 
     if len(failures) * 2 > len(cells):
         raise SignatureGenerationError(
             f'question "{question.question_id}": {len(failures)}/{len(cells)} signature cells failed'
         )
-    signatures.sort(key=lambda s: s.sort_key)
-    return SignatureSet(
-        question_id=question.question_id,
-        strategy_kind=kind,
-        signatures=tuple(signatures),
-        grid=GridDescriptor(
-            models=tuple(models),
-            temperatures=tuple(float(t) for t in temperatures),
-            sentiments=grid_sentiments,
-        ),
-        failures=tuple(failures),
-    )
+    signatures.sort(key=_cell_order)
+    return {
+        "question_id": question.question_id,
+        "strategy": kind.value,
+        "template_version": TEMPLATE_VERSION,
+        "grid": {
+            "models": list(models),
+            "temperatures": [float(t) for t in temperatures],
+            "sentiments": [s.value for s in grid_sentiments],
+        },
+        "signatures": signatures,
+        "failures": failures,
+        "duplicates_removed": 0,
+    }
+
+
+def _cell_order(row: dict) -> tuple[str, float, str]:
+    return (row["model_id"], row["temperature"], row["sentiment"] or "")
 
 
 def _normalized(text: str) -> str:
     return " ".join(text.split())
 
 
-def dedupe_signatures(signature_set: SignatureSet) -> SignatureSet:
+def dedupe_signatures(store: dict) -> dict:
     """Merge signatures whose text is identical after trim + whitespace collapse.
 
     The survivor of each group is the one with the smallest
     (model_id, temperature, sentiment) key; the removal count is recorded.
     Dedup never changes downstream max-similarity scores.
     """
-    groups: dict[str, list[Signature]] = {}
-    for sig in signature_set.signatures:
-        groups.setdefault(_normalized(sig.text), []).append(sig)
-    kept = [min(group, key=lambda s: (s.sort_key, s.signature_id)) for group in groups.values()]
-    removed = len(signature_set.signatures) - len(kept)
-    kept.sort(key=lambda s: s.sort_key)
-    return replace(
-        signature_set,
-        signatures=tuple(kept),
-        duplicates_removed=signature_set.duplicates_removed + removed,
-    )
+    groups: dict[str, list[dict]] = {}
+    for sig in store["signatures"]:
+        groups.setdefault(_normalized(sig["text"]), []).append(sig)
+    kept = [min(group, key=lambda s: (_cell_order(s), s["signature_id"])) for group in groups.values()]
+    removed = len(store["signatures"]) - len(kept)
+    kept.sort(key=_cell_order)
+    return {**store, "signatures": kept, "duplicates_removed": store["duplicates_removed"] + removed}
 
 
 # ---------------------------------------------------------------------------
@@ -264,90 +191,63 @@ def signature_store_path(store_dir: Path | str, kind: StrategyKind, question_id:
     return Path(store_dir) / kind.value / _store_filename(question_id)
 
 
-def save_signature_set(signature_set: SignatureSet, store_dir: Path | str) -> Path:
-    path = signature_store_path(store_dir, signature_set.strategy_kind, signature_set.question_id)
-    write_json(path, {
-        "question_id": signature_set.question_id,
-        "strategy": signature_set.strategy_kind.value,
-        "template_version": signature_set.template_version,
-        "grid": {
-            "models": list(signature_set.grid.models),
-            "temperatures": list(signature_set.grid.temperatures),
-            "sentiments": [s.value for s in signature_set.grid.sentiments],
-        },
-        "signatures": [
-            {
-                "signature_id": s.signature_id,
-                "model_id": s.model_id,
-                "temperature": s.temperature,
-                "sentiment": s.strategy.sentiment.value if s.strategy.sentiment else None,
-                "text": s.text,
-            }
-            for s in signature_set.signatures
-        ],
-        "failures": [
-            {
-                "model_id": f.model_id,
-                "temperature": f.temperature,
-                "sentiment": f.sentiment.value if f.sentiment else None,
-                "error": f.error,
-            }
-            for f in signature_set.failures
-        ],
-        "duplicates_removed": signature_set.duplicates_removed,
-    })
+def save_signature_set(store: dict, store_dir: Path | str) -> Path:
+    path = signature_store_path(store_dir, StrategyKind(store["strategy"]), store["question_id"])
+    write_json(path, store)
     return path
 
 
-def load_signature_set(store_dir: Path | str, kind: StrategyKind, question_id: str) -> SignatureSet:
+def load_signature_set(store_dir: Path | str, kind: StrategyKind, question_id: str) -> dict:
+    """The parsed store file, once every row has been checked."""
     path = signature_store_path(store_dir, kind, question_id)
-    if not path.exists():
-        raise DataError(f'no signature store for question "{question_id}" under {path.parent}')
     try:
-        with open(path, encoding="utf-8") as fh:
-            return _signature_set_from(json.load(fh))
+        fh = open(path, encoding="utf-8")
+    except FileNotFoundError:
+        raise DataError(f'no signature store for question "{question_id}" under {path.parent}') from None
+    try:
+        with fh:
+            store = json.load(fh)
+        _check_store(store)
     except KeyError as exc:
         raise DataError(f"corrupted signature store file: {path}: missing {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError included
         raise DataError(f"corrupted signature store file: {path}: {exc}") from exc
+    return store
 
 
-def _sentiment(row: dict) -> Sentiment | None:
-    return Sentiment(row["sentiment"]) if row.get("sentiment") else None
+def _grid_cell(kind: StrategyKind, row: dict) -> tuple[str, float, Sentiment | None]:
+    sentiment = Sentiment(row["sentiment"]) if row.get("sentiment") else None
+    if (kind == StrategyKind.SENTIMENT) != (sentiment is not None):
+        raise ValueError("sentiment must be present iff kind is SENTIMENT")
+    return row["model_id"], float(row["temperature"]), sentiment
 
 
-def _signature_set_from(payload: dict) -> SignatureSet:
-    kind = StrategyKind(payload["strategy"])
-    signatures = tuple(
-        Signature(
-            signature_id=row["signature_id"],
-            question_id=payload["question_id"],
-            strategy=PromptStrategy(kind, _sentiment(row)),
-            model_id=row["model_id"],
-            temperature=float(row["temperature"]),
-            text=row["text"],
-        )
-        for row in payload["signatures"]
-    )
-    failures = tuple(
-        GenerationFailure(
-            model_id=row["model_id"],
-            temperature=float(row["temperature"]),
-            sentiment=_sentiment(row),
-            error=row["error"],
-        )
-        for row in payload.get("failures", [])
-    )
-    return SignatureSet(
-        question_id=payload["question_id"],
-        strategy_kind=kind,
-        signatures=signatures,
-        grid=GridDescriptor(
-            models=tuple(payload["grid"]["models"]),
-            temperatures=tuple(float(t) for t in payload["grid"]["temperatures"]),
-            sentiments=tuple(Sentiment(s) for s in payload["grid"]["sentiments"]),
-        ),
-        template_version=payload["template_version"],
-        failures=failures,
-        duplicates_removed=int(payload.get("duplicates_removed", 0)),
-    )
+def _check_store(store: object) -> None:
+    """Raise KeyError, TypeError or ValueError unless store reads as a signature store.
+
+    Each conversion below is there to raise on a bad value; its result is not kept.
+    """
+    if not isinstance(store, dict):
+        raise TypeError("not a JSON object")
+    kind = StrategyKind(store["strategy"])
+    for key in ("question_id", "template_version"):
+        if key not in store:
+            raise KeyError(key)
+    iter(store["grid"]["models"])
+    for t in store["grid"]["temperatures"]:
+        float(t)
+    for s in store["grid"]["sentiments"]:
+        Sentiment(s)
+    int(store.get("duplicates_removed", 0))
+    cells = set()
+    for row in store["signatures"]:
+        signature_id, cell = row["signature_id"], _grid_cell(kind, row)
+        if not row["text"]:
+            raise ValueError(f"signature {signature_id}: text must be non-empty")
+        if cell in cells:
+            raise ValueError(f"duplicate grid cell in signature set for {store['question_id']}")
+        cells.add(cell)
+    for row in store.get("failures", []):
+        _grid_cell(kind, row)
+        if "error" not in row:
+            raise KeyError("error")

@@ -24,8 +24,7 @@ from surveyguard import cli
 from surveyguard.cli import RunConfig, build_parser, main
 from surveyguard.errors import ProviderError
 from surveyguard.gateway import canonical_json
-from surveyguard.model import VerdictFlag
-from surveyguard.scoring import classify_by_threshold
+from surveyguard.scoring import meets_threshold
 
 
 def run_cli(capsys, *args) -> tuple[int, str, str]:
@@ -558,7 +557,7 @@ class TestThresholdBoundary:
             assert pct["num"] == sum(1 for f in finals if f is not None and f >= th)
 
         boundary = at_th[0]  # a dumped row is what the library's rules take
-        assert classify_by_threshold(boundary, th).flag == VerdictFlag.AI
+        assert meets_threshold(boundary, th)
 
 
 class TestSweepCsvMatchesReportCsv:

@@ -1,16 +1,17 @@
+import json
 import random
 import time
 
 import pytest
 
 from conftest import StaticChatProvider
-from surveyguard.dataset import SurveyDataset
+from surveyguard.cli import build_gateway, main, resolve_config
+from surveyguard.dataset import SurveyDataset, load_dataset
 from surveyguard.detector import (
     DetectorConfig,
     DetectorParseError,
     build_detector_prompt,
     detect_batch,
-    detection_run_to_dict,
     parse_detector_output,
 )
 from surveyguard.errors import ProviderError
@@ -123,17 +124,17 @@ class TestDetectBatch:
     def test_marker_fixture_three_of_eight(self, tmp_path):
         gateway = make_gateway(tmp_path, MockChatProvider(seed=0))
         run = detect_batch(dataset_with_markers(3, 8), DetectorConfig(model_id="gpt-4o"), gateway)
-        assert run.studies[0].percentage.rendered == "37.50"
+        assert run["studies"][0]["percentage"]["rendered"] == "37.50"
 
     def test_two_of_ten(self, tmp_path):
         gateway = make_gateway(tmp_path, MockChatProvider(seed=0))
         run = detect_batch(dataset_with_markers(2, 10), DetectorConfig(model_id="gpt-4o"), gateway)
-        assert run.studies[0].percentage.rendered == "20.00"
+        assert run["studies"][0]["percentage"]["rendered"] == "20.00"
 
     def test_zero_ai_verdicts(self, tmp_path):
         gateway = make_gateway(tmp_path, MockChatProvider(seed=0))
         run = detect_batch(dataset_with_markers(0, 6), DetectorConfig(model_id="gpt-4o"), gateway)
-        assert run.studies[0].percentage.rendered == "0.00"
+        assert run["studies"][0]["percentage"]["rendered"] == "0.00"
 
     def test_empty_and_other_kind_responses_excluded(self, tmp_path):
         other_q = SurveyQuestion(question_id="q2", study_id="s1", text="Pick one", kind=QuestionKind.OTHER)
@@ -148,8 +149,8 @@ class TestDetectBatch:
         )
         gateway = make_gateway(tmp_path, MockChatProvider(seed=0))
         run = detect_batch(ds, DetectorConfig(model_id="gpt-4o"), gateway)
-        assert run.studies[0].percentage.to_dict()["den"] == 1
-        assert run.studies[0].percentage.rendered == "100.00"
+        assert run["studies"][0]["percentage"]["den"] == 1
+        assert run["studies"][0]["percentage"]["rendered"] == "100.00"
 
     def test_permutation_invariance(self, tmp_path):
         ds = dataset_with_markers(3, 8)
@@ -160,7 +161,7 @@ class TestDetectBatch:
         g2 = make_gateway(tmp_path / "b", MockChatProvider(seed=0))
         run1 = detect_batch(ds, DetectorConfig(model_id="gpt-4o"), g1)
         run2 = detect_batch(ds_shuffled, DetectorConfig(model_id="gpt-4o"), g2)
-        assert detection_run_to_dict(run1) == detection_run_to_dict(run2)
+        assert run1 == run2
 
     def test_repeated_answers_are_sent_once_even_when_calls_overlap(self, tmp_path):
         class SlowChat(StaticChatProvider):
@@ -179,7 +180,7 @@ class TestDetectBatch:
         run = detect_batch(ds, DetectorConfig(model_id="gpt-4o"), gateway)
         assert provider.calls == gateway.stats.provider_calls == 3
         assert gateway.stats.cache_hits == 27
-        assert len(run.studies[0].verdicts) == 30
+        assert len(run["studies"][0]["verdicts"]) == 30
 
     def test_a_permanent_provider_failure_aborts_the_batch(self, tmp_path):
         class FailsOnMarker(MockChatProvider):
@@ -201,12 +202,12 @@ class TestDetectBatch:
         g2 = ProviderGateway(cache=cache, chat_provider=MockChatProvider(seed=0), sleep=lambda _: None)
         run2 = detect_batch(ds, DetectorConfig(model_id="gpt-4o"), g2)
         assert g2.stats.provider_calls == 0
-        assert detection_run_to_dict(run1) == detection_run_to_dict(run2)
+        assert run1 == run2
 
     def test_tolerant_mode_counts_undetermined_in_denominator_only(self, tmp_path):
         gateway = make_gateway(tmp_path, StaticChatProvider("Maybe."))
         run = detect_batch(dataset_with_markers(0, 4), DetectorConfig(model_id="gpt-4o"), gateway)
-        pct = run.studies[0].percentage.to_dict()
+        pct = run["studies"][0]["percentage"]
         assert (pct["num"], pct["den"]) == (0, 4)
 
     def test_strict_mode_aborts_on_unparseable_output(self, tmp_path):
@@ -217,8 +218,8 @@ class TestDetectBatch:
 
     def test_dump_shape(self, tmp_path):
         gateway = make_gateway(tmp_path, MockChatProvider(seed=0))
-        run = detect_batch(dataset_with_markers(1, 4), DetectorConfig(model_id="gpt-4o"), gateway)
-        dump = detection_run_to_dict(run)
+        dump = detect_batch(dataset_with_markers(1, 4), DetectorConfig(model_id="gpt-4o"), gateway)
+        assert set(dump) == {"model_id", "temperature", "template_version", "tolerate_parse_failures", "studies"}
         study = dump["studies"][0]
         assert set(study) == {"study_id", "model_id", "template_version", "verdicts", "percentage"}
         assert {"response_id", "flag", "raw_text_digest"} == set(study["verdicts"][0])
@@ -227,3 +228,13 @@ class TestDetectBatch:
     def test_detector_temperature_validated(self):
         with pytest.raises(ValueError):
             DetectorConfig(model_id="m", temperature=1.5)
+
+
+def test_detect_batch_returns_the_dump_it_is_written_as(tmp_path, corpus_path):
+    args = ["--dataset", str(corpus_path), "--cache-dir", str(tmp_path / "cache"), "--mock"]
+    assert main(["detect-llm", *args, "--output-dir", str(tmp_path / "out")]) == 0
+    written = json.loads((tmp_path / "out" / "detector_gpt-3.5-turbo.json").read_text(encoding="utf-8"))
+    assert written.pop("cohort_comparison")
+    cfg = resolve_config(None, {"mock": True, "cache_dir": str(tmp_path / "cache")})
+    config = DetectorConfig(model_id=cfg.detector_model)
+    assert detect_batch(load_dataset(corpus_path), config, build_gateway(cfg)) == written

@@ -7,15 +7,15 @@ import pytest
 
 from surveyguard.cli import main
 from surveyguard.gateway import EmbeddingVector
-from surveyguard.model import VerdictFlag, VerdictSource
 from surveyguard.scoring import (
     FLAG_EMPTY,
     FLAG_IRRELEVANT,
     DegenerateEmbeddingError,
-    classify_by_threshold,
+    check_threshold,
     cosine_similarity,
     empty_scored,
     flag_irrelevant,
+    meets_threshold,
     score_question,
     score_response,
     similarity_matrix,
@@ -151,33 +151,27 @@ def manual_scored(final: float) -> dict:
 
 class TestThresholdClassification:
     def test_above_threshold(self):
-        verdict = classify_by_threshold(manual_scored(0.92), 0.9)
-        assert verdict.flag == VerdictFlag.AI
-        assert verdict.source == VerdictSource.SIGNATURE
-        assert "0.9" in verdict.detail
+        assert meets_threshold(manual_scored(0.92), 0.9)
 
     def test_inclusive_boundary(self):
-        assert classify_by_threshold(manual_scored(0.90), 0.9).flag == VerdictFlag.AI
+        assert meets_threshold(manual_scored(0.90), 0.9)
 
     def test_below_threshold(self):
-        assert classify_by_threshold(manual_scored(0.89), 0.9).flag == VerdictFlag.HUMAN
+        assert not meets_threshold(manual_scored(0.89), 0.9)
 
     def test_empty_response_counts_as_not_ai(self):
-        assert classify_by_threshold(empty_scored("r"), 0.7).flag == VerdictFlag.HUMAN
+        assert not meets_threshold(empty_scored("r"), 0.7)
 
     @pytest.mark.parametrize("bad", [-1.0, -1.5, 1.0001])
     def test_threshold_domain(self, bad):
         with pytest.raises(ValueError):
-            classify_by_threshold(manual_scored(0.5), bad)
+            check_threshold(bad)
 
     def test_ai_count_non_increasing_in_threshold(self):
         rng = random.Random(9)
         scored = [manual_scored(rng.uniform(-1, 1)) for _ in range(100)]
         thresholds = [0.1 * i for i in range(-9, 11)]
-        counts = [
-            sum(1 for s in scored if classify_by_threshold(s, th).flag == VerdictFlag.AI)
-            for th in thresholds
-        ]
+        counts = [sum(1 for s in scored if meets_threshold(s, th)) for th in thresholds]
         assert counts == sorted(counts, reverse=True)
 
 

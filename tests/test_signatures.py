@@ -1,18 +1,19 @@
 import json
+import re
+import shutil
 from itertools import product
 
 import pytest
 
-from conftest import StaticChatProvider, cache_entries
-from surveyguard.errors import ProviderError
-from surveyguard.gateway import DiskCache, ProviderGateway, build_cache_key
+from conftest import FIXTURE_CORPUS, StaticChatProvider, cache_entries
+from surveyguard.cli import main
+from surveyguard.errors import DataError, ProviderError
+from surveyguard.gateway import DiskCache, ProviderGateway, build_cache_key, canonical_json
 from surveyguard.model import SurveyQuestion
 from surveyguard.providers import MockChatProvider
 from surveyguard.signatures import (
     SENTIMENT_TEMPLATE,
-    PromptStrategy,
     Sentiment,
-    Signature,
     SignatureGenerationError,
     StrategyKind,
     build_basic_prompt,
@@ -66,31 +67,26 @@ class TestPromptBuilders:
         neutral = build_sentiment_prompt(QUESTION, Sentiment.NEUTRAL)[0][1]
         assert negative.replace("negative", "{s}") == neutral.replace("neutral", "{s}")
 
-    def test_strategy_invariant(self):
-        with pytest.raises(ValueError):
-            PromptStrategy(kind=StrategyKind.SENTIMENT)
-        with pytest.raises(ValueError):
-            PromptStrategy(kind=StrategyKind.BASIC, sentiment=Sentiment.POSITIVE)
 
 
 class TestGridSizes:
     def test_default_basic_grid_yields_20(self, tmp_path):
         gateway = make_gateway(tmp_path)
         result = generate_signatures(QUESTION, StrategyKind.BASIC, MODELS, TEMPS, gateway)
-        assert len(result.signatures) == 20
-        assert result.failures == ()
+        assert len(result["signatures"]) == 20
+        assert result["failures"] == []
 
     def test_minimal_grid_yields_1(self, tmp_path):
         gateway = make_gateway(tmp_path)
         result = generate_signatures(QUESTION, StrategyKind.BASIC, ["gpt-4"], [0.0], gateway)
-        assert len(result.signatures) == 1
+        assert len(result["signatures"]) == 1
 
     def test_sentiment_grid_yields_60_by_enumeration(self, tmp_path):
         gateway = make_gateway(tmp_path)
         result = generate_signatures(QUESTION, StrategyKind.SENTIMENT, MODELS, TEMPS, gateway)
         expected = len(list(product(MODELS, TEMPS, list(Sentiment))))
         assert expected == 60
-        assert len(result.signatures) == expected
+        assert len(result["signatures"]) == expected
 
     def test_empty_grid_rejected(self, tmp_path):
         gateway = make_gateway(tmp_path)
@@ -111,9 +107,9 @@ class TestGenerationFailures:
         result = generate_signatures(
             QUESTION, StrategyKind.BASIC, ["m1"], [0.0, 0.25], gateway
         )
-        assert len(result.signatures) == 1
-        assert len(result.failures) == 1
-        assert result.failures[0].error == "empty completion"
+        assert len(result["signatures"]) == 1
+        assert len(result["failures"]) == 1
+        assert result["failures"][0]["error"] == "empty completion"
 
     def test_majority_failure_aborts_question(self, tmp_path):
         class MostlyBroken:
@@ -130,30 +126,19 @@ class TestGenerationFailures:
 
 
 class TestDedupe:
-    def sig(self, sid, model, temp, text, sentiment=None):
-        strategy = (
-            PromptStrategy(kind=StrategyKind.SENTIMENT, sentiment=sentiment)
-            if sentiment
-            else PromptStrategy(kind=StrategyKind.BASIC)
-        )
-        return Signature(
-            signature_id=sid,
-            question_id="q1",
-            strategy=strategy,
-            model_id=model,
-            temperature=temp,
-            text=text,
-        )
+    def sig(self, sid, model, temp, text):
+        return {"signature_id": sid, "model_id": model, "temperature": temp, "sentiment": None, "text": text}
 
     def build_set(self, signatures):
-        from surveyguard.signatures import GridDescriptor, SignatureSet
-
-        return SignatureSet(
-            question_id="q1",
-            strategy_kind=StrategyKind.BASIC,
-            signatures=tuple(signatures),
-            grid=GridDescriptor(models=("m1", "m2"), temperatures=(0.0, 0.5), sentiments=()),
-        )
+        return {
+            "question_id": "q1",
+            "strategy": "basic",
+            "template_version": "sig-v1",
+            "grid": {"models": ["m1", "m2"], "temperatures": [0.0, 0.5], "sentiments": []},
+            "signatures": signatures,
+            "failures": [],
+            "duplicates_removed": 0,
+        }
 
     def test_identical_texts_merge_keeping_smallest_key(self):
         s = self.build_set(
@@ -163,9 +148,9 @@ class TestDedupe:
             ]
         )
         deduped = dedupe_signatures(s)
-        assert len(deduped.signatures) == 1
-        assert deduped.duplicates_removed == 1
-        assert deduped.signatures[0].model_id == "m1"
+        assert len(deduped["signatures"]) == 1
+        assert deduped["duplicates_removed"] == 1
+        assert deduped["signatures"][0]["model_id"] == "m1"
 
     def test_all_distinct_unchanged(self):
         s = self.build_set(
@@ -175,8 +160,8 @@ class TestDedupe:
             ]
         )
         deduped = dedupe_signatures(s)
-        assert deduped.signatures == s.signatures
-        assert deduped.duplicates_removed == 0
+        assert deduped["signatures"] == s["signatures"]
+        assert deduped["duplicates_removed"] == 0
 
     def test_trailing_newline_merges(self):
         s = self.build_set(
@@ -185,7 +170,7 @@ class TestDedupe:
                 self.sig("q1|basic|m2|t0", "m2", 0.0, "same words\n"),
             ]
         )
-        assert len(dedupe_signatures(s).signatures) == 1
+        assert len(dedupe_signatures(s)["signatures"]) == 1
 
     def test_internal_whitespace_collapse_merges(self):
         s = self.build_set(
@@ -194,7 +179,7 @@ class TestDedupe:
                 self.sig("q1|basic|m2|t0", "m2", 0.0, "same words"),
             ]
         )
-        assert len(dedupe_signatures(s).signatures) == 1
+        assert len(dedupe_signatures(s)["signatures"]) == 1
 
 
 class TestDeterminismAndStore:
@@ -218,32 +203,30 @@ class TestDeterminismAndStore:
     def test_replaying_recorded_cells_reproduces_cached_requests(self, tmp_path):
         gateway = make_gateway(tmp_path)
         result = generate_signatures(QUESTION, StrategyKind.SENTIMENT, ["m1"], [0.0, 0.5], gateway)
-        for sig in result.signatures:
+        for sig in result["signatures"]:
             request = build_signature_request(
-                QUESTION, sig.model_id, sig.temperature, sig.strategy.sentiment
+                QUESTION, sig["model_id"], sig["temperature"], Sentiment(sig["sentiment"])
             )
             key = build_cache_key(request, gateway.chat_provider.provider_id)
             entry = json.loads(cache_entries(gateway.cache.root)[key.digest])
             assert entry["request"]["messages"] == [list(m) for m in request.messages]
-            assert entry["response"]["text"] == sig.text
+            assert entry["response"]["text"] == sig["text"]
 
-    def test_save_load_round_trip(self, tmp_path):
-        gateway = make_gateway(tmp_path)
-        result = generate_signatures(QUESTION, StrategyKind.BASIC, ["m1", "m2"], [0.0], gateway)
-        result = dedupe_signatures(result)
-        save_signature_set(result, tmp_path / "store")
-        loaded = load_signature_set(tmp_path / "store", StrategyKind.BASIC, "q1")
-        assert loaded.signatures == result.signatures
-        assert loaded.grid == result.grid
-        assert loaded.template_version == result.template_version
-        assert loaded.duplicates_removed == result.duplicates_removed
+    @pytest.mark.parametrize("kind", list(StrategyKind))
+    def test_save_load_round_trip(self, tmp_path, kind):
+        gateway = make_gateway(tmp_path, chat=StaticChatProvider("Identical answer."))
+        result = dedupe_signatures(generate_signatures(QUESTION, kind, ["m1", "m2"], [0.0], gateway))
+        assert result["duplicates_removed"] > 0
+        path = save_signature_set(result, tmp_path / "store")
+        assert load_signature_set(tmp_path / "store", kind, "q1") == result
+        assert path.read_text(encoding="utf-8") == canonical_json(result) + "\n"
 
     def test_signatures_sorted_by_model_temperature_sentiment(self, tmp_path):
         gateway = make_gateway(tmp_path)
         result = generate_signatures(
             QUESTION, StrategyKind.SENTIMENT, ["m2", "m1"], [0.5, 0.0], gateway
         )
-        keys = [s.sort_key for s in result.signatures]
+        keys = [(s["model_id"], s["temperature"], s["sentiment"]) for s in result["signatures"]]
         assert keys == sorted(keys)
 
     def test_store_filename_sanitized_for_odd_ids(self, tmp_path):
@@ -254,7 +237,86 @@ class TestDeterminismAndStore:
     def test_forced_duplicates_dedupe_to_one(self, tmp_path):
         gateway = make_gateway(tmp_path, chat=StaticChatProvider("Identical answer."))
         result = generate_signatures(QUESTION, StrategyKind.BASIC, MODELS, TEMPS, gateway)
-        assert len(result.signatures) == 20
+        assert len(result["signatures"]) == 20
         deduped = dedupe_signatures(result)
-        assert len(deduped.signatures) == 1
-        assert deduped.duplicates_removed == 19
+        assert len(deduped["signatures"]) == 1
+        assert deduped["duplicates_removed"] == 19
+
+
+def _first_row(**changes):
+    """A store edit: the first signature row with changes applied."""
+    return lambda store: {**store, "signatures": [{**store["signatures"][0], **changes}, *store["signatures"][1:]]}
+
+
+# name: (strategy, edit returning the bad store's JSON value)
+BAD_STORES = {
+    "basic store with a sentiment row": ("basic", _first_row(sentiment="positive")),
+    "sentiment row without a sentiment": ("sentiment", _first_row(sentiment=None)),
+    "empty text": ("basic", _first_row(text="")),
+    "duplicate grid cell": (
+        "basic",
+        lambda store: {**store, "signatures": [*store["signatures"], {**store["signatures"][0], "signature_id": "dup"}]},
+    ),
+    "temperature not a number": ("basic", _first_row(temperature="x")),
+    "no template_version": ("basic", lambda store: {k: v for k, v in store.items() if k != "template_version"}),
+    "unknown grid sentiment": ("sentiment", lambda store: {**store, "grid": {**store["grid"], "sentiments": ["angry"]}}),
+    "duplicates_removed not a number": ("basic", lambda store: {**store, "duplicates_removed": "x"}),
+    "top level is an array": ("basic", lambda store: [store]),
+    "failure row without error": (
+        "basic",
+        lambda store: {**store, "failures": [{"model_id": "m", "temperature": 0.0, "sentiment": None}]},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def generated_run(tmp_path_factory):
+    """An output directory holding basic and sentiment stores for the fixture corpus."""
+    root = tmp_path_factory.mktemp("stores")
+    for strategy in ("basic", "sentiment"):
+        code = main([
+            "gen-signatures", "--strategy", strategy, "--models", "gpt-4o", "--temps", "0,0.5",
+            "--dataset", str(FIXTURE_CORPUS), "--cache-dir", str(root / "cache"),
+            "--output-dir", str(root / "out"), "--mock",
+        ])
+        assert code == 0
+    return root
+
+
+def _score(root, out_dir, strategy) -> int:
+    return main([
+        "score", "--strategy", strategy, "--dataset", str(FIXTURE_CORPUS),
+        "--cache-dir", str(root / "cache"), "--output-dir", str(out_dir), "--mock",
+    ])
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STORES))
+def test_bad_signature_store_is_a_data_error_naming_the_file(case, generated_run, tmp_path, capsys):
+    strategy, edit = BAD_STORES[case]
+    out_dir = tmp_path / "out"
+    shutil.copytree(generated_run / "out", out_dir)
+    kind = StrategyKind(strategy)
+    path = signature_store_path(out_dir / "signatures", kind, "q1")
+    path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
+
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        load_signature_set(out_dir / "signatures", kind, "q1")
+    capsys.readouterr()
+    assert _score(generated_run, out_dir, strategy) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_legacy_store_without_failures_or_duplicates_removed_loads(generated_run, tmp_path):
+    out_dir = tmp_path / "out"
+    shutil.copytree(generated_run / "out", out_dir)
+    for kind in StrategyKind:
+        path = signature_store_path(out_dir / "signatures", kind, "q1")
+        store = json.loads(path.read_text(encoding="utf-8"))
+        del store["failures"], store["duplicates_removed"]
+        path.write_text(json.dumps(store), encoding="utf-8")
+        assert _score(generated_run, out_dir, kind.value) == 0
+
+
+def test_missing_store_is_a_data_error_naming_the_question(tmp_path):
+    with pytest.raises(DataError, match='no signature store for question "q1"'):
+        load_signature_set(tmp_path, StrategyKind.BASIC, "q1")
