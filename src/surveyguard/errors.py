@@ -23,4 +23,8 @@ class ProviderError(Exception):
 
 
 class TransientProviderError(ProviderError):
-    """Retryable provider failure: rate limit, 5xx, timeout, network error."""
+    """Retryable provider failure: rate limit, 5xx, timeout, network error; ``retry_after`` in seconds."""
+
+    def __init__(self, message: str, status: int | None = None, retry_after: float | None = None):
+        super().__init__(message, status=status)
+        self.retry_after = retry_after

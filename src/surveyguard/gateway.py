@@ -19,18 +19,19 @@ import tempfile
 import threading
 import time
 from array import array
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ProviderError, TransientProviderError
-from .providers import ChatProvider, EmbeddingProvider
+from .providers import REQUEST_TIMEOUT_S, ChatProvider, EmbeddingProvider
 
 EMBED_BATCH = 64  # texts per embedding request on a cache miss
 PACK_ENTRIES = 64  # pending cache entries committed as one pack
@@ -200,6 +201,9 @@ class DiskCache:
             return f"{self._packs[held >> 32][1]} entry {key.digest}"
         return str(self.root / key.digest)
 
+    def __contains__(self, key: CacheKey) -> bool:
+        return bytes.fromhex(key.digest) in self._index or (self.root / key.digest).is_file()
+
     def load(self, key: CacheKey) -> dict | None:
         held = self._index.get(bytes.fromhex(key.digest))
         if isinstance(held, bytes):
@@ -292,14 +296,17 @@ class DiskCache:
         return len(self._index) + sum(bytes.fromhex(name) not in self._index for name in files)
 
 
-def _fan_out(items: Sequence, call: Callable) -> list:
+def _fan_out(items: Iterable, call: Callable) -> list:
     """``call`` on each item from up to ``MAX_IN_FLIGHT`` workers, results in input order.
 
-    The calling thread is a worker, so one item starts no thread. A ProviderError
-    takes its item's place; any other exception is raised once the others finish.
+    The calling thread is a worker; helpers start only for a second item, and items are drawn
+    one at a time under a lock, so a generator may make them as needed. A ProviderError takes
+    its item's place; any other exception is raised once the others finish.
     """
-    results: list = [None] * len(items)
+    results: dict = {}
     pending = enumerate(items)
+    first = list(islice(pending, 2))
+    pending = chain(first, pending)
     take = threading.Lock()
 
     # One loop per worker over a shared iterator: a Future per item
@@ -316,11 +323,11 @@ def _fan_out(items: Sequence, call: Callable) -> list:
                 results[index] = exc
 
     with ThreadPoolExecutor(MAX_IN_FLIGHT) as pool:
-        helpers = [pool.submit(work) for _ in range(min(MAX_IN_FLIGHT, len(items)) - 1)]
+        helpers = [pool.submit(work) for _ in range(MAX_IN_FLIGHT - 1 if len(first) > 1 else 0)]
         work()
     for helper in helpers:
         helper.result()
-    return results
+    return [results[index] for index in range(len(results))]
 
 
 @dataclass
@@ -369,45 +376,59 @@ class ProviderGateway:
                 last = exc
                 if attempt < RETRIES - 1:
                     delay = BACKOFF_BASE_S * (2**attempt) * (1.0 + 0.5 * self._jitter.random())
-                    self._sleep(delay)
+                    self._sleep(min(max(delay, exc.retry_after or 0.0), REQUEST_TIMEOUT_S))
         assert last is not None
         raise ProviderError(
             f"{what} failed after {RETRIES} attempts: {last}", status=last.status, attempts=RETRIES
         ) from last
 
-    def _lookup(self, items: Sequence, provider_id: str, read: Callable[[dict], object]) -> tuple[dict, list]:
-        """Hits made by ``read`` from cached responses, and (item, key) misses, in input order.
-
-        A repeated item counts as a hit; a KeyError, TypeError or ValueError from ``read`` is a DataError.
-        """
-        hits = {}
-        misses = []
+    def _lookup(
+        self, items: Iterable, provider_id: str, read: Callable[[dict], object], sent: set, hits: dict | None
+    ) -> Iterator[tuple]:
+        """Yield each miss as (item, key), in input order, once the item is in ``sent``; put what
+        ``_read`` makes of each cached response in ``hits``. With no ``hits``, the cache is only
+        asked whether it holds the key. An item in ``sent`` or ``hits`` counts as a hit. Lazy:
+        ``_fan_out``'s workers look up a batch while others send."""
         self.cache.refresh()
-        for item in dict.fromkeys(items):
-            key = build_cache_key(item, provider_id)
-            entry = self.cache.load(key)
-            if entry is None:
-                misses.append((item, key))
+        found = missed = 0
+        for item in items:
+            if item in sent or item in (hits or ()):
+                found += 1
                 continue
-            try:
-                hits[item] = read(entry["response"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"corrupted cache entry: {self.cache.locate(key)}: {exc!r}") from exc
+            key = build_cache_key(item, provider_id)
+            value = self._read(key, read) if hits is not None else (key in self.cache or None)
+            if value is None:
+                missed += 1
+                sent.add(item)
+                yield item, key
+                continue
+            found += 1
+            if hits is not None:
+                hits[item] = value
         with self._stats_lock:
-            self.stats.cache_misses += len(misses)
-            self.stats.cache_hits += len(items) - len(misses)
-        return hits, misses
+            self.stats.cache_misses += missed
+            self.stats.cache_hits += found
 
-    def _send(self, items: Sequence, call: Callable) -> list:
+    def _read(self, key: CacheKey, read: Callable[[dict], object]) -> object:
+        """What ``read`` makes of the key's cached response, or None if there is none; a KeyError,
+        TypeError or ValueError from ``read`` is a DataError naming the entry."""
+        entry = self.cache.load(key)
+        try:
+            return None if entry is None else read(entry["response"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"corrupted cache entry: {self.cache.locate(key)}: {exc!r}") from exc
+
+    def _send(self, items: Iterable, call: Callable) -> list:
         """``_fan_out``, then commit the entries it stored, also when it raises."""
         try:
             return _fan_out(items, call)
         finally:
             self.cache.flush()
 
-    def _vector(self, provider_id: str, values: Sequence[float], dim: int) -> EmbeddingVector:
-        """A cached or fetched vector, in the dimension of the provider's first one."""
-        vector = EmbeddingVector(values=values, provider_id=provider_id, dim=dim)
+    def _vector(self, provider_id: str, response: dict) -> EmbeddingVector:
+        """The vector of a cached or fetched response, in the dimension of the provider's first one."""
+        dim = response["dim"]
+        vector = EmbeddingVector(values=response["values"], provider_id=provider_id, dim=dim)
         seen = self._embed_dims.setdefault(provider_id, dim)
         if seen != dim:
             raise ConfigError(f"embedding dimension drift for provider {provider_id}: {seen} then {dim}")
@@ -436,7 +457,8 @@ class ProviderGateway:
                 raise TypeError("response text is not a string")
             return response["text"]
 
-        cached, misses = self._lookup(requests, provider_id, read)
+        cached: dict[ChatRequest, str] = {}
+        misses = list(self._lookup(requests, provider_id, read, set(), cached))
 
         def send(miss: tuple[ChatRequest, CacheKey]) -> ChatResult:
             request, key = miss
@@ -456,41 +478,53 @@ class ProviderGateway:
         return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        """Cache-through embeddings, returned in input order.
+        """Cache-through embeddings, in input order; see ``store_embeddings``."""
+        vectors: dict[str, EmbeddingVector] = {}
+        self.store_embeddings(texts, vectors)
+        return [vectors[text] for text in texts]
 
-        Empty texts are rejected before any call. Distinct uncached texts go
-        to the provider ``EMBED_BATCH`` at a time through ``_fan_out``; each
-        batch is one call, retried as a unit, and all its vectors are checked
-        for dimension drift and finiteness before any is stored. A batch that
-        fails for good raises its ProviderError once the others are stored.
+    def store_embeddings(self, texts: Sequence[str], vectors: dict | None = None) -> None:
+        """Fetch and store the vector of every uncached text in one ``_lookup``-``_fan_out`` pass.
+
+        ``vectors``, if given, gets every text's vector, each cached one read and checked as it
+        is looked up. Without it no vector is kept, and a cached text is only looked for, to be
+        read by ``stored_embeddings``. Empty texts are rejected before any call. Distinct
+        uncached texts go to the provider ``EMBED_BATCH`` at a time, in input order; each batch
+        is one call, retried as a unit, and all its vectors are checked for dimension drift and
+        finiteness before any is stored. A batch that fails for good raises its ProviderError
+        once the others are stored.
         """
         if self.embedding_provider is None:
             raise ConfigError("no embedding provider configured")
         if any(not text.strip() for text in texts):
             raise DataError("empty text")
         provider_id = self.embedding_provider.provider_id
-        vectors, misses = self._lookup(
-            texts, provider_id, lambda r: self._vector(provider_id, r["values"], r["dim"])
-        )
+        in_flight: set[str] = set()  # sent and not yet stored; a repeat of one is a hit
+        misses = self._lookup(texts, provider_id, partial(self._vector, provider_id), in_flight, vectors)
 
         def send(batch: list[tuple[str, CacheKey]]) -> None:
             batch_texts = [text for text, _ in batch]
-            raw: Sequence[Sequence[float]] = self._call_with_retry(
-                lambda: self.embedding_provider.embed_many(batch_texts), "embed"
-            )
+            raw = self._call_with_retry(lambda: self.embedding_provider.embed_many(batch_texts), "embed")
             if len(raw) != len(batch):
-                raise ProviderError(
-                    f"embedding provider returned {len(raw)} vectors for {len(batch)} texts"
-                )
-            fetched = [self._vector(provider_id, values, len(values)) for values in raw]
+                raise ProviderError(f"embedding provider returned {len(raw)} vectors for {len(batch)} texts")
+            fetched = [self._vector(provider_id, {"values": v, "dim": len(v)}) for v in raw]
             for (text, key), vector in zip(batch, fetched):
                 material = embed_key_material(text, provider_id)
                 entry = {"request": material, "response": {"values": vector.values, "dim": vector.dim}}
                 self.cache.store(key, entry)
-                vectors[text] = vector
+                if vectors is not None:
+                    vectors[text] = vector
+            in_flight.difference_update(batch_texts)  # the cache holds them now
 
-        batches = [misses[i : i + EMBED_BATCH] for i in range(0, len(misses), EMBED_BATCH)]
-        for outcome in self._send(batches, send):
+        for outcome in self._send(iter(lambda: list(islice(misses, EMBED_BATCH)), []), send):
             if isinstance(outcome, ProviderError):
                 raise outcome
+
+    def stored_embeddings(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+        """The stored vectors of texts, in input order: no provider call, and no hit counted again."""
+        provider_id = self.embedding_provider.provider_id
+        read = partial(self._vector, provider_id)
+        vectors = {t: self._read(build_cache_key(t, provider_id), read) for t in dict.fromkeys(texts)}
+        if None in vectors.values():
+            raise DataError("a text has no stored embedding: store_embeddings must come first")
         return [vectors[text] for text in texts]

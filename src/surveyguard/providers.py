@@ -16,6 +16,8 @@ import urllib.request
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Protocol
 
+import numpy as np
+
 from .errors import ConfigError, ProviderError, TransientProviderError
 
 if TYPE_CHECKING:
@@ -34,7 +36,7 @@ class ChatProvider(Protocol):
 class EmbeddingProvider(Protocol):
     provider_id: str
 
-    def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
+    def embed_many(self, texts: Sequence[str]) -> Sequence[Sequence[float]]:
         """One vector per text, in input order, from a single request."""
         ...
 
@@ -85,7 +87,8 @@ class MockEmbeddingProvider:
     Coordinate i of the vector for a text is u/2**64 * 2 - 1 where u is the
     big-endian integer of the first 8 bytes of sha256("{seed}|{i}|{text}").
     Equal texts map to equal vectors; distinct texts differ with overwhelming
-    probability. Tests rely on this exact construction.
+    probability. Tests rely on this exact construction. ``embed`` is its readable
+    reference; tests check that the faster ``embed_many`` gives the same bits.
     """
 
     def __init__(self, seed: int = 0, dim: int = 16):
@@ -94,6 +97,7 @@ class MockEmbeddingProvider:
         self.seed = seed
         self.dim = dim
         self.provider_id = f"mock-embed-{seed}-d{dim}"
+        self._prefixes = [f"{seed}|{i}|".encode("utf-8") for i in range(dim)]
 
     def embed(self, text: str) -> list[float]:
         values = []
@@ -102,8 +106,14 @@ class MockEmbeddingProvider:
             values.append(u / 2.0**64 * 2.0 - 1.0)
         return values
 
-    def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
-        return [self.embed(text) for text in texts]
+    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
+        vectors = []
+        for text in texts:
+            data = text.encode("utf-8")
+            digests = b"".join([hashlib.sha256(prefix + data).digest() for prefix in self._prefixes])
+            u = np.frombuffer(digests, ">u8")[::4]  # the first 8 of each 32 bytes
+            vectors.append(u.astype(np.float64) / 2.0**64 * 2.0 - 1.0)
+        return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +137,10 @@ def _post_json(url: str, payload: dict, api_key: str) -> dict:
     except urllib.error.HTTPError as exc:
         detail = exc.read().decode("utf-8", "replace")[:200]
         if exc.code == 429 or exc.code >= 500:
-            raise TransientProviderError(
-                f"HTTP {exc.code} from {url}: {detail}", status=exc.code
-            ) from exc
+            wait = (exc.headers or {}).get("Retry-After", "").strip()  # RFC 9110, 10.2.3; no HTTP-date
+            retry_after = float(wait) if wait.isascii() and wait.isdigit() else None
+            message = f"HTTP {exc.code} from {url}: {detail}"
+            raise TransientProviderError(message, status=exc.code, retry_after=retry_after) from exc
         raise ProviderError(f"HTTP {exc.code} from {url}: {detail}", status=exc.code) from exc
     except urllib.error.URLError as exc:
         raise TransientProviderError(f"network error calling {url}: {exc.reason}") from exc

@@ -208,6 +208,8 @@ def load_signature_set(store_dir: Path | str, kind: StrategyKind, question_id: s
         with fh:
             store = json.load(fh)
         _check_store(store)
+        if (store["strategy"], store["question_id"]) != (kind.value, question_id):
+            raise ValueError(f"it is the {store['strategy']} store of question {store['question_id']!r}")
     except KeyError as exc:
         raise DataError(f"corrupted signature store file: {path}: missing {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError included

@@ -1,10 +1,13 @@
 import argparse
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from conftest import (
 from surveyguard import cli
 from surveyguard.cli import RunConfig, build_parser, main
 from surveyguard.errors import ProviderError
-from surveyguard.gateway import canonical_json
+from surveyguard.gateway import EMBED_BATCH, canonical_json
 from surveyguard.scoring import meets_threshold
 
 
@@ -169,6 +172,90 @@ class TestScore:
         scored = json.loads((tmp_path / "out" / "scored_basic.json").read_text(encoding="utf-8"))
         non_empty = next(r for r in scored if r["final_score"] is not None)
         assert len(non_empty["per_signature"]) == 20
+
+
+class SlowRecordingEmbedder(cli.MockEmbeddingProvider):
+    """The mock's vectors after a delay; records each request and the peak in flight.
+
+    A request holding ``fail_on`` fails for good. Set the class attributes before a run.
+    """
+
+    requests: list[list[str]] = []
+    fail_on: str | None = None
+    in_flight = peak = 0
+    lock = threading.Lock()
+
+    def embed_many(self, texts):
+        cls = SlowRecordingEmbedder
+        with cls.lock:
+            cls.requests.append(list(texts))
+            cls.in_flight += 1
+            cls.peak = max(cls.peak, cls.in_flight)
+        try:
+            time.sleep(0.05)
+            if cls.fail_on in texts:
+                raise ProviderError("bad request", status=400)
+            return super().embed_many(texts)
+        finally:
+            with cls.lock:
+                cls.in_flight -= 1
+
+
+class TestColdScoreFetchesEveryQuestionInOnePass:
+    SHARED = "Shared by the first and the last question."
+
+    @pytest.fixture
+    def run(self, capsys, monkeypatch, tmp_path):
+        """Six open questions of 30 answers each, one answer shared by two of them, and
+        their basic signatures. Returns a score runner with a fresh recording embedder, and
+        the distinct texts to embed."""
+        questions = [[f"q{n}", "s1", "open_ended", f"Question {n}?"] for n in range(6)]
+        responses = [
+            [f"r{n}-{i:02d}", f"q{n}", f"Answer {i} to question {n}.", "2021-06-03"]
+            for n in range(6)
+            for i in range(30)
+        ]
+        responses[0][2] = responses[-1][2] = self.SHARED
+        studies = [["s1", "Study", "2021-06", "software", "mturk"]]
+        dataset = write_bundle(tmp_path / "data", studies, questions, responses)
+        args = ["--dataset", dataset, "--cache-dir", tmp_path / "cache", "--output-dir", tmp_path / "out"]
+        code, _, _ = run_cli(capsys, "gen-signatures", "--models", "m1", "--temps", "0,0.5", "--mock", *args)
+        assert code == 0
+        monkeypatch.setattr(cli, "MockEmbeddingProvider", SlowRecordingEmbedder)
+
+        def score(fail_on=None):
+            SlowRecordingEmbedder.requests = []
+            SlowRecordingEmbedder.fail_on = fail_on
+            SlowRecordingEmbedder.peak = 0
+            code, _, _ = run_cli(capsys, "score", "--mock", *args)
+            return code, SlowRecordingEmbedder.requests
+
+        store_dir = tmp_path / "out" / "signatures" / "basic"
+        stores = [json.loads(path.read_text(encoding="utf-8")) for path in store_dir.glob("*.json")]
+        assert max(len(store["signatures"]) for store in stores) + 30 < EMBED_BATCH  # no question fills one
+        distinct = {s["text"] for store in stores for s in store["signatures"]} | {r[2] for r in responses}
+        assert len(distinct) > 2 * EMBED_BATCH
+        return score, distinct
+
+    def test_batches_span_questions_and_overlap(self, run):
+        score, distinct = run
+        code, requests = score()
+        assert code == 0
+        sent = [text for texts in requests for text in texts]
+        assert sorted(sent) == sorted(distinct)  # each once, the shared answer too
+        assert len(requests) == math.ceil(len(distinct) / EMBED_BATCH)
+        assert SlowRecordingEmbedder.peak > 1
+        assert score() == (0, [])  # the warm rerun makes no call
+
+    def test_a_batch_that_fails_for_good_exits_3_after_the_others_are_stored(self, run):
+        score, _ = run
+        code, requests = score(fail_on="Answer 5 to question 3.")
+        assert code == 3
+        failed = next(texts for texts in requests if "Answer 5 to question 3." in texts)
+        code, requests = score()
+        assert code == 0
+        assert requests == [failed]  # only the failed batch's texts were missing
+        assert score() == (0, [])
 
 
 class TestDetectLlm:

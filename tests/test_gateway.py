@@ -1,9 +1,13 @@
 import hashlib
+import io
 import json
+import random
 import sys
 import threading
 import time
+import urllib.error
 from datetime import datetime
+from email.message import Message
 
 import numpy as np
 import pytest
@@ -36,8 +40,10 @@ from surveyguard.gateway import (
     embed_key_material,
 )
 from surveyguard.providers import (
+    REQUEST_TIMEOUT_S,
     MockChatProvider,
     MockEmbeddingProvider,
+    OpenAICompatChatProvider,
     OpenAICompatEmbeddingProvider,
 )
 
@@ -162,6 +168,17 @@ class TestEmbedding:
         gateway = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=7, dim=5))
         vector = gateway.embed("sample text")
         assert list(vector.values) == expected(7, 5, "sample text")
+
+    @pytest.mark.parametrize("seed", [0, 7, -3])
+    @pytest.mark.parametrize("dim", [1, 16, 256, 1536])
+    def test_mock_batch_is_embed_bit_for_bit(self, seed, dim):
+        provider = MockEmbeddingProvider(seed=seed, dim=dim)
+        texts = ["plain", "naïve café, 日本語 ✓", "line\u2028separator", "long answer " * 300]
+        assert len(texts[-1].encode("utf-8")) >= 3000
+        batch = provider.embed_many(texts)
+        assert [[float(v).hex() for v in row] for row in batch] == [
+            [v.hex() for v in provider.embed(text)] for text in texts
+        ]
 
     def test_empty_text_rejected(self, tmp_path):
         gateway = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=0, dim=4))
@@ -338,6 +355,48 @@ class TestEmbedMany:
         stats = gateway.stats
         assert (stats.provider_calls, stats.cache_misses, stats.cache_hits) == (12, 768, 768)
 
+    def test_a_store_pass_sends_each_text_once_under_fast_thread_switching(self, tmp_path):
+        provider = RecordingEmbeddingProvider(delay=lambda texts: 0.001)
+        gateway = make_gateway(tmp_path, embed=provider)
+        distinct = 6 * EMBED_BATCH
+        # each text twice in a row, while its batch fills, then again once it may be stored
+        texts = [f"text {i // 2}" for i in range(2 * distinct)]
+        texts += [f"text {i}" for i in reversed(range(distinct))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: gateway.store_embeddings(texts))
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert sorted(t for batch in provider.requests for t in batch) == sorted(set(texts))
+        stats = gateway.stats
+        assert (stats.provider_calls, stats.cache_misses, stats.cache_hits) == (6, distinct, 2 * distinct)
+        vectors = gateway.stored_embeddings(texts)
+        assert [list(v.values) for v in vectors] == [provider.mock.embed(t) for t in texts]
+
+    def test_a_store_pass_only_looks_for_cached_texts_and_the_read_back_counts_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        provider = RecordingEmbeddingProvider()
+        gateway = make_gateway(tmp_path, embed=provider)
+        gateway.store_embeddings(["a", "b"])
+        with monkeypatch.context() as patch:
+            loads = []
+            patch.setattr(DiskCache, "load", lambda cache, key: loads.append(key))
+            gateway.store_embeddings(["b", "c", "a"])
+        assert loads == []
+        assert provider.requests == [["a", "b"], ["c"]]
+        counts = (gateway.stats.provider_calls, gateway.stats.cache_misses, gateway.stats.cache_hits)
+        assert counts == (2, 3, 2)
+        vectors = gateway.stored_embeddings(["c", "a", "c"])
+        assert [list(v.values) for v in vectors] == [provider.mock.embed(t) for t in ("c", "a", "c")]
+        assert (gateway.stats.provider_calls, gateway.stats.cache_misses, gateway.stats.cache_hits) == counts
+        with pytest.raises(DataError, match="no stored embedding"):
+            gateway.stored_embeddings(["never stored"])
+
     def test_embed_and_embed_many_share_cache_entries(self, tmp_path):
         cold = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=0, dim=4))
         single = cold.embed("one")
@@ -430,6 +489,45 @@ class TestRetries:
         with pytest.raises(ProviderError):
             gateway.chat(chat_request())
         assert provider.calls == 1
+
+    BACKOFF_S = 1.0 + 0.5 * random.Random(0).random()  # the first retry's wait, jitter seeded 0
+
+    @pytest.mark.parametrize(
+        "retry_after, waited",
+        [
+            ("7", 7.0),  # longer than the backoff: the server's wait
+            ("1", BACKOFF_S),  # shorter: the backoff
+            ("86400", REQUEST_TIMEOUT_S),  # capped
+            ("Wed, 21 Oct 2015 07:28:00 GMT", BACKOFF_S),  # an HTTP-date is not read
+            ("soon", BACKOFF_S),
+            ("1.5", BACKOFF_S),  # delay-seconds is a whole number
+            (None, BACKOFF_S),
+        ],
+    )
+    def test_a_429_waits_the_longer_of_retry_after_and_the_backoff(
+        self, tmp_path, monkeypatch, retry_after, waited
+    ):
+        headers = Message()
+        if retry_after is not None:
+            headers["Retry-After"] = retry_after
+        replies = [
+            urllib.error.HTTPError("http://chat.test/v1", 429, "Too Many Requests", headers, io.BytesIO(b"")),
+            io.BytesIO(json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode("utf-8")),
+        ]
+
+        def urlopen(request, timeout):
+            reply = replies.pop(0)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        monkeypatch.setattr(providers.urllib.request, "urlopen", urlopen)
+        monkeypatch.setenv("SURVEYGUARD_TEST_KEY", "secret")
+        slept = []
+        chat = OpenAICompatChatProvider(base_url="http://chat.test/v1", api_key_env="SURVEYGUARD_TEST_KEY")
+        gateway = ProviderGateway(cache=DiskCache(tmp_path / "cache"), chat_provider=chat, sleep=slept.append)
+        assert gateway.chat(chat_request()).text == "ok"
+        assert slept == [waited]
 
     def test_failed_calls_store_nothing(self, tmp_path):
         provider = FlakyChatProvider(fail_times=10)

@@ -10,7 +10,7 @@ from surveyguard.cli import main
 from surveyguard.errors import DataError, ProviderError
 from surveyguard.gateway import DiskCache, ProviderGateway, build_cache_key, canonical_json
 from surveyguard.model import SurveyQuestion
-from surveyguard.providers import MockChatProvider
+from surveyguard.providers import MockChatProvider, MockEmbeddingProvider
 from surveyguard.signatures import (
     SENTIMENT_TEMPLATE,
     Sentiment,
@@ -304,6 +304,29 @@ def test_bad_signature_store_is_a_data_error_naming_the_file(case, generated_run
     capsys.readouterr()
     assert _score(generated_run, out_dir, strategy) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "copied_from",
+    [(StrategyKind.SENTIMENT, "q2"), (StrategyKind.BASIC, "q1")],
+    ids=["another strategy", "another question"],
+)
+def test_a_store_in_another_store_s_place_is_a_data_error_before_any_call(
+    copied_from, generated_run, tmp_path, capsys, monkeypatch
+):
+    out_dir = tmp_path / "out"
+    shutil.copytree(generated_run / "out", out_dir)
+    path = signature_store_path(out_dir / "signatures", StrategyKind.BASIC, "q2")
+    shutil.copyfile(signature_store_path(out_dir / "signatures", *copied_from), path)
+    requests = []
+    monkeypatch.setattr(MockEmbeddingProvider, "embed_many", lambda self, texts: requests.append(texts))
+    code = main([
+        "score", "--strategy", "basic", "--dataset", str(FIXTURE_CORPUS),
+        "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(out_dir), "--mock",
+    ])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+    assert requests == []  # every store is loaded before the first embedding request
 
 
 def test_legacy_store_without_failures_or_duplicates_removed_loads(generated_run, tmp_path):
