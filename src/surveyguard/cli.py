@@ -15,6 +15,7 @@ import sys
 from collections.abc import Callable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -66,10 +67,11 @@ from .signatures import (
     Sentiment,
     SignatureGenerationError,
     StrategyKind,
+    assemble_signatures,
     dedupe_signatures,
-    generate_signatures,
     load_signature_set,
     save_signature_set,
+    signature_requests,
     signature_store_path,
 )
 
@@ -328,36 +330,31 @@ def cmd_gen_signatures(cfg: RunConfig) -> int:
         raise DataError("dataset has no open-ended questions")
 
     aborted: list[str] = []
-    generated = 0
-    failures = 0
-    removed = 0
+    generated = failures = removed = 0
     with _exclusive_output(out_dir):
-        for kind in _strategy_kinds(cfg):
-            for question in open_questions:
-                try:
-                    store = generate_signatures(
-                        question,
-                        kind,
-                        cfg.models,
-                        cfg.temperatures,
-                        gateway,
-                        sentiments=sentiments,
-                    )
-                except SignatureGenerationError as exc:
-                    aborted.append(f"{kind.value}/{question.question_id}")
-                    print(f"aborted: {exc}", file=sys.stderr)
-                    continue
-                store = dedupe_signatures(store)
-                save_signature_set(store, store_dir)
-                generated += len(store["signatures"])
-                failures += len(store["failures"])
-                removed += store["duplicates_removed"]
-                print(
-                    f"{kind.value}/{question.question_id}: "
-                    f"{len(store['signatures'])} signatures, "
-                    f"{len(store['failures'])} failed cells, "
-                    f"{store['duplicates_removed']} duplicates removed"
-                )
+        # One chat_many pass over every strategy's and question's grid cells, then each store.
+        grid = [(kind, question) for kind in _strategy_kinds(cfg) for question in open_questions]
+        asked = [signature_requests(q, kind, cfg.models, cfg.temperatures, sentiments) for kind, q in grid]
+        outcomes = iter(gateway.chat_many([request for requests in asked for request in requests]))
+        for (kind, question), requests in zip(grid, asked):
+            results = list(islice(outcomes, len(requests)))
+            try:
+                store = assemble_signatures(question, kind, cfg.models, cfg.temperatures, results, sentiments)
+            except SignatureGenerationError as exc:
+                aborted.append(f"{kind.value}/{question.question_id}")
+                print(f"aborted: {exc}", file=sys.stderr)
+                continue
+            store = dedupe_signatures(store)
+            save_signature_set(store, store_dir)
+            generated += len(store["signatures"])
+            failures += len(store["failures"])
+            removed += store["duplicates_removed"]
+            print(
+                f"{kind.value}/{question.question_id}: "
+                f"{len(store['signatures'])} signatures, "
+                f"{len(store['failures'])} failed cells, "
+                f"{store['duplicates_removed']} duplicates removed"
+            )
         print(
             f"questions: {len(open_questions)}, strategies: {len(cfg.strategies)}, "
             f"signatures: {generated}, failed cells: {failures}, "

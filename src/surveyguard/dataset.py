@@ -217,7 +217,7 @@ def load_dataset(path: Path | str) -> SurveyDataset:
     if not p.exists():
         raise DataError(f"missing file: {p}")
     try:
-        with open(p, encoding="utf-8") as fh:
+        with open(p, encoding="utf-8-sig") as fh:  # as _read_csv: drop a byte-order mark
             payload = json.load(fh)
     except ValueError as exc:  # not JSON, or not UTF-8 text
         raise DataError(f"{p.name}: invalid JSON: {exc}") from exc

@@ -24,8 +24,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, chain, islice
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -111,10 +112,12 @@ class CacheKey:
             raise ValueError(f"not a SHA-256 hex digest: {self.digest!r}")
 
 
-def canonical_json(obj: object) -> str:
+def canonical_json(
+    obj: object, *, _encode=json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+) -> str:
     """The one JSON form of cache keys, cache entries and artifacts: one line, sorted keys,
-    no spaces, non-ASCII kept. Without an indent, ``json.dumps`` runs its C encoder."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    no spaces, non-ASCII kept. Built once, and without an indent, the encoder runs in C."""
+    return _encode(obj)
 
 
 def chat_key_material(request: ChatRequest, provider_id: str) -> dict:
@@ -132,14 +135,19 @@ def embed_key_material(text: str, provider_id: str) -> dict:
     return {"kind": "embed", "provider_id": provider_id, "text": text}
 
 
+@cache
+def _embed_key_prefix(provider_id: str) -> str:
+    """``canonical_json(embed_key_material(text, provider_id))`` up to the text, whose key sorts last."""
+    return canonical_json(embed_key_material("", provider_id)).removesuffix('""}')
+
+
 def build_cache_key(request_or_text: ChatRequest | str, provider_id: str) -> CacheKey:
     """Deterministic key; any field change (including temperature) changes it."""
     if isinstance(request_or_text, ChatRequest):
-        material = chat_key_material(request_or_text, provider_id)
+        data = canonical_json(chat_key_material(request_or_text, provider_id))
     else:
-        material = embed_key_material(request_or_text, provider_id)
-    digest = hashlib.sha256(canonical_json(material).encode("utf-8")).hexdigest()
-    return CacheKey(digest=digest)
+        data = _embed_key_prefix(provider_id) + encode_basestring(request_or_text) + "}"
+    return CacheKey(digest=hashlib.sha256(data.encode("utf-8")).hexdigest())
 
 
 class DiskCache:
@@ -167,7 +175,9 @@ class DiskCache:
         self.refresh()
 
     def refresh(self) -> None:
-        """Index the packs committed since the last call, by any process."""
+        """Index the packs committed since the last call, by any process; note any one-file entry."""
+        with os.scandir(self.root) as entries:
+            self._loose = any(CacheKey._HEX.fullmatch(e.name) for e in entries)
         known = {number for number, _, _ in self._packs}
         names = sorted((n for n in os.listdir(self.packs) if n.isdecimal() and int(n) not in known), key=int)
         for path in map(self.packs.joinpath, names):
@@ -202,13 +212,16 @@ class DiskCache:
         return str(self.root / key.digest)
 
     def __contains__(self, key: CacheKey) -> bool:
-        return bytes.fromhex(key.digest) in self._index or (self.root / key.digest).is_file()
+        digest = key.digest
+        return bytes.fromhex(digest) in self._index or self._loose and (self.root / digest).is_file()
 
     def load(self, key: CacheKey) -> dict | None:
         held = self._index.get(bytes.fromhex(key.digest))
         if isinstance(held, bytes):
             data = held
         elif held is None:
+            if not self._loose:  # no one-file entry either: a miss opens no file
+                return None
             try:
                 data = (self.root / key.digest).read_bytes()
             except FileNotFoundError:

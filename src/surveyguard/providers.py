@@ -97,7 +97,8 @@ class MockEmbeddingProvider:
         self.seed = seed
         self.dim = dim
         self.provider_id = f"mock-embed-{seed}-d{dim}"
-        self._prefixes = [f"{seed}|{i}|".encode("utf-8") for i in range(dim)]
+        # Each coordinate's prefix, hashed once; a text's digest continues a copy of it.
+        self._hashers = [hashlib.sha256(f"{seed}|{i}|".encode("utf-8")) for i in range(dim)]
 
     def embed(self, text: str) -> list[float]:
         values = []
@@ -110,8 +111,12 @@ class MockEmbeddingProvider:
         vectors = []
         for text in texts:
             data = text.encode("utf-8")
-            digests = b"".join([hashlib.sha256(prefix + data).digest() for prefix in self._prefixes])
-            u = np.frombuffer(digests, ">u8")[::4]  # the first 8 of each 32 bytes
+            digests = []
+            for hasher in self._hashers:
+                hasher = hasher.copy()
+                hasher.update(data)
+                digests.append(hasher.digest())
+            u = np.frombuffer(b"".join(digests), ">u8")[::4]  # the first 8 of each 32 bytes
             vectors.append(u.astype(np.float64) / 2.0**64 * 2.0 - 1.0)
         return vectors
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .dataset import write_json
 from .errors import DataError, ProviderError
-from .gateway import ChatRequest, ProviderGateway, PurposeTag
+from .gateway import ChatRequest, ChatResult, ProviderGateway, PurposeTag
 from .model import SurveyQuestion
 
 TEMPLATE_VERSION = "sig-v1"
@@ -89,35 +89,41 @@ class SignatureGenerationError(ProviderError):
     """More than half of the grid cells failed for a question."""
 
 
-def generate_signatures(
-    question: SurveyQuestion,
-    kind: StrategyKind,
-    models: Sequence[str],
-    temperatures: Sequence[float],
-    gateway: ProviderGateway,
-    sentiments: Sequence[Sentiment] = DEFAULT_SENTIMENTS,
-) -> dict:
-    """Materialize one signature per grid cell through the gateway; returns the store dict.
-
-    Provider failures and empty completions are recorded per cell; the whole
-    operation fails only when more than half of the cells fail.
-    """
+def _grid_cells(
+    kind: StrategyKind, models: Sequence[str], temperatures: Sequence[float], sentiments: Sequence[Sentiment]
+) -> list[tuple[str, float, Sentiment | None]]:
     if not models or not temperatures:
         raise ValueError("model and temperature lists must be non-empty")
     if kind == StrategyKind.SENTIMENT and not sentiments:
         raise ValueError("sentiment list must be non-empty for the sentiment strategy")
-
-    grid_sentiments = tuple(sentiments) if kind == StrategyKind.SENTIMENT else ()
-    cells = [
+    return [
         (model_id, float(temperature), sentiment)
         for model_id in models
         for temperature in temperatures
-        for sentiment in grid_sentiments or (None,)
+        for sentiment in (sentiments if kind == StrategyKind.SENTIMENT else (None,))
     ]
-    outcomes = gateway.chat_many([build_signature_request(question, *cell) for cell in cells])
+
+
+def signature_requests(
+    question: SurveyQuestion, kind: StrategyKind, models: Sequence[str], temperatures: Sequence[float],
+    sentiments: Sequence[Sentiment] = DEFAULT_SENTIMENTS,
+) -> list[ChatRequest]:
+    """The gateway request of every grid cell, in the order ``assemble_signatures`` reads outcomes."""
+    cells = _grid_cells(kind, models, temperatures, sentiments)
+    return [build_signature_request(question, *cell) for cell in cells]
+
+
+def assemble_signatures(
+    question: SurveyQuestion, kind: StrategyKind, models: Sequence[str], temperatures: Sequence[float],
+    outcomes: Sequence[ChatResult | ProviderError], sentiments: Sequence[Sentiment] = DEFAULT_SENTIMENTS,
+) -> dict:
+    """The store dict of one question from ``chat_many``'s outcomes for its ``signature_requests``.
+    Provider failures and empty completions are recorded per cell; the whole operation fails
+    only when more than half of the cells fail."""
+    cells = _grid_cells(kind, models, temperatures, sentiments)
     signatures: list[dict] = []
     failures: list[dict] = []
-    for (model_id, temperature, sentiment), outcome in zip(cells, outcomes):
+    for (model_id, temperature, sentiment), outcome in zip(cells, outcomes, strict=True):
         row = {
             "model_id": model_id,
             "temperature": temperature,
@@ -143,12 +149,21 @@ def generate_signatures(
         "grid": {
             "models": list(models),
             "temperatures": [float(t) for t in temperatures],
-            "sentiments": [s.value for s in grid_sentiments],
+            "sentiments": [s.value for s in sentiments] if kind == StrategyKind.SENTIMENT else [],
         },
         "signatures": signatures,
         "failures": failures,
         "duplicates_removed": 0,
     }
+
+
+def generate_signatures(
+    question: SurveyQuestion, kind: StrategyKind, models: Sequence[str], temperatures: Sequence[float],
+    gateway: ProviderGateway, sentiments: Sequence[Sentiment] = DEFAULT_SENTIMENTS,
+) -> dict:
+    """``signature_requests`` sent through the gateway, then ``assemble_signatures``."""
+    requests = signature_requests(question, kind, models, temperatures, sentiments)
+    return assemble_signatures(question, kind, models, temperatures, gateway.chat_many(requests), sentiments)
 
 
 def _cell_order(row: dict) -> tuple[str, float, str]:

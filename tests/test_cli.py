@@ -258,6 +258,89 @@ class TestColdScoreFetchesEveryQuestionInOnePass:
         assert score() == (0, [])
 
 
+class SlowRecordingChat(cli.MockChatProvider):
+    """The mock's completions after a delay; records the questions in flight together.
+
+    A request for a question in ``fail_for`` fails for good. Set the class attributes before a run.
+    """
+
+    fail_for: set[str] = set()
+    in_flight: list[str] = []
+    mixed = 0  # requests that started while another question's request was in flight
+    lock = threading.Lock()
+
+    def complete(self, request):
+        cls = SlowRecordingChat
+        question = request.messages[-1][1]
+        with cls.lock:
+            cls.mixed += any(other != question for other in cls.in_flight)
+            cls.in_flight.append(question)
+        try:
+            time.sleep(0.02)
+            if question in cls.fail_for:
+                raise ProviderError("bad request", status=400)
+            return super().complete(request)
+        finally:
+            with cls.lock:
+                cls.in_flight.remove(question)
+
+
+class TestGenSignaturesSendsEveryQuestionInOnePass:
+    @pytest.fixture
+    def run(self, capsys, monkeypatch, tmp_path):
+        """Six open questions of two grid cells each; returns a gen-signatures runner with a
+        fresh cache and recording chat provider, and the store directory."""
+        questions = [[f"q{n}", "s1", "open_ended", f"Question {n}?"] for n in range(6)]
+        responses = [[f"r{n}", f"q{n}", f"Answer {n}.", "2021-06-03"] for n in range(6)]
+        studies = [["s1", "Study", "2021-06", "software", "mturk"]]
+        dataset = write_bundle(tmp_path / "data", studies, questions, responses)
+        monkeypatch.setattr(cli, "MockChatProvider", SlowRecordingChat)
+        passes = []
+        chat_many = cli.ProviderGateway.chat_many
+
+        def counted(gateway, requests):
+            passes.append(len(requests))
+            return chat_many(gateway, requests)
+
+        monkeypatch.setattr(cli.ProviderGateway, "chat_many", counted)
+
+        def gen_signatures(fail_for=()):
+            SlowRecordingChat.fail_for, SlowRecordingChat.mixed = set(fail_for), 0
+            shutil.rmtree(tmp_path / "cache", ignore_errors=True)
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            passes.clear()
+            args = ["--dataset", dataset, "--cache-dir", tmp_path / "cache", "--output-dir", tmp_path / "out"]
+            args += ["--models", "m1", "--temps", "0,0.5", "--mock"]
+            code, out, err = run_cli(capsys, "gen-signatures", *args)
+            return code, out, err, list(passes)
+
+        return gen_signatures, tmp_path / "out" / "signatures" / "basic"
+
+    def test_one_chat_pass_overlaps_questions(self, run):
+        gen_signatures, store_dir = run
+        code, out, _, passes = gen_signatures()
+        assert (code, passes) == (0, [12])  # one chat_many of every question's cells
+        assert SlowRecordingChat.mixed > 0
+        assert sorted(path.name for path in store_dir.iterdir()) == [f"q{n}.json" for n in range(6)]
+        lines = [f"basic/q{n}: 2 signatures, 0 failed cells, 0 duplicates removed" for n in range(6)]
+        assert out.splitlines()[:6] == lines  # in question order, after the pass
+
+    def test_a_failed_question_aborts_alone(self, run):
+        gen_signatures, store_dir = run
+        code, out, err, passes = gen_signatures(fail_for={"Question 3?"})
+        assert (code, passes) == (0, [12])
+        assert 'aborted: question "q3": 2/2 signature cells failed' in err
+        assert sorted(path.name for path in store_dir.iterdir()) == [f"q{n}.json" for n in (0, 1, 2, 4, 5)]
+        assert "aborted questions: 1" in out
+
+    def test_every_question_aborted_exits_3(self, run):
+        gen_signatures, store_dir = run
+        code, _, err, passes = gen_signatures(fail_for={f"Question {n}?" for n in range(6)})
+        assert (code, passes) == (3, [12])
+        assert "all questions aborted" in err
+        assert not store_dir.exists() or list(store_dir.iterdir()) == []
+
+
 class TestDetectLlm:
     def test_unknown_detector_model_is_config_error_before_any_call(self, capsys, corpus_path, tmp_path):
         code, _, err = run_cli(

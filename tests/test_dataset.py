@@ -190,6 +190,20 @@ class TestSingleJson:
         assert ds.studies[0].cohort == Cohort.POST_2022
         assert ds.questions[0].kind == QuestionKind.OPEN_ENDED
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        payload = {
+            "studies": [
+                {"study_id": "s1", "label": "One", "month_year": "2021-06", "domain": "d", "platform": "p"}
+            ],
+            "questions": [{"question_id": "q1", "study_id": "s1", "kind": "open_ended", "text": "Why?"}],
+            "responses": [{"response_id": "r1", "question_id": "q1", "text": "Parce que ça marche."}],
+        }
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        expected = load_dataset(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_dataset(path) == expected
+
     def test_missing_column(self, tmp_path):
         payload = {"studies": [{"study_id": "s1"}], "questions": [], "responses": []}
         path = tmp_path / "ds.json"

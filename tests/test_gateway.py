@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 import threading
@@ -8,6 +9,7 @@ import time
 import urllib.error
 from datetime import datetime
 from email.message import Message
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,39 @@ class TestCacheKey:
         v1 = chat_request(text="Answer plainly.\n\nWhy?")
         v2 = chat_request(text="Answer briefly.\n\nWhy?")
         assert build_cache_key(v1, "prov") != build_cache_key(v2, "prov")
+
+
+# Texts whose JSON string form is not the text between quotes, and a long one.
+KEY_TEXTS = ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "\U0001f600", "long text " * 360]
+KEY_PROVIDERS = ["mock-embed-0-d16", 'quo"ted', "prövider-ü"]
+
+
+def reference_digest(material: dict) -> str:
+    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+class TestCacheKeyEquivalence:
+    @pytest.mark.parametrize("provider_id", KEY_PROVIDERS)
+    def test_embed_keys_are_the_digest_of_the_canonical_material(self, provider_id):
+        assert len(KEY_TEXTS[-1]) == 3600
+        for text in KEY_TEXTS + ["a " + "".join(KEY_TEXTS[:-1]) + " z"]:
+            material = {"kind": "embed", "provider_id": provider_id, "text": text}
+            assert build_cache_key(text, provider_id).digest == reference_digest(material), repr(text)
+
+    @pytest.mark.parametrize("provider_id", KEY_PROVIDERS)
+    def test_chat_keys_are_the_digest_of_the_canonical_material(self, provider_id):
+        for text in KEY_TEXTS:
+            request = chat_request(text=text, model=f"model {text}")
+            material = {
+                "kind": "chat",
+                "provider_id": provider_id,
+                "model_id": f"model {text}",
+                "temperature": 0.5,
+                "purpose": "generate_signature",
+                "messages": [["user", text]],
+            }
+            assert build_cache_key(request, provider_id).digest == reference_digest(material), repr(text)
 
 
 class TestChatCaching:
@@ -691,6 +726,37 @@ class TestPacks:
         (cache.root / build_cache_key("b", "p").digest).write_text("{}\n", encoding="utf-8")
         assert DiskCache(tmp_path / "cache").load(key) == {"response": {"text": "packed"}}
         assert DiskCache(tmp_path / "cache").entry_count() == 2
+
+
+class TestMissesOpenNoFile:
+    def test_a_cold_pass_makes_no_file_call_per_miss(self, tmp_path, monkeypatch):
+        def file_calls(count: int) -> int:
+            gateway = make_gateway(tmp_path / str(count), embed=RecordingEmbeddingProvider())
+            calls = []
+            def counted(name, original):
+                return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                for owner, name in ((os, "stat"), (Path, "is_file"), (Path, "read_bytes")):
+                    patch.setattr(owner, name, counted(name, getattr(owner, name)))
+                gateway.store_embeddings([f"fresh {i}" for i in range(count)])
+            assert gateway.stats.cache_misses == count
+            return len(calls)
+
+        assert file_calls(8 * EMBED_BATCH) == file_calls(EMBED_BATCH)
+
+    def test_a_file_entry_written_after_the_cache_opens_is_still_read(self, tmp_path):
+        provider = RecordingEmbeddingProvider()
+        gateway = make_gateway(tmp_path, embed=provider)
+        entry = {
+            "request": embed_key_material("old", provider.provider_id),
+            "response": {"values": provider.mock.embed("old"), "dim": 4},
+        }
+        path = gateway.cache.root / build_cache_key("old", provider.provider_id).digest
+        path.write_bytes(cache_file_bytes(entry))
+        gateway.store_embeddings(["old", "new"])
+        assert provider.requests == [["new"]]
+        assert list(gateway.stored_embeddings(["old"])[0].values) == provider.mock.embed("old")
 
 
 class FixedEmbeddingProvider:

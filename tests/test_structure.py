@@ -62,10 +62,11 @@ def test_only_fan_out_builds_a_thread_pool():
 
 
 def _is_json_encode(call: ast.Call) -> bool:
+    """``json.dump(...)``, ``json.dumps(...)`` or ``json.JSONEncoder(...)``."""
     func = call.func
     return (
         isinstance(func, ast.Attribute)
-        and func.attr in ("dump", "dumps")
+        and func.attr in ("dump", "dumps", "JSONEncoder")
         and isinstance(func.value, ast.Name)
         and func.value.id == "json"
     )
