@@ -5,74 +5,14 @@ model directly whether a response was AI-written. The signature detector
 pre-generates reference answers per question over a model/temperature grid,
 embeds everything, and flags responses whose maximum cosine similarity to any
 signature meets a threshold; near-zero or negative maxima mark off-topic
-responses.
+responses. The package re-exports just the names README's "Library use"
+example imports; everything else is imported from its module.
 """
 
-from .dataset import (
-    ReportFormat,
-    SurveyDataset,
-    load_dataset,
-    write_report,
-)
-from .detector import (
-    DetectorConfig,
-    build_detector_prompt,
-    detect_batch,
-    parse_detector_output,
-)
-from .errors import ConfigError, DataError, ProviderError, TransientProviderError
-from .gateway import (
-    CacheKey,
-    ChatRequest,
-    ChatResult,
-    DiskCache,
-    EmbeddingVector,
-    ProviderGateway,
-    PurposeTag,
-    build_cache_key,
-)
-from .model import (
-    Cohort,
-    LengthStats,
-    QuestionKind,
-    SurveyQuestion,
-    SurveyResponse,
-    SurveyStudy,
-    Verdict,
-    VerdictFlag,
-    assign_cohort,
-    compute_length_stats,
-)
-from .providers import (
-    MockChatProvider,
-    MockEmbeddingProvider,
-    OpenAICompatChatProvider,
-    OpenAICompatEmbeddingProvider,
-)
-from .report import (
-    AverageConvention,
-    Percent,
-    StudyStat,
-    average_pooled,
-    average_unweighted,
-    build_histogram,
-    cohort_compare,
-    extract_cases,
-    percentage,
-    threshold_sweep,
-)
-from .scoring import (
-    cosine_similarity,
-    flag_irrelevant,
-    score_response,
-)
-from .signatures import (
-    Sentiment,
-    StrategyKind,
-    build_basic_prompt,
-    build_sentiment_prompt,
-    dedupe_signatures,
-    generate_signatures,
-)
+from .dataset import load_dataset
+from .gateway import DiskCache, ProviderGateway
+from .providers import MockChatProvider, MockEmbeddingProvider
+from .scoring import score_response
+from .signatures import StrategyKind, generate_signatures
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Callable, Mapping, Sequence
@@ -63,6 +64,7 @@ from .scoring import (
     score_question,
 )
 from .signatures import (
+    DEFAULT_SENTIMENTS,
     TEMPLATE_VERSION,
     Sentiment,
     SignatureGenerationError,
@@ -83,7 +85,6 @@ EXIT_PROVIDER = 3
 DEFAULT_MODELS = ("gpt-3.5-turbo", "gpt-4", "gpt-4o", "gpt-4o-mini")
 DEFAULT_TEMPERATURES = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_THRESHOLDS = (0.7, 0.75, 0.8, 0.85, 0.9)
-DEFAULT_SENTIMENT_NAMES = ("positive", "negative", "neutral")
 
 
 @dataclass
@@ -98,7 +99,7 @@ class RunConfig:
     mock_embedding_dim: int = 16
     models: tuple[str, ...] = DEFAULT_MODELS
     temperatures: tuple[float, ...] = DEFAULT_TEMPERATURES
-    sentiments: tuple[str, ...] = DEFAULT_SENTIMENT_NAMES
+    sentiments: tuple[str, ...] = tuple(s.value for s in DEFAULT_SENTIMENTS)
     strategies: tuple[str, ...] = ("basic",)
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     low_threshold: float = 0.0
@@ -199,6 +200,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("thresholds must be sorted ascending")
     for th in cfg.thresholds:
         _check(check_threshold, th)
+    if not math.isfinite(cfg.low_threshold):  # NaN or Infinity would make an artifact invalid JSON
+        raise ConfigError(f"low_threshold must be finite, got {cfg.low_threshold}")
     _check(bin_count, cfg.bin_width)
     if cfg.k_high < 0:
         raise ConfigError(f"k_high must be >= 0, got {cfg.k_high}")

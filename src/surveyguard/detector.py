@@ -138,12 +138,12 @@ def detect_batch(
 
     by_study: dict[str, list[dict]] = {}
     for (study_id, response_id, _, _), result in zip(tasks, results):
-        flag = parse_detector_output(result.text).flag
+        flag = parse_detector_output(result).flag
         if flag == VerdictFlag.UNDETERMINED and not config.tolerate_parse_failures:
             raise DetectorParseError(
                 f'unparseable detector output for response "{response_id}"'
             )
-        digest = hashlib.sha256(result.text.encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(result.encode("utf-8")).hexdigest()
         by_study.setdefault(study_id, []).append(
             {"response_id": response_id, "flag": flag.value, "raw_text_digest": digest}
         )

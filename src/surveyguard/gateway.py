@@ -39,6 +39,7 @@ PACK_ENTRIES = 64  # pending cache entries committed as one pack
 MAX_IN_FLIGHT = 5  # provider calls running at once
 RETRIES = 3  # attempts per provider call, the first included
 BACKOFF_BASE_S = 1.0  # delay before the first retry; doubles on each further one
+_DIGEST_NAME = re.compile(r"[0-9a-f]{64}")  # the hex digest that names a one-file entry
 
 
 def check_temperature(temperature: float) -> None:
@@ -71,47 +72,6 @@ class ChatRequest:
             raise ValueError("messages must be non-empty")
 
 
-@dataclass(frozen=True)
-class ChatResult:
-    text: str  # exactly as returned by the provider, untrimmed
-    model_id: str
-    cached: bool
-
-
-@dataclass(frozen=True, eq=False)
-class EmbeddingVector:
-    """A provider-produced real vector for one text, held as a read-only float64 copy."""
-
-    values: np.ndarray
-    provider_id: str
-    dim: int
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
-        if values.shape != (self.dim,):
-            raise ValueError(f"dim {self.dim} != shape of values {values.shape}")
-        if not np.isfinite(values).all():
-            raise ValueError("embedding contains non-finite values")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other: object) -> bool:  # unhashable, like the array it holds
-        if not isinstance(other, EmbeddingVector):
-            return NotImplemented
-        same = (self.provider_id, self.dim) == (other.provider_id, other.dim)
-        return same and np.array_equal(self.values, other.values)
-
-
-@dataclass(frozen=True)
-class CacheKey:
-    digest: str  # 64 hex chars, SHA-256 of the canonical request
-    _HEX = re.compile(r"[0-9a-f]{64}")  # the digest becomes a file name
-
-    def __post_init__(self) -> None:
-        if not self._HEX.fullmatch(self.digest):
-            raise ValueError(f"not a SHA-256 hex digest: {self.digest!r}")
-
-
 def canonical_json(
     obj: object, *, _encode=json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
 ) -> str:
@@ -141,13 +101,14 @@ def _embed_key_prefix(provider_id: str) -> str:
     return canonical_json(embed_key_material("", provider_id)).removesuffix('""}')
 
 
-def build_cache_key(request_or_text: ChatRequest | str, provider_id: str) -> CacheKey:
-    """Deterministic key; any field change (including temperature) changes it."""
+def build_cache_key(request_or_text: ChatRequest | str, provider_id: str) -> bytes:
+    """The 32-byte SHA-256 digest of the canonical request; any field change (including
+    temperature) changes it."""
     if isinstance(request_or_text, ChatRequest):
         data = canonical_json(chat_key_material(request_or_text, provider_id))
     else:
         data = _embed_key_prefix(provider_id) + encode_basestring(request_or_text) + "}"
-    return CacheKey(digest=hashlib.sha256(data.encode("utf-8")).hexdigest())
+    return hashlib.sha256(data.encode("utf-8")).digest()
 
 
 class DiskCache:
@@ -155,7 +116,8 @@ class DiskCache:
     holding a key wins. A pack is ``_PACK_MAGIC``, a ``<u4`` count, a ``_ROW`` per entry, a
     ``stored_at`` line, then the entries: an array response ``values`` as ``_VECTOR_MAGIC``,
     a JSON line with ``response: {"dim": d}`` and ``8 * d`` bytes of ``<f8``; any other entry
-    as a JSON line. ``root/<digest>`` files of earlier versions, JSON vectors included, are read.
+    as a JSON line. ``root/<hex digest>`` files of earlier versions, JSON vectors included, are
+    read. Keys are the digests ``build_cache_key`` makes.
     """
 
     _VECTOR_MAGIC = b"\x93SURVEYGUARD-F8\n"  # 0x93 starts no UTF-8 text, so no JSON entry
@@ -177,7 +139,7 @@ class DiskCache:
     def refresh(self) -> None:
         """Index the packs committed since the last call, by any process; note any one-file entry."""
         with os.scandir(self.root) as entries:
-            self._loose = any(CacheKey._HEX.fullmatch(e.name) for e in entries)
+            self._loose = any(_DIGEST_NAME.fullmatch(e.name) for e in entries)
         known = {number for number, _, _ in self._packs}
         names = sorted((n for n in os.listdir(self.packs) if n.isdecimal() and int(n) not in known), key=int)
         for path in map(self.packs.joinpath, names):
@@ -204,26 +166,25 @@ class DiskCache:
                 if not isinstance(held, int) or self._packs[held >> 32][0] > number:
                     self._index[digest] = pack << 32 | row
 
-    def locate(self, key: CacheKey) -> str:
+    def locate(self, key: bytes) -> str:
         """Where the key's committed entry is read from: its pack and digest, or its own file."""
-        held = self._index.get(bytes.fromhex(key.digest))
+        held = self._index.get(key)
         if isinstance(held, int):
-            return f"{self._packs[held >> 32][1]} entry {key.digest}"
-        return str(self.root / key.digest)
+            return f"{self._packs[held >> 32][1]} entry {key.hex()}"
+        return str(self.root / key.hex())
 
-    def __contains__(self, key: CacheKey) -> bool:
-        digest = key.digest
-        return bytes.fromhex(digest) in self._index or self._loose and (self.root / digest).is_file()
+    def __contains__(self, key: bytes) -> bool:
+        return key in self._index or self._loose and (self.root / key.hex()).is_file()
 
-    def load(self, key: CacheKey) -> dict | None:
-        held = self._index.get(bytes.fromhex(key.digest))
+    def load(self, key: bytes) -> dict | None:
+        held = self._index.get(key)
         if isinstance(held, bytes):
             data = held
         elif held is None:
             if not self._loose:  # no one-file entry either: a miss opens no file
                 return None
             try:
-                data = (self.root / key.digest).read_bytes()
+                data = (self.root / key.hex()).read_bytes()
             except FileNotFoundError:
                 return None
         else:
@@ -252,7 +213,7 @@ class DiskCache:
             raise DataError(f"corrupted cache entry: {self.locate(key)}: not a JSON object")
         return entry
 
-    def store(self, key: CacheKey, entry: dict) -> bool:
+    def store(self, key: bytes, entry: dict) -> bool:
         """Add entry as pending unless the key is held. Returns True if added."""
         values = entry["response"].get("values")
         if isinstance(values, np.ndarray):
@@ -260,11 +221,10 @@ class DiskCache:
             data = b"".join([self._VECTOR_MAGIC, header, b"\n", values.astype("<f8").tobytes()])
         else:
             data = (canonical_json(entry) + "\n").encode("utf-8")
-        digest = bytes.fromhex(key.digest)
         with self._lock:
-            if digest in self._index:
+            if key in self._index:
                 return False
-            self._index[digest] = self._pending[digest] = data
+            self._index[key] = self._pending[key] = data
             full = len(self._pending) >= PACK_ENTRIES
         if full:
             self.flush()
@@ -305,7 +265,7 @@ class DiskCache:
         self.refresh()
         # scandir's DirEntry knows its type from the listing: no stat per entry.
         with os.scandir(self.root) as entries:
-            files = [e.name for e in entries if CacheKey._HEX.fullmatch(e.name) and e.is_file()]
+            files = [e.name for e in entries if _DIGEST_NAME.fullmatch(e.name) and e.is_file()]
         return len(self._index) + sum(bytes.fromhex(name) not in self._index for name in files)
 
 
@@ -422,7 +382,7 @@ class ProviderGateway:
             self.stats.cache_misses += missed
             self.stats.cache_hits += found
 
-    def _read(self, key: CacheKey, read: Callable[[dict], object]) -> object:
+    def _read(self, key: bytes, read: Callable[[dict], object]) -> object:
         """What ``read`` makes of the key's cached response, or None if there is none; a KeyError,
         TypeError or ValueError from ``read`` is a DataError naming the entry."""
         entry = self.cache.load(key)
@@ -438,24 +398,31 @@ class ProviderGateway:
         finally:
             self.cache.flush()
 
-    def _vector(self, provider_id: str, response: dict) -> EmbeddingVector:
-        """The vector of a cached or fetched response, in the dimension of the provider's first one."""
+    def _vector(self, provider_id: str, response: dict) -> np.ndarray:
+        """A cached or fetched response's vector as a read-only float64 copy: finite, of shape
+        ``(dim,)``, and in the dimension of the provider's first one."""
         dim = response["dim"]
-        vector = EmbeddingVector(values=response["values"], provider_id=provider_id, dim=dim)
+        vector = np.array(response["values"], dtype=np.float64)
+        if vector.shape != (dim,):
+            raise ValueError(f"dim {dim} != shape of values {vector.shape}")
+        if not np.isfinite(vector).all():
+            raise ValueError("embedding contains non-finite values")
+        vector.flags.writeable = False
         seen = self._embed_dims.setdefault(provider_id, dim)
         if seen != dim:
             raise ConfigError(f"embedding dimension drift for provider {provider_id}: {seen} then {dim}")
         return vector
 
-    def chat(self, request: ChatRequest) -> ChatResult:
+    def chat(self, request: ChatRequest) -> str:
         """Cache-through chat completion; see ``chat_many``."""
         result = self.chat_many([request])[0]
         if isinstance(result, ProviderError):
             raise result
         return result
 
-    def chat_many(self, requests: Sequence[ChatRequest]) -> list[ChatResult | ProviderError]:
-        """Cache-through chat completions, returned in input order.
+    def chat_many(self, requests: Sequence[ChatRequest]) -> list[str | ProviderError]:
+        """Cache-through chat completions, each reply exactly as the provider returned it, in
+        input order.
 
         Every request is looked up first, and each distinct miss is sent once
         through ``_fan_out``: one that fails for good gets its ProviderError
@@ -470,29 +437,29 @@ class ProviderGateway:
                 raise TypeError("response text is not a string")
             return response["text"]
 
-        cached: dict[ChatRequest, str] = {}
-        misses = list(self._lookup(requests, provider_id, read, set(), cached))
+        replies: dict[ChatRequest, str | ProviderError] = {}
+        misses = list(self._lookup(requests, provider_id, read, set(), replies))
 
-        def send(miss: tuple[ChatRequest, CacheKey]) -> ChatResult:
+        def send(miss: tuple[ChatRequest, bytes]) -> str:
             request, key = miss
             text = self._call_with_retry(
                 lambda: self.chat_provider.complete(request), f"chat({request.model_id})"
             )
             material = chat_key_material(request, provider_id)
             self.cache.store(key, {"request": material, "response": {"text": text}})
-            return ChatResult(text=text, model_id=request.model_id, cached=False)
+            return text
 
-        results = {r: ChatResult(text, r.model_id, cached=True) for r, text in cached.items()}
-        results.update(zip((request for request, _ in misses), self._send(misses, send)))
-        return [results[request] for request in requests]
+        replies.update(zip((request for request, _ in misses), self._send(misses, send)))
+        return [replies[request] for request in requests]
 
-    def embed(self, text: str) -> EmbeddingVector:
+    def embed(self, text: str) -> np.ndarray:
         """Cache-through embedding of one text; see ``embed_many``."""
         return self.embed_many([text])[0]
 
-    def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        """Cache-through embeddings, in input order; see ``store_embeddings``."""
-        vectors: dict[str, EmbeddingVector] = {}
+    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
+        """Cache-through embeddings as read-only float64 arrays, in input order; see
+        ``store_embeddings``."""
+        vectors: dict[str, np.ndarray] = {}
         self.store_embeddings(texts, vectors)
         return [vectors[text] for text in texts]
 
@@ -515,7 +482,7 @@ class ProviderGateway:
         in_flight: set[str] = set()  # sent and not yet stored; a repeat of one is a hit
         misses = self._lookup(texts, provider_id, partial(self._vector, provider_id), in_flight, vectors)
 
-        def send(batch: list[tuple[str, CacheKey]]) -> None:
+        def send(batch: list[tuple[str, bytes]]) -> None:
             batch_texts = [text for text, _ in batch]
             raw = self._call_with_retry(lambda: self.embedding_provider.embed_many(batch_texts), "embed")
             if len(raw) != len(batch):
@@ -523,7 +490,7 @@ class ProviderGateway:
             fetched = [self._vector(provider_id, {"values": v, "dim": len(v)}) for v in raw]
             for (text, key), vector in zip(batch, fetched):
                 material = embed_key_material(text, provider_id)
-                entry = {"request": material, "response": {"values": vector.values, "dim": vector.dim}}
+                entry = {"request": material, "response": {"values": vector, "dim": len(vector)}}
                 self.cache.store(key, entry)
                 if vectors is not None:
                     vectors[text] = vector
@@ -533,11 +500,12 @@ class ProviderGateway:
             if isinstance(outcome, ProviderError):
                 raise outcome
 
-    def stored_embeddings(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        """The stored vectors of texts, in input order: no provider call, and no hit counted again."""
+    def stored_embeddings(self, texts: Sequence[str]) -> np.ndarray:
+        """The stored vectors of texts as one ``(n, d)`` array, rows in input order: no provider
+        call, and no hit counted again."""
         provider_id = self.embedding_provider.provider_id
         read = partial(self._vector, provider_id)
         vectors = {t: self._read(build_cache_key(t, provider_id), read) for t in dict.fromkeys(texts)}
-        if None in vectors.values():
+        if any(vector is None for vector in vectors.values()):  # ``None in`` would compare arrays
             raise DataError("a text has no stored embedding: store_embeddings must come first")
-        return [vectors[text] for text in texts]
+        return np.array([vectors[text] for text in texts], dtype=np.float64)

@@ -13,7 +13,6 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .gateway import EmbeddingVector
 
 FLAG_EMPTY = "empty"
 FLAG_IRRELEVANT = "irrelevant"
@@ -26,19 +25,19 @@ class DegenerateEmbeddingError(DataError):
 
 
 def similarity_matrix(
-    responses: Sequence[tuple[str, EmbeddingVector]],
-    signatures: Sequence[tuple[str, EmbeddingVector]],
+    responses: Sequence[tuple[str, np.ndarray]],
+    signatures: Sequence[tuple[str, np.ndarray]],
 ) -> np.ndarray:
-    """Cosines as an (R, S) array: rows follow responses, columns signatures.
+    """Cosines of (id, vector) pairs as an (R, S) array: rows follow responses, columns signatures.
 
     Every row is normalised once, then reduced with einsum, which uses no BLAS,
     so a score's bits depend neither on its batch, nor on the other columns,
     nor on operand order or the BLAS thread count.
     """
     pairs = [*responses, *signatures]
-    if responses[0][1].dim != signatures[0][1].dim:
-        raise ValueError(f"dimension mismatch: {responses[0][1].dim} vs {signatures[0][1].dim}")
-    rows = np.stack([vector.values for _, vector in pairs])
+    if len(responses[0][1]) != len(signatures[0][1]):
+        raise ValueError(f"dimension mismatch: {len(responses[0][1])} vs {len(signatures[0][1])}")
+    rows = np.stack([vector for _, vector in pairs])
     norms = np.linalg.norm(rows, axis=1)
     usable = (norms > 0.0) & np.isfinite(norms)  # a norm that overflows would zero the row
     if not usable.all():
@@ -51,14 +50,14 @@ def similarity_matrix(
     return m
 
 
-def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """The cosine of one pair, through the same core as ``score_question``."""
     return float(similarity_matrix([("a", a)], [("b", b)])[0, 0])
 
 
 def score_question(
-    responses: Sequence[tuple[str, EmbeddingVector]],
-    signatures: Sequence[tuple[str, EmbeddingVector]],
+    responses: Sequence[tuple[str, np.ndarray]],
+    signatures: Sequence[tuple[str, np.ndarray]],
     records: bool = True,
 ) -> list[dict]:
     """Score one question's responses; each final score is its row's max.
@@ -86,8 +85,8 @@ def score_question(
 
 def score_response(
     response_id: str,
-    response_embedding: EmbeddingVector,
-    signature_embeddings: Sequence[tuple[str, EmbeddingVector]],
+    response_embedding: np.ndarray,
+    signature_embeddings: Sequence[tuple[str, np.ndarray]],
 ) -> dict:
     """Score a response against every signature; final score is the max.
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .dataset import write_json
 from .errors import DataError, ProviderError
-from .gateway import ChatRequest, ChatResult, ProviderGateway, PurposeTag
+from .gateway import ChatRequest, ProviderGateway, PurposeTag
 from .model import SurveyQuestion
 
 TEMPLATE_VERSION = "sig-v1"
@@ -115,7 +115,7 @@ def signature_requests(
 
 def assemble_signatures(
     question: SurveyQuestion, kind: StrategyKind, models: Sequence[str], temperatures: Sequence[float],
-    outcomes: Sequence[ChatResult | ProviderError], sentiments: Sequence[Sentiment] = DEFAULT_SENTIMENTS,
+    outcomes: Sequence[str | ProviderError], sentiments: Sequence[Sentiment] = DEFAULT_SENTIMENTS,
 ) -> dict:
     """The store dict of one question from ``chat_many``'s outcomes for its ``signature_requests``.
     Provider failures and empty completions are recorded per cell; the whole operation fails
@@ -131,11 +131,11 @@ def assemble_signatures(
         }
         if isinstance(outcome, ProviderError):
             failures.append({**row, "error": str(outcome)})
-        elif not outcome.text.strip():
+        elif not outcome.strip():
             failures.append({**row, "error": "empty completion"})
         else:
             signature_id = signature_id_for(question.question_id, kind, model_id, temperature, sentiment)
-            signatures.append({"signature_id": signature_id, **row, "text": outcome.text})
+            signatures.append({"signature_id": signature_id, **row, "text": outcome})
 
     if len(failures) * 2 > len(cells):
         raise SignatureGenerationError(

@@ -14,7 +14,7 @@ import numpy as np
 
 from conftest import StaticChatProvider
 from surveyguard.cli import main
-from surveyguard.gateway import DiskCache, EmbeddingVector, ProviderGateway
+from surveyguard.gateway import DiskCache, ProviderGateway
 from surveyguard.model import Cohort, SurveyQuestion, VerdictFlag
 from surveyguard.providers import MockChatProvider, MockEmbeddingProvider
 from surveyguard.report import average_pooled, average_unweighted, threshold_sweep
@@ -26,8 +26,8 @@ from test_detector import PARSER_FIXTURES
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 
 
-def vec(values) -> EmbeddingVector:
-    return EmbeddingVector(values=tuple(values), provider_id="acc", dim=len(values))
+def vec(values) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
 
 
 def test_similarity_property_suite():
@@ -46,7 +46,7 @@ def test_similarity_property_suite():
         assert abs(s) <= 1.0 + 1e-9
         assert cosine_similarity(b, a) == s  # symmetry, exact
         k = float(rng.uniform(0.001, 1000.0))
-        scaled = vec([k * x for x in a.values])
+        scaled = vec([k * x for x in a.tolist()])
         assert abs(cosine_similarity(scaled, b) - s) <= 1e-12
         if i % 100 == 0:
             assert abs(cosine_similarity(a, a) - 1.0) <= 1e-12
@@ -78,9 +78,10 @@ def test_oracle_equivalence_on_random_corpora():
             # Brute force over all pairs, pure python, independent of the scorer.
             best_score, best_id = -math.inf, None
             for sig_id, emb in signature_pairs:
-                dot = sum(x * y for x, y in zip(response_embedding.values, emb.values))
-                norm_r = math.sqrt(sum(x * x for x in response_embedding.values))
-                norm_s = math.sqrt(sum(y * y for y in emb.values))
+                r, e = response_embedding.tolist(), emb.tolist()
+                dot = sum(x * y for x, y in zip(r, e))
+                norm_r = math.sqrt(sum(x * x for x in r))
+                norm_s = math.sqrt(sum(y * y for y in e))
                 s = dot / (norm_r * norm_s)
                 if s > best_score or (s == best_score and (best_id is None or sig_id < best_id)):
                     best_score, best_id = s, sig_id

@@ -630,6 +630,34 @@ class TestBadValuesRejectedBeforeAnyCall:
         assert not score_cache.exists() or not any(score_cache.iterdir())
 
 
+def _output_files(out_dir):
+    return {path: path.read_bytes() for path in sorted(out_dir.rglob("*")) if path.is_file()}
+
+
+class TestNonFiniteLowThreshold:
+    """json.dump writes NaN and Infinity as bare tokens, which no strict JSON parser reads."""
+
+    def test_the_flag_exits_1_and_writes_no_artifact(self, capsys, corpus_path, tmp_path):
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))[0] == 0
+        before = _output_files(tmp_path / "out")
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "score", "--low-threshold", "nan"))
+        assert code == 1
+        assert "config error: low_threshold must be finite, got nan" in err
+        assert _output_files(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_a_config_value_exits_1_and_writes_no_report(self, capsys, corpus_path, tmp_path, value):
+        for step in ("gen-signatures", "score"):
+            assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
+        config_path = tmp_path / "run.json"
+        config_path.write_text(f'{{"low_threshold": {value}}}', encoding="utf-8")
+        before = _output_files(tmp_path / "out")
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "report", "--config", config_path))
+        assert code == 1
+        assert "config error: low_threshold must be finite" in err
+        assert _output_files(tmp_path / "out") == before
+
+
 # Per RunConfig field reachable from a flag: the flag's argument and the value it must resolve to.
 FLAG_SAMPLES = {
     "dataset": ("data.json", "data.json"),

@@ -32,9 +32,7 @@ from surveyguard.gateway import (
     MAX_IN_FLIGHT,
     PACK_ENTRIES,
     ChatRequest,
-    ChatResult,
     DiskCache,
-    EmbeddingVector,
     ProviderGateway,
     PurposeTag,
     build_cache_key,
@@ -90,10 +88,9 @@ class TestCacheKey:
         b = build_cache_key(chat_request(temperature=0.5), "prov")
         assert a != b
 
-    def test_digest_is_64_hex_chars(self):
-        digest = build_cache_key(chat_request(), "prov").digest
-        assert len(digest) == 64
-        assert all(c in "0123456789abcdef" for c in digest)
+    def test_key_is_the_32_byte_digest(self):
+        key = build_cache_key(chat_request(), "prov")
+        assert isinstance(key, bytes) and len(key) == 32
 
     def test_provider_and_text_feed_embed_keys(self):
         assert build_cache_key("hello", "p1") != build_cache_key("hello", "p2")
@@ -122,7 +119,7 @@ class TestCacheKeyEquivalence:
         assert len(KEY_TEXTS[-1]) == 3600
         for text in KEY_TEXTS + ["a " + "".join(KEY_TEXTS[:-1]) + " z"]:
             material = {"kind": "embed", "provider_id": provider_id, "text": text}
-            assert build_cache_key(text, provider_id).digest == reference_digest(material), repr(text)
+            assert build_cache_key(text, provider_id).hex() == reference_digest(material), repr(text)
 
     @pytest.mark.parametrize("provider_id", KEY_PROVIDERS)
     def test_chat_keys_are_the_digest_of_the_canonical_material(self, provider_id):
@@ -136,32 +133,27 @@ class TestCacheKeyEquivalence:
                 "purpose": "generate_signature",
                 "messages": [["user", text]],
             }
-            assert build_cache_key(request, provider_id).digest == reference_digest(material), repr(text)
+            assert build_cache_key(request, provider_id).hex() == reference_digest(material), repr(text)
 
 
 class TestChatCaching:
     def test_second_identical_request_is_cached_with_zero_calls(self, tmp_path):
         gateway = make_gateway(tmp_path, chat=MockChatProvider(seed=0))
         first = gateway.chat(chat_request())
-        assert first.cached is False
-        assert gateway.stats.provider_calls == 1
-        second = gateway.chat(chat_request())
-        assert second.cached is True
-        assert second.text == first.text
-        assert gateway.stats.provider_calls == 1
+        assert (gateway.stats.provider_calls, gateway.stats.cache_misses, gateway.stats.cache_hits) == (1, 1, 0)
+        assert gateway.chat(chat_request()) == first
+        assert (gateway.stats.provider_calls, gateway.stats.cache_misses, gateway.stats.cache_hits) == (1, 1, 1)
 
     def test_canned_provider_passthrough(self, tmp_path):
         gateway = make_gateway(tmp_path, chat=StaticChatProvider("AI"))
-        assert gateway.chat(chat_request()).text == "AI"
+        assert gateway.chat(chat_request()) == "AI"
 
     def test_warm_cache_across_gateway_instances(self, tmp_path):
         first = make_gateway(tmp_path, chat=MockChatProvider(seed=0))
-        text = first.chat(chat_request()).text
+        text = first.chat(chat_request())
         warm = make_gateway(tmp_path, chat=MockChatProvider(seed=0))
-        result = warm.chat(chat_request())
-        assert result.cached is True
-        assert result.text == text
-        assert warm.stats.provider_calls == 0
+        assert warm.chat(chat_request()) == text
+        assert (warm.stats.provider_calls, warm.stats.cache_hits) == (0, 1)
 
     def test_no_chat_provider_configured(self, tmp_path):
         gateway = make_gateway(tmp_path)
@@ -173,7 +165,7 @@ class TestChatCaching:
         request = chat_request()
         gateway.chat(request)
         key = build_cache_key(request, "mock-chat-0")
-        entry = json.loads(cache_entries(gateway.cache.root)[key.digest])
+        entry = json.loads(cache_entries(gateway.cache.root)[key.hex()])
         assert entry["request"]["messages"] == [["user", "Why?"]]
         assert entry["request"]["temperature"] == 0.5
         assert "text" in entry["response"]
@@ -182,13 +174,13 @@ class TestChatCaching:
 class TestEmbedding:
     def test_same_text_same_vector(self, tmp_path):
         gateway = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=0, dim=8))
-        assert gateway.embed("hello world") == gateway.embed("hello world")
+        assert gateway.embed("hello world").tobytes() == gateway.embed("hello world").tobytes()
 
     def test_different_texts_differ_in_at_least_one_coordinate(self, tmp_path):
         gateway = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=0, dim=8))
         a = gateway.embed("hello world")
         b = gateway.embed("goodbye world")
-        assert any(x != y for x, y in zip(a.values, b.values))
+        assert any(x != y for x, y in zip(a, b))
 
     def test_mock_matches_documented_hash_construction(self, tmp_path):
         # independent re-implementation of the documented construction
@@ -202,7 +194,7 @@ class TestEmbedding:
 
         gateway = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=7, dim=5))
         vector = gateway.embed("sample text")
-        assert list(vector.values) == expected(7, 5, "sample text")
+        assert list(vector) == expected(7, 5, "sample text")
 
     @pytest.mark.parametrize("seed", [0, 7, -3])
     @pytest.mark.parametrize("dim", [1, 16, 256, 1536])
@@ -236,38 +228,33 @@ class TestEmbedding:
         with pytest.raises(ConfigError, match="dimension drift"):
             gateway.embed("second")
 
-    def test_vector_invariants(self):
-        v = EmbeddingVector(values=(0.5, -0.5), provider_id="p", dim=2)
-        assert v.dim == len(v.values)
-        with pytest.raises(ValueError):
-            EmbeddingVector(values=(0.5,), provider_id="p", dim=2)
-        with pytest.raises(ValueError):
-            EmbeddingVector(values=(float("nan"),), provider_id="p", dim=1)
+    def test_vector_values_are_a_read_only_copy(self, tmp_path):
+        class MutatingProvider(FixedEmbeddingProvider):
+            def embed_many(self, texts):
+                self.returned = [np.array(self.values) for _ in texts]
+                return self.returned
 
-    def test_vector_values_are_a_read_only_copy(self):
-        source = np.array([0.5, -0.5])
-        v = EmbeddingVector(values=source, provider_id="p", dim=2)
-        source[0] = 9.0
-        assert v.values.dtype == np.float64 and v.values.tolist() == [0.5, -0.5]
+        provider = MutatingProvider([0.5, -0.5])
+        vector = make_gateway(tmp_path, embed=provider).embed("x")
+        provider.returned[0][0] = 9.0
+        assert vector.dtype == np.float64 and vector.tolist() == [0.5, -0.5]
         with pytest.raises(ValueError, match="read-only"):
-            v.values[0] = 1.0
-
-    def test_vector_equality(self):
-        v = EmbeddingVector(values=[0.5, -0.5], provider_id="p", dim=2)
-        assert v == EmbeddingVector(values=(0.5, -0.5), provider_id="p", dim=2)
-        assert v != EmbeddingVector(values=(0.5, 0.5), provider_id="p", dim=2)
-        assert v != EmbeddingVector(values=(0.5, -0.5), provider_id="q", dim=2)
-        assert v != (0.5, -0.5)
+            vector[0] = 1.0
+        warm = make_gateway(tmp_path, embed=provider).embed("x")
+        assert warm.tolist() == [0.5, -0.5] and not warm.flags.writeable
 
     @pytest.mark.parametrize(
-        "values, dim",
-        [((0.5, float("nan")), 2), ((float("inf"),), 1), ((0.5, 0.5), 3), (((0.5, 0.5),), 1)],
-        ids=["nan", "inf", "wrong-dim", "not-1d"],
+        "values", [[0.5, float("nan")], [float("inf")], [0.5, -float("inf")]], ids=["nan", "inf", "-inf"]
     )
-    def test_vector_rejects_non_finite_values_and_a_wrong_dim(self, values, dim):
-        with pytest.raises(ValueError):
-            EmbeddingVector(values=values, provider_id="p", dim=dim)
+    def test_a_reply_with_a_non_finite_value_stores_nothing_of_its_batch(self, tmp_path, values):
+        class OneBadReplyProvider(FixedEmbeddingProvider):
+            def embed_many(self, texts):
+                return [list(self.values) if text == "bad" else [0.5] * len(self.values) for text in texts]
 
+        gateway = make_gateway(tmp_path, embed=OneBadReplyProvider(values))
+        with pytest.raises(ValueError, match="non-finite"):
+            gateway.embed_many(["fine", "bad", "also fine"])
+        assert gateway.cache.entry_count() == 0
 
 
 class RecordingEmbeddingProvider:
@@ -315,7 +302,7 @@ class TestEmbedMany:
         gateway = make_gateway(tmp_path, embed=provider)
         texts = ["b", "a", "b", "c", "a"]
         vectors = gateway.embed_many(texts)
-        assert [list(v.values) for v in vectors] == [provider.mock.embed(t) for t in texts]
+        assert [list(v) for v in vectors] == [provider.mock.embed(t) for t in texts]
         assert provider.requests == [["b", "a", "c"]]
         assert gateway.stats.provider_calls == 1
         assert (gateway.stats.cache_misses, gateway.stats.cache_hits) == (3, 2)
@@ -355,7 +342,7 @@ class TestEmbedMany:
         gateway = make_gateway(tmp_path, embed=provider)
         texts = [f"text {i}" for i in range(3 * EMBED_BATCH)]
         vectors = gateway.embed_many(texts)
-        assert [list(v.values) for v in vectors] == [provider.mock.embed(t) for t in texts]
+        assert [list(v) for v in vectors] == [provider.mock.embed(t) for t in texts]
         assert sorted(len(batch) for batch in provider.requests) == [EMBED_BATCH] * 3
         assert provider.peak == 3
 
@@ -385,7 +372,7 @@ class TestEmbedMany:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
         assert sorted(t for batch in provider.requests for t in batch) == sorted(set(texts))
-        assert [list(v.values) for v in vectors] == [provider.mock.embed(t) for t in texts]
+        assert [list(v) for v in vectors] == [provider.mock.embed(t) for t in texts]
         assert gateway.cache.entry_count() == 12 * EMBED_BATCH
         stats = gateway.stats
         assert (stats.provider_calls, stats.cache_misses, stats.cache_hits) == (12, 768, 768)
@@ -410,7 +397,7 @@ class TestEmbedMany:
         stats = gateway.stats
         assert (stats.provider_calls, stats.cache_misses, stats.cache_hits) == (6, distinct, 2 * distinct)
         vectors = gateway.stored_embeddings(texts)
-        assert [list(v.values) for v in vectors] == [provider.mock.embed(t) for t in texts]
+        assert [list(v) for v in vectors] == [provider.mock.embed(t) for t in texts]
 
     def test_a_store_pass_only_looks_for_cached_texts_and_the_read_back_counts_nothing(
         self, tmp_path, monkeypatch
@@ -427,7 +414,7 @@ class TestEmbedMany:
         counts = (gateway.stats.provider_calls, gateway.stats.cache_misses, gateway.stats.cache_hits)
         assert counts == (2, 3, 2)
         vectors = gateway.stored_embeddings(["c", "a", "c"])
-        assert [list(v.values) for v in vectors] == [provider.mock.embed(t) for t in ("c", "a", "c")]
+        assert [list(v) for v in vectors] == [provider.mock.embed(t) for t in ("c", "a", "c")]
         assert (gateway.stats.provider_calls, gateway.stats.cache_misses, gateway.stats.cache_hits) == counts
         with pytest.raises(DataError, match="no stored embedding"):
             gateway.stored_embeddings(["never stored"])
@@ -437,8 +424,8 @@ class TestEmbedMany:
         single = cold.embed("one")
         batch = cold.embed_many(["two", "three"])
         warm = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=0, dim=4))
-        assert warm.embed_many(["one"]) == [single]
-        assert [warm.embed("two"), warm.embed("three")] == batch
+        assert warm.embed_many(["one"])[0].tobytes() == single.tobytes()
+        assert [warm.embed("two").tobytes(), warm.embed("three").tobytes()] == [v.tobytes() for v in batch]
         assert warm.stats.provider_calls == 0
 
 
@@ -505,7 +492,7 @@ class TestRetries:
     def test_transient_failures_then_success(self, tmp_path):
         provider = FlakyChatProvider(fail_times=2)
         gateway = make_gateway(tmp_path, chat=provider)
-        assert gateway.chat(chat_request()).text == "recovered"
+        assert gateway.chat(chat_request()) == "recovered"
         assert provider.calls == 3
         assert gateway.stats.provider_calls == 3
 
@@ -561,7 +548,7 @@ class TestRetries:
         slept = []
         chat = OpenAICompatChatProvider(base_url="http://chat.test/v1", api_key_env="SURVEYGUARD_TEST_KEY")
         gateway = ProviderGateway(cache=DiskCache(tmp_path / "cache"), chat_provider=chat, sleep=slept.append)
-        assert gateway.chat(chat_request()).text == "ok"
+        assert gateway.chat(chat_request()) == "ok"
         assert slept == [waited]
 
     def test_failed_calls_store_nothing(self, tmp_path):
@@ -639,19 +626,19 @@ class TestDiskCache:
                 "response": {"values": MockEmbeddingProvider(seed=0, dim=4).embed(text), "dim": 4},
                 "stored_at": "2024-01-01T00:00:00+00:00",
             }
-            path = cache.root / build_cache_key(text, provider_id).digest
+            path = cache.root / build_cache_key(text, provider_id).hex()
             pretty = (json.dumps(entry, sort_keys=True, indent=2) + "\n").encode()
             path.write_bytes(pretty if text == "pretty" else cache_file_bytes(entry))
             legacy[path] = path.read_bytes()
         provider = RecordingEmbeddingProvider()
         gateway = make_gateway(tmp_path, embed=provider)
         vectors = gateway.embed_many(["compact", "pretty"])
-        assert [list(v.values) for v in vectors] == [provider.mock.embed(t) for t in ("compact", "pretty")]
+        assert [list(v) for v in vectors] == [provider.mock.embed(t) for t in ("compact", "pretty")]
         assert gateway.stats.provider_calls == 0
         assert {path: path.read_bytes() for path in legacy} == legacy  # read, not migrated
 
         gateway.embed("fresh")
-        stored = cache_entries(cache.root)[build_cache_key("fresh", provider_id).digest]
+        stored = cache_entries(cache.root)[build_cache_key("fresh", provider_id).hex()]
         header, body = parse_cache_file(stored)
         assert stored.startswith(VECTOR_MAGIC)
         assert header["request"] == embed_key_material("fresh", provider_id)
@@ -683,7 +670,7 @@ class TestPacks:
 
         def store(part):
             for key in keys[part::8]:
-                cache.store(key, {"response": {"text": key.digest}})
+                cache.store(key, {"response": {"text": key.hex()}})
 
         threads = [threading.Thread(target=store, args=(part,)) for part in range(8)]
         interval = sys.getswitchinterval()
@@ -698,9 +685,9 @@ class TestPacks:
         assert not any(thread.is_alive() for thread in threads)
         cache.flush()
         packed = [digest for pack in cache.packs.iterdir() for digest in read_pack(pack)[1]]
-        assert sorted(packed) == sorted(key.digest for key in keys)
+        assert sorted(packed) == sorted(key.hex() for key in keys)
         reader = DiskCache(tmp_path / "cache")
-        assert all(reader.load(key) == {"response": {"text": key.digest}} for key in keys)
+        assert all(reader.load(key) == {"response": {"text": key.hex()}} for key in keys)
 
     @pytest.mark.parametrize("damage, names_entry", PACK_DAMAGE.values(), ids=PACK_DAMAGE.keys())
     def test_a_bad_pack_is_a_data_error_naming_it(self, tmp_path, damage, names_entry):
@@ -722,8 +709,8 @@ class TestPacks:
         key = build_cache_key("a", "p")
         cache.store(key, {"response": {"text": "packed"}})
         cache.flush()
-        (cache.root / key.digest).write_text('{"response": {"text": "legacy"}}\n', encoding="utf-8")
-        (cache.root / build_cache_key("b", "p").digest).write_text("{}\n", encoding="utf-8")
+        (cache.root / key.hex()).write_text('{"response": {"text": "legacy"}}\n', encoding="utf-8")
+        (cache.root / build_cache_key("b", "p").hex()).write_text("{}\n", encoding="utf-8")
         assert DiskCache(tmp_path / "cache").load(key) == {"response": {"text": "packed"}}
         assert DiskCache(tmp_path / "cache").entry_count() == 2
 
@@ -752,11 +739,11 @@ class TestMissesOpenNoFile:
             "request": embed_key_material("old", provider.provider_id),
             "response": {"values": provider.mock.embed("old"), "dim": 4},
         }
-        path = gateway.cache.root / build_cache_key("old", provider.provider_id).digest
+        path = gateway.cache.root / build_cache_key("old", provider.provider_id).hex()
         path.write_bytes(cache_file_bytes(entry))
         gateway.store_embeddings(["old", "new"])
         assert provider.requests == [["new"]]
-        assert list(gateway.stored_embeddings(["old"])[0].values) == provider.mock.embed("old")
+        assert list(gateway.stored_embeddings(["old"])[0]) == provider.mock.embed("old")
 
 
 class FixedEmbeddingProvider:
@@ -778,7 +765,7 @@ class TestVectorEntries:
         warm = make_gateway(tmp_path, embed=FixedEmbeddingProvider([1.0]))
         vector = warm.embed("x")
         assert warm.stats.provider_calls == 0
-        assert vector.values.tobytes() == np.array(values, dtype=np.float64).tobytes()
+        assert vector.tobytes() == np.array(values, dtype=np.float64).tobytes()
 
     def test_a_d256_entry_is_its_raw_vector_plus_a_short_header(self, tmp_path):
         gateway = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=0, dim=256))
@@ -791,7 +778,7 @@ class TestVectorEntries:
         gateway = make_gateway(tmp_path, chat=StaticChatProvider(text))
         request = chat_request(text="Pourquoi ?\n— réponds")
         gateway.chat(request)
-        stored = cache_entries(gateway.cache.root)[build_cache_key(request, "static-chat").digest]
+        stored = cache_entries(gateway.cache.root)[build_cache_key(request, "static-chat").hex()]
         entry = json.loads(stored)
         assert entry == {"request": chat_key_material(request, "static-chat"), "response": {"text": text}}
         (pack,) = gateway.cache.packs.iterdir()
@@ -852,7 +839,7 @@ class TestChatMany:
         provider = EchoChatProvider(delay=lambda text: 0.002 * (12 - int(text[1:])))
         gateway = make_gateway(tmp_path, chat=provider)
         results = gateway.chat_many([chat_request(text=f"q{i}") for i in range(12)])
-        assert [r.text for r in results] == [f"re: q{i}" for i in range(12)]
+        assert results == [f"re: q{i}" for i in range(12)]
 
     def test_a_repeated_request_is_sent_once_and_counted_as_a_hit(self, tmp_path):
         provider = EchoChatProvider()
@@ -860,7 +847,7 @@ class TestChatMany:
         a, b = chat_request(text="a"), chat_request(text="b")
         results = gateway.chat_many([a, b, a, a])
         assert sorted(provider.calls) == ["a", "b"]
-        assert [r.text for r in results] == ["re: a", "re: b", "re: a", "re: a"]
+        assert results == ["re: a", "re: b", "re: a", "re: a"]
         assert (gateway.stats.provider_calls, gateway.stats.cache_misses) == (2, 2)
         assert gateway.stats.cache_hits == 2
 
@@ -870,10 +857,11 @@ class TestChatMany:
         requests = [chat_request(text=t) for t in ("x", "bad", "y")]
         results = gateway.chat_many(requests)
         assert isinstance(results[1], ProviderError) and results[1].status == 400
-        assert [type(results[0]), type(results[2])] == [ChatResult, ChatResult]
+        assert [results[0], results[2]] == ["re: x", "re: y"]
         assert gateway.cache.entry_count() == 2
-        again = gateway.chat_many([requests[0], requests[2]])
-        assert [r.cached for r in again] == [True, True]
+        hits = gateway.stats.cache_hits
+        assert gateway.chat_many([requests[0], requests[2]]) == ["re: x", "re: y"]
+        assert gateway.stats.cache_hits == hits + 2
         assert sorted(provider.calls) == ["bad", "x", "y"]
 
     def test_any_other_exception_propagates_after_the_other_requests(self, tmp_path):
@@ -889,7 +877,8 @@ class TestChatMany:
             )
         provider = EchoChatProvider()
         warm = make_gateway(tmp_path, chat=provider)  # a new cache reads only committed packs
-        assert [r.cached for r in warm.chat_many([chat_request(text=t) for t in ("x", "y")])] == [True, True]
+        assert warm.chat_many([chat_request(text=t) for t in ("x", "y")]) == ["re: x", "re: y"]
+        assert (warm.stats.cache_hits, warm.stats.cache_misses) == (2, 0)
         assert provider.calls == []
 
     def test_at_most_max_in_flight_calls_overlap(self, tmp_path):
@@ -914,7 +903,7 @@ class TestChatMany:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
         assert sorted(provider.calls) == sorted(f"q{i}" for i in range(150))
-        assert [r.text for r in results] == [f"re: {r.messages[-1][1]}" for r in requests]
+        assert results == [f"re: {r.messages[-1][1]}" for r in requests]
         stats = gateway.stats
         assert (stats.provider_calls, stats.cache_misses, stats.cache_hits) == (150, 150, 450)
 
@@ -956,7 +945,7 @@ class TestUnreadableCacheEntries:
     def test_chat_entry_is_a_data_error_naming_its_file(self, tmp_path, content, send, layout):
         provider = EchoChatProvider()
         gateway = make_gateway(tmp_path, chat=provider)
-        digest = build_cache_key(chat_request(), provider.provider_id).digest
+        digest = build_cache_key(chat_request(), provider.provider_id).hex()
         path = rewrite_cache(gateway.cache.root, {digest: content.encode()}, _legacy(digest, layout))[digest]
         with pytest.raises(DataError, match=digest) as raised:
             send(gateway)
@@ -965,12 +954,20 @@ class TestUnreadableCacheEntries:
 
     @pytest.mark.parametrize("layout", ["packed", "legacy"])
     @pytest.mark.parametrize(
-        "content", ['{"response": {"values": [0.1,', '{"stored_at": "x"}', '{"response": "v"}']
+        "content",
+        [
+            '{"response": {"values": [0.1,',
+            '{"stored_at": "x"}',
+            '{"response": "v"}',
+            '{"response": {"values": [0.1, NaN], "dim": 2}}',
+            '{"response": {"values": [0.1, 0.2], "dim": 3}}',
+            '{"response": {"values": [[0.1, 0.2]], "dim": 1}}',
+        ],
     )
     def test_embed_entry_is_a_data_error_naming_its_file(self, tmp_path, content, layout):
         provider = RecordingEmbeddingProvider()
         gateway = make_gateway(tmp_path, embed=provider)
-        digest = build_cache_key("text", provider.provider_id).digest
+        digest = build_cache_key("text", provider.provider_id).hex()
         path = rewrite_cache(gateway.cache.root, {digest: content.encode()}, _legacy(digest, layout))[digest]
         with pytest.raises(DataError, match=digest) as raised:
             gateway.embed_many(["other", "text"])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from surveyguard.cli import main
-from surveyguard.gateway import EmbeddingVector
 from surveyguard.scoring import (
     FLAG_EMPTY,
     FLAG_IRRELEVANT,
@@ -22,22 +21,23 @@ from surveyguard.scoring import (
 )
 
 
-def vec(*values) -> EmbeddingVector:
-    return EmbeddingVector(values=tuple(float(v) for v in values), provider_id="test", dim=len(values))
+def vec(*values) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
 
 
-def random_vec(rng: random.Random, dim: int) -> EmbeddingVector:
+def random_vec(rng: random.Random, dim: int) -> np.ndarray:
     while True:
         values = [rng.uniform(-1, 1) for _ in range(dim)]
         if any(v != 0 for v in values):
             return vec(*values)
 
 
-def oracle_cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
+def oracle_cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Independent pure-python cosine for cross-checking."""
-    dot = sum(x * y for x, y in zip(a.values, b.values))
-    na = math.sqrt(sum(x * x for x in a.values))
-    nb = math.sqrt(sum(y * y for y in b.values))
+    a, b = a.tolist(), b.tolist()
+    dot = sum(x * y for x, y in zip(a, b))
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(y * y for y in b))
     return dot / (na * nb)
 
 
@@ -69,7 +69,7 @@ class TestCosine:
             assert abs(s) <= 1.0 + 1e-9
             assert s == cosine_similarity(b, a)  # exact symmetry
             k = rng.uniform(0.01, 100.0)
-            scaled = vec(*(k * x for x in a.values))
+            scaled = vec(*(k * x for x in a.tolist()))
             assert cosine_similarity(scaled, b) == pytest.approx(s, abs=1e-12)
 
 
@@ -224,11 +224,8 @@ def test_scored_rows_survive_a_json_round_trip(records):
     assert json.loads(json.dumps(rows, allow_nan=False)) == rows
 
 
-def np_pairs(prefix: str, rows) -> list[tuple[str, EmbeddingVector]]:
-    return [
-        (f"{prefix}{i:04d}", EmbeddingVector(values=row, provider_id="test", dim=len(row)))
-        for i, row in enumerate(rows)
-    ]
+def np_pairs(prefix: str, rows) -> list[tuple[str, np.ndarray]]:
+    return [(f"{prefix}{i:04d}", row) for i, row in enumerate(rows)]
 
 
 class TestScoringCoreIsBitStable:

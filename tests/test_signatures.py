@@ -208,7 +208,7 @@ class TestDeterminismAndStore:
                 QUESTION, sig["model_id"], sig["temperature"], Sentiment(sig["sentiment"])
             )
             key = build_cache_key(request, gateway.chat_provider.provider_id)
-            entry = json.loads(cache_entries(gateway.cache.root)[key.digest])
+            entry = json.loads(cache_entries(gateway.cache.root)[key.hex()])
             assert entry["request"]["messages"] == [list(m) for m in request.messages]
             assert entry["response"]["text"] == sig["text"]
 

@@ -8,6 +8,7 @@ import shutil
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import ModuleType
 
 from surveyguard.cli import RunConfig
 
@@ -148,10 +149,30 @@ def test_every_benchmark_config_key_is_a_run_config_field(monkeypatch, tmp_path)
     assert written and written <= {f.name for f in fields(RunConfig)}
 
 
-def test_readme_library_use_example_runs(monkeypatch, tmp_path, capsys):
+def _readme_library_use() -> str:
     readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library use\n", 1)[1]
-    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_the_package_exports_what_the_library_use_example_imports():
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(_readme_library_use()))
+        if isinstance(node, ast.ImportFrom) and node.module == "surveyguard"
+        for alias in node.names
+    }
+    package = importlib.import_module("surveyguard")
+    public = {
+        name
+        for name, value in vars(package).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert imported and public == imported
+
+
+def test_readme_library_use_example_runs(monkeypatch, tmp_path, capsys):
+    code = _readme_library_use()
     corpus = PACKAGE.parent.parent / "tests" / "fixtures" / "corpus"
     shutil.copytree(corpus, tmp_path / "tests" / "fixtures" / "corpus")
     monkeypatch.chdir(tmp_path)
