@@ -392,18 +392,17 @@ def _score_strategy(
     records = cfg.scores_mode == "full"
     rows = []
     signature_texts: dict[str, str] = {}
-    plan = []  # per question: its signatures, by id, and the texts to embed, theirs then the answers'
+    plan = []  # per question: its signatures, by id, its answered responses, and the texts to embed
     for question in questions:
         store = load_signature_set(store_dir, kind, question.question_id)
         store["signatures"].sort(key=lambda s: s["signature_id"])
         signatures = [(s["signature_id"], s["text"]) for s in store["signatures"]]
-        answers = [r.text for r in dataset.responses_for_question(question.question_id) if r.text.strip()]
-        plan.append((signatures, [text for _, text in signatures] + answers))
+        answered = [r for r in dataset.responses_for_question(question.question_id) if r.text.strip()]
+        plan.append((signatures, answered, [text for _, text in signatures] + [r.text for r in answered]))
     # One pass fetches the misses of every question; then one question's vectors are held at a time.
-    gateway.store_embeddings([text for _, texts in plan for text in texts])
-    for question, (signatures, texts) in zip(questions, plan):
+    gateway.store_embeddings([text for _, _, texts in plan for text in texts])
+    for question, (signatures, answered, texts) in zip(questions, plan):
         responses = dataset.responses_for_question(question.question_id)
-        answered = [r for r in responses if r.text.strip()]
         vectors = gateway.stored_embeddings(texts)
         signature_texts.update(signatures)
         by_id = {

@@ -503,6 +503,8 @@ class ProviderGateway:
     def stored_embeddings(self, texts: Sequence[str]) -> np.ndarray:
         """The stored vectors of texts as one ``(n, d)`` array, rows in input order: no provider
         call, and no hit counted again."""
+        if self.embedding_provider is None:
+            raise ConfigError("no embedding provider configured")
         provider_id = self.embedding_provider.provider_id
         read = partial(self._vector, provider_id)
         vectors = {t: self._read(build_cache_key(t, provider_id), read) for t in dict.fromkeys(texts)}

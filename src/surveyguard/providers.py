@@ -45,10 +45,6 @@ class EmbeddingProvider(Protocol):
 # Deterministic mocks
 
 
-def _digest(*parts: str) -> bytes:
-    return hashlib.sha256("|".join(parts).encode("utf-8")).digest()
-
-
 _VOCAB = (
     "clear", "simple", "daily", "helpful", "routine", "often", "value",
     "quick", "notes", "planning", "budget", "track", "habits", "focus",
@@ -76,7 +72,8 @@ class MockChatProvider:
         prompt = "\n".join(text for _, text in request.messages)
         if request.purpose == PurposeTag.DETECT:
             return "AI" if DETECT_MARKER in prompt.lower() else "HUMAN"
-        digest = _digest(str(self.seed), request.model_id, repr(float(request.temperature)), prompt)
+        material = "|".join((str(self.seed), request.model_id, repr(float(request.temperature)), prompt))
+        digest = hashlib.sha256(material.encode("utf-8")).digest()
         words = [_VOCAB[b % len(_VOCAB)] for b in digest[:9]]
         return (" ".join(words)).capitalize() + "."
 
@@ -84,11 +81,12 @@ class MockChatProvider:
 class MockEmbeddingProvider:
     """Deterministic offline embedding provider.
 
-    Coordinate i of the vector for a text is u/2**64 * 2 - 1 where u is the
-    big-endian integer of the first 8 bytes of sha256("{seed}|{i}|{text}").
-    Equal texts map to equal vectors; distinct texts differ with overwhelming
-    probability. Tests rely on this exact construction. ``embed`` is its readable
-    reference; tests check that the faster ``embed_many`` gives the same bits.
+    The vector for a text is read from one SHAKE-256 digest,
+    shake_256("{seed}|{text}").digest(8 * dim), as dim little-endian u64 values
+    u, each mapped to u/2**64 * 2 - 1: uniform on [-1, 1). Equal texts map to
+    equal vectors; distinct texts differ with overwhelming probability. Tests pin
+    this exact construction and its bits. The ``v2`` in the provider id keeps
+    vectors cached by an older construction from being read as these.
     """
 
     def __init__(self, seed: int = 0, dim: int = 16):
@@ -96,28 +94,16 @@ class MockEmbeddingProvider:
             raise ConfigError(f"embedding dim must be >= 1, got {dim}")
         self.seed = seed
         self.dim = dim
-        self.provider_id = f"mock-embed-{seed}-d{dim}"
-        # Each coordinate's prefix, hashed once; a text's digest continues a copy of it.
-        self._hashers = [hashlib.sha256(f"{seed}|{i}|".encode("utf-8")) for i in range(dim)]
+        self.provider_id = f"mock-embed-v2-{seed}-d{dim}"
 
     def embed(self, text: str) -> list[float]:
-        values = []
-        for i in range(self.dim):
-            u = int.from_bytes(_digest(str(self.seed), str(i), text)[:8], "big")
-            values.append(u / 2.0**64 * 2.0 - 1.0)
-        return values
+        return self.embed_many([text])[0].tolist()
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         vectors = []
         for text in texts:
-            data = text.encode("utf-8")
-            digests = []
-            for hasher in self._hashers:
-                hasher = hasher.copy()
-                hasher.update(data)
-                digests.append(hasher.digest())
-            u = np.frombuffer(b"".join(digests), ">u8")[::4]  # the first 8 of each 32 bytes
-            vectors.append(u.astype(np.float64) / 2.0**64 * 2.0 - 1.0)
+            digest = hashlib.shake_256(f"{self.seed}|{text}".encode("utf-8")).digest(8 * self.dim)
+            vectors.append(np.frombuffer(digest, "<u8") / 2.0**64 * 2.0 - 1.0)
         return vectors
 
 

@@ -708,7 +708,7 @@ class TestProvenanceProviders:
         code, _, _ = run_cli(capsys, *base_args(corpus_path, tmp_path, "report", "--seed", "3"))
         assert code == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
-        assert report["provenance"]["providers"] == {"chat": "mock-chat-3", "embedding": "mock-embed-3-d16"}
+        assert report["provenance"]["providers"] == {"chat": "mock-chat-3", "embedding": "mock-embed-v2-3-d16"}
 
     def test_openai_ids_need_no_api_key(self, capsys, monkeypatch, corpus_path, tmp_path):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)

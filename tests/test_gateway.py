@@ -160,6 +160,13 @@ class TestChatCaching:
         with pytest.raises(ConfigError, match="no chat provider"):
             gateway.chat(chat_request())
 
+    @pytest.mark.parametrize("method", ["embed", "store_embeddings", "stored_embeddings"])
+    def test_no_embedding_provider_configured(self, tmp_path, method):
+        gateway = make_gateway(tmp_path, chat=MockChatProvider(seed=0))
+        text = "hello" if method == "embed" else ["hello"]
+        with pytest.raises(ConfigError, match="no embedding provider"):
+            getattr(gateway, method)(text)
+
     def test_cache_entry_contains_request_material(self, tmp_path):
         gateway = make_gateway(tmp_path, chat=MockChatProvider(seed=0))
         request = chat_request()
@@ -169,6 +176,41 @@ class TestChatCaching:
         assert entry["request"]["messages"] == [["user", "Why?"]]
         assert entry["request"]["temperature"] == 0.5
         assert "text" in entry["response"]
+
+
+# The mock embedder's bits at seed 7: float.hex per coordinate at d=16, and the sha256 of those
+# strings joined by "," over all four texts at larger dims. A change here moves every mock score.
+MOCK_TEXTS = ["plain", "naïve café, 日本語 ✓", "line\u2028separator", "long answer " * 300]
+MOCK_BITS_D16 = [
+    [
+        "0x1.3a829de36f7e0p-2", "-0x1.279c208904b74p-1", "-0x1.3edca6749371bp-1", "0x1.50b18d1783412p-1",
+        "-0x1.32c3306122220p-4", "-0x1.07e93409baeb4p-1", "0x1.0332bea563b00p-4", "-0x1.3543b5cdcc762p-1",
+        "0x1.428a43c33df4cp-2", "0x1.891ea4f60d086p-1", "0x1.0a516e33ec344p-2", "-0x1.1865f6b289e00p-10",
+        "-0x1.2a52dc90f1c60p-6", "0x1.7de74e296ea20p-2", "0x1.2c1bd38fb2d88p-2", "-0x1.67c4c3af36e00p-4",
+    ],
+    [
+        "0x1.d92a90526370ep-1", "-0x1.8a8fd30368f10p-2", "0x1.30f4346c77594p-1", "-0x1.c658f1bb4f4f6p-2",
+        "0x1.f98cbfec36918p-1", "-0x1.c32e2f4187041p-1", "-0x1.09e7488792966p-1", "-0x1.6411b7c3d328ep-2",
+        "0x1.e6cc42cd65012p-1", "0x1.d7b70aec24400p-6", "0x1.785930af01cb0p-2", "-0x1.a5d0d30a7a18ep-1",
+        "0x1.eac4a62782680p-1", "-0x1.8314c69f312ccp-3", "0x1.f954d8f11ab28p-3", "0x1.4f1ce27e2a12cp-2",
+    ],
+    [
+        "-0x1.e5a40552601aep-1", "-0x1.ad7377a94ec48p-1", "-0x1.44cacfe5c3b64p-1", "0x1.adc0f97dba874p-1",
+        "0x1.675d8f25fe2b2p-1", "-0x1.d07dbdc82e0a6p-1", "-0x1.e2bd9dd7722c4p-1", "-0x1.bf55c6a5818b2p-1",
+        "0x1.455c634df8770p-3", "-0x1.e090874a526f8p-3", "-0x1.f06e24bf48360p-4", "-0x1.7dc9801a6b200p-1",
+        "0x1.68e03f566efd0p-3", "-0x1.d31ef63a0d080p-6", "0x1.f0a096dac5e30p-1", "-0x1.0783cef4cfd1ap-1",
+    ],
+    [
+        "0x1.142be83831f6ep-1", "0x1.def5fc21f022ep-1", "-0x1.05cf53821c61ap-1", "0x1.ebd8b3d1a4b40p-1",
+        "-0x1.8eaaf5f841c56p-2", "-0x1.27c7bab5291e0p-1", "0x1.b0a205d607800p-10", "0x1.b3e8a97cfcb04p-2",
+        "-0x1.d3f6feb3af756p-1", "-0x1.97a0cf204ea38p-2", "0x1.010175005e434p-1", "0x1.8c14c09fd4580p-7",
+        "-0x1.4570c65816944p-2", "0x1.229463d776decp-2", "0x1.d7f74cb428568p-3", "0x1.802f73b1ea858p-1",
+    ],
+]
+MOCK_BITS_SHA256 = {
+    256: "8edc6e8adb1406a2ba20de96d33b1755d280d72e5432a243838f3f1852eb469a",
+    1536: "32f0a02614c65d124a962f0bbe90d9b44713471b52ad9385a92294b5d80765cb",
+}
 
 
 class TestEmbedding:
@@ -182,30 +224,34 @@ class TestEmbedding:
         b = gateway.embed("goodbye world")
         assert any(x != y for x, y in zip(a, b))
 
-    def test_mock_matches_documented_hash_construction(self, tmp_path):
-        # independent re-implementation of the documented construction
-        def expected(seed: int, dim: int, text: str) -> list[float]:
-            out = []
-            for i in range(dim):
-                material = f"{seed}|{i}|{text}".encode("utf-8")
-                u = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
-                out.append(u / 2.0**64 * 2.0 - 1.0)
-            return out
-
-        gateway = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=7, dim=5))
-        vector = gateway.embed("sample text")
-        assert list(vector) == expected(7, 5, "sample text")
-
     @pytest.mark.parametrize("seed", [0, 7, -3])
-    @pytest.mark.parametrize("dim", [1, 16, 256, 1536])
-    def test_mock_batch_is_embed_bit_for_bit(self, seed, dim):
+    @pytest.mark.parametrize("dim", [1, 5, 16])
+    def test_mock_matches_documented_hash_construction(self, tmp_path, seed, dim):
+        # independent re-implementation of the documented construction
+        def expected(text: str) -> list[float]:
+            digest = hashlib.shake_256(f"{seed}|{text}".encode("utf-8")).digest(8 * dim)
+            words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 8 * dim, 8)]
+            return [u / 2.0**64 * 2.0 - 1.0 for u in words]
+
         provider = MockEmbeddingProvider(seed=seed, dim=dim)
-        texts = ["plain", "naïve café, 日本語 ✓", "line\u2028separator", "long answer " * 300]
-        assert len(texts[-1].encode("utf-8")) >= 3000
-        batch = provider.embed_many(texts)
-        assert [[float(v).hex() for v in row] for row in batch] == [
-            [v.hex() for v in provider.embed(text)] for text in texts
-        ]
+        assert [row.tolist() for row in provider.embed_many(MOCK_TEXTS)] == [expected(t) for t in MOCK_TEXTS]
+        assert make_gateway(tmp_path, embed=provider).embed("sample text").tolist() == expected("sample text")
+
+    @pytest.mark.parametrize("dim", [1, 16, 256, 1536])
+    def test_mock_bits_are_pinned(self, dim):
+        assert len(MOCK_TEXTS[-1].encode("utf-8")) >= 3000
+        vectors = MockEmbeddingProvider(seed=7, dim=dim).embed_many(MOCK_TEXTS)
+        rows = [[float(v).hex() for v in row] for row in vectors]
+        if dim <= 16:  # a shorter SHAKE digest is a prefix of a longer one
+            assert rows == [row[:dim] for row in MOCK_BITS_D16]
+        else:
+            joined = ",".join(h for row in rows for h in row)
+            assert hashlib.sha256(joined.encode()).hexdigest() == MOCK_BITS_SHA256[dim]
+
+    def test_mock_equal_texts_give_equal_vectors(self):
+        same, other, again = MockEmbeddingProvider(seed=7, dim=64).embed_many(["same", "other", "same"])
+        fresh = MockEmbeddingProvider(seed=7, dim=64).embed_many(["same"])[0]
+        assert same.tobytes() == again.tobytes() == fresh.tobytes() != other.tobytes()
 
     def test_empty_text_rejected(self, tmp_path):
         gateway = make_gateway(tmp_path, embed=MockEmbeddingProvider(seed=0, dim=4))
@@ -617,20 +663,20 @@ class TestDiskCache:
         assert cache.entry_count() == 2
 
     def test_new_entries_are_vectors_and_compact_or_pretty_legacy_json_still_hits(self, tmp_path):
-        provider_id = "mock-embed-0-d4"
+        provider = RecordingEmbeddingProvider()
+        provider_id = provider.provider_id
         cache = DiskCache(tmp_path / "cache")
         legacy = {}
         for text in ("compact", "pretty"):
             entry = {
                 "request": embed_key_material(text, provider_id),
-                "response": {"values": MockEmbeddingProvider(seed=0, dim=4).embed(text), "dim": 4},
+                "response": {"values": provider.mock.embed(text), "dim": 4},
                 "stored_at": "2024-01-01T00:00:00+00:00",
             }
             path = cache.root / build_cache_key(text, provider_id).hex()
             pretty = (json.dumps(entry, sort_keys=True, indent=2) + "\n").encode()
             path.write_bytes(pretty if text == "pretty" else cache_file_bytes(entry))
             legacy[path] = path.read_bytes()
-        provider = RecordingEmbeddingProvider()
         gateway = make_gateway(tmp_path, embed=provider)
         vectors = gateway.embed_many(["compact", "pretty"])
         assert [list(v) for v in vectors] == [provider.mock.embed(t) for t in ("compact", "pretty")]
