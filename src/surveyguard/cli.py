@@ -22,7 +22,6 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .dataset import (
-    ReportFormat,
     SurveyDataset,
     load_dataset,
     write_csv,
@@ -143,11 +142,11 @@ def _check_types(layer: Mapping[str, object]) -> None:
 
 def load_config_file(path: Path | str) -> dict:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
         with open(p, encoding="utf-8") as fh:
             raw = json.load(fh)
+    except OSError as exc:  # missing, a directory, or no permission to read
+        raise ConfigError(f"cannot read config file {p}: {exc.strerror}") from None
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"config file {p} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -303,12 +302,9 @@ def cmd_validate(cfg: RunConfig) -> int:
         f"studies: {len(dataset.studies)}, questions: {len(dataset.questions)}, "
         f"responses: {len(dataset.responses)}"
     )
-    questions_by_study: dict[str, list[str]] = {}
-    for q in dataset.questions:
-        questions_by_study.setdefault(q.study_id, []).append(q.question_id)
     for study in dataset.studies:
-        qids = set(questions_by_study.get(study.study_id, []))
-        responses = [r for r in dataset.responses if r.question_id in qids]
+        qids = [q.question_id for q in dataset.questions if q.study_id == study.study_id]
+        responses = [r for qid in qids for r in dataset.responses_for_question(qid)]
         if responses:
             stats = compute_length_stats(responses)
             length = f"avg length {stats.mean:.2f} +/- {stats.std_dev:.2f} words"
@@ -620,9 +616,9 @@ def cmd_report(cfg: RunConfig) -> int:
     if signature_section:
         report["signature_detection"] = signature_section
     with _exclusive_output(out_dir):
-        write_report(report, out_dir / "report.json", ReportFormat.JSON)
-        write_report(report, out_dir / "report.md", ReportFormat.MARKDOWN_TABLE)
-        write_report(report, out_dir / "report.csv", ReportFormat.CSV)
+        write_report(report, out_dir / "report.json")
+        write_report(report, out_dir / "report.md")
+        write_report(report, out_dir / "report.csv")
     sections = []
     if llm_sections:
         sections.append(f"{len(llm_sections)} detector section(s)")

@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
+from typing import IO
 
 from .errors import DataError
 from .gateway import canonical_json
@@ -34,18 +34,6 @@ from .report import report_to_csv_rows, report_to_markdown
 STUDY_COLUMNS = ["study_id", "label", "month_year", "domain", "platform"]
 QUESTION_COLUMNS = ["question_id", "study_id", "kind", "text"]
 RESPONSE_COLUMNS = ["response_id", "question_id", "text", "collected_at"]
-
-BUNDLE_FILES = {
-    "studies.csv": STUDY_COLUMNS,
-    "questions.csv": QUESTION_COLUMNS,
-    "responses.csv": RESPONSE_COLUMNS,
-}
-
-
-class ReportFormat(str, Enum):
-    JSON = "json"
-    CSV = "csv"
-    MARKDOWN_TABLE = "markdown_table"
 
 
 @dataclass(frozen=True)
@@ -70,96 +58,70 @@ class SurveyDataset:
         return self._responses_by_question.get(question_id, ())
 
 
-def _build_dataset(
-    study_rows: Iterable[Mapping[str, str]],
-    question_rows: Iterable[Mapping[str, str]],
-    response_rows: Iterable[Mapping[str, str]],
-) -> SurveyDataset:
-    studies = []
-    seen_studies: set[str] = set()
-    for i, row in enumerate(study_rows, start=2):
-        sid = row["study_id"]
-        if not sid:
-            raise DataError(f"studies row {i}: empty study_id")
-        if sid in seen_studies:
-            raise DataError(f'studies row {i}: duplicate study_id "{sid}"')
-        seen_studies.add(sid)
-        try:
-            studies.append(
-                SurveyStudy(
-                    study_id=sid,
-                    label=row["label"],
-                    collected_month_year=row["month_year"],
-                    domain_tag=row["domain"],
-                    platform=row["platform"],
-                )
-            )
-        except ValueError as exc:
-            raise DataError(f'studies row {i} ("{sid}"): {exc}') from exc
-
-    questions = []
-    seen_questions: set[str] = set()
-    for i, row in enumerate(question_rows, start=2):
-        qid = row["question_id"]
-        if not qid:
-            raise DataError(f"questions row {i}: empty question_id")
-        if qid in seen_questions:
-            raise DataError(f'questions row {i}: duplicate question_id "{qid}"')
-        seen_questions.add(qid)
-        if row["study_id"] not in seen_studies:
-            raise DataError(
-                f'questions row {i}: question "{qid}" references unknown study "{row["study_id"]}"'
-            )
-        kind_raw = row["kind"].strip().lower()
-        try:
-            kind = QuestionKind(kind_raw)
-        except ValueError as exc:
-            raise DataError(
-                f'questions row {i}, column "kind": unknown value "{row["kind"]}"'
-            ) from exc
-        try:
-            questions.append(
-                SurveyQuestion(question_id=qid, study_id=row["study_id"], text=row["text"], kind=kind)
-            )
-        except ValueError as exc:
-            raise DataError(f"questions row {i}: {exc}") from exc
-
-    responses = []
-    seen_responses: set[str] = set()
-    for i, row in enumerate(response_rows, start=2):
-        rid = row["response_id"]
-        if not rid:
-            raise DataError(f"responses row {i}: empty response_id")
-        if rid in seen_responses:
-            raise DataError(f'responses row {i}: duplicate response_id "{rid}"')
-        seen_responses.add(rid)
-        if row["question_id"] not in seen_questions:
-            raise DataError(
-                f'responses row {i}: response "{rid}" references unknown question "{row["question_id"]}"'
-            )
-        responses.append(
-            SurveyResponse(
-                response_id=rid,
-                question_id=row["question_id"],
-                text=row["text"],
-                collected_at=row.get("collected_at", ""),
-            )
-        )
-
-    return SurveyDataset(
-        studies=tuple(sorted(studies, key=lambda s: s.study_id)),
-        questions=tuple(sorted(questions, key=lambda q: q.question_id)),
-        responses=tuple(sorted(responses, key=lambda r: r.response_id)),
-    )
+def _question(question_id: str, study_id: str, kind: str, text: str) -> SurveyQuestion:
+    try:
+        parsed = QuestionKind(kind.strip().lower())
+    except ValueError:
+        raise ValueError(f'column "kind": unknown value "{kind}"') from None
+    return SurveyQuestion(question_id, study_id, text, parsed)
 
 
-def _read_csv(path: Path, columns: Sequence[str]) -> list[dict[str, str]]:
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
+# Each table in load order: its columns, the first being the row's id; the
+# column naming the row's parent in the table before (None for the first); and
+# the model, called with a row's values in column order. A bundle holds
+# <table>.csv, a single JSON dataset payload[<table>].
+TABLES = {
+    "studies": (STUDY_COLUMNS, None, SurveyStudy),
+    "questions": (QUESTION_COLUMNS, "study_id", _question),
+    "responses": (RESPONSE_COLUMNS, "question_id", SurveyResponse),
+}
+
+# A table as read: its rows' values, and the name of row i (0-based) for error messages.
+_Rows = tuple[list[list[str]], Callable[[int], str]]
+
+
+def _build_dataset(tables: Mapping[str, _Rows]) -> SurveyDataset:
+    """Check ids and references, build every row's model, and sort each table by id."""
+    built = {}
+    by_id: dict[str, object] = {}
+    for table, (columns, parent, model) in TABLES.items():
+        rows, row_name = tables[table]
+        parent_at = columns.index(parent) if parent else None
+        parent_ids, by_id = by_id, {}
+        for i, row in enumerate(rows):
+            row_id = row[0]
+            try:
+                if row_id in by_id:
+                    raise ValueError(f'duplicate {columns[0]} "{row_id}"')
+                if parent_at is not None and row[parent_at] not in parent_ids:
+                    raise ValueError(
+                        f'{columns[0].removesuffix("_id")} "{row_id}" references unknown '
+                        f'{parent.removesuffix("_id")} "{row[parent_at]}"'
+                    )
+                by_id[row_id] = model(*row)
+            except ValueError as exc:
+                raise DataError(f"{row_name(i)}: {exc}") from exc
+        built[table] = tuple(by_id[row_id] for row_id in sorted(by_id))
+    return SurveyDataset(**built)
+
+
+def _open(path: Path, **kwargs) -> IO[str]:
+    """Open a dataset file as text; utf-8-sig drops the byte-order mark spreadsheet exports prepend."""
+    try:
+        return open(path, encoding="utf-8-sig", **kwargs)
+    except FileNotFoundError:
+        raise DataError(f"missing file: {path}") from None
+    except OSError as exc:  # a directory, or no permission to read
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _read_csv(path: Path, columns: Sequence[str]) -> _Rows:
+    def row_name(i: int) -> str:  # the header is row 1
+        return f"{path.name} row {i + 2}"
+
     header = None
     rows = []
-    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend.
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with _open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -169,40 +131,45 @@ def _read_csv(path: Path, columns: Sequence[str]) -> list[dict[str, str]]:
                 raise DataError(
                     f"{path.name}: expected header {','.join(columns)}, got {','.join(header)}"
                 )
-            for i, row in enumerate(reader, start=2):
+            for row in reader:
                 if len(row) != len(columns):
-                    raise DataError(f"{path.name} row {i}: expected {len(columns)} fields, got {len(row)}")
-                rows.append(dict(zip(columns, row)))
+                    raise DataError(f"{row_name(len(rows))}: expected {len(columns)} fields, got {len(row)}")
+                rows.append(row)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit(), 131,072 characters
-            row_number = 1 if header is None else len(rows) + 2
-            raise DataError(f"{path.name} row {row_number}: {exc}") from exc
-    return rows
+            raise DataError(f"{row_name(-1 if header is None else len(rows))}: {exc}") from exc
+    return rows, row_name
 
 
 # JSON names of the value types a dataset cell may not hold.
 _NON_CELL_TYPES = {type(None): "null", bool: "a boolean", list: "an array", dict: "an object"}
 
 
-def _json_rows(name: str, key: str, items: list, columns: Sequence[str]) -> list[dict[str, str]]:
+def _json_rows(name: str, payload: dict, table: str, columns: Sequence[str]) -> _Rows:
     """One array of a single-JSON dataset as CSV-like rows; numbers become their text."""
+    def row_name(i: int) -> str:
+        return f"{name}: {table}[{i}]"
+
+    items = payload.get(table)
+    if not isinstance(items, list):
+        raise DataError(f'{name}: missing or non-array "{table}"')
     rows = []
     for i, obj in enumerate(items):
         if not isinstance(obj, dict):
-            raise DataError(f"{name}: {key}[{i}] is not an object")
+            raise DataError(f"{row_name(i)} is not an object")
         missing = [c for c in columns if c not in obj and c != "collected_at"]
         if missing:
-            raise DataError(f"{name}: {key}[{i}] missing column(s) {','.join(missing)}")
-        row = {}
+            raise DataError(f"{row_name(i)} missing column(s) {','.join(missing)}")
+        row = []
         for column in columns:
             value = obj.get(column, "")
             if type(value) in _NON_CELL_TYPES:
                 raise DataError(
-                    f'{name}: {key}[{i}], column "{column}": expected a string, '
+                    f'{row_name(i)}, column "{column}": expected a string, '
                     f"got {_NON_CELL_TYPES[type(value)]}"
                 )
-            row[column] = str(value)
+            row.append(str(value))
         rows.append(row)
-    return rows
+    return rows, row_name
 
 
 def load_dataset(path: Path | str) -> SurveyDataset:
@@ -212,24 +179,15 @@ def load_dataset(path: Path | str) -> SurveyDataset:
     """
     p = Path(path)
     if p.is_dir():
-        tables = {name: _read_csv(p / name, cols) for name, cols in BUNDLE_FILES.items()}
-        return _build_dataset(tables["studies.csv"], tables["questions.csv"], tables["responses.csv"])
-    if not p.exists():
-        raise DataError(f"missing file: {p}")
-    try:
-        with open(p, encoding="utf-8-sig") as fh:  # as _read_csv: drop a byte-order mark
+        return _build_dataset({t: _read_csv(p / f"{t}.csv", cols) for t, (cols, _, _) in TABLES.items()})
+    with _open(p) as fh:
+        try:
             payload = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8 text
-        raise DataError(f"{p.name}: invalid JSON: {exc}") from exc
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise DataError(f"{p.name}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{p.name}: the top level must be a JSON object")
-    columns = {"studies": STUDY_COLUMNS, "questions": QUESTION_COLUMNS, "responses": RESPONSE_COLUMNS}
-    tables = {}
-    for key, cols in columns.items():
-        if not isinstance(payload.get(key), list):
-            raise DataError(f'{p.name}: missing or non-array "{key}"')
-        tables[key] = _json_rows(p.name, key, payload[key], cols)
-    return _build_dataset(tables["studies"], tables["questions"], tables["responses"])
+    return _build_dataset({t: _json_rows(p.name, payload, t, cols) for t, (cols, _, _) in TABLES.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +214,15 @@ def write_text(path: Path | str, text: str) -> None:
         fh.write(text)
 
 
-def write_report(report: Mapping, path: Path | str, fmt: ReportFormat) -> None:
-    """Write a report dict; JSON output is byte-stable for identical inputs."""
-    if fmt == ReportFormat.JSON:
+def write_report(report: Mapping, path: Path | str) -> None:
+    """Write a report dict as its path's suffix says: .json, .md or .csv; all byte-stable."""
+    suffix = Path(path).suffix
+    if suffix == ".json":
         write_json(path, report)
-    elif fmt == ReportFormat.CSV:
+    elif suffix == ".csv":
         rows = report_to_csv_rows(report)
         write_csv(path, rows[0], rows[1:])
-    else:
+    elif suffix == ".md":
         write_text(path, report_to_markdown(report))
+    else:
+        raise ValueError(f"{path}: unknown report format (expected .json, .md or .csv)")

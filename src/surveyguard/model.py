@@ -71,7 +71,10 @@ class SurveyStudy:
     def __post_init__(self) -> None:
         if not self.study_id:
             raise ValueError("study_id must be non-empty")
-        object.__setattr__(self, "cohort", assign_cohort(self.collected_month_year))
+        try:
+            object.__setattr__(self, "cohort", assign_cohort(self.collected_month_year))
+        except ValueError as exc:  # a bad date; name the study it belongs to
+            raise ValueError(f'study "{self.study_id}": {exc}') from None
 
 
 @dataclass(frozen=True)

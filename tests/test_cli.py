@@ -67,13 +67,18 @@ class TestValidate:
             assert result.returncode == 0, result.stderr
             assert "dataset OK" in result.stdout
 
-    def test_missing_dataset_exits_2_with_stderr(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "dataset, message",
+        [("nope", "missing file: {}"), ("bundle", "cannot read {}/studies.csv: Is a directory")],
+    )
+    def test_missing_dataset_exits_2_with_stderr(self, capsys, tmp_path, dataset, message):
+        (tmp_path / "bundle" / "studies.csv").mkdir(parents=True)  # a directory in a table file's place
         code, _, err = run_cli(
-            capsys, "validate", "--dataset", tmp_path / "nope", "--mock",
+            capsys, "validate", "--dataset", tmp_path / dataset, "--mock",
             "--cache-dir", tmp_path / "c", "--output-dir", tmp_path / "o",
         )
         assert code == 2
-        assert "error" in err
+        assert err == f"data error: {message.format(tmp_path / dataset)}\n"
 
     def test_no_dataset_configured_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", "--mock")
@@ -549,6 +554,13 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "validate", "--config", config)
         assert code == 1
         assert f"config error: config file {config} is not valid UTF-8 JSON" in err
+
+    @pytest.mark.parametrize("name, reason", [("", "Is a directory"), ("nope.json", "No such file or directory")])
+    def test_an_unreadable_config_file_is_config_error(self, capsys, tmp_path, name, reason):
+        config = tmp_path / name
+        code, _, err = run_cli(capsys, "validate", "--config", config)
+        assert code == 1
+        assert err == f"config error: cannot read config file {config}: {reason}\n"
 
     def test_unknown_config_key_is_config_error(self, capsys, tmp_path):
         config = tmp_path / "run.json"

@@ -8,13 +8,26 @@ from surveyguard.dataset import (
     QUESTION_COLUMNS,
     RESPONSE_COLUMNS,
     STUDY_COLUMNS,
-    ReportFormat,
+    TABLES,
     load_dataset,
     write_report,
 )
 from surveyguard.errors import DataError
 from surveyguard.model import Cohort, QuestionKind
 from surveyguard.report import Percent
+
+
+def write_dataset(tmp_path, layout, studies, questions, responses):
+    """The rows as a CSV bundle or as the single JSON file ds.json (no validation)."""
+    if layout == "bundle":
+        return write_bundle(tmp_path / "bundle", studies, questions, responses)
+    payload = {
+        table: [dict(zip(columns, row)) for row in rows]
+        for (table, (columns, _, _)), rows in zip(TABLES.items(), (studies, questions, responses))
+    }
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
 
 
 def minimal_bundle(tmp_path):
@@ -38,25 +51,49 @@ class TestLoadBundle:
         assert ds.studies[0].cohort == Cohort.PRE_2022
         assert ds.responses[0].word_count == 4
 
-    def test_dangling_question_reference(self, tmp_path):
+    @pytest.mark.parametrize(
+        "question_study, response_question, message",
+        [
+            ("s1", "q9", 'responses.csv row 2: response "r1" references unknown question "q9"'),
+            ("s9", "q1", 'questions.csv row 2: question "q1" references unknown study "s9"'),
+        ],
+    )
+    def test_dangling_reference_names_file_and_row(
+        self, tmp_path, question_study, response_question, message
+    ):
         path = write_bundle(
             tmp_path / "bundle",
             studies=[["s1", "Study", "2021-06", "d", "p"]],
-            questions=[["q1", "s1", "open_ended", "Question?"]],
-            responses=[["r1", "q9", "text", ""]],
+            questions=[["q1", question_study, "open_ended", "Question?"]],
+            responses=[["r1", response_question, "text", ""]],
         )
-        with pytest.raises(DataError, match='"q9"'):
+        with pytest.raises(DataError) as excinfo:
             load_dataset(path)
+        assert str(excinfo.value) == message
 
-    def test_duplicate_response_id(self, tmp_path):
-        path = write_bundle(
-            tmp_path / "bundle",
+    @pytest.mark.parametrize(
+        "layout, row", [("bundle", "responses.csv row 3"), ("json", "ds.json: responses[1]")]
+    )
+    def test_duplicate_response_id(self, tmp_path, layout, row):
+        path = write_dataset(
+            tmp_path,
+            layout,
             studies=[["s1", "Study", "2021-06", "d", "p"]],
             questions=[["q1", "s1", "open_ended", "Question?"]],
             responses=[["r1", "q1", "a", ""], ["r1", "q1", "b", ""]],
         )
-        with pytest.raises(DataError, match='duplicate response_id "r1"'):
+        with pytest.raises(DataError) as excinfo:
             load_dataset(path)
+        assert str(excinfo.value) == f'{row}: duplicate response_id "r1"'
+
+    @pytest.mark.parametrize("layout, row", [("bundle", "studies.csv row 2"), ("json", "ds.json: studies[0]")])
+    def test_empty_study_id_names_file_and_row(self, tmp_path, layout, row):
+        path = write_dataset(
+            tmp_path, layout, studies=[["", "Study", "2021-06", "d", "p"]], questions=[], responses=[]
+        )
+        with pytest.raises(DataError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == f"{row}: study_id must be non-empty"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="missing file"):
@@ -81,8 +118,11 @@ class TestLoadBundle:
             questions=[],
             responses=[],
         )
-        with pytest.raises(DataError, match="bad date"):
+        with pytest.raises(DataError) as excinfo:
             load_dataset(path)
+        assert str(excinfo.value) == (
+            "studies.csv row 2: study \"s1\": bad date: 'junk' (expected YYYY-MM)"
+        )
 
     def test_unknown_question_kind(self, tmp_path):
         path = write_bundle(
@@ -299,15 +339,15 @@ def tiny_report() -> dict:
 class TestWriteReport:
     def test_markdown_has_one_row_per_threshold_strategy(self, tmp_path):
         path = tmp_path / "report.md"
-        write_report(tiny_report(), path, ReportFormat.MARKDOWN_TABLE)
+        write_report(tiny_report(), path)
         text = path.read_text(encoding="utf-8")
         data_rows = [l for l in text.splitlines() if l.startswith("| 0.")]
         assert len(data_rows) == 3  # one per (threshold, strategy)
 
     def test_json_written_twice_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_report(tiny_report(), a, ReportFormat.JSON)
-        write_report(tiny_report(), b, ReportFormat.JSON)
+        write_report(tiny_report(), a)
+        write_report(tiny_report(), b)
         assert a.read_bytes() == b.read_bytes()
         payload = json.loads(a.read_text(encoding="utf-8"))
         assert payload["signature_detection"]["sweep"]["rows"][0]["per_study"]["s1"]["rendered"] == "25.00"
@@ -317,7 +357,13 @@ class TestWriteReport:
 
     def test_csv_output(self, tmp_path):
         path = tmp_path / "report.csv"
-        write_report(tiny_report(), path, ReportFormat.CSV)
+        write_report(tiny_report(), path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("section,")
         assert any("signature_detection,basic,0.7,s1,1,4,25.00" == l for l in lines)
+
+    def test_an_unknown_suffix_is_rejected(self, tmp_path):
+        path = tmp_path / "report.txt"
+        with pytest.raises(ValueError, match="unknown report format"):
+            write_report(tiny_report(), path)
+        assert not path.exists()
