@@ -23,6 +23,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .dataset import (
     SurveyDataset,
+    _open,
     load_dataset,
     write_csv,
     write_json,
@@ -41,13 +42,11 @@ from .providers import (
 )
 from .report import (
     AverageConvention,
-    StudyStat,
     bin_count,
     build_histogram,
-    cohort_compare,
+    comparison_text,
     detector_markdown_lines,
     extract_cases,
-    percentage,
     report_to_csv_rows,
     report_to_markdown,
     sweep_csv_rows,
@@ -215,7 +214,10 @@ def _validate_config(cfg: RunConfig) -> None:
 
 def build_gateway(cfg: RunConfig) -> ProviderGateway:
     """The run's gateway; building it makes no request and needs no API key."""
-    cache = DiskCache(Path(cfg.cache_dir))
+    try:
+        cache = DiskCache(Path(cfg.cache_dir))
+    except OSError as exc:  # a file at the path or above it, or no permission
+        raise ConfigError(f"cannot use cache directory {cfg.cache_dir}: {exc.strerror}") from None
     if cfg.mock:
         chat = MockChatProvider(seed=cfg.seed)
         embed = MockEmbeddingProvider(seed=cfg.seed, dim=cfg.mock_embedding_dim)
@@ -260,7 +262,10 @@ def _exclusive_output(out_dir: Path):
     The lock file holds the owner's PID. A lock left by a process that has
     exited is taken over; any other lock must be removed by hand.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it, or no permission
+        raise ConfigError(f"cannot use output directory {out_dir}: {exc.strerror}") from None
     lock = out_dir / ".lock"
     flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
@@ -497,9 +502,6 @@ def cmd_detect_llm(cfg: RunConfig) -> int:
     )
     with _exclusive_output(out_dir):
         dump = detect_batch(dataset, config, gateway)
-        comparison = _cohort_comparison_for_run(dump, dataset)
-        if comparison is not None:
-            dump["cohort_comparison"] = comparison
         write_json(out_dir / f"detector_{cfg.detector_model}.json", dump)
         write_text(
             out_dir / f"detector_{cfg.detector_model}.md",
@@ -507,37 +509,17 @@ def cmd_detect_llm(cfg: RunConfig) -> int:
         )
         for study in dump["studies"]:
             print(f"{study['study_id']}: {study['percentage']['rendered']}% flagged AI")
-        if comparison:
-            print(
-                f"cohort averages ({comparison['convention']}): "
-                f"pre-2022 {comparison['pre_2022']['rendered']}%, "
-                f"post-2022 {comparison['post_2022']['rendered']}%"
-            )
+        if "cohort_comparison" in dump:
+            print(f"cohort averages {comparison_text(dump['cohort_comparison'])}")
         _print_gateway_stats(gateway)
     return EXIT_OK
-
-
-def _cohort_comparison_for_run(dump: dict, dataset: SurveyDataset) -> dict | None:
-    """The detector dump's cohort averages, or None when its studies are all in one cohort."""
-    cohorts = {s.study_id: s.cohort for s in dataset.studies}
-    stats = [
-        StudyStat(
-            study_id=s["study_id"],
-            cohort=cohorts[s["study_id"]],
-            percent=percentage(s["percentage"]["num"], s["percentage"]["den"]),
-        )
-        for s in dump["studies"]
-    ]
-    if {stat.cohort for stat in stats} != set(Cohort):
-        return None
-    return cohort_compare(stats, AverageConvention.UNWEIGHTED_MEAN)
 
 
 def _read_dump(path: Path, keys: Sequence[str], report_part: Callable[[dict], dict]) -> dict:
     """A dump file's JSON object; it must hold each of keys and render as the report
     part report_part makes of it, so a bad shape is named before any report is written."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _open(path) as fh:
             dump = json.load(fh)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise DataError(f"corrupted dump file: {path}: {exc}") from exc
@@ -675,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser(
         "gen-signatures", parents=[common], help="materialize reference signatures per question"
     )
-    gen.add_argument("--strategy", choices=["basic", "sentiment"], help="single strategy override")
+    gen.add_argument("--strategy", type=_csv_list, dest="strategies", help="strategies to generate")
     gen.add_argument("--models", type=_csv_list, help="comma-separated model ids")
     gen.add_argument("--temps", type=_csv_floats, dest="temperatures", help="comma-separated temperatures")
     gen.add_argument("--sentiments", type=_csv_list, help="comma-separated sentiments")
@@ -732,8 +714,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
-        if getattr(args, "strategy", None) and args.command == "gen-signatures":
-            overrides["strategies"] = [args.strategy]
         cfg = resolve_config(args.config, overrides)
         return _COMMANDS[args.command](cfg)
     except _UsageError as exc:

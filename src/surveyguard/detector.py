@@ -16,13 +16,14 @@ from .dataset import SurveyDataset
 from .errors import DataError, ProviderError
 from .gateway import ChatRequest, ProviderGateway, PurposeTag, check_temperature
 from .model import (
+    Cohort,
     QuestionKind,
     SurveyQuestion,
     SurveyResponse,
     Verdict,
     VerdictFlag,
 )
-from .report import percentage
+from .report import AverageConvention, cohort_averages, percentage
 
 DETECTOR_TEMPLATE_VERSION = "det-v1"
 
@@ -106,7 +107,8 @@ def detect_batch(
     gateway: ProviderGateway,
 ) -> dict:
     """Classify every non-empty open-ended response and aggregate per study; returns
-    the detector dump dict (without the cohort comparison the CLI adds).
+    the detector dump dict, with the unweighted cohort averages as cohort_comparison
+    when the studies span both cohorts.
 
     UNDETERMINED verdicts stay in the denominator but never in the numerator;
     with tolerate_parse_failures off, the first one aborts the batch. A
@@ -149,20 +151,27 @@ def detect_batch(
         )
 
     studies = []
+    per_study = {}
     for study_id in sorted(by_study):
         verdicts = by_study[study_id]
         ai_count = sum(1 for v in verdicts if v["flag"] == VerdictFlag.AI.value)
+        per_study[study_id] = percentage(ai_count, len(verdicts))
         studies.append({
             "study_id": study_id,
             "model_id": config.model_id,
             "template_version": DETECTOR_TEMPLATE_VERSION,
             "verdicts": verdicts,
-            "percentage": percentage(ai_count, len(verdicts)).to_dict(),
+            "percentage": per_study[study_id].to_dict(),
         })
-    return {
+    dump = {
         "model_id": config.model_id,
         "temperature": config.temperature,
         "template_version": DETECTOR_TEMPLATE_VERSION,
         "tolerate_parse_failures": config.tolerate_parse_failures,
         "studies": studies,
     }
+    convention = AverageConvention.UNWEIGHTED_MEAN
+    averages = cohort_averages(per_study, {s.study_id: s.cohort for s in dataset.studies}, convention)
+    if len(averages) == len(Cohort):
+        dump["cohort_comparison"] = {"convention": convention.value, **averages}
+    return dump

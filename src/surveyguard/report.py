@@ -94,15 +94,9 @@ def average_pooled(pairs: Sequence[tuple[int, int]]) -> Percent:
     """Count-weighted pooled rate: sum(flagged) / sum(total)."""
     if not pairs:
         raise ValueError("empty input")
-    flagged = 0
-    total = 0
     for f, t in pairs:
-        if t < 1:
-            raise ValueError(f"total must be >= 1, got {t}")
-        if not 0 <= f <= t:
-            raise ValueError(f"flagged must be in [0, total], got {f}/{t}")
-        flagged += f
-        total += t
+        percentage(f, t)  # each pair must be a percentage on its own
+    flagged, total = map(sum, zip(*pairs))
     return percentage(flagged, total)
 
 
@@ -110,40 +104,22 @@ def average(convention: AverageConvention, percents: Sequence[Percent]) -> Perce
     """Average per-study percentages under the named convention."""
     if convention == AverageConvention.UNWEIGHTED_MEAN:
         return average_unweighted(percents)
+    if any(p.flagged is None or p.total is None for p in percents):
+        raise ValueError("pooled averaging needs (flagged, total) counts")
     return average_pooled([(p.flagged, p.total) for p in percents])
 
 
-@dataclass(frozen=True)
-class StudyStat:
-    """One study's detection outcome, ready for cohort aggregation."""
-
-    study_id: str
-    cohort: Cohort
-    percent: Percent
-
-
-def cohort_compare(
-    stats: Sequence[StudyStat],
-    convention: AverageConvention = AverageConvention.UNWEIGHTED_MEAN,
+def cohort_averages(
+    per_study: Mapping[str, Percent], cohorts: Mapping[str, Cohort], convention: AverageConvention
 ) -> dict:
-    """Average per-study results within each cohort under the stated convention.
-
-    Returns {"convention", "pre_2022", "post_2022"}, each average a Percent dict.
-    """
-    by_cohort: dict[Cohort, list[StudyStat]] = {Cohort.PRE_2022: [], Cohort.POST_2022: []}
-    for stat in stats:
-        by_cohort[stat.cohort].append(stat)
-    for cohort, members in by_cohort.items():
-        if not members:
-            raise ValueError(f"cohort {cohort.value} has no studies")
-    if convention == AverageConvention.POOLED_WEIGHTED:
-        for m in by_cohort[Cohort.PRE_2022] + by_cohort[Cohort.POST_2022]:
-            if m.percent.flagged is None or m.percent.total is None:
-                raise ValueError(f"study {m.study_id}: pooled averaging needs (flagged, total) counts")
-    out = {"convention": convention.value}
-    for cohort, members in by_cohort.items():
-        out[cohort.value] = average(convention, [m.percent for m in members]).to_dict()
-    return out
+    """Each cohort's average of its studies' percentages as a Percent dict, keyed by
+    cohort value, pre-2022 first; a cohort with no study in per_study is left out."""
+    averages = {}
+    for cohort in (Cohort.PRE_2022, Cohort.POST_2022):
+        members = [pct for sid, pct in per_study.items() if cohorts[sid] == cohort]
+        if members:
+            averages[cohort.value] = average(convention, members).to_dict()
+    return averages
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +173,12 @@ def threshold_sweep(
                     per_study[sid] = percentage(sum(meets_threshold(r, th) for r in group), len(group))
             if not per_study:
                 raise ValueError(f'no scorable responses for strategy "{strategy}"')
-            averages = {}
-            for cohort in (Cohort.PRE_2022, Cohort.POST_2022):
-                members = [pct for sid, pct in per_study.items() if cohorts[sid] == cohort]
-                if members:
-                    averages[cohort.value] = average(convention, members).to_dict()
             rows.append(
                 {
                     "threshold": float(th),
                     "strategy": strategy,
                     "per_study": {sid: pct.to_dict() for sid, pct in per_study.items()},
-                    "averages": averages,
+                    "averages": cohort_averages(per_study, cohorts, convention),
                 }
             )
     return {
@@ -367,13 +338,16 @@ def detector_markdown_lines(section: Mapping) -> list[str]:
     )
     comparison = section.get("cohort_comparison")
     if comparison:
-        lines.append("")
-        lines.append(
-            f"Cohort averages ({comparison['convention']}): "
-            f"pre-2022 {comparison['pre_2022']['rendered']}%, "
-            f"post-2022 {comparison['post_2022']['rendered']}%"
-        )
+        lines += ["", f"Cohort averages {comparison_text(comparison)}"]
     return lines
+
+
+def comparison_text(comparison: Mapping) -> str:
+    """A detector dump's cohort_comparison as "(<convention>): pre-2022 x%, post-2022 y%"."""
+    return (
+        f"({comparison['convention']}): pre-2022 {comparison['pre_2022']['rendered']}%, "
+        f"post-2022 {comparison['post_2022']['rendered']}%"
+    )
 
 
 def report_to_markdown(report: Mapping) -> str:

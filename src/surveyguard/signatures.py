@@ -219,6 +219,8 @@ def load_signature_set(store_dir: Path | str, kind: StrategyKind, question_id: s
         fh = open(path, encoding="utf-8")
     except FileNotFoundError:
         raise DataError(f'no signature store for question "{question_id}" under {path.parent}') from None
+    except OSError as exc:  # a directory, or no permission to read
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
     try:
         with fh:
             store = json.load(fh)

@@ -581,6 +581,11 @@ class TestConfigHandling:
         assert code == 1
         assert "usage error" in err
 
+    def test_an_unknown_gen_signatures_strategy_is_config_error(self, capsys, corpus_path, tmp_path):
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures", "--strategy", "bogus"))
+        assert code == 1
+        assert 'config error: unknown strategy "bogus"' in err
+
     def test_locked_output_dir_is_config_error(self, capsys, corpus_path, tmp_path):
         out_dir = tmp_path / "out"
         out_dir.mkdir(parents=True)
@@ -588,6 +593,43 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))
         assert code == 1
         assert "locked" in err
+
+
+class TestPathsOfTheWrongKind:
+    def test_an_output_dir_naming_a_file_is_a_config_error(self, capsys, corpus_path, tmp_path):
+        (tmp_path / "out").write_text("", encoding="utf-8")
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))
+        assert code == 1
+        assert f"config error: cannot use output directory {tmp_path / 'out'}: " in err
+
+    @pytest.mark.parametrize("command", ["gen-signatures", "report"])
+    def test_a_cache_dir_naming_a_file_is_a_config_error(self, capsys, corpus_path, tmp_path, command):
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "detect-llm"))[0] == 0  # a dump to report
+        before = _output_files(tmp_path / "out")
+        cache_file = tmp_path / "cache-file"
+        cache_file.write_text("", encoding="utf-8")
+        args = base_args(corpus_path, tmp_path, command)
+        args[args.index("--cache-dir") + 1] = cache_file
+        code, _, err = run_cli(capsys, *args)
+        assert code == 1
+        assert f"config error: cannot use cache directory {cache_file}: " in err
+        assert _output_files(tmp_path / "out") == before
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("report", "detector_x.json"), ("score", "signatures/basic/q1.json")],
+        ids=["detector-dump", "signature-store"],
+    )
+    def test_a_dump_or_store_that_is_a_directory_is_a_data_error(
+        self, capsys, corpus_path, tmp_path, command, name
+    ):
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))[0] == 0
+        path = tmp_path / "out" / name
+        path.unlink(missing_ok=True)
+        path.mkdir()
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, command))
+        assert code == 2
+        assert f"data error: cannot read {path}: " in err
 
 
 class TestIdempotence:

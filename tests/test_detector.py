@@ -234,7 +234,7 @@ def test_detect_batch_returns_the_dump_it_is_written_as(tmp_path, corpus_path):
     args = ["--dataset", str(corpus_path), "--cache-dir", str(tmp_path / "cache"), "--mock"]
     assert main(["detect-llm", *args, "--output-dir", str(tmp_path / "out")]) == 0
     written = json.loads((tmp_path / "out" / "detector_gpt-3.5-turbo.json").read_text(encoding="utf-8"))
-    assert written.pop("cohort_comparison")
+    assert written["cohort_comparison"]
     cfg = resolve_config(None, {"mock": True, "cache_dir": str(tmp_path / "cache")})
     config = DetectorConfig(model_id=cfg.detector_model)
     assert detect_batch(load_dataset(corpus_path), config, build_gateway(cfg)) == written

@@ -10,11 +10,10 @@ from surveyguard.providers import MockEmbeddingProvider
 from surveyguard.report import (
     AverageConvention,
     Percent,
-    StudyStat,
     average_pooled,
     average_unweighted,
     build_histogram,
-    cohort_compare,
+    cohort_averages,
     extract_cases,
     percentage,
     render_two_decimals,
@@ -130,57 +129,40 @@ class TestAverages:
             assert min(values) <= unweighted <= max(values)
 
 
-class TestCohortCompare:
-    def table_shaped_stats(self):
+COHORTS = {"s1": Cohort.PRE_2022, "s2": Cohort.POST_2022}
+
+
+class TestCohortAverages:
+    def test_unweighted_reproduces_row_averages(self):
         pre = [13.91, 1.18, 7.03, 2.50]
         post = [48.71, 18.18, 24.76]
-        stats = [
-            StudyStat(f"pre{i}", Cohort.PRE_2022, Percent(value=Fraction(str(v))))
-            for i, v in enumerate(pre)
-        ]
-        stats += [
-            StudyStat(f"post{i}", Cohort.POST_2022, Percent(value=Fraction(str(v))))
-            for i, v in enumerate(post)
-        ]
-        return stats
-
-    def test_unweighted_reproduces_row_averages(self):
-        comparison = cohort_compare(self.table_shaped_stats(), AverageConvention.UNWEIGHTED_MEAN)
-        assert comparison["pre_2022"]["rendered"] == "6.16"
-        assert comparison["post_2022"]["rendered"] == "30.55"
+        per_study = {f"post{i}": Percent(value=Fraction(str(v))) for i, v in enumerate(post)}
+        per_study |= {f"pre{i}": Percent(value=Fraction(str(v))) for i, v in enumerate(pre)}
+        cohorts = {sid: Cohort.PRE_2022 if sid.startswith("pre") else Cohort.POST_2022 for sid in per_study}
+        averages = cohort_averages(per_study, cohorts, AverageConvention.UNWEIGHTED_MEAN)
+        assert list(averages) == ["pre_2022", "post_2022"]
+        assert averages["pre_2022"]["rendered"] == "6.16"
+        assert averages["post_2022"]["rendered"] == "30.55"
 
     def test_symmetric_fixture(self):
-        stats = [
-            StudyStat("a", Cohort.PRE_2022, percentage(3, 10)),
-            StudyStat("b", Cohort.POST_2022, percentage(3, 10)),
-        ]
-        comparison = cohort_compare(stats, AverageConvention.POOLED_WEIGHTED)
-        assert comparison["pre_2022"] == comparison["post_2022"]
+        per_study = {"s1": percentage(3, 10), "s2": percentage(3, 10)}
+        averages = cohort_averages(per_study, COHORTS, AverageConvention.POOLED_WEIGHTED)
+        assert averages["pre_2022"] == averages["post_2022"]
 
     def test_single_study_per_cohort(self):
-        stats = [
-            StudyStat("a", Cohort.PRE_2022, percentage(1, 8)),
-            StudyStat("b", Cohort.POST_2022, percentage(6, 8)),
-        ]
-        comparison = cohort_compare(stats, AverageConvention.UNWEIGHTED_MEAN)
-        assert comparison["pre_2022"]["rendered"] == "12.50"
-        assert comparison["post_2022"]["rendered"] == "75.00"
+        per_study = {"s1": percentage(1, 8), "s2": percentage(6, 8)}
+        averages = cohort_averages(per_study, COHORTS, AverageConvention.UNWEIGHTED_MEAN)
+        assert averages["pre_2022"]["rendered"] == "12.50"
+        assert averages["post_2022"]["rendered"] == "75.00"
 
-    def test_missing_cohort_is_an_error(self):
-        stats = [StudyStat("a", Cohort.PRE_2022, percentage(1, 8))]
-        with pytest.raises(ValueError, match="post_2022"):
-            cohort_compare(stats)
+    def test_a_cohort_with_no_study_is_left_out(self):
+        averages = cohort_averages({"s1": percentage(1, 8)}, COHORTS, AverageConvention.UNWEIGHTED_MEAN)
+        assert list(averages) == ["pre_2022"]
 
     def test_pooled_requires_counts(self):
-        stats = [
-            StudyStat("a", Cohort.PRE_2022, Percent(value=Fraction(5))),
-            StudyStat("b", Cohort.POST_2022, percentage(1, 2)),
-        ]
+        per_study = {"s1": Percent(value=Fraction(5)), "s2": percentage(1, 2)}
         with pytest.raises(ValueError, match="counts"):
-            cohort_compare(stats, AverageConvention.POOLED_WEIGHTED)
-
-
-COHORTS = {"s1": Cohort.PRE_2022, "s2": Cohort.POST_2022}
+            cohort_averages(per_study, COHORTS, AverageConvention.POOLED_WEIGHTED)
 
 
 class TestThresholdSweep:
@@ -354,14 +336,11 @@ class TestExtractCases:
 class TestReturnValuesAreDumps:
     def test_sweep_cohorts_and_cases_survive_a_json_round_trip(self):
         data = {"basic": {"s1": [scored("r0", 0.9), scored("r1", -0.2)], "s2": [scored("r2", 0.75)]}}
-        stats = [
-            StudyStat("s1", Cohort.PRE_2022, percentage(1, 3)),
-            StudyStat("s2", Cohort.POST_2022, percentage(2, 3)),
-        ]
+        per_study = {"s1": percentage(1, 3), "s2": percentage(2, 3)}
         values = [
             threshold_sweep(sweep_input(data), [0.7, 0.8], ["basic"], COHORTS),
-            cohort_compare(stats, AverageConvention.UNWEIGHTED_MEAN),
-            cohort_compare(stats, AverageConvention.POOLED_WEIGHTED),
+            cohort_averages(per_study, COHORTS, AverageConvention.UNWEIGHTED_MEAN),
+            cohort_averages(per_study, COHORTS, AverageConvention.POOLED_WEIGHTED),
             extract_cases(
                 [with_irrelevance(s, 0.0) for s in data["basic"]["s1"]],
                 {"r0": "text", "r1": "other"},

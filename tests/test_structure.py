@@ -49,10 +49,14 @@ def _calls(path: Path, matches) -> list[tuple[str, ast.Call]]:
     ]
 
 
-def _is_executor(call: ast.Call) -> bool:
+def _call_name(call: ast.Call) -> str | None:
+    """The called name: ``f`` of ``f(...)`` or of ``x.f(...)``."""
     func = call.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-    return name == "ThreadPoolExecutor"
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _is_executor(call: ast.Call) -> bool:
+    return _call_name(call) == "ThreadPoolExecutor"
 
 
 def test_only_fan_out_builds_a_thread_pool():
@@ -60,6 +64,15 @@ def test_only_fan_out_builds_a_thread_pool():
         path.name: [top for top, _ in _calls(path, _is_executor)] for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: found for name, found in builders.items() if found} == {"gateway.py": ["_fan_out"]}
+
+
+def test_only_cohort_averages_averages_percentages():
+    callers = {
+        (path.name, top)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top, _ in _calls(path, lambda call: _call_name(call) == "average")
+    }
+    assert callers == {("report.py", "cohort_averages")}
 
 
 def _is_json_encode(call: ast.Call) -> bool:
