@@ -409,9 +409,7 @@ def _score_strategy(
         by_id = {
             row["response_id"]: row
             for row in score_question(
-                [(r.response_id, vec) for r, vec in zip(answered, vectors[len(signatures) :])],
-                [(signature_id, vec) for (signature_id, _), vec in zip(signatures, vectors)],
-                records=records,
+                [i for i, _ in signatures], [r.response_id for r in answered], vectors, records=records
             )
         }
         for response in responses:

@@ -21,7 +21,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import IO
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .gateway import canonical_json
 from .model import (
     QuestionKind,
@@ -207,11 +207,15 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence[o
 
 
 def write_text(path: Path | str, text: str) -> None:
-    """The one writer of output files: makes the parent directory, writes UTF-8 with "\n"."""
+    """The one writer of output files: makes the parent directory, writes UTF-8 with "\n". A path
+    it cannot write, say under a file or at a directory, is a ConfigError naming it."""
     p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+        with open(p, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {p}: {exc.strerror}") from None
 
 
 def write_report(report: Mapping, path: Path | str) -> None:

@@ -36,6 +36,7 @@ from .providers import REQUEST_TIMEOUT_S, ChatProvider, EmbeddingProvider
 
 EMBED_BATCH = 64  # texts per embedding request on a cache miss
 PACK_ENTRIES = 64  # pending cache entries committed as one pack
+LOOKUP_CHUNK = 64  # lookups read together, grouped by pack; their key texts are held until sent
 MAX_IN_FLIGHT = 5  # provider calls running at once
 RETRIES = 3  # attempts per provider call, the first included
 BACKOFF_BASE_S = 1.0  # delay before the first retry; doubles on each further one
@@ -101,21 +102,38 @@ def _embed_key_prefix(provider_id: str) -> str:
     return canonical_json(embed_key_material("", provider_id)).removesuffix('""}')
 
 
-def build_cache_key(request_or_text: ChatRequest | str, provider_id: str) -> bytes:
-    """The 32-byte SHA-256 digest of the canonical request; any field change (including
-    temperature) changes it."""
+@cache
+def _chat_key_frame(provider_id: str, model_id: str, purpose: PurposeTag) -> tuple[str, str]:
+    """``canonical_json(chat_key_material(...))`` around the messages, which sort second, and up to
+    the temperature, which sorts last: not a key of this cache, where -0.0 would find 0.0's frame."""
+    probe = ChatRequest(model_id, 0.0, (("", ""),), purpose)
+    head, _, tail = canonical_json(chat_key_material(probe, provider_id)).partition('[["",""]]')
+    return head, tail.removesuffix("0.0}")
+
+
+def build_cache_key(request_or_text: ChatRequest | str, provider_id: str) -> tuple[bytes, bytes]:
+    """The 32-byte SHA-256 digest of the canonical request, which any field change (including
+    temperature) changes, and that request as UTF-8: what the digest hashes and the entry records."""
     if isinstance(request_or_text, ChatRequest):
-        data = canonical_json(chat_key_material(request_or_text, provider_id))
+        head, tail = _chat_key_frame(provider_id, request_or_text.model_id, request_or_text.purpose)
+        text = f"{head}{canonical_json(request_or_text.messages)}{tail}{request_or_text.temperature!r}}}"
     else:
-        data = _embed_key_prefix(provider_id) + encode_basestring(request_or_text) + "}"
-    return hashlib.sha256(data.encode("utf-8")).digest()
+        text = _embed_key_prefix(provider_id) + encode_basestring(request_or_text) + "}"
+    data = text.encode("utf-8")
+    return hashlib.sha256(data).digest(), data
+
+
+def _vector_head(key_text: bytes, dim: int) -> bytes:
+    """A vector entry up to its body, spliced from the key text: ``_VECTOR_MAGIC``, then the line
+    of ``canonical_json({"request": <the request>, "response": {"dim": dim}})``."""
+    return b'%s{"request":%s,"response":{"dim":%d}}\n' % (DiskCache._VECTOR_MAGIC, key_text, dim)
 
 
 class DiskCache:
     """Entries pending in memory, then packs under ``root/packs``; the lowest-numbered pack
     holding a key wins. A pack is ``_PACK_MAGIC``, a ``<u4`` count, a ``_ROW`` per entry, a
-    ``stored_at`` line, then the entries: an array response ``values`` as ``_VECTOR_MAGIC``,
-    a JSON line with ``response: {"dim": d}`` and ``8 * d`` bytes of ``<f8``; any other entry
+    ``stored_at`` line, then the entries: a vector as its ``_vector_head`` (``_VECTOR_MAGIC``, a
+    JSON line with ``response: {"dim": d}``) and ``8 * d`` bytes of ``<f8``; any other entry
     as a JSON line. ``root/<hex digest>`` files of earlier versions, JSON vectors included, are
     read. Keys are the digests ``build_cache_key`` makes.
     """
@@ -176,27 +194,38 @@ class DiskCache:
     def __contains__(self, key: bytes) -> bool:
         return key in self._index or self._loose and (self.root / key.hex()).is_file()
 
-    def load(self, key: bytes) -> dict | None:
-        held = self._index.get(key)
-        if isinstance(held, bytes):
-            data = held
-        elif held is None:
-            if not self._loose:  # no one-file entry either: a miss opens no file
-                return None
-            try:
-                data = (self.root / key.hex()).read_bytes()
-            except FileNotFoundError:
-                return None
-        else:
-            _, path, bounds = self._packs[held >> 32]
-            start, stop = bounds[held & 0xFFFFFFFF], bounds[(held & 0xFFFFFFFF) + 1]
+    def read(self, keys: Sequence[bytes]) -> Iterator[tuple[int, bytes]]:
+        """``(i, the bytes of keys[i]'s entry)`` for each key held: pending and one-file entries
+        first, then pack by pack, with one read-only descriptor open at a time and one ``pread``
+        of the span that holds the pack's entries asked for."""
+        wanted: dict[int, list] = {}  # pack -> [(row, i)]
+        for i, key in enumerate(keys):
+            held = self._index.get(key)
+            if isinstance(held, int):
+                wanted.setdefault(held >> 32, []).append((held & 0xFFFFFFFF, i))
+            elif held is not None:
+                yield i, held
+            elif self._loose and (path := self.root / key.hex()).is_file():  # else no file is opened
+                yield i, path.read_bytes()
+        for pack, rows in wanted.items():
+            _, path, bounds = self._packs[pack]
+            base = min(bounds[row] for row, _ in rows)
             fd = os.open(path, os.O_RDONLY)
             try:
-                data = os.pread(fd, max(stop - start, 0), start)
+                span = os.pread(fd, max(max(bounds[row + 1] for row, _ in rows) - base, 0), base)
             finally:
                 os.close(fd)
-            if len(data) != stop - start:
-                raise DataError(f"corrupted cache entry: {self.locate(key)}: truncated pack")
+            for row, i in rows:
+                start, stop = bounds[row] - base, bounds[row + 1] - base
+                if len(span) < stop or stop < start:
+                    raise DataError(f"corrupted cache entry: {self.locate(keys[i])}: truncated pack")
+                yield i, span[start:stop]
+
+    def load(self, key: bytes, data: bytes | None) -> dict | None:
+        """The entry of the bytes ``read`` gave for key, or None if it gave none; a vector's
+        ``values`` is a view of its body."""
+        if data is None:
+            return None
         try:
             if data.startswith(self._VECTOR_MAGIC):
                 header, _, body = data[len(self._VECTOR_MAGIC) :].partition(b"\n")
@@ -213,14 +242,8 @@ class DiskCache:
             raise DataError(f"corrupted cache entry: {self.locate(key)}: not a JSON object")
         return entry
 
-    def store(self, key: bytes, entry: dict) -> bool:
-        """Add entry as pending unless the key is held. Returns True if added."""
-        values = entry["response"].get("values")
-        if isinstance(values, np.ndarray):
-            header = canonical_json({**entry, "response": {"dim": len(values)}}).encode("utf-8")
-            data = b"".join([self._VECTOR_MAGIC, header, b"\n", values.astype("<f8").tobytes()])
-        else:
-            data = (canonical_json(entry) + "\n").encode("utf-8")
+    def store(self, key: bytes, data: bytes) -> bool:
+        """Add an entry's bytes as pending unless the key is held. Returns True if added."""
         with self._lock:
             if key in self._index:
                 return False
@@ -358,34 +381,34 @@ class ProviderGateway:
     def _lookup(
         self, items: Iterable, provider_id: str, read: Callable[[dict], object], sent: set, hits: dict | None
     ) -> Iterator[tuple]:
-        """Yield each miss as (item, key), in input order, once the item is in ``sent``; put what
-        ``_read`` makes of each cached response in ``hits``. With no ``hits``, the cache is only
-        asked whether it holds the key. An item in ``sent`` or ``hits`` counts as a hit. Lazy:
-        ``_fan_out``'s workers look up a batch while others send."""
+        """Yield each miss as (item, key, key text), in input order, once the item is in ``sent``;
+        put what ``_read`` makes of each cached response in ``hits``. With no ``hits``, the cache
+        is only asked whether it holds the key. An item in ``sent`` or ``hits`` counts as a hit.
+        Lazy: ``_fan_out``'s workers send while ``LOOKUP_CHUNK`` more are looked up, read together."""
         self.cache.refresh()
-        found = missed = 0
-        for item in items:
-            if item in sent or item in (hits or ()):
-                found += 1
-                continue
-            key = build_cache_key(item, provider_id)
-            value = self._read(key, read) if hits is not None else (key in self.cache or None)
-            if value is None:
-                missed += 1
-                sent.add(item)
-                yield item, key
-                continue
-            found += 1
-            if hits is not None:
-                hits[item] = value
+        items = iter(items)
+        looked = missed = 0
+        for chunk in iter(lambda: list(islice(items, LOOKUP_CHUNK)), []):
+            new = [item for item in dict.fromkeys(chunk) if item not in sent and item not in (hits or ())]
+            fresh = {item: build_cache_key(item, provider_id) for item in new}
+            found = dict(self.cache.read([key for key, _ in fresh.values()])) if hits is not None else {}
+            for i, (item, (key, key_text)) in enumerate(fresh.items()):
+                value = (key in self.cache or None) if hits is None else self._read(key, found.get(i), read)
+                if value is None:
+                    missed += 1
+                    sent.add(item)
+                    yield item, key, key_text
+                elif hits is not None:
+                    hits[item] = value
+            looked += len(chunk)
         with self._stats_lock:
             self.stats.cache_misses += missed
-            self.stats.cache_hits += found
+            self.stats.cache_hits += looked - missed
 
-    def _read(self, key: bytes, read: Callable[[dict], object]) -> object:
-        """What ``read`` makes of the key's cached response, or None if there is none; a KeyError,
-        TypeError or ValueError from ``read`` is a DataError naming the entry."""
-        entry = self.cache.load(key)
+    def _read(self, key: bytes, data: bytes | None, read: Callable[[dict], object]) -> object:
+        """What ``read`` makes of the response of the key's entry bytes, or None if there are
+        none; a KeyError, TypeError or ValueError from ``read`` is a DataError naming the entry."""
+        entry = self.cache.load(key, data)
         try:
             return None if entry is None else read(entry["response"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -424,9 +447,9 @@ class ProviderGateway:
         """Cache-through chat completions, each reply exactly as the provider returned it, in
         input order.
 
-        Every request is looked up first, and each distinct miss is sent once
-        through ``_fan_out``: one that fails for good gets its ProviderError
-        in its place. A repeated request counts as a cache hit.
+        The lookups stream into ``_fan_out``, and each distinct miss is sent
+        once: one that fails for good gets its ProviderError in its place. A
+        repeated request counts as a cache hit.
         """
         if self.chat_provider is None:
             raise ConfigError("no chat provider configured")
@@ -437,19 +460,19 @@ class ProviderGateway:
                 raise TypeError("response text is not a string")
             return response["text"]
 
-        replies: dict[ChatRequest, str | ProviderError] = {}
-        misses = list(self._lookup(requests, provider_id, read, set(), replies))
-
-        def send(miss: tuple[ChatRequest, bytes]) -> str:
-            request, key = miss
+        def send(miss: tuple[ChatRequest, bytes, bytes]) -> str:
+            request, key, key_text = miss
             text = self._call_with_retry(
                 lambda: self.chat_provider.complete(request), f"chat({request.model_id})"
             )
-            material = chat_key_material(request, provider_id)
-            self.cache.store(key, {"request": material, "response": {"text": text}})
+            response = canonical_json({"text": text}).encode("utf-8")  # the entry, spliced from the key text
+            self.cache.store(key, b'{"request":%s,"response":%s}\n' % (key_text, response))
             return text
 
-        replies.update(zip((request for request, _ in misses), self._send(misses, send)))
+        replies: dict[ChatRequest, str | ProviderError] = {}
+        misses: list[ChatRequest] = []  # each request as _fan_out draws it, so in its results' order
+        lookups = self._lookup(requests, provider_id, read, set(), replies)
+        replies.update(zip(misses, self._send((misses.append(m[0]) or m for m in lookups), send)))
         return [replies[request] for request in requests]
 
     def embed(self, text: str) -> np.ndarray:
@@ -482,16 +505,15 @@ class ProviderGateway:
         in_flight: set[str] = set()  # sent and not yet stored; a repeat of one is a hit
         misses = self._lookup(texts, provider_id, partial(self._vector, provider_id), in_flight, vectors)
 
-        def send(batch: list[tuple[str, bytes]]) -> None:
-            batch_texts = [text for text, _ in batch]
+        def send(batch: list[tuple[str, bytes, bytes]]) -> None:
+            batch_texts = [text for text, _, _ in batch]
             raw = self._call_with_retry(lambda: self.embedding_provider.embed_many(batch_texts), "embed")
             if len(raw) != len(batch):
                 raise ProviderError(f"embedding provider returned {len(raw)} vectors for {len(batch)} texts")
             fetched = [self._vector(provider_id, {"values": v, "dim": len(v)}) for v in raw]
-            for (text, key), vector in zip(batch, fetched):
-                material = embed_key_material(text, provider_id)
-                entry = {"request": material, "response": {"values": vector, "dim": len(vector)}}
-                self.cache.store(key, entry)
+            for (text, key, key_text), vector in zip(batch, fetched):
+                body = vector.astype("<f8", copy=False).tobytes()
+                self.cache.store(key, _vector_head(key_text, len(vector)) + body)
                 if vectors is not None:
                     vectors[text] = vector
             in_flight.difference_update(batch_texts)  # the cache holds them now
@@ -502,12 +524,27 @@ class ProviderGateway:
 
     def stored_embeddings(self, texts: Sequence[str]) -> np.ndarray:
         """The stored vectors of texts as one ``(n, d)`` array, rows in input order: no provider
-        call, and no hit counted again."""
+        call, and no hit counted again. An entry that is byte for byte the ``_vector_head`` of its
+        text in the first entry's dimension plus a body is copied into its row as it is; any other,
+        and any row that is not finite, is read the full way, so as ``embed_many`` would read it."""
         if self.embedding_provider is None:
             raise ConfigError("no embedding provider configured")
         provider_id = self.embedding_provider.provider_id
+        keyed = [build_cache_key(text, provider_id) for text in texts]
         read = partial(self._vector, provider_id)
-        vectors = {t: self._read(build_cache_key(t, provider_id), read) for t in dict.fromkeys(texts)}
-        if any(vector is None for vector in vectors.values()):  # ``None in`` would compare arrays
+        out, found = None, 0
+        for i, data in self.cache.read([key for key, _ in keyed]):
+            head = b"" if out is None else _vector_head(keyed[i][1], out.shape[1])
+            if head and len(data) == len(head) + 8 * out.shape[1] and data.startswith(head):
+                out[i] = np.frombuffer(data, dtype="<f8", offset=len(head))
+            else:
+                vector = self._read(keyed[i][0], data, read)
+                out = np.empty((len(texts), len(vector))) if out is None else out
+                out[i] = vector
+            found += 1
+        if found < len(keyed):
             raise DataError("a text has no stored embedding: store_embeddings must come first")
-        return np.array([vectors[text] for text in texts], dtype=np.float64)
+        out = np.empty((0, 0)) if out is None else out
+        for i in np.flatnonzero(~np.isfinite(out).all(axis=1))[:1]:  # the full read raises its DataError
+            self._read(keyed[i][0], dict(self.cache.read([keyed[i][0]]))[0], read)
+        return out

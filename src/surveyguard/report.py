@@ -229,8 +229,8 @@ def build_histogram(
             elif score <= -1.0:
                 index = 0
             else:
-                # Exact rational arithmetic so half-open edges hold exactly.
-                index = int((Fraction(score) + 1) / width)
+                a, b = score.as_integer_ratio()  # exact integers, so half-open edges hold exactly
+                index = (a + b) * width.denominator // (b * width.numerator)
                 index = min(max(index, 0), n_bins - 1)
             bins[index] += 1
         rows += [(edges[i], edges[i + 1], cohort.value, count) for i, count in enumerate(bins)]

@@ -24,27 +24,21 @@ class DegenerateEmbeddingError(DataError):
     """A zero-norm embedding cannot be compared by cosine similarity."""
 
 
-def similarity_matrix(
-    responses: Sequence[tuple[str, np.ndarray]],
-    signatures: Sequence[tuple[str, np.ndarray]],
-) -> np.ndarray:
-    """Cosines of (id, vector) pairs as an (R, S) array: rows follow responses, columns signatures.
+def similarity_matrix(vectors: np.ndarray, ids: Sequence[str], signatures: int) -> np.ndarray:
+    """Cosines of an ``(n, d)`` array's rows after the first ``signatures`` against those, as an
+    (n - S, S) array; ``ids`` names the rows.
 
     Every row is normalised once, then reduced with einsum, which uses no BLAS,
     so a score's bits depend neither on its batch, nor on the other columns,
     nor on operand order or the BLAS thread count.
     """
-    pairs = [*responses, *signatures]
-    if len(responses[0][1]) != len(signatures[0][1]):
-        raise ValueError(f"dimension mismatch: {len(responses[0][1])} vs {len(signatures[0][1])}")
-    rows = np.stack([vector for _, vector in pairs])
-    norms = np.linalg.norm(rows, axis=1)
+    norms = np.linalg.norm(vectors, axis=1)
     usable = (norms > 0.0) & np.isfinite(norms)  # a norm that overflows would zero the row
     if not usable.all():
-        first = pairs[usable.argmin()][0]
+        first = ids[usable.argmin()]
         raise DegenerateEmbeddingError(f"degenerate embedding: zero or infinite norm for {first!r}")
-    unit = rows / norms[:, None]
-    m = np.einsum("id,jd->ij", unit[: len(responses)], unit[len(responses) :])
+    unit = vectors / norms[:, None]
+    m = np.einsum("id,jd->ij", unit[signatures:], unit[:signatures])
     if not (np.abs(m) <= 1.0 + SCORE_TOLERANCE).all():  # NaN fails this too
         raise ValueError(f"similarity score out of range: {np.abs(m).max()}")
     return m
@@ -52,30 +46,32 @@ def similarity_matrix(
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """The cosine of one pair, through the same core as ``score_question``."""
-    return float(similarity_matrix([("a", a)], [("b", b)])[0, 0])
+    return score_response("a", a, [("b", b)])["final_score"]
 
 
 def score_question(
-    responses: Sequence[tuple[str, np.ndarray]],
-    signatures: Sequence[tuple[str, np.ndarray]],
+    signature_ids: Sequence[str],
+    response_ids: Sequence[str],
+    vectors: np.ndarray,
     records: bool = True,
 ) -> list[dict]:
-    """Score one question's responses; each final score is its row's max.
+    """Score one question's responses against its signatures; ``vectors`` holds the signatures'
+    rows, then the responses'. Each final score is its row's max.
 
     Returns one row per response: response_id, final_score, best_signature_id
     and flags, plus per_signature ([{signature_id, score}] by signature_id)
     when ``records`` is on. Columns are sorted by signature_id and argmax
     returns the first maximum, so ties go to the lexicographically smallest id.
     """
-    if not responses:
+    if not response_ids:
         return []
-    if not signatures:
+    if not signature_ids:
         raise ValueError("empty signature set")
-    signatures = sorted(signatures, key=lambda pair: pair[0])
-    ids = [signature_id for signature_id, _ in signatures]
-    m = similarity_matrix(responses, signatures)
+    order = sorted(range(len(signature_ids)), key=signature_ids.__getitem__)
+    ids = [signature_ids[j] for j in order]
+    m = similarity_matrix(vectors, [*signature_ids, *response_ids], len(signature_ids))[:, order]
     rows = []
-    for (rid, _), scores, best in zip(responses, m.tolist(), m.argmax(axis=1).tolist()):
+    for rid, scores, best in zip(response_ids, m.tolist(), m.argmax(axis=1).tolist()):
         row = dict(response_id=rid, final_score=scores[best], best_signature_id=ids[best], flags=[])
         if records:
             row["per_signature"] = [{"signature_id": i, "score": v} for i, v in zip(ids, scores)]
@@ -92,7 +88,11 @@ def score_response(
 
     Ties on the max go to the lexicographically smallest signature_id.
     """
-    return score_question([(response_id, response_embedding)], signature_embeddings)[0]
+    vectors = [*(vector for _, vector in signature_embeddings), response_embedding]
+    for vector in vectors:
+        if len(vector) != len(response_embedding):
+            raise ValueError(f"dimension mismatch: {len(response_embedding)} vs {len(vector)}")
+    return score_question([i for i, _ in signature_embeddings], [response_id], np.stack(vectors))[0]
 
 
 def empty_scored(response_id: str, records: bool = True) -> dict:

@@ -631,6 +631,25 @@ class TestPathsOfTheWrongKind:
         assert code == 2
         assert f"data error: cannot read {path}: " in err
 
+    def test_a_file_in_the_place_of_an_output_subdirectory_is_a_config_error(
+        self, capsys, corpus_path, tmp_path
+    ):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "signatures").write_text("", encoding="utf-8")
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))
+        assert code == 1
+        assert f"config error: cannot write output file {tmp_path / 'out' / 'signatures' / 'basic'}" in err
+        assert "Traceback" not in err
+
+    def test_a_directory_at_an_artifact_path_is_a_config_error(self, capsys, corpus_path, tmp_path):
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))[0] == 0
+        artifact = tmp_path / "out" / "scored_basic.json"
+        artifact.mkdir()
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
+        assert code == 1
+        assert f"config error: cannot write output file {artifact}: " in err
+        assert not (tmp_path / "out" / ".lock").exists()
+
 
 class TestIdempotence:
     def test_score_outputs_are_byte_identical_across_runs(self, capsys, corpus_path, tmp_path):

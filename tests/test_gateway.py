@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import struct
 import sys
 import threading
 import time
@@ -57,6 +58,11 @@ def chat_request(temperature=0.5, text="Why?", model="gpt-4o") -> ChatRequest:
     )
 
 
+def load_entry(cache: DiskCache, key: bytes) -> dict | None:
+    """The key's entry as the gateway reads it: its bytes through ``read``, then ``load``."""
+    return cache.load(key, dict(cache.read([key])).get(0))
+
+
 def make_gateway(tmp_path, chat=None, embed=None, **kwargs) -> ProviderGateway:
     return ProviderGateway(
         cache=DiskCache(tmp_path / "cache"),
@@ -79,28 +85,28 @@ class TestChatRequest:
 
 class TestCacheKey:
     def test_identical_requests_identical_digests(self):
-        a = build_cache_key(chat_request(), "prov")
-        b = build_cache_key(chat_request(), "prov")
+        a = build_cache_key(chat_request(), "prov")[0]
+        b = build_cache_key(chat_request(), "prov")[0]
         assert a == b
 
     def test_temperature_changes_digest(self):
-        a = build_cache_key(chat_request(temperature=0.25), "prov")
-        b = build_cache_key(chat_request(temperature=0.5), "prov")
+        a = build_cache_key(chat_request(temperature=0.25), "prov")[0]
+        b = build_cache_key(chat_request(temperature=0.5), "prov")[0]
         assert a != b
 
-    def test_key_is_the_32_byte_digest(self):
-        key = build_cache_key(chat_request(), "prov")
-        assert isinstance(key, bytes) and len(key) == 32
+    def test_key_is_the_32_byte_digest_of_the_key_text(self):
+        key, text = build_cache_key(chat_request(), "prov")
+        assert isinstance(key, bytes) and len(key) == 32 and hashlib.sha256(text).digest() == key
 
     def test_provider_and_text_feed_embed_keys(self):
-        assert build_cache_key("hello", "p1") != build_cache_key("hello", "p2")
-        assert build_cache_key("hello", "p1") != build_cache_key("world", "p1")
+        assert build_cache_key("hello", "p1")[0] != build_cache_key("hello", "p2")[0]
+        assert build_cache_key("hello", "p1")[0] != build_cache_key("world", "p1")[0]
 
     def test_message_change_changes_digest(self):
         # a template bump rewrites the message text, so old cache entries never match
         v1 = chat_request(text="Answer plainly.\n\nWhy?")
         v2 = chat_request(text="Answer briefly.\n\nWhy?")
-        assert build_cache_key(v1, "prov") != build_cache_key(v2, "prov")
+        assert build_cache_key(v1, "prov")[0] != build_cache_key(v2, "prov")[0]
 
 
 # Texts whose JSON string form is not the text between quotes, and a long one.
@@ -108,9 +114,39 @@ KEY_TEXTS = ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "\U0
 KEY_PROVIDERS = ["mock-embed-0-d16", 'quo"ted', "prövider-ü"]
 
 
+KEY_TEMPERATURES = [0.0, 0.1 + 0.2, 1.0, -0.0]
+
+
+def reference_json(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def reference_digest(material: dict) -> str:
-    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(reference_json(material).encode()).hexdigest()
+
+
+def chat_material(request: ChatRequest, provider_id: str) -> dict:
+    """The chat key material, written out field by field."""
+    return {
+        "kind": "chat",
+        "provider_id": provider_id,
+        "model_id": request.model_id,
+        "temperature": request.temperature,
+        "purpose": request.purpose.value,
+        "messages": [list(message) for message in request.messages],
+    }
+
+
+def key_requests(n: int = 0) -> list[ChatRequest]:
+    """A request per key text, with one message or a system+user pair; the n-th set of purpose
+    and temperature first, the others in turn."""
+    requests = []
+    for i, text in enumerate(KEY_TEXTS):
+        messages = (("user", text),) if i % 2 else (("system", f"Be brief. {text}"), ("user", text))
+        temperature = KEY_TEMPERATURES[(n + i) % len(KEY_TEMPERATURES)]
+        purpose = list(PurposeTag)[(n + i) % 2]
+        requests.append(ChatRequest(f"model {text}", temperature, messages, purpose))
+    return requests
 
 
 class TestCacheKeyEquivalence:
@@ -119,21 +155,43 @@ class TestCacheKeyEquivalence:
         assert len(KEY_TEXTS[-1]) == 3600
         for text in KEY_TEXTS + ["a " + "".join(KEY_TEXTS[:-1]) + " z"]:
             material = {"kind": "embed", "provider_id": provider_id, "text": text}
-            assert build_cache_key(text, provider_id).hex() == reference_digest(material), repr(text)
+            key, key_text = build_cache_key(text, provider_id)
+            assert key.hex() == reference_digest(material), repr(text)
+            assert key_text == reference_json(material).encode(), repr(text)
 
     @pytest.mark.parametrize("provider_id", KEY_PROVIDERS)
-    def test_chat_keys_are_the_digest_of_the_canonical_material(self, provider_id):
+    @pytest.mark.parametrize("purpose", list(PurposeTag))
+    @pytest.mark.parametrize("temperature", KEY_TEMPERATURES, ids=repr)
+    def test_chat_keys_are_the_digest_of_the_canonical_material(self, provider_id, purpose, temperature):
         for text in KEY_TEXTS:
-            request = chat_request(text=text, model=f"model {text}")
-            material = {
-                "kind": "chat",
-                "provider_id": provider_id,
-                "model_id": f"model {text}",
-                "temperature": 0.5,
-                "purpose": "generate_signature",
-                "messages": [["user", text]],
-            }
-            assert build_cache_key(request, provider_id).hex() == reference_digest(material), repr(text)
+            for messages in ((("user", text),), (("system", f"Be brief. {text}"), ("user", text))):
+                request = ChatRequest(f"model {text}", temperature, messages, purpose)
+                key, key_text = build_cache_key(request, provider_id)
+                assert key.hex() == reference_digest(chat_material(request, provider_id)), repr(text)
+                assert key_text == reference_json(chat_material(request, provider_id)).encode(), repr(text)
+
+    @pytest.mark.parametrize("provider_id", KEY_PROVIDERS)
+    def test_stored_entries_are_the_canonical_entry_dicts(self, tmp_path, provider_id):
+        chat, embed = EchoChatProvider(), FixedEmbeddingProvider([0.5, -0.25, 5e-324])
+        chat.provider_id = embed.provider_id = provider_id
+        gateway = make_gateway(tmp_path, chat=chat, embed=embed)
+        requests = key_requests(0) + key_requests(1)
+        texts = [text for text in KEY_TEXTS if text.strip()] + ["a " + "".join(KEY_TEXTS[:-1]) + " z"]
+        assert all(isinstance(reply, str) for reply in gateway.chat_many(requests))
+        gateway.store_embeddings(texts)
+        stored = cache_entries(gateway.cache.root)
+        assert len(stored) == len(requests) + len(texts)
+        for request in requests:
+            reply = {"text": f"re: {request.messages[-1][1]}"}
+            entry = {"request": chat_material(request, provider_id), "response": reply}
+            digest = build_cache_key(request, provider_id)[0].hex()
+            assert stored[digest] == (reference_json(entry) + "\n").encode()
+        body = np.array(embed.values, dtype="<f8").tobytes()
+        for text in texts:
+            material = {"kind": "embed", "provider_id": provider_id, "text": text}
+            entry = {"request": material, "response": {"dim": 3}}
+            expected = VECTOR_MAGIC + (reference_json(entry) + "\n").encode() + body
+            assert stored[build_cache_key(text, provider_id)[0].hex()] == expected, repr(text)
 
 
 class TestChatCaching:
@@ -171,7 +229,7 @@ class TestChatCaching:
         gateway = make_gateway(tmp_path, chat=MockChatProvider(seed=0))
         request = chat_request()
         gateway.chat(request)
-        key = build_cache_key(request, "mock-chat-0")
+        key = build_cache_key(request, "mock-chat-0")[0]
         entry = json.loads(cache_entries(gateway.cache.root)[key.hex()])
         assert entry["request"]["messages"] == [["user", "Why?"]]
         assert entry["request"]["temperature"] == 0.5
@@ -452,10 +510,11 @@ class TestEmbedMany:
         gateway = make_gateway(tmp_path, embed=provider)
         gateway.store_embeddings(["a", "b"])
         with monkeypatch.context() as patch:
-            loads = []
-            patch.setattr(DiskCache, "load", lambda cache, key: loads.append(key))
+            reads = []
+            patch.setattr(DiskCache, "read", lambda cache, keys: reads.append(keys) or iter(()))
+            patch.setattr(DiskCache, "load", lambda cache, key, data: reads.append(key))
             gateway.store_embeddings(["b", "c", "a"])
-        assert loads == []
+        assert reads == []
         assert provider.requests == [["a", "b"], ["c"]]
         counts = (gateway.stats.provider_calls, gateway.stats.cache_misses, gateway.stats.cache_hits)
         assert counts == (2, 3, 2)
@@ -608,55 +667,48 @@ class TestRetries:
 class TestDiskCache:
     def test_store_is_at_most_once_per_key(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
-        key = build_cache_key("text", "prov")
-        assert cache.store(key, {"response": {"values": [1.0]}}) is True
-        assert cache.store(key, {"response": {"values": [2.0]}}) is False
-        assert cache.load(key) == {"response": {"values": [1.0]}}
+        key = build_cache_key("text", "prov")[0]
+        assert cache.store(key, cache_file_bytes({"response": {"values": [1.0]}})) is True
+        assert cache.store(key, cache_file_bytes({"response": {"values": [2.0]}})) is False
+        assert load_entry(cache, key) == {"response": {"values": [1.0]}}
 
-    def test_an_entry_committed_elsewhere_during_a_store_is_kept(self, tmp_path, monkeypatch):
+    def test_an_entry_committed_elsewhere_during_a_store_is_kept(self, tmp_path):
         cache, elsewhere = DiskCache(tmp_path / "cache"), DiskCache(tmp_path / "cache")
-        key = build_cache_key("text", "prov")
-        canonical = gateway_module.canonical_json
-
-        def commit_while_storing(entry):  # another process stores and commits the key mid-write
-            monkeypatch.setattr(gateway_module, "canonical_json", canonical)
-            elsewhere.store(key, {"response": {"values": [9.0]}})
-            elsewhere.flush()
-            return canonical(entry)
-
-        monkeypatch.setattr(gateway_module, "canonical_json", commit_while_storing)
-        assert cache.store(key, {"response": {"values": [1.0]}}) is True  # pending: it cannot know yet
+        key = build_cache_key("text", "prov")[0]
+        elsewhere.store(key, cache_file_bytes({"response": {"values": [9.0]}}))  # another process
+        elsewhere.flush()
+        assert cache.store(key, cache_file_bytes({"response": {"values": [1.0]}})) is True  # pending, unaware
         cache.flush()
-        assert cache.load(key) == {"response": {"values": [9.0]}}
+        assert load_entry(cache, key) == {"response": {"values": [9.0]}}
         assert sorted(p.name for p in cache.packs.iterdir()) == ["00000000", "00000001"]
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_the_first_commit_of_a_key_is_what_every_later_reader_gets(self, tmp_path, first):
         caches = [DiskCache(tmp_path / "cache"), DiskCache(tmp_path / "cache")]
-        key = build_cache_key("text", "prov")
+        key = build_cache_key("text", "prov")[0]
         for value, cache in enumerate(caches):
-            assert cache.store(key, {"response": {"values": [float(value)]}}) is True
+            assert cache.store(key, cache_file_bytes({"response": {"values": [float(value)]}})) is True
         caches[first].flush()
         caches[1 - first].flush()
         readers = [*caches, DiskCache(tmp_path / "cache")]
-        assert [r.load(key) for r in readers] == [{"response": {"values": [float(first)]}}] * 3
+        assert [load_entry(r, key) for r in readers] == [{"response": {"values": [float(first)]}}] * 3
         assert [r.entry_count() for r in readers] == [1, 1, 1]
 
     def test_store_commits_full_packs_and_flush_commits_the_rest(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
         for i in range(PACK_ENTRIES + 1):
-            cache.store(build_cache_key(f"t{i}", "p"), {"response": {"text": f"t{i}"}})
+            cache.store(build_cache_key(f"t{i}", "p")[0], cache_file_bytes({"response": {"text": f"t{i}"}}))
         assert [len(read_pack(p)[1]) for p in cache.packs.iterdir()] == [PACK_ENTRIES]
         cache.flush()
         cache.flush()  # nothing pending: no pack
         assert [len(read_pack(p)[1]) for p in sorted(cache.packs.iterdir())] == [PACK_ENTRIES, 1]
         reader = DiskCache(tmp_path / "cache")
-        assert reader.load(build_cache_key("t64", "p")) == {"response": {"text": "t64"}}
+        assert load_entry(reader, build_cache_key("t64", "p")[0]) == {"response": {"text": "t64"}}
 
     def test_entry_count_ignores_temp_files(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
-        cache.store(build_cache_key("a", "p"), {"response": {"text": "a"}})
-        cache.store(build_cache_key("b", "p"), {"response": {"values": np.zeros(2), "dim": 2}})
+        cache.store(build_cache_key("a", "p")[0], cache_file_bytes({"response": {"text": "a"}}))
+        cache.store(build_cache_key("b", "p")[0], cache_file_bytes({"response": {"dim": 2}}, bytes(16)))
         (cache.root / ".tmp-leftover").write_bytes(VECTOR_MAGIC)
         (cache.root / "subdir").mkdir()
         (cache.root / "subdir" / "nested").write_bytes(b"{}\n")
@@ -673,7 +725,7 @@ class TestDiskCache:
                 "response": {"values": provider.mock.embed(text), "dim": 4},
                 "stored_at": "2024-01-01T00:00:00+00:00",
             }
-            path = cache.root / build_cache_key(text, provider_id).hex()
+            path = cache.root / build_cache_key(text, provider_id)[0].hex()
             pretty = (json.dumps(entry, sort_keys=True, indent=2) + "\n").encode()
             path.write_bytes(pretty if text == "pretty" else cache_file_bytes(entry))
             legacy[path] = path.read_bytes()
@@ -684,7 +736,7 @@ class TestDiskCache:
         assert {path: path.read_bytes() for path in legacy} == legacy  # read, not migrated
 
         gateway.embed("fresh")
-        stored = cache_entries(cache.root)[build_cache_key("fresh", provider_id).hex()]
+        stored = cache_entries(cache.root)[build_cache_key("fresh", provider_id)[0].hex()]
         header, body = parse_cache_file(stored)
         assert stored.startswith(VECTOR_MAGIC)
         assert header["request"] == embed_key_material("fresh", provider_id)
@@ -712,11 +764,11 @@ class TestPacks:
 
     def test_concurrent_stores_are_each_committed_once_under_fast_thread_switching(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
-        keys = [build_cache_key(f"text {i}", "p") for i in range(8 * PACK_ENTRIES + 5)]
+        keys = [build_cache_key(f"text {i}", "p")[0] for i in range(8 * PACK_ENTRIES + 5)]
 
         def store(part):
             for key in keys[part::8]:
-                cache.store(key, {"response": {"text": key.hex()}})
+                cache.store(key, cache_file_bytes({"response": {"text": key.hex()}}))
 
         threads = [threading.Thread(target=store, args=(part,)) for part in range(8)]
         interval = sys.getswitchinterval()
@@ -733,7 +785,7 @@ class TestPacks:
         packed = [digest for pack in cache.packs.iterdir() for digest in read_pack(pack)[1]]
         assert sorted(packed) == sorted(key.hex() for key in keys)
         reader = DiskCache(tmp_path / "cache")
-        assert all(reader.load(key) == {"response": {"text": key.hex()}} for key in keys)
+        assert all(load_entry(reader, key) == {"response": {"text": key.hex()}} for key in keys)
 
     @pytest.mark.parametrize("damage, names_entry", PACK_DAMAGE.values(), ids=PACK_DAMAGE.keys())
     def test_a_bad_pack_is_a_data_error_naming_it(self, tmp_path, damage, names_entry):
@@ -752,12 +804,12 @@ class TestPacks:
 
     def test_a_key_in_a_pack_and_in_a_legacy_file_counts_once_and_reads_from_the_pack(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
-        key = build_cache_key("a", "p")
-        cache.store(key, {"response": {"text": "packed"}})
+        key = build_cache_key("a", "p")[0]
+        cache.store(key, cache_file_bytes({"response": {"text": "packed"}}))
         cache.flush()
         (cache.root / key.hex()).write_text('{"response": {"text": "legacy"}}\n', encoding="utf-8")
-        (cache.root / build_cache_key("b", "p").hex()).write_text("{}\n", encoding="utf-8")
-        assert DiskCache(tmp_path / "cache").load(key) == {"response": {"text": "packed"}}
+        (cache.root / build_cache_key("b", "p")[0].hex()).write_text("{}\n", encoding="utf-8")
+        assert load_entry(DiskCache(tmp_path / "cache"), key) == {"response": {"text": "packed"}}
         assert DiskCache(tmp_path / "cache").entry_count() == 2
 
 
@@ -785,7 +837,7 @@ class TestMissesOpenNoFile:
             "request": embed_key_material("old", provider.provider_id),
             "response": {"values": provider.mock.embed("old"), "dim": 4},
         }
-        path = gateway.cache.root / build_cache_key("old", provider.provider_id).hex()
+        path = gateway.cache.root / build_cache_key("old", provider.provider_id)[0].hex()
         path.write_bytes(cache_file_bytes(entry))
         gateway.store_embeddings(["old", "new"])
         assert provider.requests == [["new"]]
@@ -824,7 +876,7 @@ class TestVectorEntries:
         gateway = make_gateway(tmp_path, chat=StaticChatProvider(text))
         request = chat_request(text="Pourquoi ?\n— réponds")
         gateway.chat(request)
-        stored = cache_entries(gateway.cache.root)[build_cache_key(request, "static-chat").hex()]
+        stored = cache_entries(gateway.cache.root)[build_cache_key(request, "static-chat")[0].hex()]
         entry = json.loads(stored)
         assert entry == {"request": chat_key_material(request, "static-chat"), "response": {"text": text}}
         (pack,) = gateway.cache.packs.iterdir()
@@ -836,10 +888,12 @@ class TestVectorEntries:
         provider = RecordingEmbeddingProvider()
         cache = DiskCache(tmp_path / "cache")
         # One entry in the vector form, one as legacy JSON: each is self-consistent.
-        for text, values in (("a", np.ones(4)), ("b", [0.5, 0.5, 0.5])):
-            material = embed_key_material(text, provider.provider_id)
-            entry = {"request": material, "response": {"values": values, "dim": len(values)}}
-            cache.store(build_cache_key(text, provider.provider_id), entry)
+        for text, response, body in (
+            ("a", {"dim": 4}, np.ones(4).tobytes()),
+            ("b", {"values": [0.5] * 3, "dim": 3}, None),
+        ):
+            entry = {"request": embed_key_material(text, provider.provider_id), "response": response}
+            cache.store(build_cache_key(text, provider.provider_id)[0], cache_file_bytes(entry, body))
         cache.flush()
         gateway = make_gateway(tmp_path, embed=provider)
         with pytest.raises(ConfigError, match="dimension drift"):
@@ -960,6 +1014,22 @@ class TestChatMany:
         gateway.embed_many(["a", "b", "a"])
         assert chat.threads == embed.threads == [threading.get_ident()]
 
+    def test_the_lookups_stream_into_the_sends(self, tmp_path, monkeypatch):
+        keyed, keyed_at_call = [], []
+        build = gateway_module.build_cache_key
+        monkeypatch.setattr(gateway_module, "LOOKUP_CHUNK", 8)
+        monkeypatch.setattr(gateway_module, "build_cache_key", lambda *a: keyed.append(a) or build(*a))
+
+        class CountingProvider(EchoChatProvider):
+            def complete(self, request):
+                keyed_at_call.append(len(keyed))
+                return super().complete(request)
+
+        requests = [chat_request(text=f"q{i}") for i in range(40)]
+        gateway = make_gateway(tmp_path, chat=CountingProvider())
+        assert gateway.chat_many(requests) == [f"re: q{i}" for i in range(40)]
+        assert min(keyed_at_call) == 8 and len(keyed) == 40  # chunk 1 is sent before the rest is keyed
+
     def test_no_requests_make_no_calls(self, tmp_path):
         provider = EchoChatProvider()
         gateway = make_gateway(tmp_path, chat=provider)
@@ -976,26 +1046,46 @@ def _legacy(digest: str, layout: str) -> set[str]:
     return {digest} if layout == "legacy" else set()
 
 
+CHAT_READS = [  # each reads chat_request()'s entry; a chunk is read before its misses are sent
+    lambda g: g.chat(chat_request()),
+    lambda g: g.chat_many([chat_request()]),
+    lambda g: g.chat_many([chat_request(text="fresh"), chat_request()]),
+]
+EMBED_READS = [  # each reads the entry of "text"; "other" comes first
+    lambda g: g.embed_many(["other", "text"]),
+    lambda g: g.stored_embeddings(["other", "text"]),
+]
+
+
+def the_data_error_of_each(reads, gateway) -> str:
+    """The DataError message that every read gives, each on a new gateway; all must be equal."""
+    messages = set()
+    for read in reads:
+        with pytest.raises(DataError) as raised:
+            read(gateway())
+        messages.add(str(raised.value))
+    assert len(messages) == 1, messages
+    return messages.pop()
+
+
+VECTOR_DAMAGE = {  # each turns a vector entry in the provider's dimension into a bad one
+    "non-finite-body": lambda data: data[:-8] + struct.pack("<d", float("nan")),
+    "short-body": lambda data: data[:-8],
+    "long-body": lambda data: data + bytes(8),
+    "dim-off": lambda data: data.replace(b'"dim":4}', b'"dim":5}'),
+}
+
+
 class TestUnreadableCacheEntries:
-    @pytest.mark.parametrize(
-        "content, send",
-        [pytest.param(c, lambda g: g.chat(chat_request()), id=c) for c in CORRUPT_CHAT_ENTRIES]
-        + [  # every lookup comes before any send, so the fresh request is not sent either
-            pytest.param(
-                c, lambda g: g.chat_many([chat_request(text="fresh"), chat_request()]), id=f"many-{c}"
-            )
-            for c in CORRUPT_CHAT_ENTRIES
-        ],
-    )
+    @pytest.mark.parametrize("content", CORRUPT_CHAT_ENTRIES)
     @pytest.mark.parametrize("layout", ["packed", "legacy"])
-    def test_chat_entry_is_a_data_error_naming_its_file(self, tmp_path, content, send, layout):
+    def test_chat_entry_is_a_data_error_naming_its_file(self, tmp_path, content, layout):
         provider = EchoChatProvider()
-        gateway = make_gateway(tmp_path, chat=provider)
-        digest = build_cache_key(chat_request(), provider.provider_id).hex()
-        path = rewrite_cache(gateway.cache.root, {digest: content.encode()}, _legacy(digest, layout))[digest]
-        with pytest.raises(DataError, match=digest) as raised:
-            send(gateway)
-        assert str(path) in str(raised.value)
+        digest = build_cache_key(chat_request(), provider.provider_id)[0].hex()
+        cache = DiskCache(tmp_path / "cache").root
+        path = rewrite_cache(cache, {digest: content.encode()}, _legacy(digest, layout))[digest]
+        message = the_data_error_of_each(CHAT_READS, lambda: make_gateway(tmp_path, chat=provider))
+        assert digest in message and str(path) in message
         assert provider.calls == []
 
     @pytest.mark.parametrize("layout", ["packed", "legacy"])
@@ -1012,10 +1102,109 @@ class TestUnreadableCacheEntries:
     )
     def test_embed_entry_is_a_data_error_naming_its_file(self, tmp_path, content, layout):
         provider = RecordingEmbeddingProvider()
-        gateway = make_gateway(tmp_path, embed=provider)
-        digest = build_cache_key("text", provider.provider_id).hex()
-        path = rewrite_cache(gateway.cache.root, {digest: content.encode()}, _legacy(digest, layout))[digest]
-        with pytest.raises(DataError, match=digest) as raised:
-            gateway.embed_many(["other", "text"])
-        assert str(path) in str(raised.value)
+        digest = build_cache_key("text", provider.provider_id)[0].hex()
+        cache = DiskCache(tmp_path / "cache").root
+        path = rewrite_cache(cache, {digest: content.encode()}, _legacy(digest, layout))[digest]
+        message = the_data_error_of_each(EMBED_READS, lambda: make_gateway(tmp_path, embed=provider))
+        assert digest in message and str(path) in message
         assert provider.requests == []
+
+    @pytest.mark.parametrize("layout", ["packed", "legacy"])
+    @pytest.mark.parametrize("damage", VECTOR_DAMAGE.values(), ids=VECTOR_DAMAGE.keys())
+    def test_a_bad_vector_entry_is_a_data_error_naming_its_file(self, tmp_path, damage, layout):
+        provider = RecordingEmbeddingProvider()
+        make_gateway(tmp_path, embed=provider).store_embeddings(["other", "text"])
+        entries = cache_entries(tmp_path / "cache")
+        digest = build_cache_key("text", provider.provider_id)[0].hex()
+        entries[digest] = damage(entries[digest])
+        path = rewrite_cache(tmp_path / "cache", entries, _legacy(digest, layout))[digest]
+        message = the_data_error_of_each(EMBED_READS, lambda: make_gateway(tmp_path, embed=provider))
+        assert digest in message and str(path) in message
+        assert len(provider.requests) == 1
+
+    def test_a_well_formed_entry_under_another_digest_is_read_as_it_is(self, tmp_path):
+        chat, embed = EchoChatProvider(), RecordingEmbeddingProvider()
+        make_gateway(tmp_path, chat=chat, embed=embed).chat_many([chat_request(text="other")])
+        make_gateway(tmp_path, embed=embed).store_embeddings(["first", "other"])
+        entries = cache_entries(tmp_path / "cache")
+        for kind, provider_id in ((chat_request, chat.provider_id), (str, embed.provider_id)):
+            other = build_cache_key(kind("other") if kind is str else kind(text="other"), provider_id)[0]
+            mine = build_cache_key(kind("text") if kind is str else kind(text="text"), provider_id)[0]
+            other, mine = other.hex(), mine.hex()
+            entries[mine] = entries[other]
+        rewrite_cache(tmp_path / "cache", entries)
+        warm = make_gateway(tmp_path, chat=chat, embed=embed)
+        assert warm.chat_many([chat_request(text="text")]) == ["re: other"]
+        expected = [embed.mock.embed("first"), embed.mock.embed("other")]
+        assert [list(v) for v in warm.stored_embeddings(["first", "text"])] == expected
+        assert [list(v) for v in warm.embed_many(["first", "text"])] == expected
+        assert (len(chat.calls), len(embed.requests)) == (1, 1)
+
+
+class TestPackReads:
+    def test_a_warm_read_back_parses_only_its_first_entry(self, tmp_path, monkeypatch):
+        embed = RecordingEmbeddingProvider()
+        texts = [f"text {i}" for i in range(2 * PACK_ENTRIES)]
+        make_gateway(tmp_path, embed=embed).store_embeddings(texts)
+        warm = make_gateway(tmp_path, embed=embed)
+        loads, real_load = [], DiskCache.load
+
+        def counted(cache, key, data):
+            loads.append(key)
+            return real_load(cache, key, data)
+
+        monkeypatch.setattr(DiskCache, "load", counted)
+        backwards = texts[::-1]
+        expected = [embed.mock.embed(t) for t in backwards]
+        assert [list(v) for v in warm.stored_embeddings(backwards)] == expected
+        assert len(loads) == 1  # it sets the dimension; the others are their header's bytes and a body
+        assert [list(v) for v in warm.stored_embeddings(texts)] == [embed.mock.embed(t) for t in texts]
+        assert len(loads) == 2
+
+    @pytest.mark.parametrize("kind", ["chat", "embed"])
+    def test_a_warm_pass_opens_each_pack_once_and_one_at_a_time(self, tmp_path, monkeypatch, kind):
+        texts = [f"text {i}" for i in range(3 * PACK_ENTRIES + 5)]
+        requests = [chat_request(text=text) for text in texts]
+        chat, embed = EchoChatProvider(), RecordingEmbeddingProvider()
+        cold = make_gateway(tmp_path, chat=chat, embed=embed)
+        cold.chat_many(requests) if kind == "chat" else cold.store_embeddings(texts)
+        packs = sorted(cold.cache.packs.iterdir())
+        assert len(packs) == 4
+        warm = make_gateway(tmp_path, chat=chat, embed=embed)
+        order = random.Random(3).sample(range(len(texts)), len(texts))  # chunks span packs
+        passes, open_now, peak = [], set(), [0]  # the packs opened by each DiskCache.read call
+
+        def counted_read(cache, keys):
+            passes.append([])
+            yield from real_read(cache, keys)
+
+        def counted_open(path, *args, **kwargs):
+            fd = real_open(path, *args, **kwargs)
+            passes[-1].append(Path(path))
+            open_now.add(fd)
+            peak[0] = max(peak[0], len(open_now))
+            return fd
+
+        def counted_close(fd):
+            open_now.discard(fd)
+            real_close(fd)
+
+        real_read, real_open, real_close = DiskCache.read, os.open, os.close
+        with monkeypatch.context() as patch:
+            patch.setattr(DiskCache, "read", counted_read)
+            patch.setattr(gateway_module.os, "open", counted_open)
+            patch.setattr(gateway_module.os, "close", counted_close)
+            if kind == "chat":
+                replies = warm.chat_many([requests[i] for i in order])
+            else:
+                vectors = warm.stored_embeddings([texts[i] for i in order])
+        chunks = -(-len(texts) // gateway_module.LOOKUP_CHUNK)
+        assert len(passes) == (chunks if kind == "chat" else 1)
+        assert all(len(opened) == len(set(opened)) for opened in passes)  # each pack at most once per pass
+        assert sorted({path for opened in passes for path in opened}) == packs
+        assert peak[0] == 1 and not open_now
+        if kind == "chat":
+            assert replies == [f"re: {texts[i]}" for i in order]
+        else:
+            assert [list(v) for v in vectors] == [embed.mock.embed(texts[i]) for i in order]
+        assert (len(chat.calls), len(embed.requests)) == ((len(texts), 0) if kind == "chat" else (0, 4))

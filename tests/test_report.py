@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -282,6 +283,19 @@ class TestHistogram:
         hist = counts(build_histogram({Cohort.POST_2022: scores}, bin_width=0.05))
         assert sum(hist["post_2022"]) == 500
         assert len(hist["post_2022"]) == 40
+
+    @pytest.mark.parametrize("bin_width", [0.05, 0.1, 0.25, 0.5, 1, 2])
+    def test_bins_are_the_exact_rational_floor_at_and_beside_every_edge(self, bin_width):
+        width = Fraction(str(bin_width))
+        n_bins = int(2 / width)
+        edges = [float(-1 + i * width) for i in range(n_bins + 1)]
+        rng = random.Random(5)
+        scores = [rng.uniform(-1, 1) for _ in range(2000)]
+        scores += [s for e in edges for s in (e, math.nextafter(e, -2), math.nextafter(e, 2)) if -1 <= s <= 1]
+        expected = [0] * n_bins
+        for score in scores:
+            expected[min(int((Fraction(score) + 1) / width), n_bins - 1)] += 1
+        assert counts(build_histogram({Cohort.PRE_2022: scores}, bin_width))["pre_2022"] == expected
 
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError, match="invalid bin width"):

@@ -32,6 +32,18 @@ def random_vec(rng: random.Random, dim: int) -> np.ndarray:
             return vec(*values)
 
 
+def score_pairs(responses, signatures, records=True) -> list[dict]:
+    """``score_question`` of (id, vector) pairs, the signatures' rows stacked above the responses'."""
+    vectors = np.stack([vector for _, vector in [*signatures, *responses]])
+    return score_question([i for i, _ in signatures], [i for i, _ in responses], vectors, records=records)
+
+
+def pair_matrix(responses, signatures) -> np.ndarray:
+    """``similarity_matrix`` of (id, vector) pairs: a row per response, a column per signature."""
+    pairs = [*signatures, *responses]
+    return similarity_matrix(np.stack([v for _, v in pairs]), [i for i, _ in pairs], len(signatures))
+
+
 def oracle_cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Independent pure-python cosine for cross-checking."""
     a, b = a.tolist(), b.tolist()
@@ -220,7 +232,7 @@ def test_scored_rows_survive_a_json_round_trip(records):
     rng = random.Random(17)
     responses = [(f"r{i}", random_vec(rng, 8)) for i in range(5)]
     pairs = [(f"sig{i}", random_vec(rng, 8)) for i in range(4)]
-    rows = score_question(responses, pairs, records=records) + [empty_scored("r9", records)]
+    rows = score_pairs(responses, pairs, records=records) + [empty_scored("r9", records)]
     assert json.loads(json.dumps(rows, allow_nan=False)) == rows
 
 
@@ -234,23 +246,23 @@ class TestScoringCoreIsBitStable:
         rng = np.random.default_rng(dim)
         responses = np_pairs("r", rng.standard_normal((500, dim)))
         signatures = np_pairs("s", rng.standard_normal((20, dim)))
-        batch = similarity_matrix(responses, signatures)
+        batch = pair_matrix(responses, signatures)
         for i in range(0, 500, 7):
-            alone = similarity_matrix(responses[i : i + 1], signatures)
+            alone = pair_matrix(responses[i : i + 1], signatures)
             assert alone.tobytes() == batch[i : i + 1].tobytes()
         for trial in range(10):
             cols = sorted(rng.choice(20, size=int(rng.integers(1, 21)), replace=False).tolist())
-            subset = similarity_matrix(responses, [signatures[j] for j in cols])
+            subset = pair_matrix(responses, [signatures[j] for j in cols])
             assert subset.tobytes() == batch[:, cols].tobytes()
-        swapped = similarity_matrix(signatures, responses)
+        swapped = pair_matrix(signatures, responses)
         assert swapped.T.tobytes() == batch.tobytes()
 
     def test_score_question_agrees_with_score_response_and_the_oracle(self):
         rng = random.Random(13)
         responses = [(f"r{i}", random_vec(rng, 8)) for i in range(30)]
         pairs = [(f"sig{i:02d}", random_vec(rng, 8)) for i in reversed(range(12))]
-        full = score_question(responses, pairs)
-        summary = score_question(responses, pairs, records=False)
+        full = score_pairs(responses, pairs)
+        summary = score_pairs(responses, pairs, records=False)
         for (rid, emb), scored, short in zip(responses, full, summary):
             alone = score_response(rid, emb, pairs)
             assert (scored["final_score"], scored["best_signature_id"]) == (
@@ -267,17 +279,17 @@ class TestScoringCoreIsBitStable:
             assert scored["final_score"] == pytest.approx(oracle, abs=1e-12)
 
     def test_no_responses_means_no_scores(self):
-        assert score_question([], [("s", vec(1, 0))]) == []
+        assert score_question(["s"], [], vec(1, 0)[None]) == []
 
     def test_zero_norm_signature_is_named(self):
         with pytest.raises(DegenerateEmbeddingError, match="'sig-zero'"):
-            score_question([("r1", vec(1, 0))], [("sig-a", vec(0, 1)), ("sig-zero", vec(0, 0))])
+            score_pairs([("r1", vec(1, 0))], [("sig-a", vec(0, 1)), ("sig-zero", vec(0, 0))])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_an_overflowing_norm_is_degenerate(self):
         with pytest.raises(DegenerateEmbeddingError, match="'sig-huge'"):
-            score_question([("r1", vec(1, 0))], [("sig-a", vec(0, 1)), ("sig-huge", vec(1e200, 1e200))])
+            score_pairs([("r1", vec(1, 0))], [("sig-a", vec(0, 1)), ("sig-huge", vec(1e200, 1e200))])
 
     def test_zero_norm_response_is_named(self):
         with pytest.raises(DegenerateEmbeddingError, match="'r-zero'"):
-            score_question([("r1", vec(1, 0)), ("r-zero", vec(0, 0))], [("sig-a", vec(0, 1))])
+            score_pairs([("r1", vec(1, 0)), ("r-zero", vec(0, 0))], [("sig-a", vec(0, 1))])

@@ -207,7 +207,7 @@ class TestDeterminismAndStore:
             request = build_signature_request(
                 QUESTION, sig["model_id"], sig["temperature"], Sentiment(sig["sentiment"])
             )
-            key = build_cache_key(request, gateway.chat_provider.provider_id)
+            key = build_cache_key(request, gateway.chat_provider.provider_id)[0]
             entry = json.loads(cache_entries(gateway.cache.root)[key.hex()])
             assert entry["request"]["messages"] == [list(m) for m in request.messages]
             assert entry["response"]["text"] == sig["text"]
