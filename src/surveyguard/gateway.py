@@ -124,8 +124,7 @@ def build_cache_key(request_or_text: ChatRequest | str, provider_id: str) -> tup
 
 
 def _vector_head(key_text: bytes, dim: int) -> bytes:
-    """A vector entry up to its body, spliced from the key text: ``_VECTOR_MAGIC``, then the line
-    of ``canonical_json({"request": <the request>, "response": {"dim": dim}})``."""
+    """A vector entry up to its body: ``_VECTOR_MAGIC`` and its JSON line, spliced from the key text."""
     return b'%s{"request":%s,"response":{"dim":%d}}\n' % (DiskCache._VECTOR_MAGIC, key_text, dim)
 
 
@@ -265,9 +264,11 @@ class DiskCache:
         bounds = array("I", accumulate(map(len, batch.values()), initial=start))
         fd, tmp = tempfile.mkstemp(dir=self.packs, prefix=".tmp-")
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.writelines([self._PACK_MAGIC, len(batch).to_bytes(4, "little")])
-                fh.writelines([*map(self._ROW.pack, batch, bounds[1:]), stored_at, *batch.values()])
+            with os.fdopen(fd, "wb") as fh:  # one writev, not a write per buffer-full: each gives up the GIL
+                rows = map(self._ROW.pack, batch, bounds[1:])
+                head = [self._PACK_MAGIC, len(batch).to_bytes(4, "little"), *rows, stored_at]
+                if os.writev(fh.fileno(), [*head, *batch.values()]) != bounds[-1]:
+                    raise OSError(f"short write to {tmp}")
             number = first = self._next
             while True:
                 path = self.packs / f"{number:08d}"
@@ -523,10 +524,9 @@ class ProviderGateway:
                 raise outcome
 
     def stored_embeddings(self, texts: Sequence[str]) -> np.ndarray:
-        """The stored vectors of texts as one ``(n, d)`` array, rows in input order: no provider
-        call, and no hit counted again. An entry that is byte for byte the ``_vector_head`` of its
-        text in the first entry's dimension plus a body is copied into its row as it is; any other,
-        and any row that is not finite, is read the full way, so as ``embed_many`` would read it."""
+        """The stored vectors of texts as one ``(n, d)`` array, rows in input order: no provider call,
+        no hit counted again. An entry that is its text's ``_vector_head`` in the first entry's ``d`` and
+        a body is copied as it is; any other, and any row not finite, is read as ``embed_many`` reads it."""
         if self.embedding_provider is None:
             raise ConfigError("no embedding provider configured")
         provider_id = self.embedding_provider.provider_id
