@@ -581,12 +581,12 @@ def cmd_report(cfg: RunConfig) -> int:
             sweep_path, ("rows", "study_order", "cohorts"), lambda d: {"signature_detection": {"sweep": d}}
         )
         signature_section = {"sweep": sweep}
-        cases = {}
+        cases, keys = {}, ("strategy", "high", "low")
         for path in case_paths:
-            dump = _read_dump(path, ("high", "low"), lambda d: {"signature_detection": {"cases": {"": d}}})
-            if not isinstance(strategy := dump.get("strategy", path.stem.removeprefix("cases_")), str):
+            dump = _read_dump(path, keys, lambda d: {"signature_detection": {"cases": {"": d}}})
+            if not isinstance(dump["strategy"], str):
                 raise DataError(f"corrupted dump file: {path}: strategy must be a string")
-            cases[strategy] = dump
+            cases[dump["strategy"]] = dump
         if cases:
             signature_section["cases"] = cases
 

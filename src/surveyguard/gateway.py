@@ -40,7 +40,6 @@ LOOKUP_CHUNK = 64  # lookups read together, grouped by pack; their key texts are
 MAX_IN_FLIGHT = 5  # provider calls running at once
 RETRIES = 3  # attempts per provider call, the first included
 BACKOFF_BASE_S = 1.0  # delay before the first retry; doubles on each further one
-_DIGEST_NAME = re.compile(r"[0-9a-f]{64}")  # the hex digest that names a one-file entry
 
 
 def check_temperature(temperature: float) -> None:
@@ -133,8 +132,8 @@ class DiskCache:
     holding a key wins. A pack is ``_PACK_MAGIC``, a ``<u4`` count, a ``_ROW`` per entry, a
     ``stored_at`` line, then the entries: a vector as its ``_vector_head`` (``_VECTOR_MAGIC``, a
     JSON line with ``response: {"dim": d}``) and ``8 * d`` bytes of ``<f8``; any other entry
-    as a JSON line. ``root/<hex digest>`` files of earlier versions, JSON vectors included, are
-    read. Keys are the digests ``build_cache_key`` makes.
+    as a JSON line. Keys are the digests ``build_cache_key`` makes. A root holding a
+    ``<hex digest>`` file, the one-file entry of earlier versions, is refused.
     """
 
     _VECTOR_MAGIC = b"\x93SURVEYGUARD-F8\n"  # 0x93 starts no UTF-8 text, so no JSON entry
@@ -143,8 +142,16 @@ class DiskCache:
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        with os.scandir(self.root) as entries:
+            loose = next((e.name for e in entries if re.fullmatch("[0-9a-f]{64}", e.name)), None)
+        if loose:  # refused, not fetched again: a nondeterministic model would change the artifacts
+            raise ConfigError(
+                f"cache dir {self.root} holds {loose}, a one-file entry of an earlier version, which "
+                "this version does not read: move the dir aside to fetch its entries again"
+            )
         self.packs = self.root / "packs"
-        self.packs.mkdir(parents=True, exist_ok=True)
+        self.packs.mkdir(exist_ok=True)
         self._lock = threading.Lock()
         # digest -> pack slot (pack << 32 | row), or the entry's bytes while it is pending
         self._index: dict[bytes, int | bytes] = {}
@@ -154,9 +161,7 @@ class DiskCache:
         self.refresh()
 
     def refresh(self) -> None:
-        """Index the packs committed since the last call, by any process; note any one-file entry."""
-        with os.scandir(self.root) as entries:
-            self._loose = any(_DIGEST_NAME.fullmatch(e.name) for e in entries)
+        """Index the packs committed since the last call, by any process."""
         known = {number for number, _, _ in self._packs}
         names = sorted((n for n in os.listdir(self.packs) if n.isdecimal() and int(n) not in known), key=int)
         for path in map(self.packs.joinpath, names):
@@ -184,19 +189,18 @@ class DiskCache:
                     self._index[digest] = pack << 32 | row
 
     def locate(self, key: bytes) -> str:
-        """Where the key's committed entry is read from: its pack and digest, or its own file."""
+        """Where the key's entry is read from: its pack and digest, or, pending, the root and digest."""
         held = self._index.get(key)
-        if isinstance(held, int):
-            return f"{self._packs[held >> 32][1]} entry {key.hex()}"
-        return str(self.root / key.hex())
+        where = self._packs[held >> 32][1] if isinstance(held, int) else f"{self.root} pending"
+        return f"{where} entry {key.hex()}"
 
     def __contains__(self, key: bytes) -> bool:
-        return key in self._index or self._loose and (self.root / key.hex()).is_file()
+        return key in self._index
 
     def read(self, keys: Sequence[bytes]) -> Iterator[tuple[int, bytes]]:
-        """``(i, the bytes of keys[i]'s entry)`` for each key held: pending and one-file entries
-        first, then pack by pack, with one read-only descriptor open at a time and one ``pread``
-        of the span that holds the pack's entries asked for."""
+        """``(i, the bytes of keys[i]'s entry)`` for each key held: pending entries first, then
+        pack by pack, with one read-only descriptor open at a time and one ``pread`` of the span
+        that holds the pack's entries asked for."""
         wanted: dict[int, list] = {}  # pack -> [(row, i)]
         for i, key in enumerate(keys):
             held = self._index.get(key)
@@ -204,8 +208,6 @@ class DiskCache:
                 wanted.setdefault(held >> 32, []).append((held & 0xFFFFFFFF, i))
             elif held is not None:
                 yield i, held
-            elif self._loose and (path := self.root / key.hex()).is_file():  # else no file is opened
-                yield i, path.read_bytes()
         for pack, rows in wanted.items():
             _, path, bounds = self._packs[pack]
             base = min(bounds[row] for row, _ in rows)
@@ -254,7 +256,8 @@ class DiskCache:
 
     def flush(self) -> None:
         """Commit the pending entries as a pack: a temp file hard-linked to the lowest free
-        number above every pack seen. So commit order is name order, across processes too."""
+        number above every pack seen. So commit order is name order, across processes too. A
+        failed write is a ConfigError naming the root; the temp file goes, earlier packs stay."""
         with self._lock:
             batch, self._pending = self._pending, {}
         if not batch:
@@ -262,35 +265,35 @@ class DiskCache:
         stored_at = (datetime.now(timezone.utc).isoformat() + "\n").encode("utf-8")
         start = len(self._PACK_MAGIC) + 4 + self._ROW.size * len(batch) + len(stored_at)
         bounds = array("I", accumulate(map(len, batch.values()), initial=start))
-        fd, tmp = tempfile.mkstemp(dir=self.packs, prefix=".tmp-")
         try:
-            with os.fdopen(fd, "wb") as fh:  # one writev, not a write per buffer-full: each gives up the GIL
-                rows = map(self._ROW.pack, batch, bounds[1:])
-                head = [self._PACK_MAGIC, len(batch).to_bytes(4, "little"), *rows, stored_at]
-                if os.writev(fh.fileno(), [*head, *batch.values()]) != bounds[-1]:
-                    raise OSError(f"short write to {tmp}")
-            number = first = self._next
-            while True:
-                path = self.packs / f"{number:08d}"
-                try:
-                    os.link(tmp, path)
-                    break
-                except FileExistsError:
-                    number += 1
-        finally:
-            os.unlink(tmp)
+            fd, tmp = tempfile.mkstemp(dir=self.packs, prefix=".tmp-")
+            try:
+                with os.fdopen(fd, "wb") as fh:  # one writev: a write per buffer-full gives up the GIL
+                    rows = map(self._ROW.pack, batch, bounds[1:])
+                    head = [self._PACK_MAGIC, len(batch).to_bytes(4, "little"), *rows, stored_at]
+                    if os.writev(fh.fileno(), [*head, *batch.values()]) != bounds[-1]:
+                        raise OSError("short write")
+                number = first = self._next
+                while True:
+                    path = self.packs / f"{number:08d}"
+                    try:
+                        os.link(tmp, path)
+                        break
+                    except FileExistsError:
+                        number += 1
+            finally:
+                os.unlink(tmp)
+        except OSError as exc:
+            raise ConfigError(f"cannot write cache dir {self.root}: {exc.strerror or exc}") from None
         self._next = number + 1
         self._add(number, path, list(batch), bounds)
         if number != first:  # others committed packs since the last refresh
             self.refresh()
 
     def entry_count(self) -> int:
-        """Distinct keys over the packs, pending entries and files of earlier versions."""
+        """Distinct keys over the packs and pending entries."""
         self.refresh()
-        # scandir's DirEntry knows its type from the listing: no stat per entry.
-        with os.scandir(self.root) as entries:
-            files = [e.name for e in entries if _DIGEST_NAME.fullmatch(e.name) and e.is_file()]
-        return len(self._index) + sum(bytes.fromhex(name) not in self._index for name in files)
+        return len(self._index)
 
 
 def _fan_out(items: Iterable, call: Callable) -> list:
@@ -341,7 +344,7 @@ class ProviderGateway:
     each pass of them commits its cache entries, also when it raises, and results
     come back in the caller's order, never in arrival order. A cached response that
     makes no valid result (say, a short or non-finite vector) is a DataError naming
-    its pack and digest, or its file.
+    its pack and digest.
     """
 
     def __init__(
@@ -380,11 +383,12 @@ class ProviderGateway:
         ) from last
 
     def _lookup(
-        self, items: Iterable, provider_id: str, read: Callable[[dict], object], sent: set, hits: dict | None
+        self, items: Iterable, provider_id: str, sent: set,
+        hits: dict | None = None, read: Callable[[dict], object] | None = None,
     ) -> Iterator[tuple]:
         """Yield each miss as (item, key, key text), in input order, once the item is in ``sent``;
-        put what ``_read`` makes of each cached response in ``hits``. With no ``hits``, the cache
-        is only asked whether it holds the key. An item in ``sent`` or ``hits`` counts as a hit.
+        put what ``_read`` makes of each cached response with ``read`` in ``hits``. With no ``hits``,
+        the cache is only asked whether it holds the key. An item in ``sent`` or ``hits`` is a hit.
         Lazy: ``_fan_out``'s workers send while ``LOOKUP_CHUNK`` more are looked up, read together."""
         self.cache.refresh()
         items = iter(items)
@@ -423,15 +427,14 @@ class ProviderGateway:
             self.cache.flush()
 
     def _vector(self, provider_id: str, response: dict) -> np.ndarray:
-        """A cached or fetched response's vector as a read-only float64 copy: finite, of shape
-        ``(dim,)``, and in the dimension of the provider's first one."""
+        """A cached or fetched response's vector as a ``<f8`` copy: finite, of shape ``(dim,)``,
+        and in the dimension of the provider's first one."""
         dim = response["dim"]
-        vector = np.array(response["values"], dtype=np.float64)
+        vector = np.array(response["values"], dtype="<f8")
         if vector.shape != (dim,):
             raise ValueError(f"dim {dim} != shape of values {vector.shape}")
         if not np.isfinite(vector).all():
             raise ValueError("embedding contains non-finite values")
-        vector.flags.writeable = False
         seen = self._embed_dims.setdefault(provider_id, dim)
         if seen != dim:
             raise ConfigError(f"embedding dimension drift for provider {provider_id}: {seen} then {dim}")
@@ -472,7 +475,7 @@ class ProviderGateway:
 
         replies: dict[ChatRequest, str | ProviderError] = {}
         misses: list[ChatRequest] = []  # each request as _fan_out draws it, so in its results' order
-        lookups = self._lookup(requests, provider_id, read, set(), replies)
+        lookups = self._lookup(requests, provider_id, set(), replies, read)
         replies.update(zip(misses, self._send((misses.append(m[0]) or m for m in lookups), send)))
         return [replies[request] for request in requests]
 
@@ -481,22 +484,20 @@ class ProviderGateway:
         return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
-        """Cache-through embeddings as read-only float64 arrays, in input order; see
-        ``store_embeddings``."""
-        vectors: dict[str, np.ndarray] = {}
-        self.store_embeddings(texts, vectors)
-        return [vectors[text] for text in texts]
+        """Cache-through embeddings as read-only float64 arrays, in input order:
+        ``store_embeddings``, then ``stored_embeddings``, the one reader of stored vectors."""
+        self.store_embeddings(texts)
+        return list(self.stored_embeddings(texts))
 
-    def store_embeddings(self, texts: Sequence[str], vectors: dict | None = None) -> None:
+    def store_embeddings(self, texts: Sequence[str]) -> None:
         """Fetch and store the vector of every uncached text in one ``_lookup``-``_fan_out`` pass.
 
-        ``vectors``, if given, gets every text's vector, each cached one read and checked as it
-        is looked up. Without it no vector is kept, and a cached text is only looked for, to be
-        read by ``stored_embeddings``. Empty texts are rejected before any call. Distinct
-        uncached texts go to the provider ``EMBED_BATCH`` at a time, in input order; each batch
-        is one call, retried as a unit, and all its vectors are checked for dimension drift and
-        finiteness before any is stored. A batch that fails for good raises its ProviderError
-        once the others are stored.
+        No vector is kept, and a cached text is only looked for, to be read by
+        ``stored_embeddings``. Empty texts are rejected before any call. Distinct uncached texts
+        go to the provider ``EMBED_BATCH`` at a time, in input order; each batch is one call,
+        retried as a unit, and all its vectors are checked for dimension drift and finiteness
+        before any is stored. A batch that fails for good raises its ProviderError once the others
+        are stored.
         """
         if self.embedding_provider is None:
             raise ConfigError("no embedding provider configured")
@@ -504,7 +505,7 @@ class ProviderGateway:
             raise DataError("empty text")
         provider_id = self.embedding_provider.provider_id
         in_flight: set[str] = set()  # sent and not yet stored; a repeat of one is a hit
-        misses = self._lookup(texts, provider_id, partial(self._vector, provider_id), in_flight, vectors)
+        misses = self._lookup(texts, provider_id, in_flight)
 
         def send(batch: list[tuple[str, bytes, bytes]]) -> None:
             batch_texts = [text for text, _, _ in batch]
@@ -512,11 +513,8 @@ class ProviderGateway:
             if len(raw) != len(batch):
                 raise ProviderError(f"embedding provider returned {len(raw)} vectors for {len(batch)} texts")
             fetched = [self._vector(provider_id, {"values": v, "dim": len(v)}) for v in raw]
-            for (text, key, key_text), vector in zip(batch, fetched):
-                body = vector.astype("<f8", copy=False).tobytes()
-                self.cache.store(key, _vector_head(key_text, len(vector)) + body)
-                if vectors is not None:
-                    vectors[text] = vector
+            for (_, key, key_text), vector in zip(batch, fetched):
+                self.cache.store(key, _vector_head(key_text, len(vector)) + vector.tobytes())
             in_flight.difference_update(batch_texts)  # the cache holds them now
 
         for outcome in self._send(iter(lambda: list(islice(misses, EMBED_BATCH)), []), send):
@@ -524,9 +522,9 @@ class ProviderGateway:
                 raise outcome
 
     def stored_embeddings(self, texts: Sequence[str]) -> np.ndarray:
-        """The stored vectors of texts as one ``(n, d)`` array, rows in input order: no provider call,
-        no hit counted again. An entry that is its text's ``_vector_head`` in the first entry's ``d`` and
-        a body is copied as it is; any other, and any row not finite, is read as ``embed_many`` reads it."""
+        """The stored vectors of texts as one read-only ``(n, d)`` array, rows in input order: no
+        provider call, no hit counted again. An entry that is its text's ``_vector_head`` in the first
+        entry's ``d`` and a body is copied; any other, and any row not finite, is decoded in full."""
         if self.embedding_provider is None:
             raise ConfigError("no embedding provider configured")
         provider_id = self.embedding_provider.provider_id
@@ -547,4 +545,5 @@ class ProviderGateway:
         out = np.empty((0, 0)) if out is None else out
         for i in np.flatnonzero(~np.isfinite(out).all(axis=1))[:1]:  # the full read raises its DataError
             self._read(keyed[i][0], dict(self.cache.read([keyed[i][0]]))[0], read)
+        out.flags.writeable = False
         return out

@@ -2,7 +2,6 @@ import json
 import struct
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from surveyguard.dataset import write_csv
@@ -67,12 +66,6 @@ def cache_file_bytes(entry: dict, body: bytes | None = None) -> bytes:
     return line if body is None else VECTOR_MAGIC + line + body
 
 
-def legacy_entry(entry: dict, body: bytes) -> dict:
-    """A vector-form embedding entry as the JSON entry earlier versions wrote for it."""
-    values = np.frombuffer(body, dtype="<f8").tolist()
-    return {**entry, "response": {"dim": entry["response"]["dim"], "values": values}}
-
-
 def read_pack(path: Path) -> tuple[str, dict[str, bytes]]:
     """A pack's ``stored_at`` and its ``{hex digest: entry bytes}``, in table order."""
     data = path.read_bytes()
@@ -90,36 +83,25 @@ def read_pack(path: Path) -> tuple[str, dict[str, bytes]]:
 
 def cache_entries(cache_dir: Path) -> dict[str, bytes]:
     """``{hex digest: entry bytes}`` as a cache reads them: the packs in name order, the
-    first copy of a key kept, then the one-file-per-key entries of earlier versions."""
+    first copy of a key kept."""
     entries: dict[str, bytes] = {}
     for pack in sorted(p for p in (cache_dir / "packs").iterdir() if p.name.isdecimal()):
         for digest, data in read_pack(pack)[1].items():
             entries.setdefault(digest, data)
-    for path in sorted(cache_dir.iterdir()):
-        if path.is_file() and not path.name.startswith("."):
-            entries.setdefault(path.name, path.read_bytes())
     return entries
 
 
-def rewrite_cache(cache_dir: Path, entries: dict[str, bytes], legacy=()) -> dict[str, Path]:
-    """Lay a cache out anew: the digests in ``legacy`` as one file each, the rest in one pack.
-
-    Returns the file each digest is read from."""
-    for path in [*(cache_dir / "packs").iterdir(), *cache_dir.iterdir()]:
-        if path.is_file():
-            path.unlink()
-    packed = {digest: data for digest, data in entries.items() if digest not in legacy}
+def rewrite_cache(cache_dir: Path, entries: dict[str, bytes]) -> Path:
+    """Lay a cache out anew, every entry in one pack; returns that pack."""
+    for path in (cache_dir / "packs").iterdir():
+        path.unlink()
     pack = cache_dir / "packs" / "00000000"
     stored_at = b"2024-01-01T00:00:00+00:00\n"
-    end = len(PACK_MAGIC) + 4 + PACK_ROW.size * len(packed) + len(stored_at)
+    end = len(PACK_MAGIC) + 4 + PACK_ROW.size * len(entries) + len(stored_at)
     rows = []
-    for digest, data in packed.items():
+    for digest, data in entries.items():
         end += len(data)
         rows.append(PACK_ROW.pack(bytes.fromhex(digest), end))
-    head = [PACK_MAGIC, len(packed).to_bytes(4, "little"), *rows, stored_at]
-    pack.write_bytes(b"".join([*head, *packed.values()]))
-    located = dict.fromkeys(packed, pack)
-    for digest in legacy:
-        located[digest] = cache_dir / digest
-        located[digest].write_bytes(entries[digest])
-    return located
+    head = [PACK_MAGIC, len(entries).to_bytes(4, "little"), *rows, stored_at]
+    pack.write_bytes(b"".join([*head, *entries.values()]))
+    return pack

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -18,7 +19,6 @@ from conftest import (
     VECTOR_MAGIC,
     cache_entries,
     cache_file_bytes,
-    legacy_entry,
     parse_cache_file,
     rewrite_cache,
     write_bundle,
@@ -469,6 +469,7 @@ class TestReport:
             ("sweep.json", {"rows": [], "study_order": []}, "cohorts"),
             ("cases_basic.json", {"strategy": "basic", "low": []}, "high"),
             ("cases_basic.json", {"strategy": "basic", "high": []}, "low"),
+            ("cases_basic.json", {"high": [], "low": []}, "strategy"),
         ],
     )
     def test_a_dump_missing_a_key_names_the_file_and_key(
@@ -1003,6 +1004,18 @@ class TestDetectProviderFailure:
         assert list((tmp_path / "out").glob("detector_*.json")) == []
 
 
+def _no_space(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# Each replaces the os call of DiskCache.flush it names, given the real one; then the reason printed.
+COMMIT_FAULTS = {
+    "writev-enospc": ("writev", lambda real: _no_space, os.strerror(errno.ENOSPC)),
+    "short-write": ("writev", lambda real: lambda fd, buffers: real(fd, buffers[:1]), "short write"),
+    "link-enospc": ("link", lambda real: _no_space, os.strerror(errno.ENOSPC)),
+}
+
+
 def _cache_entry(entries: dict[str, bytes], kind: str) -> str:
     """The first digest (in digest order) whose entry's request is of the given kind."""
     for digest in sorted(entries):
@@ -1011,25 +1024,21 @@ def _cache_entry(entries: dict[str, bytes], kind: str) -> str:
     raise AssertionError(f"no {kind} entry")
 
 
-def _damage(cache_dir: Path, kind: str, damage, layout: str) -> tuple[str, Path]:
-    """Lay the cache out with the first entry of ``kind`` passed through ``damage``, in a pack or
-    in a file of its own; returns its digest and the file that holds it."""
+def _damage(cache_dir: Path, kind: str, damage) -> tuple[str, Path]:
+    """Lay the cache out in one pack, with the first entry of ``kind`` passed through ``damage``;
+    returns its digest and the pack."""
     entries = cache_entries(cache_dir)
     digest = _cache_entry(entries, kind)
     entries[digest] = damage(entries[digest])
-    return digest, rewrite_cache(cache_dir, entries, {digest} if layout == "legacy" else ())[digest]
+    return digest, rewrite_cache(cache_dir, entries)
 
 
-LAYOUTS = pytest.mark.parametrize("layout", ["packed", "legacy"])
-
-
-def _legacy_with(edit):
-    """A bad-entry edit: the entry as legacy JSON whose ``values`` list went through ``edit``."""
+def _json_vector_with(edit):
+    """A bad-entry edit: the entry with its vector as a JSON ``values`` list, passed through ``edit``."""
 
     def bad(entry, body):
-        legacy = legacy_entry(entry, body)
-        legacy["response"]["values"] = edit(legacy["response"]["values"])
-        return cache_file_bytes(legacy)
+        values = edit(np.frombuffer(body, dtype="<f8").tolist())
+        return cache_file_bytes({**entry, "response": {"dim": entry["response"]["dim"], "values": values}})
 
     return bad
 
@@ -1043,27 +1052,23 @@ BAD_EMBEDDING_ENTRIES = {
     "header-not-json": lambda entry, body: VECTOR_MAGIC + b'{"request": \n' + body,
     "no-dim": lambda entry, body: cache_file_bytes({**entry, "response": {}}, body),
     "nan-in-vector": lambda entry, body: cache_file_bytes(entry, NAN_F8 + body[8:]),
-    "legacy-nan": _legacy_with(lambda values: [float("nan")] + values[1:]),
-    "legacy-string": _legacy_with(lambda values: ["x"] + values[1:]),
-    "legacy-short-list": _legacy_with(lambda values: values[:-1]),
+    "json-nan": _json_vector_with(lambda values: [float("nan")] + values[1:]),
+    "json-string": _json_vector_with(lambda values: ["x"] + values[1:]),
+    "json-short-list": _json_vector_with(lambda values: values[:-1]),
 }
 
 
 class TestUnreadableCacheAndStore:
-    @LAYOUTS
-    def test_truncated_cache_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path, layout):
+    def test_truncated_cache_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path):
         args = base_args(corpus_path, tmp_path, "detect-llm")
         assert run_cli(capsys, *args)[0] == 0
-        digest, entry = _damage(tmp_path / "cache", "chat", lambda data: data[:40], layout)
+        digest, entry = _damage(tmp_path / "cache", "chat", lambda data: data[:40])
         code, _, err = run_cli(capsys, *args)
         assert code == 2
         assert str(entry) in err and digest in err
 
-    @LAYOUTS
     @pytest.mark.parametrize("kind, command", [("chat", "gen-signatures"), ("embed", "score")])
-    def test_entry_without_response_exits_2_naming_it(
-        self, capsys, corpus_path, tmp_path, kind, command, layout
-    ):
+    def test_entry_without_response_exits_2_naming_it(self, capsys, corpus_path, tmp_path, kind, command):
         for step in ("gen-signatures", "score"):
             assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
 
@@ -1073,19 +1078,16 @@ class TestUnreadableCacheAndStore:
             del payload["response"]
             return cache_file_bytes(payload, body)
 
-        digest, entry = _damage(tmp_path / "cache", kind, drop_response, layout)
+        digest, entry = _damage(tmp_path / "cache", kind, drop_response)
         code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, command))
         assert code == 2
         assert str(entry) in err and digest in err
 
-    @LAYOUTS
     @pytest.mark.parametrize("damage", BAD_EMBEDDING_ENTRIES.values(), ids=BAD_EMBEDDING_ENTRIES.keys())
-    def test_bad_embedding_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path, damage, layout):
+    def test_bad_embedding_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path, damage):
         for step in ("gen-signatures", "score"):
             assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
-        digest, entry = _damage(
-            tmp_path / "cache", "embed", lambda data: damage(*parse_cache_file(data)), layout
-        )
+        digest, entry = _damage(tmp_path / "cache", "embed", lambda data: damage(*parse_cache_file(data)))
         code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
         assert (code, err.count(str(entry)), err.count(digest)) == (2, 1, 1), err
         assert err.startswith("data error: corrupted cache entry: ")
@@ -1102,30 +1104,43 @@ class TestUnreadableCacheAndStore:
         assert code == 2
         assert err.startswith("data error: corrupted cache ") and str(pack) in err
 
-    def test_score_artifacts_are_identical_from_vector_legacy_and_mixed_caches(
-        self, capsys, corpus_path, tmp_path
+    def test_a_cache_dir_holding_a_one_file_entry_is_refused_before_any_call(
+        self, capsys, monkeypatch, corpus_path, tmp_path
     ):
-        for step in ("gen-signatures", "score"):
+        for step in ("gen-signatures", "score", "detect-llm"):
             assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
-        out_dir = tmp_path / "out"
-        artifacts = {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+        # An entry as earlier versions stored it: a file named by its hex digest, in a cache of no packs.
         cache = tmp_path / "cache"
-        entries = cache_entries(cache)
-        embeddings = [digest for digest, data in entries.items() if data.startswith(VECTOR_MAGIC)]
-        assert len(embeddings) > 2
-        # Every other embedding as a legacy JSON file, then all of them; the rest stay packed.
-        converted = []
-        for legacy in (embeddings[::2], embeddings[1::2]):
-            for digest in legacy:
-                entries[digest] = cache_file_bytes(legacy_entry(*parse_cache_file(entries[digest])))
-            converted += legacy
-            rewrite_cache(cache, entries, converted)
-            code, out, _ = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
-            assert code == 0 and "provider calls: 0 (" in out
-            assert {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()} == artifacts
-        assert cache_entries(cache) == entries  # read, not migrated
-        assert not any(entries[digest].startswith(VECTOR_MAGIC) for digest in embeddings)
-        assert [p.name for p in (cache / "packs").iterdir()] == ["00000000"]
+        shutil.rmtree(cache)
+        cache.mkdir()
+        loose = cache / ("0123456789abcdef" * 4)
+        old_entry = b'{"request": {}, "response": {"text": "kept"}, "stored_at": "2024-01-01"}\n'
+        loose.write_bytes(old_entry)
+        calls = []
+        monkeypatch.setattr(cli.MockChatProvider, "complete", lambda self, request: calls.append(request))
+        monkeypatch.setattr(cli.MockEmbeddingProvider, "embed_many", lambda self, texts: calls.append(texts))
+        for command in ("gen-signatures", "score", "detect-llm", "report"):
+            code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, command))
+            assert code == 1, (command, err)
+            assert err.startswith(f"config error: cache dir {cache} holds {loose.name}, "), err
+            assert "move the dir aside" in err and "Traceback" not in err
+        assert calls == []
+        assert loose.read_bytes() == old_entry
+        assert list(cache.iterdir()) == [loose]
+
+    @pytest.mark.parametrize("name, fake, reason", COMMIT_FAULTS.values(), ids=COMMIT_FAULTS.keys())
+    def test_a_pack_that_cannot_be_written_exits_1_naming_the_cache_dir(
+        self, capsys, monkeypatch, corpus_path, tmp_path, name, fake, reason
+    ):
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))[0] == 0
+        packs = sorted((tmp_path / "cache" / "packs").iterdir())
+        with monkeypatch.context() as patch:
+            patch.setattr(os, name, fake(getattr(os, name)))
+            code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
+        assert (code, err) == (1, f"config error: cannot write cache dir {tmp_path / 'cache'}: {reason}\n")
+        assert sorted((tmp_path / "cache" / "packs").iterdir()) == packs  # no temp file, earlier packs kept
+        code, out, _ = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
+        assert code == 0 and "provider calls: 0 (" not in out
 
     @pytest.mark.parametrize(
         "edit",

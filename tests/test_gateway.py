@@ -714,29 +714,19 @@ class TestDiskCache:
         (cache.root / "subdir" / "nested").write_bytes(b"{}\n")
         assert cache.entry_count() == 2
 
-    def test_new_entries_are_vectors_and_compact_or_pretty_legacy_json_still_hits(self, tmp_path):
+    def test_a_bad_pending_entry_is_named_under_the_root(self, tmp_path):
+        cache = DiskCache(tmp_path / "cache")
+        key = build_cache_key("a", "p")[0]
+        cache.store(key, b"[]\n")
+        with pytest.raises(DataError, match=f"^corrupted cache entry: {cache.root} pending entry {key.hex()}: "):
+            load_entry(cache, key)
+
+    def test_new_embedding_entries_are_the_vector_form(self, tmp_path):
         provider = RecordingEmbeddingProvider()
         provider_id = provider.provider_id
-        cache = DiskCache(tmp_path / "cache")
-        legacy = {}
-        for text in ("compact", "pretty"):
-            entry = {
-                "request": embed_key_material(text, provider_id),
-                "response": {"values": provider.mock.embed(text), "dim": 4},
-                "stored_at": "2024-01-01T00:00:00+00:00",
-            }
-            path = cache.root / build_cache_key(text, provider_id)[0].hex()
-            pretty = (json.dumps(entry, sort_keys=True, indent=2) + "\n").encode()
-            path.write_bytes(pretty if text == "pretty" else cache_file_bytes(entry))
-            legacy[path] = path.read_bytes()
         gateway = make_gateway(tmp_path, embed=provider)
-        vectors = gateway.embed_many(["compact", "pretty"])
-        assert [list(v) for v in vectors] == [provider.mock.embed(t) for t in ("compact", "pretty")]
-        assert gateway.stats.provider_calls == 0
-        assert {path: path.read_bytes() for path in legacy} == legacy  # read, not migrated
-
         gateway.embed("fresh")
-        stored = cache_entries(cache.root)[build_cache_key("fresh", provider_id)[0].hex()]
+        stored = cache_entries(gateway.cache.root)[build_cache_key("fresh", provider_id)[0].hex()]
         header, body = parse_cache_file(stored)
         assert stored.startswith(VECTOR_MAGIC)
         assert header["request"] == embed_key_material("fresh", provider_id)
@@ -802,15 +792,23 @@ class TestPacks:
         assert (last in message) == names_entry
         assert provider.calls == []
 
-    def test_a_key_in_a_pack_and_in_a_legacy_file_counts_once_and_reads_from_the_pack(self, tmp_path):
+    def test_a_root_holding_a_one_file_entry_is_refused_and_left_as_it_is(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
         key = build_cache_key("a", "p")[0]
         cache.store(key, cache_file_bytes({"response": {"text": "packed"}}))
         cache.flush()
-        (cache.root / key.hex()).write_text('{"response": {"text": "legacy"}}\n', encoding="utf-8")
-        (cache.root / build_cache_key("b", "p")[0].hex()).write_text("{}\n", encoding="utf-8")
+        for name in ("a" * 63, key.hex().upper()):  # not the name of a one-file entry
+            (cache.root / name).write_text("{}\n", encoding="utf-8")
         assert load_entry(DiskCache(tmp_path / "cache"), key) == {"response": {"text": "packed"}}
-        assert DiskCache(tmp_path / "cache").entry_count() == 2
+        loose = cache.root / build_cache_key("b", "p")[0].hex()
+        loose.write_bytes(b'{"response": {"text": "one file"}}\n')
+        listing = sorted(cache.root.rglob("*"))
+        with pytest.raises(ConfigError) as raised:
+            DiskCache(tmp_path / "cache")
+        assert f"cache dir {cache.root} holds {loose.name}" in str(raised.value)
+        assert "move the dir aside" in str(raised.value)
+        assert loose.read_bytes() == b'{"response": {"text": "one file"}}\n'
+        assert sorted(cache.root.rglob("*")) == listing
 
 
 class TestMissesOpenNoFile:
@@ -829,19 +827,6 @@ class TestMissesOpenNoFile:
             return len(calls)
 
         assert file_calls(8 * EMBED_BATCH) == file_calls(EMBED_BATCH)
-
-    def test_a_file_entry_written_after_the_cache_opens_is_still_read(self, tmp_path):
-        provider = RecordingEmbeddingProvider()
-        gateway = make_gateway(tmp_path, embed=provider)
-        entry = {
-            "request": embed_key_material("old", provider.provider_id),
-            "response": {"values": provider.mock.embed("old"), "dim": 4},
-        }
-        path = gateway.cache.root / build_cache_key("old", provider.provider_id)[0].hex()
-        path.write_bytes(cache_file_bytes(entry))
-        gateway.store_embeddings(["old", "new"])
-        assert provider.requests == [["new"]]
-        assert list(gateway.stored_embeddings(["old"])[0]) == provider.mock.embed("old")
 
 
 class FixedEmbeddingProvider:
@@ -887,7 +872,7 @@ class TestVectorEntries:
     def test_drift_between_two_well_formed_cached_entries_is_a_config_error(self, tmp_path):
         provider = RecordingEmbeddingProvider()
         cache = DiskCache(tmp_path / "cache")
-        # One entry in the vector form, one as legacy JSON: each is self-consistent.
+        # One entry in the vector form, one with a JSON vector: each is self-consistent.
         for text, response, body in (
             ("a", {"dim": 4}, np.ones(4).tobytes()),
             ("b", {"values": [0.5] * 3, "dim": 3}, None),
@@ -1042,16 +1027,12 @@ CORRUPT_CHAT_ENTRIES = [
 ]
 
 
-def _legacy(digest: str, layout: str) -> set[str]:
-    return {digest} if layout == "legacy" else set()
-
-
 CHAT_READS = [  # each reads chat_request()'s entry; a chunk is read before its misses are sent
     lambda g: g.chat(chat_request()),
     lambda g: g.chat_many([chat_request()]),
     lambda g: g.chat_many([chat_request(text="fresh"), chat_request()]),
 ]
-EMBED_READS = [  # each reads the entry of "text"; "other" comes first
+EMBED_READS = [  # each reads the entry of "text"; "other" comes first, and embed_many sends it first
     lambda g: g.embed_many(["other", "text"]),
     lambda g: g.stored_embeddings(["other", "text"]),
 ]
@@ -1078,17 +1059,14 @@ VECTOR_DAMAGE = {  # each turns a vector entry in the provider's dimension into 
 
 class TestUnreadableCacheEntries:
     @pytest.mark.parametrize("content", CORRUPT_CHAT_ENTRIES)
-    @pytest.mark.parametrize("layout", ["packed", "legacy"])
-    def test_chat_entry_is_a_data_error_naming_its_file(self, tmp_path, content, layout):
+    def test_chat_entry_is_a_data_error_naming_its_file(self, tmp_path, content):
         provider = EchoChatProvider()
         digest = build_cache_key(chat_request(), provider.provider_id)[0].hex()
-        cache = DiskCache(tmp_path / "cache").root
-        path = rewrite_cache(cache, {digest: content.encode()}, _legacy(digest, layout))[digest]
+        path = rewrite_cache(DiskCache(tmp_path / "cache").root, {digest: content.encode()})
         message = the_data_error_of_each(CHAT_READS, lambda: make_gateway(tmp_path, chat=provider))
         assert digest in message and str(path) in message
         assert provider.calls == []
 
-    @pytest.mark.parametrize("layout", ["packed", "legacy"])
     @pytest.mark.parametrize(
         "content",
         [
@@ -1100,24 +1078,23 @@ class TestUnreadableCacheEntries:
             '{"response": {"values": [[0.1, 0.2]], "dim": 1}}',
         ],
     )
-    def test_embed_entry_is_a_data_error_naming_its_file(self, tmp_path, content, layout):
+    def test_embed_entry_is_a_data_error_naming_its_file(self, tmp_path, content):
         provider = RecordingEmbeddingProvider()
         digest = build_cache_key("text", provider.provider_id)[0].hex()
-        cache = DiskCache(tmp_path / "cache").root
-        path = rewrite_cache(cache, {digest: content.encode()}, _legacy(digest, layout))[digest]
+        path = rewrite_cache(DiskCache(tmp_path / "cache").root, {digest: content.encode()})
         message = the_data_error_of_each(EMBED_READS, lambda: make_gateway(tmp_path, embed=provider))
         assert digest in message and str(path) in message
-        assert provider.requests == []
+        # embed_many stores the miss "other" before it reads "text" back, as score does
+        assert provider.requests == [["other"]]
 
-    @pytest.mark.parametrize("layout", ["packed", "legacy"])
     @pytest.mark.parametrize("damage", VECTOR_DAMAGE.values(), ids=VECTOR_DAMAGE.keys())
-    def test_a_bad_vector_entry_is_a_data_error_naming_its_file(self, tmp_path, damage, layout):
+    def test_a_bad_vector_entry_is_a_data_error_naming_its_file(self, tmp_path, damage):
         provider = RecordingEmbeddingProvider()
         make_gateway(tmp_path, embed=provider).store_embeddings(["other", "text"])
         entries = cache_entries(tmp_path / "cache")
         digest = build_cache_key("text", provider.provider_id)[0].hex()
         entries[digest] = damage(entries[digest])
-        path = rewrite_cache(tmp_path / "cache", entries, _legacy(digest, layout))[digest]
+        path = rewrite_cache(tmp_path / "cache", entries)
         message = the_data_error_of_each(EMBED_READS, lambda: make_gateway(tmp_path, embed=provider))
         assert digest in message and str(path) in message
         assert len(provider.requests) == 1
@@ -1160,6 +1137,18 @@ class TestPackReads:
         assert len(loads) == 1  # it sets the dimension; the others are their header's bytes and a body
         assert [list(v) for v in warm.stored_embeddings(texts)] == [embed.mock.embed(t) for t in texts]
         assert len(loads) == 2
+
+    def test_embed_many_reads_back_through_the_reader_score_uses(self, tmp_path, monkeypatch):
+        embed = RecordingEmbeddingProvider()
+        texts = [f"text {i}" for i in range(PACK_ENTRIES + 3)]
+        make_gateway(tmp_path, embed=embed).store_embeddings(texts[:-1])
+        warm, reads = make_gateway(tmp_path, embed=embed), []
+        real = ProviderGateway.stored_embeddings
+        monkeypatch.setattr(ProviderGateway, "stored_embeddings", lambda g, t: reads.append(t) or real(g, t))
+        vectors = warm.embed_many(texts)
+        assert reads == [texts] and embed.requests[-1] == [texts[-1]]  # the miss is stored, then read
+        assert [v.tobytes() for v in vectors] == [v.tobytes() for v in real(warm, texts)]
+        assert not any(v.flags.writeable for v in vectors)
 
     @pytest.mark.parametrize("kind", ["chat", "embed"])
     def test_a_warm_pass_opens_each_pack_once_and_one_at_a_time(self, tmp_path, monkeypatch, kind):
