@@ -91,11 +91,8 @@ def cache_entries(cache_dir: Path) -> dict[str, bytes]:
     return entries
 
 
-def rewrite_cache(cache_dir: Path, entries: dict[str, bytes]) -> Path:
-    """Lay a cache out anew, every entry in one pack; returns that pack."""
-    for path in (cache_dir / "packs").iterdir():
-        path.unlink()
-    pack = cache_dir / "packs" / "00000000"
+def write_pack(path: Path, entries: dict[str, bytes]) -> None:
+    """Write ``{hex digest: entry bytes}`` as the pack at ``path``."""
     stored_at = b"2024-01-01T00:00:00+00:00\n"
     end = len(PACK_MAGIC) + 4 + PACK_ROW.size * len(entries) + len(stored_at)
     rows = []
@@ -103,5 +100,16 @@ def rewrite_cache(cache_dir: Path, entries: dict[str, bytes]) -> Path:
         end += len(data)
         rows.append(PACK_ROW.pack(bytes.fromhex(digest), end))
     head = [PACK_MAGIC, len(entries).to_bytes(4, "little"), *rows, stored_at]
-    pack.write_bytes(b"".join([*head, *entries.values()]))
-    return pack
+    path.write_bytes(b"".join([*head, *entries.values()]))
+
+
+def rewrite_cache(cache_dir: Path, entries: dict[str, bytes], later=()) -> dict[str, Path]:
+    """Lay a cache out anew: the digests in ``later`` in a second pack, the rest in the first,
+    which may hold none. Returns the pack each digest is read from."""
+    for path in (cache_dir / "packs").iterdir():
+        path.unlink()
+    first, second = cache_dir / "packs" / "00000000", cache_dir / "packs" / "00000001"
+    write_pack(first, {digest: data for digest, data in entries.items() if digest not in later})
+    if later:
+        write_pack(second, {digest: entries[digest] for digest in later})
+    return {digest: second if digest in later else first for digest in entries}

@@ -1024,13 +1024,16 @@ def _cache_entry(entries: dict[str, bytes], kind: str) -> str:
     raise AssertionError(f"no {kind} entry")
 
 
-def _damage(cache_dir: Path, kind: str, damage) -> tuple[str, Path]:
-    """Lay the cache out in one pack, with the first entry of ``kind`` passed through ``damage``;
-    returns its digest and the pack."""
+def _damage(cache_dir: Path, kind: str, damage, layout: str) -> tuple[str, Path]:
+    """Lay the cache out with the first entry of ``kind`` passed through ``damage``, in the one
+    pack or in a second pack behind the others; returns its digest and the pack that holds it."""
     entries = cache_entries(cache_dir)
     digest = _cache_entry(entries, kind)
     entries[digest] = damage(entries[digest])
-    return digest, rewrite_cache(cache_dir, entries)
+    return digest, rewrite_cache(cache_dir, entries, {digest} if layout == "second-pack" else ())[digest]
+
+
+LAYOUTS = pytest.mark.parametrize("layout", ["packed", "second-pack"])
 
 
 def _json_vector_with(edit):
@@ -1059,16 +1062,20 @@ BAD_EMBEDDING_ENTRIES = {
 
 
 class TestUnreadableCacheAndStore:
-    def test_truncated_cache_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path):
+    @LAYOUTS
+    def test_truncated_cache_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path, layout):
         args = base_args(corpus_path, tmp_path, "detect-llm")
         assert run_cli(capsys, *args)[0] == 0
-        digest, entry = _damage(tmp_path / "cache", "chat", lambda data: data[:40])
+        digest, entry = _damage(tmp_path / "cache", "chat", lambda data: data[:40], layout)
         code, _, err = run_cli(capsys, *args)
         assert code == 2
         assert str(entry) in err and digest in err
 
+    @LAYOUTS
     @pytest.mark.parametrize("kind, command", [("chat", "gen-signatures"), ("embed", "score")])
-    def test_entry_without_response_exits_2_naming_it(self, capsys, corpus_path, tmp_path, kind, command):
+    def test_entry_without_response_exits_2_naming_it(
+        self, capsys, corpus_path, tmp_path, kind, command, layout
+    ):
         for step in ("gen-signatures", "score"):
             assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
 
@@ -1078,16 +1085,19 @@ class TestUnreadableCacheAndStore:
             del payload["response"]
             return cache_file_bytes(payload, body)
 
-        digest, entry = _damage(tmp_path / "cache", kind, drop_response)
+        digest, entry = _damage(tmp_path / "cache", kind, drop_response, layout)
         code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, command))
         assert code == 2
         assert str(entry) in err and digest in err
 
+    @LAYOUTS
     @pytest.mark.parametrize("damage", BAD_EMBEDDING_ENTRIES.values(), ids=BAD_EMBEDDING_ENTRIES.keys())
-    def test_bad_embedding_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path, damage):
+    def test_bad_embedding_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path, damage, layout):
         for step in ("gen-signatures", "score"):
             assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
-        digest, entry = _damage(tmp_path / "cache", "embed", lambda data: damage(*parse_cache_file(data)))
+        digest, entry = _damage(
+            tmp_path / "cache", "embed", lambda data: damage(*parse_cache_file(data)), layout
+        )
         code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
         assert (code, err.count(str(entry)), err.count(digest)) == (2, 1, 1), err
         assert err.startswith("data error: corrupted cache entry: ")

@@ -1027,6 +1027,10 @@ CORRUPT_CHAT_ENTRIES = [
 ]
 
 
+def _later(digest: str, layout: str) -> set[str]:
+    return {digest} if layout == "second-pack" else set()
+
+
 CHAT_READS = [  # each reads chat_request()'s entry; a chunk is read before its misses are sent
     lambda g: g.chat(chat_request()),
     lambda g: g.chat_many([chat_request()]),
@@ -1059,14 +1063,17 @@ VECTOR_DAMAGE = {  # each turns a vector entry in the provider's dimension into 
 
 class TestUnreadableCacheEntries:
     @pytest.mark.parametrize("content", CORRUPT_CHAT_ENTRIES)
-    def test_chat_entry_is_a_data_error_naming_its_file(self, tmp_path, content):
+    @pytest.mark.parametrize("layout", ["packed", "second-pack"])
+    def test_chat_entry_is_a_data_error_naming_its_file(self, tmp_path, content, layout):
         provider = EchoChatProvider()
         digest = build_cache_key(chat_request(), provider.provider_id)[0].hex()
-        path = rewrite_cache(DiskCache(tmp_path / "cache").root, {digest: content.encode()})
+        cache = DiskCache(tmp_path / "cache").root
+        path = rewrite_cache(cache, {digest: content.encode()}, _later(digest, layout))[digest]
         message = the_data_error_of_each(CHAT_READS, lambda: make_gateway(tmp_path, chat=provider))
         assert digest in message and str(path) in message
         assert provider.calls == []
 
+    @pytest.mark.parametrize("layout", ["packed", "second-pack"])
     @pytest.mark.parametrize(
         "content",
         [
@@ -1078,23 +1085,25 @@ class TestUnreadableCacheEntries:
             '{"response": {"values": [[0.1, 0.2]], "dim": 1}}',
         ],
     )
-    def test_embed_entry_is_a_data_error_naming_its_file(self, tmp_path, content):
+    def test_embed_entry_is_a_data_error_naming_its_file(self, tmp_path, content, layout):
         provider = RecordingEmbeddingProvider()
         digest = build_cache_key("text", provider.provider_id)[0].hex()
-        path = rewrite_cache(DiskCache(tmp_path / "cache").root, {digest: content.encode()})
+        cache = DiskCache(tmp_path / "cache").root
+        path = rewrite_cache(cache, {digest: content.encode()}, _later(digest, layout))[digest]
         message = the_data_error_of_each(EMBED_READS, lambda: make_gateway(tmp_path, embed=provider))
         assert digest in message and str(path) in message
         # embed_many stores the miss "other" before it reads "text" back, as score does
         assert provider.requests == [["other"]]
 
+    @pytest.mark.parametrize("layout", ["packed", "second-pack"])
     @pytest.mark.parametrize("damage", VECTOR_DAMAGE.values(), ids=VECTOR_DAMAGE.keys())
-    def test_a_bad_vector_entry_is_a_data_error_naming_its_file(self, tmp_path, damage):
+    def test_a_bad_vector_entry_is_a_data_error_naming_its_file(self, tmp_path, damage, layout):
         provider = RecordingEmbeddingProvider()
         make_gateway(tmp_path, embed=provider).store_embeddings(["other", "text"])
         entries = cache_entries(tmp_path / "cache")
         digest = build_cache_key("text", provider.provider_id)[0].hex()
         entries[digest] = damage(entries[digest])
-        path = rewrite_cache(tmp_path / "cache", entries)
+        path = rewrite_cache(tmp_path / "cache", entries, _later(digest, layout))[digest]
         message = the_data_error_of_each(EMBED_READS, lambda: make_gateway(tmp_path, embed=provider))
         assert digest in message and str(path) in message
         assert len(provider.requests) == 1
