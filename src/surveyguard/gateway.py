@@ -18,13 +18,14 @@ import struct
 import tempfile
 import threading
 import time
+import zlib
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import cache, partial
+from functools import cache
 from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -75,8 +76,8 @@ class ChatRequest:
 def canonical_json(
     obj: object, *, _encode=json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
 ) -> str:
-    """The one JSON form of cache keys, cache entries and artifacts: one line, sorted keys,
-    no spaces, non-ASCII kept. Built once, and without an indent, the encoder runs in C."""
+    """The one JSON form of cache keys (each entry's first line) and artifacts: one line, sorted
+    keys, no spaces, non-ASCII kept. Built once, and without an indent, the encoder runs in C."""
     return _encode(obj)
 
 
@@ -122,67 +123,70 @@ def build_cache_key(request_or_text: ChatRequest | str, provider_id: str) -> tup
     return hashlib.sha256(data).digest(), data
 
 
-def _vector_head(key_text: bytes, dim: int) -> bytes:
-    """A vector entry up to its body: ``_VECTOR_MAGIC`` and its JSON line, spliced from the key text."""
-    return b'%s{"request":%s,"response":{"dim":%d}}\n' % (DiskCache._VECTOR_MAGIC, key_text, dim)
-
-
 class DiskCache:
     """Entries pending in memory, then packs under ``root/packs``; the lowest-numbered pack
-    holding a key wins. A pack is ``_PACK_MAGIC``, a ``<u4`` count, a ``_ROW`` per entry, a
-    ``stored_at`` line, then the entries: a vector as its ``_vector_head`` (``_VECTOR_MAGIC``, a
-    JSON line with ``response: {"dim": d}``) and ``8 * d`` bytes of ``<f8``; any other entry
-    as a JSON line. Keys are the digests ``build_cache_key`` makes. A root holding a
-    ``<hex digest>`` file, the one-file entry of earlier versions, is refused.
+    holding a key wins. An entry is its key text (the canonical request ``build_cache_key``
+    hashes), ``\\n``, then the response bytes: a chat reply as UTF-8, a vector as ``<f8``. A pack
+    is ``_PACK_MAGIC``, a ``<u4`` count, a ``_ROW`` per entry, a ``stored_at`` line, then the
+    entries. Only this class builds or parses entries. A root holding a ``<hex digest>`` file or a
+    ``_V1_MAGIC`` pack, the layouts of earlier versions, is refused.
     """
 
-    _VECTOR_MAGIC = b"\x93SURVEYGUARD-F8\n"  # 0x93 starts no UTF-8 text, so no JSON entry
-    _PACK_MAGIC = b"\x93SURVEYGUARD-PACK\n"
-    _ROW = struct.Struct("<32sI")  # digest, end offset
+    _PACK_MAGIC = b"\x93SURVEYGUARD-PACK2\n"
+    _V1_MAGIC = b"\x93SURVEYGUARD-PACK\n"
+    _ROW = struct.Struct("<32sII")  # digest, end offset, zlib.crc32 of the entry
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         with os.scandir(self.root) as entries:
             loose = next((e.name for e in entries if re.fullmatch("[0-9a-f]{64}", e.name)), None)
-        if loose:  # refused, not fetched again: a nondeterministic model would change the artifacts
-            raise ConfigError(
-                f"cache dir {self.root} holds {loose}, a one-file entry of an earlier version, which "
-                "this version does not read: move the dir aside to fetch its entries again"
-            )
+        if loose:
+            self._refuse(f"{loose}, a one-file entry")
         self.packs = self.root / "packs"
         self.packs.mkdir(exist_ok=True)
         self._lock = threading.Lock()
         # digest -> pack slot (pack << 32 | row), or the entry's bytes while it is pending
         self._index: dict[bytes, int | bytes] = {}
-        self._packs: list[tuple[int, Path, array]] = []  # number, path, entry bounds
+        self._packs: list[tuple[int, Path, array, array]] = []  # number, path, entry bounds, crcs
         self._pending: dict[bytes, bytes] = {}
         self._next = 0  # the pack number to try first
         self.refresh()
 
+    def _refuse(self, what: str) -> None:
+        """Refused, not fetched again: a nondeterministic model would change the artifacts."""
+        raise ConfigError(
+            f"cache dir {self.root} holds {what} of an earlier version, which this version does "
+            "not read: move the dir aside to fetch its entries again"
+        )
+
     def refresh(self) -> None:
         """Index the packs committed since the last call, by any process."""
-        known = {number for number, _, _ in self._packs}
+        known = {number for number, *_ in self._packs}
         names = sorted((n for n in os.listdir(self.packs) if n.isdecimal() and int(n) not in known), key=int)
         for path in map(self.packs.joinpath, names):
             with open(path, "rb") as fh:
                 head = fh.read(len(self._PACK_MAGIC) + 4)
+                if head.startswith(self._V1_MAGIC):
+                    self._refuse(f"{path}, a v1 pack")
                 if head[:-4] != self._PACK_MAGIC:
                     raise DataError(f"corrupted cache pack: {path}: no pack header")
                 size = self._ROW.size * int.from_bytes(head[-4:], "little")
-                table = fh.read(size)
+                file_size = os.fstat(fh.fileno()).st_size  # a bad count or offset reads no more than this
+                table = fh.read(min(size, file_size))
                 if len(table) != size:
                     raise DataError(f"corrupted cache pack: {path}: table of {len(table)} bytes, not {size}")
                 fh.readline()  # stored_at
                 rows = list(self._ROW.iter_unpack(table))
-                bounds = array("I", [fh.tell(), *(end for _, end in rows)])
-            self._add(int(path.name), path, [digest for digest, _ in rows], bounds)
+                bounds = array("I", [fh.tell(), *(min(end, file_size) for _, end, _ in rows)])
+            crcs = array("I", (crc for *_, crc in rows))
+            self._add(int(path.name), path, [digest for digest, *_ in rows], bounds, crcs)
         self._next = max(self._next, int(names[-1]) + 1 if names else 0)
 
-    def _add(self, number: int, path: Path, digests: list[bytes], bounds: array) -> None:
+    def _add(self, number: int, path: Path, digests: list[bytes], bounds: array, crcs: array) -> None:
         with self._lock:
             pack = len(self._packs)
-            self._packs.append((number, path, bounds))
+            self._packs.append((number, path, bounds, crcs))
             for row, digest in enumerate(digests):
                 held = self._index.get(digest)
                 if not isinstance(held, int) or self._packs[held >> 32][0] > number:
@@ -200,7 +204,7 @@ class DiskCache:
     def read(self, keys: Sequence[bytes]) -> Iterator[tuple[int, bytes]]:
         """``(i, the bytes of keys[i]'s entry)`` for each key held: pending entries first, then
         pack by pack, with one read-only descriptor open at a time and one ``pread`` of the span
-        that holds the pack's entries asked for."""
+        that holds the pack's entries asked for. A packed entry whose crc differs is a DataError."""
         wanted: dict[int, list] = {}  # pack -> [(row, i)]
         for i, key in enumerate(keys):
             held = self._index.get(key)
@@ -209,7 +213,7 @@ class DiskCache:
             elif held is not None:
                 yield i, held
         for pack, rows in wanted.items():
-            _, path, bounds = self._packs[pack]
+            _, path, bounds, crcs = self._packs[pack]
             base = min(bounds[row] for row, _ in rows)
             fd = os.open(path, os.O_RDONLY)
             try:
@@ -217,34 +221,23 @@ class DiskCache:
             finally:
                 os.close(fd)
             for row, i in rows:
-                start, stop = bounds[row] - base, bounds[row + 1] - base
-                if len(span) < stop or stop < start:
-                    raise DataError(f"corrupted cache entry: {self.locate(keys[i])}: truncated pack")
-                yield i, span[start:stop]
+                data = span[bounds[row] - base : bounds[row + 1] - base]
+                if zlib.crc32(data) != crcs[row]:  # a changed byte, or a pack cut short
+                    raise DataError(f"corrupted cache entry: {self.locate(keys[i])}: checksum mismatch")
+                yield i, data
 
-    def load(self, key: bytes, data: bytes | None) -> dict | None:
-        """The entry of the bytes ``read`` gave for key, or None if it gave none; a vector's
-        ``values`` is a view of its body."""
+    def load(self, key: bytes, key_text: bytes, data: bytes | None) -> bytes | None:
+        """The response bytes of the entry ``read`` gave for key, or None if it gave none; an
+        entry whose first line is not the key's text is a DataError naming it."""
         if data is None:
             return None
-        try:
-            if data.startswith(self._VECTOR_MAGIC):
-                header, _, body = data[len(self._VECTOR_MAGIC) :].partition(b"\n")
-                entry = json.loads(header.decode("utf-8"))
-                dim = entry["response"]["dim"]
-                if len(body) != 8 * dim:
-                    raise ValueError(f"vector body of {len(body)} bytes, not 8 * dim {dim}")
-                entry["response"]["values"] = np.frombuffer(body, dtype="<f8")
-            else:
-                entry = json.loads(data.decode("utf-8"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"corrupted cache entry: {self.locate(key)}: {exc!r}") from exc
-        if not isinstance(entry, dict):
-            raise DataError(f"corrupted cache entry: {self.locate(key)}: not a JSON object")
-        return entry
+        if not data.startswith(key_text + b"\n"):
+            raise DataError(f"corrupted cache entry: {self.locate(key)}: not the entry of its request")
+        return data[len(key_text) + 1 :]
 
-    def store(self, key: bytes, data: bytes) -> bool:
-        """Add an entry's bytes as pending unless the key is held. Returns True if added."""
+    def store(self, key: bytes, key_text: bytes, response: bytes) -> bool:
+        """Add the entry of key_text and response as pending unless the key is held. True if added."""
+        data = b"%s\n%s" % (key_text, response)
         with self._lock:
             if key in self._index:
                 return False
@@ -257,7 +250,8 @@ class DiskCache:
     def flush(self) -> None:
         """Commit the pending entries as a pack: a temp file hard-linked to the lowest free
         number above every pack seen. So commit order is name order, across processes too. A
-        failed write is a ConfigError naming the root; the temp file goes, earlier packs stay."""
+        failed write is a ConfigError naming the root; the temp file goes, earlier packs stay,
+        and the entries stay pending for the next call."""
         with self._lock:
             batch, self._pending = self._pending, {}
         if not batch:
@@ -265,11 +259,12 @@ class DiskCache:
         stored_at = (datetime.now(timezone.utc).isoformat() + "\n").encode("utf-8")
         start = len(self._PACK_MAGIC) + 4 + self._ROW.size * len(batch) + len(stored_at)
         bounds = array("I", accumulate(map(len, batch.values()), initial=start))
+        crcs = array("I", map(zlib.crc32, batch.values()))
         try:
             fd, tmp = tempfile.mkstemp(dir=self.packs, prefix=".tmp-")
             try:
                 with os.fdopen(fd, "wb") as fh:  # one writev: a write per buffer-full gives up the GIL
-                    rows = map(self._ROW.pack, batch, bounds[1:])
+                    rows = map(self._ROW.pack, batch, bounds[1:], crcs)
                     head = [self._PACK_MAGIC, len(batch).to_bytes(4, "little"), *rows, stored_at]
                     if os.writev(fh.fileno(), [*head, *batch.values()]) != bounds[-1]:
                         raise OSError("short write")
@@ -284,9 +279,11 @@ class DiskCache:
             finally:
                 os.unlink(tmp)
         except OSError as exc:
+            with self._lock:  # the index still holds the keys, so a later flush must commit them
+                self._pending = batch | self._pending
             raise ConfigError(f"cannot write cache dir {self.root}: {exc.strerror or exc}") from None
         self._next = number + 1
-        self._add(number, path, list(batch), bounds)
+        self._add(number, path, list(batch), bounds, crcs)
         if number != first:  # others committed packs since the last refresh
             self.refresh()
 
@@ -383,12 +380,11 @@ class ProviderGateway:
         ) from last
 
     def _lookup(
-        self, items: Iterable, provider_id: str, sent: set,
-        hits: dict | None = None, read: Callable[[dict], object] | None = None,
+        self, items: Iterable, provider_id: str, sent: set, hits: dict | None = None
     ) -> Iterator[tuple]:
         """Yield each miss as (item, key, key text), in input order, once the item is in ``sent``;
-        put what ``_read`` makes of each cached response with ``read`` in ``hits``. With no ``hits``,
-        the cache is only asked whether it holds the key. An item in ``sent`` or ``hits`` is a hit.
+        put each cached reply, decoded, in ``hits``. With no ``hits``, the cache is only asked
+        whether it holds the key. An item in ``sent`` or ``hits`` is a hit.
         Lazy: ``_fan_out``'s workers send while ``LOOKUP_CHUNK`` more are looked up, read together."""
         self.cache.refresh()
         items = iter(items)
@@ -398,26 +394,18 @@ class ProviderGateway:
             fresh = {item: build_cache_key(item, provider_id) for item in new}
             found = dict(self.cache.read([key for key, _ in fresh.values()])) if hits is not None else {}
             for i, (item, (key, key_text)) in enumerate(fresh.items()):
-                value = (key in self.cache or None) if hits is None else self._read(key, found.get(i), read)
+                held = key in self.cache or None
+                value = held if hits is None else self.cache.load(key, key_text, found.get(i))
                 if value is None:
                     missed += 1
                     sent.add(item)
                     yield item, key, key_text
                 elif hits is not None:
-                    hits[item] = value
+                    hits[item] = value.decode("utf-8")
             looked += len(chunk)
         with self._stats_lock:
             self.stats.cache_misses += missed
             self.stats.cache_hits += looked - missed
-
-    def _read(self, key: bytes, data: bytes | None, read: Callable[[dict], object]) -> object:
-        """What ``read`` makes of the response of the key's entry bytes, or None if there are
-        none; a KeyError, TypeError or ValueError from ``read`` is a DataError naming the entry."""
-        entry = self.cache.load(key, data)
-        try:
-            return None if entry is None else read(entry["response"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"corrupted cache entry: {self.cache.locate(key)}: {exc!r}") from exc
 
     def _send(self, items: Iterable, call: Callable) -> list:
         """``_fan_out``, then commit the entries it stored, also when it raises."""
@@ -426,15 +414,15 @@ class ProviderGateway:
         finally:
             self.cache.flush()
 
-    def _vector(self, provider_id: str, response: dict) -> np.ndarray:
-        """A cached or fetched response's vector as a ``<f8`` copy: finite, of shape ``(dim,)``,
-        and in the dimension of the provider's first one."""
-        dim = response["dim"]
-        vector = np.array(response["values"], dtype="<f8")
-        if vector.shape != (dim,):
-            raise ValueError(f"dim {dim} != shape of values {vector.shape}")
+    def _vector(self, provider_id: str, values: object) -> np.ndarray:
+        """A fetched vector as a ``<f8`` copy: a non-empty row of finite numbers in the dimension
+        of the provider's first one."""
+        vector = np.array(values, dtype="<f8")
+        if vector.ndim != 1 or not vector.size:
+            raise ValueError(f"embedding of shape {vector.shape}, not a non-empty list of numbers")
         if not np.isfinite(vector).all():
             raise ValueError("embedding contains non-finite values")
+        dim = vector.size
         seen = self._embed_dims.setdefault(provider_id, dim)
         if seen != dim:
             raise ConfigError(f"embedding dimension drift for provider {provider_id}: {seen} then {dim}")
@@ -459,23 +447,17 @@ class ProviderGateway:
             raise ConfigError("no chat provider configured")
         provider_id = self.chat_provider.provider_id
 
-        def read(response: dict) -> str:
-            if not isinstance(response["text"], str):
-                raise TypeError("response text is not a string")
-            return response["text"]
-
         def send(miss: tuple[ChatRequest, bytes, bytes]) -> str:
             request, key, key_text = miss
             text = self._call_with_retry(
                 lambda: self.chat_provider.complete(request), f"chat({request.model_id})"
             )
-            response = canonical_json({"text": text}).encode("utf-8")  # the entry, spliced from the key text
-            self.cache.store(key, b'{"request":%s,"response":%s}\n' % (key_text, response))
+            self.cache.store(key, key_text, text.encode("utf-8"))
             return text
 
         replies: dict[ChatRequest, str | ProviderError] = {}
         misses: list[ChatRequest] = []  # each request as _fan_out draws it, so in its results' order
-        lookups = self._lookup(requests, provider_id, set(), replies, read)
+        lookups = self._lookup(requests, provider_id, set(), replies)
         replies.update(zip(misses, self._send((misses.append(m[0]) or m for m in lookups), send)))
         return [replies[request] for request in requests]
 
@@ -512,9 +494,9 @@ class ProviderGateway:
             raw = self._call_with_retry(lambda: self.embedding_provider.embed_many(batch_texts), "embed")
             if len(raw) != len(batch):
                 raise ProviderError(f"embedding provider returned {len(raw)} vectors for {len(batch)} texts")
-            fetched = [self._vector(provider_id, {"values": v, "dim": len(v)}) for v in raw]
+            fetched = [self._vector(provider_id, values) for values in raw]
             for (_, key, key_text), vector in zip(batch, fetched):
-                self.cache.store(key, _vector_head(key_text, len(vector)) + vector.tobytes())
+                self.cache.store(key, key_text, vector.tobytes())
             in_flight.difference_update(batch_texts)  # the cache holds them now
 
         for outcome in self._send(iter(lambda: list(islice(misses, EMBED_BATCH)), []), send):
@@ -523,27 +505,28 @@ class ProviderGateway:
 
     def stored_embeddings(self, texts: Sequence[str]) -> np.ndarray:
         """The stored vectors of texts as one read-only ``(n, d)`` array, rows in input order: no
-        provider call, no hit counted again. An entry that is its text's ``_vector_head`` in the first
-        entry's ``d`` and a body is copied; any other, and any row not finite, is decoded in full."""
+        provider call, no hit counted again. Each body must be ``8 * d`` bytes, ``d > 0`` the
+        provider's dimension (its first vector fetched, else the first read), and each row finite;
+        any other entry is a DataError naming it."""
         if self.embedding_provider is None:
             raise ConfigError("no embedding provider configured")
         provider_id = self.embedding_provider.provider_id
         keyed = [build_cache_key(text, provider_id) for text in texts]
-        read = partial(self._vector, provider_id)
-        out, found = None, 0
+        out, found = np.empty((0, 0)), 0
         for i, data in self.cache.read([key for key, _ in keyed]):
-            head = b"" if out is None else _vector_head(keyed[i][1], out.shape[1])
-            if head and len(data) == len(head) + 8 * out.shape[1] and data.startswith(head):
-                out[i] = np.frombuffer(data, dtype="<f8", offset=len(head))
-            else:
-                vector = self._read(keyed[i][0], data, read)
-                out = np.empty((len(texts), len(vector))) if out is None else out
-                out[i] = vector
+            body = self.cache.load(*keyed[i], data)
+            if not found:
+                out = np.empty((len(texts), self._embed_dims.get(provider_id, len(body) // 8)))
+            if not body or len(body) != 8 * out.shape[1]:
+                problem = f"a body of {len(body)} bytes, not a vector of dimension {out.shape[1]}"
+                raise DataError(f"corrupted cache entry: {self.cache.locate(keyed[i][0])}: {problem}")
+            out[i] = np.frombuffer(body, dtype="<f8")
             found += 1
         if found < len(keyed):
             raise DataError("a text has no stored embedding: store_embeddings must come first")
-        out = np.empty((0, 0)) if out is None else out
-        for i in np.flatnonzero(~np.isfinite(out).all(axis=1))[:1]:  # the full read raises its DataError
-            self._read(keyed[i][0], dict(self.cache.read([keyed[i][0]]))[0], read)
+        for i in np.flatnonzero(~np.isfinite(out).all(axis=1))[:1]:
+            raise DataError(f"corrupted cache entry: {self.cache.locate(keyed[i][0])}: non-finite values")
+        if found:
+            self._embed_dims.setdefault(provider_id, out.shape[1])
         out.flags.writeable = False
         return out

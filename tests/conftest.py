@@ -1,5 +1,6 @@
 import json
 import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,8 @@ from surveyguard.gateway import DiskCache, ProviderGateway
 from surveyguard.providers import MockChatProvider, MockEmbeddingProvider
 
 FIXTURE_CORPUS = Path(__file__).parent / "fixtures" / "corpus"
-VECTOR_MAGIC = DiskCache._VECTOR_MAGIC
 PACK_MAGIC = DiskCache._PACK_MAGIC
-PACK_ROW = struct.Struct("<32sI")  # digest, end offset
+PACK_ROW = struct.Struct("<32sII")  # digest, end offset, crc32 of the entry
 
 
 @pytest.fixture
@@ -52,22 +52,14 @@ def write_bundle(root: Path, studies, questions, responses) -> Path:
     return root
 
 
-def parse_cache_file(data: bytes) -> tuple[dict, bytes | None]:
-    """A cache file's JSON and, for an entry in the vector form, its raw ``<f8`` body."""
-    if not data.startswith(VECTOR_MAGIC):
-        return json.loads(data), None
-    header, _, body = data[len(VECTOR_MAGIC) :].partition(b"\n")
-    return json.loads(header), body
-
-
-def cache_file_bytes(entry: dict, body: bytes | None = None) -> bytes:
-    """The bytes of a JSON cache file or, given a body, of a vector-form one."""
-    line = (json.dumps(entry, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n").encode()
-    return line if body is None else VECTOR_MAGIC + line + body
+def entry_request(data: bytes) -> dict:
+    """The request an entry records: its first line, the canonical request as JSON."""
+    return json.loads(data.partition(b"\n")[0])
 
 
 def read_pack(path: Path) -> tuple[str, dict[str, bytes]]:
-    """A pack's ``stored_at`` and its ``{hex digest: entry bytes}``, in table order."""
+    """A pack's ``stored_at`` and its ``{hex digest: entry bytes}``, in table order; each entry's
+    crc is checked."""
     data = path.read_bytes()
     assert data.startswith(PACK_MAGIC), path
     count = int.from_bytes(data[len(PACK_MAGIC) : len(PACK_MAGIC) + 4], "little")
@@ -75,8 +67,9 @@ def read_pack(path: Path) -> tuple[str, dict[str, bytes]]:
     start = data.index(b"\n", table_end) + 1
     stored_at = data[table_end : start - 1].decode("utf-8")
     entries = {}
-    for digest, end in PACK_ROW.iter_unpack(data[len(PACK_MAGIC) + 4 : table_end]):
+    for digest, end, crc in PACK_ROW.iter_unpack(data[len(PACK_MAGIC) + 4 : table_end]):
         entries[digest.hex()], start = data[start:end], end
+        assert zlib.crc32(entries[digest.hex()]) == crc, (path, digest.hex())
     assert start == len(data), path
     return stored_at, entries
 
@@ -92,15 +85,25 @@ def cache_entries(cache_dir: Path) -> dict[str, bytes]:
 
 
 def write_pack(path: Path, entries: dict[str, bytes]) -> None:
-    """Write ``{hex digest: entry bytes}`` as the pack at ``path``."""
+    """Write ``{hex digest: entry bytes}`` as the pack at ``path``, each row with the crc of the
+    bytes it is given: so a bad entry reaches the decoder."""
     stored_at = b"2024-01-01T00:00:00+00:00\n"
     end = len(PACK_MAGIC) + 4 + PACK_ROW.size * len(entries) + len(stored_at)
     rows = []
     for digest, data in entries.items():
         end += len(data)
-        rows.append(PACK_ROW.pack(bytes.fromhex(digest), end))
+        rows.append(PACK_ROW.pack(bytes.fromhex(digest), end, zlib.crc32(data)))
     head = [PACK_MAGIC, len(entries).to_bytes(4, "little"), *rows, stored_at]
     path.write_bytes(b"".join([*head, *entries.values()]))
+
+
+def write_v1_pack(path: Path) -> Path:
+    """Write a pack as versions before pack v2 did (no crc column, a JSON entry); returns its path."""
+    entry, stored_at = b'{"request":{},"response":{"text":"kept"}}\n', b"2024-01-01T00:00:00+00:00\n"
+    head = DiskCache._V1_MAGIC + (1).to_bytes(4, "little")
+    end = len(head) + 36 + len(stored_at) + len(entry)
+    path.write_bytes(head + struct.pack("<32sI", bytes(32), end) + stored_at + entry)
+    return path
 
 
 def rewrite_cache(cache_dir: Path, entries: dict[str, bytes], later=()) -> dict[str, Path]:

@@ -15,14 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (
-    VECTOR_MAGIC,
-    cache_entries,
-    cache_file_bytes,
-    parse_cache_file,
-    rewrite_cache,
-    write_bundle,
-)
+from conftest import cache_entries, entry_request, rewrite_cache, write_bundle, write_v1_pack
 from surveyguard import cli
 from surveyguard.cli import RunConfig, build_parser, main
 from surveyguard.errors import ProviderError
@@ -1019,7 +1012,7 @@ COMMIT_FAULTS = {
 def _cache_entry(entries: dict[str, bytes], kind: str) -> str:
     """The first digest (in digest order) whose entry's request is of the given kind."""
     for digest in sorted(entries):
-        if parse_cache_file(entries[digest])[0]["request"]["kind"] == kind:
+        if entry_request(entries[digest])["kind"] == kind:
             return digest
     raise AssertionError(f"no {kind} entry")
 
@@ -1036,28 +1029,16 @@ def _damage(cache_dir: Path, kind: str, damage, layout: str) -> tuple[str, Path]
 LAYOUTS = pytest.mark.parametrize("layout", ["packed", "second-pack"])
 
 
-def _json_vector_with(edit):
-    """A bad-entry edit: the entry with its vector as a JSON ``values`` list, passed through ``edit``."""
-
-    def bad(entry, body):
-        values = edit(np.frombuffer(body, dtype="<f8").tolist())
-        return cache_file_bytes({**entry, "response": {"dim": entry["response"]["dim"], "values": values}})
-
-    return bad
-
-
 NAN_F8 = np.array([np.nan], dtype="<f8").tobytes()
-# Each turns one embedding entry's parsed header and raw body into the bytes of a bad file.
+# Each turns the bytes of one embedding entry, its key text line and a vector of d=16, into a bad entry.
 BAD_EMBEDDING_ENTRIES = {
-    "truncated-vector": lambda entry, body: cache_file_bytes(entry, body[:-8]),
-    "cut-mid-value": lambda entry, body: cache_file_bytes(entry, body[:-3]),
-    "extra-trailing-byte": lambda entry, body: cache_file_bytes(entry, body + b"\0"),
-    "header-not-json": lambda entry, body: VECTOR_MAGIC + b'{"request": \n' + body,
-    "no-dim": lambda entry, body: cache_file_bytes({**entry, "response": {}}, body),
-    "nan-in-vector": lambda entry, body: cache_file_bytes(entry, NAN_F8 + body[8:]),
-    "json-nan": _json_vector_with(lambda values: [float("nan")] + values[1:]),
-    "json-string": _json_vector_with(lambda values: ["x"] + values[1:]),
-    "json-short-list": _json_vector_with(lambda values: values[:-1]),
+    "truncated-vector": lambda data: data[:-8],
+    "cut-mid-value": lambda data: data[:-3],
+    "extra-trailing-byte": lambda data: data + b"\0",
+    "empty": lambda data: b"",
+    "no-newline": lambda data: data.replace(b"\n", b"", 1),
+    "another-text": lambda data: data.replace(b'"text":"', b'"text":"x', 1),
+    "nan-in-vector": lambda data: data[: data.index(b"\n") + 1] + NAN_F8 + data[data.index(b"\n") + 9 :],
 }
 
 
@@ -1079,13 +1060,7 @@ class TestUnreadableCacheAndStore:
         for step in ("gen-signatures", "score"):
             assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
 
-        def drop_response(data):
-            payload, body = parse_cache_file(data)
-            assert (body is None) == (kind == "chat")  # embeddings are in the vector form
-            del payload["response"]
-            return cache_file_bytes(payload, body)
-
-        digest, entry = _damage(tmp_path / "cache", kind, drop_response, layout)
+        digest, entry = _damage(tmp_path / "cache", kind, lambda data: data.partition(b"\n")[0], layout)
         code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, command))
         assert code == 2
         assert str(entry) in err and digest in err
@@ -1095,9 +1070,7 @@ class TestUnreadableCacheAndStore:
     def test_bad_embedding_entry_exits_2_naming_it(self, capsys, corpus_path, tmp_path, damage, layout):
         for step in ("gen-signatures", "score"):
             assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
-        digest, entry = _damage(
-            tmp_path / "cache", "embed", lambda data: damage(*parse_cache_file(data)), layout
-        )
+        digest, entry = _damage(tmp_path / "cache", "embed", damage, layout)
         code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
         assert (code, err.count(str(entry)), err.count(digest)) == (2, 1, 1), err
         assert err.startswith("data error: corrupted cache entry: ")
@@ -1114,29 +1087,37 @@ class TestUnreadableCacheAndStore:
         assert code == 2
         assert err.startswith("data error: corrupted cache ") and str(pack) in err
 
-    def test_a_cache_dir_holding_a_one_file_entry_is_refused_before_any_call(
-        self, capsys, monkeypatch, corpus_path, tmp_path
+    @pytest.mark.parametrize("layout", ["one-file", "v1-pack"])
+    def test_a_cache_dir_of_an_earlier_layout_is_refused_before_any_call(
+        self, capsys, monkeypatch, corpus_path, tmp_path, layout
     ):
         for step in ("gen-signatures", "score", "detect-llm"):
             assert run_cli(capsys, *base_args(corpus_path, tmp_path, step))[0] == 0
-        # An entry as earlier versions stored it: a file named by its hex digest, in a cache of no packs.
+        # Entries as earlier versions stored them: a file named by its hex digest in a cache of no
+        # packs, or a pack of the format before v2.
         cache = tmp_path / "cache"
         shutil.rmtree(cache)
         cache.mkdir()
-        loose = cache / ("0123456789abcdef" * 4)
-        old_entry = b'{"request": {}, "response": {"text": "kept"}, "stored_at": "2024-01-01"}\n'
-        loose.write_bytes(old_entry)
+        if layout == "one-file":
+            old = cache / ("0123456789abcdef" * 4)
+            old.write_bytes(b'{"request": {}, "response": {"text": "kept"}, "stored_at": "2024-01-01"}\n')
+            what = f"{old.name}, a one-file entry"
+        else:
+            (cache / "packs").mkdir()
+            old = write_v1_pack(cache / "packs" / "00000000")
+            what = f"{old}, a v1 pack"
+        kept, listing = old.read_bytes(), sorted(cache.rglob("*"))
         calls = []
         monkeypatch.setattr(cli.MockChatProvider, "complete", lambda self, request: calls.append(request))
         monkeypatch.setattr(cli.MockEmbeddingProvider, "embed_many", lambda self, texts: calls.append(texts))
         for command in ("gen-signatures", "score", "detect-llm", "report"):
             code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, command))
             assert code == 1, (command, err)
-            assert err.startswith(f"config error: cache dir {cache} holds {loose.name}, "), err
+            assert err.startswith(f"config error: cache dir {cache} holds {what} of an earlier version"), err
             assert "move the dir aside" in err and "Traceback" not in err
         assert calls == []
-        assert loose.read_bytes() == old_entry
-        assert list(cache.iterdir()) == [loose]
+        assert old.read_bytes() == kept
+        assert sorted(cache.rglob("*")) == listing
 
     @pytest.mark.parametrize("name, fake, reason", COMMIT_FAULTS.values(), ids=COMMIT_FAULTS.keys())
     def test_a_pack_that_cannot_be_written_exits_1_naming_the_cache_dir(

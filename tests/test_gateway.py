@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -17,13 +18,12 @@ import pytest
 
 from conftest import (
     PACK_MAGIC,
-    VECTOR_MAGIC,
     StaticChatProvider,
     cache_entries,
-    cache_file_bytes,
-    parse_cache_file,
+    entry_request,
     read_pack,
     rewrite_cache,
+    write_v1_pack,
 )
 from surveyguard import gateway as gateway_module
 from surveyguard import providers
@@ -58,9 +58,15 @@ def chat_request(temperature=0.5, text="Why?", model="gpt-4o") -> ChatRequest:
     )
 
 
-def load_entry(cache: DiskCache, key: bytes) -> dict | None:
-    """The key's entry as the gateway reads it: its bytes through ``read``, then ``load``."""
-    return cache.load(key, dict(cache.read([key])).get(0))
+def store(cache: DiskCache, text: str, response: bytes) -> bool:
+    """Store ``response`` as the entry of ``text``'s embed key for provider "p"."""
+    return cache.store(*build_cache_key(text, "p"), response)
+
+
+def load_entry(cache: DiskCache, text: str) -> bytes | None:
+    """The response bytes of ``text``'s entry as the gateway reads them: through ``read``, then ``load``."""
+    key, key_text = build_cache_key(text, "p")
+    return cache.load(key, key_text, dict(cache.read([key])).get(0))
 
 
 def make_gateway(tmp_path, chat=None, embed=None, **kwargs) -> ProviderGateway:
@@ -171,7 +177,7 @@ class TestCacheKeyEquivalence:
                 assert key_text == reference_json(chat_material(request, provider_id)).encode(), repr(text)
 
     @pytest.mark.parametrize("provider_id", KEY_PROVIDERS)
-    def test_stored_entries_are_the_canonical_entry_dicts(self, tmp_path, provider_id):
+    def test_stored_entries_are_the_canonical_request_line_and_the_response(self, tmp_path, provider_id):
         chat, embed = EchoChatProvider(), FixedEmbeddingProvider([0.5, -0.25, 5e-324])
         chat.provider_id = embed.provider_id = provider_id
         gateway = make_gateway(tmp_path, chat=chat, embed=embed)
@@ -182,15 +188,12 @@ class TestCacheKeyEquivalence:
         stored = cache_entries(gateway.cache.root)
         assert len(stored) == len(requests) + len(texts)
         for request in requests:
-            reply = {"text": f"re: {request.messages[-1][1]}"}
-            entry = {"request": chat_material(request, provider_id), "response": reply}
-            digest = build_cache_key(request, provider_id)[0].hex()
-            assert stored[digest] == (reference_json(entry) + "\n").encode()
+            expected = f"{reference_json(chat_material(request, provider_id))}\nre: {request.messages[-1][1]}"
+            assert stored[build_cache_key(request, provider_id)[0].hex()] == expected.encode()
         body = np.array(embed.values, dtype="<f8").tobytes()
         for text in texts:
             material = {"kind": "embed", "provider_id": provider_id, "text": text}
-            entry = {"request": material, "response": {"dim": 3}}
-            expected = VECTOR_MAGIC + (reference_json(entry) + "\n").encode() + body
+            expected = (reference_json(material) + "\n").encode() + body
             assert stored[build_cache_key(text, provider_id)[0].hex()] == expected, repr(text)
 
 
@@ -230,10 +233,10 @@ class TestChatCaching:
         request = chat_request()
         gateway.chat(request)
         key = build_cache_key(request, "mock-chat-0")[0]
-        entry = json.loads(cache_entries(gateway.cache.root)[key.hex()])
-        assert entry["request"]["messages"] == [["user", "Why?"]]
-        assert entry["request"]["temperature"] == 0.5
-        assert "text" in entry["response"]
+        entry = cache_entries(gateway.cache.root)[key.hex()]
+        assert entry_request(entry)["messages"] == [["user", "Why?"]]
+        assert entry_request(entry)["temperature"] == 0.5
+        assert entry.partition(b"\n")[2] == gateway.chat(request).encode()
 
 
 # The mock embedder's bits at seed 7: float.hex per coordinate at d=16, and the sha256 of those
@@ -348,15 +351,23 @@ class TestEmbedding:
         assert warm.tolist() == [0.5, -0.5] and not warm.flags.writeable
 
     @pytest.mark.parametrize(
-        "values", [[0.5, float("nan")], [float("inf")], [0.5, -float("inf")]], ids=["nan", "inf", "-inf"]
+        "values, problem",
+        [
+            ([0.5, float("nan")], "non-finite"),
+            ([float("inf")], "non-finite"),
+            ([0.5, -float("inf")], "non-finite"),
+            ([], "not a non-empty list"),
+        ],
+        ids=["nan", "inf", "-inf", "empty"],
     )
-    def test_a_reply_with_a_non_finite_value_stores_nothing_of_its_batch(self, tmp_path, values):
+    def test_a_reply_with_a_bad_vector_stores_nothing_of_its_batch(self, tmp_path, values, problem):
         class OneBadReplyProvider(FixedEmbeddingProvider):
             def embed_many(self, texts):
-                return [list(self.values) if text == "bad" else [0.5] * len(self.values) for text in texts]
+                fine = [0.5] * max(len(self.values), 1)
+                return [list(self.values) if text == "bad" else fine for text in texts]
 
         gateway = make_gateway(tmp_path, embed=OneBadReplyProvider(values))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=problem):
             gateway.embed_many(["fine", "bad", "also fine"])
         assert gateway.cache.entry_count() == 0
 
@@ -512,7 +523,7 @@ class TestEmbedMany:
         with monkeypatch.context() as patch:
             reads = []
             patch.setattr(DiskCache, "read", lambda cache, keys: reads.append(keys) or iter(()))
-            patch.setattr(DiskCache, "load", lambda cache, key, data: reads.append(key))
+            patch.setattr(DiskCache, "load", lambda cache, key, key_text, data: reads.append(key))
             gateway.store_embeddings(["b", "c", "a"])
         assert reads == []
         assert provider.requests == [["a", "b"], ["c"]]
@@ -667,49 +678,63 @@ class TestRetries:
 class TestDiskCache:
     def test_store_is_at_most_once_per_key(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
-        key = build_cache_key("text", "prov")[0]
-        assert cache.store(key, cache_file_bytes({"response": {"values": [1.0]}})) is True
-        assert cache.store(key, cache_file_bytes({"response": {"values": [2.0]}})) is False
-        assert load_entry(cache, key) == {"response": {"values": [1.0]}}
+        assert store(cache, "text", b"first") is True
+        assert store(cache, "text", b"second") is False
+        assert load_entry(cache, "text") == b"first"
 
     def test_an_entry_committed_elsewhere_during_a_store_is_kept(self, tmp_path):
         cache, elsewhere = DiskCache(tmp_path / "cache"), DiskCache(tmp_path / "cache")
-        key = build_cache_key("text", "prov")[0]
-        elsewhere.store(key, cache_file_bytes({"response": {"values": [9.0]}}))  # another process
+        store(elsewhere, "text", b"elsewhere")  # another process
         elsewhere.flush()
-        assert cache.store(key, cache_file_bytes({"response": {"values": [1.0]}})) is True  # pending, unaware
+        assert store(cache, "text", b"here") is True  # pending, unaware
         cache.flush()
-        assert load_entry(cache, key) == {"response": {"values": [9.0]}}
+        assert load_entry(cache, "text") == b"elsewhere"
         assert sorted(p.name for p in cache.packs.iterdir()) == ["00000000", "00000001"]
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_the_first_commit_of_a_key_is_what_every_later_reader_gets(self, tmp_path, first):
         caches = [DiskCache(tmp_path / "cache"), DiskCache(tmp_path / "cache")]
-        key = build_cache_key("text", "prov")[0]
         for value, cache in enumerate(caches):
-            assert cache.store(key, cache_file_bytes({"response": {"values": [float(value)]}})) is True
+            assert store(cache, "text", b"%d" % value) is True
         caches[first].flush()
         caches[1 - first].flush()
         readers = [*caches, DiskCache(tmp_path / "cache")]
-        assert [load_entry(r, key) for r in readers] == [{"response": {"values": [float(first)]}}] * 3
+        assert [load_entry(r, "text") for r in readers] == [b"%d" % first] * 3
         assert [r.entry_count() for r in readers] == [1, 1, 1]
 
     def test_store_commits_full_packs_and_flush_commits_the_rest(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
         for i in range(PACK_ENTRIES + 1):
-            cache.store(build_cache_key(f"t{i}", "p")[0], cache_file_bytes({"response": {"text": f"t{i}"}}))
+            store(cache, f"t{i}", f"t{i}".encode())
         assert [len(read_pack(p)[1]) for p in cache.packs.iterdir()] == [PACK_ENTRIES]
         cache.flush()
         cache.flush()  # nothing pending: no pack
         assert [len(read_pack(p)[1]) for p in sorted(cache.packs.iterdir())] == [PACK_ENTRIES, 1]
-        reader = DiskCache(tmp_path / "cache")
-        assert load_entry(reader, build_cache_key("t64", "p")[0]) == {"response": {"text": "t64"}}
+        assert load_entry(DiskCache(tmp_path / "cache"), "t64") == b"t64"
+
+    def test_a_failed_commit_keeps_its_entries_pending_for_the_next(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path / "cache")
+        store(cache, "text", b"kept")
+        real_writev, faults = os.writev, [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))]
+
+        def writev_once_full(fd, buffers):
+            if faults:
+                raise faults.pop()
+            return real_writev(fd, buffers)
+
+        monkeypatch.setattr(gateway_module.os, "writev", writev_once_full)
+        with pytest.raises(ConfigError, match=f"cannot write cache dir {cache.root}: "):
+            cache.flush()
+        assert list(cache.packs.iterdir()) == [] and build_cache_key("text", "p")[0] in cache
+        cache.flush()
+        assert [p.name for p in cache.packs.iterdir()] == ["00000000"]
+        assert load_entry(DiskCache(tmp_path / "cache"), "text") == b"kept"
 
     def test_entry_count_ignores_temp_files(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
-        cache.store(build_cache_key("a", "p")[0], cache_file_bytes({"response": {"text": "a"}}))
-        cache.store(build_cache_key("b", "p")[0], cache_file_bytes({"response": {"dim": 2}}, bytes(16)))
-        (cache.root / ".tmp-leftover").write_bytes(VECTOR_MAGIC)
+        store(cache, "a", b"a")
+        store(cache, "b", bytes(16))
+        (cache.packs / ".tmp-leftover").write_bytes(PACK_MAGIC)
         (cache.root / "subdir").mkdir()
         (cache.root / "subdir" / "nested").write_bytes(b"{}\n")
         assert cache.entry_count() == 2
@@ -717,21 +742,18 @@ class TestDiskCache:
     def test_a_bad_pending_entry_is_named_under_the_root(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
         key = build_cache_key("a", "p")[0]
-        cache.store(key, b"[]\n")
+        cache.store(key, build_cache_key("b", "p")[1], b"b")  # another request's text
         with pytest.raises(DataError, match=f"^corrupted cache entry: {cache.root} pending entry {key.hex()}: "):
-            load_entry(cache, key)
+            load_entry(cache, "a")
 
-    def test_new_embedding_entries_are_the_vector_form(self, tmp_path):
+    def test_new_embedding_entries_are_the_key_text_line_and_the_raw_vector(self, tmp_path):
         provider = RecordingEmbeddingProvider()
-        provider_id = provider.provider_id
         gateway = make_gateway(tmp_path, embed=provider)
         gateway.embed("fresh")
-        stored = cache_entries(gateway.cache.root)[build_cache_key("fresh", provider_id)[0].hex()]
-        header, body = parse_cache_file(stored)
-        assert stored.startswith(VECTOR_MAGIC)
-        assert header["request"] == embed_key_material("fresh", provider_id)
-        assert header["response"] == {"dim": 4}
-        assert body == np.array(provider.mock.embed("fresh"), dtype="<f8").tobytes()
+        key, key_text = build_cache_key("fresh", provider.provider_id)
+        stored = cache_entries(gateway.cache.root)[key.hex()]
+        assert entry_request(stored) == embed_key_material("fresh", provider.provider_id)
+        assert stored == key_text + b"\n" + np.array(provider.mock.embed("fresh"), dtype="<f8").tobytes()
 
 
 PACK_DAMAGE = {  # each turns the bytes of a pack of two chat entries into a bad pack,
@@ -739,7 +761,7 @@ PACK_DAMAGE = {  # each turns the bytes of a pack of two chat entries into a bad
     "bad-magic": (lambda data: b"\x00" + data[1:], False),
     "short-table": (lambda data: data[: len(PACK_MAGIC) + 4 + 40], False),
     "truncated-body": (lambda data: data[:-1], True),
-    "entry-not-json": (lambda data: data[:-2] + b"]\n", True),
+    "entry-byte-changed": (lambda data: data[:-1] + bytes([data[-1] ^ 1]), True),
 }
 
 
@@ -754,13 +776,14 @@ class TestPacks:
 
     def test_concurrent_stores_are_each_committed_once_under_fast_thread_switching(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
-        keys = [build_cache_key(f"text {i}", "p")[0] for i in range(8 * PACK_ENTRIES + 5)]
+        keyed = [build_cache_key(f"text {i}", "p") for i in range(8 * PACK_ENTRIES + 5)]
+        keys = [key for key, _ in keyed]
 
-        def store(part):
-            for key in keys[part::8]:
-                cache.store(key, cache_file_bytes({"response": {"text": key.hex()}}))
+        def store_part(part):
+            for key, key_text in keyed[part::8]:
+                cache.store(key, key_text, key)
 
-        threads = [threading.Thread(target=store, args=(part,)) for part in range(8)]
+        threads = [threading.Thread(target=store_part, args=(part,)) for part in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -775,7 +798,8 @@ class TestPacks:
         packed = [digest for pack in cache.packs.iterdir() for digest in read_pack(pack)[1]]
         assert sorted(packed) == sorted(key.hex() for key in keys)
         reader = DiskCache(tmp_path / "cache")
-        assert all(load_entry(reader, key) == {"response": {"text": key.hex()}} for key in keys)
+        found = dict(reader.read(keys))
+        assert all(reader.load(*keyed[i], found[i]) == key for i, key in enumerate(keys))
 
     @pytest.mark.parametrize("damage, names_entry", PACK_DAMAGE.values(), ids=PACK_DAMAGE.keys())
     def test_a_bad_pack_is_a_data_error_naming_it(self, tmp_path, damage, names_entry):
@@ -792,22 +816,26 @@ class TestPacks:
         assert (last in message) == names_entry
         assert provider.calls == []
 
-    def test_a_root_holding_a_one_file_entry_is_refused_and_left_as_it_is(self, tmp_path):
+    @pytest.mark.parametrize("layout", ["one-file", "v1-pack"])
+    def test_a_root_holding_an_earlier_layout_is_refused_and_left_as_it_is(self, tmp_path, layout):
         cache = DiskCache(tmp_path / "cache")
-        key = build_cache_key("a", "p")[0]
-        cache.store(key, cache_file_bytes({"response": {"text": "packed"}}))
+        store(cache, "a", b"packed")
         cache.flush()
-        for name in ("a" * 63, key.hex().upper()):  # not the name of a one-file entry
+        for name in ("a" * 63, build_cache_key("a", "p")[0].hex().upper()):  # not a one-file entry's name
             (cache.root / name).write_text("{}\n", encoding="utf-8")
-        assert load_entry(DiskCache(tmp_path / "cache"), key) == {"response": {"text": "packed"}}
-        loose = cache.root / build_cache_key("b", "p")[0].hex()
-        loose.write_bytes(b'{"response": {"text": "one file"}}\n')
-        listing = sorted(cache.root.rglob("*"))
+        assert load_entry(DiskCache(tmp_path / "cache"), "a") == b"packed"
+        if layout == "one-file":
+            old = cache.root / build_cache_key("b", "p")[0].hex()
+            old.write_bytes(b'{"response": {"text": "one file"}}\n')
+        else:
+            old = write_v1_pack(cache.packs / "00000001")
+        kept, listing = old.read_bytes(), sorted(cache.root.rglob("*"))
         with pytest.raises(ConfigError) as raised:
             DiskCache(tmp_path / "cache")
-        assert f"cache dir {cache.root} holds {loose.name}" in str(raised.value)
+        what = old.name if layout == "one-file" else f"{old}, a v1 pack"
+        assert f"cache dir {cache.root} holds {what}" in str(raised.value)
         assert "move the dir aside" in str(raised.value)
-        assert loose.read_bytes() == b'{"response": {"text": "one file"}}\n'
+        assert old.read_bytes() == kept
         assert sorted(cache.root.rglob("*")) == listing
 
 
@@ -856,34 +884,38 @@ class TestVectorEntries:
         (path,) = gateway.cache.packs.iterdir()
         assert path.stat().st_size <= 8 * 256 + 400
 
-    def test_chat_entries_are_one_line_of_canonical_json(self, tmp_path):
+    def test_chat_entries_are_the_canonical_request_line_and_the_raw_reply(self, tmp_path):
         text = 'Naïve — "quoted"\nsecond line\u2028'
         gateway = make_gateway(tmp_path, chat=StaticChatProvider(text))
         request = chat_request(text="Pourquoi ?\n— réponds")
         gateway.chat(request)
         stored = cache_entries(gateway.cache.root)[build_cache_key(request, "static-chat")[0].hex()]
-        entry = json.loads(stored)
-        assert entry == {"request": chat_key_material(request, "static-chat"), "response": {"text": text}}
+        assert entry_request(stored) == chat_key_material(request, "static-chat")
         (pack,) = gateway.cache.packs.iterdir()
         assert datetime.fromisoformat(read_pack(pack)[0]).utcoffset().total_seconds() == 0  # one per pack
-        canonical = json.dumps(entry, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
-        assert stored == canonical.encode("utf-8")
+        material = chat_key_material(request, "static-chat")
+        canonical = json.dumps(material, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        assert stored == f"{canonical}\n{text}".encode("utf-8")
 
-    def test_drift_between_two_well_formed_cached_entries_is_a_config_error(self, tmp_path):
+    def test_cached_vectors_of_two_lengths_are_a_data_error_naming_the_later(self, tmp_path):
         provider = RecordingEmbeddingProvider()
         cache = DiskCache(tmp_path / "cache")
-        # One entry in the vector form, one with a JSON vector: each is self-consistent.
-        for text, response, body in (
-            ("a", {"dim": 4}, np.ones(4).tobytes()),
-            ("b", {"values": [0.5] * 3, "dim": 3}, None),
-        ):
-            entry = {"request": embed_key_material(text, provider.provider_id), "response": response}
-            cache.store(build_cache_key(text, provider.provider_id)[0], cache_file_bytes(entry, body))
+        for text, dim in (("a", 4), ("b", 3)):
+            cache.store(*build_cache_key(text, provider.provider_id), np.ones(dim).tobytes())
         cache.flush()
-        gateway = make_gateway(tmp_path, embed=provider)
-        with pytest.raises(ConfigError, match="dimension drift"):
-            gateway.embed_many(["a", "b"])
+        with pytest.raises(DataError) as raised:
+            make_gateway(tmp_path, embed=provider).embed_many(["a", "b"])
+        later = cache.locate(build_cache_key("b", provider.provider_id)[0])
+        problem = "a body of 24 bytes, not a vector of dimension 4"
+        assert str(raised.value) == f"corrupted cache entry: {later}: {problem}"
         assert provider.requests == []
+
+    def test_a_fetched_vector_of_another_length_than_a_cached_one_is_dimension_drift(self, tmp_path):
+        make_gateway(tmp_path, embed=FixedEmbeddingProvider([0.5] * 4)).store_embeddings(["a"])
+        gateway = make_gateway(tmp_path, embed=FixedEmbeddingProvider([0.5] * 3))
+        assert gateway.stored_embeddings(["a"]).shape == (1, 4)
+        with pytest.raises(ConfigError, match="dimension drift for provider fixed: 4 then 3"):
+            gateway.embed_many(["b"])
 
 
 class EchoChatProvider:
@@ -1022,9 +1054,12 @@ class TestChatMany:
         assert provider.calls == []
 
 
-CORRUPT_CHAT_ENTRIES = [
-    '{"response": {"text": "trunc', "[]", "null", '{"request": {}}', '{"response": {"text": 5}}'
-]
+BAD_CHAT_ENTRIES = {  # each makes a bad entry of chat_request()'s key text
+    "empty": lambda key_text: b"",
+    "no-newline": lambda key_text: key_text,
+    "request-cut": lambda key_text: key_text[:-2] + b"\nre: Why?",
+    "another-request": lambda key_text: key_text.replace(b"Why?", b"How?") + b"\nre: How?",
+}
 
 
 def _later(digest: str, layout: str) -> set[str]:
@@ -1053,45 +1088,43 @@ def the_data_error_of_each(reads, gateway) -> str:
     return messages.pop()
 
 
+BAD_EMBED_ENTRIES = {  # each makes a bad entry of the key text of "text", a vector in d=4
+    "empty": lambda key_text: b"",
+    "no-newline": lambda key_text: key_text + bytes(32),
+    "no-body": lambda key_text: key_text + b"\n",
+    "another-text": lambda key_text: key_text.replace(b'"text"}', b'"next"}') + b"\n" + bytes(32),
+}
 VECTOR_DAMAGE = {  # each turns a vector entry in the provider's dimension into a bad one
     "non-finite-body": lambda data: data[:-8] + struct.pack("<d", float("nan")),
     "short-body": lambda data: data[:-8],
     "long-body": lambda data: data + bytes(8),
-    "dim-off": lambda data: data.replace(b'"dim":4}', b'"dim":5}'),
+    "cut-mid-value": lambda data: data[:-3],
 }
 
 
 class TestUnreadableCacheEntries:
-    @pytest.mark.parametrize("content", CORRUPT_CHAT_ENTRIES)
+    @pytest.mark.parametrize("bad", BAD_CHAT_ENTRIES.values(), ids=BAD_CHAT_ENTRIES.keys())
     @pytest.mark.parametrize("layout", ["packed", "second-pack"])
-    def test_chat_entry_is_a_data_error_naming_its_file(self, tmp_path, content, layout):
+    def test_chat_entry_is_a_data_error_naming_its_file(self, tmp_path, bad, layout):
         provider = EchoChatProvider()
-        digest = build_cache_key(chat_request(), provider.provider_id)[0].hex()
+        key, key_text = build_cache_key(chat_request(), provider.provider_id)
+        digest = key.hex()
         cache = DiskCache(tmp_path / "cache").root
-        path = rewrite_cache(cache, {digest: content.encode()}, _later(digest, layout))[digest]
+        path = rewrite_cache(cache, {digest: bad(key_text)}, _later(digest, layout))[digest]
         message = the_data_error_of_each(CHAT_READS, lambda: make_gateway(tmp_path, chat=provider))
-        assert digest in message and str(path) in message
+        assert message.startswith(f"corrupted cache entry: {path} entry {digest}: ")
         assert provider.calls == []
 
     @pytest.mark.parametrize("layout", ["packed", "second-pack"])
-    @pytest.mark.parametrize(
-        "content",
-        [
-            '{"response": {"values": [0.1,',
-            '{"stored_at": "x"}',
-            '{"response": "v"}',
-            '{"response": {"values": [0.1, NaN], "dim": 2}}',
-            '{"response": {"values": [0.1, 0.2], "dim": 3}}',
-            '{"response": {"values": [[0.1, 0.2]], "dim": 1}}',
-        ],
-    )
-    def test_embed_entry_is_a_data_error_naming_its_file(self, tmp_path, content, layout):
+    @pytest.mark.parametrize("bad", BAD_EMBED_ENTRIES.values(), ids=BAD_EMBED_ENTRIES.keys())
+    def test_embed_entry_is_a_data_error_naming_its_file(self, tmp_path, bad, layout):
         provider = RecordingEmbeddingProvider()
-        digest = build_cache_key("text", provider.provider_id)[0].hex()
+        key, key_text = build_cache_key("text", provider.provider_id)
+        digest = key.hex()
         cache = DiskCache(tmp_path / "cache").root
-        path = rewrite_cache(cache, {digest: content.encode()}, _later(digest, layout))[digest]
+        path = rewrite_cache(cache, {digest: bad(key_text)}, _later(digest, layout))[digest]
         message = the_data_error_of_each(EMBED_READS, lambda: make_gateway(tmp_path, embed=provider))
-        assert digest in message and str(path) in message
+        assert message.startswith(f"corrupted cache entry: {path} entry {digest}: ")
         # embed_many stores the miss "other" before it reads "text" back, as score does
         assert provider.requests == [["other"]]
 
@@ -1105,47 +1138,65 @@ class TestUnreadableCacheEntries:
         entries[digest] = damage(entries[digest])
         path = rewrite_cache(tmp_path / "cache", entries, _later(digest, layout))[digest]
         message = the_data_error_of_each(EMBED_READS, lambda: make_gateway(tmp_path, embed=provider))
-        assert digest in message and str(path) in message
+        assert message.startswith(f"corrupted cache entry: {path} entry {digest}: ")
         assert len(provider.requests) == 1
 
-    def test_a_well_formed_entry_under_another_digest_is_read_as_it_is(self, tmp_path):
+    def test_a_changed_entry_byte_is_a_checksum_error(self, tmp_path):
+        chat, embed = EchoChatProvider(), RecordingEmbeddingProvider()
+        make_gateway(tmp_path, chat=chat).chat(chat_request())
+        make_gateway(tmp_path, embed=embed).store_embeddings(["other", "text"])
+        for pack in sorted((tmp_path / "cache" / "packs").iterdir()):
+            data = bytearray(pack.read_bytes())
+            data[-1] ^= 0x80  # the last entry's last byte: a reply's, or a vector's sign
+            pack.write_bytes(data)
+        messages = [the_data_error_of_each(CHAT_READS, lambda: make_gateway(tmp_path, chat=chat))]
+        messages.append(the_data_error_of_each(EMBED_READS, lambda: make_gateway(tmp_path, embed=embed)))
+        cache = DiskCache(tmp_path / "cache")
+        keys = [build_cache_key(chat_request(), chat.provider_id), build_cache_key("text", embed.provider_id)]
+        where = [cache.locate(key) for key, _ in keys]
+        assert messages == [f"corrupted cache entry: {entry}: checksum mismatch" for entry in where]
+        assert (len(chat.calls), len(embed.requests)) == (1, 1)
+
+    def test_an_entry_under_another_digest_is_a_data_error_naming_it(self, tmp_path):
         chat, embed = EchoChatProvider(), RecordingEmbeddingProvider()
         make_gateway(tmp_path, chat=chat, embed=embed).chat_many([chat_request(text="other")])
         make_gateway(tmp_path, embed=embed).store_embeddings(["first", "other"])
         entries = cache_entries(tmp_path / "cache")
-        for kind, provider_id in ((chat_request, chat.provider_id), (str, embed.provider_id)):
-            other = build_cache_key(kind("other") if kind is str else kind(text="other"), provider_id)[0]
-            mine = build_cache_key(kind("text") if kind is str else kind(text="text"), provider_id)[0]
-            other, mine = other.hex(), mine.hex()
-            entries[mine] = entries[other]
-        rewrite_cache(tmp_path / "cache", entries)
+        def keys(text):
+            chat_key = build_cache_key(chat_request(text=text), chat.provider_id)[0]
+            return chat_key, build_cache_key(text, embed.provider_id)[0]
+
+        mine = keys("text")
+        for key, other in zip(mine, keys("other")):
+            entries[key.hex()] = entries[other.hex()]
+        pack = rewrite_cache(tmp_path / "cache", entries)[mine[0].hex()]
         warm = make_gateway(tmp_path, chat=chat, embed=embed)
-        assert warm.chat_many([chat_request(text="text")]) == ["re: other"]
-        expected = [embed.mock.embed("first"), embed.mock.embed("other")]
-        assert [list(v) for v in warm.stored_embeddings(["first", "text"])] == expected
-        assert [list(v) for v in warm.embed_many(["first", "text"])] == expected
+        reads = [
+            lambda: warm.chat_many([chat_request(text="text")]),
+            lambda: warm.stored_embeddings(["first", "text"]),
+            lambda: warm.embed_many(["first", "text"]),
+        ]
+        for read, key in zip(reads, [mine[0], mine[1], mine[1]]):
+            with pytest.raises(DataError) as raised:
+                read()
+            problem = "not the entry of its request"
+            assert str(raised.value) == f"corrupted cache entry: {pack} entry {key.hex()}: {problem}"
         assert (len(chat.calls), len(embed.requests)) == (1, 1)
 
 
 class TestPackReads:
-    def test_a_warm_read_back_parses_only_its_first_entry(self, tmp_path, monkeypatch):
+    def test_a_warm_read_back_loads_each_entry_once_from_one_read(self, tmp_path, monkeypatch):
         embed = RecordingEmbeddingProvider()
         texts = [f"text {i}" for i in range(2 * PACK_ENTRIES)]
         make_gateway(tmp_path, embed=embed).store_embeddings(texts)
-        warm = make_gateway(tmp_path, embed=embed)
-        loads, real_load = [], DiskCache.load
-
-        def counted(cache, key, data):
-            loads.append(key)
-            return real_load(cache, key, data)
-
-        monkeypatch.setattr(DiskCache, "load", counted)
+        warm, loads, reads = make_gateway(tmp_path, embed=embed), [], []
+        real_load, real_read = DiskCache.load, DiskCache.read
+        monkeypatch.setattr(DiskCache, "load", lambda c, *args: loads.append(args[0]) or real_load(c, *args))
+        monkeypatch.setattr(DiskCache, "read", lambda c, keys: reads.append(keys) or real_read(c, keys))
         backwards = texts[::-1]
-        expected = [embed.mock.embed(t) for t in backwards]
-        assert [list(v) for v in warm.stored_embeddings(backwards)] == expected
-        assert len(loads) == 1  # it sets the dimension; the others are their header's bytes and a body
-        assert [list(v) for v in warm.stored_embeddings(texts)] == [embed.mock.embed(t) for t in texts]
-        assert len(loads) == 2
+        vectors = warm.stored_embeddings(backwards)
+        assert [list(v) for v in vectors] == [embed.mock.embed(t) for t in backwards] and len(reads) == 1
+        assert sorted(loads) == sorted(build_cache_key(t, embed.provider_id)[0] for t in texts)
 
     def test_embed_many_reads_back_through_the_reader_score_uses(self, tmp_path, monkeypatch):
         embed = RecordingEmbeddingProvider()

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from conftest import FIXTURE_CORPUS, StaticChatProvider, cache_entries
+from conftest import FIXTURE_CORPUS, StaticChatProvider, cache_entries, entry_request
 from surveyguard.cli import main
 from surveyguard.errors import DataError, ProviderError
 from surveyguard.gateway import DiskCache, ProviderGateway, build_cache_key, canonical_json
@@ -208,9 +208,9 @@ class TestDeterminismAndStore:
                 QUESTION, sig["model_id"], sig["temperature"], Sentiment(sig["sentiment"])
             )
             key = build_cache_key(request, gateway.chat_provider.provider_id)[0]
-            entry = json.loads(cache_entries(gateway.cache.root)[key.hex()])
-            assert entry["request"]["messages"] == [list(m) for m in request.messages]
-            assert entry["response"]["text"] == sig["text"]
+            entry = cache_entries(gateway.cache.root)[key.hex()]
+            assert entry_request(entry)["messages"] == [list(m) for m in request.messages]
+            assert entry.partition(b"\n")[2].decode("utf-8") == sig["text"]
 
     @pytest.mark.parametrize("kind", list(StrategyKind))
     def test_save_load_round_trip(self, tmp_path, kind):
