@@ -30,7 +30,7 @@ from .dataset import (
     write_report,
     write_text,
 )
-from .detector import DETECTOR_TEMPLATE_VERSION, DetectorConfig, detect_batch
+from .detector import DETECTOR_TEMPLATE_VERSION, detect_batch
 from .errors import ConfigError, DataError, ProviderError
 from .gateway import DiskCache, ProviderGateway, check_temperature
 from .model import Cohort, compute_length_stats
@@ -187,6 +187,8 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be non-empty")
         if len(set(values)) < len(values):  # a duplicate grid cell, strategy or sweep row
             raise ConfigError(f"{key} must not repeat a value, got {list(values)}")
+        if _FIELD_TYPES[key] == tuple[float, ...] and len({f"{v:g}" for v in values}) < len(values):
+            raise ConfigError(f"{key} must stay distinct at 6 significant digits, got {list(values)}")
     if "" in cfg.models:
         raise ConfigError("models must not contain an empty model id")
     for t in (*cfg.temperatures, cfg.detector_temperature):
@@ -311,8 +313,8 @@ def cmd_validate(cfg: RunConfig) -> int:
         qids = [q.question_id for q in dataset.questions if q.study_id == study.study_id]
         responses = [r for qid in qids for r in dataset.responses_for_question(qid)]
         if responses:
-            stats = compute_length_stats(responses)
-            length = f"avg length {stats.mean:.2f} +/- {stats.std_dev:.2f} words"
+            mean, std_dev = compute_length_stats(responses)
+            length = f"avg length {mean:.2f} +/- {std_dev:.2f} words"
         else:
             length = "no responses"
         print(
@@ -493,13 +495,10 @@ def cmd_detect_llm(cfg: RunConfig) -> int:
     dataset = _load_dataset(cfg)
     gateway = build_gateway(cfg)
     out_dir = Path(cfg.output_dir)
-    config = DetectorConfig(
-        model_id=cfg.detector_model,
-        temperature=cfg.detector_temperature,
-        tolerate_parse_failures=cfg.tolerate_parse_failures,
-    )
     with _exclusive_output(out_dir):
-        dump = detect_batch(dataset, config, gateway)
+        dump = detect_batch(
+            dataset, gateway, cfg.detector_model, cfg.detector_temperature, cfg.tolerate_parse_failures
+        )
         write_json(out_dir / f"detector_{cfg.detector_model}.json", dump)
         write_text(
             out_dir / f"detector_{cfg.detector_model}.md",

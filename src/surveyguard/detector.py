@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 
 from .dataset import SurveyDataset
 from .errors import DataError, ProviderError
@@ -49,16 +48,6 @@ _HUMAN_PHRASES = (
 
 _AI_TOKEN = re.compile(r"\bai\b")
 _HUMAN_TOKEN = re.compile(r"\bhuman\b")
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    model_id: str
-    temperature: float = 0.0
-    tolerate_parse_failures: bool = True
-
-    def __post_init__(self) -> None:
-        check_temperature(self.temperature)
 
 
 def build_detector_prompt(
@@ -103,17 +92,20 @@ class DetectorParseError(DataError):
 
 def detect_batch(
     dataset: SurveyDataset,
-    config: DetectorConfig,
     gateway: ProviderGateway,
+    model_id: str,
+    temperature: float = 0.0,
+    tolerate_parse_failures: bool = True,
 ) -> dict:
     """Classify every non-empty open-ended response and aggregate per study; returns
-    the detector dump dict, with the unweighted cohort averages as cohort_comparison
-    when the studies span both cohorts.
+    the detector dump dict, headed by the settings given, with the unweighted cohort
+    averages as cohort_comparison when the studies span both cohorts.
 
     UNDETERMINED verdicts stay in the denominator but never in the numerator;
     with tolerate_parse_failures off, the first one aborts the batch. A
     provider failure aborts it too, after every request has been answered.
     """
+    check_temperature(temperature)
     questions = dataset.question_index()
     tasks: list[tuple[str, str, SurveyQuestion, SurveyResponse]] = []
     for response in dataset.responses:
@@ -127,8 +119,8 @@ def detect_batch(
 
     results = gateway.chat_many([
         ChatRequest(
-            model_id=config.model_id,
-            temperature=config.temperature,
+            model_id=model_id,
+            temperature=temperature,
             messages=build_detector_prompt(question, response),
             purpose=PurposeTag.DETECT,
         )
@@ -141,7 +133,7 @@ def detect_batch(
     by_study: dict[str, list[dict]] = {}
     for (study_id, response_id, _, _), result in zip(tasks, results):
         flag = parse_detector_output(result).flag
-        if flag == VerdictFlag.UNDETERMINED and not config.tolerate_parse_failures:
+        if flag == VerdictFlag.UNDETERMINED and not tolerate_parse_failures:
             raise DetectorParseError(
                 f'unparseable detector output for response "{response_id}"'
             )
@@ -158,16 +150,16 @@ def detect_batch(
         per_study[study_id] = percentage(ai_count, len(verdicts))
         studies.append({
             "study_id": study_id,
-            "model_id": config.model_id,
+            "model_id": model_id,
             "template_version": DETECTOR_TEMPLATE_VERSION,
             "verdicts": verdicts,
-            "percentage": per_study[study_id].to_dict(),
+            "percentage": per_study[study_id],
         })
     dump = {
-        "model_id": config.model_id,
-        "temperature": config.temperature,
+        "model_id": model_id,
+        "temperature": temperature,
         "template_version": DETECTOR_TEMPLATE_VERSION,
-        "tolerate_parse_failures": config.tolerate_parse_failures,
+        "tolerate_parse_failures": tolerate_parse_failures,
         "studies": studies,
     }
     convention = AverageConvention.UNWEIGHTED_MEAN

@@ -401,7 +401,10 @@ class ProviderGateway:
                     sent.add(item)
                     yield item, key, key_text
                 elif hits is not None:
-                    hits[item] = value.decode("utf-8")
+                    try:
+                        hits[item] = value.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise DataError(f"corrupted cache entry: {self.cache.locate(key)}: {exc}") from None
             looked += len(chunk)
         with self._stats_lock:
             self.stats.cache_misses += missed

@@ -108,15 +108,6 @@ class SurveyResponse:
 
 
 @dataclass(frozen=True)
-class LengthStats:
-    """Mean and sample standard deviation (n-1 denominator) of word counts."""
-
-    mean: float
-    std_dev: float
-    n: int
-
-
-@dataclass(frozen=True)
 class Verdict:
     """The zero-shot detector's classification of one response, and how it was parsed.
 
@@ -128,16 +119,14 @@ class Verdict:
     detail: str = ""
 
 
-def compute_length_stats(responses: Sequence[SurveyResponse]) -> LengthStats:
-    """Mean and sample std deviation of word counts; n=1 yields std_dev 0.0."""
+def compute_length_stats(responses: Sequence[SurveyResponse]) -> tuple[float, float]:
+    """(mean, sample standard deviation) of word counts, the latter with an n-1
+    denominator; n=1 yields std_dev 0.0."""
     if not responses:
         raise ValueError("empty input")
     counts = [r.word_count for r in responses]
     n = len(counts)
     mean = sum(counts) / n
-    if n == 1:
-        std = 0.0
-    else:
-        # fsum is exactly rounded, so the result is permutation-invariant
-        std = math.sqrt(math.fsum((c - mean) ** 2 for c in counts) / (n - 1))
-    return LengthStats(mean=float(mean), std_dev=float(std), n=n)
+    # fsum is exactly rounded, so the result is permutation-invariant
+    std = math.sqrt(math.fsum((c - mean) ** 2 for c in counts) / (n - 1)) if n > 1 else 0.0
+    return mean, std

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -52,45 +51,31 @@ def render_two_decimals(value: Fraction) -> str:
     return f"{whole // 100}.{whole % 100:02d}"
 
 
-@dataclass(frozen=True)
-class Percent:
-    """A percentage kept as an exact rational, optionally backed by counts."""
-
-    value: Fraction
-    flagged: int | None = None
-    total: int | None = None
-
-    @property
-    def rendered(self) -> str:
-        return render_two_decimals(self.value)
-
-    def to_dict(self) -> dict:
-        if self.flagged is not None and self.total is not None:
-            return {"num": self.flagged, "den": self.total, "rendered": self.rendered}
-        return {
-            "value": f"{self.value.numerator}/{self.value.denominator}",
-            "rendered": self.rendered,
-        }
-
-
-def percentage(flagged: int, total: int) -> Percent:
-    """flagged/total as an exact percentage."""
+def percentage(flagged: int, total: int) -> dict:
+    """flagged/total as the percent dict artifacts hold: {"num", "den", "rendered"}."""
     if total < 1:
         raise ValueError(f"total must be >= 1, got {total}")
     if not 0 <= flagged <= total:
         raise ValueError(f"flagged must be in [0, total], got {flagged}/{total}")
-    return Percent(value=Fraction(100 * flagged, total), flagged=flagged, total=total)
+    return {"num": flagged, "den": total, "rendered": render_two_decimals(Fraction(100 * flagged, total))}
 
 
-def average_unweighted(values: Sequence[float | int | str | Fraction | Percent]) -> Percent:
-    """Arithmetic mean of per-study percentage values."""
+def percent_value(pct: Mapping) -> Fraction:
+    """The exact percentage a percent dict holds: 100*num/den, or its "n/d" value."""
+    return Fraction(100 * pct["num"], pct["den"]) if "num" in pct else Fraction(pct["value"])
+
+
+def average_unweighted(values: Sequence[float | int | str | Fraction | Mapping]) -> dict:
+    """Arithmetic mean of per-study percentages (percent dicts or bare numbers), as
+    {"value": "n/d", "rendered"}."""
     if not values:
         raise ValueError("empty input")
-    fractions = [v.value if isinstance(v, Percent) else as_exact(v) for v in values]
-    return Percent(value=sum(fractions, Fraction(0)) / len(fractions))
+    exact = [percent_value(v) if isinstance(v, Mapping) else as_exact(v) for v in values]
+    mean = sum(exact, Fraction(0)) / len(exact)
+    return {"value": f"{mean.numerator}/{mean.denominator}", "rendered": render_two_decimals(mean)}
 
 
-def average_pooled(pairs: Sequence[tuple[int, int]]) -> Percent:
+def average_pooled(pairs: Sequence[tuple[int, int]]) -> dict:
     """Count-weighted pooled rate: sum(flagged) / sum(total)."""
     if not pairs:
         raise ValueError("empty input")
@@ -100,25 +85,25 @@ def average_pooled(pairs: Sequence[tuple[int, int]]) -> Percent:
     return percentage(flagged, total)
 
 
-def average(convention: AverageConvention, percents: Sequence[Percent]) -> Percent:
-    """Average per-study percentages under the named convention."""
+def average(convention: AverageConvention, percents: Sequence[Mapping]) -> dict:
+    """Average per-study percent dicts under the named convention."""
     if convention == AverageConvention.UNWEIGHTED_MEAN:
         return average_unweighted(percents)
-    if any(p.flagged is None or p.total is None for p in percents):
+    if any("num" not in p for p in percents):
         raise ValueError("pooled averaging needs (flagged, total) counts")
-    return average_pooled([(p.flagged, p.total) for p in percents])
+    return average_pooled([(p["num"], p["den"]) for p in percents])
 
 
 def cohort_averages(
-    per_study: Mapping[str, Percent], cohorts: Mapping[str, Cohort], convention: AverageConvention
+    per_study: Mapping[str, Mapping], cohorts: Mapping[str, Cohort], convention: AverageConvention
 ) -> dict:
-    """Each cohort's average of its studies' percentages as a Percent dict, keyed by
+    """Each cohort's average of its studies' percent dicts, keyed by
     cohort value, pre-2022 first; a cohort with no study in per_study is left out."""
     averages = {}
     for cohort in (Cohort.PRE_2022, Cohort.POST_2022):
         members = [pct for sid, pct in per_study.items() if cohorts[sid] == cohort]
         if members:
-            averages[cohort.value] = average(convention, members).to_dict()
+            averages[cohort.value] = average(convention, members)
     return averages
 
 
@@ -139,7 +124,7 @@ def threshold_sweep(
     Takes each strategy's scored rows, which name their study_id, and returns
     the sweep.json dict. Each row holds "per_study" in study_order and
     "averages" keyed by cohort value, pre-2022 first; every percentage is a
-    Percent dict. Empty responses count in denominators (and never as
+    percent dict. Empty responses count in denominators (and never as
     detections) unless exclude_empty is set.
     """
     if not strategies:
@@ -177,7 +162,7 @@ def threshold_sweep(
                 {
                     "threshold": float(th),
                     "strategy": strategy,
-                    "per_study": {sid: pct.to_dict() for sid, pct in per_study.items()},
+                    "per_study": per_study,
                     "averages": cohort_averages(per_study, cohorts, convention),
                 }
             )
@@ -290,7 +275,7 @@ def _percent_cell(pct: Mapping | None) -> str:
 
 
 def _count_cells(pct: Mapping) -> list[str]:
-    """[num, den, rendered] cells of a Percent dict; an unweighted mean has no counts."""
+    """[num, den, rendered] cells of a percent dict; an unweighted mean has no counts."""
     return [str(pct.get("num", "")), str(pct.get("den", "")), pct["rendered"]]
 
 

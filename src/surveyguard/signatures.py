@@ -258,14 +258,16 @@ def _check_store(store: object) -> None:
     for s in store["grid"]["sentiments"]:
         Sentiment(s)
     int(store.get("duplicates_removed", 0))
-    cells = set()
+    seen = set()  # grid cells and signature ids
     for row in store["signatures"]:
         signature_id, cell = row["signature_id"], _grid_cell(kind, row)
         if not row["text"]:
             raise ValueError(f"signature {signature_id}: text must be non-empty")
-        if cell in cells:
+        if cell in seen:
             raise ValueError(f"duplicate grid cell in signature set for {store['question_id']}")
-        cells.add(cell)
+        if signature_id in seen:
+            raise ValueError(f"duplicate signature id {signature_id!r}")
+        seen.update((cell, signature_id))
     for row in store.get("failures", []):
         _grid_cell(kind, row)
         if "error" not in row:

@@ -106,10 +106,10 @@ def test_oracle_equivalence_on_random_corpora():
 
 def test_aggregation_convention_reproduction():
     """Published-table cells reproduce under the right convention and rendering."""
-    unweighted_pre = average_unweighted([13.91, 1.18, 7.03, 2.50]).rendered
-    unweighted_post = average_unweighted([48.71, 18.18, 24.76]).rendered
-    pooled_low_threshold = average_pooled([(27, 170), (23, 313), (21, 160)]).rendered
-    pooled_high_threshold = average_pooled([(15, 1166), (0, 198), (25, 520)]).rendered
+    unweighted_pre = average_unweighted([13.91, 1.18, 7.03, 2.50])["rendered"]
+    unweighted_post = average_unweighted([48.71, 18.18, 24.76])["rendered"]
+    pooled_low_threshold = average_pooled([(27, 170), (23, 313), (21, 160)])["rendered"]
+    pooled_high_threshold = average_pooled([(15, 1166), (0, 198), (25, 520)])["rendered"]
     assert unweighted_pre == "6.16"
     assert unweighted_post == "30.55"
     assert pooled_low_threshold == "11.04"

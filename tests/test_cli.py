@@ -675,12 +675,15 @@ class TestBadValuesRejectedBeforeAnyCall:
             ([], {"sentiments": ["positive", "positive"]}, "sentiments must not repeat a value"),
             ([], {"thresholds": [0.8, 0.8]}, "thresholds must not repeat a value"),
             (["--thresholds", "0.8,0.8"], {}, "thresholds must not repeat a value"),
+            ([], {"temperatures": [0.5, 0.5000001]}, "temperatures must stay distinct at 6 significant"),
+            (["--thresholds", "0.7,0.70000001"], {}, "thresholds must stay distinct at 6 significant"),
         ],
         ids=[
             "bin-width", "k-high", "removed-dataset-format", "removed-chat-provider",
             "removed-embedding-provider", "threshold-domain", "temperature", "detector-temperature",
             "empty-model", "repeated-model", "repeated-temperature", "repeated-sentiment",
-            "repeated-threshold", "repeated-threshold-flag",
+            "repeated-threshold", "repeated-threshold-flag", "temperatures-render-alike",
+            "thresholds-render-alike",
         ],
     )
     def test_score_exits_1_with_an_empty_cache(self, capsys, corpus_path, tmp_path, flags, config, message):
@@ -1051,6 +1054,17 @@ class TestUnreadableCacheAndStore:
         code, _, err = run_cli(capsys, *args)
         assert code == 2
         assert str(entry) in err and digest in err
+
+    @LAYOUTS
+    def test_a_reply_that_is_not_utf8_exits_2_naming_its_entry(self, capsys, corpus_path, tmp_path, layout):
+        args = base_args(corpus_path, tmp_path, "detect-llm")
+        assert run_cli(capsys, *args)[0] == 0
+        digest, entry = _damage(
+            tmp_path / "cache", "chat", lambda data: data.partition(b"\n")[0] + b"\n\xff\xfe", layout
+        )
+        code, _, err = run_cli(capsys, *args)
+        assert (code, err.count(str(entry)), err.count(digest)) == (2, 1, 1), err
+        assert err.startswith("data error: corrupted cache entry: ")
 
     @LAYOUTS
     @pytest.mark.parametrize("kind, command", [("chat", "gen-signatures"), ("embed", "score")])

@@ -14,7 +14,7 @@ from surveyguard.dataset import (
 )
 from surveyguard.errors import DataError
 from surveyguard.model import Cohort, QuestionKind
-from surveyguard.report import Percent
+from surveyguard.report import average_unweighted
 
 
 def write_dataset(tmp_path, layout, studies, questions, responses):
@@ -353,7 +353,7 @@ class TestWriteReport:
         assert payload["signature_detection"]["sweep"]["rows"][0]["per_study"]["s1"]["rendered"] == "25.00"
 
     def test_percentage_rendering_two_decimal_half_up(self):
-        assert Percent(value=Fraction("6.155")).rendered == "6.16"
+        assert average_unweighted([Fraction("6.155")])["rendered"] == "6.16"
 
     def test_csv_output(self, tmp_path):
         path = tmp_path / "report.csv"

@@ -8,7 +8,6 @@ from conftest import StaticChatProvider
 from surveyguard.cli import build_gateway, main, resolve_config
 from surveyguard.dataset import SurveyDataset, load_dataset
 from surveyguard.detector import (
-    DetectorConfig,
     DetectorParseError,
     build_detector_prompt,
     detect_batch,
@@ -123,17 +122,17 @@ def dataset_with_markers(marked: int, total: int) -> SurveyDataset:
 class TestDetectBatch:
     def test_marker_fixture_three_of_eight(self, tmp_path):
         gateway = make_gateway(tmp_path, MockChatProvider(seed=0))
-        run = detect_batch(dataset_with_markers(3, 8), DetectorConfig(model_id="gpt-4o"), gateway)
+        run = detect_batch(dataset_with_markers(3, 8), gateway, "gpt-4o")
         assert run["studies"][0]["percentage"]["rendered"] == "37.50"
 
     def test_two_of_ten(self, tmp_path):
         gateway = make_gateway(tmp_path, MockChatProvider(seed=0))
-        run = detect_batch(dataset_with_markers(2, 10), DetectorConfig(model_id="gpt-4o"), gateway)
+        run = detect_batch(dataset_with_markers(2, 10), gateway, "gpt-4o")
         assert run["studies"][0]["percentage"]["rendered"] == "20.00"
 
     def test_zero_ai_verdicts(self, tmp_path):
         gateway = make_gateway(tmp_path, MockChatProvider(seed=0))
-        run = detect_batch(dataset_with_markers(0, 6), DetectorConfig(model_id="gpt-4o"), gateway)
+        run = detect_batch(dataset_with_markers(0, 6), gateway, "gpt-4o")
         assert run["studies"][0]["percentage"]["rendered"] == "0.00"
 
     def test_empty_and_other_kind_responses_excluded(self, tmp_path):
@@ -148,7 +147,7 @@ class TestDetectBatch:
             ),
         )
         gateway = make_gateway(tmp_path, MockChatProvider(seed=0))
-        run = detect_batch(ds, DetectorConfig(model_id="gpt-4o"), gateway)
+        run = detect_batch(ds, gateway, "gpt-4o")
         assert run["studies"][0]["percentage"]["den"] == 1
         assert run["studies"][0]["percentage"]["rendered"] == "100.00"
 
@@ -159,8 +158,8 @@ class TestDetectBatch:
         ds_shuffled = SurveyDataset(studies=ds.studies, questions=ds.questions, responses=tuple(shuffled))
         g1 = make_gateway(tmp_path / "a", MockChatProvider(seed=0))
         g2 = make_gateway(tmp_path / "b", MockChatProvider(seed=0))
-        run1 = detect_batch(ds, DetectorConfig(model_id="gpt-4o"), g1)
-        run2 = detect_batch(ds_shuffled, DetectorConfig(model_id="gpt-4o"), g2)
+        run1 = detect_batch(ds, g1, "gpt-4o")
+        run2 = detect_batch(ds_shuffled, g2, "gpt-4o")
         assert run1 == run2
 
     def test_repeated_answers_are_sent_once_even_when_calls_overlap(self, tmp_path):
@@ -177,7 +176,7 @@ class TestDetectBatch:
         )
         provider = SlowChat("HUMAN")
         gateway = make_gateway(tmp_path, provider)
-        run = detect_batch(ds, DetectorConfig(model_id="gpt-4o"), gateway)
+        run = detect_batch(ds, gateway, "gpt-4o")
         assert provider.calls == gateway.stats.provider_calls == 3
         assert gateway.stats.cache_hits == 27
         assert len(run["studies"][0]["verdicts"]) == 30
@@ -191,43 +190,44 @@ class TestDetectBatch:
 
         gateway = make_gateway(tmp_path, FailsOnMarker(seed=0))
         with pytest.raises(ProviderError, match="bad request"):
-            detect_batch(dataset_with_markers(1, 4), DetectorConfig(model_id="gpt-4o"), gateway)
+            detect_batch(dataset_with_markers(1, 4), gateway, "gpt-4o")
         assert gateway.cache.entry_count() == 3  # the other answers are cached for the rerun
 
     def test_warm_cache_reruns_with_zero_calls(self, tmp_path):
         ds = dataset_with_markers(2, 5)
         cache = DiskCache(tmp_path / "cache")
         g1 = ProviderGateway(cache=cache, chat_provider=MockChatProvider(seed=0), sleep=lambda _: None)
-        run1 = detect_batch(ds, DetectorConfig(model_id="gpt-4o"), g1)
+        run1 = detect_batch(ds, g1, "gpt-4o")
         g2 = ProviderGateway(cache=cache, chat_provider=MockChatProvider(seed=0), sleep=lambda _: None)
-        run2 = detect_batch(ds, DetectorConfig(model_id="gpt-4o"), g2)
+        run2 = detect_batch(ds, g2, "gpt-4o")
         assert g2.stats.provider_calls == 0
         assert run1 == run2
 
     def test_tolerant_mode_counts_undetermined_in_denominator_only(self, tmp_path):
         gateway = make_gateway(tmp_path, StaticChatProvider("Maybe."))
-        run = detect_batch(dataset_with_markers(0, 4), DetectorConfig(model_id="gpt-4o"), gateway)
+        run = detect_batch(dataset_with_markers(0, 4), gateway, "gpt-4o")
         pct = run["studies"][0]["percentage"]
         assert (pct["num"], pct["den"]) == (0, 4)
 
     def test_strict_mode_aborts_on_unparseable_output(self, tmp_path):
         gateway = make_gateway(tmp_path, StaticChatProvider("Maybe."))
-        config = DetectorConfig(model_id="gpt-4o", tolerate_parse_failures=False)
         with pytest.raises(DetectorParseError, match="r00"):
-            detect_batch(dataset_with_markers(0, 4), config, gateway)
+            detect_batch(dataset_with_markers(0, 4), gateway, "gpt-4o", tolerate_parse_failures=False)
 
     def test_dump_shape(self, tmp_path):
         gateway = make_gateway(tmp_path, MockChatProvider(seed=0))
-        dump = detect_batch(dataset_with_markers(1, 4), DetectorConfig(model_id="gpt-4o"), gateway)
+        dump = detect_batch(dataset_with_markers(1, 4), gateway, "gpt-4o")
         assert set(dump) == {"model_id", "temperature", "template_version", "tolerate_parse_failures", "studies"}
         study = dump["studies"][0]
         assert set(study) == {"study_id", "model_id", "template_version", "verdicts", "percentage"}
         assert {"response_id", "flag", "raw_text_digest"} == set(study["verdicts"][0])
         assert len(study["verdicts"][0]["raw_text_digest"]) == 64
 
-    def test_detector_temperature_validated(self):
-        with pytest.raises(ValueError):
-            DetectorConfig(model_id="m", temperature=1.5)
+    def test_detector_temperature_validated(self, tmp_path):
+        provider = StaticChatProvider("HUMAN")
+        with pytest.raises(ValueError, match=r"temperature must be in \[0, 1\], got 1.5"):
+            detect_batch(dataset_with_markers(1, 4), make_gateway(tmp_path, provider), "m", temperature=1.5)
+        assert provider.calls == 0
 
 
 def test_detect_batch_returns_the_dump_it_is_written_as(tmp_path, corpus_path):
@@ -236,5 +236,4 @@ def test_detect_batch_returns_the_dump_it_is_written_as(tmp_path, corpus_path):
     written = json.loads((tmp_path / "out" / "detector_gpt-3.5-turbo.json").read_text(encoding="utf-8"))
     assert written["cohort_comparison"]
     cfg = resolve_config(None, {"mock": True, "cache_dir": str(tmp_path / "cache")})
-    config = DetectorConfig(model_id=cfg.detector_model)
-    assert detect_batch(load_dataset(corpus_path), config, build_gateway(cfg)) == written
+    assert detect_batch(load_dataset(corpus_path), build_gateway(cfg), cfg.detector_model) == written

@@ -1,5 +1,9 @@
-"""Seeded single-bit flips in a warm cache: a run on the flipped cache either stops with a data
-error naming the flipped pack (exit 2), or writes the bytes of a clean run (exit 0)."""
+"""Seeded faults in what a run reads back.
+
+- Single-bit flips in a warm cache: a run on the flipped cache either stops with a data error
+  naming the flipped pack (exit 2), or writes the bytes of a clean run (exit 0).
+- Bit flips and truncations of the dumps ``report`` merges: ``report`` either writes a report
+  (exit 0) or stops with a data error naming the dump (exit 2)."""
 
 import contextlib
 import io
@@ -77,3 +81,34 @@ def test_a_flipped_bit_is_a_data_error_naming_its_pack_or_changes_no_artifact(cl
     else:
         assert (code, err.startswith("data error: corrupted cache ")) == (2, True), err
         assert str(flipped) in err, err
+
+
+DUMPS = ("sweep.json", "detector_gpt-3.5-turbo.json")
+DUMP_FAULTS = 4  # per dump and kind of fault
+
+
+def dump_faults(path: Path) -> list[tuple[str, int]]:
+    """Seeded faults of one dump: ``("flip", bit)`` then ``("cut", length kept)``."""
+    rng = random.Random(f"dump faults {path.name}")
+    size = path.stat().st_size
+    flipped = [("flip", rng.randrange(8 * size)) for _ in range(DUMP_FAULTS)]
+    return flipped + [("cut", rng.randrange(size)) for _ in range(DUMP_FAULTS)]
+
+
+@pytest.mark.parametrize("fault", range(2 * DUMP_FAULTS))
+@pytest.mark.parametrize("dump", DUMPS)
+def test_report_on_a_damaged_dump_writes_a_report_or_a_data_error_naming_it(clean, tmp_path, dump, fault):
+    root, _ = clean
+    shutil.copytree(root / "out", tmp_path / "out")
+    path = tmp_path / "out" / dump
+    kind, at = dump_faults(path)[fault]
+    data = bytearray(path.read_bytes())
+    if kind == "flip":
+        data[at // 8] ^= 1 << at % 8
+    else:
+        del data[at:]
+    path.write_bytes(data)
+    code, err = run(tmp_path, "report")
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith(f"data error: corrupted dump file: {path}: "), err

@@ -10,12 +10,12 @@ from surveyguard.model import Cohort
 from surveyguard.providers import MockEmbeddingProvider
 from surveyguard.report import (
     AverageConvention,
-    Percent,
     average_pooled,
     average_unweighted,
     build_histogram,
     cohort_averages,
     extract_cases,
+    percent_value,
     percentage,
     render_two_decimals,
     sweep_csv_rows,
@@ -72,14 +72,14 @@ class TestRendering:
 
 class TestPercentage:
     def test_count_backed_cells(self):
-        assert percentage(27, 170).rendered == "15.88"
-        assert percentage(0, 160).rendered == "0.00"
-        assert percentage(1, 3).rendered == "33.33"
+        assert percentage(27, 170)["rendered"] == "15.88"
+        assert percentage(0, 160)["rendered"] == "0.00"
+        assert percentage(1, 3)["rendered"] == "33.33"
 
     def test_exact_rational_kept(self):
         pct = percentage(27, 170)
-        assert pct.to_dict() == {"num": 27, "den": 170, "rendered": "15.88"}
-        assert pct.value == Fraction(2700, 170)
+        assert pct == {"num": 27, "den": 170, "rendered": "15.88"}
+        assert percent_value(pct) == Fraction(2700, 170)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -92,25 +92,31 @@ class TestPercentage:
 
 class TestAverages:
     def test_unweighted_mean_of_pre_cohort_row(self):
-        assert average_unweighted([13.91, 1.18, 7.03, 2.50]).rendered == "6.16"
+        assert average_unweighted([13.91, 1.18, 7.03, 2.50])["rendered"] == "6.16"
 
     def test_unweighted_mean_of_post_cohort_row(self):
-        assert average_unweighted([48.71, 18.18, 24.76]).rendered == "30.55"
+        assert average_unweighted([48.71, 18.18, 24.76])["rendered"] == "30.55"
 
     def test_unweighted_singleton(self):
-        assert average_unweighted([7.03]).rendered == "7.03"
+        assert average_unweighted([7.03]) == {"value": "703/100", "rendered": "7.03"}
 
-    def test_unweighted_accepts_percent_objects(self):
-        assert average_unweighted([percentage(1, 4), percentage(3, 4)]).rendered == "50.00"
+    def test_unweighted_accepts_percent_dicts(self):
+        mean = average_unweighted([percentage(1, 4), percentage(3, 4)])
+        assert mean == {"value": "50/1", "rendered": "50.00"}
+
+    def test_unweighted_reads_an_unweighted_mean_back(self):
+        mean = average_unweighted([percentage(1, 3), percentage(1, 6)])
+        assert percent_value(mean) == Fraction(25)
+        assert average_unweighted([mean, percentage(1, 4)])["rendered"] == "25.00"
 
     def test_pooled_pre_cohort_counts(self):
-        assert average_pooled([(27, 170), (23, 313), (21, 160)]).rendered == "11.04"
+        assert average_pooled([(27, 170), (23, 313), (21, 160)])["rendered"] == "11.04"
 
     def test_pooled_post_cohort_counts(self):
-        assert average_pooled([(15, 1166), (0, 198), (25, 520)]).rendered == "2.12"
+        assert average_pooled([(15, 1166), (0, 198), (25, 520)])["rendered"] == "2.12"
 
     def test_pooled_zeroes(self):
-        assert average_pooled([(0, 10), (0, 10)]).rendered == "0.00"
+        assert average_pooled([(0, 10), (0, 10)]) == {"num": 0, "den": 20, "rendered": "0.00"}
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -123,9 +129,9 @@ class TestAverages:
         for _ in range(100):
             pairs = [(rng.randrange(0, 50), rng.randrange(50, 200)) for _ in range(rng.randrange(1, 8))]
             percents = [percentage(f, t) for f, t in pairs]
-            values = [p.value for p in percents]
-            pooled = average_pooled(pairs).value
-            unweighted = average_unweighted(percents).value
+            values = [percent_value(p) for p in percents]
+            pooled = percent_value(average_pooled(pairs))
+            unweighted = percent_value(average_unweighted(percents))
             assert min(values) <= pooled <= max(values)
             assert min(values) <= unweighted <= max(values)
 
@@ -137,8 +143,8 @@ class TestCohortAverages:
     def test_unweighted_reproduces_row_averages(self):
         pre = [13.91, 1.18, 7.03, 2.50]
         post = [48.71, 18.18, 24.76]
-        per_study = {f"post{i}": Percent(value=Fraction(str(v))) for i, v in enumerate(post)}
-        per_study |= {f"pre{i}": Percent(value=Fraction(str(v))) for i, v in enumerate(pre)}
+        per_study = {f"post{i}": average_unweighted([v]) for i, v in enumerate(post)}
+        per_study |= {f"pre{i}": average_unweighted([v]) for i, v in enumerate(pre)}
         cohorts = {sid: Cohort.PRE_2022 if sid.startswith("pre") else Cohort.POST_2022 for sid in per_study}
         averages = cohort_averages(per_study, cohorts, AverageConvention.UNWEIGHTED_MEAN)
         assert list(averages) == ["pre_2022", "post_2022"]
@@ -161,7 +167,7 @@ class TestCohortAverages:
         assert list(averages) == ["pre_2022"]
 
     def test_pooled_requires_counts(self):
-        per_study = {"s1": Percent(value=Fraction(5)), "s2": percentage(1, 2)}
+        per_study = {"s1": average_unweighted([5]), "s2": percentage(1, 2)}
         with pytest.raises(ValueError, match="counts"):
             cohort_averages(per_study, COHORTS, AverageConvention.POOLED_WEIGHTED)
 

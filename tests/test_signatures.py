@@ -257,6 +257,10 @@ BAD_STORES = {
         "basic",
         lambda store: {**store, "signatures": [*store["signatures"], {**store["signatures"][0], "signature_id": "dup"}]},
     ),
+    "repeated signature id": (
+        "basic",
+        lambda store: {**store, "signatures": [*store["signatures"], {**store["signatures"][0], "temperature": 0.25}]},
+    ),
     "temperature not a number": ("basic", _first_row(temperature="x")),
     "no template_version": ("basic", lambda store: {k: v for k, v in store.items() if k != "template_version"}),
     "unknown grid sentiment": ("sentiment", lambda store: {**store, "grid": {**store["grid"], "sentiments": ["angry"]}}),

@@ -75,6 +75,27 @@ def test_only_cohort_averages_averages_percentages():
     assert callers == {("report.py", "cohort_averages")}
 
 
+def _decorator_name(node: ast.expr) -> str | None:
+    """The decorator's name: ``d`` of ``@d``, ``@d(...)`` or ``@x.d``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_no_dataclass_mirrors_an_artifact():
+    """Results are the dicts and rows their artifacts hold; the dataclasses left are inputs,
+    settings, requests and counters."""
+    dataclasses = {
+        node.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ClassDef) and "dataclass" in map(_decorator_name, node.decorator_list)
+    }
+    assert dataclasses == {
+        "ChatRequest", "GatewayStats", "RunConfig", "SurveyDataset", "SurveyStudy", "SurveyQuestion",
+        "SurveyResponse", "Verdict",
+    }
+
+
 def _is_json_encode(call: ast.Call) -> bool:
     """``json.dump(...)``, ``json.dumps(...)`` or ``json.JSONEncoder(...)``."""
     func = call.func
