@@ -47,6 +47,8 @@ from .report import (
     comparison_text,
     detector_markdown_lines,
     extract_cases,
+    percent_value,
+    render_two_decimals,
     report_to_csv_rows,
     report_to_markdown,
     sweep_csv_rows,
@@ -513,11 +515,12 @@ def cmd_detect_llm(cfg: RunConfig) -> int:
 
 
 def _read_dump(path: Path, keys: Sequence[str], report_part: Callable[[dict], dict]) -> dict:
-    """A dump file's JSON object; it must hold each of keys and render as the report
-    part report_part makes of it, so a bad shape is named before any report is written."""
+    """A dump file's JSON object; it must hold each of keys, render as the report part
+    report_part makes of it and hold percent dicts that render as they say, or a DataError names it."""
+    objects: list[dict] = []  # every JSON object of the dump, as json.load decodes it
     try:
         with _open(path) as fh:
-            dump = json.load(fh)
+            dump = json.load(fh, object_hook=lambda obj: objects.append(obj) or obj)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise DataError(f"corrupted dump file: {path}: {exc}") from exc
     if not isinstance(dump, dict):
@@ -529,7 +532,10 @@ def _read_dump(path: Path, keys: Sequence[str], report_part: Callable[[dict], di
     try:
         report_to_markdown(part)
         report_to_csv_rows(part)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        for pct in objects:
+            if "rendered" in pct and pct["rendered"] != render_two_decimals(percent_value(pct)):
+                raise DataError(f"corrupted dump file: {path}: {pct} does not render as {pct['rendered']!r}")
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DataError(f"corrupted dump file: {path}: bad shape: {exc!r}") from exc
     return dump
 

@@ -1,10 +1,10 @@
 """Single choke point for chat-completion and embedding calls.
 
 Every call goes through a content-addressed disk cache keyed by a SHA-256
-digest of the canonical request, with bounded retries, a concurrency cap,
-and call counters. With a warm cache a whole pipeline re-run performs zero
-provider calls, which is what makes reruns reproducible even against
-nondeterministic commercial models.
+digest of the canonical request, with bounded retries, a congestion window
+over the calls in flight, and call counters. With a warm cache a whole
+pipeline re-run performs zero provider calls, which is what makes reruns
+reproducible even against nondeterministic commercial models.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from .providers import REQUEST_TIMEOUT_S, ChatProvider, EmbeddingProvider
 EMBED_BATCH = 64  # texts per embedding request on a cache miss
 PACK_ENTRIES = 64  # pending cache entries committed as one pack
 LOOKUP_CHUNK = 64  # lookups read together, grouped by pack; their key texts are held until sent
-MAX_IN_FLIGHT = 5  # provider calls running at once
+START_IN_FLIGHT = 5  # provider calls a gateway's window lets run at once before any answers
+MAX_IN_FLIGHT = 32  # the most the window grows to, and _fan_out's worker count
 RETRIES = 3  # attempts per provider call, the first included
 BACKOFF_BASE_S = 1.0  # delay before the first retry; doubles on each further one
 
@@ -235,7 +236,7 @@ class DiskCache:
             raise DataError(f"corrupted cache entry: {self.locate(key)}: not the entry of its request")
         return data[len(key_text) + 1 :]
 
-    def store(self, key: bytes, key_text: bytes, response: bytes) -> bool:
+    def store(self, key: bytes, key_text: bytes, response: bytes | np.ndarray) -> bool:
         """Add the entry of key_text and response as pending unless the key is held. True if added."""
         data = b"%s\n%s" % (key_text, response)
         with self._lock:
@@ -293,18 +294,20 @@ class DiskCache:
         return len(self._index)
 
 
-def _fan_out(items: Iterable, call: Callable) -> list:
+def _fan_out(items: Iterable, call: Callable, slots: Callable[[], int]) -> list:
     """``call`` on each item from up to ``MAX_IN_FLIGHT`` workers, results in input order.
 
-    The calling thread is a worker; helpers start only for a second item, and items are drawn
-    one at a time under a lock, so a generator may make them as needed. A ProviderError takes
-    its item's place; any other exception is raised once the others finish.
+    The calling thread is a worker. Helpers start only for a second item, one per item drawn while
+    workers are fewer than ``slots()`` (the gateway's window), as each thread costs an allocator
+    arena. Items are drawn one at a time under a lock, so a generator may make them as needed. A
+    ProviderError takes its item's place; any other exception is raised once the others finish.
     """
     results: dict = {}
     pending = enumerate(items)
     first = list(islice(pending, 2))
     pending = chain(first, pending)
     take = threading.Lock()
+    helpers: list = []
 
     # One loop per worker over a shared iterator: a Future per item
     # would cost memory in proportion to the batch.
@@ -312,19 +315,49 @@ def _fan_out(items: Iterable, call: Callable) -> list:
         while True:
             with take:
                 index, item = next(pending, (None, None))
-            if index is None:
-                return
+                if index is None:
+                    return
+                if len(first) > 1 and len(helpers) + 1 < slots():
+                    helpers.append(pool.submit(work))
             try:
                 results[index] = call(item)
             except ProviderError as exc:
                 results[index] = exc
 
-    with ThreadPoolExecutor(MAX_IN_FLIGHT) as pool:
-        helpers = [pool.submit(work) for _ in range(MAX_IN_FLIGHT - 1 if len(first) > 1 else 0)]
+    with ThreadPoolExecutor(MAX_IN_FLIGHT - 1) as pool:
         work()
     for helper in helpers:
         helper.result()
     return [results[index] for index in range(len(results))]
+
+
+class _Window:
+    """An AIMD congestion window (RFC 5681) over a gateway's provider calls in flight. It opens at
+    ``START_IN_FLIGHT`` slots; a success adds ``1/size`` (about a slot per round trip) up to
+    ``MAX_IN_FLIGHT``; a TransientProviderError (a 429, a 5xx, a network error) halves the size its
+    call was sent under, never below 1, so a burst of them halves it once; other errors leave it."""
+
+    def __init__(self) -> None:
+        self.size = float(START_IN_FLIGHT)
+        self._busy = 0
+        self._changed = threading.Condition()
+
+    def take(self) -> float:
+        """Wait for a free slot and take it; the size it was taken at."""
+        with self._changed:
+            self._changed.wait_for(lambda: self._busy < int(self.size))
+            self._busy += 1
+            return self.size
+
+    def give(self, sent: float, succeeded: bool | None) -> None:
+        """Free a slot taken at size sent; succeeded is False on a TransientProviderError, None on others."""
+        with self._changed:
+            self._busy -= 1
+            if succeeded:
+                self.size = min(self.size + 1 / self.size, MAX_IN_FLIGHT)
+            elif succeeded is False:
+                self.size = min(self.size, max(sent / 2, 1.0))
+            self._changed.notify(max(int(self.size) - self._busy, 0))  # wake only as many as may take one
 
 
 @dataclass
@@ -337,11 +370,10 @@ class GatewayStats:
 class ProviderGateway:
     """Cache-through front of the configured providers.
 
-    Safe for concurrent use: at most ``MAX_IN_FLIGHT`` provider calls run at once,
-    each pass of them commits its cache entries, also when it raises, and results
-    come back in the caller's order, never in arrival order. A cached response that
-    makes no valid result (say, a short or non-finite vector) is a DataError naming
-    its pack and digest.
+    Safe for concurrent use: no more provider calls are in flight than its ``_Window`` holds,
+    each pass of them commits its cache entries, also when it raises, and results come back
+    in the caller's order, never in arrival order. A cached response that makes no valid
+    result (say, a short or non-finite vector) is a DataError naming its pack and digest.
     """
 
     def __init__(
@@ -355,7 +387,7 @@ class ProviderGateway:
         self.chat_provider = chat_provider
         self.embedding_provider = embedding_provider
         self._sleep = sleep
-        self._sem = threading.BoundedSemaphore(MAX_IN_FLIGHT)
+        self._window = _Window()
         self._stats_lock = threading.Lock()
         self._jitter = random.Random(0)
         self._embed_dims: dict[str, int] = {}
@@ -364,16 +396,19 @@ class ProviderGateway:
     def _call_with_retry(self, fn: Callable[[], object], what: str) -> object:
         last: ProviderError | None = None
         for attempt in range(RETRIES):
+            sent, succeeded = self._window.take(), None
             try:
-                with self._sem:
-                    with self._stats_lock:
-                        self.stats.provider_calls += 1
-                    return fn()
+                with self._stats_lock:
+                    self.stats.provider_calls += 1
+                reply, succeeded = fn(), True
+                return reply
             except TransientProviderError as exc:
-                last = exc
-                if attempt < RETRIES - 1:
-                    delay = BACKOFF_BASE_S * (2**attempt) * (1.0 + 0.5 * self._jitter.random())
-                    self._sleep(min(max(delay, exc.retry_after or 0.0), REQUEST_TIMEOUT_S))
+                last, succeeded = exc, False
+            finally:
+                self._window.give(sent, succeeded)  # before the backoff sleep
+            if attempt < RETRIES - 1:
+                delay = BACKOFF_BASE_S * (2**attempt) * (1.0 + 0.5 * self._jitter.random())
+                self._sleep(min(max(delay, last.retry_after or 0.0), REQUEST_TIMEOUT_S))
         assert last is not None
         raise ProviderError(
             f"{what} failed after {RETRIES} attempts: {last}", status=last.status, attempts=RETRIES
@@ -405,6 +440,8 @@ class ProviderGateway:
                         hits[item] = value.decode("utf-8")
                     except UnicodeDecodeError as exc:
                         raise DataError(f"corrupted cache entry: {self.cache.locate(key)}: {exc}") from None
+                elif provider_id not in self._embed_dims:  # a store pass: a cached vector sets the dimension
+                    self.stored_embeddings([item])
             looked += len(chunk)
         with self._stats_lock:
             self.stats.cache_misses += missed
@@ -413,23 +450,24 @@ class ProviderGateway:
     def _send(self, items: Iterable, call: Callable) -> list:
         """``_fan_out``, then commit the entries it stored, also when it raises."""
         try:
-            return _fan_out(items, call)
+            return _fan_out(items, call, lambda: int(self._window.size))
         finally:
             self.cache.flush()
 
-    def _vector(self, provider_id: str, values: object) -> np.ndarray:
-        """A fetched vector as a ``<f8`` copy: a non-empty row of finite numbers in the dimension
-        of the provider's first one."""
-        vector = np.array(values, dtype="<f8")
-        if vector.ndim != 1 or not vector.size:
-            raise ValueError(f"embedding of shape {vector.shape}, not a non-empty list of numbers")
-        if not np.isfinite(vector).all():
+    def _vectors(self, provider_id: str, raw: Sequence) -> np.ndarray:
+        """A fetched batch as one ``(n, d)`` ``<f8`` array, checked in one pass: each row a
+        non-empty list of finite numbers, ``d`` the dimension of the provider's first vector."""
+        one_length = len({len(row) for row in raw}) == 1  # numpy refuses a ragged batch
+        vectors = np.array(raw, dtype="<f8") if one_length else np.empty(0)
+        if vectors.ndim != 2 or not vectors.size:
+            raise ValueError("embeddings that are not a non-empty list of numbers each, all of one length")
+        if not np.isfinite(vectors).all():
             raise ValueError("embedding contains non-finite values")
-        dim = vector.size
+        dim = vectors.shape[1]
         seen = self._embed_dims.setdefault(provider_id, dim)
         if seen != dim:
             raise ConfigError(f"embedding dimension drift for provider {provider_id}: {seen} then {dim}")
-        return vector
+        return vectors
 
     def chat(self, request: ChatRequest) -> str:
         """Cache-through chat completion; see ``chat_many``."""
@@ -477,12 +515,12 @@ class ProviderGateway:
     def store_embeddings(self, texts: Sequence[str]) -> None:
         """Fetch and store the vector of every uncached text in one ``_lookup``-``_fan_out`` pass.
 
-        No vector is kept, and a cached text is only looked for, to be read by
-        ``stored_embeddings``. Empty texts are rejected before any call. Distinct uncached texts
-        go to the provider ``EMBED_BATCH`` at a time, in input order; each batch is one call,
-        retried as a unit, and all its vectors are checked for dimension drift and finiteness
-        before any is stored. A batch that fails for good raises its ProviderError once the others
-        are stored.
+        No vector is kept, and a cached text is only looked for, to be read by ``stored_embeddings``
+        (while the provider's dimension is unknown, the first found is read to learn it). Empty
+        texts are rejected before any call. Distinct uncached texts go to the provider
+        ``EMBED_BATCH`` at a time, in input order; each batch is one call, retried as a unit, and
+        all its vectors are checked for dimension drift and finiteness before any is stored. A
+        batch that fails for good raises its ProviderError once the others are stored.
         """
         if self.embedding_provider is None:
             raise ConfigError("no embedding provider configured")
@@ -497,9 +535,10 @@ class ProviderGateway:
             raw = self._call_with_retry(lambda: self.embedding_provider.embed_many(batch_texts), "embed")
             if len(raw) != len(batch):
                 raise ProviderError(f"embedding provider returned {len(raw)} vectors for {len(batch)} texts")
-            fetched = [self._vector(provider_id, values) for values in raw]
-            for (_, key, key_text), vector in zip(batch, fetched):
-                self.cache.store(key, key_text, vector.tobytes())
+            vectors = self._vectors(provider_id, raw)
+            del raw  # the provider's copy goes before the entries are made: less memory per batch
+            for (_, key, key_text), vector in zip(batch, vectors):
+                self.cache.store(key, key_text, vector)
             in_flight.difference_update(batch_texts)  # the cache holds them now
 
         for outcome in self._send(iter(lambda: list(islice(misses, EMBED_BATCH)), []), send):

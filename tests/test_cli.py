@@ -497,6 +497,30 @@ class TestReport:
         assert "Traceback" not in err
         assert list(out_dir.glob("report.*")) == []
 
+    @pytest.mark.parametrize(
+        "name, percent",
+        [
+            ("detector_gpt-3.5-turbo.json", lambda dump: dump["studies"][0]["percentage"]),
+            ("sweep.json", lambda dump: dump["rows"][0]["per_study"]["s1"]),
+        ],
+        ids=["detector-study", "sweep-row"],
+    )
+    def test_a_percentage_whose_rendering_is_not_its_value_writes_no_report(
+        self, capsys, corpus_path, tmp_path, name, percent
+    ):
+        for command in ("gen-signatures", "score", "detect-llm"):
+            run_cli(capsys, *base_args(corpus_path, tmp_path, command))
+        path = tmp_path / "out" / name
+        dump = json.loads(path.read_text(encoding="utf-8"))
+        pct = percent(dump)
+        assert pct["num"] < pct["den"] and pct["rendered"] != "100.00"
+        pct["num"] = pct["den"]  # n/n is 100.00: the detector case is study s1 at 3/3 under "33.33"
+        path.write_text(json.dumps(dump), encoding="utf-8")
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "report"))
+        assert code == 2
+        assert f"data error: corrupted dump file: {path}: {pct} does not render as '{pct['rendered']}'" in err
+        assert list((tmp_path / "out").glob("report.*")) == []
+
     def test_a_cases_dump_whose_strategy_is_not_a_string_writes_no_report(
         self, capsys, corpus_path, tmp_path
     ):

@@ -32,6 +32,7 @@ from surveyguard.gateway import (
     EMBED_BATCH,
     MAX_IN_FLIGHT,
     PACK_ENTRIES,
+    START_IN_FLIGHT,
     ChatRequest,
     DiskCache,
     ProviderGateway,
@@ -675,6 +676,113 @@ class TestRetries:
         assert gateway.cache.entry_count() == 0
 
 
+def can_hold(window, slots: int) -> bool:
+    """Whether window lets slots calls be in flight at once (tried in a thread that waits 2 s)."""
+    held = threading.Event()
+
+    def hold():
+        for _ in range(slots):
+            window.take()
+        held.set()
+
+    threading.Thread(target=hold, daemon=True).start()
+    return held.wait(2.0)
+
+
+class TestWindow:
+    def test_each_success_grows_it_by_one_over_its_size(self):
+        window = gateway_module._Window()
+        expected = float(START_IN_FLIGHT)
+        for _ in range(8):
+            window.give(window.take(), True)
+            expected += 1 / expected
+            assert window.size == expected
+        assert int(window.size) == START_IN_FLIGHT + 1 and can_hold(window, START_IN_FLIGHT + 1)
+
+    def test_it_grows_to_max_in_flight_and_no_further(self):
+        window = gateway_module._Window()
+        for _ in range(MAX_IN_FLIGHT**2):
+            window.give(window.take(), True)
+        assert window.size == MAX_IN_FLIGHT and can_hold(window, MAX_IN_FLIGHT)
+
+    def test_a_transient_error_halves_the_size_its_call_was_sent_under(self):
+        window = gateway_module._Window()
+        sent = window.take()
+        for _ in range(4):  # others succeed while that call is in flight
+            window.give(window.take(), True)
+        assert window.size > START_IN_FLIGHT + 0.5
+        window.give(sent, False)
+        assert window.size == START_IN_FLIGHT / 2
+
+    def test_a_burst_of_transient_errors_halves_it_once(self):
+        window = gateway_module._Window()
+        burst = [window.take() for _ in range(START_IN_FLIGHT)]
+        for sent in burst:
+            window.give(sent, False)
+        assert window.size == START_IN_FLIGHT / 2 and can_hold(window, 2)
+
+    def test_it_never_shrinks_below_one(self):
+        window = gateway_module._Window()
+        sizes = []
+        for _ in range(5):
+            window.give(window.take(), False)
+            sizes.append(window.size)
+        assert sizes == [2.5, 1.25, 1.0, 1.0, 1.0] and can_hold(window, 1)
+
+    def test_a_call_that_raised_anything_else_leaves_it_as_it_is(self):
+        window = gateway_module._Window()
+        for _ in range(3 * START_IN_FLIGHT):
+            window.give(window.take(), None)
+        assert window.size == START_IN_FLIGHT and can_hold(window, START_IN_FLIGHT)
+
+    @pytest.mark.parametrize("text", ["bad", "boom"], ids=["400", "bug"])
+    def test_a_gateway_call_that_fails_for_good_leaves_its_window_as_it_is(self, tmp_path, text):
+        gateway = make_gateway(tmp_path, chat=EchoChatProvider())
+        gateway.chat(chat_request(text="fine"))
+        size = gateway._window.size
+        for _ in range(3 * START_IN_FLIGHT):
+            with pytest.raises((ProviderError, RuntimeError)):
+                gateway.chat(chat_request(text=text))
+        assert size == START_IN_FLIGHT + 1 / START_IN_FLIGHT == gateway._window.size
+        assert can_hold(gateway._window, START_IN_FLIGHT)
+
+
+class ThreeAtOnceChatProvider:
+    """Answers 429 to a call that would make more than three calls overlap; the others echo."""
+
+    provider_id = "three-at-once"
+
+    def __init__(self):
+        self.in_flight = self.peak = self.refused = 0
+        self.answered: list[str] = []
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            if self.in_flight == 3:
+                self.refused += 1
+                raise TransientProviderError("rate limited", status=429)
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        time.sleep(0.005)
+        with self._lock:
+            self.in_flight -= 1
+            self.answered.append(request.messages[-1][1])
+        return f"re: {request.messages[-1][1]}"
+
+
+class TestRateLimitedProvider:
+    def test_the_window_settles_under_the_providers_limit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gateway_module, "RETRIES", 100)
+        provider = ThreeAtOnceChatProvider()
+        gateway = make_gateway(tmp_path, chat=provider)
+        texts = [f"q{i}" for i in range(150)]
+        assert gateway.chat_many([chat_request(text=text) for text in texts]) == [f"re: {t}" for t in texts]
+        assert sorted(provider.answered) == sorted(texts) and provider.peak == 3
+        calls = gateway.stats.provider_calls
+        assert calls == len(texts) + provider.refused and provider.refused < calls / 4
+
+
 class TestDiskCache:
     def test_store_is_at_most_once_per_key(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
@@ -917,6 +1025,16 @@ class TestVectorEntries:
         with pytest.raises(ConfigError, match="dimension drift for provider fixed: 4 then 3"):
             gateway.embed_many(["b"])
 
+    @pytest.mark.parametrize("texts", [["first", "second"], ["second", "first"]])
+    def test_a_cached_vector_sets_the_dimension_a_fetch_in_the_same_pass_must_have(self, tmp_path, texts):
+        make_gateway(tmp_path, embed=FixedEmbeddingProvider([0.5] * 4)).store_embeddings(["first"])
+        gateway = make_gateway(tmp_path, embed=FixedEmbeddingProvider([0.5] * 3))
+        with pytest.raises(ConfigError, match="dimension drift for provider fixed: 4 then 3"):
+            gateway.embed_many(texts)
+        assert gateway.cache.entry_count() == 1  # the drifted vector is not stored
+        warm = make_gateway(tmp_path, embed=FixedEmbeddingProvider([0.5] * 4))
+        assert [len(vector) for vector in warm.embed_many(texts)] == [4, 4]
+
 
 class EchoChatProvider:
     """Replies with the prompt text; "bad" fails for good and "boom" is a bug."""
@@ -929,6 +1047,7 @@ class EchoChatProvider:
         self.threads: list[int] = []
         self.in_flight = 0
         self.peak = 0
+        self.starts: list[int] = []  # the calls in flight as each call starts, itself included
         self._lock = threading.Lock()
 
     def complete(self, request):
@@ -938,6 +1057,7 @@ class EchoChatProvider:
             self.threads.append(threading.get_ident())
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
+            self.starts.append(self.in_flight)
         try:
             time.sleep(self.delay(text))
             if text == "bad":
@@ -1001,9 +1121,13 @@ class TestChatMany:
     def test_at_most_max_in_flight_calls_overlap(self, tmp_path):
         provider = EchoChatProvider(delay=lambda text: 0.02)
         gateway = make_gateway(tmp_path, chat=provider)
-        results = gateway.chat_many([chat_request(text=f"q{i}") for i in range(40)])
-        assert len(provider.calls) == len(results) == 40
-        assert provider.peak == MAX_IN_FLIGHT
+        results = gateway.chat_many([chat_request(text=f"q{i}") for i in range(120)])
+        assert results == [f"re: q{i}" for i in range(120)] and len(provider.calls) == 120
+        assert provider.starts[:START_IN_FLIGHT] == list(range(1, START_IN_FLIGHT + 1))  # the first overlap
+        assert provider.starts[START_IN_FLIGHT] <= START_IN_FLIGHT  # and the next waits for one to end
+        assert START_IN_FLIGHT < provider.peak <= MAX_IN_FLIGHT  # it grows as calls succeed
+        # a worker thread starts only as the window opens a slot for it
+        assert START_IN_FLIGHT <= len(set(provider.threads)) <= int(gateway._window.size) < MAX_IN_FLIGHT
 
     def test_each_distinct_request_is_taken_once_under_fast_thread_switching(self, tmp_path):
         provider = EchoChatProvider()
@@ -1125,8 +1249,9 @@ class TestUnreadableCacheEntries:
         path = rewrite_cache(cache, {digest: bad(key_text)}, _later(digest, layout))[digest]
         message = the_data_error_of_each(EMBED_READS, lambda: make_gateway(tmp_path, embed=provider))
         assert message.startswith(f"corrupted cache entry: {path} entry {digest}: ")
-        # embed_many stores the miss "other" before it reads "text" back, as score does
-        assert provider.requests == [["other"]]
+        # a new gateway reads the first cached text of a store pass to learn the provider's
+        # dimension, so the bad entry is named before the miss "other" is sent
+        assert provider.requests == []
 
     @pytest.mark.parametrize("layout", ["packed", "second-pack"])
     @pytest.mark.parametrize("damage", VECTOR_DAMAGE.values(), ids=VECTOR_DAMAGE.keys())
@@ -1206,7 +1331,8 @@ class TestPackReads:
         real = ProviderGateway.stored_embeddings
         monkeypatch.setattr(ProviderGateway, "stored_embeddings", lambda g, t: reads.append(t) or real(g, t))
         vectors = warm.embed_many(texts)
-        assert reads == [texts] and embed.requests[-1] == [texts[-1]]  # the miss is stored, then read
+        # the store pass reads the first cached text to learn the dimension; the miss is stored, then read
+        assert reads == [texts[:1], texts] and embed.requests[-1] == [texts[-1]]
         assert [v.tobytes() for v in vectors] == [v.tobytes() for v in real(warm, texts)]
         assert not any(v.flags.writeable for v in vectors)
 
