@@ -9,6 +9,7 @@ error, 2 data error, 3 provider error.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import math
 import os
@@ -246,50 +247,34 @@ def _load_dataset(cfg: RunConfig) -> SurveyDataset:
     return load_dataset(cfg.dataset)
 
 
-def _holder_is_gone(lock: Path) -> bool:
-    """True iff the lock holds the PID of a process that no longer exists."""
-    try:
-        pid = int(lock.read_text(encoding="utf-8"))
-        if pid > 0:  # 0 and negative numbers would signal process groups
-            os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):  # unreadable, not a PID, or not ours to signal
-        pass
-    return False
-
-
 @contextmanager
 def _exclusive_output(out_dir: Path):
-    """One run owns its output directory.
-
-    The lock file holds the owner's PID. A lock left by a process that has
-    exited is taken over; any other lock must be removed by hand.
-    """
+    """One run owns its output directory: it holds an flock on out_dir/.lock, which the kernel
+    releases when the run ends, however it ends. A .lock that no process holds is taken."""
+    lock = out_dir / ".lock"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file at the path or above it, or no permission
+        while True:
+            fd = os.open(lock, os.O_CREAT | os.O_RDWR)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if os.path.samestat(os.fstat(fd), os.stat(lock)):
+                    break
+            except FileNotFoundError:  # the run before unlinked it after our open
+                pass
+            except OSError:
+                os.close(fd)
+                raise
+            os.close(fd)  # an unlinked inode: lock the file now at the path
+    except BlockingIOError:
+        raise ConfigError(f"output directory {out_dir} is locked ({lock})") from None
+    except OSError as exc:  # a file at the path or above it, no permission, or no descriptor free
         raise ConfigError(f"cannot use output directory {out_dir}: {exc.strerror}") from None
-    lock = out_dir / ".lock"
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        fd = os.open(lock, flags)
-    except FileExistsError:
-        if not _holder_is_gone(lock):
-            raise ConfigError(f"output directory {out_dir} is locked (stale {lock}?)") from None
-        # Two runs taking over the same stale lock at once can both get past
-        # here; the window is between reading the PID and this unlink.
-        lock.unlink(missing_ok=True)
-        try:
-            fd = os.open(lock, flags)
-        except FileExistsError:  # another run reclaimed it first
-            raise ConfigError(f"output directory {out_dir} is locked ({lock})") from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
         yield
     finally:
-        lock.unlink(missing_ok=True)
+        lock.unlink(missing_ok=True)  # before the close, so no other run holds the file it unlinks
+        os.close(fd)
 
 
 def _print_gateway_stats(gateway: ProviderGateway) -> None:
@@ -397,10 +382,9 @@ def _score_strategy(
     records = cfg.scores_mode == "full"
     rows = []
     signature_texts: dict[str, str] = {}
-    plan = []  # per question: its signatures, by id, its answered responses, and the texts to embed
+    plan = []  # per question: its signatures, its answered responses, and the texts to embed
     for question in questions:
         store = load_signature_set(store_dir, kind, question.question_id)
-        store["signatures"].sort(key=lambda s: s["signature_id"])
         signatures = [(s["signature_id"], s["text"]) for s in store["signatures"]]
         answered = [r for r in dataset.responses_for_question(question.question_id) if r.text.strip()]
         plan.append((signatures, answered, [text for _, text in signatures] + [r.text for r in answered]))
@@ -577,30 +561,29 @@ def cmd_report(cfg: RunConfig) -> int:
     if not detector_paths and not sweep_path.exists():
         raise DataError(f"no dumps found in {out_dir}; run score or detect-llm first")
 
-    llm_sections = [
-        _read_dump(p, ("model_id", "studies"), lambda d: {"llm_detection": [d]}) for p in detector_paths
-    ]
-    signature_section = None
-    if sweep_path.exists():
-        sweep = _read_dump(
-            sweep_path, ("rows", "study_order", "cohorts"), lambda d: {"signature_detection": {"sweep": d}}
-        )
-        signature_section = {"sweep": sweep}
-        cases, keys = {}, ("strategy", "high", "low")
-        for path in case_paths:
-            dump = _read_dump(path, keys, lambda d: {"signature_detection": {"cases": {"": d}}})
-            if not isinstance(dump["strategy"], str):
-                raise DataError(f"corrupted dump file: {path}: strategy must be a string")
-            cases[dump["strategy"]] = dump
-        if cases:
-            signature_section["cases"] = cases
-
-    report = {"provenance": _build_provenance(cfg)}
-    if llm_sections:
-        report["llm_detection"] = llm_sections
-    if signature_section:
-        report["signature_detection"] = signature_section
     with _exclusive_output(out_dir):
+        llm_sections = [
+            _read_dump(p, ("model_id", "studies"), lambda d: {"llm_detection": [d]}) for p in detector_paths
+        ]
+        signature_section = None
+        if sweep_path.exists():
+            keys = ("rows", "study_order", "cohorts")
+            sweep = _read_dump(sweep_path, keys, lambda d: {"signature_detection": {"sweep": d}})
+            signature_section = {"sweep": sweep}
+            cases, keys = {}, ("strategy", "high", "low")
+            for path in case_paths:
+                dump = _read_dump(path, keys, lambda d: {"signature_detection": {"cases": {"": d}}})
+                if not isinstance(dump["strategy"], str):
+                    raise DataError(f"corrupted dump file: {path}: strategy must be a string")
+                cases[dump["strategy"]] = dump
+            if cases:
+                signature_section["cases"] = cases
+
+        report = {"provenance": _build_provenance(cfg)}
+        if llm_sections:
+            report["llm_detection"] = llm_sections
+        if signature_section:
+            report["signature_detection"] = signature_section
         write_report(report, out_dir / "report.json")
         write_report(report, out_dir / "report.md")
         write_report(report, out_dir / "report.csv")

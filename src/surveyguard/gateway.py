@@ -429,8 +429,10 @@ class ProviderGateway:
             fresh = {item: build_cache_key(item, provider_id) for item in new}
             found = dict(self.cache.read([key for key, _ in fresh.values()])) if hits is not None else {}
             for i, (item, (key, key_text)) in enumerate(fresh.items()):
-                held = key in self.cache or None
-                value = held if hits is None else self.cache.load(key, key_text, found.get(i))
+                if hits is None:  # a store pass only asks whether the cache holds the key
+                    value = key in self.cache or None
+                else:
+                    value = self.cache.load(key, key_text, found.get(i))
                 if value is None:
                     missed += 1
                     sent.add(item)

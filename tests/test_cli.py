@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import csv
 import errno
+import fcntl
 import json
 import math
 import os
@@ -29,6 +31,13 @@ def run_cli(capsys, *args) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for a child Python."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 def base_args(corpus_path, tmp_path, command, *extra):
     return [
         command,
@@ -49,13 +58,10 @@ class TestValidate:
         assert "s1 [pre_2022]" in out
 
     def test_python_dash_m_runs_the_cli(self, corpus_path):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         for module in ("surveyguard", "surveyguard.cli"):
             result = subprocess.run(
                 [sys.executable, "-m", module, "validate", "--dataset", str(corpus_path)],
-                capture_output=True, text=True, env=env, timeout=60,
+                capture_output=True, text=True, env=_src_env(), timeout=60,
             )
             assert result.returncode == 0, result.stderr
             assert "dataset OK" in result.stdout
@@ -90,6 +96,18 @@ class TestGenSignatures:
             assert len(store["signatures"]) == 20
         assert not (tmp_path / "out" / "signatures" / "basic" / "q3.json").exists()
         assert "provider calls: " in out
+
+    def test_a_dataset_with_no_open_ended_question_is_a_data_error(self, capsys, tmp_path):
+        dataset = write_bundle(
+            tmp_path / "bundle",
+            studies=[["s1", "Study", "2021-06", "d", "p"]],
+            questions=[["q1", "s1", "other", "How old are you?"]],
+            responses=[["r1", "q1", "30", ""]],
+        )
+        code, _, err = run_cli(capsys, *base_args(dataset, tmp_path, "gen-signatures"))
+        assert code == 2
+        assert err == "data error: dataset has no open-ended questions\n"
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_with_warm_cache_is_identical_with_zero_calls(self, capsys, corpus_path, tmp_path):
         args = base_args(corpus_path, tmp_path, "gen-signatures")
@@ -521,6 +539,27 @@ class TestReport:
         assert f"data error: corrupted dump file: {path}: {pct} does not render as '{pct['rendered']}'" in err
         assert list((tmp_path / "out").glob("report.*")) == []
 
+    def test_a_held_lock_stops_report_before_it_reads_a_dump(
+        self, capsys, corpus_path, tmp_path, monkeypatch
+    ):
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "detect-llm"))[0] == 0
+        reads = []
+        monkeypatch.setattr(cli, "_read_dump", lambda path, *_: reads.append(path))
+        with open(tmp_path / "out" / ".lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "report"))
+        assert code == 1
+        assert f"config error: output directory {tmp_path / 'out'} is locked" in err
+        assert reads == []
+
+    def test_report_md_lists_the_irrelevant_cases(self, capsys, corpus_path, tmp_path):
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))[0] == 0
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "score", "--low-threshold", "0.2"))[0] == 0
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "report"))[0] == 0
+        markdown = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
+        low = "Flagged irrelevant (score at or below the low threshold):\n\n- r07 score 0.1832\n"
+        assert markdown.endswith(low)
+
     def test_a_cases_dump_whose_strategy_is_not_a_string_writes_no_report(
         self, capsys, corpus_path, tmp_path
     ):
@@ -599,6 +638,11 @@ class TestConfigHandling:
         assert code == 1
         assert "usage error" in err
 
+    def test_a_threshold_that_is_not_a_number_is_a_usage_error(self, capsys, corpus_path, tmp_path):
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "score", "--thresholds", "0.7,x"))
+        assert code == 1
+        assert "usage error: argument --thresholds: not a comma-separated float list: '0.7,x'" in err
+
     def test_an_unknown_gen_signatures_strategy_is_config_error(self, capsys, corpus_path, tmp_path):
         code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures", "--strategy", "bogus"))
         assert code == 1
@@ -607,10 +651,14 @@ class TestConfigHandling:
     def test_locked_output_dir_is_config_error(self, capsys, corpus_path, tmp_path):
         out_dir = tmp_path / "out"
         out_dir.mkdir(parents=True)
-        (out_dir / ".lock").write_text(f"{os.getpid()}\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))
-        assert code == 1
-        assert "locked" in err
+        with open(out_dir / ".lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))
+            assert code == 1
+            assert f"config error: output directory {out_dir} is locked ({out_dir / '.lock'})" in err
+        # released, the file it leaves is taken, and the run leaves none
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))[0] == 0
+        assert not (out_dir / ".lock").exists()
 
 
 class TestPathsOfTheWrongKind:
@@ -701,13 +749,18 @@ class TestBadValuesRejectedBeforeAnyCall:
             (["--thresholds", "0.8,0.8"], {}, "thresholds must not repeat a value"),
             ([], {"temperatures": [0.5, 0.5000001]}, "temperatures must stay distinct at 6 significant"),
             (["--thresholds", "0.7,0.70000001"], {}, "thresholds must stay distinct at 6 significant"),
+            ([], [1, 2], "run.json must contain a JSON object"),
+            ([], {"models": []}, "models must be non-empty"),
+            ([], {"scores_mode": "bogus"}, 'scores_mode must be "summary" or "full", got "bogus"'),
+            ([], {"sentiments": ["angry"]}, 'unknown sentiment "angry"'),
         ],
         ids=[
             "bin-width", "k-high", "removed-dataset-format", "removed-chat-provider",
             "removed-embedding-provider", "threshold-domain", "temperature", "detector-temperature",
             "empty-model", "repeated-model", "repeated-temperature", "repeated-sentiment",
             "repeated-threshold", "repeated-threshold-flag", "temperatures-render-alike",
-            "thresholds-render-alike",
+            "thresholds-render-alike", "config-not-an-object", "no-models", "scores-mode",
+            "unknown-sentiment",
         ],
     )
     def test_score_exits_1_with_an_empty_cache(self, capsys, corpus_path, tmp_path, flags, config, message):
@@ -936,14 +989,39 @@ class TestConfigValueTypes:
         assert (cfg.low_threshold, cfg.thresholds, cfg.chat_base_url) == (0, (0, 0.5, 1), None)
 
 
+# A child that takes the output lock, says so and waits to be killed: through a run's own
+# _exclusive_output, or through a bare flock, as an earlier version or another tool might.
+HOLDERS = {
+    "a-run": "with cli._exclusive_output(Path(sys.argv[1])):",
+    "a-bare-flock": (
+        "with open(Path(sys.argv[1]) / '.lock', 'w') as held:\n    fcntl.flock(held, fcntl.LOCK_EX)"
+    ),
+}
+
+
 class TestStaleOutputLock:
-    def test_lock_of_an_exited_process_is_taken_over(self, tmp_path):
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()  # reaped: its PID names no process
+    @pytest.mark.parametrize("holder", HOLDERS.values(), ids=HOLDERS.keys())
+    def test_lock_of_an_exited_process_is_taken_over(self, tmp_path, holder):
+        script = (
+            "import fcntl, sys, time\nfrom pathlib import Path\nfrom surveyguard import cli\n"
+            f"{holder}\n    print('held', flush=True)\n    time.sleep(60)\n"
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path)], stdout=subprocess.PIPE, text=True, env=_src_env()
+        )
+        try:
+            assert child.stdout.readline() == "held\n"
+            with pytest.raises(cli.ConfigError, match="locked"):
+                with cli._exclusive_output(tmp_path):
+                    pass
+        finally:
+            child.kill()  # SIGKILL: the child unlinks nothing
+            child.wait()
+            child.stdout.close()
         lock = tmp_path / ".lock"
-        lock.write_text(f"{child.pid}\n", encoding="utf-8")
+        assert lock.exists()
         with cli._exclusive_output(tmp_path):
-            assert lock.read_text(encoding="utf-8") == f"{os.getpid()}\n"
+            assert lock.exists()
         assert not lock.exists()
 
     @pytest.mark.parametrize(
@@ -951,13 +1029,88 @@ class TestStaleOutputLock:
         [f"{os.getpid()}\n", "not a pid\n", "", "0\n", "-99999\n", "99999999999999999999\n"],
         ids=["live", "garbage", "empty", "zero", "negative", "overflow"],
     )
-    def test_other_locks_still_block(self, tmp_path, content):
+    def test_a_lock_file_nobody_holds_is_taken(self, tmp_path, content):
         lock = tmp_path / ".lock"
         lock.write_text(content, encoding="utf-8")
-        with pytest.raises(cli.ConfigError, match="locked"):
-            with cli._exclusive_output(tmp_path):
-                pass
-        assert lock.read_text(encoding="utf-8") == content
+        with cli._exclusive_output(tmp_path):
+            assert lock.exists()
+        assert not lock.exists()
+
+    @pytest.mark.parametrize("relocked", [True, False], ids=["relocked", "removed"])
+    def test_a_run_that_locks_an_unlinked_lock_file_tries_again(self, tmp_path, monkeypatch, relocked):
+        # Between this run's open and its flock, the run before unlinks .lock and closes it;
+        # then a third run may lock a new .lock.
+        lock, flock, calls = tmp_path / ".lock", fcntl.flock, []
+        lock.touch()
+        with contextlib.ExitStack() as third:
+
+            def interleaved(fd, operation):
+                calls.append(fd)
+                if len(calls) == 1:
+                    lock.unlink()
+                    if relocked:
+                        flock(third.enter_context(open(lock, "w")), fcntl.LOCK_EX)
+                return flock(fd, operation)
+
+            monkeypatch.setattr(fcntl, "flock", interleaved)
+            if relocked:
+                with pytest.raises(cli.ConfigError, match="locked"):
+                    with cli._exclusive_output(tmp_path):
+                        pass
+            else:
+                with cli._exclusive_output(tmp_path):
+                    assert lock.exists()
+                assert not lock.exists()
+        assert len(calls) == 2
+
+    def test_threads_enter_one_at_a_time_and_leave_no_descriptor(self, tmp_path):
+        (tmp_path / ".lock").write_text("left by a killed run\n", encoding="utf-8")
+        guard = threading.Lock()
+        inside = peak = entries = 0
+        refusals: list[str] = []
+        before = len(os.listdir("/proc/self/fd"))
+
+        def enter_100_times():
+            nonlocal inside, peak, entries
+            for _ in range(100):
+                try:
+                    with cli._exclusive_output(tmp_path):
+                        with guard:
+                            inside, entries = inside + 1, entries + 1
+                            peak = max(peak, inside)
+                        time.sleep(0)
+                        with guard:
+                            inside -= 1
+                except cli.ConfigError as exc:
+                    refusals.append(str(exc))
+
+        threads = [threading.Thread(target=enter_100_times) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert entries > 0 and peak == 1
+        assert all(f"output directory {tmp_path} is locked" in refusal for refusal in refusals)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert not (tmp_path / ".lock").exists()
+
+    def test_no_free_descriptor_is_a_config_error_naming_the_output_dir(self, corpus_path, tmp_path):
+        # The soft limit drops to the lowest free descriptor just before the lock is taken.
+        script = (
+            "import os, resource, sys\nfrom surveyguard import cli\ntake = cli._exclusive_output\n"
+            "def starved(out_dir):\n    free = os.dup(0)\n    os.close(free)\n"
+            "    hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+            "    resource.setrlimit(resource.RLIMIT_NOFILE, (free, hard))\n"
+            "    return take(out_dir)\n"
+            "cli._exclusive_output = starved\nsys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        args = [str(a) for a in base_args(corpus_path, tmp_path, "gen-signatures")]
+        result = subprocess.run(
+            [sys.executable, "-c", script, *args], capture_output=True, text=True, env=_src_env(), timeout=60
+        )
+        assert result.returncode == 1
+        message = f"config error: cannot use output directory {tmp_path / 'out'}: Too many open files\n"
+        assert result.stderr == message
 
 
 class TestDetectRepeatedAnswers:

@@ -38,6 +38,17 @@ def test_only_the_gateway_runs_threads():
     assert importers == {"gateway.py"}
 
 
+def test_only_the_cli_locks_files_and_no_module_signals_a_process():
+    importers = {path.name for path in sorted(PACKAGE.glob("*.py")) if "fcntl" in _imported_modules(path)}
+    assert importers == {"cli.py"}
+    signallers = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if _calls(path, lambda call: ast.unparse(call.func) == "os.kill")
+    }
+    assert signallers == set()
+
+
 def _calls(path: Path, matches) -> list[tuple[str, ast.Call]]:
     """Each call for which matches(call) holds, with its enclosing top-level function or class."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
