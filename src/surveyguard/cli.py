@@ -83,10 +83,6 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_PROVIDER = 3
 
-DEFAULT_MODELS = ("gpt-3.5-turbo", "gpt-4", "gpt-4o", "gpt-4o-mini")
-DEFAULT_TEMPERATURES = (0.0, 0.25, 0.5, 0.75, 1.0)
-DEFAULT_THRESHOLDS = (0.7, 0.75, 0.8, 0.85, 0.9)
-
 
 @dataclass
 class RunConfig:
@@ -98,11 +94,11 @@ class RunConfig:
     mock: bool = False
     seed: int = 0
     mock_embedding_dim: int = 16
-    models: tuple[str, ...] = DEFAULT_MODELS
-    temperatures: tuple[float, ...] = DEFAULT_TEMPERATURES
+    models: tuple[str, ...] = ("gpt-3.5-turbo", "gpt-4", "gpt-4o", "gpt-4o-mini")
+    temperatures: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     sentiments: tuple[str, ...] = tuple(s.value for s in DEFAULT_SENTIMENTS)
     strategies: tuple[str, ...] = ("basic",)
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
+    thresholds: tuple[float, ...] = (0.7, 0.75, 0.8, 0.85, 0.9)
     low_threshold: float = 0.0
     k_high: int = 5
     bin_width: float = 0.05
@@ -135,14 +131,15 @@ def _has_type(value: object, hint: object) -> bool:
     return isinstance(value, hint)
 
 
-def _check_types(layer: Mapping[str, object]) -> None:
+def _check_types(layer: Mapping[str, object], where: str = "") -> None:
     for key, value in layer.items():
         if not _has_type(value, _FIELD_TYPES[key]):
             expected = RunConfig.__annotations__[key]  # the annotation's source text
-            raise ConfigError(f'config key "{key}" must be {expected}, got {value!r}')
+            raise ConfigError(f'config key "{key}" must be {expected}, got {value!r}{where}')
 
 
 def load_config_file(path: Path | str) -> dict:
+    """The config file's keys, each a RunConfig field of its field's type, or a ConfigError naming it."""
     p = Path(path)
     try:
         with open(p, encoding="utf-8") as fh:
@@ -153,21 +150,20 @@ def load_config_file(path: Path | str) -> dict:
         raise ConfigError(f"config file {p} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {p} must contain a JSON object")
+    where = f" (in config file {p})"
     unknown = sorted(set(raw) - _CONFIG_KEYS)
     if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}{where}")
+    _check_types(raw, where)
     return raw
 
 
 def resolve_config(config_path: str | None, overrides: Mapping[str, object]) -> RunConfig:
     """Defaults, then config file, then flags; flags win. Both layers are type-checked."""
-    merged: dict = {}
-    for layer in (
-        load_config_file(config_path) if config_path else {},
-        {k: v for k, v in overrides.items() if v is not None},
-    ):
-        _check_types(layer)
-        merged.update(layer)
+    merged = load_config_file(config_path) if config_path else {}
+    flags = {k: v for k, v in overrides.items() if v is not None}
+    _check_types(flags)
+    merged.update(flags)
     for key in _TUPLE_KEYS & set(merged):
         merged[key] = tuple(merged[key])
     cfg = replace(RunConfig(), **merged)
@@ -291,6 +287,7 @@ def _strategy_kinds(cfg: RunConfig) -> list[StrategyKind]:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
+    """Load and lint a dataset."""
     dataset = _load_dataset(cfg)
     print(
         f"studies: {len(dataset.studies)}, questions: {len(dataset.questions)}, "
@@ -313,6 +310,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_gen_signatures(cfg: RunConfig) -> int:
+    """Materialize reference signatures per question."""
     dataset = _load_dataset(cfg)
     gateway = build_gateway(cfg)
     out_dir = Path(cfg.output_dir)
@@ -413,6 +411,7 @@ def _score_strategy(
 
 
 def cmd_score(cfg: RunConfig) -> int:
+    """Embed, score, sweep thresholds, export artifacts."""
     dataset = _load_dataset(cfg)
     gateway = build_gateway(cfg)
     out_dir = Path(cfg.output_dir)
@@ -474,6 +473,7 @@ def cmd_score(cfg: RunConfig) -> int:
 
 
 def cmd_detect_llm(cfg: RunConfig) -> int:
+    """Zero-shot LLM classification of responses."""
     if cfg.detector_model not in cfg.models:
         raise ConfigError(
             f'detector model "{cfg.detector_model}" is not in the configured model set'
@@ -554,6 +554,7 @@ def _build_provenance(cfg: RunConfig) -> dict:
 
 
 def cmd_report(cfg: RunConfig) -> int:
+    """Merge dumps into a combined report."""
     out_dir = Path(cfg.output_dir)
     detector_paths = sorted(out_dir.glob("detector_*.json"))
     sweep_path = out_dir / "sweep.json"
@@ -620,69 +621,45 @@ def _csv_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--dataset", help="dataset path (CSV bundle dir or JSON file)")
-    common.add_argument("--cache-dir", dest="cache_dir", help="provider cache directory")
-    common.add_argument("--output-dir", dest="output_dir", help="output directory")
-    common.add_argument(
-        "--mock",
-        action="store_const",
-        const=True,
-        default=None,
-        help="use deterministic offline mock providers",
-    )
-    common.add_argument("--seed", type=int, help="seed for the mock providers")
+# Each flag: the RunConfig field it sets, its help, and the commands that take it (none: every
+# command). The field's type gives the flag its parser; a bool field makes it a switch to the
+# field's non-default value.
+_FLAGS = {
+    "--dataset": ("dataset", "dataset path (CSV bundle dir or JSON file)", ()),
+    "--cache-dir": ("cache_dir", "provider cache directory", ()),
+    "--output-dir": ("output_dir", "output directory", ()),
+    "--mock": ("mock", "use deterministic offline mock providers", ()),
+    "--seed": ("seed", "seed for the mock providers", ()),
+    "--strategy": ("strategies", "comma-separated strategies", ("gen-signatures", "score")),
+    "--models": ("models", "comma-separated model ids", ("gen-signatures",)),
+    "--temps": ("temperatures", "comma-separated temperatures", ("gen-signatures",)),
+    "--sentiments": ("sentiments", "comma-separated sentiments", ("gen-signatures",)),
+    "--thresholds": ("thresholds", "comma-separated thresholds", ("score",)),
+    "--low-threshold": ("low_threshold", "irrelevance cutoff", ("score",)),
+    "--k-high": ("k_high", "top-k cases to extract", ("score",)),
+    "--bin-width": ("bin_width", "histogram bin width", ("score",)),
+    "--scores": ("scores_mode", "summary, or full to keep per-signature scores", ("score",)),
+    "--exclude-empty": ("exclude_empty", "drop empty responses from percentage denominators", ("score",)),
+    "--model": ("detector_model", "detector model id", ("detect-llm",)),
+    "--temperature": ("detector_temperature", "detector temperature", ("detect-llm",)),
+    "--strict": ("tolerate_parse_failures", "abort on unparseable detector output", ("detect-llm",)),
+}
+_PARSERS = {int: int, float: float, tuple[str, ...]: _csv_list, tuple[float, ...]: _csv_floats}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="surveyguard", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("validate", parents=[common], help="load and lint a dataset")
-
-    gen = sub.add_parser(
-        "gen-signatures", parents=[common], help="materialize reference signatures per question"
-    )
-    gen.add_argument("--strategy", type=_csv_list, dest="strategies", help="strategies to generate")
-    gen.add_argument("--models", type=_csv_list, help="comma-separated model ids")
-    gen.add_argument("--temps", type=_csv_floats, dest="temperatures", help="comma-separated temperatures")
-    gen.add_argument("--sentiments", type=_csv_list, help="comma-separated sentiments")
-
-    score = sub.add_parser(
-        "score", parents=[common], help="embed, score, sweep thresholds, export artifacts"
-    )
-    score.add_argument("--strategy", type=_csv_list, dest="strategies", help="strategies to score")
-    score.add_argument("--thresholds", type=_csv_floats, help="comma-separated thresholds")
-    score.add_argument("--low-threshold", dest="low_threshold", type=float, help="irrelevance cutoff")
-    score.add_argument("--k-high", dest="k_high", type=int, help="top-k cases to extract")
-    score.add_argument("--bin-width", dest="bin_width", type=float, help="histogram bin width")
-    score.add_argument("--scores", dest="scores_mode", choices=["summary", "full"])
-    score.add_argument(
-        "--exclude-empty",
-        dest="exclude_empty",
-        action="store_const",
-        const=True,
-        default=None,
-        help="drop empty responses from percentage denominators",
-    )
-
-    detect = sub.add_parser(
-        "detect-llm", parents=[common], help="zero-shot LLM classification of responses"
-    )
-    detect.add_argument("--model", dest="detector_model", help="detector model id")
-    detect.add_argument(
-        "--temperature", dest="detector_temperature", type=float, help="detector temperature"
-    )
-    detect.add_argument(
-        "--strict",
-        dest="tolerate_parse_failures",
-        action="store_const",
-        const=False,
-        default=None,
-        help="abort on unparseable detector output",
-    )
-
-    sub.add_parser("report", parents=[common], help="merge dumps into a combined report")
+    for command, run in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=run.__doc__)
+        command_parser.add_argument("--config", help="JSON config file")
+        for flag, (key, text, commands) in _FLAGS.items():
+            if command in commands or not commands:
+                hint = _FIELD_TYPES[key]
+                # Unset, a switch stores None like any flag, so the config file or default stands.
+                switch = {"action": "store_const", "const": not getattr(RunConfig, key)}
+                kind = switch if hint is bool else {"type": _PARSERS.get(hint)}
+                command_parser.add_argument(flag, dest=key, help=text, **kind)
     return parser
 
 

@@ -173,7 +173,7 @@ def _json_rows(name: str, payload: dict, table: str, columns: Sequence[str]) -> 
 
 
 def load_dataset(path: Path | str) -> SurveyDataset:
-    """Load and validate a dataset; derived fields (word_count, cohort) are populated.
+    """Load and validate a dataset; each study's cohort is derived from its month.
 
     A directory is read as a CSV bundle, any other path as single JSON.
     """

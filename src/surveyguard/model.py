@@ -1,8 +1,8 @@
 """Core survey domain types and the elementary statistics every other module consumes.
 
-All types are immutable values after construction; derived fields (cohort,
-word_count) are computed in the constructor so the corresponding invariants
-hold structurally.
+All types are immutable values after construction; the one derived field (a
+study's cohort) is computed in the constructor so its invariant holds
+structurally.
 """
 
 from __future__ import annotations
@@ -93,18 +93,16 @@ class SurveyQuestion:
 
 @dataclass(frozen=True)
 class SurveyResponse:
-    """One free-text answer. word_count is always recomputed from text."""
+    """One free-text answer."""
 
     response_id: str
     question_id: str
     text: str
     collected_at: str = ""
-    word_count: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.response_id:
             raise ValueError("response_id must be non-empty")
-        object.__setattr__(self, "word_count", word_count(self.text))
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,7 @@ def compute_length_stats(responses: Sequence[SurveyResponse]) -> tuple[float, fl
     denominator; n=1 yields std_dev 0.0."""
     if not responses:
         raise ValueError("empty input")
-    counts = [r.word_count for r in responses]
+    counts = [word_count(r.text) for r in responses]
     n = len(counts)
     mean = sum(counts) / n
     # fsum is exactly rounded, so the result is permutation-invariant

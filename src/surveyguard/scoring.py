@@ -44,11 +44,6 @@ def similarity_matrix(vectors: np.ndarray, ids: Sequence[str], signatures: int) 
     return m
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """The cosine of one pair, through the same core as ``score_question``."""
-    return score_response("a", a, [("b", b)])["final_score"]
-
-
 def score_question(
     signature_ids: Sequence[str],
     response_ids: Sequence[str],

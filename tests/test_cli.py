@@ -624,7 +624,7 @@ class TestConfigHandling:
         config.write_text(json.dumps({"datasets": "typo"}), encoding="utf-8")
         code, _, err = run_cli(capsys, "validate", "--config", config)
         assert code == 1
-        assert "datasets" in err
+        assert err == f"config error: unknown config key(s): datasets (in config file {config})\n"
 
     def test_unsorted_thresholds_rejected(self, capsys, corpus_path, tmp_path):
         code, _, err = run_cli(
@@ -752,6 +752,7 @@ class TestBadValuesRejectedBeforeAnyCall:
             ([], [1, 2], "run.json must contain a JSON object"),
             ([], {"models": []}, "models must be non-empty"),
             ([], {"scores_mode": "bogus"}, 'scores_mode must be "summary" or "full", got "bogus"'),
+            (["--scores", "bogus"], {}, 'scores_mode must be "summary" or "full", got "bogus"'),
             ([], {"sentiments": ["angry"]}, 'unknown sentiment "angry"'),
         ],
         ids=[
@@ -760,7 +761,7 @@ class TestBadValuesRejectedBeforeAnyCall:
             "empty-model", "repeated-model", "repeated-temperature", "repeated-sentiment",
             "repeated-threshold", "repeated-threshold-flag", "temperatures-render-alike",
             "thresholds-render-alike", "config-not-an-object", "no-models", "scores-mode",
-            "unknown-sentiment",
+            "scores-mode-flag", "unknown-sentiment",
         ],
     )
     def test_score_exits_1_with_an_empty_cache(self, capsys, corpus_path, tmp_path, flags, config, message):
@@ -825,13 +826,68 @@ FLAG_SAMPLES = {
 }
 
 
+def _command_parsers() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _config_flags():
     config_fields = {f.name for f in fields(RunConfig)}
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    for command, parser in sub.choices.items():
+    for command, parser in _command_parsers().items():
         for action in parser._actions:
             if action.option_strings and action.dest in config_fields:
                 yield pytest.param(command, action, id=f"{command} {action.option_strings[0]}")
+
+
+# Every subcommand's flags as (option, dest, parser, choices, const, default), as the hand-written
+# parser that the flag table replaced built them. The one difference: --scores no longer lists
+# argparse choices, so _validate_config alone rules on scores_mode, from a flag or the file.
+_COMMON_ACTIONS = [
+    ("--config", "config", None, None, None, None),
+    ("--dataset", "dataset", None, None, None, None),
+    ("--cache-dir", "cache_dir", None, None, None, None),
+    ("--output-dir", "output_dir", None, None, None, None),
+    ("--mock", "mock", None, None, True, None),
+    ("--seed", "seed", "int", None, None, None),
+]
+RECORDED_ACTIONS = {
+    "validate": _COMMON_ACTIONS,
+    "gen-signatures": [
+        *_COMMON_ACTIONS,
+        ("--strategy", "strategies", "_csv_list", None, None, None),
+        ("--models", "models", "_csv_list", None, None, None),
+        ("--temps", "temperatures", "_csv_floats", None, None, None),
+        ("--sentiments", "sentiments", "_csv_list", None, None, None),
+    ],
+    "score": [
+        *_COMMON_ACTIONS,
+        ("--strategy", "strategies", "_csv_list", None, None, None),
+        ("--thresholds", "thresholds", "_csv_floats", None, None, None),
+        ("--low-threshold", "low_threshold", "float", None, None, None),
+        ("--k-high", "k_high", "int", None, None, None),
+        ("--bin-width", "bin_width", "float", None, None, None),
+        ("--scores", "scores_mode", None, None, None, None),
+        ("--exclude-empty", "exclude_empty", None, None, True, None),
+    ],
+    "detect-llm": [
+        *_COMMON_ACTIONS,
+        ("--model", "detector_model", None, None, None, None),
+        ("--temperature", "detector_temperature", "float", None, None, None),
+        ("--strict", "tolerate_parse_failures", None, None, False, None),
+    ],
+    "report": _COMMON_ACTIONS,
+}
+
+
+def test_every_subcommand_takes_the_recorded_flags():
+    actions = {
+        command: [
+            (*a.option_strings, a.dest, getattr(a.type, "__name__", None), a.choices, a.const, a.default)
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for command, parser in _command_parsers().items()
+    }
+    assert actions == RECORDED_ACTIONS
 
 
 class TestFlagsReachTheConfig:
@@ -976,7 +1032,7 @@ class TestConfigValueTypes:
             capsys, *base_args(corpus_path, tmp_path, "gen-signatures", "--config", config_path)
         )
         assert code == 1
-        assert f'config error: config key "{key}"' in err
+        assert f'config error: config key "{key}"' in err and f"(in config file {config_path})" in err
         assert not (tmp_path / "cache").exists()
 
     def test_a_float_key_takes_an_int_and_an_optional_key_takes_null(self, tmp_path):
@@ -1396,3 +1452,46 @@ class TestArtifactJsonForm:
         kept = {p for p in legacy if "signatures" in p.parts or p.name.startswith("detector_")}
         expected = {p: legacy[p] if p in kept else blob for p, blob in artifacts.items()}
         assert {p: p.read_bytes() for p in artifacts} == expected
+
+
+class TestStudyIndependence:
+    """Dropping a study changes no other study's scored rows or sweep cells."""
+
+    STEPS = [
+        ["gen-signatures", "--strategy", "basic,sentiment"],
+        ["score", "--strategy", "basic,sentiment", "--thresholds", "0.3,0.5,0.7", "--scores", "full"],
+    ]
+
+    def _score(self, capsys, dataset: Path, root: Path) -> tuple[dict, list[dict]]:
+        for command, *flags in self.STEPS:
+            assert run_cli(capsys, *base_args(dataset, root, command, *flags))[0] == 0
+        out = root / "out"
+        scored = {
+            kind: json.loads((out / f"scored_{kind}.json").read_text(encoding="utf-8"))
+            for kind in ("basic", "sentiment")
+        }
+        return scored, json.loads((out / "sweep.json").read_text(encoding="utf-8"))["rows"]
+
+    @pytest.mark.parametrize("dropped", ["s1", "s2"])
+    def test_the_other_studies_score_as_before(self, capsys, corpus_path, tmp_path, dropped):
+        tables = {}
+        for name in ("studies", "questions", "responses"):
+            with open(corpus_path / f"{name}.csv", encoding="utf-8", newline="") as fh:
+                tables[name] = list(csv.reader(fh))[1:]
+        kept_questions = {q[0] for q in tables["questions"] if q[1] != dropped}
+        reduced = write_bundle(
+            tmp_path / "reduced",
+            studies=[s for s in tables["studies"] if s[0] != dropped],
+            questions=[q for q in tables["questions"] if q[0] in kept_questions],
+            responses=[r for r in tables["responses"] if r[1] in kept_questions],
+        )
+        full_scored, full_sweep = self._score(capsys, corpus_path, tmp_path / "full")
+        scored, sweep = self._score(capsys, reduced, tmp_path / "without")
+        for kind, rows in scored.items():
+            kept = [row for row in full_scored[kind] if row["study_id"] != dropped]
+            assert rows == kept and kept
+        assert any(0 < cell["num"] < cell["den"] for row in sweep for cell in row["per_study"].values())
+        assert [row["per_study"] for row in sweep] == [
+            {study: cell for study, cell in row["per_study"].items() if study != dropped}
+            for row in full_sweep
+        ]

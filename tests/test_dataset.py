@@ -13,7 +13,7 @@ from surveyguard.dataset import (
     write_report,
 )
 from surveyguard.errors import DataError
-from surveyguard.model import Cohort, QuestionKind
+from surveyguard.model import Cohort, QuestionKind, compute_length_stats
 from surveyguard.report import average_unweighted
 
 
@@ -49,7 +49,7 @@ class TestLoadBundle:
         assert len(ds.questions) == 1
         assert len(ds.responses) == 2
         assert ds.studies[0].cohort == Cohort.PRE_2022
-        assert ds.responses[0].word_count == 4
+        assert compute_length_stats(ds.responses[:1]) == (4.0, 0.0)
 
     @pytest.mark.parametrize(
         "question_study, response_question, message",

@@ -3,18 +3,22 @@
 - Single-bit flips in a warm cache: a run on the flipped cache either stops with a data error
   naming the flipped pack (exit 2), or writes the bytes of a clean run (exit 0).
 - Bit flips and truncations of the dumps ``report`` merges: ``report`` either writes a report
-  (exit 0) or stops with a data error naming the dump (exit 2)."""
+  (exit 0) or stops with a data error naming the dump (exit 2).
+- Bit flips, truncations and one-character edits of a config file: ``validate`` exits 0, 1 or
+  2, and an error in the file's JSON, its top level, its keys or its values' types names it."""
 
 import contextlib
 import io
+import json
 import random
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURE_CORPUS, entry_request, read_pack
-from surveyguard.cli import main
+from surveyguard.cli import RunConfig, main
 
 # Each warm command, and the requests of the entries it reads: their kind and purpose.
 READS = {
@@ -25,12 +29,16 @@ READS = {
 FLIPS = 5  # per command: in responses it reads, then as many anywhere in the packs holding them
 
 
-def run(root: Path, command: str) -> tuple[int, str]:
-    args = [command, "--dataset", FIXTURE_CORPUS, "--cache-dir", root / "cache", "--output-dir", root / "out"]
+def run_main(*args) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([*map(str, args), "--mock"])
+        code = main(list(map(str, args)))
     return code, err.getvalue()
+
+
+def run(root: Path, command: str) -> tuple[int, str]:
+    args = [command, "--dataset", FIXTURE_CORPUS, "--cache-dir", root / "cache", "--output-dir", root / "out"]
+    return run_main(*args, "--mock")
 
 
 def outputs(out: Path) -> dict[str, bytes]:
@@ -112,3 +120,69 @@ def test_report_on_a_damaged_dump_writes_a_report_or_a_data_error_naming_it(clea
     assert code in (0, 2), err
     if code == 2:
         assert err.startswith(f"data error: corrupted dump file: {path}: "), err
+
+
+# A config file setting keys of every JSON type, its dataset relative to the fixtures directory.
+CONFIG = {
+    "dataset": "corpus",
+    "mock": True,
+    "seed": 3,
+    "mock_embedding_dim": 256,
+    "models": ["gpt-4o", "gpt-4o-mini"],
+    "temperatures": [0.0, 0.5, 1.0],
+    "sentiments": ["positive", "negative"],
+    "thresholds": [0.7, 0.8, 0.9],
+    "k_high": 5,
+    "scores_mode": "summary",
+    "chat_base_url": None,
+    "tolerate_parse_failures": True,
+}
+CONFIG_FAULTS = 100  # per kind of fault
+EDIT_CHARS = b'"{}[],:.-0123456789aeflnrstu '
+# What each error that the config file alone can cause says; each must name the file.
+FILE_ERRORS = (
+    "is not valid UTF-8 JSON", "must contain a JSON object", "unknown config key(s)", 'config key "'
+)
+
+
+def config_faults(kind: str) -> list[bytes]:
+    """Seeded faults of the config file: a flipped bit, a truncation, or one character deleted,
+    inserted or replaced."""
+    data = json.dumps(CONFIG).encode()
+    rng = random.Random(f"config faults {kind}")
+    faulted = []
+    for _ in range(CONFIG_FAULTS):
+        at = rng.randrange(len(data))
+        head, tail = data[:at], data[at + 1 :]
+        if kind == "flip":
+            faulted.append(head + bytes([data[at] ^ 1 << rng.randrange(8)]) + tail)
+        elif kind == "cut":
+            faulted.append(head)
+        else:
+            char = bytes([rng.choice(EDIT_CHARS)])
+            faulted.append(rng.choice([head + tail, head + char + data[at:], head + char + tail]))
+    return faulted
+
+
+def is_a_config_object(data: bytes) -> bool:
+    """True iff data is UTF-8 JSON for an object whose keys are all config keys."""
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except ValueError:
+        return False
+    return isinstance(raw, dict) and set(raw) <= {f.name for f in fields(RunConfig)}
+
+
+@pytest.mark.parametrize("kind", ["flip", "cut", "edit"])
+def test_a_damaged_config_file_exits_0_1_or_2_and_a_file_error_names_it(tmp_path, monkeypatch, kind):
+    monkeypatch.chdir(FIXTURE_CORPUS.parent)
+    config = tmp_path / "run.json"
+    unnamed = []
+    for data in config_faults(kind):
+        config.write_bytes(data)
+        code, err = run_main("validate", "--config", config)
+        assert code in (0, 1, 2) and "Traceback" not in err, (data, err)
+        file_error = not is_a_config_object(data) or any(marker in err for marker in FILE_ERRORS)
+        if file_error and (code, str(config) in err) != (1, True):
+            unnamed.append((data, code, err))
+    assert unnamed == []

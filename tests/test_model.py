@@ -44,11 +44,11 @@ class TestLengthStats:
             rng.shuffle(shuffled)
             assert compute_length_stats(shuffled) == reference
 
-    def test_word_count_recomputation_is_idempotent(self):
+    def test_length_is_the_count_of_whitespace_delimited_words(self):
         texts = ["one two  three", "  padded  ", "", "a\nb\tc d"]
         responses = [SurveyResponse(response_id=f"r{i}", question_id="q", text=t) for i, t in enumerate(texts)]
         for r in responses:
-            assert r.word_count == word_count(r.text) == len(r.text.split())
+            assert compute_length_stats([r])[0] == word_count(r.text) == len(r.text.split())
 
 
 class TestCohort:
@@ -89,4 +89,4 @@ class TestValidation:
 
     def test_empty_response_text_is_legal(self):
         r = SurveyResponse(response_id="r1", question_id="q1", text="")
-        assert r.word_count == 0
+        assert compute_length_stats([r]) == (0.0, 0.0)

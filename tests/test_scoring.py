@@ -11,7 +11,6 @@ from surveyguard.scoring import (
     FLAG_IRRELEVANT,
     DegenerateEmbeddingError,
     check_threshold,
-    cosine_similarity,
     empty_scored,
     flag_irrelevant,
     meets_threshold,
@@ -53,36 +52,37 @@ def oracle_cosine(a: np.ndarray, b: np.ndarray) -> float:
     return dot / (na * nb)
 
 
+def pair_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """The cosine of one pair, ``a`` as the response's row and ``b`` as the signature's."""
+    return pair_matrix([("a", a)], [("b", b)])[0, 0]
+
+
 class TestCosine:
     def test_self_similarity(self):
         v = vec(0.3, -1.2, 4.5)
-        assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
+        assert pair_cosine(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine_similarity(vec(1, 0), vec(0, 1)) == 0.0
+        assert pair_cosine(vec(1, 0), vec(0, 1)) == 0.0
 
     def test_antipodal(self):
-        assert cosine_similarity(vec(1, 0), vec(-1, 0)) == -1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            cosine_similarity(vec(1, 0), vec(1, 0, 0))
+        assert pair_cosine(vec(1, 0), vec(-1, 0)) == -1.0
 
     def test_zero_norm_is_degenerate(self):
         with pytest.raises(DegenerateEmbeddingError, match="degenerate embedding"):
-            cosine_similarity(vec(0, 0), vec(1, 0))
+            pair_cosine(vec(0, 0), vec(1, 0))
 
     def test_range_symmetry_and_scale_invariance(self):
         rng = random.Random(7)
         for _ in range(300):
             dim = rng.randrange(2, 16)
             a, b = random_vec(rng, dim), random_vec(rng, dim)
-            s = cosine_similarity(a, b)
+            s = pair_cosine(a, b)
             assert abs(s) <= 1.0 + 1e-9
-            assert s == cosine_similarity(b, a)  # exact symmetry
+            assert s == pair_cosine(b, a)  # exact symmetry
             k = rng.uniform(0.01, 100.0)
             scaled = vec(*(k * x for x in a.tolist()))
-            assert cosine_similarity(scaled, b) == pytest.approx(s, abs=1e-12)
+            assert pair_cosine(scaled, b) == pytest.approx(s, abs=1e-12)
 
 
 class TestScoreResponse:
@@ -92,6 +92,10 @@ class TestScoreResponse:
             (f"sig{i}", vec(c, math.sqrt(1 - c * c)))
             for i, c in enumerate(cosines)
         ]
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            score_response("a", vec(1, 0), [("b", vec(1, 0, 0))])
 
     def test_max_of_three(self):
         scored = score_response("r1", vec(1, 0), self.sigs_with_cosines([0.3, 0.9, 0.5]))

@@ -4,12 +4,14 @@ import ast
 import importlib
 import importlib.util
 import json
+import re
 import shutil
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import ModuleType
 
+from surveyguard import cli
 from surveyguard.cli import RunConfig
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "surveyguard"
@@ -64,6 +66,16 @@ def _call_name(call: ast.Call) -> str | None:
     """The called name: ``f`` of ``f(...)`` or of ``x.f(...)``."""
     func = call.func
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_only_build_parser_declares_flags():
+    """Every flag comes from the flag table, through the one loop in build_parser."""
+    callers = {
+        (path.name, top)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top, _ in _calls(path, lambda call: _call_name(call) == "add_argument")
+    }
+    assert callers == {("cli.py", "build_parser")}
 
 
 def _is_executor(call: ast.Call) -> bool:
@@ -194,9 +206,40 @@ def test_every_benchmark_config_key_is_a_run_config_field(monkeypatch, tmp_path)
     assert written and written <= {f.name for f in fields(RunConfig)}
 
 
-def _readme_library_use() -> str:
+def _readme_section(heading: str) -> str:
     readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library use\n", 1)[1]
+    return readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_config_block_holds_every_key_at_its_default():
+    block = _readme_section("Configuration").split("```json\n", 1)[1].split("\n```", 1)[0]
+    defaults = json.loads(json.dumps(asdict(RunConfig())))
+    assert json.loads(block) == {**defaults, "dataset": "path/to/bundle-or.json"}  # a placeholder path
+
+
+def test_readme_flag_table_is_the_flag_table():
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in _readme_section("Configuration").splitlines()
+        if line.startswith("| `--")
+    ]
+    documented = {}
+    for flag, key, commands in rows:
+        name, *value = re.findall(r"`([^`]+)`", key)
+        documented[flag.strip("`")] = (name, value, re.findall(r"`([^`]+)`", commands) or ["all"])
+    expected = {
+        flag: (
+            key,
+            [json.dumps(not getattr(RunConfig, key))] if cli._FIELD_TYPES[key] is bool else [],
+            list(commands) or ["all"],
+        )
+        for flag, (key, _, commands) in cli._FLAGS.items()
+    }
+    assert documented == expected
+
+
+def _readme_library_use() -> str:
+    section = _readme_section("Library use")
     return section.split("```python\n", 1)[1].split("\n```", 1)[0]
 
 
