@@ -131,15 +131,18 @@ def detect_batch(
             raise result
 
     by_study: dict[str, list[dict]] = {}
+    parsed: dict[str, tuple[str, str]] = {}  # reply -> (flag value, raw_text_digest): replies repeat
     for (study_id, response_id, _, _), result in zip(tasks, results):
-        flag = parse_detector_output(result).flag
-        if flag == VerdictFlag.UNDETERMINED and not tolerate_parse_failures:
+        if result not in parsed:
+            digest = hashlib.sha256(result.encode("utf-8")).hexdigest()
+            parsed[result] = parse_detector_output(result).flag.value, digest
+        flag, digest = parsed[result]
+        if flag == VerdictFlag.UNDETERMINED.value and not tolerate_parse_failures:
             raise DetectorParseError(
                 f'unparseable detector output for response "{response_id}"'
             )
-        digest = hashlib.sha256(result.encode("utf-8")).hexdigest()
         by_study.setdefault(study_id, []).append(
-            {"response_id": response_id, "flag": flag.value, "raw_text_digest": digest}
+            {"response_id": response_id, "flag": flag, "raw_text_digest": digest}
         )
 
     studies = []

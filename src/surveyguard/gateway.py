@@ -105,10 +105,10 @@ def _embed_key_prefix(provider_id: str) -> str:
 
 @cache
 def _chat_key_frame(provider_id: str, model_id: str, purpose: PurposeTag) -> tuple[str, str]:
-    """``canonical_json(chat_key_material(...))`` around the messages, which sort second, and up to
-    the temperature, which sorts last: not a key of this cache, where -0.0 would find 0.0's frame."""
+    """``canonical_json(chat_key_material(...))`` around the messages' strings, which sort second, and
+    up to the temperature, which sorts last: not a key here, where -0.0 would find 0.0's frame."""
     probe = ChatRequest(model_id, 0.0, (("", ""),), purpose)
-    head, _, tail = canonical_json(chat_key_material(probe, provider_id)).partition('[["",""]]')
+    head, _, tail = canonical_json(chat_key_material(probe, provider_id)).partition('"",""')
     return head, tail.removesuffix("0.0}")
 
 
@@ -117,7 +117,8 @@ def build_cache_key(request_or_text: ChatRequest | str, provider_id: str) -> tup
     temperature) changes, and that request as UTF-8: what the digest hashes and the entry records."""
     if isinstance(request_or_text, ChatRequest):
         head, tail = _chat_key_frame(provider_id, request_or_text.model_id, request_or_text.purpose)
-        text = f"{head}{canonical_json(request_or_text.messages)}{tail}{request_or_text.temperature!r}}}"
+        pairs = "],[".join(",".join(map(encode_basestring, pair)) for pair in request_or_text.messages)
+        text = f"{head}{pairs}{tail}{request_or_text.temperature!r}}}"
     else:
         text = _embed_key_prefix(provider_id) + encode_basestring(request_or_text) + "}"
     data = text.encode("utf-8")
@@ -332,13 +333,16 @@ def _fan_out(items: Iterable, call: Callable, slots: Callable[[], int]) -> list:
 
 
 class _Window:
-    """An AIMD congestion window (RFC 5681) over a gateway's provider calls in flight. It opens at
-    ``START_IN_FLIGHT`` slots; a success adds ``1/size`` (about a slot per round trip) up to
-    ``MAX_IN_FLIGHT``; a TransientProviderError (a 429, a 5xx, a network error) halves the size its
-    call was sent under, never below 1, so a burst of them halves it once; other errors leave it."""
+    """A congestion window (RFC 5681) over a gateway's provider calls in flight, at most
+    ``MAX_IN_FLIGHT``. It opens at ``START_IN_FLIGHT`` slots, in slow start: below ``_threshold`` a
+    success adds a slot (about doubling it per round trip), at or above it ``1/size`` (about a
+    slot per round trip). A TransientProviderError (a 429, a 5xx, a network error) sets size and
+    threshold to half the size its call was sent under, never below 1, so a burst of them halves
+    it once and growth is additive from then on; other errors leave it."""
 
     def __init__(self) -> None:
         self.size = float(START_IN_FLIGHT)
+        self._threshold = float(MAX_IN_FLIGHT)
         self._busy = 0
         self._changed = threading.Condition()
 
@@ -354,9 +358,10 @@ class _Window:
         with self._changed:
             self._busy -= 1
             if succeeded:
-                self.size = min(self.size + 1 / self.size, MAX_IN_FLIGHT)
+                step = 1 if self.size < self._threshold else 1 / self.size
+                self.size = min(self.size + step, MAX_IN_FLIGHT)
             elif succeeded is False:
-                self.size = min(self.size, max(sent / 2, 1.0))
+                self.size = self._threshold = min(self.size, max(sent / 2, 1.0))
             self._changed.notify(max(int(self.size) - self._busy, 0))  # wake only as many as may take one
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -12,6 +13,13 @@ from surveyguard.providers import MockChatProvider, MockEmbeddingProvider
 FIXTURE_CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 PACK_MAGIC = DiskCache._PACK_MAGIC
 PACK_ROW = struct.Struct("<32sII")  # digest, end offset, crc32 of the entry
+
+
+def src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for a child Python."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cache_entries, entry_request, rewrite_cache, write_bundle, write_v1_pack
+from conftest import cache_entries, entry_request, rewrite_cache, src_env, write_bundle, write_v1_pack
 from surveyguard import cli
 from surveyguard.cli import RunConfig, build_parser, main
 from surveyguard.errors import ProviderError
@@ -29,13 +29,6 @@ def run_cli(capsys, *args) -> tuple[int, str, str]:
     code = main([str(a) for a in args])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def _src_env() -> dict:
-    """The environment with this checkout's src/ first on PYTHONPATH, for a child Python."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    paths = [src, os.environ.get("PYTHONPATH")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def base_args(corpus_path, tmp_path, command, *extra):
@@ -61,7 +54,7 @@ class TestValidate:
         for module in ("surveyguard", "surveyguard.cli"):
             result = subprocess.run(
                 [sys.executable, "-m", module, "validate", "--dataset", str(corpus_path)],
-                capture_output=True, text=True, env=_src_env(), timeout=60,
+                capture_output=True, text=True, env=src_env(), timeout=60,
             )
             assert result.returncode == 0, result.stderr
             assert "dataset OK" in result.stdout
@@ -1063,7 +1056,7 @@ class TestStaleOutputLock:
             f"{holder}\n    print('held', flush=True)\n    time.sleep(60)\n"
         )
         child = subprocess.Popen(
-            [sys.executable, "-c", script, str(tmp_path)], stdout=subprocess.PIPE, text=True, env=_src_env()
+            [sys.executable, "-c", script, str(tmp_path)], stdout=subprocess.PIPE, text=True, env=src_env()
         )
         try:
             assert child.stdout.readline() == "held\n"
@@ -1162,7 +1155,7 @@ class TestStaleOutputLock:
         )
         args = [str(a) for a in base_args(corpus_path, tmp_path, "gen-signatures")]
         result = subprocess.run(
-            [sys.executable, "-c", script, *args], capture_output=True, text=True, env=_src_env(), timeout=60
+            [sys.executable, "-c", script, *args], capture_output=True, text=True, env=src_env(), timeout=60
         )
         assert result.returncode == 1
         message = f"config error: cannot use output directory {tmp_path / 'out'}: Too many open files\n"

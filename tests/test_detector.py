@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -5,6 +6,7 @@ import time
 import pytest
 
 from conftest import StaticChatProvider
+from surveyguard import detector as detector_module
 from surveyguard.cli import build_gateway, main, resolve_config
 from surveyguard.dataset import SurveyDataset, load_dataset
 from surveyguard.detector import (
@@ -228,6 +230,80 @@ class TestDetectBatch:
         with pytest.raises(ValueError, match=r"temperature must be in \[0, 1\], got 1.5"):
             detect_batch(dataset_with_markers(1, 4), make_gateway(tmp_path, provider), "m", temperature=1.5)
         assert provider.calls == 0
+
+
+# Replies that repeat across a batch, two of them alike but for a newline; only the last one
+# parses to no verdict.
+REPLIES = ("AI", "AI\n", "HUMAN", "human", "This answer is AI-generated.", "Maybe.")
+
+
+class ReplyByAnswer:
+    """Replies REPLIES[k] to an answer that ends in "#k"."""
+
+    provider_id = "reply-by-answer"
+
+    def complete(self, request) -> str:
+        return REPLIES[int(request.messages[-1][1].split("#")[1][0])]
+
+
+def repeated_replies_dataset(seed: int) -> SurveyDataset:
+    """Two studies of 30 distinct answers each, listed in seeded order, each with a seeded reply."""
+    rng = random.Random(f"repeated replies {seed}")
+    questions = (QUESTION, SurveyQuestion(question_id="q2", study_id="s2", text="Why did you stop?"))
+    rids = [f"r{i:02d}" for i in range(60)]
+    rng.shuffle(rids)
+    responses = [
+        response(rid, f"answer {rid} #{rng.randrange(len(REPLIES))}", qid=f"q{1 + i % 2}")
+        for i, rid in enumerate(rids)
+    ]
+    return SurveyDataset(
+        studies=(
+            SurveyStudy(study_id="s1", label="One", collected_month_year="2021-06"),
+            SurveyStudy(study_id="s2", label="Two", collected_month_year="2023-06"),
+        ),
+        questions=questions,
+        responses=tuple(responses),
+    )
+
+
+class TestRepeatedReplies:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_distinct_reply_is_parsed_once_into_its_verdicts(self, tmp_path, monkeypatch, seed):
+        ds = repeated_replies_dataset(seed)
+        study_of = {q.question_id: q.study_id for q in ds.questions}
+        tasks = sorted((study_of[r.question_id], r.response_id, r.text) for r in ds.responses)
+        replies = [REPLIES[int(text.split("#")[1])] for _, _, text in tasks]
+        assert len(set(replies)) == len(REPLIES) < len(replies)
+        expected: dict[str, list[dict]] = {}
+        for (study_id, rid, _), reply in zip(tasks, replies):
+            expected.setdefault(study_id, []).append({
+                "response_id": rid,
+                "flag": parse_detector_output(reply).flag.value,
+                "raw_text_digest": hashlib.sha256(reply.encode("utf-8")).hexdigest(),
+            })
+        parsed = []
+
+        def counted(text):
+            parsed.append(text)
+            return parse_detector_output(text)
+
+        monkeypatch.setattr(detector_module, "parse_detector_output", counted)
+        dump = detect_batch(ds, make_gateway(tmp_path, ReplyByAnswer()), "gpt-4o")
+        assert {study["study_id"]: study["verdicts"] for study in dump["studies"]} == expected
+        assert sorted(parsed) == sorted(REPLIES)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_strict_mode_names_the_first_unparseable_response_in_task_order(self, tmp_path, seed):
+        ds = repeated_replies_dataset(seed)
+        study_of = {q.question_id: q.study_id for q in ds.questions}
+        task_order = sorted(ds.responses, key=lambda r: (study_of[r.question_id], r.response_id))
+        ds = SurveyDataset(studies=ds.studies, questions=ds.questions, responses=tuple(reversed(task_order)))
+        unparseable = [r for r in task_order if r.text.endswith(f"#{len(REPLIES) - 1}")]
+        first = unparseable[0]
+        assert len(unparseable) > 1  # so the dataset lists another one first
+        with pytest.raises(DetectorParseError) as raised:
+            detect_batch(ds, make_gateway(tmp_path, ReplyByAnswer()), "gpt-4o", tolerate_parse_failures=False)
+        assert str(raised.value) == f'unparseable detector output for response "{first.response_id}"'
 
 
 def test_detect_batch_returns_the_dump_it_is_written_as(tmp_path, corpus_path):

@@ -5,19 +5,23 @@
 - Bit flips and truncations of the dumps ``report`` merges: ``report`` either writes a report
   (exit 0) or stops with a data error naming the dump (exit 2).
 - Bit flips, truncations and one-character edits of a config file: ``validate`` exits 0, 1 or
-  2, and an error in the file's JSON, its top level, its keys or its values' types names it."""
+  2, and an error in the file's JSON, its top level, its keys or its values' types names it.
+- Two runs at once on one cold cache: both finish, and leave it warm for a rerun with no call.
+- A write over the file size limit, of an artifact or of a cache pack: exit 1 naming the path."""
 
 import contextlib
 import io
 import json
 import random
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_CORPUS, entry_request, read_pack
+from conftest import FIXTURE_CORPUS, entry_request, read_pack, src_env
 from surveyguard.cli import RunConfig, main
 
 # Each warm command, and the requests of the entries it reads: their kind and purpose.
@@ -29,16 +33,16 @@ READS = {
 FLIPS = 5  # per command: in responses it reads, then as many anywhere in the packs holding them
 
 
-def run_main(*args) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def run_main(*args) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(map(str, args)))
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
-def run(root: Path, command: str) -> tuple[int, str]:
-    args = [command, "--dataset", FIXTURE_CORPUS, "--cache-dir", root / "cache", "--output-dir", root / "out"]
-    return run_main(*args, "--mock")
+def run(root: Path, command: str, out: str = "out") -> tuple[int, str, str]:
+    dirs = ["--cache-dir", root / "cache", "--output-dir", root / out]
+    return run_main(command, "--dataset", FIXTURE_CORPUS, *dirs, "--mock")
 
 
 def outputs(out: Path) -> dict[str, bytes]:
@@ -83,7 +87,7 @@ def test_a_flipped_bit_is_a_data_error_naming_its_pack_or_changes_no_artifact(cl
     data = bytearray(flipped.read_bytes())
     data[bit // 8] ^= 1 << bit % 8
     flipped.write_bytes(data)
-    code, err = run(tmp_path, command)
+    code, _, err = run(tmp_path, command)
     if code == 0:
         assert outputs(tmp_path / "out") == expected
     else:
@@ -116,7 +120,7 @@ def test_report_on_a_damaged_dump_writes_a_report_or_a_data_error_naming_it(clea
     else:
         del data[at:]
     path.write_bytes(data)
-    code, err = run(tmp_path, "report")
+    code, _, err = run(tmp_path, "report")
     assert code in (0, 2), err
     if code == 2:
         assert err.startswith(f"data error: corrupted dump file: {path}: "), err
@@ -180,9 +184,70 @@ def test_a_damaged_config_file_exits_0_1_or_2_and_a_file_error_names_it(tmp_path
     unnamed = []
     for data in config_faults(kind):
         config.write_bytes(data)
-        code, err = run_main("validate", "--config", config)
+        code, _, err = run_main("validate", "--config", config)
         assert code in (0, 1, 2) and "Traceback" not in err, (data, err)
         file_error = not is_a_config_object(data) or any(marker in err for marker in FILE_ERRORS)
         if file_error and (code, str(config) in err) != (1, True):
             unnamed.append((data, code, err))
     assert unnamed == []
+
+
+def child(script: str, root: Path, out: str, *args) -> subprocess.Popen:
+    """A Python child running script with args, then ``detect-llm`` flags on root's cache and
+    root / out; its output captured."""
+    flags = ["--dataset", FIXTURE_CORPUS, "--cache-dir", root / "cache", "--output-dir", root / out, "--mock"]
+    argv = [sys.executable, "-c", script, *map(str, [*args, "detect-llm", *flags])]
+    return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env())
+
+
+def finish(process: subprocess.Popen) -> tuple[int, str]:
+    """The child's exit code and stderr; a child still running after 60 s is killed."""
+    try:
+        _, err = process.communicate(timeout=60)
+    finally:
+        process.kill()  # nothing once it has exited
+    return process.returncode, err
+
+
+# Each child marks itself ready, then starts its run once both are (or 30 s have passed), so
+# their cold passes overlap.
+TOGETHER = (
+    "import sys, time\nfrom pathlib import Path\nfrom surveyguard import cli\n"
+    "ready, deadline = Path(sys.argv[1]), time.monotonic() + 30\n(ready / sys.argv[2]).touch()\n"
+    "while len(list(ready.iterdir())) < 2 and time.monotonic() < deadline:\n    time.sleep(0.001)\n"
+    "sys.exit(cli.main(sys.argv[3:]))\n"
+)
+
+
+def test_two_runs_on_one_cold_cache_both_finish_and_leave_it_warm(tmp_path):
+    (tmp_path / "ready").mkdir()
+    runs = [child(TOGETHER, tmp_path, f"out{n}", tmp_path / "ready", n) for n in (0, 1)]
+    assert [finish(run) for run in runs] == [(0, "")] * 2
+    code, out, err = run(tmp_path, "detect-llm", "warm")
+    assert (code, err) == (0, "") and "provider calls: 0 (" in out
+    assert outputs(tmp_path / "out0") == outputs(tmp_path / "out1") == outputs(tmp_path / "warm")
+
+
+# The child ignores SIGXFSZ, so a write over its file size limit fails with EFBIG or falls short.
+FSIZE_LIMIT = 1024  # bytes: less than the fixture's detector dump, and than its first pack
+LIMITED = (
+    "import resource, signal, sys\nfrom surveyguard import cli\n"
+    "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+    "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+    "resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), hard))\n"
+    "sys.exit(cli.main(sys.argv[2:]))\n"
+)
+
+
+def test_a_write_over_the_file_size_limit_exits_1_naming_its_path(clean, tmp_path):
+    """A cold run fails to commit its pack, a warm one (no pack to commit) to write its dump."""
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    shutil.copytree(clean[0] / "cache", warm / "cache")
+    runs = [child(LIMITED, root, "out", FSIZE_LIMIT) for root in (cold, warm)]
+    (cold_code, cold_err), (warm_code, warm_err) = map(finish, runs)
+    assert cold_code == 1 and cold_err.startswith(f"config error: cannot write cache dir {cold / 'cache'}: ")
+    assert cold_err.count("\n") == 1 and "Traceback" not in cold_err, cold_err
+    assert list((cold / "cache" / "packs").iterdir()) == []  # no pack, and no temp file left
+    dump = warm / "out" / "detector_gpt-3.5-turbo.json"
+    assert len(clean[1][dump.name]) > FSIZE_LIMIT
+    assert (warm_code, warm_err) == (1, f"config error: cannot write output file {dump}: File too large\n")

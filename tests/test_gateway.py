@@ -38,6 +38,7 @@ from surveyguard.gateway import (
     ProviderGateway,
     PurposeTag,
     build_cache_key,
+    canonical_json,
     chat_key_material,
     embed_key_material,
 )
@@ -144,6 +145,25 @@ def chat_material(request: ChatRequest, provider_id: str) -> dict:
     }
 
 
+# Pieces of seeded message strings: what JSON escapes (quotes, backslashes, C0 controls, NUL),
+# what it must not (DEL, U+2028, U+2029, non-BMP), and the separators the key's frame joins on.
+KEY_PIECES = [
+    '"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "\U0001f600", "\U0010ffff", "é", "a", " ",
+    "],[", '"",""', "\\u0000",
+]
+
+
+def seeded_request(rng: random.Random) -> ChatRequest:
+    """One to three messages of seeded pieces, role and text alike, at one of the edge temperatures."""
+    def piece_string(most: int) -> str:
+        return "".join(rng.choices(KEY_PIECES, k=rng.randrange(most)))
+
+    roles = ["system", "user", "assistant", piece_string(4)]
+    messages = tuple((rng.choice(roles), piece_string(12)) for _ in range(rng.randint(1, 3)))
+    model_id = rng.choice(["gpt-4o", 'mo"del\\', "m\u2028\U0001f600"])
+    return ChatRequest(model_id, rng.choice([0.0, -0.0, 1e-05, 1.0]), messages, rng.choice(list(PurposeTag)))
+
+
 def key_requests(n: int = 0) -> list[ChatRequest]:
     """A request per key text, with one message or a system+user pair; the n-th set of purpose
     and temperature first, the others in turn."""
@@ -176,6 +196,24 @@ class TestCacheKeyEquivalence:
                 key, key_text = build_cache_key(request, provider_id)
                 assert key.hex() == reference_digest(chat_material(request, provider_id)), repr(text)
                 assert key_text == reference_json(chat_material(request, provider_id)).encode(), repr(text)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chat_key_text_is_the_canonical_json_of_its_material(self, seed):
+        rng = random.Random(f"chat keys {seed}")
+        for _ in range(250):
+            request, provider_id = seeded_request(rng), rng.choice(KEY_PROVIDERS)
+            expected = canonical_json(chat_key_material(request, provider_id)).encode("utf-8")
+            assert build_cache_key(request, provider_id)[1] == expected, request
+
+    @pytest.mark.parametrize("pair", [("\ud800", "x"), ("user", "a\udfff b")], ids=["role", "text"])
+    def test_a_lone_surrogate_raises_the_same_error_on_both_paths(self, pair):
+        request = ChatRequest("gpt-4o", 0.0, (("system", "s"), pair), PurposeTag.DETECT)
+        with pytest.raises(UnicodeEncodeError) as framed:
+            build_cache_key(request, "prov")
+        with pytest.raises(UnicodeEncodeError) as canonical:
+            canonical_json(chat_key_material(request, "prov")).encode("utf-8")
+        assert str(framed.value) == str(canonical.value)
+        assert framed.value.object == canonical.value.object
 
     @pytest.mark.parametrize("provider_id", KEY_PROVIDERS)
     def test_stored_entries_are_the_canonical_request_line_and_the_response(self, tmp_path, provider_id):
@@ -690,14 +728,28 @@ def can_hold(window, slots: int) -> bool:
 
 
 class TestWindow:
-    def test_each_success_grows_it_by_one_over_its_size(self):
+    def test_each_success_adds_a_slot_up_to_max_in_flight(self):
         window = gateway_module._Window()
-        expected = float(START_IN_FLIGHT)
-        for _ in range(8):
+        sizes = []
+        for _ in range(MAX_IN_FLIGHT - START_IN_FLIGHT + 2):
             window.give(window.take(), True)
-            expected += 1 / expected
+            sizes.append(window.size)
+        assert sizes == [*range(START_IN_FLIGHT + 1, MAX_IN_FLIGHT + 1), MAX_IN_FLIGHT, MAX_IN_FLIGHT]
+        assert can_hold(window, MAX_IN_FLIGHT)
+
+    @pytest.mark.parametrize("grown", [3, MAX_IN_FLIGHT - START_IN_FLIGHT], ids=["early", "at-max"])
+    def test_after_a_halving_each_success_adds_one_over_its_size(self, grown):
+        window = gateway_module._Window()
+        for _ in range(grown):
+            window.give(window.take(), True)
+        window.give(window.take(), False)
+        expected = (START_IN_FLIGHT + grown) / 2
+        assert window.size == expected
+        for _ in range(3 * MAX_IN_FLIGHT):  # no second slow start, however far below the maximum
+            window.give(window.take(), True)
+            expected = min(expected + 1 / expected, MAX_IN_FLIGHT)
             assert window.size == expected
-        assert int(window.size) == START_IN_FLIGHT + 1 and can_hold(window, START_IN_FLIGHT + 1)
+        assert can_hold(window, int(expected))
 
     def test_it_grows_to_max_in_flight_and_no_further(self):
         window = gateway_module._Window()
@@ -743,8 +795,8 @@ class TestWindow:
         for _ in range(3 * START_IN_FLIGHT):
             with pytest.raises((ProviderError, RuntimeError)):
                 gateway.chat(chat_request(text=text))
-        assert size == START_IN_FLIGHT + 1 / START_IN_FLIGHT == gateway._window.size
-        assert can_hold(gateway._window, START_IN_FLIGHT)
+        assert size == START_IN_FLIGHT + 1 == gateway._window.size
+        assert can_hold(gateway._window, START_IN_FLIGHT + 1)
 
 
 class ThreeAtOnceChatProvider:
@@ -1126,8 +1178,8 @@ class TestChatMany:
         assert provider.starts[:START_IN_FLIGHT] == list(range(1, START_IN_FLIGHT + 1))  # the first overlap
         assert provider.starts[START_IN_FLIGHT] <= START_IN_FLIGHT  # and the next waits for one to end
         assert START_IN_FLIGHT < provider.peak <= MAX_IN_FLIGHT  # it grows as calls succeed
-        # a worker thread starts only as the window opens a slot for it
-        assert START_IN_FLIGHT <= len(set(provider.threads)) <= int(gateway._window.size) < MAX_IN_FLIGHT
+        # slow start opens the window to its maximum, and a worker thread starts only as it opens a slot
+        assert START_IN_FLIGHT <= len(set(provider.threads)) <= int(gateway._window.size) == MAX_IN_FLIGHT
 
     def test_each_distinct_request_is_taken_once_under_fast_thread_switching(self, tmp_path):
         provider = EchoChatProvider()
