@@ -17,7 +17,6 @@ import sys
 from collections.abc import Callable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from itertools import islice
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -70,11 +69,10 @@ from .signatures import (
     Sentiment,
     SignatureGenerationError,
     StrategyKind,
-    assemble_signatures,
     dedupe_signatures,
+    generate_signatures,
     load_signature_set,
     save_signature_set,
-    signature_requests,
     signature_store_path,
 )
 
@@ -182,7 +180,7 @@ def _check(rule, value) -> None:
 def _validate_config(cfg: RunConfig) -> None:
     for key in sorted(_TUPLE_KEYS):
         values = getattr(cfg, key)
-        if not values and key != "sentiments":  # sentiments may be empty: basic runs ignore them
+        if not values and (key != "sentiments" or "sentiment" in cfg.strategies):  # basic ignores them
             raise ConfigError(f"{key} must be non-empty")
         if len(set(values)) < len(values):  # a duplicate grid cell, strategy or sweep row
             raise ConfigError(f"{key} must not repeat a value, got {list(values)}")
@@ -320,20 +318,16 @@ def cmd_gen_signatures(cfg: RunConfig) -> int:
     if not open_questions:
         raise DataError("dataset has no open-ended questions")
 
+    kinds = _strategy_kinds(cfg)
     aborted: list[str] = []
     generated = failures = removed = 0
     with _exclusive_output(out_dir):
-        # One chat_many pass over every strategy's and question's grid cells, then each store.
-        grid = [(kind, question) for kind in _strategy_kinds(cfg) for question in open_questions]
-        asked = [signature_requests(q, kind, cfg.models, cfg.temperatures, sentiments) for kind, q in grid]
-        outcomes = iter(gateway.chat_many([request for requests in asked for request in requests]))
-        for (kind, question), requests in zip(grid, asked):
-            results = list(islice(outcomes, len(requests)))
-            try:
-                store = assemble_signatures(question, kind, cfg.models, cfg.temperatures, results, sentiments)
-            except SignatureGenerationError as exc:
-                aborted.append(f"{kind.value}/{question.question_id}")
-                print(f"aborted: {exc}", file=sys.stderr)
+        stores = generate_signatures(open_questions, kinds, cfg.models, cfg.temperatures, gateway, sentiments)
+        labels = [f"{kind.value}/{question.question_id}" for kind in kinds for question in open_questions]
+        for label, store in zip(labels, stores, strict=True):
+            if isinstance(store, SignatureGenerationError):
+                aborted.append(label)
+                print(f"aborted: {store}", file=sys.stderr)
                 continue
             store = dedupe_signatures(store)
             save_signature_set(store, store_dir)
@@ -341,8 +335,7 @@ def cmd_gen_signatures(cfg: RunConfig) -> int:
             failures += len(store["failures"])
             removed += store["duplicates_removed"]
             print(
-                f"{kind.value}/{question.question_id}: "
-                f"{len(store['signatures'])} signatures, "
+                f"{label}: {len(store['signatures'])} signatures, "
                 f"{len(store['failures'])} failed cells, "
                 f"{store['duplicates_removed']} duplicates removed"
             )

@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -207,14 +209,20 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence[o
 
 
 def write_text(path: Path | str, text: str) -> None:
-    """The one writer of output files: makes the parent directory, writes UTF-8 with "\n". A path
-    it cannot write, say under a file or at a directory, is a ConfigError naming it."""
+    """The one writer of output files: makes the parent directory, writes UTF-8 with "\n" to a
+    temp file beside the target and renames it onto the target, so a failed write leaves the
+    earlier file or none. A path it cannot write, say under a file or at a directory, is a
+    ConfigError naming it."""
     p = Path(path)
+    tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
     try:
         p.parent.mkdir(parents=True, exist_ok=True)
-        with open(p, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.replace(tmp, p)
     except OSError as exc:
+        with suppress(OSError):  # no temp file was made, or it cannot go either
+            os.unlink(tmp)
         raise ConfigError(f"cannot write output file {p}: {exc.strerror}") from None
 
 

@@ -268,8 +268,10 @@ class DiskCache:
                 with os.fdopen(fd, "wb") as fh:  # one writev: a write per buffer-full gives up the GIL
                     rows = map(self._ROW.pack, batch, bounds[1:], crcs)
                     head = [self._PACK_MAGIC, len(batch).to_bytes(4, "little"), *rows, stored_at]
-                    if os.writev(fh.fileno(), [*head, *batch.values()]) != bounds[-1]:
-                        raise OSError("short write")
+                    data = [*head, *batch.values()]
+                    written = os.writev(fh.fileno(), data)
+                    if written != bounds[-1]:  # write the rest once more, so the kernel says why
+                        fh.write(b"".join(data)[written:])
                 number = first = self._next
                 while True:
                     path = self.packs / f"{number:08d}"
@@ -467,9 +469,10 @@ class ProviderGateway:
         one_length = len({len(row) for row in raw}) == 1  # numpy refuses a ragged batch
         vectors = np.array(raw, dtype="<f8") if one_length else np.empty(0)
         if vectors.ndim != 2 or not vectors.size:
-            raise ValueError("embeddings that are not a non-empty list of numbers each, all of one length")
+            problem = "embeddings that are not a non-empty list of numbers each, all of one length"
+            raise ProviderError(f"embedding provider {provider_id} returned {problem}")
         if not np.isfinite(vectors).all():
-            raise ValueError("embedding contains non-finite values")
+            raise ProviderError(f"embedding provider {provider_id} returned non-finite values")
         dim = vectors.shape[1]
         seen = self._embed_dims.setdefault(provider_id, dim)
         if seen != dim:

@@ -104,66 +104,49 @@ def _grid_cells(
     ]
 
 
-def signature_requests(
-    question: SurveyQuestion, kind: StrategyKind, models: Sequence[str], temperatures: Sequence[float],
-    sentiments: Sequence[Sentiment] = DEFAULT_SENTIMENTS,
-) -> list[ChatRequest]:
-    """The gateway request of every grid cell, in the order ``assemble_signatures`` reads outcomes."""
-    cells = _grid_cells(kind, models, temperatures, sentiments)
-    return [build_signature_request(question, *cell) for cell in cells]
-
-
-def assemble_signatures(
-    question: SurveyQuestion, kind: StrategyKind, models: Sequence[str], temperatures: Sequence[float],
-    outcomes: Sequence[str | ProviderError], sentiments: Sequence[Sentiment] = DEFAULT_SENTIMENTS,
-) -> dict:
-    """The store dict of one question from ``chat_many``'s outcomes for its ``signature_requests``.
-    Provider failures and empty completions are recorded per cell; the whole operation fails
-    only when more than half of the cells fail."""
-    cells = _grid_cells(kind, models, temperatures, sentiments)
-    signatures: list[dict] = []
-    failures: list[dict] = []
-    for (model_id, temperature, sentiment), outcome in zip(cells, outcomes, strict=True):
-        row = {
-            "model_id": model_id,
-            "temperature": temperature,
-            "sentiment": sentiment.value if sentiment else None,
-        }
-        if isinstance(outcome, ProviderError):
-            failures.append({**row, "error": str(outcome)})
-        elif not outcome.strip():
-            failures.append({**row, "error": "empty completion"})
-        else:
-            signature_id = signature_id_for(question.question_id, kind, model_id, temperature, sentiment)
-            signatures.append({"signature_id": signature_id, **row, "text": outcome})
-
-    if len(failures) * 2 > len(cells):
-        raise SignatureGenerationError(
-            f'question "{question.question_id}": {len(failures)}/{len(cells)} signature cells failed'
-        )
-    signatures.sort(key=_cell_order)
-    return {
-        "question_id": question.question_id,
-        "strategy": kind.value,
-        "template_version": TEMPLATE_VERSION,
-        "grid": {
-            "models": list(models),
-            "temperatures": [float(t) for t in temperatures],
-            "sentiments": [s.value for s in sentiments] if kind == StrategyKind.SENTIMENT else [],
-        },
-        "signatures": signatures,
-        "failures": failures,
-        "duplicates_removed": 0,
-    }
-
-
 def generate_signatures(
-    question: SurveyQuestion, kind: StrategyKind, models: Sequence[str], temperatures: Sequence[float],
-    gateway: ProviderGateway, sentiments: Sequence[Sentiment] = DEFAULT_SENTIMENTS,
-) -> dict:
-    """``signature_requests`` sent through the gateway, then ``assemble_signatures``."""
-    requests = signature_requests(question, kind, models, temperatures, sentiments)
-    return assemble_signatures(question, kind, models, temperatures, gateway.chat_many(requests), sentiments)
+    questions: Sequence[SurveyQuestion], kinds: Sequence[StrategyKind], models: Sequence[str],
+    temperatures: Sequence[float], gateway: ProviderGateway,
+    sentiments: Sequence[Sentiment] = DEFAULT_SENTIMENTS,
+) -> list[dict | SignatureGenerationError]:
+    """The store dict (before dedup) of each (kind, question), kinds first, from one ``chat_many``
+    pass over all their grid cells. Provider failures and empty completions are recorded per cell;
+    a pair with more than half of its cells failed gets its SignatureGenerationError in place of
+    a store, as ``chat_many`` puts a ProviderError in place of a reply."""
+    grids = [(k, q, _grid_cells(k, models, temperatures, sentiments)) for k in kinds for q in questions]
+    outcomes = iter(gateway.chat_many([build_signature_request(q, *c) for _, q, cs in grids for c in cs]))
+    stores: list[dict | SignatureGenerationError] = []
+    for kind, question, cells in grids:
+        signatures: list[dict] = []
+        failures: list[dict] = []
+        for (model_id, temperature, sentiment), outcome in zip(cells, outcomes):  # takes no outcome past them
+            row = dict(model_id=model_id, temperature=temperature, sentiment=sentiment and sentiment.value)
+            if isinstance(outcome, ProviderError):
+                failures.append({**row, "error": str(outcome)})
+            elif not outcome.strip():
+                failures.append({**row, "error": "empty completion"})
+            else:
+                signature_id = signature_id_for(question.question_id, kind, model_id, temperature, sentiment)
+                signatures.append({"signature_id": signature_id, **row, "text": outcome})
+        if len(failures) * 2 > len(cells):
+            problem = f"{len(failures)}/{len(cells)} signature cells failed"
+            stores.append(SignatureGenerationError(f'question "{question.question_id}": {problem}'))
+            continue
+        signatures.sort(key=_cell_order)
+        stores.append({
+            "question_id": question.question_id,
+            "strategy": kind.value,
+            "template_version": TEMPLATE_VERSION,
+            "grid": {
+                "models": list(models),
+                "temperatures": [float(t) for t in temperatures],
+                "sentiments": [s.value for s in sentiments] if kind == StrategyKind.SENTIMENT else [],
+            },
+            "signatures": signatures,
+            "failures": failures,
+            "duplicates_removed": 0,
+        })
+    return stores
 
 
 def _cell_order(row: dict) -> tuple[str, float, str]:

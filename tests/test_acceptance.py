@@ -235,8 +235,7 @@ def test_grid_size_contract_and_dedup_invariance(tmp_path):
         chat_provider=MockChatProvider(seed=0),
         sleep=lambda _: None,
     )
-    basic = generate_signatures(question, StrategyKind.BASIC, models, temperatures, gateway)
-    sentiment = generate_signatures(question, StrategyKind.SENTIMENT, models, temperatures, gateway)
+    basic, sentiment = generate_signatures([question], list(StrategyKind), models, temperatures, gateway)
     assert len(basic["signatures"]) == 20
     assert len(sentiment["signatures"]) == 60
 
@@ -246,7 +245,7 @@ def test_grid_size_contract_and_dedup_invariance(tmp_path):
         chat_provider=StaticChatProvider("The same answer for every cell."),
         sleep=lambda _: None,
     )
-    duplicated = generate_signatures(question, StrategyKind.BASIC, models, temperatures, forced)
+    [duplicated] = generate_signatures([question], [StrategyKind.BASIC], models, temperatures, forced)
     assert len(duplicated["signatures"]) == 20
     deduped = dedupe_signatures(duplicated)
     assert len(deduped["signatures"]) == 1

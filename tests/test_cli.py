@@ -747,6 +747,7 @@ class TestBadValuesRejectedBeforeAnyCall:
             ([], {"scores_mode": "bogus"}, 'scores_mode must be "summary" or "full", got "bogus"'),
             (["--scores", "bogus"], {}, 'scores_mode must be "summary" or "full", got "bogus"'),
             ([], {"sentiments": ["angry"]}, 'unknown sentiment "angry"'),
+            ([], {"strategies": ["sentiment"], "sentiments": []}, "sentiments must be non-empty"),
         ],
         ids=[
             "bin-width", "k-high", "removed-dataset-format", "removed-chat-provider",
@@ -754,7 +755,7 @@ class TestBadValuesRejectedBeforeAnyCall:
             "empty-model", "repeated-model", "repeated-temperature", "repeated-sentiment",
             "repeated-threshold", "repeated-threshold-flag", "temperatures-render-alike",
             "thresholds-render-alike", "config-not-an-object", "no-models", "scores-mode",
-            "scores-mode-flag", "unknown-sentiment",
+            "scores-mode-flag", "unknown-sentiment", "sentiment-strategy-without-sentiments",
         ],
     )
     def test_score_exits_1_with_an_empty_cache(self, capsys, corpus_path, tmp_path, flags, config, message):
@@ -769,6 +770,15 @@ class TestBadValuesRejectedBeforeAnyCall:
         assert code == 1
         assert "config error" in err and message in err
         assert not score_cache.exists() or not any(score_cache.iterdir())
+
+    def test_the_sentiment_strategy_without_sentiments_exits_1_before_making_a_directory(
+        self, capsys, monkeypatch, corpus_path, tmp_path
+    ):
+        monkeypatch.setattr(cli.MockChatProvider, "complete", lambda self, request: pytest.fail("a call"))
+        flags = ["--strategy", "sentiment", "--sentiments", ""]
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures", *flags))
+        assert (code, err) == (1, "config error: sentiments must be non-empty\n")
+        assert list(tmp_path.iterdir()) == []  # neither the cache dir nor the output dir
 
 
 def _output_files(out_dir):
@@ -1226,6 +1236,24 @@ class TestDetectProviderFailure:
         assert list((tmp_path / "out").glob("detector_*.json")) == []
 
 
+class TestScoreProviderFailure:
+    def test_a_non_finite_embedding_exits_3_naming_the_provider(
+        self, capsys, monkeypatch, corpus_path, tmp_path
+    ):
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))[0] == 0
+
+        class NanOnOneText(cli.MockEmbeddingProvider):
+            def embed_many(self, texts):
+                vectors = super().embed_many(texts)
+                return [[float("nan")] * self.dim if "heating" in t else v for t, v in zip(texts, vectors)]
+
+        monkeypatch.setattr(cli, "MockEmbeddingProvider", NanOnOneText)
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
+        provider = NanOnOneText(seed=0, dim=16).provider_id
+        assert (code, err) == (3, f"provider error: embedding provider {provider} returned non-finite values\n")
+        assert list((tmp_path / "out").glob("scored_*.json")) == []
+
+
 def _no_space(*args):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -1233,7 +1261,6 @@ def _no_space(*args):
 # Each replaces the os call of DiskCache.flush it names, given the real one; then the reason printed.
 COMMIT_FAULTS = {
     "writev-enospc": ("writev", lambda real: _no_space, os.strerror(errno.ENOSPC)),
-    "short-write": ("writev", lambda real: lambda fd, buffers: real(fd, buffers[:1]), "short write"),
     "link-enospc": ("link", lambda real: _no_space, os.strerror(errno.ENOSPC)),
 }
 
@@ -1372,6 +1399,17 @@ class TestUnreadableCacheAndStore:
         assert sorted((tmp_path / "cache" / "packs").iterdir()) == packs  # no temp file, earlier packs kept
         code, out, _ = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
         assert code == 0 and "provider calls: 0 (" not in out
+
+    def test_a_pack_write_the_kernel_cuts_short_is_finished_by_a_second_write(
+        self, capsys, monkeypatch, corpus_path, tmp_path
+    ):
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures"))[0] == 0
+        real = os.writev
+        with monkeypatch.context() as patch:  # writev writes the first buffer alone, with no error
+            patch.setattr(os, "writev", lambda fd, buffers: real(fd, buffers[:1]))
+            assert run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))[0] == 0
+        code, out, _ = run_cli(capsys, *base_args(corpus_path, tmp_path, "score"))
+        assert code == 0 and "provider calls: 0 (" in out  # every entry of the new packs reads back
 
     @pytest.mark.parametrize(
         "edit",

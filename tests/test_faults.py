@@ -247,7 +247,10 @@ def test_a_write_over_the_file_size_limit_exits_1_naming_its_path(clean, tmp_pat
     (cold_code, cold_err), (warm_code, warm_err) = map(finish, runs)
     assert cold_code == 1 and cold_err.startswith(f"config error: cannot write cache dir {cold / 'cache'}: ")
     assert cold_err.count("\n") == 1 and "Traceback" not in cold_err, cold_err
+    assert cold_err.endswith(": File too large\n")  # the kernel's reason for the short write
     assert list((cold / "cache" / "packs").iterdir()) == []  # no pack, and no temp file left
     dump = warm / "out" / "detector_gpt-3.5-turbo.json"
     assert len(clean[1][dump.name]) > FSIZE_LIMIT
     assert (warm_code, warm_err) == (1, f"config error: cannot write output file {dump}: File too large\n")
+    assert not dump.exists()  # no truncated dump for a later report to read
+    assert [path.name for path in (warm / "out").rglob("*")] == []  # and no temp file

@@ -406,8 +406,9 @@ class TestEmbedding:
                 return [list(self.values) if text == "bad" else fine for text in texts]
 
         gateway = make_gateway(tmp_path, embed=OneBadReplyProvider(values))
-        with pytest.raises(ValueError, match=problem):
+        with pytest.raises(ProviderError, match=f"^embedding provider fixed returned .*{problem}") as caught:
             gateway.embed_many(["fine", "bad", "also fine"])
+        assert type(caught.value) is ProviderError  # not a TransientProviderError: a retry would not mend it
         assert gateway.cache.entry_count() == 0
 
 

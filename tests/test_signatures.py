@@ -72,18 +72,18 @@ class TestPromptBuilders:
 class TestGridSizes:
     def test_default_basic_grid_yields_20(self, tmp_path):
         gateway = make_gateway(tmp_path)
-        result = generate_signatures(QUESTION, StrategyKind.BASIC, MODELS, TEMPS, gateway)
+        result = generate_signatures([QUESTION], [StrategyKind.BASIC], MODELS, TEMPS, gateway)[0]
         assert len(result["signatures"]) == 20
         assert result["failures"] == []
 
     def test_minimal_grid_yields_1(self, tmp_path):
         gateway = make_gateway(tmp_path)
-        result = generate_signatures(QUESTION, StrategyKind.BASIC, ["gpt-4"], [0.0], gateway)
+        result = generate_signatures([QUESTION], [StrategyKind.BASIC], ["gpt-4"], [0.0], gateway)[0]
         assert len(result["signatures"]) == 1
 
     def test_sentiment_grid_yields_60_by_enumeration(self, tmp_path):
         gateway = make_gateway(tmp_path)
-        result = generate_signatures(QUESTION, StrategyKind.SENTIMENT, MODELS, TEMPS, gateway)
+        result = generate_signatures([QUESTION], [StrategyKind.SENTIMENT], MODELS, TEMPS, gateway)[0]
         expected = len(list(product(MODELS, TEMPS, list(Sentiment))))
         assert expected == 60
         assert len(result["signatures"]) == expected
@@ -91,7 +91,7 @@ class TestGridSizes:
     def test_empty_grid_rejected(self, tmp_path):
         gateway = make_gateway(tmp_path)
         with pytest.raises(ValueError):
-            generate_signatures(QUESTION, StrategyKind.BASIC, [], TEMPS, gateway)
+            generate_signatures([QUESTION], [StrategyKind.BASIC], [], TEMPS, gateway)
 
 
 class TestGenerationFailures:
@@ -104,9 +104,7 @@ class TestGenerationFailures:
 
         gateway = make_gateway(tmp_path, chat=MostlyEmpty())
         # 2 of 4 cells empty: not a majority, so the set survives with failures
-        result = generate_signatures(
-            QUESTION, StrategyKind.BASIC, ["m1"], [0.0, 0.25], gateway
-        )
+        result = generate_signatures([QUESTION], [StrategyKind.BASIC], ["m1"], [0.0, 0.25], gateway)[0]
         assert len(result["signatures"]) == 1
         assert len(result["failures"]) == 1
         assert result["failures"][0]["error"] == "empty completion"
@@ -121,8 +119,9 @@ class TestGenerationFailures:
                 return "fine"
 
         gateway = make_gateway(tmp_path, chat=MostlyBroken())
-        with pytest.raises(SignatureGenerationError, match="q1"):
-            generate_signatures(QUESTION, StrategyKind.BASIC, ["m1"], TEMPS, gateway)
+        [result] = generate_signatures([QUESTION], [StrategyKind.BASIC], ["m1"], TEMPS, gateway)
+        assert isinstance(result, SignatureGenerationError)
+        assert str(result) == 'question "q1": 4/5 signature cells failed'
 
 
 class TestDedupe:
@@ -190,7 +189,7 @@ class TestDeterminismAndStore:
             gateway = ProviderGateway(
                 cache=DiskCache(cache_dir), chat_provider=MockChatProvider(seed=0), sleep=lambda _: None
             )
-            result = generate_signatures(QUESTION, StrategyKind.BASIC, MODELS, TEMPS, gateway)
+            result = generate_signatures([QUESTION], [StrategyKind.BASIC], MODELS, TEMPS, gateway)[0]
             path = save_signature_set(result, tmp_path / out_name)
             return path.read_bytes(), gateway.stats.provider_calls
 
@@ -202,7 +201,7 @@ class TestDeterminismAndStore:
 
     def test_replaying_recorded_cells_reproduces_cached_requests(self, tmp_path):
         gateway = make_gateway(tmp_path)
-        result = generate_signatures(QUESTION, StrategyKind.SENTIMENT, ["m1"], [0.0, 0.5], gateway)
+        result = generate_signatures([QUESTION], [StrategyKind.SENTIMENT], ["m1"], [0.0, 0.5], gateway)[0]
         for sig in result["signatures"]:
             request = build_signature_request(
                 QUESTION, sig["model_id"], sig["temperature"], Sentiment(sig["sentiment"])
@@ -215,7 +214,7 @@ class TestDeterminismAndStore:
     @pytest.mark.parametrize("kind", list(StrategyKind))
     def test_save_load_round_trip(self, tmp_path, kind):
         gateway = make_gateway(tmp_path, chat=StaticChatProvider("Identical answer."))
-        result = dedupe_signatures(generate_signatures(QUESTION, kind, ["m1", "m2"], [0.0], gateway))
+        result = dedupe_signatures(generate_signatures([QUESTION], [kind], ["m1", "m2"], [0.0], gateway)[0])
         assert result["duplicates_removed"] > 0
         path = save_signature_set(result, tmp_path / "store")
         assert load_signature_set(tmp_path / "store", kind, "q1") == result
@@ -223,9 +222,7 @@ class TestDeterminismAndStore:
 
     def test_signatures_sorted_by_model_temperature_sentiment(self, tmp_path):
         gateway = make_gateway(tmp_path)
-        result = generate_signatures(
-            QUESTION, StrategyKind.SENTIMENT, ["m2", "m1"], [0.5, 0.0], gateway
-        )
+        [result] = generate_signatures([QUESTION], [StrategyKind.SENTIMENT], ["m2", "m1"], [0.5, 0.0], gateway)
         keys = [(s["model_id"], s["temperature"], s["sentiment"]) for s in result["signatures"]]
         assert keys == sorted(keys)
 
@@ -236,7 +233,7 @@ class TestDeterminismAndStore:
 
     def test_forced_duplicates_dedupe_to_one(self, tmp_path):
         gateway = make_gateway(tmp_path, chat=StaticChatProvider("Identical answer."))
-        result = generate_signatures(QUESTION, StrategyKind.BASIC, MODELS, TEMPS, gateway)
+        result = generate_signatures([QUESTION], [StrategyKind.BASIC], MODELS, TEMPS, gateway)[0]
         assert len(result["signatures"]) == 20
         deduped = dedupe_signatures(result)
         assert len(deduped["signatures"]) == 1

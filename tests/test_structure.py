@@ -78,6 +78,19 @@ def test_only_build_parser_declares_flags():
     assert callers == {("cli.py", "build_parser")}
 
 
+def test_signatures_py_alone_maps_the_grid_to_requests():
+    """gen-signatures makes one generate_signatures call and sends no chat request itself."""
+    builders = {
+        (path.name, top)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top, _ in _calls(path, lambda call: _call_name(call) == "build_signature_request")
+    }
+    assert builders == {("signatures.py", "generate_signatures")}
+    assert _calls(PACKAGE / "cli.py", lambda call: _call_name(call) == "chat_many") == []
+    generators = _calls(PACKAGE / "cli.py", lambda call: _call_name(call) == "generate_signatures")
+    assert [top for top, _ in generators] == ["cmd_gen_signatures"]
+
+
 def _is_executor(call: ast.Call) -> bool:
     return _call_name(call) == "ThreadPoolExecutor"
 
