@@ -35,6 +35,8 @@ from .errors import ConfigError, DataError, ProviderError
 from .gateway import DiskCache, ProviderGateway, check_temperature
 from .model import Cohort, compute_length_stats
 from .providers import (
+    ChatProvider,
+    EmbeddingProvider,
     MockChatProvider,
     MockEmbeddingProvider,
     OpenAICompatChatProvider,
@@ -211,27 +213,21 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f'unknown sentiment "{s}"') from None
 
 
+def _providers(cfg: RunConfig) -> tuple[ChatProvider, EmbeddingProvider]:
+    """The run's chat and embedding providers; building them makes no request and needs no API key."""
+    if cfg.mock:
+        return MockChatProvider(cfg.seed), MockEmbeddingProvider(cfg.seed, cfg.mock_embedding_dim)
+    endpoint = dict(base_url=cfg.chat_base_url, base_url_env=cfg.base_url_env, api_key_env=cfg.api_key_env)
+    return OpenAICompatChatProvider(**endpoint), OpenAICompatEmbeddingProvider(cfg.embedding_model, **endpoint)
+
+
 def build_gateway(cfg: RunConfig) -> ProviderGateway:
-    """The run's gateway; building it makes no request and needs no API key."""
+    """The run's gateway: its cache dir, opened, and its providers."""
     try:
         cache = DiskCache(Path(cfg.cache_dir))
     except OSError as exc:  # a file at the path or above it, or no permission
         raise ConfigError(f"cannot use cache directory {cfg.cache_dir}: {exc.strerror}") from None
-    if cfg.mock:
-        chat = MockChatProvider(seed=cfg.seed)
-        embed = MockEmbeddingProvider(seed=cfg.seed, dim=cfg.mock_embedding_dim)
-    else:
-        chat = OpenAICompatChatProvider(
-            base_url=cfg.chat_base_url,
-            base_url_env=cfg.base_url_env,
-            api_key_env=cfg.api_key_env,
-        )
-        embed = OpenAICompatEmbeddingProvider(
-            model=cfg.embedding_model,
-            base_url=cfg.chat_base_url,
-            base_url_env=cfg.base_url_env,
-            api_key_env=cfg.api_key_env,
-        )
+    chat, embed = _providers(cfg)
     return ProviderGateway(cache=cache, chat_provider=chat, embedding_provider=embed)
 
 
@@ -518,31 +514,19 @@ def _read_dump(path: Path, keys: Sequence[str], report_part: Callable[[dict], di
 
 
 def _build_provenance(cfg: RunConfig) -> dict:
-    gateway = build_gateway(cfg)
+    """What shaped the report: template versions, conventions, the provider ids the configuration
+    builds, and every setting that a command's own flag sets. It opens no cache."""
+    chat, embed = _providers(cfg)
     return {
         "template_versions": {"signatures": TEMPLATE_VERSION, "detector": DETECTOR_TEMPLATE_VERSION},
-        "grid": {
-            "models": list(cfg.models),
-            "temperatures": list(cfg.temperatures),
-            "sentiments": list(cfg.sentiments),
-            "strategies": list(cfg.strategies),
-        },
         "conventions": {
             "sweep_average": AverageConvention.POOLED_WEIGHTED.value,
             "detector_average": AverageConvention.UNWEIGHTED_MEAN.value,
             "threshold_rule": "inclusive_ge",
             "rounding": "two_decimals_half_up",
         },
-        "providers": {
-            "chat": gateway.chat_provider.provider_id,
-            "embedding": gateway.embedding_provider.provider_id,
-        },
-        "detector": {"model": cfg.detector_model, "temperature": cfg.detector_temperature},
-        "thresholds": list(cfg.thresholds),
-        "low_threshold": cfg.low_threshold,
-        "bin_width": cfg.bin_width,
-        "seed": cfg.seed,
-        "cache": {"dir": Path(cfg.cache_dir).name, "entries": gateway.cache.entry_count()},
+        "providers": {"chat": chat.provider_id, "embedding": embed.provider_id},
+        "config": {key: getattr(cfg, key) for key, _, commands in _FLAGS.values() if commands},
     }
 
 
@@ -556,9 +540,11 @@ def cmd_report(cfg: RunConfig) -> int:
         raise DataError(f"no dumps found in {out_dir}; run score or detect-llm first")
 
     with _exclusive_output(out_dir):
-        llm_sections = [
-            _read_dump(p, ("model_id", "studies"), lambda d: {"llm_detection": [d]}) for p in detector_paths
-        ]
+        llm_sections = []
+        for path in detector_paths:  # each dump without its verdicts: the report renders only percentages
+            dump = _read_dump(path, ("model_id", "studies"), lambda d: {"llm_detection": [d]})
+            dump["studies"] = [{k: v for k, v in study.items() if k != "verdicts"} for study in dump["studies"]]
+            llm_sections.append(dump)
         signature_section = None
         if sweep_path.exists():
             keys = ("rows", "study_order", "cohorts")

@@ -78,18 +78,21 @@ TABLES = {
     "responses": (RESPONSE_COLUMNS, "question_id", SurveyResponse),
 }
 
-# A table as read: its rows' values, and the name of row i (0-based) for error messages.
-_Rows = tuple[list[list[str]], Callable[[int], str]]
+# A table as read: its rows' values, the name of row i (0-based) and the table's own name, for
+# error messages.
+_Rows = tuple[list[list[str]], Callable[[int], str], str]
 
 
 def _build_dataset(tables: Mapping[str, _Rows]) -> SurveyDataset:
     """Check ids and references, build every row's model, and sort each table by id."""
     built = {}
     by_id: dict[str, object] = {}
+    source = None
     for table, (columns, parent, model) in TABLES.items():
-        rows, row_name = tables[table]
+        parent_ids, parent_source = by_id, source  # the table before: its rows by id, and its name
+        rows, row_name, source = tables[table]
         parent_at = columns.index(parent) if parent else None
-        parent_ids, by_id = by_id, {}
+        by_id = {}
         for i, row in enumerate(rows):
             row_id = row[0]
             try:
@@ -98,7 +101,7 @@ def _build_dataset(tables: Mapping[str, _Rows]) -> SurveyDataset:
                 if parent_at is not None and row[parent_at] not in parent_ids:
                     raise ValueError(
                         f'{columns[0].removesuffix("_id")} "{row_id}" references unknown '
-                        f'{parent.removesuffix("_id")} "{row[parent_at]}"'
+                        f'{parent.removesuffix("_id")} "{row[parent_at]}" (not in {parent_source})'
                     )
                 by_id[row_id] = model(*row)
             except ValueError as exc:
@@ -139,7 +142,9 @@ def _read_csv(path: Path, columns: Sequence[str]) -> _Rows:
                 rows.append(row)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit(), 131,072 characters
             raise DataError(f"{row_name(-1 if header is None else len(rows))}: {exc}") from exc
-    return rows, row_name
+        except UnicodeDecodeError as exc:  # decoded a block at a time, so no row is to blame
+            raise DataError(f"{path.name}: {exc}") from exc
+    return rows, row_name, path.name
 
 
 # JSON names of the value types a dataset cell may not hold.
@@ -171,7 +176,7 @@ def _json_rows(name: str, payload: dict, table: str, columns: Sequence[str]) -> 
                 )
             row.append(str(value))
         rows.append(row)
-    return rows, row_name
+    return rows, row_name, f"{name}: {table}"
 
 
 def load_dataset(path: Path | str) -> SurveyDataset:

@@ -241,6 +241,8 @@ def _check_store(store: object) -> None:
     for s in store["grid"]["sentiments"]:
         Sentiment(s)
     int(store.get("duplicates_removed", 0))
+    if not store["signatures"]:
+        raise ValueError("no signatures")
     seen = set()  # grid cells and signature ids
     for row in store["signatures"]:
         signature_id, cell = row["signature_id"], _grid_cell(kind, row)

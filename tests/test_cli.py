@@ -661,7 +661,7 @@ class TestPathsOfTheWrongKind:
         assert code == 1
         assert f"config error: cannot use output directory {tmp_path / 'out'}: " in err
 
-    @pytest.mark.parametrize("command", ["gen-signatures", "report"])
+    @pytest.mark.parametrize("command", ["gen-signatures", "score", "detect-llm"])
     def test_a_cache_dir_naming_a_file_is_a_config_error(self, capsys, corpus_path, tmp_path, command):
         assert run_cli(capsys, *base_args(corpus_path, tmp_path, "detect-llm"))[0] == 0  # a dump to report
         before = _output_files(tmp_path / "out")
@@ -673,6 +673,24 @@ class TestPathsOfTheWrongKind:
         assert code == 1
         assert f"config error: cannot use cache directory {cache_file}: " in err
         assert _output_files(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("cache", ["file", "absent"])
+    def test_report_opens_no_cache_dir(self, capsys, corpus_path, tmp_path, cache):
+        """report reads only its dumps: a cache dir that names a file, or none, is left as it is."""
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "detect-llm"))[0] == 0  # a dump to report
+        cache_dir = tmp_path / f"cache-{cache}"
+        if cache == "file":
+            cache_dir.write_text("not a cache", encoding="utf-8")
+        args = base_args(corpus_path, tmp_path, "report")
+        args[args.index("--cache-dir") + 1] = cache_dir
+        code, _, err = run_cli(capsys, *args)
+        assert (code, err) == (0, "")
+        written = {path.name for path in _output_files(tmp_path / "out")}
+        assert {"report.json", "report.md", "report.csv"} <= written
+        if cache == "file":
+            assert cache_dir.read_bytes() == b"not a cache"
+        else:
+            assert not cache_dir.exists()
 
     @pytest.mark.parametrize(
         "command, name",
@@ -938,6 +956,23 @@ class TestProvenanceProviders:
         assert code == 1
         assert f"unknown config key(s): {key}" in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+
+class TestProvenanceConfig:
+    def test_config_holds_every_command_flag_setting_as_given(self, capsys, corpus_path, tmp_path):
+        run_cli(capsys, *base_args(corpus_path, tmp_path, "detect-llm"))
+        given = {"k_high": 2, "scores_mode": "full", "exclude_empty": True, "tolerate_parse_failures": False}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(given), encoding="utf-8")
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "report"), "--config", config)
+        assert code == 0, err
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        recorded = report["provenance"]["config"]
+        keys = {key for key, _, commands in cli._FLAGS.values() if commands}
+        assert len(keys) == 13 and set(recorded) == keys
+        expected = {key: getattr(RunConfig(**given), key) for key in keys}
+        assert recorded == json.loads(json.dumps(expected))  # tuples are JSON lists
+        assert {key: recorded[key] for key in given} == given
 
 
 class TestThresholdBoundary:
@@ -1377,11 +1412,14 @@ class TestUnreadableCacheAndStore:
         calls = []
         monkeypatch.setattr(cli.MockChatProvider, "complete", lambda self, request: calls.append(request))
         monkeypatch.setattr(cli.MockEmbeddingProvider, "embed_many", lambda self, texts: calls.append(texts))
-        for command in ("gen-signatures", "score", "detect-llm", "report"):
+        for command in ("gen-signatures", "score", "detect-llm"):
             code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, command))
             assert code == 1, (command, err)
             assert err.startswith(f"config error: cache dir {cache} holds {what} of an earlier version"), err
             assert "move the dir aside" in err and "Traceback" not in err
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "report"))  # it opens no cache
+        assert (code, err) == (0, "")
+        assert all((tmp_path / "out" / name).is_file() for name in ("report.json", "report.md", "report.csv"))
         assert calls == []
         assert old.read_bytes() == kept
         assert sorted(cache.rglob("*")) == listing

@@ -54,8 +54,11 @@ class TestLoadBundle:
     @pytest.mark.parametrize(
         "question_study, response_question, message",
         [
-            ("s1", "q9", 'responses.csv row 2: response "r1" references unknown question "q9"'),
-            ("s9", "q1", 'questions.csv row 2: question "q1" references unknown study "s9"'),
+            (
+                "s1", "q9",
+                'responses.csv row 2: response "r1" references unknown question "q9" (not in questions.csv)',
+            ),
+            ("s9", "q1", 'questions.csv row 2: question "q1" references unknown study "s9" (not in studies.csv)'),
         ],
     )
     def test_dangling_reference_names_file_and_row(
@@ -110,6 +113,19 @@ class TestLoadBundle:
         (path / "studies.csv").write_text("wrong,header\nrow,two\n", encoding="utf-8")
         with pytest.raises(DataError, match="expected header"):
             load_dataset(path)
+
+    def test_a_csv_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = write_bundle(
+            tmp_path / "bundle",
+            studies=[["s1", "Study", "2021-06", "d", "p"]],
+            questions=[["q1", "s1", "open_ended", "Question?"]],
+            responses=[["r1", "q1", "café", ""]],
+        )
+        responses = path / "responses.csv"
+        responses.write_bytes(responses.read_bytes().replace("é".encode(), b"\xff"))
+        with pytest.raises(DataError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value).startswith("responses.csv: 'utf-8' codec can't decode byte 0xff")
 
     def test_bad_month_names_study_and_row(self, tmp_path):
         path = write_bundle(

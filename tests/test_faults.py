@@ -6,10 +6,13 @@
   (exit 0) or stops with a data error naming the dump (exit 2).
 - Bit flips, truncations and one-character edits of a config file: ``validate`` exits 0, 1 or
   2, and an error in the file's JSON, its top level, its keys or its values' types names it.
+- The same faults of each CSV of the fixture dataset, and of its tables as one JSON file, plus
+  a flipped high bit (no longer UTF-8): ``validate`` exits 0, 1 or 2, and an error names the file.
 - Two runs at once on one cold cache: both finish, and leave it warm for a rerun with no call.
 - A write over the file size limit, of an artifact or of a cache pack: exit 1 naming the path."""
 
 import contextlib
+import csv
 import io
 import json
 import random
@@ -23,6 +26,7 @@ import pytest
 
 from conftest import FIXTURE_CORPUS, entry_request, read_pack, src_env
 from surveyguard.cli import RunConfig, main
+from surveyguard.dataset import TABLES
 
 # Each warm command, and the requests of the entries it reads: their kind and purpose.
 READS = {
@@ -149,23 +153,27 @@ FILE_ERRORS = (
 )
 
 
-def config_faults(kind: str) -> list[bytes]:
-    """Seeded faults of the config file: a flipped bit, a truncation, or one character deleted,
-    inserted or replaced."""
-    data = json.dumps(CONFIG).encode()
-    rng = random.Random(f"config faults {kind}")
+def byte_faults(data: bytes, seed: str, kind: str, count: int, chars: bytes = EDIT_CHARS) -> list[bytes]:
+    """Seeded faults of data: a flipped bit, its high bit flipped, a truncation, or one character
+    of chars deleted, inserted or replaced."""
+    rng = random.Random(seed)
     faulted = []
-    for _ in range(CONFIG_FAULTS):
+    for _ in range(count):
         at = rng.randrange(len(data))
         head, tail = data[:at], data[at + 1 :]
-        if kind == "flip":
-            faulted.append(head + bytes([data[at] ^ 1 << rng.randrange(8)]) + tail)
+        if kind in ("flip", "high-bit"):
+            bit = 7 if kind == "high-bit" else rng.randrange(8)
+            faulted.append(head + bytes([data[at] ^ 1 << bit]) + tail)
         elif kind == "cut":
             faulted.append(head)
         else:
-            char = bytes([rng.choice(EDIT_CHARS)])
+            char = bytes([rng.choice(chars)])
             faulted.append(rng.choice([head + tail, head + char + data[at:], head + char + tail]))
     return faulted
+
+
+def config_faults(kind: str) -> list[bytes]:
+    return byte_faults(json.dumps(CONFIG).encode(), f"config faults {kind}", kind, CONFIG_FAULTS)
 
 
 def is_a_config_object(data: bytes) -> bool:
@@ -188,6 +196,46 @@ def test_a_damaged_config_file_exits_0_1_or_2_and_a_file_error_names_it(tmp_path
         assert code in (0, 1, 2) and "Traceback" not in err, (data, err)
         file_error = not is_a_config_object(data) or any(marker in err for marker in FILE_ERRORS)
         if file_error and (code, str(config) in err) != (1, True):
+            unnamed.append((data, code, err))
+    assert unnamed == []
+
+
+DATASET_FILES = ("studies.csv", "questions.csv", "responses.csv", "dataset.json")
+DATASET_FAULTS = 8  # per file and kind of fault, and one high-bit flip: not UTF-8 in an ASCII file
+CSV_EDIT_CHARS = b',"\r\n-0123456789_ aeioqrs'
+
+
+@pytest.fixture(scope="module")
+def datasets(tmp_path_factory) -> Path:
+    """The fixture bundle under corpus/, and the same tables as one JSON file, dataset.json."""
+    root = tmp_path_factory.mktemp("datasets")
+    shutil.copytree(FIXTURE_CORPUS, root / "corpus")
+    tables = {}
+    for table in TABLES:
+        with open(FIXTURE_CORPUS / f"{table}.csv", newline="", encoding="utf-8") as fh:
+            tables[table] = list(csv.DictReader(fh))
+    (root / "dataset.json").write_text(json.dumps(tables), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("name", DATASET_FILES)
+def test_a_damaged_dataset_exits_0_1_or_2_and_an_error_names_the_file(datasets, tmp_path, name):
+    shutil.copytree(datasets, tmp_path, dirs_exist_ok=True)
+    dataset = tmp_path / ("corpus" if name.endswith(".csv") else name)
+    path = dataset / name if dataset.is_dir() else dataset
+    clean, chars = path.read_bytes(), CSV_EDIT_CHARS if name.endswith(".csv") else EDIT_CHARS
+    counts = {"flip": DATASET_FAULTS, "cut": DATASET_FAULTS, "edit": DATASET_FAULTS, "high-bit": 1}
+    faults = [
+        data
+        for kind, count in counts.items()
+        for data in byte_faults(clean, f"dataset faults {name} {kind}", kind, count, chars)
+    ]
+    unnamed = []
+    for data in faults:
+        path.write_bytes(data)
+        code, _, err = run_main("validate", "--dataset", dataset)
+        assert code in (0, 1, 2) and "Traceback" not in err, (data, err)
+        if code != 0 and name not in err:
             unnamed.append((data, code, err))
     assert unnamed == []
 

@@ -124,14 +124,14 @@ def test_the_builder_plants_what_it_says(corpus):
 
 
 def _run(dataset, tmp_path, out: str) -> dict[str, bytes]:
-    """gen-signatures, score and detect-llm on dataset; every file they wrote, by relative path."""
+    """gen-signatures, score, detect-llm and report on dataset; every file written, by relative path."""
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
         "mock": True, "seed": SEED, "mock_embedding_dim": DIM, "models": list(MODELS),
         "temperatures": list(TEMPERATURES), "thresholds": list(THRESHOLDS),
     }), encoding="utf-8")
     flags = ["--config", config, "--dataset", dataset, "--cache-dir", tmp_path / "cache", "--output-dir", out]
-    for command in ("gen-signatures", "score", "detect-llm"):
+    for command in ("gen-signatures", "score", "detect-llm", "report"):
         assert main([command, *map(str, flags)]) == 0
     return {str(path.relative_to(out)): path.read_bytes() for path in out.rglob("*") if path.is_file()}
 
@@ -180,6 +180,20 @@ def test_cohort_averages_are_the_construction_s_rationals(corpus, run):
         mean = sum(Fraction(100 * corpus.count(s, corpus.markers), corpus.total(s)) for s in studies) / 3
         assert comparison[cohort]["value"] == f"{mean.numerator}/{mean.denominator}"
     assert Fraction(comparison["post_2022"]["value"]) > Fraction(comparison["pre_2022"]["value"])
+
+
+def test_the_report_carries_the_planted_counts_and_no_verdict(corpus, run):
+    keys = set()
+    report = json.loads(run[1]["report.json"], object_hook=lambda obj: keys.update(obj) or obj)
+    assert "verdicts" not in keys
+    copies = {s: (corpus.count(s, corpus.copies), corpus.total(s)) for s in MONTHS}
+    for row in report["signature_detection"]["sweep"]["rows"]:
+        assert {s: (pct["num"], pct["den"]) for s, pct in row["per_study"].items()} == copies
+    [section] = report["llm_detection"]
+    per_study = {study["study_id"]: study["percentage"] for study in section["studies"]}
+    assert {s: (pct["num"], pct["den"]) for s, pct in per_study.items()} == {
+        s: (corpus.count(s, corpus.markers), corpus.total(s)) for s in MONTHS
+    }
 
 
 def test_the_same_tables_as_one_json_file_write_the_same_bytes(corpus, run):

@@ -259,6 +259,7 @@ BAD_STORES = {
         lambda store: {**store, "signatures": [*store["signatures"], {**store["signatures"][0], "temperature": 0.25}]},
     ),
     "temperature not a number": ("basic", _first_row(temperature="x")),
+    "no signatures": ("basic", lambda store: {**store, "signatures": []}),
     "no template_version": ("basic", lambda store: {k: v for k, v in store.items() if k != "template_version"}),
     "unknown grid sentiment": ("sentiment", lambda store: {**store, "grid": {**store["grid"], "sentiments": ["angry"]}}),
     "duplicates_removed not a number": ("basic", lambda store: {**store, "duplicates_removed": "x"}),

@@ -91,6 +91,15 @@ def test_signatures_py_alone_maps_the_grid_to_requests():
     assert [top for top, _ in generators] == ["cmd_gen_signatures"]
 
 
+def test_report_opens_no_cache():
+    """Only build_gateway opens a cache, and only the commands that send requests build a gateway."""
+    def callers(name: str) -> set[str]:
+        return {top for top, _ in _calls(PACKAGE / "cli.py", lambda call: _call_name(call) == name)}
+
+    assert callers("DiskCache") == {"build_gateway"}
+    assert callers("build_gateway") == {"cmd_gen_signatures", "cmd_score", "cmd_detect_llm"}
+
+
 def _is_executor(call: ast.Call) -> bool:
     return _call_name(call) == "ThreadPoolExecutor"
 
