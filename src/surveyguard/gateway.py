@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, count, islice
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -72,6 +72,11 @@ class ChatRequest:
         check_temperature(self.temperature)
         if not self.messages:
             raise ValueError("messages must be non-empty")
+        identity = (self.model_id, self.temperature, self.messages, self.purpose)
+        object.__setattr__(self, "_hash", hash(identity))  # once, not at each dict or set use
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def canonical_json(
@@ -148,11 +153,11 @@ class DiskCache:
         self.packs = self.root / "packs"
         self.packs.mkdir(exist_ok=True)
         self._lock = threading.Lock()
-        # digest -> pack slot (pack << 32 | row), or the entry's bytes while it is pending
+        # digest -> pack slot (pack number << 32 | row), or the entry's bytes while it is pending
         self._index: dict[bytes, int | bytes] = {}
-        self._packs: list[tuple[int, Path, array, array]] = []  # number, path, entry bounds, crcs
+        self._packs: dict[int, tuple[Path, array, array]] = {}  # number -> path, entry bounds, crcs
         self._pending: dict[bytes, bytes] = {}
-        self._next = 0  # the pack number to try first
+        self._next = 0  # the pack number the next flush tries first
         self.refresh()
 
     def _refuse(self, what: str) -> None:
@@ -164,8 +169,8 @@ class DiskCache:
 
     def refresh(self) -> None:
         """Index the packs committed since the last call, by any process."""
-        known = {number for number, *_ in self._packs}
-        names = sorted((n for n in os.listdir(self.packs) if n.isdecimal() and int(n) not in known), key=int)
+        names = [n for n in os.listdir(self.packs) if n.isdecimal() and int(n) not in self._packs]
+        names.sort(key=int)
         for path in map(self.packs.joinpath, names):
             with open(path, "rb") as fh:
                 head = fh.read(len(self._PACK_MAGIC) + 4)
@@ -183,21 +188,22 @@ class DiskCache:
                 bounds = array("I", [fh.tell(), *(min(end, file_size) for _, end, _ in rows)])
             crcs = array("I", (crc for *_, crc in rows))
             self._add(int(path.name), path, [digest for digest, *_ in rows], bounds, crcs)
-        self._next = max(self._next, int(names[-1]) + 1 if names else 0)
 
     def _add(self, number: int, path: Path, digests: list[bytes], bounds: array, crcs: array) -> None:
+        """Index a committed pack. Adding it again (a refresh may find a pack before its own flush
+        adds it) changes nothing."""
         with self._lock:
-            pack = len(self._packs)
-            self._packs.append((number, path, bounds, crcs))
+            self._packs[number] = (path, bounds, crcs)
+            self._next = max(self._next, number + 1)
             for row, digest in enumerate(digests):
                 held = self._index.get(digest)
-                if not isinstance(held, int) or self._packs[held >> 32][0] > number:
-                    self._index[digest] = pack << 32 | row
+                if not isinstance(held, int) or held >> 32 > number:
+                    self._index[digest] = number << 32 | row
 
     def locate(self, key: bytes) -> str:
         """Where the key's entry is read from: its pack and digest, or, pending, the root and digest."""
         held = self._index.get(key)
-        where = self._packs[held >> 32][1] if isinstance(held, int) else f"{self.root} pending"
+        where = self._packs[held >> 32][0] if isinstance(held, int) else f"{self.root} pending"
         return f"{where} entry {key.hex()}"
 
     def __contains__(self, key: bytes) -> bool:
@@ -215,7 +221,7 @@ class DiskCache:
             elif held is not None:
                 yield i, held
         for pack, rows in wanted.items():
-            _, path, bounds, crcs = self._packs[pack]
+            path, bounds, crcs = self._packs[pack]
             base = min(bounds[row] for row, _ in rows)
             fd = os.open(path, os.O_RDONLY)
             try:
@@ -250,10 +256,11 @@ class DiskCache:
         return True
 
     def flush(self) -> None:
-        """Commit the pending entries as a pack: a temp file hard-linked to the lowest free
-        number above every pack seen. So commit order is name order, across processes too. A
-        failed write is a ConfigError naming the root; the temp file goes, earlier packs stay,
-        and the entries stay pending for the next call."""
+        """Commit the pending entries as a pack: a temp file hard-linked to a number taken under
+        the lock, above every pack seen; only another process's pack there makes it take the next
+        and refresh. So commit order is name order, across processes too (up to the threads of one
+        committing at once). A failed write is a ConfigError naming the root; the temp file goes,
+        earlier packs stay, and the entries stay pending for the next call."""
         with self._lock:
             batch, self._pending = self._pending, {}
         if not batch:
@@ -269,26 +276,26 @@ class DiskCache:
                     rows = map(self._ROW.pack, batch, bounds[1:], crcs)
                     head = [self._PACK_MAGIC, len(batch).to_bytes(4, "little"), *rows, stored_at]
                     data = [*head, *batch.values()]
-                    written = os.writev(fh.fileno(), data)
-                    if written != bounds[-1]:  # write the rest once more, so the kernel says why
-                        fh.write(b"".join(data)[written:])
-                number = first = self._next
-                while True:
+                    written = os.writev(fh.fileno(), data[: os.sysconf("SC_IOV_MAX")])
+                    if written != bounds[-1]:  # the rest: past IOV_MAX buffers, or after a short write,
+                        fh.write(b"".join(data)[written:])  # which the kernel then says why of
+                for tries in count():
+                    with self._lock:  # a number no other thread of this process tries
+                        number, self._next = self._next, self._next + 1
                     path = self.packs / f"{number:08d}"
                     try:
                         os.link(tmp, path)
                         break
-                    except FileExistsError:
-                        number += 1
+                    except FileExistsError:  # another process's pack, indexed by the refresh below
+                        pass
             finally:
                 os.unlink(tmp)
         except OSError as exc:
             with self._lock:  # the index still holds the keys, so a later flush must commit them
                 self._pending = batch | self._pending
             raise ConfigError(f"cannot write cache dir {self.root}: {exc.strerror or exc}") from None
-        self._next = number + 1
         self._add(number, path, list(batch), bounds, crcs)
-        if number != first:  # others committed packs since the last refresh
+        if tries:
             self.refresh()
 
     def entry_count(self) -> int:
@@ -336,35 +343,43 @@ def _fan_out(items: Iterable, call: Callable, slots: Callable[[], int]) -> list:
 
 class _Window:
     """A congestion window (RFC 5681) over a gateway's provider calls in flight, at most
-    ``MAX_IN_FLIGHT``. It opens at ``START_IN_FLIGHT`` slots, in slow start: below ``_threshold`` a
-    success adds a slot (about doubling it per round trip), at or above it ``1/size`` (about a
-    slot per round trip). A TransientProviderError (a 429, a 5xx, a network error) sets size and
-    threshold to half the size its call was sent under, never below 1, so a burst of them halves
-    it once and growth is additive from then on; other errors leave it."""
+    ``MAX_IN_FLIGHT``; it counts each call in the gateway's stats. It opens at ``START_IN_FLIGHT``
+    slots, in slow start: below ``_threshold`` a success adds a slot (about doubling it per round
+    trip), at or above it ``1/size`` (about a slot per round trip). A TransientProviderError (a
+    429, a 5xx, a network error) sets size and threshold to half the size its call was sent
+    under, never below 1, so a burst of them halves it once and growth is additive from then on;
+    other errors leave it."""
 
-    def __init__(self) -> None:
+    def __init__(self, stats: GatewayStats) -> None:
         self.size = float(START_IN_FLIGHT)
         self._threshold = float(MAX_IN_FLIGHT)
-        self._busy = 0
-        self._changed = threading.Condition()
+        self._busy = self._waiting = 0
+        self._stats = stats
+        self._lock = threading.Lock()  # entered as itself: a Condition's own enter and exit run in Python
+        self._changed = threading.Condition(self._lock)
 
     def take(self) -> float:
-        """Wait for a free slot and take it; the size it was taken at."""
-        with self._changed:
-            self._changed.wait_for(lambda: self._busy < int(self.size))
+        """Take a slot, waiting only while none is free, and count the call; the size it was taken at."""
+        with self._lock:
+            while self._busy >= int(self.size):
+                self._waiting += 1
+                self._changed.wait()
+                self._waiting -= 1
             self._busy += 1
+            self._stats.provider_calls += 1
             return self.size
 
     def give(self, sent: float, succeeded: bool | None) -> None:
         """Free a slot taken at size sent; succeeded is False on a TransientProviderError, None on others."""
-        with self._changed:
+        with self._lock:
             self._busy -= 1
             if succeeded:
                 step = 1 if self.size < self._threshold else 1 / self.size
                 self.size = min(self.size + step, MAX_IN_FLIGHT)
             elif succeeded is False:
                 self.size = self._threshold = min(self.size, max(sent / 2, 1.0))
-            self._changed.notify(max(int(self.size) - self._busy, 0))  # wake only as many as may take one
+            if self._waiting:  # wake only as many as may take a slot
+                self._changed.notify(max(int(self.size) - self._busy, 0))
 
 
 @dataclass
@@ -394,20 +409,19 @@ class ProviderGateway:
         self.chat_provider = chat_provider
         self.embedding_provider = embedding_provider
         self._sleep = sleep
-        self._window = _Window()
+        self.stats = GatewayStats()
+        self._window = _Window(self.stats)
         self._stats_lock = threading.Lock()
         self._jitter = random.Random(0)
         self._embed_dims: dict[str, int] = {}
-        self.stats = GatewayStats()
 
-    def _call_with_retry(self, fn: Callable[[], object], what: str) -> object:
+    def _call_with_retry(self, call: Callable[[object], object], arg: ChatRequest | list[str]) -> object:
+        """``call(arg)``, once more after each TransientProviderError, ``RETRIES`` times at most."""
         last: ProviderError | None = None
         for attempt in range(RETRIES):
             sent, succeeded = self._window.take(), None
             try:
-                with self._stats_lock:
-                    self.stats.provider_calls += 1
-                reply, succeeded = fn(), True
+                reply, succeeded = call(arg), True
                 return reply
             except TransientProviderError as exc:
                 last, succeeded = exc, False
@@ -417,6 +431,7 @@ class ProviderGateway:
                 delay = BACKOFF_BASE_S * (2**attempt) * (1.0 + 0.5 * self._jitter.random())
                 self._sleep(min(max(delay, last.retry_after or 0.0), REQUEST_TIMEOUT_S))
         assert last is not None
+        what = f"chat({arg.model_id})" if isinstance(arg, ChatRequest) else "embed"
         raise ProviderError(
             f"{what} failed after {RETRIES} attempts: {last}", status=last.status, attempts=RETRIES
         ) from last
@@ -496,13 +511,11 @@ class ProviderGateway:
         """
         if self.chat_provider is None:
             raise ConfigError("no chat provider configured")
-        provider_id = self.chat_provider.provider_id
+        provider_id, complete = self.chat_provider.provider_id, self.chat_provider.complete
 
         def send(miss: tuple[ChatRequest, bytes, bytes]) -> str:
             request, key, key_text = miss
-            text = self._call_with_retry(
-                lambda: self.chat_provider.complete(request), f"chat({request.model_id})"
-            )
+            text = self._call_with_retry(complete, request)
             self.cache.store(key, key_text, text.encode("utf-8"))
             return text
 
@@ -539,10 +552,11 @@ class ProviderGateway:
         provider_id = self.embedding_provider.provider_id
         in_flight: set[str] = set()  # sent and not yet stored; a repeat of one is a hit
         misses = self._lookup(texts, provider_id, in_flight)
+        embed_many = self.embedding_provider.embed_many
 
         def send(batch: list[tuple[str, bytes, bytes]]) -> None:
             batch_texts = [text for text, _, _ in batch]
-            raw = self._call_with_retry(lambda: self.embedding_provider.embed_many(batch_texts), "embed")
+            raw = self._call_with_retry(embed_many, batch_texts)
             if len(raw) != len(batch):
                 raise ProviderError(f"embedding provider returned {len(raw)} vectors for {len(batch)} texts")
             vectors = self._vectors(provider_id, raw)

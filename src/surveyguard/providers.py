@@ -67,10 +67,8 @@ class MockChatProvider:
         self.provider_id = f"mock-chat-{seed}"
 
     def complete(self, request: "ChatRequest") -> str:
-        from .gateway import PurposeTag
-
         prompt = "\n".join(text for _, text in request.messages)
-        if request.purpose == PurposeTag.DETECT:
+        if request.purpose == "detect":  # PurposeTag.DETECT, a str enum: the gateway imports this module
             return "AI" if DETECT_MARKER in prompt.lower() else "HUMAN"
         material = "|".join((str(self.seed), request.model_id, repr(float(request.temperature)), prompt))
         digest = hashlib.sha256(material.encode("utf-8")).digest()

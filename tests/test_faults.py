@@ -8,8 +8,11 @@
   2, and an error in the file's JSON, its top level, its keys or its values' types names it.
 - The same faults of each CSV of the fixture dataset, and of its tables as one JSON file, plus
   a flipped high bit (no longer UTF-8): ``validate`` exits 0, 1 or 2, and an error names the file.
+- The same faults of a signature store: ``score`` exits 0, 1 or 2, and an error names the store.
 - Two runs at once on one cold cache: both finish, and leave it warm for a rerun with no call.
-- A write over the file size limit, of an artifact or of a cache pack: exit 1 naming the path."""
+- A write over the file size limit, of an artifact or of a cache pack: exit 1 naming the path.
+- A crash between writing a pack and linking it: a rerun fetches only what no pack holds, reads
+  no temp file, and writes the bytes of a clean run."""
 
 import contextlib
 import csv
@@ -44,9 +47,9 @@ def run_main(*args) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run(root: Path, command: str, out: str = "out") -> tuple[int, str, str]:
+def run(root: Path, command: str, out: str = "out", *flags) -> tuple[int, str, str]:
     dirs = ["--cache-dir", root / "cache", "--output-dir", root / out]
-    return run_main(command, "--dataset", FIXTURE_CORPUS, *dirs, "--mock")
+    return run_main(command, "--dataset", FIXTURE_CORPUS, *dirs, "--mock", *flags)
 
 
 def outputs(out: Path) -> dict[str, bytes]:
@@ -240,11 +243,33 @@ def test_a_damaged_dataset_exits_0_1_or_2_and_an_error_names_the_file(datasets, 
     assert unnamed == []
 
 
-def child(script: str, root: Path, out: str, *args) -> subprocess.Popen:
-    """A Python child running script with args, then ``detect-llm`` flags on root's cache and
+STORE_FAULTS = 4  # per kind of fault, and one high-bit flip
+
+
+def test_a_damaged_signature_store_exits_0_1_or_2_and_an_error_names_it(clean, tmp_path):
+    shutil.copytree(clean[0], tmp_path, dirs_exist_ok=True)
+    store = tmp_path / "out" / "signatures" / "basic" / "q1.json"
+    counts = {"flip": STORE_FAULTS, "cut": STORE_FAULTS, "edit": STORE_FAULTS, "high-bit": 1}
+    faults = [
+        data
+        for kind, count in counts.items()
+        for data in byte_faults(store.read_bytes(), f"store faults {kind}", kind, count)
+    ]
+    unnamed = []
+    for data in faults:
+        store.write_bytes(data)
+        code, _, err = run(tmp_path, "score")
+        assert code in (0, 1, 2) and "Traceback" not in err, (data, err)
+        if code != 0 and str(store) not in err:
+            unnamed.append((data, code, err))
+    assert unnamed == []
+
+
+def child(script: str, root: Path, out: str, *args, command=("detect-llm",)) -> subprocess.Popen:
+    """A Python child running script with args, then command and its flags on root's cache and
     root / out; its output captured."""
     flags = ["--dataset", FIXTURE_CORPUS, "--cache-dir", root / "cache", "--output-dir", root / out, "--mock"]
-    argv = [sys.executable, "-c", script, *map(str, [*args, "detect-llm", *flags])]
+    argv = [sys.executable, "-c", script, *map(str, [*args, *command, *flags])]
     return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env())
 
 
@@ -302,3 +327,28 @@ def test_a_write_over_the_file_size_limit_exits_1_naming_its_path(clean, tmp_pat
     assert (warm_code, warm_err) == (1, f"config error: cannot write output file {dump}: File too large\n")
     assert not dump.exists()  # no truncated dump for a later report to read
     assert [path.name for path in (warm / "out").rglob("*")] == []  # and no temp file
+
+
+# The child dies at its second pack commit, with the temp pack written and not yet linked, as a
+# kill between the two would leave it.
+CRASH = (
+    "import os, sys\nfrom surveyguard import cli\nlinked = []\n"
+    "def link(src, dst, link=os.link):\n    if linked:\n        os._exit(9)\n"
+    "    linked.append(dst)\n    link(src, dst)\n"
+    "os.link = link\nsys.exit(cli.main(sys.argv[1:]))\n"
+)
+TEMPS = ("--temps", ",".join(str(t / 10) for t in range(10)))  # 80 grid cells: two packs
+
+
+def test_a_crash_mid_commit_costs_a_rerun_only_the_entries_no_pack_holds(tmp_path):
+    crashed, clean = tmp_path / "crashed", tmp_path / "clean"
+    assert finish(child(CRASH, crashed, "out", command=("gen-signatures", *TEMPS)))[0] == 9
+    files = sorted((crashed / "cache" / "packs").iterdir())
+    (pack,) = [path for path in files if path.name.isdecimal()]
+    assert [path.name.startswith(".tmp-") for path in files if path != pack] == [True]  # the one not linked
+    kept = len(read_pack(pack)[1])
+    assert 0 < kept < 80
+    code, out, err = run(crashed, "gen-signatures", "out", *TEMPS)
+    assert (code, err) == (0, "") and f"provider calls: {80 - kept} (cache hits: {kept})" in out
+    assert run(clean, "gen-signatures", "out", *TEMPS)[0] == 0
+    assert outputs(crashed / "out") == outputs(clean / "out")

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import hashlib
 import io
@@ -35,6 +36,7 @@ from surveyguard.gateway import (
     START_IN_FLIGHT,
     ChatRequest,
     DiskCache,
+    GatewayStats,
     ProviderGateway,
     PurposeTag,
     build_cache_key,
@@ -730,7 +732,7 @@ def can_hold(window, slots: int) -> bool:
 
 class TestWindow:
     def test_each_success_adds_a_slot_up_to_max_in_flight(self):
-        window = gateway_module._Window()
+        window = gateway_module._Window(GatewayStats())
         sizes = []
         for _ in range(MAX_IN_FLIGHT - START_IN_FLIGHT + 2):
             window.give(window.take(), True)
@@ -740,7 +742,7 @@ class TestWindow:
 
     @pytest.mark.parametrize("grown", [3, MAX_IN_FLIGHT - START_IN_FLIGHT], ids=["early", "at-max"])
     def test_after_a_halving_each_success_adds_one_over_its_size(self, grown):
-        window = gateway_module._Window()
+        window = gateway_module._Window(GatewayStats())
         for _ in range(grown):
             window.give(window.take(), True)
         window.give(window.take(), False)
@@ -753,13 +755,13 @@ class TestWindow:
         assert can_hold(window, int(expected))
 
     def test_it_grows_to_max_in_flight_and_no_further(self):
-        window = gateway_module._Window()
+        window = gateway_module._Window(GatewayStats())
         for _ in range(MAX_IN_FLIGHT**2):
             window.give(window.take(), True)
         assert window.size == MAX_IN_FLIGHT and can_hold(window, MAX_IN_FLIGHT)
 
     def test_a_transient_error_halves_the_size_its_call_was_sent_under(self):
-        window = gateway_module._Window()
+        window = gateway_module._Window(GatewayStats())
         sent = window.take()
         for _ in range(4):  # others succeed while that call is in flight
             window.give(window.take(), True)
@@ -768,22 +770,34 @@ class TestWindow:
         assert window.size == START_IN_FLIGHT / 2
 
     def test_a_burst_of_transient_errors_halves_it_once(self):
-        window = gateway_module._Window()
+        window = gateway_module._Window(GatewayStats())
         burst = [window.take() for _ in range(START_IN_FLIGHT)]
         for sent in burst:
             window.give(sent, False)
         assert window.size == START_IN_FLIGHT / 2 and can_hold(window, 2)
 
     def test_it_never_shrinks_below_one(self):
-        window = gateway_module._Window()
+        window = gateway_module._Window(GatewayStats())
         sizes = []
         for _ in range(5):
             window.give(window.take(), False)
             sizes.append(window.size)
         assert sizes == [2.5, 1.25, 1.0, 1.0, 1.0] and can_hold(window, 1)
 
+    def test_it_counts_each_call_it_lets_through_and_wakes_a_waiter_for_a_freed_slot(self):
+        stats = GatewayStats()
+        window = gateway_module._Window(stats)
+        sent = [window.take() for _ in range(START_IN_FLIGHT)]  # full
+        waiter = threading.Thread(target=window.take)
+        waiter.start()
+        time.sleep(0.05)
+        assert waiter.is_alive() and stats.provider_calls == START_IN_FLIGHT
+        window.give(sent.pop(), None)
+        waiter.join(timeout=5)
+        assert not waiter.is_alive() and stats.provider_calls == START_IN_FLIGHT + 1
+
     def test_a_call_that_raised_anything_else_leaves_it_as_it_is(self):
-        window = gateway_module._Window()
+        window = gateway_module._Window(GatewayStats())
         for _ in range(3 * START_IN_FLIGHT):
             window.give(window.take(), None)
         assert window.size == START_IN_FLIGHT and can_hold(window, START_IN_FLIGHT)
@@ -891,6 +905,26 @@ class TestDiskCache:
         assert [p.name for p in cache.packs.iterdir()] == ["00000000"]
         assert load_entry(DiskCache(tmp_path / "cache"), "text") == b"kept"
 
+    def test_pending_entries_of_failed_commits_all_commit_once_the_disk_has_room(self, tmp_path, monkeypatch):
+        """More pending entries than one writev takes buffers (the kernel's IOV_MAX) still commit."""
+        cache, texts = DiskCache(tmp_path / "cache"), [f"t{i}" for i in range(600)]
+        real_writev, full = os.writev, [True]
+
+        def writev_while_full(fd, buffers):
+            if full:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_writev(fd, buffers)
+
+        monkeypatch.setattr(gateway_module.os, "writev", writev_while_full)
+        for text in texts:
+            with contextlib.suppress(ConfigError):  # each full pack's commit fails, and stays pending
+                store(cache, text, text.encode())
+        assert list(cache.packs.iterdir()) == []
+        full.clear()
+        cache.flush()
+        reader = DiskCache(tmp_path / "cache")
+        assert [load_entry(reader, text) for text in texts] == [text.encode() for text in texts]
+
     def test_entry_count_ignores_temp_files(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
         store(cache, "a", b"a")
@@ -935,10 +969,20 @@ class TestPacks:
         assert {p.parent for p in files} == {gateway.cache.packs}
         assert DiskCache(tmp_path / "cache").entry_count() == 3 * EMBED_BATCH
 
-    def test_concurrent_stores_are_each_committed_once_under_fast_thread_switching(self, tmp_path):
+    def test_concurrent_stores_are_each_committed_once_under_fast_thread_switching(self, tmp_path, monkeypatch):
         cache = DiskCache(tmp_path / "cache")
-        keyed = [build_cache_key(f"text {i}", "p") for i in range(8 * PACK_ENTRIES + 5)]
+        keyed = [build_cache_key(f"text {i}", "p") for i in range(80 * PACK_ENTRIES + 5)]
         keys = [key for key, _ in keyed]
+        real_link, clashes = os.link, []
+
+        def link(src, dst):
+            try:
+                real_link(src, dst)
+            except FileExistsError:
+                clashes.append(dst)
+                raise
+
+        monkeypatch.setattr(gateway_module.os, "link", link)
 
         def store_part(part):
             for key, key_text in keyed[part::8]:
@@ -958,6 +1002,8 @@ class TestPacks:
         cache.flush()
         packed = [digest for pack in cache.packs.iterdir() for digest in read_pack(pack)[1]]
         assert sorted(packed) == sorted(key.hex() for key in keys)
+        assert clashes == []  # no thread tried a number another thread of the process took
+        assert len(cache._packs) == len(list(cache.packs.iterdir()))  # each pack registered once
         reader = DiskCache(tmp_path / "cache")
         found = dict(reader.read(keys))
         assert all(reader.load(*keyed[i], found[i]) == key for i, key in enumerate(keys))

@@ -111,6 +111,40 @@ def test_only_fan_out_builds_a_thread_pool():
     assert {name: found for name, found in builders.items() if found} == {"gateway.py": ["_fan_out"]}
 
 
+def _functions(path: Path) -> dict[str, ast.FunctionDef]:
+    """Every function and method of a module, by name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_no_provider_function_runs_an_import():
+    """A provider's request path runs no import statement; the module's imports run once."""
+    importing = [
+        name
+        for name, function in _functions(PACKAGE / "providers.py").items()
+        if any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(function))
+    ]
+    assert importing == []
+
+
+def test_each_provider_round_trip_builds_no_closure_and_takes_no_lock_of_its_own():
+    """``_call_with_retry`` gets the provider's method and its argument, never a lambda, and
+    leaves locking to the window, which counts the call."""
+    with_lambda = [
+        f"{top}:{call.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top, call in _calls(path, lambda call: _call_name(call) == "_call_with_retry")
+        if any(isinstance(node, ast.Lambda) for arg in call.args + call.keywords for node in ast.walk(arg))
+    ]
+    assert with_lambda == []
+    body = _functions(PACKAGE / "gateway.py")["_call_with_retry"]
+    locking = [ast.unparse(node) for node in ast.walk(body) if isinstance(node, ast.With)]
+    acquiring = [
+        ast.unparse(call) for call in ast.walk(body) if isinstance(call, ast.Call) and _call_name(call) == "acquire"
+    ]
+    assert locking == acquiring == []
+
+
 def test_only_cohort_averages_averages_percentages():
     callers = {
         (path.name, top)
