@@ -415,7 +415,7 @@ def cmd_score(cfg: RunConfig) -> int:
             rows_by_strategy[kind.value] = rows
             write_json(out_dir / f"scored_{kind.value}.json", rows)
 
-            cases = extract_cases(rows, response_texts, signature_texts, cfg.k_high, cfg.low_threshold)
+            cases = extract_cases(rows, response_texts, signature_texts, cfg.k_high)
             write_json(
                 out_dir / f"cases_{kind.value}.json",
                 {

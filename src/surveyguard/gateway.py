@@ -298,11 +298,6 @@ class DiskCache:
         if tries:
             self.refresh()
 
-    def entry_count(self) -> int:
-        """Distinct keys over the packs and pending entries."""
-        self.refresh()
-        return len(self._index)
-
 
 def _fan_out(items: Iterable, call: Callable, slots: Callable[[], int]) -> list:
     """``call`` on each item from up to ``MAX_IN_FLIGHT`` workers, results in input order.
@@ -436,15 +431,13 @@ class ProviderGateway:
             f"{what} failed after {RETRIES} attempts: {last}", status=last.status, attempts=RETRIES
         ) from last
 
-    def _lookup(
-        self, items: Iterable, provider_id: str, sent: set, hits: dict | None = None
-    ) -> Iterator[tuple]:
-        """Yield each miss as (item, key, key text), in input order, once the item is in ``sent``;
-        put each cached reply, decoded, in ``hits``. With no ``hits``, the cache is only asked
-        whether it holds the key. An item in ``sent`` or ``hits`` is a hit.
+    def _lookup(self, items: Iterable, provider_id: str, hits: dict | None = None) -> Iterator[tuple]:
+        """Yield each distinct miss once, as (item, key, key text), in input order; put each cached
+        reply, decoded, in ``hits``. With no ``hits``, the cache is only asked whether it holds the
+        key. A repeated item is a hit, whether or not its reply is stored yet.
         Lazy: ``_fan_out``'s workers send while ``LOOKUP_CHUNK`` more are looked up, read together."""
         self.cache.refresh()
-        items = iter(items)
+        items, sent = iter(items), set()
         looked = missed = 0
         for chunk in iter(lambda: list(islice(items, LOOKUP_CHUNK)), []):
             new = [item for item in dict.fromkeys(chunk) if item not in sent and item not in (hits or ())]
@@ -521,7 +514,7 @@ class ProviderGateway:
 
         replies: dict[ChatRequest, str | ProviderError] = {}
         misses: list[ChatRequest] = []  # each request as _fan_out draws it, so in its results' order
-        lookups = self._lookup(requests, provider_id, set(), replies)
+        lookups = self._lookup(requests, provider_id, replies)
         replies.update(zip(misses, self._send((misses.append(m[0]) or m for m in lookups), send)))
         return [replies[request] for request in requests]
 
@@ -550,20 +543,17 @@ class ProviderGateway:
         if any(not text.strip() for text in texts):
             raise DataError("empty text")
         provider_id = self.embedding_provider.provider_id
-        in_flight: set[str] = set()  # sent and not yet stored; a repeat of one is a hit
-        misses = self._lookup(texts, provider_id, in_flight)
+        misses = self._lookup(texts, provider_id)
         embed_many = self.embedding_provider.embed_many
 
         def send(batch: list[tuple[str, bytes, bytes]]) -> None:
-            batch_texts = [text for text, _, _ in batch]
-            raw = self._call_with_retry(embed_many, batch_texts)
+            raw = self._call_with_retry(embed_many, [text for text, _, _ in batch])
             if len(raw) != len(batch):
                 raise ProviderError(f"embedding provider returned {len(raw)} vectors for {len(batch)} texts")
             vectors = self._vectors(provider_id, raw)
             del raw  # the provider's copy goes before the entries are made: less memory per batch
             for (_, key, key_text), vector in zip(batch, vectors):
                 self.cache.store(key, key_text, vector)
-            in_flight.difference_update(batch_texts)  # the cache holds them now
 
         for outcome in self._send(iter(lambda: list(islice(misses, EMBED_BATCH)), []), send):
             if isinstance(outcome, ProviderError):

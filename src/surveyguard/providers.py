@@ -15,6 +15,7 @@ import urllib.error
 import urllib.request
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Protocol
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -25,6 +26,7 @@ if TYPE_CHECKING:
 
 DETECT_MARKER = "as an ai assistant"  # MockChatProvider answers "AI" to prompts holding it
 REQUEST_TIMEOUT_S = 60.0  # per HTTPS request to an OpenAI-compatible endpoint
+DEFAULT_BASE_URL = "https://api.openai.com/v1"
 
 
 class ChatProvider(Protocol):
@@ -135,18 +137,11 @@ def _post_json(url: str, payload: dict, api_key: str) -> dict:
         raise TransientProviderError(f"network error calling {url}: {exc.reason}") from exc
 
 
-def _resolve_endpoint(base_url: str | None, base_url_env: str, api_key_env: str) -> tuple[str, str]:
-    base = base_url or os.environ.get(base_url_env) or "https://api.openai.com/v1"
-    api_key = os.environ.get(api_key_env, "")
-    if not api_key:
-        raise ConfigError(f"missing API key: set the {api_key_env} environment variable")
-    return base.rstrip("/"), api_key
-
-
-class OpenAICompatChatProvider:
-    """Chat completions against an OpenAI-compatible endpoint."""
-
-    provider_id = "openai"
+class _OpenAICompatEndpoint:
+    """The endpoint both OpenAI-compatible adapters post to: the base URL, resolved once (the
+    argument, else ``base_url_env``, else ``DEFAULT_BASE_URL``), and ``api_key_env``, read only as a
+    request is sent. Away from the default URL the adapter's ``provider_id``, set before this runs,
+    gains ``@<scheme>://<host>:<port>`` (no ``user:password@``): a server's cached replies are its own."""
 
     def __init__(
         self,
@@ -154,25 +149,42 @@ class OpenAICompatChatProvider:
         base_url_env: str = "OPENAI_BASE_URL",
         api_key_env: str = "OPENAI_API_KEY",
     ):
-        self.base_url = base_url
-        self.base_url_env = base_url_env
+        self.base_url = (base_url or os.environ.get(base_url_env) or DEFAULT_BASE_URL).rstrip("/")
         self.api_key_env = api_key_env
+        if self.base_url != DEFAULT_BASE_URL:
+            parts = urlsplit(self.base_url)
+            try:
+                port = parts.port or {"http": 80, "https": 443}[parts.scheme]
+            except (KeyError, ValueError):  # the URL is not echoed: it may hold a password
+                raise ConfigError("an OpenAI-compatible base URL must be http(s)://host[:port]/...") from None
+            self.provider_id += f"@{parts.scheme}://{parts.hostname}:{port}"
+
+    def _post(self, path: str, payload: dict) -> dict:
+        api_key = os.environ.get(self.api_key_env, "")
+        if not api_key:
+            raise ConfigError(f"missing API key: set the {self.api_key_env} environment variable")
+        return _post_json(f"{self.base_url}/{path}", payload, api_key)
+
+
+class OpenAICompatChatProvider(_OpenAICompatEndpoint):
+    """Chat completions against an OpenAI-compatible endpoint."""
+
+    provider_id = "openai"
 
     def complete(self, request: "ChatRequest") -> str:
-        base, api_key = _resolve_endpoint(self.base_url, self.base_url_env, self.api_key_env)
         payload = {
             "model": request.model_id,
             "temperature": request.temperature,
             "messages": [{"role": role, "content": text} for role, text in request.messages],
         }
-        data = _post_json(f"{base}/chat/completions", payload, api_key)
+        data = self._post("chat/completions", payload)
         try:
             return data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed chat response: {json.dumps(data)[:200]}") from exc
 
 
-class OpenAICompatEmbeddingProvider:
+class OpenAICompatEmbeddingProvider(_OpenAICompatEndpoint):
     """Text embeddings against an OpenAI-compatible endpoint."""
 
     def __init__(
@@ -184,15 +196,11 @@ class OpenAICompatEmbeddingProvider:
     ):
         self.model = model
         self.provider_id = f"openai-embed-{model}"
-        self.base_url = base_url
-        self.base_url_env = base_url_env
-        self.api_key_env = api_key_env
+        super().__init__(base_url, base_url_env, api_key_env)
 
     def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
         """Embed all texts in one request; vectors come back ordered by ``index``."""
-        base, api_key = _resolve_endpoint(self.base_url, self.base_url_env, self.api_key_env)
-        payload = {"model": self.model, "input": list(texts)}
-        data = _post_json(f"{base}/embeddings", payload, api_key)
+        data = self._post("embeddings", {"model": self.model, "input": list(texts)})
         try:
             items = sorted(data["data"], key=lambda item: item["index"])
             indexes = [item["index"] for item in items]

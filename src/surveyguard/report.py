@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .model import Cohort
-from .scoring import FLAG_EMPTY, FLAG_IRRELEVANT, flag_irrelevant, meets_threshold
+from .scoring import FLAG_EMPTY, FLAG_IRRELEVANT, meets_threshold
 
 
 class AverageConvention(str, Enum):
@@ -116,15 +116,14 @@ def threshold_sweep(
     thresholds: Sequence[float],
     strategies: Sequence[str],
     cohorts: Mapping[str, Cohort],
-    convention: AverageConvention = AverageConvention.POOLED_WEIGHTED,
     exclude_empty: bool = False,
 ) -> dict:
     """One row per (threshold, strategy) with per-study and per-cohort percentages.
 
     Takes each strategy's scored rows, which name their study_id, and returns
     the sweep.json dict. Each row holds "per_study" in study_order and
-    "averages" keyed by cohort value, pre-2022 first; every percentage is a
-    percent dict. Empty responses count in denominators (and never as
+    pooled "averages" keyed by cohort value, pre-2022 first; every percentage
+    is a percent dict. Empty responses count in denominators (and never as
     detections) unless exclude_empty is set.
     """
     if not strategies:
@@ -163,11 +162,11 @@ def threshold_sweep(
                     "threshold": float(th),
                     "strategy": strategy,
                     "per_study": per_study,
-                    "averages": cohort_averages(per_study, cohorts, convention),
+                    "averages": cohort_averages(per_study, cohorts, AverageConvention.POOLED_WEIGHTED),
                 }
             )
     return {
-        "convention": convention.value,
+        "convention": AverageConvention.POOLED_WEIGHTED.value,
         "thresholds": [float(t) for t in thresholds],
         "strategies": list(strategies),
         "study_order": study_order,
@@ -231,9 +230,8 @@ def extract_cases(
     response_texts: Mapping[str, str],
     signature_texts: Mapping[str, str],
     k_high: int,
-    low_th: float = 0.0,
 ) -> dict:
-    """Top-k scored rows by final score, plus every irrelevance-flagged row.
+    """Top-k scored rows by final score, plus every row ``score`` flagged irrelevant.
 
     Returns {"high": cases by descending score, "low": irrelevant cases by
     ascending score}; ties go to the smaller response id.
@@ -253,7 +251,7 @@ def extract_cases(
     with_scores = [r for r in rows if r["final_score"] is not None]
     high = sorted(with_scores, key=lambda r: (-r["final_score"], r["response_id"]))[:k_high]
     low = sorted(
-        (r for r in with_scores if FLAG_IRRELEVANT in r["flags"] or flag_irrelevant(r, low_th)),
+        (r for r in with_scores if FLAG_IRRELEVANT in r["flags"]),
         key=lambda r: (r["final_score"], r["response_id"]),
     )
     return {"high": [case(r) for r in high], "low": [case(r) for r in low]}

@@ -936,6 +936,7 @@ class TestProvenanceProviders:
 
     def test_openai_ids_need_no_api_key(self, capsys, monkeypatch, corpus_path, tmp_path):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        monkeypatch.delenv("OPENAI_BASE_URL", raising=False)
         run_cli(capsys, *base_args(corpus_path, tmp_path, "detect-llm"))
         args = [a for a in base_args(corpus_path, tmp_path, "report") if a != "--mock"]
         code, _, err = run_cli(capsys, *args)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import StaticChatProvider
+from conftest import StaticChatProvider, cache_entries
 from surveyguard import detector as detector_module
 from surveyguard.cli import build_gateway, main, resolve_config
 from surveyguard.dataset import SurveyDataset, load_dataset
@@ -193,7 +193,7 @@ class TestDetectBatch:
         gateway = make_gateway(tmp_path, FailsOnMarker(seed=0))
         with pytest.raises(ProviderError, match="bad request"):
             detect_batch(dataset_with_markers(1, 4), gateway, "gpt-4o")
-        assert gateway.cache.entry_count() == 3  # the other answers are cached for the rerun
+        assert len(cache_entries(gateway.cache.root)) == 3  # the other answers are cached for the rerun
 
     def test_warm_cache_reruns_with_zero_calls(self, tmp_path):
         ds = dataset_with_markers(2, 5)

@@ -322,12 +322,12 @@ class TestExtractCases:
         return [with_irrelevance(s, 0.0) for s in rows]
 
     def test_k_zero_keeps_low_list(self):
-        extract = extract_cases(self.make_scored(), {}, {}, k_high=0, low_th=0.0)
+        extract = extract_cases(self.make_scored(), {}, {}, k_high=0)
         assert extract["high"] == []
         assert [c["response_id"] for c in extract["low"]] == ["r3"]
 
     def test_k_larger_than_corpus_returns_all_sorted(self):
-        extract = extract_cases(self.make_scored(), {}, {}, k_high=99, low_th=0.0)
+        extract = extract_cases(self.make_scored(), {}, {}, k_high=99)
         assert [c["response_id"] for c in extract["high"]] == ["r1", "r4", "r2", "r3"]
 
     def test_verbatim_match_tops_cases_with_score_one(self, tmp_path):

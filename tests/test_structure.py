@@ -145,6 +145,36 @@ def test_each_provider_round_trip_builds_no_closure_and_takes_no_lock_of_its_own
     assert locking == acquiring == []
 
 
+def _owners(path: Path, matches) -> set[str]:
+    """``Class.method``, ``function`` or ``<module>``: the innermost definitions around each node
+    for which matches(node) holds."""
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if matches(child):
+                found.add(owner)
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, child.name if owner == "<module>" else f"{owner}.{child.name}")
+            else:
+                visit(child, owner)
+
+    found: set[str] = set()
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "<module>")
+    return found
+
+
+def test_only_the_endpoint_reads_the_environment_and_only_its_post_sends():
+    """In providers.py the OpenAI-compatible endpoint alone reads ``os.environ``: the base URL as
+    it is built, the API key as a request is sent. Only its ``_post`` calls ``_post_json``."""
+    providers = PACKAGE / "providers.py"
+    reads_env = _owners(
+        providers, lambda node: isinstance(node, ast.Attribute) and ast.unparse(node) in ("os.environ", "os.getenv")
+    )
+    assert reads_env == {"_OpenAICompatEndpoint.__init__", "_OpenAICompatEndpoint._post"}
+    posts = _owners(providers, lambda node: isinstance(node, ast.Call) and _call_name(node) == "_post_json")
+    assert posts == {"_OpenAICompatEndpoint._post"}
+
+
 def test_only_cohort_averages_averages_percentages():
     callers = {
         (path.name, top)
