@@ -159,58 +159,63 @@ def load_config_file(path: Path | str) -> dict:
 
 
 def resolve_config(config_path: str | None, overrides: Mapping[str, object]) -> RunConfig:
-    """Defaults, then config file, then flags; flags win. Both layers are type-checked."""
-    merged = load_config_file(config_path) if config_path else {}
+    """Defaults, then config file, then flags; flags win. Both layers are type-checked, and an
+    error in a value the file gave, and no flag overrode, names the file."""
+    file_layer = load_config_file(config_path) if config_path else {}
     flags = {k: v for k, v in overrides.items() if v is not None}
     _check_types(flags)
-    merged.update(flags)
+    merged = file_layer | flags
     for key in _TUPLE_KEYS & set(merged):
         merged[key] = tuple(merged[key])
     cfg = replace(RunConfig(), **merged)
-    _validate_config(cfg)
+    where = f" (in config file {Path(config_path)})" if config_path else ""
+    _validate_config(cfg, dict.fromkeys(file_layer.keys() - flags.keys(), where))
     return cfg
 
 
-def _check(rule, value) -> None:
-    """Run a library domain rule on a config value; its ValueError becomes a ConfigError."""
-    try:
-        rule(value)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _validate_config(cfg: RunConfig, where: Mapping[str, str]) -> None:
+    """Check each value's domain rules; the ConfigError for a key ends with ``where[key]``, if any."""
 
+    def fail(key: str, message: str) -> None:
+        raise ConfigError(f"{message}{where.get(key, '')}") from None
 
-def _validate_config(cfg: RunConfig) -> None:
+    def check(key: str, rule: Callable[[object], object], value: object) -> None:
+        """Run a library domain rule on a config value; its ValueError becomes a ConfigError."""
+        try:
+            rule(value)
+        except ValueError as exc:
+            fail(key, str(exc))
+
     for key in sorted(_TUPLE_KEYS):
         values = getattr(cfg, key)
         if not values and (key != "sentiments" or "sentiment" in cfg.strategies):  # basic ignores them
-            raise ConfigError(f"{key} must be non-empty")
+            fail(key, f"{key} must be non-empty")
         if len(set(values)) < len(values):  # a duplicate grid cell, strategy or sweep row
-            raise ConfigError(f"{key} must not repeat a value, got {list(values)}")
+            fail(key, f"{key} must not repeat a value, got {list(values)}")
         if _FIELD_TYPES[key] == tuple[float, ...] and len({f"{v:g}" for v in values}) < len(values):
-            raise ConfigError(f"{key} must stay distinct at 6 significant digits, got {list(values)}")
+            fail(key, f"{key} must stay distinct at 6 significant digits, got {list(values)}")
     if "" in cfg.models:
-        raise ConfigError("models must not contain an empty model id")
-    for t in (*cfg.temperatures, cfg.detector_temperature):
-        _check(check_temperature, t)
+        fail("models", "models must not contain an empty model id")
+    for t in cfg.temperatures:
+        check("temperatures", check_temperature, t)
+    check("detector_temperature", check_temperature, cfg.detector_temperature)
     for s in cfg.strategies:
         if s not in ("basic", "sentiment"):
-            raise ConfigError(f'unknown strategy "{s}" (expected basic or sentiment)')
+            fail("strategies", f'unknown strategy "{s}" (expected basic or sentiment)')
     if list(cfg.thresholds) != sorted(cfg.thresholds):
-        raise ConfigError("thresholds must be sorted ascending")
+        fail("thresholds", "thresholds must be sorted ascending")
     for th in cfg.thresholds:
-        _check(check_threshold, th)
+        check("thresholds", check_threshold, th)
     if not math.isfinite(cfg.low_threshold):  # NaN or Infinity would make an artifact invalid JSON
-        raise ConfigError(f"low_threshold must be finite, got {cfg.low_threshold}")
-    _check(bin_count, cfg.bin_width)
+        fail("low_threshold", f"low_threshold must be finite, got {cfg.low_threshold}")
+    check("bin_width", bin_count, cfg.bin_width)
     if cfg.k_high < 0:
-        raise ConfigError(f"k_high must be >= 0, got {cfg.k_high}")
+        fail("k_high", f"k_high must be >= 0, got {cfg.k_high}")
     if cfg.scores_mode not in ("summary", "full"):
-        raise ConfigError(f'scores_mode must be "summary" or "full", got "{cfg.scores_mode}"')
+        fail("scores_mode", f'scores_mode must be "summary" or "full", got "{cfg.scores_mode}"')
     for s in cfg.sentiments:
-        try:
-            Sentiment(s)
-        except ValueError:
-            raise ConfigError(f'unknown sentiment "{s}"') from None
+        if s not in {sentiment.value for sentiment in Sentiment}:
+            fail("sentiments", f'unknown sentiment "{s}"')
 
 
 def _providers(cfg: RunConfig) -> tuple[ChatProvider, EmbeddingProvider]:

@@ -13,18 +13,11 @@ import re
 
 from .dataset import SurveyDataset
 from .errors import DataError, ProviderError
-from .gateway import ChatRequest, ProviderGateway, PurposeTag, check_temperature
-from .model import (
-    Cohort,
-    QuestionKind,
-    SurveyQuestion,
-    SurveyResponse,
-    Verdict,
-    VerdictFlag,
-)
+from .gateway import ProviderGateway, PurposeTag
+from .model import Cohort, QuestionKind, Verdict, VerdictFlag
 from .report import AverageConvention, cohort_averages, percentage
 
-DETECTOR_TEMPLATE_VERSION = "det-v1"
+DETECTOR_TEMPLATE_VERSION = "det-v2"
 
 DETECTOR_SYSTEM_MESSAGE = (
     "You review answers collected for a survey question and decide whether "
@@ -32,8 +25,9 @@ DETECTOR_SYSTEM_MESSAGE = (
     "system. Answer with exactly one word: AI or HUMAN."
 )
 
-# The response is fenced so tokens inside it cannot satisfy the output contract.
-_USER_TEMPLATE = "Survey question:\n<<<\n{question}\n>>>\n\nCollected answer:\n<<<\n{response}\n>>>"
+# The user message after the system message: a question and an answer, each fenced by _fenced so
+# that tokens inside the answer cannot satisfy the output contract.
+_USER_TEMPLATE = "Survey question:\n%s\n\nCollected answer:\n%s"
 
 # Fallback phrase patterns applied when the first line yields no single verdict
 # token. parse_detector_output documents the full decision procedure.
@@ -50,14 +44,11 @@ _AI_TOKEN = re.compile(r"\bai\b")
 _HUMAN_TOKEN = re.compile(r"\bhuman\b")
 
 
-def build_detector_prompt(
-    question: SurveyQuestion, response: SurveyResponse
-) -> tuple[tuple[str, str], ...]:
-    """System message stating the task and contract; user message with fenced content."""
-    if not response.text:
-        raise ValueError(f'response "{response.response_id}": text must be non-empty')
-    user = _USER_TEMPLATE.format(question=question.text, response=response.text)
-    return (("system", DETECTOR_SYSTEM_MESSAGE), ("user", user))
+def _fenced(text: str) -> str:
+    """text on lines of its own between a run of "<" and a run of ">" one longer than the longest
+    run of either inside it, and at least three long: so no text can close its own fence."""
+    longest = max(map(len, re.findall(r"<+|>+", text))) if "<<<" in text or ">>>" in text else 2
+    return f"{'<' * (longest + 1)}\n{text}\n{'>' * (longest + 1)}"
 
 
 def parse_detector_output(text: str) -> Verdict:
@@ -105,51 +96,38 @@ def detect_batch(
     with tolerate_parse_failures off, the first one aborts the batch. A
     provider failure aborts it too, after every request has been answered.
     """
-    check_temperature(temperature)
     questions = dataset.question_index()
-    tasks: list[tuple[str, str, SurveyQuestion, SurveyResponse]] = []
-    for response in dataset.responses:
-        question = questions[response.question_id]
-        if question.kind != QuestionKind.OPEN_ENDED:
-            continue
-        if not response.text.strip():
-            continue
-        tasks.append((question.study_id, response.response_id, question, response))
-    tasks.sort(key=lambda t: (t[0], t[1]))
-
-    results = gateway.chat_many([
-        ChatRequest(
-            model_id=model_id,
-            temperature=temperature,
-            messages=build_detector_prompt(question, response),
-            purpose=PurposeTag.DETECT,
-        )
-        for _, _, question, response in tasks
-    ])
-    for result in results:
+    fenced = {question_id: _fenced(question.text) for question_id, question in questions.items()}
+    tasks = sorted(
+        (question.study_id, response.response_id, fenced[response.question_id], _fenced(response.text))
+        for response in dataset.responses
+        if (question := questions[response.question_id]).kind == QuestionKind.OPEN_ENDED
+        and response.text.strip()
+    )
+    results = gateway.chat_many(
+        [_USER_TEMPLATE % (question, answer) for _, _, question, answer in tasks],
+        model_id=model_id, temperature=temperature, purpose=PurposeTag.DETECT,
+        lead=(("system", DETECTOR_SYSTEM_MESSAGE),),
+    )
+    parsed: dict[str, tuple[str, str]] = {}  # reply -> (flag value, raw_text_digest): replies repeat
+    for result in dict.fromkeys(results):
         if isinstance(result, ProviderError):
             raise result
+        parsed[result] = parse_detector_output(result).flag.value, hashlib.sha256(result.encode()).hexdigest()
 
     by_study: dict[str, list[dict]] = {}
-    parsed: dict[str, tuple[str, str]] = {}  # reply -> (flag value, raw_text_digest): replies repeat
     for (study_id, response_id, _, _), result in zip(tasks, results):
-        if result not in parsed:
-            digest = hashlib.sha256(result.encode("utf-8")).hexdigest()
-            parsed[result] = parse_detector_output(result).flag.value, digest
         flag, digest = parsed[result]
-        if flag == VerdictFlag.UNDETERMINED.value and not tolerate_parse_failures:
-            raise DetectorParseError(
-                f'unparseable detector output for response "{response_id}"'
-            )
-        by_study.setdefault(study_id, []).append(
-            {"response_id": response_id, "flag": flag, "raw_text_digest": digest}
-        )
+        if not tolerate_parse_failures and flag == VerdictFlag.UNDETERMINED:
+            raise DetectorParseError(f'unparseable detector output for response "{response_id}"')
+        verdict = {"response_id": response_id, "flag": flag, "raw_text_digest": digest}
+        by_study.setdefault(study_id, []).append(verdict)
 
     studies = []
     per_study = {}
     for study_id in sorted(by_study):
         verdicts = by_study[study_id]
-        ai_count = sum(1 for v in verdicts if v["flag"] == VerdictFlag.AI.value)
+        ai_count = [v["flag"] for v in verdicts].count(VerdictFlag.AI)
         per_study[study_id] = percentage(ai_count, len(verdicts))
         studies.append({
             "study_id": study_id,

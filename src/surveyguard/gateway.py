@@ -29,6 +29,7 @@ from functools import cache
 from itertools import accumulate, chain, count, islice
 from json.encoder import encode_basestring
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,6 +51,13 @@ def check_temperature(temperature: float) -> None:
         raise ValueError(f"temperature must be in [0, 1], got {temperature}")
 
 
+def check_chat_settings(model_id: str, temperature: float) -> None:
+    """What every chat request is checked for, besides non-empty messages, before any provider call."""
+    if not model_id:
+        raise ValueError("model_id must be non-empty")
+    check_temperature(temperature)
+
+
 class PurposeTag(str, Enum):
     DETECT = "detect"
     GENERATE_SIGNATURE = "generate_signature"
@@ -67,16 +75,9 @@ class ChatRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "temperature", float(self.temperature))
         object.__setattr__(self, "messages", tuple((str(r), str(t)) for r, t in self.messages))
-        if not self.model_id:
-            raise ValueError("model_id must be non-empty")
-        check_temperature(self.temperature)
+        check_chat_settings(self.model_id, self.temperature)
         if not self.messages:
             raise ValueError("messages must be non-empty")
-        identity = (self.model_id, self.temperature, self.messages, self.purpose)
-        object.__setattr__(self, "_hash", hash(identity))  # once, not at each dict or set use
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def canonical_json(
@@ -110,23 +111,38 @@ def _embed_key_prefix(provider_id: str) -> str:
 
 @cache
 def _chat_key_frame(provider_id: str, model_id: str, purpose: PurposeTag) -> tuple[str, str]:
-    """``canonical_json(chat_key_material(...))`` around the messages' strings, which sort second, and
-    up to the temperature, which sorts last: not a key here, where -0.0 would find 0.0's frame."""
-    probe = ChatRequest(model_id, 0.0, (("", ""),), purpose)
+    """``canonical_json(chat_key_material(...))`` around the messages' strings (they sort second) and up
+    to the temperature (last): not a key here, where -0.0 would find 0.0's. No ChatRequest is built."""
+    probe = SimpleNamespace(model_id=model_id, temperature=0.0, messages=(("", ""),), purpose=purpose)
     head, _, tail = canonical_json(chat_key_material(probe, provider_id)).partition('"",""')
     return head, tail.removesuffix("0.0}")
+
+
+def _chat_keyer(
+    provider_id: str, model_id: str, temperature: float, purpose: PurposeTag, lead: Sequence, role: str = "user"
+) -> Callable[[str], tuple[bytes, bytes]]:
+    """``build_cache_key`` of the request whose messages are the (role, text) pairs of lead, then (role,
+    text), as a function of text: the frame, lead and role are encoded once, here, and text per call."""
+    head, tail = _chat_key_frame(provider_id, model_id, purpose)
+    before = "".join(f"{encode_basestring(r)},{encode_basestring(t)}],[" for r, t in lead)
+    prefix, suffix = f"{head}{before}{encode_basestring(role)},", f"{tail}{temperature!r}}}"
+
+    def key(text: str) -> tuple[bytes, bytes]:
+        data = f"{prefix}{encode_basestring(text)}{suffix}".encode("utf-8")
+        return hashlib.sha256(data).digest(), data
+
+    return key
 
 
 def build_cache_key(request_or_text: ChatRequest | str, provider_id: str) -> tuple[bytes, bytes]:
     """The 32-byte SHA-256 digest of the canonical request, which any field change (including
     temperature) changes, and that request as UTF-8: what the digest hashes and the entry records."""
     if isinstance(request_or_text, ChatRequest):
-        head, tail = _chat_key_frame(provider_id, request_or_text.model_id, request_or_text.purpose)
-        pairs = "],[".join(",".join(map(encode_basestring, pair)) for pair in request_or_text.messages)
-        text = f"{head}{pairs}{tail}{request_or_text.temperature!r}}}"
-    else:
-        text = _embed_key_prefix(provider_id) + encode_basestring(request_or_text) + "}"
-    data = text.encode("utf-8")
+        request = request_or_text
+        *lead, (role, text) = request.messages
+        key = _chat_keyer(provider_id, request.model_id, request.temperature, request.purpose, lead, role)
+        return key(text)
+    data = (_embed_key_prefix(provider_id) + encode_basestring(request_or_text) + "}").encode("utf-8")
     return hashlib.sha256(data).digest(), data
 
 
@@ -431,17 +447,17 @@ class ProviderGateway:
             f"{what} failed after {RETRIES} attempts: {last}", status=last.status, attempts=RETRIES
         ) from last
 
-    def _lookup(self, items: Iterable, provider_id: str, hits: dict | None = None) -> Iterator[tuple]:
-        """Yield each distinct miss once, as (item, key, key text), in input order; put each cached
-        reply, decoded, in ``hits``. With no ``hits``, the cache is only asked whether it holds the
-        key. A repeated item is a hit, whether or not its reply is stored yet.
+    def _lookup(self, items: Iterable, provider_id: str, hits: dict | None = None, key_of=None) -> Iterator:
+        """Yield each distinct miss once, as (item, key, key text), in input order, each item keyed
+        once, by ``key_of`` if given; put each cached reply, decoded, in ``hits``. With no ``hits``, the
+        cache is only asked whether it holds the key. A repeated item is a hit, stored or not yet.
         Lazy: ``_fan_out``'s workers send while ``LOOKUP_CHUNK`` more are looked up, read together."""
         self.cache.refresh()
         items, sent = iter(items), set()
         looked = missed = 0
         for chunk in iter(lambda: list(islice(items, LOOKUP_CHUNK)), []):
             new = [item for item in dict.fromkeys(chunk) if item not in sent and item not in (hits or ())]
-            fresh = {item: build_cache_key(item, provider_id) for item in new}
+            fresh = {item: key_of(item) if key_of else build_cache_key(item, provider_id) for item in new}
             found = dict(self.cache.read([key for key, _ in fresh.values()])) if hits is not None else {}
             for i, (item, (key, key_text)) in enumerate(fresh.items()):
                 if hits is None:  # a store pass only asks whether the cache holds the key
@@ -494,27 +510,41 @@ class ProviderGateway:
             raise result
         return result
 
-    def chat_many(self, requests: Sequence[ChatRequest]) -> list[str | ProviderError]:
+    def chat_many(
+        self, requests: Sequence[ChatRequest] | Sequence[str], *, model_id: str | None = None,
+        temperature: float = 0.0, purpose: PurposeTag | None = None, lead: Sequence[tuple[str, str]] = (),
+    ) -> list[str | ProviderError]:
         """Cache-through chat completions, each reply exactly as the provider returned it, in
         input order.
 
-        The lookups stream into ``_fan_out``, and each distinct miss is sent
-        once: one that fails for good gets its ProviderError in its place. A
-        repeated request counts as a cache hit.
+        Given a model_id, each item is instead the text of the user message ending its request, after
+        the lead messages, at that model, temperature and purpose: these are checked once, each text
+        is keyed from their frame, and only the worker sending a miss builds its ChatRequest. The
+        lookups stream into ``_fan_out``, and each distinct miss is sent once: one that fails for
+        good gets its ProviderError in its place. A repeated request counts as a cache hit.
         """
         if self.chat_provider is None:
             raise ConfigError("no chat provider configured")
         provider_id, complete = self.chat_provider.provider_id, self.chat_provider.complete
+        framed = None
+        if model_id is not None:
+            fields = dict(model_id=model_id, temperature=float(temperature), purpose=PurposeTag(purpose))
+            check_chat_settings(model_id, fields["temperature"])
+            lead = tuple((str(role), str(text)) for role, text in lead)  # as a ChatRequest holds them
+            framed = _chat_keyer(provider_id, lead=lead, **fields)
 
-        def send(miss: tuple[ChatRequest, bytes, bytes]) -> str:
+        def send(miss: tuple[ChatRequest | str, bytes, bytes]) -> str:
             request, key, key_text = miss
+            if model_id is not None:  # of fields checked once for the pass: no second check
+                text, request = request, object.__new__(ChatRequest)
+                vars(request).update(fields, messages=(*lead, ("user", text)))
             text = self._call_with_retry(complete, request)
             self.cache.store(key, key_text, text.encode("utf-8"))
             return text
 
-        replies: dict[ChatRequest, str | ProviderError] = {}
-        misses: list[ChatRequest] = []  # each request as _fan_out draws it, so in its results' order
-        lookups = self._lookup(requests, provider_id, replies)
+        replies: dict[ChatRequest | str, str | ProviderError] = {}
+        misses: list = []  # each item as _fan_out draws it, so in its results' order
+        lookups = self._lookup(requests, provider_id, replies, framed)
         replies.update(zip(misses, self._send((misses.append(m[0]) or m for m in lookups), send)))
         return [replies[request] for request in requests]
 

@@ -155,6 +155,8 @@ class _OpenAICompatEndpoint:
             parts = urlsplit(self.base_url)
             try:
                 port = parts.port or {"http": 80, "https": 443}[parts.scheme]
+                if not parts.hostname:
+                    raise ValueError
             except (KeyError, ValueError):  # the URL is not echoed: it may hold a password
                 raise ConfigError("an OpenAI-compatible base URL must be http(s)://host[:port]/...") from None
             self.provider_id += f"@{parts.scheme}://{parts.hostname}:{port}"

@@ -764,6 +764,7 @@ class TestBadValuesRejectedBeforeAnyCall:
             ([], {"models": []}, "models must be non-empty"),
             ([], {"scores_mode": "bogus"}, 'scores_mode must be "summary" or "full", got "bogus"'),
             (["--scores", "bogus"], {}, 'scores_mode must be "summary" or "full", got "bogus"'),
+            (["--scores", "bogus"], {"scores_mode": "full"}, 'scores_mode must be "summary" or "full"'),
             ([], {"sentiments": ["angry"]}, 'unknown sentiment "angry"'),
             ([], {"strategies": ["sentiment"], "sentiments": []}, "sentiments must be non-empty"),
         ],
@@ -773,7 +774,8 @@ class TestBadValuesRejectedBeforeAnyCall:
             "empty-model", "repeated-model", "repeated-temperature", "repeated-sentiment",
             "repeated-threshold", "repeated-threshold-flag", "temperatures-render-alike",
             "thresholds-render-alike", "config-not-an-object", "no-models", "scores-mode",
-            "scores-mode-flag", "unknown-sentiment", "sentiment-strategy-without-sentiments",
+            "scores-mode-flag", "scores-mode-flag-over-the-file", "unknown-sentiment",
+            "sentiment-strategy-without-sentiments",
         ],
     )
     def test_score_exits_1_with_an_empty_cache(self, capsys, corpus_path, tmp_path, flags, config, message):
@@ -787,6 +789,7 @@ class TestBadValuesRejectedBeforeAnyCall:
         )
         assert code == 1
         assert "config error" in err and message in err
+        assert (str(config_path) in err) == (flags == [])  # the file is named when it gave the value
         assert not score_cache.exists() or not any(score_cache.iterdir())
 
     def test_the_sentiment_strategy_without_sentiments_exits_1_before_making_a_directory(

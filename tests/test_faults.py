@@ -5,7 +5,7 @@
 - Bit flips and truncations of the dumps ``report`` merges: ``report`` either writes a report
   (exit 0) or stops with a data error naming the dump (exit 2).
 - Bit flips, truncations and one-character edits of a config file: ``validate`` exits 0, 1 or
-  2, and an error in the file's JSON, its top level, its keys or its values' types names it.
+  2, and every config error names it: in the file's JSON, its top level, its keys or its values.
 - The same faults of each CSV of the fixture dataset, and of its tables as one JSON file, plus
   a flipped high bit (no longer UTF-8): ``validate`` exits 0, 1 or 2, and an error names the file.
 - The same faults of a signature store: ``score`` exits 0, 1 or 2, and an error names the store.
@@ -197,7 +197,7 @@ def test_a_damaged_config_file_exits_0_1_or_2_and_a_file_error_names_it(tmp_path
         config.write_bytes(data)
         code, _, err = run_main("validate", "--config", config)
         assert code in (0, 1, 2) and "Traceback" not in err, (data, err)
-        file_error = not is_a_config_object(data) or any(marker in err for marker in FILE_ERRORS)
+        file_error = code == 1 or not is_a_config_object(data) or any(marker in err for marker in FILE_ERRORS)
         if file_error and (code, str(config) in err) != (1, True):
             unnamed.append((data, code, err))
     assert unnamed == []

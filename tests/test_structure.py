@@ -91,6 +91,14 @@ def test_signatures_py_alone_maps_the_grid_to_requests():
     assert [top for top, _ in generators] == ["cmd_gen_signatures"]
 
 
+def test_only_the_gateway_forms_chat_keys_and_requests():
+    """detector.py hands the gateway texts: it builds no ChatRequest, and imports no key builder."""
+    tree = ast.parse((PACKAGE / "detector.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & {"ChatRequest", "build_cache_key", "_chat_key_frame", "_chat_keyer"} == set()
+    assert _calls(PACKAGE / "detector.py", lambda call: _call_name(call) == "ChatRequest") == []
+
+
 def test_report_opens_no_cache():
     """Only build_gateway opens a cache, and only the commands that send requests build a gateway."""
     def callers(name: str) -> set[str]:
