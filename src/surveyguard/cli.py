@@ -25,6 +25,7 @@ from .dataset import (
     SurveyDataset,
     _open,
     load_dataset,
+    safe_name,
     write_csv,
     write_json,
     write_report,
@@ -119,11 +120,11 @@ _FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def _has_type(value: object, hint: object) -> bool:
-    """True iff value fits a RunConfig field type; a float field also takes an int."""
+    """True iff value fits a RunConfig field type; a float field also takes an int that a float holds."""
     if isinstance(value, bool) or hint is bool:
         return value.__class__ is hint  # bool is an int subclass; keep the two apart
     if hint is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, float) or isinstance(value, int) and abs(value) <= sys.float_info.max
     if get_origin(hint) is tuple:  # tuple[X, ...], given as a JSON list or a flag's list
         return isinstance(value, (list, tuple)) and all(_has_type(v, get_args(hint)[0]) for v in value)
     if get_origin(hint) is UnionType:
@@ -165,8 +166,11 @@ def resolve_config(config_path: str | None, overrides: Mapping[str, object]) -> 
     flags = {k: v for k, v in overrides.items() if v is not None}
     _check_types(flags)
     merged = file_layer | flags
-    for key in _TUPLE_KEYS & set(merged):
-        merged[key] = tuple(merged[key])
+    for key, value in merged.items():  # as the fields hold them: a list as a tuple, an int as a float
+        if _FIELD_TYPES[key] is float:
+            merged[key] = float(value)
+        elif key in _TUPLE_KEYS:
+            merged[key] = tuple(map(float, value) if _FIELD_TYPES[key] == tuple[float, ...] else value)
     cfg = replace(RunConfig(), **merged)
     where = f" (in config file {Path(config_path)})" if config_path else ""
     _validate_config(cfg, dict.fromkeys(file_layer.keys() - flags.keys(), where))
@@ -479,11 +483,9 @@ def cmd_detect_llm(cfg: RunConfig) -> int:
         dump = detect_batch(
             dataset, gateway, cfg.detector_model, cfg.detector_temperature, cfg.tolerate_parse_failures
         )
-        write_json(out_dir / f"detector_{cfg.detector_model}.json", dump)
-        write_text(
-            out_dir / f"detector_{cfg.detector_model}.md",
-            "\n".join(detector_markdown_lines(dump)) + "\n",
-        )
+        name = f"detector_{safe_name(cfg.detector_model, 'm')}"
+        write_json(out_dir / f"{name}.json", dump)
+        write_text(out_dir / f"{name}.md", "\n".join(detector_markdown_lines(dump)) + "\n")
         for study in dump["studies"]:
             print(f"{study['study_id']}: {study['percentage']['rendered']}% flagged AI")
         if "cohort_comparison" in dump:

@@ -11,9 +11,11 @@ newlines, no locale formatting.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
+import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
@@ -199,6 +201,16 @@ def load_dataset(path: Path | str) -> SurveyDataset:
 
 # ---------------------------------------------------------------------------
 # Canonical writers
+
+_SAFE_NAME = re.compile(r"^[A-Za-z0-9._-]+$")
+
+
+def safe_name(name: str, hashed_prefix: str) -> str:
+    """name, if it is only ASCII letters, digits, ".", "_" and "-", else hashed_prefix, "-" and 16
+    hex digits of its SHA-256: with a prefix or suffix added, a file of the directory it is put in."""
+    if _SAFE_NAME.match(name):
+        return name
+    return f"{hashed_prefix}-{hashlib.sha256(name.encode('utf-8')).hexdigest()[:16]}"
 
 
 def write_json(path: Path | str, obj: object) -> None:

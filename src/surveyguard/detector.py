@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from operator import attrgetter
 
 from .dataset import SurveyDataset
 from .errors import DataError, ProviderError
@@ -98,16 +99,14 @@ def detect_batch(
     """
     questions = dataset.question_index()
     fenced = {question_id: _fenced(question.text) for question_id, question in questions.items()}
-    tasks = sorted(
-        (question.study_id, response.response_id, fenced[response.question_id], _fenced(response.text))
-        for response in dataset.responses
-        if (question := questions[response.question_id]).kind == QuestionKind.OPEN_ENDED
-        and response.text.strip()
+    responses = sorted(
+        (r for r in dataset.responses if questions[r.question_id].kind == QuestionKind.OPEN_ENDED and r.text.strip()),
+        key=attrgetter("response_id"),
     )
+    responses.sort(key=lambda r: questions[r.question_id].study_id)  # stable: by study, then id, and no key tuples
     results = gateway.chat_many(
-        [_USER_TEMPLATE % (question, answer) for _, _, question, answer in tasks],
-        model_id=model_id, temperature=temperature, purpose=PurposeTag.DETECT,
-        lead=(("system", DETECTOR_SYSTEM_MESSAGE),),
+        [(model_id, temperature, _USER_TEMPLATE % (fenced[r.question_id], _fenced(r.text))) for r in responses],
+        purpose=PurposeTag.DETECT, lead=(("system", DETECTOR_SYSTEM_MESSAGE),),
     )
     parsed: dict[str, tuple[str, str]] = {}  # reply -> (flag value, raw_text_digest): replies repeat
     for result in dict.fromkeys(results):
@@ -116,12 +115,12 @@ def detect_batch(
         parsed[result] = parse_detector_output(result).flag.value, hashlib.sha256(result.encode()).hexdigest()
 
     by_study: dict[str, list[dict]] = {}
-    for (study_id, response_id, _, _), result in zip(tasks, results):
+    for response, result in zip(responses, results):
         flag, digest = parsed[result]
         if not tolerate_parse_failures and flag == VerdictFlag.UNDETERMINED:
-            raise DetectorParseError(f'unparseable detector output for response "{response_id}"')
-        verdict = {"response_id": response_id, "flag": flag, "raw_text_digest": digest}
-        by_study.setdefault(study_id, []).append(verdict)
+            raise DetectorParseError(f'unparseable detector output for response "{response.response_id}"')
+        verdict = {"response_id": response.response_id, "flag": flag, "raw_text_digest": digest}
+        by_study.setdefault(questions[response.question_id].study_id, []).append(verdict)
 
     studies = []
     per_study = {}

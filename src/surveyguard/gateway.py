@@ -28,8 +28,8 @@ from enum import Enum
 from functools import cache
 from itertools import accumulate, chain, count, islice
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,7 +52,7 @@ def check_temperature(temperature: float) -> None:
 
 
 def check_chat_settings(model_id: str, temperature: float) -> None:
-    """What every chat request is checked for, besides non-empty messages, before any provider call."""
+    """What each distinct model and temperature of a chat pass is checked for before any provider call."""
     if not model_id:
         raise ValueError("model_id must be non-empty")
     check_temperature(temperature)
@@ -65,19 +65,13 @@ class PurposeTag(str, Enum):
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """An immutable chat-completion request; validated at construction."""
+    """An immutable chat-completion request, as a chat provider receives it. Only ``chat_many``
+    sends one, built from fields its pass has checked."""
 
     model_id: str
     temperature: float
     messages: tuple[tuple[str, str], ...]
     purpose: PurposeTag
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "temperature", float(self.temperature))
-        object.__setattr__(self, "messages", tuple((str(r), str(t)) for r, t in self.messages))
-        check_chat_settings(self.model_id, self.temperature)
-        if not self.messages:
-            raise ValueError("messages must be non-empty")
 
 
 def canonical_json(
@@ -112,8 +106,8 @@ def _embed_key_prefix(provider_id: str) -> str:
 @cache
 def _chat_key_frame(provider_id: str, model_id: str, purpose: PurposeTag) -> tuple[str, str]:
     """``canonical_json(chat_key_material(...))`` around the messages' strings (they sort second) and up
-    to the temperature (last): not a key here, where -0.0 would find 0.0's. No ChatRequest is built."""
-    probe = SimpleNamespace(model_id=model_id, temperature=0.0, messages=(("", ""),), purpose=purpose)
+    to the temperature (last): not a key here, where -0.0 would find 0.0's."""
+    probe = ChatRequest(model_id, 0.0, (("", ""),), purpose)
     head, _, tail = canonical_json(chat_key_material(probe, provider_id)).partition('"",""')
     return head, tail.removesuffix("0.0}")
 
@@ -447,17 +441,17 @@ class ProviderGateway:
             f"{what} failed after {RETRIES} attempts: {last}", status=last.status, attempts=RETRIES
         ) from last
 
-    def _lookup(self, items: Iterable, provider_id: str, hits: dict | None = None, key_of=None) -> Iterator:
+    def _lookup(self, items: Iterable, key_of: Callable, hits: dict | None = None) -> Iterator:
         """Yield each distinct miss once, as (item, key, key text), in input order, each item keyed
-        once, by ``key_of`` if given; put each cached reply, decoded, in ``hits``. With no ``hits``, the
-        cache is only asked whether it holds the key. A repeated item is a hit, stored or not yet.
+        once, by ``key_of``; put each cached reply, decoded, in ``hits``. With no ``hits``, the cache
+        is only asked whether it holds the key. A repeated item is a hit, stored or not yet.
         Lazy: ``_fan_out``'s workers send while ``LOOKUP_CHUNK`` more are looked up, read together."""
         self.cache.refresh()
         items, sent = iter(items), set()
         looked = missed = 0
         for chunk in iter(lambda: list(islice(items, LOOKUP_CHUNK)), []):
             new = [item for item in dict.fromkeys(chunk) if item not in sent and item not in (hits or ())]
-            fresh = {item: key_of(item) if key_of else build_cache_key(item, provider_id) for item in new}
+            fresh = {item: key_of(item) for item in new}
             found = dict(self.cache.read([key for key, _ in fresh.values()])) if hits is not None else {}
             for i, (item, (key, key_text)) in enumerate(fresh.items()):
                 if hits is None:  # a store pass only asks whether the cache holds the key
@@ -473,7 +467,7 @@ class ProviderGateway:
                         hits[item] = value.decode("utf-8")
                     except UnicodeDecodeError as exc:
                         raise DataError(f"corrupted cache entry: {self.cache.locate(key)}: {exc}") from None
-                elif provider_id not in self._embed_dims:  # a store pass: a cached vector sets the dimension
+                elif self.embedding_provider.provider_id not in self._embed_dims:  # a store pass learns the dimension
                     self.stored_embeddings([item])
             looked += len(chunk)
         with self._stats_lock:
@@ -503,50 +497,55 @@ class ProviderGateway:
             raise ConfigError(f"embedding dimension drift for provider {provider_id}: {seen} then {dim}")
         return vectors
 
-    def chat(self, request: ChatRequest) -> str:
-        """Cache-through chat completion; see ``chat_many``."""
-        result = self.chat_many([request])[0]
+    def chat(self, prompt: tuple[str, float, str], *, purpose: PurposeTag, lead: Sequence = ()) -> str:
+        """Cache-through chat completion of one prompt; see ``chat_many``."""
+        result = self.chat_many([prompt], purpose=purpose, lead=lead)[0]
         if isinstance(result, ProviderError):
             raise result
         return result
 
     def chat_many(
-        self, requests: Sequence[ChatRequest] | Sequence[str], *, model_id: str | None = None,
-        temperature: float = 0.0, purpose: PurposeTag | None = None, lead: Sequence[tuple[str, str]] = (),
+        self, prompts: Sequence[tuple[str, float, str]], *, purpose: PurposeTag, lead: Sequence[tuple[str, str]] = ()
     ) -> list[str | ProviderError]:
         """Cache-through chat completions, each reply exactly as the provider returned it, in
         input order.
 
-        Given a model_id, each item is instead the text of the user message ending its request, after
-        the lead messages, at that model, temperature and purpose: these are checked once, each text
-        is keyed from their frame, and only the worker sending a miss builds its ChatRequest. The
-        lookups stream into ``_fan_out``, and each distinct miss is sent once: one that fails for
-        good gets its ProviderError in its place. A repeated request counts as a cache hit.
+        Each prompt is a (model_id, temperature, text): its request is the lead messages, then
+        ("user", text), at that model, temperature and purpose. The purpose and lead are checked
+        once, and each distinct (model_id, temperature) once: equal settings (0, 0.0 and -0.0) are
+        one, keyed and sent as the first of them. Each text is keyed from its setting's frame, and
+        only the worker sending a miss builds its ChatRequest. The lookups stream into
+        ``_fan_out``, and each distinct miss is sent once: one that fails for good gets its
+        ProviderError in its place. A repeated prompt counts as a cache hit.
         """
         if self.chat_provider is None:
             raise ConfigError("no chat provider configured")
         provider_id, complete = self.chat_provider.provider_id, self.chat_provider.complete
-        framed = None
-        if model_id is not None:
-            fields = dict(model_id=model_id, temperature=float(temperature), purpose=PurposeTag(purpose))
-            check_chat_settings(model_id, fields["temperature"])
-            lead = tuple((str(role), str(text)) for role, text in lead)  # as a ChatRequest holds them
-            framed = _chat_keyer(provider_id, lead=lead, **fields)
+        purpose = PurposeTag(purpose)
+        lead = tuple((str(role), str(text)) for role, text in lead)  # as a request holds them
+        settings = {}  # each distinct (model_id, temperature) -> its request's model_id, temperature, keyer
+        for setting in dict.fromkeys(map(itemgetter(0, 1), prompts)):
+            model_id, temperature = setting[0], float(setting[1])
+            check_chat_settings(model_id, temperature)
+            settings[setting] = model_id, temperature, _chat_keyer(provider_id, model_id, temperature, purpose, lead)
 
-        def send(miss: tuple[ChatRequest | str, bytes, bytes]) -> str:
-            request, key, key_text = miss
-            if model_id is not None:  # of fields checked once for the pass: no second check
-                text, request = request, object.__new__(ChatRequest)
-                vars(request).update(fields, messages=(*lead, ("user", text)))
+        def key(prompt: tuple[str, float, str]) -> tuple[bytes, bytes]:
+            model_id, temperature, text = prompt
+            return settings[model_id, temperature][2](text)
+
+        def send(miss: tuple[tuple[str, float, str], bytes, bytes]) -> str:
+            (model_id, temperature, text), key, key_text = miss
+            model_id, temperature, _ = settings[model_id, temperature]  # the setting its key was made for
+            request = ChatRequest(model_id, temperature, (*lead, ("user", text)), purpose)
             text = self._call_with_retry(complete, request)
             self.cache.store(key, key_text, text.encode("utf-8"))
             return text
 
-        replies: dict[ChatRequest | str, str | ProviderError] = {}
-        misses: list = []  # each item as _fan_out draws it, so in its results' order
-        lookups = self._lookup(requests, provider_id, replies, framed)
+        replies: dict[tuple[str, float, str], str | ProviderError] = {}
+        misses: list = []  # each prompt as _fan_out draws it, so in its results' order
+        lookups = self._lookup(prompts, key, replies)
         replies.update(zip(misses, self._send((misses.append(m[0]) or m for m in lookups), send)))
-        return [replies[request] for request in requests]
+        return [replies[prompt] for prompt in prompts]
 
     def embed(self, text: str) -> np.ndarray:
         """Cache-through embedding of one text; see ``embed_many``."""
@@ -573,7 +572,7 @@ class ProviderGateway:
         if any(not text.strip() for text in texts):
             raise DataError("empty text")
         provider_id = self.embedding_provider.provider_id
-        misses = self._lookup(texts, provider_id)
+        misses = self._lookup(texts, lambda text: build_cache_key(text, provider_id))
         embed_many = self.embedding_provider.embed_many
 
         def send(batch: list[tuple[str, bytes, bytes]]) -> None:

@@ -9,16 +9,14 @@ message text.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import re
 from collections.abc import Sequence
 from enum import Enum
 from pathlib import Path
 
-from .dataset import write_json
+from .dataset import safe_name, write_json
 from .errors import DataError, ProviderError
-from .gateway import ChatRequest, ProviderGateway, PurposeTag
+from .gateway import ProviderGateway, PurposeTag
 from .model import SurveyQuestion
 
 TEMPLATE_VERSION = "sig-v1"
@@ -43,36 +41,12 @@ class StrategyKind(str, Enum):
     SENTIMENT = "sentiment"
 
 
-def build_basic_prompt(question: SurveyQuestion) -> tuple[tuple[str, str], ...]:
-    """A single user message carrying the question text verbatim, nothing else."""
-    return (("user", question.text),)
-
-
-def build_sentiment_prompt(
-    question: SurveyQuestion, sentiment: Sentiment
-) -> tuple[tuple[str, str], ...]:
-    """One user message from the fixed, versioned sentiment template."""
-    text = SENTIMENT_TEMPLATE.format(sentiment=sentiment.value, question=question.text)
-    return (("user", text),)
-
-
-def build_signature_request(
-    question: SurveyQuestion,
-    model_id: str,
-    temperature: float,
-    sentiment: Sentiment | None,
-) -> ChatRequest:
-    """The exact gateway request for one grid cell (replayable against the cache)."""
+def signature_prompt(question: SurveyQuestion, sentiment: Sentiment | None) -> str:
+    """The user message of a grid cell: the question text verbatim, or with a sentiment, the fixed,
+    versioned sentiment template around it."""
     if sentiment is None:
-        messages = build_basic_prompt(question)
-    else:
-        messages = build_sentiment_prompt(question, sentiment)
-    return ChatRequest(
-        model_id=model_id,
-        temperature=temperature,
-        messages=messages,
-        purpose=PurposeTag.GENERATE_SIGNATURE,
-    )
+        return question.text
+    return SENTIMENT_TEMPLATE.format(sentiment=sentiment.value, question=question.text)
 
 
 def signature_id_for(
@@ -114,7 +88,8 @@ def generate_signatures(
     a pair with more than half of its cells failed gets its SignatureGenerationError in place of
     a store, as ``chat_many`` puts a ProviderError in place of a reply."""
     grids = [(k, q, _grid_cells(k, models, temperatures, sentiments)) for k in kinds for q in questions]
-    outcomes = iter(gateway.chat_many([build_signature_request(q, *c) for _, q, cs in grids for c in cs]))
+    prompts = [(m, t, signature_prompt(q, s)) for _, q, cells in grids for m, t, s in cells]
+    outcomes = iter(gateway.chat_many(prompts, purpose=PurposeTag.GENERATE_SIGNATURE))
     stores: list[dict | SignatureGenerationError] = []
     for kind, question, cells in grids:
         signatures: list[dict] = []
@@ -176,17 +151,8 @@ def dedupe_signatures(store: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Signature store: one JSON file per question, stable key order.
 
-_SAFE_NAME = re.compile(r"^[A-Za-z0-9._-]+$")
-
-
-def _store_filename(question_id: str) -> str:
-    if _SAFE_NAME.match(question_id):
-        return f"{question_id}.json"
-    return f"q-{hashlib.sha256(question_id.encode('utf-8')).hexdigest()[:16]}.json"
-
-
 def signature_store_path(store_dir: Path | str, kind: StrategyKind, question_id: str) -> Path:
-    return Path(store_dir) / kind.value / _store_filename(question_id)
+    return Path(store_dir) / kind.value / f"{safe_name(question_id, 'q')}.json"
 
 
 def save_signature_set(store: dict, store_dir: Path | str) -> Path:

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import errno
 import fcntl
+import hashlib
 import json
 import math
 import os
@@ -307,9 +308,9 @@ class TestGenSignaturesSendsEveryQuestionInOnePass:
         passes = []
         chat_many = cli.ProviderGateway.chat_many
 
-        def counted(gateway, requests):
-            passes.append(len(requests))
-            return chat_many(gateway, requests)
+        def counted(gateway, prompts, **shared):
+            passes.append(len(prompts))
+            return chat_many(gateway, prompts, **shared)
 
         monkeypatch.setattr(cli.ProviderGateway, "chat_many", counted)
 
@@ -401,6 +402,23 @@ class TestDetectLlm:
         assert "Cohort averages" not in (tmp_path / "out" / "detector_gpt-3.5-turbo.md").read_text(
             encoding="utf-8"
         )
+
+
+    @pytest.mark.parametrize("model", ["org/model-x", "x/../../escaped"], ids=["a-directory", "an-escape"])
+    def test_dumps_of_a_model_id_that_is_no_file_name_stay_in_the_output_dir(
+        self, capsys, corpus_path, tmp_path, model
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"models": [model], "detector_model": model}), encoding="utf-8")
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "detect-llm", "--config", config))
+        assert code == 0, err
+        name = f"detector_m-{hashlib.sha256(model.encode()).hexdigest()[:16]}"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [f"{name}.json", f"{name}.md"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "out", "run.json"]
+        code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "report", "--config", config))
+        assert code == 0, err
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert [section["model_id"] for section in report["llm_detection"]] == [model]
 
 
 class TestReport:
@@ -1065,6 +1083,8 @@ class TestConfigValueTypes:
             ("temperatures", ["0.5"]),
             ("thresholds", 0.7),
             ("sentiments", [1]),
+            pytest.param("low_threshold", 10**400, id="low_threshold-an-int-no-float-holds"),
+            pytest.param("temperatures", [0, 10**400], id="temperatures-an-int-no-float-holds"),
         ],
     )
     def test_mismatch_is_a_config_error_before_any_call(self, capsys, corpus_path, tmp_path, key, value):
@@ -1085,6 +1105,22 @@ class TestConfigValueTypes:
         )
         cfg = cli.resolve_config(str(config_path), {})
         assert (cfg.low_threshold, cfg.thresholds, cfg.chat_base_url) == (0, (0, 0.5, 1), None)
+        assert {type(value) for value in (cfg.low_threshold, *cfg.thresholds)} == {float}  # converted once
+
+    def test_a_float_key_given_as_an_int_writes_the_artifacts_of_its_float(self, capsys, corpus_path, tmp_path):
+        written = []
+        for zero in (0, 0.0):
+            config, out = tmp_path / f"run-{zero!r}.json", tmp_path / f"out-{zero!r}"
+            config.write_text(json.dumps({"detector_temperature": zero, "low_threshold": zero}), encoding="utf-8")
+            for command in ("detect-llm", "report"):
+                code, _, err = run_cli(
+                    capsys, command, "--config", config, "--dataset", corpus_path, "--mock",
+                    "--cache-dir", tmp_path / "cache", "--output-dir", out,
+                )
+                assert code == 0, err
+            written.append({name: (out / name).read_bytes() for name in ("detector_gpt-3.5-turbo.json", "report.json")})
+        assert written[0] == written[1]
+        assert b'"temperature":0.0,' in written[0]["detector_gpt-3.5-turbo.json"]
 
 
 # A child that takes the output lock, says so and waits to be killed: through a run's own

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import urllib.error
+from collections.abc import Callable
 from datetime import datetime
 from email.message import Message
 from pathlib import Path
@@ -54,13 +55,16 @@ from surveyguard.providers import (
 )
 
 
+SIG = PurposeTag.GENERATE_SIGNATURE
+
+
+def prompt(temperature=0.5, text="Why?", model="gpt-4o") -> tuple[str, float, str]:
+    """A chat prompt; sent at purpose SIG, with no lead, its request is chat_request() of the same arguments."""
+    return model, temperature, text
+
+
 def chat_request(temperature=0.5, text="Why?", model="gpt-4o") -> ChatRequest:
-    return ChatRequest(
-        model_id=model,
-        temperature=temperature,
-        messages=(("user", text),),
-        purpose=PurposeTag.GENERATE_SIGNATURE,
-    )
+    return ChatRequest(model_id=model, temperature=temperature, messages=(("user", text),), purpose=SIG)
 
 
 def store(cache: DiskCache, text: str, response: bytes) -> bool:
@@ -82,16 +86,6 @@ def make_gateway(tmp_path, chat=None, embed=None, **kwargs) -> ProviderGateway:
         sleep=lambda _: None,
         **kwargs,
     )
-
-
-class TestChatRequest:
-    def test_temperature_out_of_range_rejected_before_any_call(self):
-        with pytest.raises(ValueError, match="temperature"):
-            chat_request(temperature=1.5)
-
-    def test_empty_messages_rejected(self):
-        with pytest.raises(ValueError, match="messages"):
-            ChatRequest(model_id="m", temperature=0.0, messages=(), purpose=PurposeTag.DETECT)
 
 
 class TestCacheKey:
@@ -225,7 +219,10 @@ class TestCacheKeyEquivalence:
         gateway = make_gateway(tmp_path, chat=chat, embed=embed)
         requests = key_requests(0) + key_requests(1)
         texts = [text for text in KEY_TEXTS if text.strip()] + ["a " + "".join(KEY_TEXTS[:-1]) + " z"]
-        assert all(isinstance(reply, str) for reply in gateway.chat_many(requests))
+        for request in requests:  # a pass per request: they differ in purpose and lead
+            *lead, (_, text) = request.messages
+            reply = gateway.chat((request.model_id, request.temperature, text), purpose=request.purpose, lead=lead)
+            assert isinstance(reply, str)
         gateway.store_embeddings(texts)
         stored = cache_entries(gateway.cache.root)
         assert len(stored) == len(requests) + len(texts)
@@ -239,48 +236,80 @@ class TestCacheKeyEquivalence:
             assert stored[build_cache_key(text, provider_id)[0].hex()] == expected, repr(text)
 
 
-# What the texts of a pass with a model_id hold: KEY_PIECES, and the runs of "<" and ">" that
-# fence the detector's texts.
+# What the texts of a pass hold: KEY_PIECES, and the runs of "<" and ">" that fence the detector's
+# texts.
 FRAMED_PIECES = [*KEY_PIECES, "<", ">", "<<<", ">>>", "<<<<", ">>>>>", "\n>>>\n"]
 
 
 def framed_pass(rng: random.Random) -> dict:
-    """The shared fields of a seeded pass over texts: a model, a temperature, a purpose, and zero
-    to two lead messages of seeded pieces."""
+    """A seeded pass: a purpose, zero to two lead messages of seeded pieces, and prompts of seeded
+    texts, each at one of two models and one of the edge temperatures."""
     def piece_string(most: int) -> str:
         return "".join(rng.choices(FRAMED_PIECES, k=rng.randrange(1, most)))
 
     roles = ["system", "user", piece_string(4)]
     lead = tuple((rng.choice(roles), piece_string(12)) for _ in range(rng.randrange(3)))
-    model_id = rng.choice(["gpt-4o", 'mo"del\\', "m\u2028\U0001f600"])
-    return dict(
-        model_id=model_id, temperature=rng.choice([0.0, -0.0, 1e-05, 1.0]), purpose=rng.choice(list(PurposeTag)),
-        lead=lead, texts=[piece_string(16) for _ in range(3 * LOOKUP_CHUNK)],
-    )
+    models = rng.sample(["gpt-4o", 'mo"del\\', "m\u2028\U0001f600"], 2)
+    settings = [(model_id, rng.choice([0.0, -0.0, 1e-05, 1.0])) for model_id in models]
+    prompts = [(*rng.choice(settings), piece_string(16)) for _ in range(3 * LOOKUP_CHUNK)]
+    return dict(purpose=rng.choice(list(PurposeTag)), lead=lead, prompts=prompts)
+
+
+class RecordingChatProvider:
+    """Replies "re: " and the last message's text, and records each request it receives."""
+
+    provider_id = "recording-chat"
+
+    def __init__(self):
+        self.requests: list[ChatRequest] = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return f"re: {request.messages[-1][1]}"
 
 
 class TestFramedChatKeys:
-    """A pass given a model_id keys each text from the frame, and builds a ChatRequest only to send it."""
+    """A pass keys each text from its setting's frame, and builds a ChatRequest only to send it."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_each_text_is_stored_under_build_cache_key_of_its_request(self, tmp_path, seed):
         rng = random.Random(f"framed keys {seed}")
         shared = framed_pass(rng)
-        texts, lead = shared.pop("texts"), shared.pop("lead")
-        chat = EchoChatProvider()
+        prompts, lead, purpose = shared["prompts"], shared["lead"], shared["purpose"]
+        chat = RecordingChatProvider()
         chat.provider_id = rng.choice(KEY_PROVIDERS)
-        replies = make_gateway(tmp_path, chat=chat).chat_many(texts, lead=lead, **shared)
-        assert replies == [f"re: {text}" for text in texts]
-        model_id, temperature, purpose = shared["model_id"], shared["temperature"], shared["purpose"]
-        requests = [ChatRequest(model_id, temperature, (*lead, ("user", text)), purpose) for text in texts]
+        replies = make_gateway(tmp_path, chat=chat).chat_many(prompts, purpose=purpose, lead=lead)
+        assert replies == [f"re: {text}" for _, _, text in prompts]
+        requests = [ChatRequest(model_id, t, (*lead, ("user", text)), purpose) for model_id, t, text in prompts]
+        assert sorted(map(repr, chat.requests)) == sorted(map(repr, set(requests)))  # each sent once
         stored = cache_entries(tmp_path / "cache")
-        assert len(stored) == len(set(texts))
+        assert len(stored) == len(set(prompts))
         for request, reply in zip(requests, replies):
             key, key_text = build_cache_key(request, chat.provider_id)
             assert key_text == reference_json(chat_material(request, chat.provider_id)).encode()
             assert stored[key.hex()] == key_text + b"\n" + reply.encode()
-        warm = make_gateway(tmp_path, chat=chat)  # the same requests, as ChatRequests, read every entry
-        assert warm.chat_many(requests) == replies and warm.stats.provider_calls == 0
+        warm = make_gateway(tmp_path, chat=chat)  # the same prompts in another order read every entry
+        assert warm.chat_many(prompts[::-1], purpose=purpose, lead=lead) == replies[::-1]
+        assert warm.stats.provider_calls == 0
+
+    @pytest.mark.parametrize(
+        "temperatures", [(0.0, -0.0, 0), (-0.0, 0.0, 0), (0, -0.0, 0.0)], ids=["0.0-first", "-0.0-first", "0-first"]
+    )
+    def test_equal_settings_are_one_keyed_and_sent_as_the_first(self, tmp_path, temperatures):
+        chat = RecordingChatProvider()
+        gateway = make_gateway(tmp_path, chat=chat)
+        prompts = [("m", t, text) for t, text in zip(temperatures, "abc")] + [("m2", 0.0, "a")]
+        replies = gateway.chat_many(prompts, purpose=PurposeTag.DETECT, lead=(("system", "s"),))
+        assert replies == ["re: a", "re: b", "re: c", "re: a"]
+        sent = sorted((r.model_id, r.messages[-1][1]) for r in chat.requests)
+        assert sent == [("m", "a"), ("m", "b"), ("m", "c"), ("m2", "a")]  # "a" once per model
+        sent_at = {(type(r.temperature), repr(r.temperature)) for r in chat.requests if r.model_id == "m"}
+        assert sent_at == {(float, repr(float(temperatures[0])))}
+        stored = cache_entries(tmp_path / "cache")
+        assert len(stored) == len(chat.requests)
+        for request in chat.requests:
+            key, key_text = build_cache_key(request, chat.provider_id)
+            assert stored[key.hex()] == key_text + b"\n" + f"re: {request.messages[-1][1]}".encode()
 
     @pytest.mark.parametrize("where", ["lead", "text"])
     def test_a_lone_surrogate_raises_the_error_build_cache_key_raises(self, tmp_path, where):
@@ -290,50 +319,53 @@ class TestFramedChatKeys:
             build_cache_key(request, EchoChatProvider.provider_id)
         gateway = make_gateway(tmp_path, chat=EchoChatProvider())
         with pytest.raises(UnicodeEncodeError) as framed:
-            gateway.chat_many([text], model_id="gpt-4o", temperature=0.0, purpose=PurposeTag.DETECT, lead=lead)
+            gateway.chat_many([("gpt-4o", 0.0, text)], purpose=PurposeTag.DETECT, lead=lead)
         assert str(framed.value) == str(direct.value)
         assert framed.value.object == direct.value.object
 
     @pytest.mark.parametrize(
-        "shared, message",
+        "setting, purpose, message",
         [
-            (dict(model_id="", temperature=0.0, purpose=PurposeTag.DETECT), "model_id must be non-empty"),
-            (dict(model_id="m", temperature=1.5, purpose=PurposeTag.DETECT), r"temperature must be in \[0, 1\]"),
-            (dict(model_id="m", temperature=0.0, purpose=None), "not a valid PurposeTag"),
+            (("", 0.0), PurposeTag.DETECT, "model_id must be non-empty"),
+            (("m", 1.5), PurposeTag.DETECT, r"temperature must be in \[0, 1\], got 1.5"),
+            (("m", -0.5), PurposeTag.DETECT, r"temperature must be in \[0, 1\], got -0.5"),
+            (("m", float("nan")), PurposeTag.DETECT, r"temperature must be in \[0, 1\], got nan"),
+            (("m", 0.0), None, "not a valid PurposeTag"),
         ],
-        ids=["empty-model", "temperature", "no-purpose"],
+        ids=["empty-model", "temperature-above", "temperature-below", "temperature-nan", "no-purpose"],
     )
-    def test_what_the_requests_share_is_checked_before_any_lookup(self, tmp_path, shared, message):
+    def test_a_bad_setting_or_purpose_is_refused_before_any_lookup(self, tmp_path, setting, purpose, message):
         provider = EchoChatProvider()
         gateway = make_gateway(tmp_path, chat=provider)
+        prompts = [("m", 0.5, f"q{i}") for i in range(2 * LOOKUP_CHUNK)] + [(*setting, "last")]
         with pytest.raises(ValueError, match=message):
-            gateway.chat_many(["a", "b"], lead=(("system", "s"),), **shared)
+            gateway.chat_many(prompts, purpose=purpose, lead=(("system", "s"),))
         assert provider.calls == [] and gateway.stats == GatewayStats()
 
 
 class TestChatCaching:
     def test_second_identical_request_is_cached_with_zero_calls(self, tmp_path):
         gateway = make_gateway(tmp_path, chat=MockChatProvider(seed=0))
-        first = gateway.chat(chat_request())
+        first = gateway.chat(prompt(), purpose=SIG)
         assert (gateway.stats.provider_calls, gateway.stats.cache_misses, gateway.stats.cache_hits) == (1, 1, 0)
-        assert gateway.chat(chat_request()) == first
+        assert gateway.chat(prompt(), purpose=SIG) == first
         assert (gateway.stats.provider_calls, gateway.stats.cache_misses, gateway.stats.cache_hits) == (1, 1, 1)
 
     def test_canned_provider_passthrough(self, tmp_path):
         gateway = make_gateway(tmp_path, chat=StaticChatProvider("AI"))
-        assert gateway.chat(chat_request()) == "AI"
+        assert gateway.chat(prompt(), purpose=SIG) == "AI"
 
     def test_warm_cache_across_gateway_instances(self, tmp_path):
         first = make_gateway(tmp_path, chat=MockChatProvider(seed=0))
-        text = first.chat(chat_request())
+        text = first.chat(prompt(), purpose=SIG)
         warm = make_gateway(tmp_path, chat=MockChatProvider(seed=0))
-        assert warm.chat(chat_request()) == text
+        assert warm.chat(prompt(), purpose=SIG) == text
         assert (warm.stats.provider_calls, warm.stats.cache_hits) == (0, 1)
 
     def test_no_chat_provider_configured(self, tmp_path):
         gateway = make_gateway(tmp_path)
         with pytest.raises(ConfigError, match="no chat provider"):
-            gateway.chat(chat_request())
+            gateway.chat(prompt(), purpose=SIG)
 
     @pytest.mark.parametrize("method", ["embed", "store_embeddings", "stored_embeddings"])
     def test_no_embedding_provider_configured(self, tmp_path, method):
@@ -345,12 +377,12 @@ class TestChatCaching:
     def test_cache_entry_contains_request_material(self, tmp_path):
         gateway = make_gateway(tmp_path, chat=MockChatProvider(seed=0))
         request = chat_request()
-        gateway.chat(request)
+        gateway.chat(prompt(), purpose=SIG)
         key = build_cache_key(request, "mock-chat-0")[0]
         entry = cache_entries(gateway.cache.root)[key.hex()]
         assert entry_request(entry)["messages"] == [["user", "Why?"]]
         assert entry_request(entry)["temperature"] == 0.5
-        assert entry.partition(b"\n")[2] == gateway.chat(request).encode()
+        assert entry.partition(b"\n")[2] == gateway.chat(prompt(), purpose=SIG).encode()
 
 
 # The mock embedder's bits at seed 7: float.hex per coordinate at d=16, and the sha256 of those
@@ -779,7 +811,7 @@ class TestOpenAICompatEndpoint:
         for base_url in ("http://one.test/v1", "http://two.test/v1", "http://one.test/v1"):
             chat = OpenAICompatChatProvider(base_url=base_url)
             gateway = ProviderGateway(cache=DiskCache(tmp_path / "cache"), chat_provider=chat)
-            replies.append(gateway.chat(chat_request()))
+            replies.append(gateway.chat(prompt(), purpose=SIG))
         assert sent == ["http://one.test/v1/chat/completions", "http://two.test/v1/chat/completions"]
         assert replies == [sent[0], sent[1], sent[0]]
 
@@ -805,7 +837,7 @@ class TestRetries:
     def test_transient_failures_then_success(self, tmp_path):
         provider = FlakyChatProvider(fail_times=2)
         gateway = make_gateway(tmp_path, chat=provider)
-        assert gateway.chat(chat_request()) == "recovered"
+        assert gateway.chat(prompt(), purpose=SIG) == "recovered"
         assert provider.calls == 3
         assert gateway.stats.provider_calls == 3
 
@@ -813,7 +845,7 @@ class TestRetries:
         provider = FlakyChatProvider(fail_times=10)
         gateway = make_gateway(tmp_path, chat=provider)
         with pytest.raises(ProviderError) as excinfo:
-            gateway.chat(chat_request())
+            gateway.chat(prompt(), purpose=SIG)
         assert excinfo.value.attempts == 3
         assert excinfo.value.status == 429
         assert provider.calls == 3
@@ -822,7 +854,7 @@ class TestRetries:
         provider = FlakyChatProvider(fail_times=10, transient=False)
         gateway = make_gateway(tmp_path, chat=provider)
         with pytest.raises(ProviderError):
-            gateway.chat(chat_request())
+            gateway.chat(prompt(), purpose=SIG)
         assert provider.calls == 1
 
     BACKOFF_S = 1.0 + 0.5 * random.Random(0).random()  # the first retry's wait, jitter seeded 0
@@ -861,14 +893,14 @@ class TestRetries:
         slept = []
         chat = OpenAICompatChatProvider(base_url="http://chat.test/v1", api_key_env="SURVEYGUARD_TEST_KEY")
         gateway = ProviderGateway(cache=DiskCache(tmp_path / "cache"), chat_provider=chat, sleep=slept.append)
-        assert gateway.chat(chat_request()) == "ok"
+        assert gateway.chat(prompt(), purpose=SIG) == "ok"
         assert slept == [waited]
 
     def test_failed_calls_store_nothing(self, tmp_path):
         provider = FlakyChatProvider(fail_times=10)
         gateway = make_gateway(tmp_path, chat=provider)
         with pytest.raises(ProviderError):
-            gateway.chat(chat_request())
+            gateway.chat(prompt(), purpose=SIG)
         assert len(cache_entries(gateway.cache.root)) == 0
 
 
@@ -960,11 +992,11 @@ class TestWindow:
     @pytest.mark.parametrize("text", ["bad", "boom"], ids=["400", "bug"])
     def test_a_gateway_call_that_fails_for_good_leaves_its_window_as_it_is(self, tmp_path, text):
         gateway = make_gateway(tmp_path, chat=EchoChatProvider())
-        gateway.chat(chat_request(text="fine"))
+        gateway.chat(prompt(text="fine"), purpose=SIG)
         size = gateway._window.size
         for _ in range(3 * START_IN_FLIGHT):
             with pytest.raises((ProviderError, RuntimeError)):
-                gateway.chat(chat_request(text=text))
+                gateway.chat(prompt(text=text), purpose=SIG)
         assert size == START_IN_FLIGHT + 1 == gateway._window.size
         assert can_hold(gateway._window, START_IN_FLIGHT + 1)
 
@@ -999,7 +1031,7 @@ class TestRateLimitedProvider:
         provider = ThreeAtOnceChatProvider()
         gateway = make_gateway(tmp_path, chat=provider)
         texts = [f"q{i}" for i in range(150)]
-        assert gateway.chat_many([chat_request(text=text) for text in texts]) == [f"re: {t}" for t in texts]
+        assert gateway.chat_many([prompt(text=text) for text in texts], purpose=SIG) == [f"re: {t}" for t in texts]
         assert sorted(provider.answered) == sorted(texts) and provider.peak == 3
         calls = gateway.stats.provider_calls
         assert calls == len(texts) + provider.refused and provider.refused < calls / 4
@@ -1168,14 +1200,14 @@ class TestPacks:
 
     @pytest.mark.parametrize("damage, names_entry", PACK_DAMAGE.values(), ids=PACK_DAMAGE.keys())
     def test_a_bad_pack_is_a_data_error_naming_it(self, tmp_path, damage, names_entry):
-        requests = [chat_request(text=t) for t in ("a", "b")]
-        make_gateway(tmp_path, chat=EchoChatProvider()).chat_many(requests)
+        prompts = [prompt(text=t) for t in ("a", "b")]
+        make_gateway(tmp_path, chat=EchoChatProvider()).chat_many(prompts, purpose=SIG)
         (pack,) = (tmp_path / "cache" / "packs").iterdir()
         last = list(read_pack(pack)[1])[-1]
         pack.write_bytes(damage(pack.read_bytes()))
         provider = EchoChatProvider()
         with pytest.raises(DataError) as raised:
-            make_gateway(tmp_path, chat=provider).chat_many(requests)
+            make_gateway(tmp_path, chat=provider).chat_many(prompts, purpose=SIG)
         message = str(raised.value)
         assert str(pack) in message
         assert (last in message) == names_entry
@@ -1253,7 +1285,7 @@ class TestVectorEntries:
         text = 'Naïve — "quoted"\nsecond line\u2028'
         gateway = make_gateway(tmp_path, chat=StaticChatProvider(text))
         request = chat_request(text="Pourquoi ?\n— réponds")
-        gateway.chat(request)
+        gateway.chat(prompt(text="Pourquoi ?\n— réponds"), purpose=SIG)
         stored = cache_entries(gateway.cache.root)[build_cache_key(request, "static-chat")[0].hex()]
         assert entry_request(stored) == chat_key_material(request, "static-chat")
         (pack,) = gateway.cache.packs.iterdir()
@@ -1327,36 +1359,48 @@ class EchoChatProvider:
                 self.in_flight -= 1
 
 
+def on_chat_key(monkeypatch, seen: Callable[[str], object]) -> None:
+    """Call seen(text) as each text is keyed by a key function of ``_chat_keyer``, as chat passes key."""
+    keyer = gateway_module._chat_keyer
+
+    def watched(*args, **kwargs):
+        key = keyer(*args, **kwargs)
+        return lambda text: seen(text) or key(text)
+
+    monkeypatch.setattr(gateway_module, "_chat_keyer", watched)
+
+
 class TestARepeatAfterItsStore:
     @pytest.mark.parametrize("path", ["chat_many", "store_embeddings"])
     def test_is_a_hit_and_is_not_sent_again(self, tmp_path, monkeypatch, path):
         # A window of one call draws nothing past the first two items (EMBED_BATCH texts each on
         # the store path) before the first is stored; so the third lookup chunk comes after it.
         monkeypatch.setattr(gateway_module, "START_IN_FLIGHT", 1)
+        texts = [f"q{i}" for i in range(2 * LOOKUP_CHUNK + 1)]
+        first, fresh = texts[0], texts[-1]
+        stored_then = []
+
+        def seen(text):
+            if text == fresh:  # keyed in the chunk that holds the repeat
+                stored_then.append(first_key in gateway.cache)
+
         if path == "chat_many":
             provider = EchoChatProvider()
             gateway = make_gateway(tmp_path, chat=provider)
-            items = [chat_request(text=f"q{i}") for i in range(2 * LOOKUP_CHUNK + 1)]
+            first_key = build_cache_key(chat_request(text=first), provider.provider_id)[0]
+            on_chat_key(monkeypatch, seen)
+            gateway.chat_many([prompt(text=t) for t in [*texts[:-1], first, fresh]], purpose=SIG)
+            sent = provider.calls
         else:
             provider = RecordingEmbeddingProvider()
             gateway = make_gateway(tmp_path, embed=provider)
-            items = [f"text {i}" for i in range(2 * LOOKUP_CHUNK + 1)]
-        first, fresh = items[0], items[-1]
-        real_key, stored_then = gateway_module.build_cache_key, []
-
-        def key(item, provider_id):
-            if item == fresh:  # keyed in the chunk that holds the repeat
-                stored_then.append(real_key(first, provider_id)[0] in gateway.cache)
-            return real_key(item, provider_id)
-
-        monkeypatch.setattr(gateway_module, "build_cache_key", key)
-        getattr(gateway, path)([*items[:-1], first, fresh])
+            first_key, real_key = build_cache_key(first, provider.provider_id)[0], gateway_module.build_cache_key
+            monkeypatch.setattr(gateway_module, "build_cache_key", lambda t, p: seen(t) or real_key(t, p))
+            gateway.store_embeddings([*texts[:-1], first, fresh])
+            sent = [t for batch in provider.requests for t in batch]
         assert stored_then == [True]
-        if path == "chat_many":
-            assert sorted(provider.calls) == sorted(r.messages[-1][1] for r in items)
-        else:
-            assert sorted(t for batch in provider.requests for t in batch) == sorted(items)
-        assert (gateway.stats.cache_misses, gateway.stats.cache_hits) == (len(items), 1)
+        assert sorted(sent) == sorted(texts)
+        assert (gateway.stats.cache_misses, gateway.stats.cache_hits) == (len(texts), 1)
 
 
 class TestChatMany:
@@ -1364,14 +1408,14 @@ class TestChatMany:
         # Earlier requests sleep longer, so they finish after later ones.
         provider = EchoChatProvider(delay=lambda text: 0.002 * (12 - int(text[1:])))
         gateway = make_gateway(tmp_path, chat=provider)
-        results = gateway.chat_many([chat_request(text=f"q{i}") for i in range(12)])
+        results = gateway.chat_many([prompt(text=f"q{i}") for i in range(12)], purpose=SIG)
         assert results == [f"re: q{i}" for i in range(12)]
 
     def test_a_repeated_request_is_sent_once_and_counted_as_a_hit(self, tmp_path):
         provider = EchoChatProvider()
         gateway = make_gateway(tmp_path, chat=provider)
-        a, b = chat_request(text="a"), chat_request(text="b")
-        results = gateway.chat_many([a, b, a, a])
+        a, b = prompt(text="a"), prompt(text="b")
+        results = gateway.chat_many([a, b, a, a], purpose=SIG)
         assert sorted(provider.calls) == ["a", "b"]
         assert results == ["re: a", "re: b", "re: a", "re: a"]
         assert (gateway.stats.provider_calls, gateway.stats.cache_misses) == (2, 2)
@@ -1380,37 +1424,37 @@ class TestChatMany:
     def test_a_permanent_failure_takes_its_slot_and_the_others_are_cached(self, tmp_path):
         provider = EchoChatProvider()
         gateway = make_gateway(tmp_path, chat=provider)
-        requests = [chat_request(text=t) for t in ("x", "bad", "y")]
-        results = gateway.chat_many(requests)
+        prompts = [prompt(text=t) for t in ("x", "bad", "y")]
+        results = gateway.chat_many(prompts, purpose=SIG)
         assert isinstance(results[1], ProviderError) and results[1].status == 400
         assert [results[0], results[2]] == ["re: x", "re: y"]
         assert len(cache_entries(gateway.cache.root)) == 2
         hits = gateway.stats.cache_hits
-        assert gateway.chat_many([requests[0], requests[2]]) == ["re: x", "re: y"]
+        assert gateway.chat_many([prompts[0], prompts[2]], purpose=SIG) == ["re: x", "re: y"]
         assert gateway.stats.cache_hits == hits + 2
         assert sorted(provider.calls) == ["bad", "x", "y"]
 
     def test_any_other_exception_propagates_after_the_other_requests(self, tmp_path):
         gateway = make_gateway(tmp_path, chat=EchoChatProvider())
         with pytest.raises(RuntimeError, match="provider bug"):
-            gateway.chat_many([chat_request(text=t) for t in ("x", "boom", "y")])
+            gateway.chat_many([prompt(text=t) for t in ("x", "boom", "y")], purpose=SIG)
         assert len(cache_entries(gateway.cache.root)) == 2
 
     def test_entries_finished_before_a_raise_are_committed(self, tmp_path):
         with pytest.raises(RuntimeError, match="provider bug"):
             make_gateway(tmp_path, chat=EchoChatProvider()).chat_many(
-                [chat_request(text=t) for t in ("x", "boom", "y")]
+                [prompt(text=t) for t in ("x", "boom", "y")], purpose=SIG
             )
         provider = EchoChatProvider()
         warm = make_gateway(tmp_path, chat=provider)  # a new cache reads only committed packs
-        assert warm.chat_many([chat_request(text=t) for t in ("x", "y")]) == ["re: x", "re: y"]
+        assert warm.chat_many([prompt(text=t) for t in ("x", "y")], purpose=SIG) == ["re: x", "re: y"]
         assert (warm.stats.cache_hits, warm.stats.cache_misses) == (2, 0)
         assert provider.calls == []
 
     def test_at_most_max_in_flight_calls_overlap(self, tmp_path):
         provider = EchoChatProvider(delay=lambda text: 0.02)
         gateway = make_gateway(tmp_path, chat=provider)
-        results = gateway.chat_many([chat_request(text=f"q{i}") for i in range(120)])
+        results = gateway.chat_many([prompt(text=f"q{i}") for i in range(120)], purpose=SIG)
         assert results == [f"re: q{i}" for i in range(120)] and len(provider.calls) == 120
         assert provider.starts[:START_IN_FLIGHT] == list(range(1, START_IN_FLIGHT + 1))  # the first overlap
         assert provider.starts[START_IN_FLIGHT] <= START_IN_FLIGHT  # and the next waits for one to end
@@ -1421,49 +1465,48 @@ class TestChatMany:
     def test_each_distinct_request_is_taken_once_under_fast_thread_switching(self, tmp_path):
         provider = EchoChatProvider()
         gateway = make_gateway(tmp_path, chat=provider)
-        requests = [chat_request(text=f"q{i % 150}") for i in range(600)]
+        prompts = [prompt(text=f"q{i % 150}") for i in range(600)]
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            worker = threading.Thread(target=lambda: results.extend(gateway.chat_many(requests)))
+            worker = threading.Thread(target=lambda: results.extend(gateway.chat_many(prompts, purpose=SIG)))
             worker.start()
             worker.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
         assert sorted(provider.calls) == sorted(f"q{i}" for i in range(150))
-        assert results == [f"re: {r.messages[-1][1]}" for r in requests]
+        assert results == [f"re: {text}" for _, _, text in prompts]
         stats = gateway.stats
         assert (stats.provider_calls, stats.cache_misses, stats.cache_hits) == (150, 150, 450)
 
     def test_one_miss_is_sent_from_the_calling_thread(self, tmp_path):
         chat, embed = EchoChatProvider(), RecordingEmbeddingProvider()
         gateway = make_gateway(tmp_path, chat=chat, embed=embed)
-        gateway.chat_many([chat_request(text="a"), chat_request(text="a")])
+        gateway.chat_many([prompt(text="a"), prompt(text="a")], purpose=SIG)
         gateway.embed_many(["a", "b", "a"])
         assert chat.threads == embed.threads == [threading.get_ident()]
 
     def test_the_lookups_stream_into_the_sends(self, tmp_path, monkeypatch):
         keyed, keyed_at_call = [], []
-        build = gateway_module.build_cache_key
         monkeypatch.setattr(gateway_module, "LOOKUP_CHUNK", 8)
-        monkeypatch.setattr(gateway_module, "build_cache_key", lambda *a: keyed.append(a) or build(*a))
+        on_chat_key(monkeypatch, keyed.append)
 
         class CountingProvider(EchoChatProvider):
             def complete(self, request):
                 keyed_at_call.append(len(keyed))
                 return super().complete(request)
 
-        requests = [chat_request(text=f"q{i}") for i in range(40)]
         gateway = make_gateway(tmp_path, chat=CountingProvider())
-        assert gateway.chat_many(requests) == [f"re: q{i}" for i in range(40)]
+        replies = gateway.chat_many([prompt(text=f"q{i}") for i in range(40)], purpose=SIG)
+        assert replies == [f"re: q{i}" for i in range(40)]
         assert min(keyed_at_call) == 8 and len(keyed) == 40  # chunk 1 is sent before the rest is keyed
 
     def test_no_requests_make_no_calls(self, tmp_path):
         provider = EchoChatProvider()
         gateway = make_gateway(tmp_path, chat=provider)
-        assert gateway.chat_many([]) == []
+        assert gateway.chat_many([], purpose=SIG) == []
         assert provider.calls == []
 
 
@@ -1480,9 +1523,9 @@ def _later(digest: str, layout: str) -> set[str]:
 
 
 CHAT_READS = [  # each reads chat_request()'s entry; a chunk is read before its misses are sent
-    lambda g: g.chat(chat_request()),
-    lambda g: g.chat_many([chat_request()]),
-    lambda g: g.chat_many([chat_request(text="fresh"), chat_request()]),
+    lambda g: g.chat(prompt(), purpose=SIG),
+    lambda g: g.chat_many([prompt()], purpose=SIG),
+    lambda g: g.chat_many([prompt(text="fresh"), prompt()], purpose=SIG),
 ]
 EMBED_READS = [  # each reads the entry of "text"; "other" comes first, and embed_many sends it first
     lambda g: g.embed_many(["other", "text"]),
@@ -1557,7 +1600,7 @@ class TestUnreadableCacheEntries:
 
     def test_a_changed_entry_byte_is_a_checksum_error(self, tmp_path):
         chat, embed = EchoChatProvider(), RecordingEmbeddingProvider()
-        make_gateway(tmp_path, chat=chat).chat(chat_request())
+        make_gateway(tmp_path, chat=chat).chat(prompt(), purpose=SIG)
         make_gateway(tmp_path, embed=embed).store_embeddings(["other", "text"])
         for pack in sorted((tmp_path / "cache" / "packs").iterdir()):
             data = bytearray(pack.read_bytes())
@@ -1573,7 +1616,7 @@ class TestUnreadableCacheEntries:
 
     def test_an_entry_under_another_digest_is_a_data_error_naming_it(self, tmp_path):
         chat, embed = EchoChatProvider(), RecordingEmbeddingProvider()
-        make_gateway(tmp_path, chat=chat, embed=embed).chat_many([chat_request(text="other")])
+        make_gateway(tmp_path, chat=chat, embed=embed).chat_many([prompt(text="other")], purpose=SIG)
         make_gateway(tmp_path, embed=embed).store_embeddings(["first", "other"])
         entries = cache_entries(tmp_path / "cache")
         def keys(text):
@@ -1586,7 +1629,7 @@ class TestUnreadableCacheEntries:
         pack = rewrite_cache(tmp_path / "cache", entries)[mine[0].hex()]
         warm = make_gateway(tmp_path, chat=chat, embed=embed)
         reads = [
-            lambda: warm.chat_many([chat_request(text="text")]),
+            lambda: warm.chat_many([prompt(text="text")], purpose=SIG),
             lambda: warm.stored_embeddings(["first", "text"]),
             lambda: warm.embed_many(["first", "text"]),
         ]
@@ -1628,10 +1671,10 @@ class TestPackReads:
     @pytest.mark.parametrize("kind", ["chat", "embed"])
     def test_a_warm_pass_opens_each_pack_once_and_one_at_a_time(self, tmp_path, monkeypatch, kind):
         texts = [f"text {i}" for i in range(3 * PACK_ENTRIES + 5)]
-        requests = [chat_request(text=text) for text in texts]
+        prompts = [prompt(text=text) for text in texts]
         chat, embed = EchoChatProvider(), RecordingEmbeddingProvider()
         cold = make_gateway(tmp_path, chat=chat, embed=embed)
-        cold.chat_many(requests) if kind == "chat" else cold.store_embeddings(texts)
+        cold.chat_many(prompts, purpose=SIG) if kind == "chat" else cold.store_embeddings(texts)
         packs = sorted(cold.cache.packs.iterdir())
         assert len(packs) == 4
         warm = make_gateway(tmp_path, chat=chat, embed=embed)
@@ -1659,7 +1702,7 @@ class TestPackReads:
             patch.setattr(gateway_module.os, "open", counted_open)
             patch.setattr(gateway_module.os, "close", counted_close)
             if kind == "chat":
-                replies = warm.chat_many([requests[i] for i in order])
+                replies = warm.chat_many([prompts[i] for i in order], purpose=SIG)
             else:
                 vectors = warm.stored_embeddings([texts[i] for i in order])
         chunks = -(-len(texts) // gateway_module.LOOKUP_CHUNK)

@@ -2,7 +2,7 @@
 
 A seeded builder makes six studies, three collected before the 2022 split and three after.
 Into each it plants a known number of verbatim signature texts (the mock chat provider's reply
-to a grid cell of the answer's question, asked through ``build_signature_request``) and a known,
+to a grid cell of the answer's question, asked with ``signature_prompt``) and a known,
 disjoint number of answers holding the detector mock's marker; every other answer is a
 human-like sentence. Post-2022 studies get more of both. At ``mock_embedding_dim`` 256 an
 unrelated text scores far below every threshold, so the signature detector must flag exactly
@@ -21,9 +21,10 @@ import pytest
 from conftest import write_bundle
 from surveyguard.cli import main
 from surveyguard.dataset import TABLES
+from surveyguard.gateway import ChatRequest, PurposeTag
 from surveyguard.model import SurveyQuestion
 from surveyguard.providers import DETECT_MARKER, MockChatProvider, MockEmbeddingProvider
-from surveyguard.signatures import build_signature_request
+from surveyguard.signatures import signature_prompt
 
 SEED = 11
 DIM = 256
@@ -61,7 +62,7 @@ class Planted:
 
 def build(seed: int) -> Planted:
     rng = random.Random(seed)
-    chat = MockChatProvider(seed=SEED)
+    chat, purpose = MockChatProvider(seed=SEED), PurposeTag.GENERATE_SIGNATURE
     corpus = Planted()
     for study_id, month in MONTHS.items():
         post = study_id in COHORTS["post_2022"]
@@ -72,7 +73,7 @@ def build(seed: int) -> Planted:
             corpus.questions.append([question.question_id, study_id, "open_ended", question.text])
             cells = {
                 f"{question.question_id}|basic|{model}|t{temperature:g}": chat.complete(
-                    build_signature_request(question, model, temperature, None)
+                    ChatRequest(model, temperature, (("user", signature_prompt(question, None)),), purpose)
                 )
                 for model in MODELS
                 for temperature in TEMPERATURES

@@ -8,7 +8,7 @@ import pytest
 from conftest import FIXTURE_CORPUS, StaticChatProvider, cache_entries, entry_request
 from surveyguard.cli import main
 from surveyguard.errors import DataError, ProviderError
-from surveyguard.gateway import DiskCache, ProviderGateway, build_cache_key, canonical_json
+from surveyguard.gateway import ChatRequest, DiskCache, ProviderGateway, PurposeTag, build_cache_key, canonical_json
 from surveyguard.model import SurveyQuestion
 from surveyguard.providers import MockChatProvider, MockEmbeddingProvider
 from surveyguard.signatures import (
@@ -16,13 +16,11 @@ from surveyguard.signatures import (
     Sentiment,
     SignatureGenerationError,
     StrategyKind,
-    build_basic_prompt,
-    build_sentiment_prompt,
-    build_signature_request,
     dedupe_signatures,
     generate_signatures,
     load_signature_set,
     save_signature_set,
+    signature_prompt,
     signature_store_path,
 )
 
@@ -40,33 +38,28 @@ def make_gateway(tmp_path, chat=None) -> ProviderGateway:
 
 
 class TestPromptBuilders:
-    def test_basic_prompt_is_single_verbatim_user_message(self):
-        messages = build_basic_prompt(QUESTION)
-        assert messages == (("user", "Why do you use this app?"),)
+    def test_basic_prompt_is_the_question_verbatim(self):
+        assert signature_prompt(QUESTION, None) == "Why do you use this app?"
 
     def test_basic_prompt_preserves_whitespace(self):
         q = SurveyQuestion(question_id="q2", study_id="s1", text="  padded question  ")
-        assert build_basic_prompt(q) == (("user", "  padded question  "),)
+        assert signature_prompt(q, None) == "  padded question  "
 
     def test_basic_prompt_leaves_quotes_and_newlines_unescaped(self):
         text = 'Line "one"\nline two?'
         q = SurveyQuestion(question_id="q3", study_id="s1", text=text)
-        assert build_basic_prompt(q)[0][1] == text
+        assert signature_prompt(q, None) == text
 
     def test_sentiment_prompt_contains_word_and_question(self):
-        messages = build_sentiment_prompt(QUESTION, Sentiment.POSITIVE)
-        assert len(messages) == 1
-        role, text = messages[0]
-        assert role == "user"
+        text = signature_prompt(QUESTION, Sentiment.POSITIVE)
         assert "positive" in text
         assert "Why do you use this app?" in text
         assert text == SENTIMENT_TEMPLATE.format(sentiment="positive", question=QUESTION.text)
 
     def test_sentiment_variants_differ_only_in_sentiment_word(self):
-        negative = build_sentiment_prompt(QUESTION, Sentiment.NEGATIVE)[0][1]
-        neutral = build_sentiment_prompt(QUESTION, Sentiment.NEUTRAL)[0][1]
+        negative = signature_prompt(QUESTION, Sentiment.NEGATIVE)
+        neutral = signature_prompt(QUESTION, Sentiment.NEUTRAL)
         assert negative.replace("negative", "{s}") == neutral.replace("neutral", "{s}")
-
 
 
 class TestGridSizes:
@@ -203,9 +196,8 @@ class TestDeterminismAndStore:
         gateway = make_gateway(tmp_path)
         result = generate_signatures([QUESTION], [StrategyKind.SENTIMENT], ["m1"], [0.0, 0.5], gateway)[0]
         for sig in result["signatures"]:
-            request = build_signature_request(
-                QUESTION, sig["model_id"], sig["temperature"], Sentiment(sig["sentiment"])
-            )
+            text = signature_prompt(QUESTION, Sentiment(sig["sentiment"]))
+            request = ChatRequest(sig["model_id"], sig["temperature"], (("user", text),), PurposeTag.GENERATE_SIGNATURE)
             key = build_cache_key(request, gateway.chat_provider.provider_id)[0]
             entry = cache_entries(gateway.cache.root)[key.hex()]
             assert entry_request(entry)["messages"] == [list(m) for m in request.messages]

@@ -79,24 +79,34 @@ def test_only_build_parser_declares_flags():
 
 
 def test_signatures_py_alone_maps_the_grid_to_requests():
-    """gen-signatures makes one generate_signatures call and sends no chat request itself."""
+    """gen-signatures makes one generate_signatures call and sends no chat request itself; that
+    makes the prompt of each grid cell and sends them all in one chat_many call."""
     builders = {
         (path.name, top)
         for path in sorted(PACKAGE.glob("*.py"))
-        for top, _ in _calls(path, lambda call: _call_name(call) == "build_signature_request")
+        for top, _ in _calls(path, lambda call: _call_name(call) == "signature_prompt")
     }
     assert builders == {("signatures.py", "generate_signatures")}
+    senders = _calls(PACKAGE / "signatures.py", lambda call: _call_name(call) == "chat_many")
+    assert [top for top, _ in senders] == ["generate_signatures"]
     assert _calls(PACKAGE / "cli.py", lambda call: _call_name(call) == "chat_many") == []
     generators = _calls(PACKAGE / "cli.py", lambda call: _call_name(call) == "generate_signatures")
     assert [top for top, _ in generators] == ["cmd_gen_signatures"]
 
 
 def test_only_the_gateway_forms_chat_keys_and_requests():
-    """detector.py hands the gateway texts: it builds no ChatRequest, and imports no key builder."""
-    tree = ast.parse((PACKAGE / "detector.py").read_text(encoding="utf-8"))
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert imported & {"ChatRequest", "build_cache_key", "_chat_key_frame", "_chat_keyer"} == set()
-    assert _calls(PACKAGE / "detector.py", lambda call: _call_name(call) == "ChatRequest") == []
+    """The detector and signature generation hand the gateway prompts: no module but gateway.py
+    builds a ChatRequest, and neither imports a request or key builder."""
+    builders = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _ in _calls(path, lambda call: _call_name(call) == "ChatRequest")
+    }
+    assert builders == {"gateway.py"}
+    for name in ("detector.py", "signatures.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+        assert imported & {"ChatRequest", "build_cache_key", "_chat_key_frame", "_chat_keyer"} == set(), name
 
 
 def test_report_opens_no_cache():
