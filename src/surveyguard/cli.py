@@ -14,14 +14,18 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .dataset import (
+    JSON_SLICE,
     SurveyDataset,
     _open,
     load_dataset,
@@ -64,7 +68,7 @@ from .scoring import (
     empty_scored,
     flag_irrelevant,
     meets_threshold,
-    score_question,
+    score_matrix,
 )
 from .signatures import (
     DEFAULT_SENTIMENTS,
@@ -361,9 +365,13 @@ def _score_strategy(
     gateway: ProviderGateway,
     kind: StrategyKind,
     store_dir: Path,
-) -> tuple[list[dict], dict[str, str]]:
-    """The scored_<strategy>.json rows of every open-ended response, by response_id,
-    and the texts of the signatures they were scored against."""
+) -> tuple[dict, dict[str, str]]:
+    """The score columns of every open-ended response, and the texts of the signatures they were
+    scored against. A column holds a value per response, in response id order: response_id,
+    question_id, study (an index into study_ids), final_score (NaN where empty), empty, best (an
+    index into signature_ids, -1 where empty) and irrelevant. Under ``--scores full``, row is each
+    response's row in the score matrix of its question, which matrices holds with its sorted
+    signature ids by question id."""
     questions = dataset.open_questions()
     missing = [
         q.question_id
@@ -375,37 +383,76 @@ def _score_strategy(
             f"missing signature store for strategy {kind.value}, "
             f"question(s): {', '.join(sorted(missing))}; run gen-signatures first"
         )
-    records = cfg.scores_mode == "full"
-    rows = []
-    signature_texts: dict[str, str] = {}
-    plan = []  # per question: its signatures, its answered responses, and the texts to embed
+    at: dict[str, list[int]] = {q.question_id: [] for q in questions}  # where each one's responses are
+    responses = [r for r in dataset.responses if r.question_id in at]  # in id order, as the dataset's
+    for i, response in enumerate(responses):
+        at[response.question_id].append(i)
+    answered = [bool(r.text.strip()) for r in responses]
+    plan = []  # per question: its signatures, where its answered responses are, and the texts to embed
     for question in questions:
         store = load_signature_set(store_dir, kind, question.question_id)
         signatures = [(s["signature_id"], s["text"]) for s in store["signatures"]]
-        answered = [r for r in dataset.responses_for_question(question.question_id) if r.text.strip()]
-        plan.append((signatures, answered, [text for _, text in signatures] + [r.text for r in answered]))
+        scored = [i for i in at[question.question_id] if answered[i]]
+        plan.append((signatures, scored, [text for _, text in signatures] + [responses[i].text for i in scored]))
     # One pass fetches the misses of every question; then one question's vectors are held at a time.
     gateway.store_embeddings([text for _, _, texts in plan for text in texts])
-    for question, (signatures, answered, texts) in zip(questions, plan):
-        responses = dataset.responses_for_question(question.question_id)
-        vectors = gateway.stored_embeddings(texts)
+    study_ids = sorted({q.study_id for q in questions})
+    study = np.empty(len(responses), dtype=np.intp)
+    final = np.full(len(responses), np.nan)
+    best, row = np.full(len(responses), -1, dtype=np.intp), np.full(len(responses), -1, dtype=np.intp)
+    signature_ids: list[str] = []
+    signature_texts: dict[str, str] = {}
+    matrices = {}
+    for question, (signatures, scored, texts) in zip(questions, plan):
+        study[at[question.question_id]] = study_ids.index(question.study_id)
         signature_texts.update(signatures)
-        by_id = {
-            row["response_id"]: row
-            for row in score_question(
-                [i for i, _ in signatures], [r.response_id for r in answered], vectors, records=records
-            )
-        }
-        for response in responses:
-            row = by_id.get(response.response_id) or empty_scored(response.response_id, records)
-            if flag_irrelevant(row, cfg.low_threshold):
-                row["flags"].append(FLAG_IRRELEVANT)
-            row["question_id"] = question.question_id
-            row["study_id"] = question.study_id
-            row["ai_at"] = {f"{th:g}": meets_threshold(row, th) for th in cfg.thresholds}
-            rows.append(row)
-    rows.sort(key=lambda row: row["response_id"])
-    return rows, signature_texts
+        if scored:
+            response_ids = [responses[i].response_id for i in scored]
+            ids, m = score_matrix([i for i, _ in signatures], response_ids, gateway.stored_embeddings(texts))
+            top = m.argmax(axis=1)
+            final[scored], best[scored] = m[np.arange(len(m)), top], len(signature_ids) + top
+            row[scored] = range(len(m))
+            signature_ids += ids
+            matrices[question.question_id] = ids, m
+    scores = {
+        "response_id": [r.response_id for r in responses],
+        "question_id": [r.question_id for r in responses],
+        "study": study,
+        "study_ids": study_ids,
+        "final_score": final,
+        "empty": ~np.array(answered, dtype=bool),
+        "best": best,
+        "signature_ids": signature_ids,
+        "irrelevant": flag_irrelevant(final, cfg.low_threshold),
+    }
+    if cfg.scores_mode == "full":
+        scores |= {"row": row, "matrices": matrices}
+    return scores, signature_texts
+
+
+def _scored_rows(scores: Mapping, thresholds: Sequence[float]) -> Iterator[dict]:
+    """The rows of scored_<strategy>.json from a strategy's score columns, made JSON_SLICE at a time."""
+    keys = [f"{th:g}" for th in thresholds]
+    matrices = scores.get("matrices")
+    for start in range(0, len(scores["response_id"]), JSON_SLICE):
+        part = slice(start, start + JSON_SLICE)
+        final = scores["final_score"][part]
+        ai_at = zip(*(meets_threshold(final, th).tolist() for th in thresholds))
+        columns = [scores[key][part] for key in ("response_id", "question_id")]
+        columns += [scores[key][part].tolist() for key in ("study", "empty", "best", "irrelevant")]
+        columns += [final.tolist(), scores["row"][part].tolist() if matrices is not None else repeat(None)]
+        for rid, qid, study, empty, best, irrelevant, score, at, ai in zip(*columns, ai_at):
+            if empty:
+                row = empty_scored(rid, matrices is not None)
+            else:
+                flags = [FLAG_IRRELEVANT] if irrelevant else []
+                best_id = scores["signature_ids"][best]
+                row = dict(response_id=rid, final_score=score, best_signature_id=best_id, flags=flags)
+                if matrices is not None:
+                    ids, m = matrices[qid]
+                    row["per_signature"] = [{"signature_id": i, "score": v} for i, v in zip(ids, m[at].tolist())]
+            row.update(question_id=qid, study_id=scores["study_ids"][study], ai_at=dict(zip(keys, ai)))
+            yield row
 
 
 def cmd_score(cfg: RunConfig) -> int:
@@ -415,16 +462,15 @@ def cmd_score(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     store_dir = out_dir / "signatures"
     cohorts = {s.study_id: s.cohort for s in dataset.studies}
-    response_texts = {r.response_id: r.text for r in dataset.responses}
 
     with _exclusive_output(out_dir):
-        rows_by_strategy: dict[str, list[dict]] = {}
+        scores_by_strategy: dict[str, dict] = {}
         for kind in _strategy_kinds(cfg):
-            rows, signature_texts = _score_strategy(cfg, dataset, gateway, kind, store_dir)
-            rows_by_strategy[kind.value] = rows
-            write_json(out_dir / f"scored_{kind.value}.json", rows)
+            scores, signature_texts = _score_strategy(cfg, dataset, gateway, kind, store_dir)
+            scores_by_strategy[kind.value] = scores
+            write_json(out_dir / f"scored_{kind.value}.json", _scored_rows(scores, cfg.thresholds))
 
-            cases = extract_cases(rows, response_texts, signature_texts, cfg.k_high)
+            cases = extract_cases(scores, dataset.response_text, signature_texts, cfg.k_high)
             write_json(
                 out_dir / f"cases_{kind.value}.json",
                 {
@@ -435,10 +481,12 @@ def cmd_score(cfg: RunConfig) -> int:
                 },
             )
 
-            scores_by_cohort: dict[Cohort, list[float]] = {}
-            for row in rows:
-                if row["final_score"] is not None:
-                    scores_by_cohort.setdefault(cohorts[row["study_id"]], []).append(row["final_score"])
+            scores_by_cohort = {}
+            for cohort in Cohort:
+                members = np.array([cohorts[sid] == cohort for sid in scores["study_ids"]], dtype=bool)
+                final = scores["final_score"][members[scores["study"]] & ~scores["empty"]]
+                if len(final):
+                    scores_by_cohort[cohort] = final
             if scores_by_cohort:
                 write_csv(
                     out_dir / f"histogram_{kind.value}.csv",
@@ -447,7 +495,7 @@ def cmd_score(cfg: RunConfig) -> int:
                 )
 
         sweep = threshold_sweep(
-            rows_by_strategy,
+            scores_by_strategy,
             cfg.thresholds,
             [k.value for k in _strategy_kinds(cfg)],
             cohorts,
@@ -461,7 +509,7 @@ def cmd_score(cfg: RunConfig) -> int:
             sweep_csv_rows(sweep),
         )
 
-        total = sum(len(rows) for rows in rows_by_strategy.values())
+        total = sum(len(scores["response_id"]) for scores in scores_by_strategy.values())
         print(
             f"scored {total} responses across {len(cohorts)} studies "
             f"({', '.join(cfg.strategies)})"

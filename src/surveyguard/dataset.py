@@ -5,7 +5,8 @@ directory is a CSV bundle (studies.csv, questions.csv, responses.csv; UTF-8,
 RFC-4180 quoting, header row required) and any other path a single JSON file
 with the same three arrays. Loading normalizes order (sorted by id). All
 writers emit canonical bytes: JSON as one ``canonical_json`` line, "\n"
-newlines, no locale formatting.
+newlines, no locale formatting. A long list is encoded a slice at a time, so
+no artifact is held whole as one string.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import io
 import json
 import os
 import re
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import IO
@@ -60,6 +62,10 @@ class SurveyDataset:
     def responses_for_question(self, question_id: str) -> tuple[SurveyResponse, ...]:
         """The question's responses in dataset (response_id) order; () for an unknown id."""
         return self._responses_by_question.get(question_id, ())
+
+    def response_text(self, response_id: str) -> str:
+        """The text of a response the dataset holds, found by bisection: responses are in id order."""
+        return self.responses[bisect_left(self.responses, response_id, key=attrgetter("response_id"))].text
 
 
 def _question(question_id: str, study_id: str, kind: str, text: str) -> SurveyQuestion:
@@ -202,19 +208,57 @@ def load_dataset(path: Path | str) -> SurveyDataset:
 # ---------------------------------------------------------------------------
 # Canonical writers
 
-_SAFE_NAME = re.compile(r"^[A-Za-z0-9._-]+$")
+_SAFE_NAME = re.compile(r"[A-Za-z0-9._-]+")
+JSON_SLICE = 512  # list items per canonical_json call as write_json writes a longer list
 
 
 def safe_name(name: str, hashed_prefix: str) -> str:
     """name, if it is only ASCII letters, digits, ".", "_" and "-", else hashed_prefix, "-" and 16
     hex digits of its SHA-256: with a prefix or suffix added, a file of the directory it is put in."""
-    if _SAFE_NAME.match(name):
+    if _SAFE_NAME.fullmatch(name):
         return name
     return f"{hashed_prefix}-{hashlib.sha256(name.encode('utf-8')).hexdigest()[:16]}"
 
 
+def _json_array(items: Iterator) -> Iterator[str]:
+    """``canonical_json(list(items))`` in parts, JSON_SLICE items encoded by each call."""
+    sep = "["
+    while chunk := list(islice(items, JSON_SLICE)):
+        yield sep + canonical_json(chunk)[1:-1]
+        sep = ","
+    yield "]" if sep == "," else "[]"
+
+
+def _holds_long_list(obj: object) -> bool:
+    if isinstance(obj, list):
+        return len(obj) > JSON_SLICE or any(map(_holds_long_list, obj))
+    return isinstance(obj, dict) and any(map(_holds_long_list, obj.values()))
+
+
+def _json_parts(obj: object) -> Iterator[str]:
+    """``canonical_json(obj)`` in parts: a list of more than JSON_SLICE items a slice at a time, a
+    dict (of string keys, as every artifact's are) or a list that holds one an item at a time, and
+    anything else whole."""
+    if isinstance(obj, list) and len(obj) > JSON_SLICE:
+        yield from _json_array(iter(obj))
+    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj) and _holds_long_list(obj):
+        for i, key in enumerate(sorted(obj)):
+            yield ("," if i else "{") + canonical_json(key) + ":"
+            yield from _json_parts(obj[key])
+        yield "}"
+    elif isinstance(obj, list) and _holds_long_list(obj):
+        for i, item in enumerate(obj):
+            yield "," if i else "["
+            yield from _json_parts(item)
+        yield "]"
+    else:
+        yield canonical_json(obj)
+
+
 def write_json(path: Path | str, obj: object) -> None:
-    write_text(path, canonical_json(obj) + "\n")
+    """Write ``canonical_json(obj) + "\n"``, a long list a slice at a time; an iterator is written
+    as the list of its items, so they can be made a slice at a time too."""
+    _write(path, chain(_json_array(obj) if isinstance(obj, Iterator) else _json_parts(obj), ["\n"]))
 
 
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
@@ -226,21 +270,27 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence[o
 
 
 def write_text(path: Path | str, text: str) -> None:
-    """The one writer of output files: makes the parent directory, writes UTF-8 with "\n" to a
-    temp file beside the target and renames it onto the target, so a failed write leaves the
-    earlier file or none. A path it cannot write, say under a file or at a directory, is a
+    _write(path, [text])
+
+
+def _write(path: Path | str, parts: Iterable[str]) -> None:
+    """The one writer of output files: makes the parent directory, writes the parts as UTF-8 with
+    "\n" to a temp file beside the target and renames it onto the target, so a failed write leaves
+    the earlier file or none. A path it cannot write, say under a file or at a directory, is a
     ConfigError naming it."""
     p = Path(path)
     tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
     try:
         p.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp, p)
-    except OSError as exc:
+    except BaseException as exc:  # an OSError, or a value the parts could not encode
         with suppress(OSError):  # no temp file was made, or it cannot go either
             os.unlink(tmp)
-        raise ConfigError(f"cannot write output file {p}: {exc.strerror}") from None
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write output file {p}: {exc.strerror}") from None
+        raise
 
 
 def write_report(report: Mapping, path: Path | str) -> None:

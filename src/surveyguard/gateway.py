@@ -9,6 +9,7 @@ reproducible even against nondeterministic commercial models.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -22,6 +23,7 @@ import zlib
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -178,9 +180,13 @@ class DiskCache:
         )
 
     def refresh(self) -> None:
-        """Index the packs committed since the last call, by any process."""
-        names = [n for n in os.listdir(self.packs) if n.isdecimal() and int(n) not in self._packs]
-        names.sort(key=int)
+        """Index the packs committed since the last call, by any process, and unlink the temp
+        packs of writers that are gone."""
+        listed = os.listdir(self.packs)
+        for name in listed:
+            if name.startswith(".tmp-"):
+                self._reclaim(self.packs / name)
+        names = sorted((n for n in listed if n.isdecimal() and int(n) not in self._packs), key=int)
         for path in map(self.packs.joinpath, names):
             with open(path, "rb") as fh:
                 head = fh.read(len(self._PACK_MAGIC) + 4)
@@ -198,6 +204,20 @@ class DiskCache:
                 bounds = array("I", [fh.tell(), *(min(end, file_size) for _, end, _ in rows)])
             crcs = array("I", (crc for *_, crc in rows))
             self._add(int(path.name), path, [digest for digest, *_ in rows], bounds, crcs)
+
+    @staticmethod
+    def _reclaim(tmp: Path) -> None:
+        """Unlink a temp pack whose writer is gone: one that holds bytes, and whose flock this can
+        take without blocking. A writer takes it before its first byte and unlinks the file before
+        it lets go, so a live writer's temp pack is never taken."""
+        with suppress(OSError):  # unlinked meanwhile, held, or not ours to unlink
+            fd = os.open(tmp, os.O_RDONLY)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if os.fstat(fd).st_size:
+                    os.unlink(tmp)
+            finally:
+                os.close(fd)
 
     def _add(self, number: int, path: Path, digests: list[bytes], bounds: array, crcs: array) -> None:
         """Index a committed pack. Adding it again (a refresh may find a pack before its own flush
@@ -282,7 +302,9 @@ class DiskCache:
         try:
             fd, tmp = tempfile.mkstemp(dir=self.packs, prefix=".tmp-")
             try:
-                with os.fdopen(fd, "wb") as fh:  # one writev: a write per buffer-full gives up the GIL
+                fcntl.flock(fd, fcntl.LOCK_EX)  # held until the temp file goes: see _reclaim
+                # One writev: a write per buffer-full gives up the GIL.
+                with os.fdopen(fd, "wb", closefd=False) as fh:
                     rows = map(self._ROW.pack, batch, bounds[1:], crcs)
                     head = [self._PACK_MAGIC, len(batch).to_bytes(4, "little"), *rows, stored_at]
                     data = [*head, *batch.values()]
@@ -299,7 +321,10 @@ class DiskCache:
                     except FileExistsError:  # another process's pack, indexed by the refresh below
                         pass
             finally:
-                os.unlink(tmp)
+                try:
+                    os.unlink(tmp)
+                finally:
+                    os.close(fd)  # after the unlink: a temp pack still named is never left unlocked
         except OSError as exc:
             with self._lock:  # the index still holds the keys, so a later flush must commit them
                 self._pending = batch | self._pending

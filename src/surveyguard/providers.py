@@ -124,7 +124,11 @@ def _post_json(url: str, payload: dict, api_key: str) -> dict:
     )
     try:
         with urllib.request.urlopen(req, timeout=REQUEST_TIMEOUT_S) as resp:
-            return json.loads(resp.read().decode("utf-8"))
+            try:
+                return json.loads(resp.read().decode("utf-8"))
+            except ValueError as exc:  # not UTF-8, or not JSON: a proxy's HTML page, say
+                message = f"HTTP {resp.status} from {url}: the reply is not UTF-8 JSON: {exc}"
+                raise ProviderError(message, status=resp.status) from exc
     except urllib.error.HTTPError as exc:
         detail = exc.read().decode("utf-8", "replace")[:200]
         if exc.code == 429 or exc.code >= 500:

@@ -10,12 +10,14 @@ happens only at render time.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 from .model import Cohort
-from .scoring import FLAG_EMPTY, FLAG_IRRELEVANT, meets_threshold
+from .scoring import meets_threshold
 
 
 class AverageConvention(str, Enum):
@@ -112,7 +114,7 @@ def cohort_averages(
 
 
 def threshold_sweep(
-    rows_by_strategy: Mapping[str, Sequence[Mapping]],
+    scores_by_strategy: Mapping[str, Mapping],
     thresholds: Sequence[float],
     strategies: Sequence[str],
     cohorts: Mapping[str, Cohort],
@@ -120,10 +122,11 @@ def threshold_sweep(
 ) -> dict:
     """One row per (threshold, strategy) with per-study and per-cohort percentages.
 
-    Takes each strategy's scored rows, which name their study_id, and returns
-    the sweep.json dict. Each row holds "per_study" in study_order and
-    pooled "averages" keyed by cohort value, pre-2022 first; every percentage
-    is a percent dict. Empty responses count in denominators (and never as
+    Takes each strategy's score columns as ``score`` keeps them (it reads
+    final_score, empty, and study, an index into study_ids) and returns the
+    sweep.json dict. Each row holds "per_study" in study_order and pooled
+    "averages" keyed by cohort value, pre-2022 first; every percentage is a
+    percent dict. Empty responses count in denominators (and never as
     detections) unless exclude_empty is set.
     """
     if not strategies:
@@ -132,29 +135,32 @@ def threshold_sweep(
         raise ValueError("empty threshold list")
     if list(thresholds) != sorted(thresholds):
         raise ValueError("thresholds must be sorted ascending")
-    counted: dict[tuple[str, str], list[Mapping]] = {}  # the denominator rows per (strategy, study)
+    counts: dict[tuple[str, str], list[int]] = {}  # (strategy, study) -> [denominator, count at each th]
     for strategy in strategies:
-        if not rows_by_strategy.get(strategy):
+        scores = scores_by_strategy.get(strategy)
+        if not scores or not len(scores["study"]):
             raise ValueError(f'no scored responses for strategy "{strategy}"')
-        for row in rows_by_strategy[strategy]:
-            group = counted.setdefault((strategy, row["study_id"]), [])
-            if not (exclude_empty and FLAG_EMPTY in row["flags"]):
-                group.append(row)
+        study, size = scores["study"], len(scores["study_ids"])
+        counted = study[~scores["empty"]] if exclude_empty else study
+        flagged = [study[meets_threshold(scores["final_score"], th)] for th in thresholds]
+        table = np.stack([np.bincount(s, minlength=size) for s in (counted, *flagged)], axis=1).tolist()
+        for i in np.flatnonzero(np.bincount(study, minlength=size)).tolist():
+            counts[strategy, scores["study_ids"][i]] = table[i]
 
-    study_ids = sorted({sid for _, sid in counted})
+    study_ids = sorted({sid for _, sid in counts})
     for sid in study_ids:
         if sid not in cohorts:
             raise ValueError(f'no cohort known for study "{sid}"')
     study_order = sorted(study_ids, key=lambda sid: (cohorts[sid] != Cohort.PRE_2022, sid))
 
     rows = []
-    for th in thresholds:
+    for t, th in enumerate(thresholds):
         for strategy in strategies:
             per_study = {}
             for sid in study_order:
-                group = counted.get((strategy, sid))
-                if group:
-                    per_study[sid] = percentage(sum(meets_threshold(r, th) for r in group), len(group))
+                total, *flagged = counts.get((strategy, sid), (0,))
+                if total:
+                    per_study[sid] = percentage(flagged[t], total)
             if not per_study:
                 raise ValueError(f'no scorable responses for strategy "{strategy}"')
             rows.append(
@@ -190,10 +196,29 @@ def bin_count(bin_width: float) -> int:
     return int(n_bins_exact)
 
 
+def bin_indices(scores: np.ndarray, bin_width: float) -> np.ndarray:
+    """Each score's histogram bin: the exact rational floor of (score + 1) / bin_width, with 1
+    (and above) in the last bin and -1 (and below) in the first.
+
+    The bins are half-open [e_i, e_{i+1}). Each edge's float, float(e_i), is the nearest double to
+    e_i, so a double s is >= e_i iff s >= float(e_i), except that s == float(e_i) < e_i is below it.
+    """
+    width = as_exact(bin_width)
+    n_bins = bin_count(bin_width)
+    exact = [-1 + i * width for i in range(n_bins + 1)]
+    edges = np.array([float(e) for e in exact])
+    below = np.array([Fraction(float(e)) < e for e in exact])  # edges whose float rounded down
+    index = np.searchsorted(edges, scores, side="right") - 1
+    edge = index.clip(0, n_bins)  # the edge at or below each score
+    index -= (scores == edges[edge]) & below[edge]
+    return index.clip(0, n_bins - 1)
+
+
 def build_histogram(
-    scores_by_cohort: Mapping[Cohort, Sequence[float]], bin_width: float = 0.05
+    scores_by_cohort: Mapping[Cohort, np.ndarray], bin_width: float = 0.05
 ) -> list[tuple[float, float, str, int]]:
-    """Bin similarity scores per cohort; bin_width must divide the [-1, 1] span.
+    """Bin similarity scores per cohort (see ``bin_indices``); bin_width must divide the [-1, 1]
+    span.
 
     Bins are half-open [e_i, e_{i+1}) over [-1, 1], the last one closed at 1.
     Returns (bin_start, bin_end, cohort value, count) rows, by cohort value
@@ -204,19 +229,11 @@ def build_histogram(
     edges = [float(-1 + i * width) for i in range(n_bins + 1)]
     rows = []
     for cohort, scores in sorted(scores_by_cohort.items(), key=lambda item: item[0].value):
-        bins = [0] * n_bins
-        for score in scores:
-            if not -1.0 - 1e-6 <= score <= 1.0 + 1e-6:
-                raise ValueError(f"similarity score out of range: {score}")
-            if score >= 1.0:
-                index = n_bins - 1  # last bin is closed at 1
-            elif score <= -1.0:
-                index = 0
-            else:
-                a, b = score.as_integer_ratio()  # exact integers, so half-open edges hold exactly
-                index = (a + b) * width.denominator // (b * width.numerator)
-                index = min(max(index, 0), n_bins - 1)
-            bins[index] += 1
+        scores = np.asarray(scores, dtype=np.float64)
+        in_range = (scores >= -1.0 - 1e-6) & (scores <= 1.0 + 1e-6)  # NaN is out of range too
+        if not in_range.all():
+            raise ValueError(f"similarity score out of range: {scores[~in_range][0]}")
+        bins = np.bincount(bin_indices(scores, bin_width), minlength=n_bins).tolist()
         rows += [(edges[i], edges[i + 1], cohort.value, count) for i, count in enumerate(bins)]
     return rows
 
@@ -226,35 +243,38 @@ def build_histogram(
 
 
 def extract_cases(
-    rows: Sequence[Mapping],
-    response_texts: Mapping[str, str],
+    scores: Mapping,
+    response_text: Callable[[str], str],
     signature_texts: Mapping[str, str],
     k_high: int,
 ) -> dict:
-    """Top-k scored rows by final score, plus every row ``score`` flagged irrelevant.
+    """Top-k scored responses by final score, plus every one ``score`` flagged irrelevant.
 
+    Takes a strategy's score columns as ``score`` keeps them (response_id in id
+    order, final_score, empty, irrelevant, and best, an index into
+    signature_ids), and looks up the texts of the cases it returns only.
     Returns {"high": cases by descending score, "low": irrelevant cases by
     ascending score}; ties go to the smaller response id.
     """
     if k_high < 0:
         raise ValueError("k_high must be >= 0")
+    final = scores["final_score"]
 
-    def case(row: Mapping) -> dict:
+    def case(i: int) -> dict:
+        rid, best = scores["response_id"][i], scores["signature_ids"][scores["best"][i]]
         return {
-            "response_id": row["response_id"],
-            "score": row["final_score"],
-            "best_signature_id": row["best_signature_id"],
-            "response_text": response_texts.get(row["response_id"], ""),
-            "signature_text": signature_texts.get(row["best_signature_id"] or "", ""),
+            "response_id": rid,
+            "score": final[i].item(),
+            "best_signature_id": best,
+            "response_text": response_text(rid),
+            "signature_text": signature_texts.get(best, ""),
         }
 
-    with_scores = [r for r in rows if r["final_score"] is not None]
-    high = sorted(with_scores, key=lambda r: (-r["final_score"], r["response_id"]))[:k_high]
-    low = sorted(
-        (r for r in with_scores if FLAG_IRRELEVANT in r["flags"]),
-        key=lambda r: (r["final_score"], r["response_id"]),
-    )
-    return {"high": [case(r) for r in high], "low": [case(r) for r in low]}
+    scored = np.flatnonzero(~scores["empty"])  # in id order, which a stable sort keeps among ties
+    high = scored[np.argsort(-final[scored], kind="stable")][:k_high]
+    low = np.flatnonzero(scores["irrelevant"])
+    low = low[np.argsort(final[low], kind="stable")]
+    return {"high": [case(i) for i in high.tolist()], "low": [case(i) for i in low.tolist()]}
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ so every reported number is reproducible).
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import DataError
 
@@ -44,27 +45,36 @@ def similarity_matrix(vectors: np.ndarray, ids: Sequence[str], signatures: int) 
     return m
 
 
+def score_matrix(
+    signature_ids: Sequence[str], response_ids: Sequence[str], vectors: np.ndarray
+) -> tuple[list[str], np.ndarray]:
+    """One question's signature ids sorted, and its responses' cosines against them: a row per
+    response, a column per signature in that order; ``vectors`` holds the signatures' rows, then
+    the responses'. A row's argmax, the first maximum, is its best signature, so ties go to the
+    lexicographically smallest id."""
+    if not signature_ids:
+        raise ValueError("empty signature set")
+    order = sorted(range(len(signature_ids)), key=signature_ids.__getitem__)
+    m = similarity_matrix(vectors, [*signature_ids, *response_ids], len(signature_ids))[:, order]
+    return [signature_ids[j] for j in order], m
+
+
 def score_question(
     signature_ids: Sequence[str],
     response_ids: Sequence[str],
     vectors: np.ndarray,
     records: bool = True,
 ) -> list[dict]:
-    """Score one question's responses against its signatures; ``vectors`` holds the signatures'
-    rows, then the responses'. Each final score is its row's max.
+    """Score one question's responses against its signatures (see ``score_matrix``); each final
+    score is its row's max.
 
     Returns one row per response: response_id, final_score, best_signature_id
     and flags, plus per_signature ([{signature_id, score}] by signature_id)
-    when ``records`` is on. Columns are sorted by signature_id and argmax
-    returns the first maximum, so ties go to the lexicographically smallest id.
+    when ``records`` is on.
     """
     if not response_ids:
         return []
-    if not signature_ids:
-        raise ValueError("empty signature set")
-    order = sorted(range(len(signature_ids)), key=signature_ids.__getitem__)
-    ids = [signature_ids[j] for j in order]
-    m = similarity_matrix(vectors, [*signature_ids, *response_ids], len(signature_ids))[:, order]
+    ids, m = score_matrix(signature_ids, response_ids, vectors)
     rows = []
     for rid, scores, best in zip(response_ids, m.tolist(), m.argmax(axis=1).tolist()):
         row = dict(response_id=rid, final_score=scores[best], best_signature_id=ids[best], flags=[])
@@ -98,9 +108,10 @@ def empty_scored(response_id: str, records: bool = True) -> dict:
     return row
 
 
-def meets_threshold(row: Mapping, th: float) -> bool:
-    """The inclusive rule: True iff final_score >= th. Empty responses never meet it."""
-    return row["final_score"] is not None and row["final_score"] >= th
+def meets_threshold(final_scores: ArrayLike, th: float) -> np.ndarray:
+    """The inclusive rule, per score: True where the final score is >= th. An empty response's
+    score, NaN (or None), never meets it."""
+    return np.asarray(final_scores, dtype=np.float64) >= th
 
 
 def check_threshold(th: float) -> None:
@@ -109,6 +120,7 @@ def check_threshold(th: float) -> None:
         raise ValueError(f"threshold must be in (-1, 1], got {th}")
 
 
-def flag_irrelevant(row: Mapping, low_th: float = 0.0) -> bool:
-    """True iff the final score is at or below low_th (off-topic indicator)."""
-    return row["final_score"] is not None and row["final_score"] <= low_th
+def flag_irrelevant(final_scores: ArrayLike, low_th: float = 0.0) -> np.ndarray:
+    """Per score: True where the final score is at or below low_th (off-topic indicator). An empty
+    response's score, NaN (or None), never is."""
+    return np.asarray(final_scores, dtype=np.float64) <= low_th

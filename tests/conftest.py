@@ -4,6 +4,7 @@ import struct
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from surveyguard.dataset import write_csv
@@ -58,6 +59,28 @@ def write_bundle(root: Path, studies, questions, responses) -> Path:
     write_csv(root / "questions.csv", ["question_id", "study_id", "kind", "text"], questions)
     write_csv(root / "responses.csv", ["response_id", "question_id", "text", "collected_at"], responses)
     return root
+
+
+def score_columns(rows) -> dict:
+    """A strategy's score columns, as ``score`` keeps them, from scored rows (each may name its
+    study_id): one value per row, in response id order."""
+    rows = sorted(rows, key=lambda row: row["response_id"])
+    study_ids = sorted({row.get("study_id", "") for row in rows})
+    signature_ids = sorted({row["best_signature_id"] for row in rows} - {None})
+    final = np.array([np.nan if row["final_score"] is None else row["final_score"] for row in rows])
+    return {
+        "response_id": [row["response_id"] for row in rows],
+        "study": np.array([study_ids.index(row.get("study_id", "")) for row in rows], dtype=np.intp),
+        "study_ids": study_ids,
+        "final_score": final,
+        "empty": np.isnan(final),
+        "best": np.array(
+            [-1 if row["final_score"] is None else signature_ids.index(row["best_signature_id"]) for row in rows],
+            dtype=np.intp,
+        ),
+        "signature_ids": signature_ids,
+        "irrelevant": np.array(["irrelevant" in row["flags"] for row in rows], dtype=bool),
+    }
 
 
 def entry_request(data: bytes) -> dict:

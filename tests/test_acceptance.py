@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import StaticChatProvider
+from conftest import StaticChatProvider, score_columns
 from surveyguard.cli import main
 from surveyguard.gateway import DiskCache, ProviderGateway
 from surveyguard.model import Cohort, SurveyQuestion, VerdictFlag
@@ -96,12 +96,12 @@ def test_oracle_equivalence_on_random_corpora():
 
             for _ in range(3):
                 th = rng.uniform(-0.999, 1.0)
-                assert meets_threshold(scored, th) == (best_score >= th)
+                assert meets_threshold(scored["final_score"], th) == (best_score >= th)
                 checked_verdicts += 1
             # inclusive boundary: a threshold equal to the final score flags AI
             boundary = scored["final_score"]
             if -1.0 < boundary <= 1.0:
-                assert meets_threshold(scored, boundary)
+                assert meets_threshold(scored["final_score"], boundary)
                 checked_verdicts += 1
     print(
         f"PASS oracle-equivalence: 50 corpora, {checked_scores} final scores within 1e-12, "
@@ -153,7 +153,9 @@ def test_sweep_monotonicity_property():
             for strategy in strategies
         }
         thresholds = sorted(rng.uniform(-0.95, 1.0) for _ in range(rng.randrange(2, 6)))
-        table = threshold_sweep(data, thresholds, strategies, cohorts)
+        table = threshold_sweep(
+            {strategy: score_columns(rows) for strategy, rows in data.items()}, thresholds, strategies, cohorts
+        )
         for strategy in strategies:
             for sid in cohorts:
                 column = [

@@ -4,6 +4,7 @@ import csv
 import errno
 import fcntl
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.response
 from dataclasses import fields
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import cache_entries, entry_request, rewrite_cache, src_env, write_bundle, write_v1_pack
-from surveyguard import cli
+from surveyguard import cli, providers
 from surveyguard.cli import RunConfig, build_parser, main
 from surveyguard.errors import ProviderError
 from surveyguard.gateway import EMBED_BATCH, canonical_json
@@ -404,7 +406,9 @@ class TestDetectLlm:
         )
 
 
-    @pytest.mark.parametrize("model", ["org/model-x", "x/../../escaped"], ids=["a-directory", "an-escape"])
+    @pytest.mark.parametrize(
+        "model", ["org/model-x", "x/../../escaped", "gpt-4o\n"], ids=["a-directory", "an-escape", "a-final-newline"]
+    )
     def test_dumps_of_a_model_id_that_is_no_file_name_stay_in_the_output_dir(
         self, capsys, corpus_path, tmp_path, model
     ):
@@ -947,6 +951,28 @@ class TestFlagsReachTheConfig:
         assert getattr(seen[0], action.dest) == expected
 
 
+class TestProviderReplies:
+    @pytest.mark.parametrize(
+        "body", [b"<html><body>502 Bad Gateway</body></html>", b'{"choices": "\xff"}'], ids=["not-json", "not-utf-8"]
+    )
+    def test_a_reply_that_is_not_utf8_json_is_a_provider_error_naming_its_url_and_status(
+        self, capsys, monkeypatch, corpus_path, tmp_path, body
+    ):
+        monkeypatch.setenv("OPENAI_API_KEY", "secret")
+
+        def urlopen(request, timeout):
+            return urllib.response.addinfourl(io.BytesIO(body), {}, request.full_url, code=200)
+
+        monkeypatch.setattr(providers.urllib.request, "urlopen", urlopen)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"chat_base_url": "http://chat.test/v1"}), encoding="utf-8")
+        args = [a for a in base_args(corpus_path, tmp_path, "detect-llm", "--config", config) if a != "--mock"]
+        code, _, err = run_cli(capsys, *args)
+        url = "http://chat.test/v1/chat/completions"
+        assert (code, err.count("\n")) == (3, 1), err
+        assert err.startswith(f"provider error: HTTP 200 from {url}: the reply is not UTF-8 JSON: "), err
+
+
 class TestProvenanceProviders:
     def test_mock_ids_come_from_the_mock_providers(self, capsys, corpus_path, tmp_path):
         run_cli(capsys, *base_args(corpus_path, tmp_path, "detect-llm", "--seed", "3"))
@@ -1017,8 +1043,8 @@ class TestThresholdBoundary:
             finals = [r["final_score"] for r in scored if r["study_id"] == study_id]
             assert pct["num"] == sum(1 for f in finals if f is not None and f >= th)
 
-        boundary = at_th[0]  # a dumped row is what the library's rules take
-        assert meets_threshold(boundary, th)
+        boundary = at_th[0]  # a dumped row's score is what the library's rules take
+        assert meets_threshold(boundary["final_score"], th)
 
 
 class TestSweepCsvMatchesReportCsv:

@@ -1,18 +1,23 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import write_bundle
+from surveyguard import dataset
 from surveyguard.dataset import (
+    JSON_SLICE,
     QUESTION_COLUMNS,
     RESPONSE_COLUMNS,
     STUDY_COLUMNS,
     TABLES,
     load_dataset,
+    write_json,
     write_report,
 )
 from surveyguard.errors import DataError
+from surveyguard.gateway import canonical_json
 from surveyguard.model import Cohort, QuestionKind, compute_length_stats
 from surveyguard.report import average_unweighted
 
@@ -383,3 +388,71 @@ class TestWriteReport:
         with pytest.raises(ValueError, match="unknown report format"):
             write_report(tiny_report(), path)
         assert not path.exists()
+
+
+def longest_list(obj) -> int:
+    """The length of the longest list anywhere in obj."""
+    if isinstance(obj, dict):
+        return max(map(longest_list, obj.values()), default=0)
+    if isinstance(obj, list):
+        return max([len(obj), *map(longest_list, obj)])
+    return 0
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bytes_are_canonical_json_and_no_call_encodes_a_list_longer_than_a_slice(
+        self, tmp_path, monkeypatch, seed
+    ):
+        rng = random.Random(seed)
+
+        def item():
+            kinds = [
+                lambda: rng.uniform(-1, 1),
+                lambda: rng.randrange(-(10**20), 10**20),
+                lambda: "".join(rng.choice("aé✓ \"\\\n\u2028😀") for _ in range(rng.randrange(6))),
+                lambda: rng.choice([None, True, False, [], {}]),
+                lambda: {"ü": [rng.random()], "a": {"z": None, "ß": "µ"}, "": []},
+            ]
+            return rng.choice(kinds)()
+
+        def items(n):
+            return [item() for _ in range(n)]
+
+        objects = {
+            "under": items(JSON_SLICE - 1),
+            "at": items(JSON_SLICE),
+            "over": items(JSON_SLICE + 1),
+            "slices": items(3 * JSON_SLICE + rng.randrange(1, JSON_SLICE)),
+            "nested": {
+                "studies": [{"verdicts": items(JSON_SLICE + rng.randrange(1, 900)), "id": "s1"}, {"verdicts": items(3)}],
+                "ñ": "ü",
+                "empty": [[], {}],
+            },
+            "deep": [items(JSON_SLICE + 1), [], {}, [[items(2 * JSON_SLICE)]], "é"],
+            "empty list": [],
+            "empty dict": {},
+        }
+        encoded = []
+
+        def encode(obj):
+            encoded.append(longest_list(obj))
+            return canonical_json(obj)
+
+        monkeypatch.setattr(dataset, "canonical_json", encode)
+        for i, (name, obj) in enumerate(objects.items()):
+            path = tmp_path / f"{i}.json"
+            write_json(path, obj)
+            assert path.read_bytes() == (canonical_json(obj) + "\n").encode("utf-8"), name
+        long = items(2 * JSON_SLICE + 1)
+        write_json(tmp_path / "iterated.json", iter(long))  # an iterator: the list of its items
+        assert (tmp_path / "iterated.json").read_bytes() == (canonical_json(long) + "\n").encode("utf-8")
+        write_json(tmp_path / "none.json", iter([]))
+        assert (tmp_path / "none.json").read_bytes() == b"[]\n"
+        assert max(encoded) <= JSON_SLICE
+
+    def test_a_value_json_cannot_encode_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out" / "rows.json"
+        with pytest.raises(TypeError):
+            write_json(path, [0] * JSON_SLICE + [object()])
+        assert list(path.parent.iterdir()) == []

@@ -350,5 +350,6 @@ def test_a_crash_mid_commit_costs_a_rerun_only_the_entries_no_pack_holds(tmp_pat
     assert 0 < kept < 80
     code, out, err = run(crashed, "gen-signatures", "out", *TEMPS)
     assert (code, err) == (0, "") and f"provider calls: {80 - kept} (cache hits: {kept})" in out
+    assert [path.name for path in (crashed / "cache" / "packs").iterdir() if path.name.startswith(".tmp-")] == []
     assert run(clean, "gen-signatures", "out", *TEMPS)[0] == 0
     assert outputs(crashed / "out") == outputs(clean / "out")

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import fcntl
 import hashlib
 import io
 import json
@@ -1158,6 +1159,19 @@ class TestPacks:
         assert 1 <= len(files) <= 3
         assert {p.parent for p in files} == {gateway.cache.packs}
         assert len(cache_entries(tmp_path / "cache")) == 3 * EMBED_BATCH
+
+    def test_opening_a_cache_unlinks_only_the_temp_packs_no_writer_holds(self, tmp_path):
+        packs = DiskCache(tmp_path / "cache").packs
+        held, left, empty = (packs / f".tmp-{name}" for name in ("held", "left", "empty"))
+        for path in (held, left):
+            path.write_bytes(b"the start of a pack")
+        empty.touch()  # as a writer's is between its creation and its lock
+        with open(held, "rb") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)  # as a live writer holds its temp pack
+            DiskCache(tmp_path / "cache")
+            assert sorted(path.name for path in packs.iterdir()) == [".tmp-empty", ".tmp-held"]
+        DiskCache(tmp_path / "cache")
+        assert sorted(path.name for path in packs.iterdir()) == [".tmp-empty"]
 
     def test_concurrent_stores_are_each_committed_once_under_fast_thread_switching(self, tmp_path, monkeypatch):
         cache = DiskCache(tmp_path / "cache")

@@ -3,7 +3,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from conftest import score_columns
 
 from surveyguard.gateway import DiskCache, ProviderGateway
 from surveyguard.model import Cohort
@@ -12,6 +14,7 @@ from surveyguard.report import (
     AverageConvention,
     average_pooled,
     average_unweighted,
+    bin_indices,
     build_histogram,
     cohort_averages,
     extract_cases,
@@ -22,7 +25,7 @@ from surveyguard.report import (
     sweep_markdown_lines,
     threshold_sweep,
 )
-from surveyguard.scoring import FLAG_IRRELEVANT, empty_scored, flag_irrelevant, score_response
+from surveyguard.scoring import FLAG_IRRELEVANT, empty_scored, flag_irrelevant, meets_threshold, score_response
 
 
 def scored(rid: str, final: float) -> dict:
@@ -37,15 +40,16 @@ def scored(rid: str, final: float) -> dict:
 
 def with_irrelevance(row: dict, low_th: float) -> dict:
     """The row with the "irrelevant" flag that score sets when it applies."""
-    if flag_irrelevant(row, low_th):
+    if flag_irrelevant(np.array([row["final_score"]], dtype=np.float64), low_th)[0]:
         row["flags"].append(FLAG_IRRELEVANT)
     return row
 
 
 def sweep_input(data: dict) -> dict:
-    """{strategy: {study_id: rows}} as threshold_sweep's {strategy: rows}, each row naming its study."""
+    """{strategy: {study_id: rows}} as threshold_sweep's {strategy: score columns}, each row naming
+    its study."""
     return {
-        strategy: [{**row, "study_id": sid} for sid, rows in studies.items() for row in rows]
+        strategy: score_columns([{**row, "study_id": sid} for sid, rows in studies.items() for row in rows])
         for strategy, studies in data.items()
     }
 
@@ -316,18 +320,35 @@ class TestHistogram:
         assert len(rows) == 8
 
 
+@pytest.mark.parametrize("bin_width", [0.05, 0.1, 0.25, 0.5, 1, 2])
+def test_the_array_rules_are_the_scalar_rules_at_every_boundary(bin_width):
+    """Each edge float(-1 + i*w), each threshold, and +-1, with their neighbours, and an empty
+    response (NaN), through meets_threshold, flag_irrelevant and bin_indices at once."""
+    width = Fraction(str(bin_width))
+    n_bins = int(2 / width)
+    thresholds = [-0.5, 0.0, 0.1, 0.15, 0.2, 0.25, 0.7, 0.75, 0.8, 0.85, 0.9, 1.0]
+    points = [float(-1 + i * width) for i in range(n_bins + 1)] + thresholds + [-1.0, 1.0]
+    scores = sorted({s for p in points for s in (p, math.nextafter(p, -2), math.nextafter(p, 2)) if -1 <= s <= 1})
+    column = np.array([*scores, np.nan])  # the last response is empty
+    for th in thresholds:
+        assert meets_threshold(column, th).tolist() == [s >= th for s in scores] + [False]
+        assert flag_irrelevant(column, th).tolist() == [s <= th for s in scores] + [False]
+    exact = [min(int((Fraction(s) + 1) / width), n_bins - 1) for s in scores]
+    assert bin_indices(np.array(scores), bin_width).tolist() == exact
+
+
 class TestExtractCases:
     def make_scored(self):
         rows = [scored("r1", 0.95), scored("r2", 0.40), scored("r3", -0.20), scored("r4", 0.80)]
         return [with_irrelevance(s, 0.0) for s in rows]
 
     def test_k_zero_keeps_low_list(self):
-        extract = extract_cases(self.make_scored(), {}, {}, k_high=0)
+        extract = extract_cases(score_columns(self.make_scored()), {}.get, {}, k_high=0)
         assert extract["high"] == []
         assert [c["response_id"] for c in extract["low"]] == ["r3"]
 
     def test_k_larger_than_corpus_returns_all_sorted(self):
-        extract = extract_cases(self.make_scored(), {}, {}, k_high=99)
+        extract = extract_cases(score_columns(self.make_scored()), {}.get, {}, k_high=99)
         assert [c["response_id"] for c in extract["high"]] == ["r1", "r4", "r2", "r3"]
 
     def test_verbatim_match_tops_cases_with_score_one(self, tmp_path):
@@ -338,8 +359,8 @@ class TestExtractCases:
         top = score_response("r-copy", gateway.embed(text), pairs)
         other = score_response("r-other", gateway.embed("Something else entirely."), pairs)
         extract = extract_cases(
-            [top, other],
-            {"r-copy": text, "r-other": "Something else entirely."},
+            score_columns([top, other]),
+            {"r-copy": text, "r-other": "Something else entirely."}.get,
             {"sig-a": text, "sig-b": "Different answer."},
             k_high=1,
         )
@@ -350,7 +371,7 @@ class TestExtractCases:
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            extract_cases([], {}, {}, k_high=-1)
+            extract_cases(score_columns([]), {}.get, {}, k_high=-1)
 
 
 class TestReturnValuesAreDumps:
@@ -362,8 +383,8 @@ class TestReturnValuesAreDumps:
             cohort_averages(per_study, COHORTS, AverageConvention.UNWEIGHTED_MEAN),
             cohort_averages(per_study, COHORTS, AverageConvention.POOLED_WEIGHTED),
             extract_cases(
-                [with_irrelevance(s, 0.0) for s in data["basic"]["s1"]],
-                {"r0": "text", "r1": "other"},
+                score_columns([with_irrelevance(s, 0.0) for s in data["basic"]["s1"]]),
+                {"r0": "text", "r1": "other"}.get,
                 {"s": "signature"},
                 k_high=1,
             ),

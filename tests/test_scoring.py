@@ -155,28 +155,23 @@ class TestScoreResponse:
         )
 
 
-def manual_scored(final: float) -> dict:
-    return {
-        "response_id": "r",
-        "final_score": final,
-        "best_signature_id": "s",
-        "flags": [],
-        "per_signature": [{"signature_id": "s", "score": final}],
-    }
+def score_column(*finals) -> np.ndarray:
+    """A final_score column as score keeps it: NaN for an empty response's None."""
+    return np.array([np.nan if final is None else final for final in finals], dtype=np.float64)
 
 
 class TestThresholdClassification:
     def test_above_threshold(self):
-        assert meets_threshold(manual_scored(0.92), 0.9)
+        assert meets_threshold(score_column(0.92), 0.9).tolist() == [True]
 
     def test_inclusive_boundary(self):
-        assert meets_threshold(manual_scored(0.90), 0.9)
+        assert meets_threshold(score_column(0.90), 0.9).tolist() == [True]
 
     def test_below_threshold(self):
-        assert not meets_threshold(manual_scored(0.89), 0.9)
+        assert meets_threshold(score_column(0.89), 0.9).tolist() == [False]
 
     def test_empty_response_counts_as_not_ai(self):
-        assert not meets_threshold(empty_scored("r"), 0.7)
+        assert meets_threshold(score_column(None), 0.7).tolist() == [False]
 
     @pytest.mark.parametrize("bad", [-1.0, -1.5, 1.0001])
     def test_threshold_domain(self, bad):
@@ -185,24 +180,24 @@ class TestThresholdClassification:
 
     def test_ai_count_non_increasing_in_threshold(self):
         rng = random.Random(9)
-        scored = [manual_scored(rng.uniform(-1, 1)) for _ in range(100)]
+        scored = score_column(*(rng.uniform(-1, 1) for _ in range(100)))
         thresholds = [0.1 * i for i in range(-9, 11)]
-        counts = [sum(1 for s in scored if meets_threshold(s, th)) for th in thresholds]
+        counts = [int(meets_threshold(scored, th).sum()) for th in thresholds]
         assert counts == sorted(counts, reverse=True)
 
 
 class TestIrrelevance:
     def test_negative_score_is_irrelevant(self):
-        assert flag_irrelevant(manual_scored(-0.10), 0.0) is True
+        assert flag_irrelevant(score_column(-0.10), 0.0).tolist() == [True]
 
     def test_zero_boundary_inclusive(self):
-        assert flag_irrelevant(manual_scored(0.00), 0.0) is True
+        assert flag_irrelevant(score_column(0.00), 0.0).tolist() == [True]
 
     def test_positive_score_not_irrelevant(self):
-        assert flag_irrelevant(manual_scored(0.45), 0.0) is False
+        assert flag_irrelevant(score_column(0.45), 0.0).tolist() == [False]
 
     def test_empty_never_irrelevant(self):
-        assert flag_irrelevant(empty_scored("r"), 0.0) is False
+        assert flag_irrelevant(score_column(None), 0.0).tolist() == [False]
 
     def test_score_sets_the_irrelevant_flag(self, tmp_path, corpus_path):
         args = ["--dataset", str(corpus_path), "--cache-dir", str(tmp_path / "cache"),
@@ -210,8 +205,9 @@ class TestIrrelevance:
         assert main(["gen-signatures", *args]) == 0
         assert main(["score", *args, "--low-threshold", "0.5"]) == 0
         rows = json.loads((tmp_path / "out" / "scored_basic.json").read_text(encoding="utf-8"))
-        flagged = [row for row in rows if flag_irrelevant(row, 0.5)]
-        untouched = [row for row in rows if not flag_irrelevant(row, 0.5)]
+        irrelevant = flag_irrelevant([row["final_score"] for row in rows], 0.5).tolist()
+        flagged = [row for row, flag in zip(rows, irrelevant) if flag]
+        untouched = [row for row, flag in zip(rows, irrelevant) if not flag]
         assert flagged and untouched
         for row in flagged:
             assert FLAG_IRRELEVANT in row["flags"]

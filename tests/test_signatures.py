@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shutil
@@ -222,6 +223,11 @@ class TestDeterminismAndStore:
         path = signature_store_path(tmp_path, StrategyKind.BASIC, "weird id/with:stuff")
         assert path.name.startswith("q-")
         assert path.name.endswith(".json")
+
+    def test_store_filename_of_an_id_ending_in_a_newline_is_hashed(self, tmp_path):
+        path = signature_store_path(tmp_path, StrategyKind.BASIC, "q1\n")
+        digest = hashlib.sha256(b"q1\n").hexdigest()[:16]
+        assert path.name == f"q-{digest}.json"
 
     def test_forced_duplicates_dedupe_to_one(self, tmp_path):
         gateway = make_gateway(tmp_path, chat=StaticChatProvider("Identical answer."))

@@ -40,9 +40,10 @@ def test_only_the_gateway_runs_threads():
     assert importers == {"gateway.py"}
 
 
-def test_only_the_cli_locks_files_and_no_module_signals_a_process():
+def test_only_the_cli_and_the_cache_lock_files_and_no_module_signals_a_process():
+    """The output directory's lock is the CLI's, a temp pack's the cache's."""
     importers = {path.name for path in sorted(PACKAGE.glob("*.py")) if "fcntl" in _imported_modules(path)}
-    assert importers == {"cli.py"}
+    assert importers == {"cli.py", "gateway.py"}
     signallers = {
         path.name
         for path in sorted(PACKAGE.glob("*.py"))
