@@ -63,9 +63,9 @@ from .report import (
     threshold_sweep,
 )
 from .scoring import (
+    FLAG_EMPTY,
     FLAG_IRRELEVANT,
     check_threshold,
-    empty_scored,
     flag_irrelevant,
     meets_threshold,
     score_matrix,
@@ -442,8 +442,10 @@ def _scored_rows(scores: Mapping, thresholds: Sequence[float]) -> Iterator[dict]
         columns += [scores[key][part].tolist() for key in ("study", "empty", "best", "irrelevant")]
         columns += [final.tolist(), scores["row"][part].tolist() if matrices is not None else repeat(None)]
         for rid, qid, study, empty, best, irrelevant, score, at, ai in zip(*columns, ai_at):
-            if empty:
-                row = empty_scored(rid, matrices is not None)
+            if empty:  # no score and no best signature; under --scores full, no per-signature scores
+                row = dict(response_id=rid, final_score=None, best_signature_id=None, flags=[FLAG_EMPTY])
+                if matrices is not None:
+                    row["per_signature"] = []
             else:
                 flags = [FLAG_IRRELEVANT] if irrelevant else []
                 best_id = scores["signature_ids"][best]
@@ -590,7 +592,6 @@ def cmd_report(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     detector_paths = sorted(out_dir.glob("detector_*.json"))
     sweep_path = out_dir / "sweep.json"
-    case_paths = sorted(out_dir.glob("cases_*.json"))
     if not detector_paths and not sweep_path.exists():
         raise DataError(f"no dumps found in {out_dir}; run score or detect-llm first")
 
@@ -606,11 +607,14 @@ def cmd_report(cfg: RunConfig) -> int:
             sweep = _read_dump(sweep_path, keys, lambda d: {"signature_detection": {"sweep": d}})
             signature_section = {"sweep": sweep}
             cases, keys = {}, ("strategy", "high", "low")
-            for path in case_paths:
+            for strategy in sorted({str(row["strategy"]) for row in sweep["rows"]}):  # no other cases_*.json
+                path = out_dir / f"cases_{strategy}.json"
+                if not path.exists():
+                    continue
                 dump = _read_dump(path, keys, lambda d: {"signature_detection": {"cases": {"": d}}})
-                if not isinstance(dump["strategy"], str):
-                    raise DataError(f"corrupted dump file: {path}: strategy must be a string")
-                cases[dump["strategy"]] = dump
+                if dump["strategy"] != strategy:
+                    raise DataError(f"corrupted dump file: {path}: strategy {dump['strategy']!r} is not {strategy!r}")
+                cases[strategy] = dump
             if cases:
                 signature_section["cases"] = cases
 

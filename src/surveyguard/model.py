@@ -32,12 +32,12 @@ class VerdictFlag(str, Enum):
     UNDETERMINED = "UNDETERMINED"
 
 
-_MONTH_YEAR = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_YEAR = re.compile(r"([0-9]{4})-([0-9]{2})")
 
 
 def parse_month_year(month_year: str) -> tuple[int, int]:
-    """Parse a "YYYY-MM" string into (year, month)."""
-    m = _MONTH_YEAR.match(month_year or "")
+    """Parse a "YYYY-MM" string of ASCII digits into (year, month)."""
+    m = _MONTH_YEAR.fullmatch(month_year or "")
     if not m:
         raise ValueError(f"bad date: {month_year!r} (expected YYYY-MM)")
     year, month = int(m.group(1)), int(m.group(2))

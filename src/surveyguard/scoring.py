@@ -59,31 +59,6 @@ def score_matrix(
     return [signature_ids[j] for j in order], m
 
 
-def score_question(
-    signature_ids: Sequence[str],
-    response_ids: Sequence[str],
-    vectors: np.ndarray,
-    records: bool = True,
-) -> list[dict]:
-    """Score one question's responses against its signatures (see ``score_matrix``); each final
-    score is its row's max.
-
-    Returns one row per response: response_id, final_score, best_signature_id
-    and flags, plus per_signature ([{signature_id, score}] by signature_id)
-    when ``records`` is on.
-    """
-    if not response_ids:
-        return []
-    ids, m = score_matrix(signature_ids, response_ids, vectors)
-    rows = []
-    for rid, scores, best in zip(response_ids, m.tolist(), m.argmax(axis=1).tolist()):
-        row = dict(response_id=rid, final_score=scores[best], best_signature_id=ids[best], flags=[])
-        if records:
-            row["per_signature"] = [{"signature_id": i, "score": v} for i, v in zip(ids, scores)]
-        rows.append(row)
-    return rows
-
-
 def score_response(
     response_id: str,
     response_embedding: np.ndarray,
@@ -97,15 +72,12 @@ def score_response(
     for vector in vectors:
         if len(vector) != len(response_embedding):
             raise ValueError(f"dimension mismatch: {len(response_embedding)} vs {len(vector)}")
-    return score_question([i for i, _ in signature_embeddings], [response_id], np.stack(vectors))[0]
-
-
-def empty_scored(response_id: str, records: bool = True) -> dict:
-    """The row of an empty/whitespace-only response: no score, "empty" flag."""
-    row = dict(response_id=response_id, final_score=None, best_signature_id=None, flags=[FLAG_EMPTY])
-    if records:
-        row["per_signature"] = []
-    return row
+    ids, m = score_matrix([i for i, _ in signature_embeddings], [response_id], np.stack(vectors))
+    (scores,), best = m.tolist(), int(m.argmax())
+    return dict(
+        response_id=response_id, final_score=scores[best], best_signature_id=ids[best], flags=[],
+        per_signature=[{"signature_id": i, "score": v} for i, v in zip(ids, scores)],
+    )
 
 
 def meets_threshold(final_scores: ArrayLike, th: float) -> np.ndarray:

@@ -575,17 +575,30 @@ class TestReport:
         low = "Flagged irrelevant (score at or below the low threshold):\n\n- r07 score 0.1832\n"
         assert markdown.endswith(low)
 
-    def test_a_cases_dump_whose_strategy_is_not_a_string_writes_no_report(
+    def test_a_cases_dump_whose_strategy_is_not_its_files_writes_no_report(
         self, capsys, corpus_path, tmp_path
     ):
         for command in ("gen-signatures", "score"):
             run_cli(capsys, *base_args(corpus_path, tmp_path, command))
-        bad = tmp_path / "out" / "cases_other.json"
+        bad = tmp_path / "out" / "cases_basic.json"
         bad.write_text(json.dumps({"strategy": 1, "high": [], "low": []}), encoding="utf-8")
         code, _, err = run_cli(capsys, *base_args(corpus_path, tmp_path, "report"))
         assert code == 2
-        assert f"data error: corrupted dump file: {bad}: strategy must be a string" in err
+        assert f"data error: corrupted dump file: {bad}: strategy 1 is not 'basic'" in err
         assert list((tmp_path / "out").glob("report.*")) == []
+
+    def test_report_reads_the_cases_of_the_swept_strategies_only(self, capsys, corpus_path, tmp_path):
+        both = "basic,sentiment"
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "gen-signatures", "--strategy", both))[0] == 0
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "score", "--strategy", both))[0] == 0
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "score", "--strategy", "basic"))[0] == 0
+        (tmp_path / "out" / "cases_other.json").write_text("not json", encoding="utf-8")
+        assert run_cli(capsys, *base_args(corpus_path, tmp_path, "report"))[0] == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert {row["strategy"] for row in report["signature_detection"]["sweep"]["rows"]} == {"basic"}
+        assert list(report["signature_detection"]["cases"]) == ["basic"]
+        markdown = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
+        assert "### Cases (basic)" in markdown and "### Cases (sentiment)" not in markdown
 
     def test_a_dump_that_is_not_utf8_names_the_file(self, capsys, corpus_path, tmp_path):
         for command in ("gen-signatures", "score"):

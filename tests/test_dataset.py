@@ -145,6 +145,20 @@ class TestLoadBundle:
             "studies.csv row 2: study \"s1\": bad date: 'junk' (expected YYYY-MM)"
         )
 
+    @pytest.mark.parametrize(
+        "month", ["2021-06\n", "\u0662\u0660\u0662\u0661-\u0660\u0666"], ids=["newline", "arabic-indic-digits"]
+    )
+    def test_a_month_needs_ascii_digits_and_nothing_after_them(self, tmp_path, month):
+        path = write_bundle(
+            tmp_path / "bundle",
+            studies=[["s1", "Study", month, "d", "p"]],
+            questions=[],
+            responses=[],
+        )
+        with pytest.raises(DataError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == f"studies.csv row 2: study \"s1\": bad date: {month!r} (expected YYYY-MM)"
+
     def test_unknown_question_kind(self, tmp_path):
         path = write_bundle(
             tmp_path / "bundle",

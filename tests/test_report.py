@@ -25,7 +25,7 @@ from surveyguard.report import (
     sweep_markdown_lines,
     threshold_sweep,
 )
-from surveyguard.scoring import FLAG_IRRELEVANT, empty_scored, flag_irrelevant, meets_threshold, score_response
+from surveyguard.scoring import FLAG_EMPTY, FLAG_IRRELEVANT, flag_irrelevant, meets_threshold, score_response
 
 
 def scored(rid: str, final: float) -> dict:
@@ -241,7 +241,8 @@ class TestThresholdSweep:
         assert row["averages"][Cohort.PRE_2022.value] == {"num": 3, "den": 4, "rendered": "75.00"}
 
     def test_empty_flag_handling(self):
-        data = {"basic": {"s1": [scored("r0", 0.9), empty_scored("r1")], "s2": [scored("r2", 0.9)]}}
+        empty = dict(response_id="r1", final_score=None, best_signature_id=None, flags=[FLAG_EMPTY], per_signature=[])
+        data = {"basic": {"s1": [scored("r0", 0.9), empty], "s2": [scored("r2", 0.9)]}}
         included = threshold_sweep(sweep_input(data), [0.8], ["basic"], COHORTS)
         assert included["rows"][0]["per_study"]["s1"]["den"] == 2
         excluded = threshold_sweep(sweep_input(data), [0.8], ["basic"], COHORTS, exclude_empty=True)

@@ -11,10 +11,9 @@ from surveyguard.scoring import (
     FLAG_IRRELEVANT,
     DegenerateEmbeddingError,
     check_threshold,
-    empty_scored,
     flag_irrelevant,
     meets_threshold,
-    score_question,
+    score_matrix,
     score_response,
     similarity_matrix,
 )
@@ -31,10 +30,10 @@ def random_vec(rng: random.Random, dim: int) -> np.ndarray:
             return vec(*values)
 
 
-def score_pairs(responses, signatures, records=True) -> list[dict]:
-    """``score_question`` of (id, vector) pairs, the signatures' rows stacked above the responses'."""
+def score_pairs(responses, signatures) -> tuple[list[str], np.ndarray]:
+    """``score_matrix`` of (id, vector) pairs, the signatures' rows stacked above the responses'."""
     vectors = np.stack([vector for _, vector in [*signatures, *responses]])
-    return score_question([i for i, _ in signatures], [i for i, _ in responses], vectors, records=records)
+    return score_matrix([i for i, _ in signatures], [i for i, _ in responses], vectors)
 
 
 def pair_matrix(responses, signatures) -> np.ndarray:
@@ -215,25 +214,39 @@ class TestIrrelevance:
             assert FLAG_IRRELEVANT not in row["flags"]
 
 
-class TestEmptyScored:
-    def test_empty_flag_and_no_score(self):
-        scored = empty_scored("r9")
-        assert scored["final_score"] is None
-        assert scored["best_signature_id"] is None
-        assert FLAG_EMPTY in scored["flags"]
+def scored_rows(tmp_path, corpus_path, mode: str) -> list[dict]:
+    """scored_basic.json of the fixture corpus under ``--scores mode``; a NaN or Infinity in it
+    fails the parse."""
+    args = ["--dataset", str(corpus_path), "--cache-dir", str(tmp_path / "cache"),
+            "--output-dir", str(tmp_path / "out"), "--mock"]
+    assert main(["gen-signatures", *args]) == 0
+    assert main(["score", *args, "--scores", mode]) == 0
+    text = (tmp_path / "out" / "scored_basic.json").read_text(encoding="utf-8")
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in scored_basic.json"))
 
-    def test_empty_row_carries_per_signature_only_in_full_mode(self):
-        assert empty_scored("r9")["per_signature"] == []
-        assert "per_signature" not in empty_scored("r9", records=False)
+
+class TestEmptyRow:
+    @pytest.mark.parametrize("mode", ["summary", "full"])
+    def test_an_empty_response_has_no_score_and_the_empty_flag(self, tmp_path, corpus_path, mode):
+        rows = scored_rows(tmp_path, corpus_path, mode)
+        empty = {
+            "response_id": "r03",
+            "question_id": "q1",
+            "study_id": "s1",
+            "final_score": None,
+            "best_signature_id": None,
+            "flags": [FLAG_EMPTY],
+            "ai_at": {"0.7": False, "0.75": False, "0.8": False, "0.85": False, "0.9": False},
+        }
+        if mode == "full":
+            empty["per_signature"] = []
+        assert [row for row in rows if row["final_score"] is None] == [empty]
 
 
-@pytest.mark.parametrize("records", [True, False])
-def test_scored_rows_survive_a_json_round_trip(records):
-    rng = random.Random(17)
-    responses = [(f"r{i}", random_vec(rng, 8)) for i in range(5)]
-    pairs = [(f"sig{i}", random_vec(rng, 8)) for i in range(4)]
-    rows = score_pairs(responses, pairs, records=records) + [empty_scored("r9", records)]
-    assert json.loads(json.dumps(rows, allow_nan=False)) == rows
+@pytest.mark.parametrize("mode", ["summary", "full"])
+def test_scored_rows_survive_a_json_round_trip(tmp_path, corpus_path, mode):
+    rows = scored_rows(tmp_path, corpus_path, mode)
+    assert len(rows) == 8 and all(("per_signature" in row) == (mode == "full") for row in rows)
 
 
 def np_pairs(prefix: str, rows) -> list[tuple[str, np.ndarray]]:
@@ -257,29 +270,25 @@ class TestScoringCoreIsBitStable:
         swapped = pair_matrix(signatures, responses)
         assert swapped.T.tobytes() == batch.tobytes()
 
-    def test_score_question_agrees_with_score_response_and_the_oracle(self):
+    def test_score_matrix_agrees_with_score_response_and_the_oracle(self):
         rng = random.Random(13)
         responses = [(f"r{i}", random_vec(rng, 8)) for i in range(30)]
         pairs = [(f"sig{i:02d}", random_vec(rng, 8)) for i in reversed(range(12))]
-        full = score_pairs(responses, pairs)
-        summary = score_pairs(responses, pairs, records=False)
-        for (rid, emb), scored, short in zip(responses, full, summary):
+        ids, m = score_pairs(responses, pairs)
+        assert ids == sorted(sid for sid, _ in pairs)
+        for (rid, emb), scores in zip(responses, m):
             alone = score_response(rid, emb, pairs)
-            assert (scored["final_score"], scored["best_signature_id"]) == (
+            assert (float(scores.max()), ids[scores.argmax()]) == (
                 alone["final_score"],
                 alone["best_signature_id"],
             )
-            assert (short["final_score"], short["best_signature_id"], "per_signature" in short) == (
-                scored["final_score"],
-                scored["best_signature_id"],
-                False,
-            )
-            assert [r["signature_id"] for r in scored["per_signature"]] == sorted(sid for sid, _ in pairs)
+            assert [r["signature_id"] for r in alone["per_signature"]] == ids
             oracle = max(oracle_cosine(emb, sig) for _, sig in pairs)
-            assert scored["final_score"] == pytest.approx(oracle, abs=1e-12)
+            assert scores.max() == pytest.approx(oracle, abs=1e-12)
 
     def test_no_responses_means_no_scores(self):
-        assert score_question(["s"], [], vec(1, 0)[None]) == []
+        ids, m = score_matrix(["s"], [], vec(1, 0)[None])
+        assert ids == ["s"] and m.shape == (0, 1)
 
     def test_zero_norm_signature_is_named(self):
         with pytest.raises(DegenerateEmbeddingError, match="'sig-zero'"):
